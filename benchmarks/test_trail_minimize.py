@@ -7,7 +7,7 @@ checkpoints.  The baseline it must beat is the obvious loop -- delete
 one event at a time and re-run the whole candidate from scratch -- whose
 cost is quadratic in the trail length.
 
-Two experiments:
+Three experiments:
 
 1. **Head-to-head** -- the same mid-size captured trail through both
    minimizers.  Both must land on the same 1-minimal operation count;
@@ -16,6 +16,11 @@ Two experiments:
    (the acceptance-criteria shape) through ddmin alone: the baseline is
    too slow to run here, which is the point.  Minimized length must be
    <= 10 operations.
+3. **DFS trail** -- the depth-4 ``truncate-stale-data`` hunt (the
+   ``repro bugdemo`` shape): ~3 200 events of checkpoint/restore
+   episodes whose live path is three operations.  The minimizer must
+   project it (never executing the full schedule), stay unpolluted, and
+   execute fewer events than the schedule is long.
 
 Emits ``BENCH_trail.json`` at the repo root.
 """
@@ -24,6 +29,7 @@ import json
 from pathlib import Path
 
 from conftest import record_result
+from repro.cli import BUG_PAIRS, hunt_spec
 from repro.dist.spec import CheckSpec
 from repro.trail import Trail, minimize_trail, minimize_trail_naive, replay_trail
 
@@ -52,6 +58,7 @@ def _row(kind, res):
         "minimized_events": res.minimized_events,
         "probes": res.probes,
         "events_executed": res.events_executed,
+        **res.stats(),
     }
 
 
@@ -107,6 +114,39 @@ def test_long_log_convergence(benchmark, tmp_path):
 
     assert res.minimized_operations <= 10
     assert not res.exhausted
+    assert replay_trail(res.trail).confirmed
+
+
+def test_dfs_trail_projection(benchmark, tmp_path):
+    bug = "truncate-stale-data"
+    reference, buggy, depth, _profile = BUG_PAIRS[bug]
+    mcfs = hunt_spec(bug).build_mcfs()
+    mcfs.options.trail_dir = str(tmp_path)
+    result = mcfs.run_dfs(max_depth=depth, max_operations=400_000)
+    assert result.found_discrepancy and result.trail_path
+    trail = Trail.load(result.trail_path)
+
+    res = benchmark.pedantic(lambda: minimize_trail(trail),
+                             rounds=1, iterations=1)
+
+    record_result(
+        "Trail minimization: ddmin vs one-event-at-a-time",
+        f"{'ddmin, depth-4 DFS':20s} {res.original_operations:4d} -> "
+        f"{res.minimized_operations:2d} ops | probes {res.probes:5d} | "
+        f"events executed {res.events_executed:7d} "
+        f"(schedule: {res.original_events} events)",
+    )
+    _json_payload["dfs_trail"] = {
+        "bug": bug, "filesystems": [reference, buggy], "max_depth": depth,
+        **_row("ddmin", res),
+    }
+
+    assert res.projected
+    assert res.polluted_at is None
+    assert res.events_executed < res.original_events, (
+        f"minimizing executed {res.events_executed} events, more than the "
+        f"{res.original_events}-event schedule itself")
+    assert res.minimized_operations <= 10
     assert replay_trail(res.trail).confirmed
 
     out_path = Path(__file__).resolve().parent.parent / "BENCH_trail.json"

@@ -55,6 +55,16 @@ BUG_PAIRS = {
 }
 
 
+def hunt_spec(bug: str) -> CheckSpec:
+    """The campaign that finds ``bug`` (a ``BUG_PAIRS`` key) by DFS at
+    that entry's depth: the buggy file system against its reference."""
+    reference, buggy, _depth, profile = BUG_PAIRS[bug]
+    return CheckSpec(filesystems=(reference, buggy),
+                     include_extended=False,
+                     verifs_bugs=(bug,),
+                     input_profile=profile)
+
+
 def cmd_list(_args) -> int:
     print("file systems:")
     for name in FILESYSTEMS:
@@ -380,11 +390,7 @@ def cmd_bugdemo(args) -> int:
         print(f"unknown bug {args.bug!r}; see 'repro list'", file=sys.stderr)
         return 2
     reference, buggy, depth, profile = BUG_PAIRS[args.bug]
-    spec = CheckSpec(filesystems=(reference, buggy),
-                     include_extended=False,
-                     verifs_bugs=(args.bug,),
-                     input_profile=profile)
-    mcfs = spec.build_mcfs()
+    mcfs = hunt_spec(args.bug).build_mcfs()
     mcfs.options.trail_dir = args.trail_dir
     print(f"hunting {args.bug} in {buggy} (reference: {reference}, "
           f"profile: {profile}) ...")

@@ -51,6 +51,18 @@ def count_operations(events) -> int:
     return sum(1 for event in events if event[0] == OP)
 
 
+def orphan_restores(events: List[Event]) -> List[int]:
+    """Positions of RESTORE events whose CHECKPOINT is not before them."""
+    taken = set()
+    orphans: List[int] = []
+    for position, event in enumerate(events):
+        if event[0] == CHECKPOINT:
+            taken.add(event[1])
+        elif event[0] == RESTORE and event[1] not in taken:
+            orphans.append(position)
+    return orphans
+
+
 def normalize(events: List[Event]) -> List[Event]:
     """Drop RESTORE events whose CHECKPOINT is not in the schedule.
 
@@ -59,15 +71,97 @@ def normalize(events: List[Event]) -> List[Event]:
     it is a different (invalid) program.  Normalising instead of
     rejecting lets the minimizer still try the rest of the candidate.
     """
-    taken = set()
-    kept: List[Event] = []
+    orphans = set(orphan_restores(events))
+    if not orphans:
+        return list(events)
+    return [event for position, event in enumerate(events)
+            if position not in orphans]
+
+
+# ------------------------------------------------------- the tree view --
+# A schedule is not a flat list: every ``CHECKPOINT id ... RESTORE id``
+# span is an *episode* whose operations are rolled back when it closes.
+# What is left once every completed episode is cancelled is the live
+# path -- the operations actually in effect at the schedule's end.
+
+def live_path(events: List[Event]) -> List[Event]:
+    """The OP/CHECK/FSCK events still in effect at the schedule's end.
+
+    A RESTORE puts the path back to what it was at its CHECKPOINT, also
+    when episodes interleave (``C0 a C1 b R0 c R1 d`` leaves ``a d``);
+    orphan RESTOREs and CHECKPOINTs never restored change nothing.
+    This is the sequence a harness with exact restore holds in its
+    ``operation_log``, plus the state comparisons between them.
+    """
+    # the path is a cons list (parent, event) so a checkpoint is a
+    # pointer copy and a restore is O(1)
+    node = None
+    saved = {}
     for event in events:
-        if event[0] == CHECKPOINT:
-            taken.add(event[1])
-        elif event[0] == RESTORE and event[1] not in taken:
-            continue
-        kept.append(event)
-    return kept
+        tag = event[0]
+        if tag == CHECKPOINT:
+            saved[event[1]] = node
+        elif tag == RESTORE:
+            if event[1] in saved:
+                node = saved[event[1]]
+        else:
+            node = (node, event)
+    path: List[Event] = []
+    while node is not None:
+        node, event = node
+        path.append(event)
+    path.reverse()
+    return path
+
+
+def atoms(events: List[Event], positions: List[int]) -> List[List[int]]:
+    """Top-level atoms of the sub-schedule ``positions`` selects.
+
+    An atom is a list of positions into ``events``: either one event,
+    or a whole episode -- a CHECKPOINT through the last RESTORE of its
+    id, widened until every CHECKPOINT inside has all its RESTOREs
+    inside too (interleaved episodes merge into one atom).  Atoms are
+    therefore *balanced*: dropping any set of them never orphans a
+    RESTORE.  A CHECKPOINT nothing restores is a single-event atom.
+    """
+    last_restore = {}
+    for index, position in enumerate(positions):
+        event = events[position]
+        if event[0] == RESTORE:
+            last_restore[event[1]] = index
+    result: List[List[int]] = []
+    index = 0
+    while index < len(positions):
+        end = cursor = index
+        while cursor <= end:
+            event = events[positions[cursor]]
+            if event[0] == CHECKPOINT:
+                end = max(end, last_restore.get(event[1], cursor))
+            cursor += 1
+        result.append(list(positions[index:end + 1]))
+        index = end + 1
+    return result
+
+
+def split(events: List[Event], atom: List[int]) -> List[List[int]]:
+    """One level down the tree: an episode's frame, then its children.
+
+    The frame -- the opening CHECKPOINT with every RESTORE of its id --
+    stays one (balanced) atom; what it enclosed is re-read as top-level
+    atoms.  A bare frame or a single event has no children and comes
+    back as itself.
+    """
+    head = events[atom[0]]
+    if head[0] != CHECKPOINT:
+        return [atom]
+    frame = [position for position in atom
+             if events[position][0] in (CHECKPOINT, RESTORE)
+             and events[position][1] == head[1]]
+    if len(frame) == len(atom):
+        return [atom]
+    framed = set(frame)
+    inner = [position for position in atom if position not in framed]
+    return [frame] + atoms(events, inner)
 
 
 class TrailRecorder:

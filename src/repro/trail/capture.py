@@ -70,6 +70,19 @@ def report_digest(report: DiscrepancyReport) -> str:
     return hashlib.md5(canonical.encode("utf-8")).hexdigest()
 
 
+def describe_minimization(stats: Dict[str, Any]) -> str:
+    """One line on how a minimization's probes were served."""
+    line = ("live path reproduced" if stats["projected"]
+            else "full schedule (live path alone does not reproduce)")
+    line += (f"; {stats['cached_probes']} cached "
+             f"({stats['cache_hits']} from a cached prefix), "
+             f"{stats['fresh_probes']} fresh")
+    if stats["polluted_at"] is None:
+        return line + "; prober never contradicted a fresh harness"
+    return line + (f"; POLLUTED at probe {stats['polluted_at']}: "
+                   "every later probe ran fresh")
+
+
 @dataclass
 class Trail:
     """One counterexample: a spec to rebuild the world, a schedule to
@@ -83,6 +96,9 @@ class Trail:
     minimized_from: Optional[int] = None
     #: delta-debugging probes spent producing this trail (minimized only)
     probes: Optional[int] = None
+    #: how those probes were served (``MinimizeResult.stats()``): live
+    #: path projected or not, cached/fresh split, cache hits, pollution
+    minimization: Optional[Dict[str, Any]] = None
 
     @property
     def operations(self) -> int:
@@ -110,6 +126,7 @@ class Trail:
             "events": self.events,
             "minimized_from": self.minimized_from,
             "probes": self.probes,
+            "minimization": self.minimization,
             "signature": self.signature(),
             "digest": self.digest(),
             "spec": self.spec.to_dict(),
@@ -132,6 +149,7 @@ class Trail:
             seed=document.get("seed", 0),
             minimized_from=document.get("minimized_from"),
             probes=document.get("probes"),
+            minimization=document.get("minimization"),
         )
         if not trail.report.schedule:
             raise TrailFormatError("trail carries no schedule to replay")
@@ -164,6 +182,9 @@ class Trail:
             lines.append(f"minimized from {self.minimized_from} operation(s)"
                          + (f" in {self.probes} probe(s)"
                             if self.probes is not None else ""))
+        if self.minimization is not None:
+            lines.append("probes: "
+                         + describe_minimization(self.minimization))
         return "\n".join(lines)
 
 

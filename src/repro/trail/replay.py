@@ -92,6 +92,22 @@ class TrailExecutor:
             self._oracle = FsckOracle(self.engine, max_workers=1)
         self._oracle()
 
+    def snapshot(self) -> Tuple[Any, list, Dict[int, Any]]:
+        """Everything :meth:`rewind` must re-establish: a target token,
+        the operation log (the token only knows its length), and the
+        checkpoint-id bindings valid *here* -- a later ``RESTORE id``
+        must find the token this run took, not one a different run
+        left under the same id."""
+        return (self.target.checkpoint(), list(self.engine.operation_log),
+                dict(self.tokens))
+
+    def rewind(self, snapshot: Tuple[Any, list, Dict[int, Any]]) -> None:
+        """Put the harness back where :meth:`snapshot` was taken."""
+        token, log, bindings = snapshot
+        self.target.restore_reusable(token)
+        self.engine.operation_log[:] = log
+        self.tokens = dict(bindings)
+
     def execute_one(self, event: Tuple) -> None:
         """Execute one schedule event; violations propagate."""
         tag = event[0]
