@@ -25,6 +25,7 @@ from repro import (
     VeriFS2,
     VeriFSBug,
 )
+from repro.core.integrity import DiscrepancyError
 
 BUG_CASES = [
     # (bug, buggy fs phase, paper ops, expected failing op name or None)
@@ -48,6 +49,23 @@ def build(bug):
     return mcfs
 
 
+def state_moving(bug, report):
+    """How many entries of the report's operation log changed the
+    abstract state, observed by re-running the log on a fresh harness
+    (the failing operation counts: the divergence it causes is a move)."""
+    target = build(bug)._prepare()
+    before, moving = target.abstract_state(), 0
+    for logged in report.operation_log:
+        try:
+            target.apply(logged.operation)
+            after = target.abstract_state()
+        except DiscrepancyError:
+            return moving + 1
+        moving += after != before
+        before = after
+    return moving
+
+
 @pytest.mark.parametrize("bug,phase,paper_ops,failing_op,depth", BUG_CASES,
                          ids=[case[0].value for case in BUG_CASES])
 def test_bug_discovered(benchmark, bug, phase, paper_ops, failing_op, depth):
@@ -68,8 +86,21 @@ def test_bug_discovered(benchmark, bug, phase, paper_ops, failing_op, depth):
     # precise report: the failing operation is the expected one
     if failing_op is not None:
         assert report.failing_operation.operation.name == failing_op
-    # the sequence is short enough to debug by hand, like the paper's logs
-    assert len(report.operation_log) <= depth + 1
+    # the sequence is short enough to debug by hand, like the paper's
+    # logs: one operation per level of the search moved the state, the
+    # last of them the failing one ...
+    log, moving = report.operation_log, state_moving(bug, report)
+    assert moving <= depth
+    # ... and every other entry is a no-op (EEXIST, ENOENT, a truncate to
+    # the current size) that one of those levels ran before its moving
+    # sibling and, being a self-loop, did not roll back
+    actions = len(build(bug).engine().catalog.operations())
+    assert len(log) - moving <= depth * (actions - 1)
+    record_result(
+        "Section 6: bug discovery (operations until detection)",
+        f"{'':32s} {'':20s} report log: {len(log)} entries, "
+        f"{moving} moved the state",
+    )
 
 
 @pytest.mark.parametrize("phase", ["verifs1-vs-ext4", "verifs2-vs-verifs1"])

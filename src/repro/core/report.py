@@ -240,6 +240,12 @@ class RunSummary:
     duplicate_hit_ratio: float = 0.0
     fsck_checks: int = 0
     show_fsck: bool = False
+    #: DFS work the run did not have to do: transitions slept by POR,
+    #: transitions answered by the successor memo, and self-loop
+    #: children left in place instead of restored
+    por_pruned: int = 0
+    memo_hits: int = 0
+    restores_elided: int = 0
     #: snapshot traffic: bytes the checkpoint path actually copied vs.
     #: rewrote on restore, and the logical-to-physical dedup ratio the
     #: copy-on-write chunk tables achieved (0.0 = no snapshot traffic)
@@ -282,6 +288,9 @@ class RunSummary:
                                  if table_stats is not None else 0.0),
             fsck_checks=result.stats.fsck_checks,
             show_fsck=show_fsck,
+            por_pruned=result.stats.por_pruned,
+            memo_hits=result.stats.memo_hits,
+            restores_elided=result.stats.restores_elided,
             bytes_snapshotted=getattr(result, "bytes_snapshotted", 0),
             bytes_restored=getattr(result, "bytes_restored", 0),
             snapshot_dedup_ratio=getattr(result, "snapshot_dedup_ratio", 0.0),
@@ -308,6 +317,9 @@ class RunSummary:
             "duplicate_hit_ratio": self.duplicate_hit_ratio,
             "fsck_checks": self.fsck_checks,
             "show_fsck": self.show_fsck,
+            "por_pruned": self.por_pruned,
+            "memo_hits": self.memo_hits,
+            "restores_elided": self.restores_elided,
             "bytes_snapshotted": self.bytes_snapshotted,
             "bytes_restored": self.bytes_restored,
             "snapshot_dedup_ratio": self.snapshot_dedup_ratio,
@@ -332,6 +344,9 @@ class RunSummary:
             duplicate_hit_ratio=document.get("duplicate_hit_ratio", 0.0),
             fsck_checks=document.get("fsck_checks", 0),
             show_fsck=document.get("show_fsck", False),
+            por_pruned=document.get("por_pruned", 0),
+            memo_hits=document.get("memo_hits", 0),
+            restores_elided=document.get("restores_elided", 0),
             bytes_snapshotted=document.get("bytes_snapshotted", 0),
             bytes_restored=document.get("bytes_restored", 0),
             snapshot_dedup_ratio=document.get("snapshot_dedup_ratio", 0.0),
@@ -353,6 +368,12 @@ class RunSummary:
             f"({self.ops_per_second:.1f} ops/s)",
             f"stopped    : {self.stopped_reason}",
         ]
+        if self.por_pruned or self.memo_hits or self.restores_elided:
+            lines.append(
+                f"reductions : {self.por_pruned} slept (POR), "
+                f"{self.memo_hits} memo hits, "
+                f"{self.restores_elided} restores elided"
+            )
         if self.omission_possible:
             lines.append(
                 f"store      : LOSSY ({self.store_bits_per_state:.1f} "

@@ -19,6 +19,7 @@ Two modes:
 from __future__ import annotations
 
 import random
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -99,6 +100,10 @@ class ExplorationStats:
     restores: int = 0
     #: transitions skipped by partial-order reduction (sleep sets)
     por_pruned: int = 0
+    #: DFS transitions not executed because this run already knew their
+    #: successor, and self-loop children left in place instead of restored
+    memo_hits: int = 0
+    restores_elided: int = 0
     #: per-state fsck oracle sweeps performed (``fsck_every``)
     fsck_checks: int = 0
     max_depth_reached: int = 0
@@ -137,6 +142,8 @@ class ExplorationStats:
             "checkpoints": self.checkpoints,
             "restores": self.restores,
             "por_pruned": self.por_pruned,
+            "memo_hits": self.memo_hits,
+            "restores_elided": self.restores_elided,
             "fsck_checks": self.fsck_checks,
             "max_depth_reached": self.max_depth_reached,
             "start_time": self.start_time,
@@ -170,6 +177,8 @@ class ExplorationStats:
             checkpoints=int(document.get("checkpoints", 0)),
             restores=int(document.get("restores", 0)),
             por_pruned=int(document.get("por_pruned", 0)),
+            memo_hits=int(document.get("memo_hits", 0)),
+            restores_elided=int(document.get("restores_elided", 0)),
             fsck_checks=int(document.get("fsck_checks", 0)),
             max_depth_reached=int(document.get("max_depth_reached", 0)),
             start_time=float(document.get("start_time", 0.0)),
@@ -228,6 +237,12 @@ class Explorer:
         #: attached to the report so it can be captured as a trail
         self.recorder = TrailRecorder()
         self.stats = ExplorationStats()
+        #: ``run_dfs``'s successor memo, emptied when the run ends: state ->
+        #: (depth last expanded at, {action: successor hash}); hashes interned
+        #: (one string per state, not per edge), entries booked to the store's
+        #: memory model at ``_memo_entry`` bytes (1 + |actions| hashes)
+        self._memo: Dict[str, Tuple[int, Dict[Any, str]]] = {}
+        self._memo_entry = 0
 
     # ---------------------------------------------------------------- common --
     def _budget_exceeded(self) -> Optional[str]:
@@ -265,8 +280,8 @@ class Explorer:
             if self.sample_hook is not None:
                 self.sample_hook(self.stats)
 
-    def _record_state(self, depth: int = 0) -> bool:
-        """Hash the current state; returns True when it should be expanded.
+    def _record_state(self, depth: int = 0) -> Tuple[str, bool]:
+        """Hash the current state; returns ``(hash, should it be expanded)``.
 
         Depth-aware: a known state re-reached at a shallower depth is
         expanded again (Spin's fix for depth-bounded search losing the
@@ -290,7 +305,7 @@ class Explorer:
         else:
             self.stats.revisited_states += 1
         self.target.note_state_visit(is_new)
-        return should_expand
+        return state_hash, should_expand
 
     def _take_checkpoint(self) -> Any:
         if self.profile is not None:
@@ -320,66 +335,111 @@ class Explorer:
         order is explored -- the paper's "execute all permutations ...
         without duplication" (§2).  State coverage is preserved for
         commutative actions; the saved transitions can be substantial.
+
+        With or without it, known-successor transitions are not re-executed
+        and self-loop children not rolled back (``docs/architecture.md``).
         """
-        self.stats = ExplorationStats(start_time=self.clock.now)
+        stats = self.stats = ExplorationStats(start_time=self.clock.now)
         try:
-            self._record_state()
-            self._dfs(0, frozenset() if por else None)
-            if not self.stats.stopped_reason:
-                self.stats.stopped_reason = "state space exhausted"
+            root, _ = self._record_state()
+            self._memo_entry = 4 + len(root) * (1 + len(self.target.actions()))
+            self._dfs(sys.intern(root), 0, frozenset() if por else None)
+            if not stats.stopped_reason:
+                stats.stopped_reason = "state space exhausted"
         except PropertyViolation as violation:
             self.stats.violation = violation
             self.stats.stopped_reason = "property violation"
             self._attach_schedule(violation)
         except OutOfMemoryError:
             self.stats.stopped_reason = "out of memory"
+        if self.visited.memory is not None:
+            self.visited.memory.release_bytes(len(self._memo) * self._memo_entry)
+        self._memo.clear()
         self.stats.end_time = self.clock.now
         return self.stats
 
-    def _dfs(self, depth: int, sleep) -> None:
-        self.stats.max_depth_reached = max(self.stats.max_depth_reached, depth)
+    def _dfs(self, state: str, depth: int, sleep) -> None:
+        """Expand ``state`` (the abstract hash just recorded) at ``depth``."""
+        stats = self.stats
+        stats.max_depth_reached = max(stats.max_depth_reached, depth)
         if depth >= self.max_depth:
             return
         reason = self._budget_exceeded()
         if reason:
-            self.stats.stopped_reason = reason
+            stats.stopped_reason = reason
             return
+        # what this run executed from `state`, kept for its re-expansions
+        memo = self._memo
+        if state not in memo and self.visited.memory is not None:
+            self.visited.memory.store_bytes(self._memo_entry)
+        successors = memo[state][1] if state in memo else {}
+        memo[state] = (depth, successors)
+        actions = self.target.actions()
         # sleep-set candidates: the inherited sleep set plus every earlier
         # sibling, maintained incrementally (one append per action instead
         # of rebuilding `set(sleep) | set(explored)` for each one)
         candidates: Optional[List[Any]] = list(sleep) if sleep is not None else None
-        for action in self.target.actions():
+        # the node's checkpoint is armed lazily, before an executed child,
+        # and spent by the first restore: (recorder id, target token)
+        armed: Optional[Tuple[int, Any]] = None
+        for action in actions:
             reason = self._budget_exceeded()
             if reason:
-                self.stats.stopped_reason = reason
-                return
+                stats.stopped_reason = reason
+                break
             if sleep is not None and action in sleep:
                 # an independent permutation already covered this order
-                self.stats.por_pruned += 1
+                stats.por_pruned += 1
                 continue
-            checkpoint_id = self.recorder.checkpoint()
-            token = self._take_checkpoint()
-            self.stats.checkpoints += 1
-            self.recorder.operation(action)
-            self.target.apply(action)  # PropertyViolation propagates: halt
-            self._note_operation()
-            self.stats.transitions += 1
-            if self._record_state(depth + 1):
-                child_sleep = None
-                if candidates is not None:
-                    # classic sleep sets: earlier siblings that commute
-                    # with `action` stay asleep in its subtree
-                    child_sleep = frozenset(
-                        other
-                        for other in candidates
-                        if self.target.independent(action, other)
-                    )
-                self._dfs(depth + 1, child_sleep)
-            self.recorder.restore(checkpoint_id)
-            self._restore_checkpoint(token)
-            self.stats.restores += 1
+            known = successors.get(action)
+            if known is not None and (
+                known == state
+                or memo.get(known, (self.max_depth,))[0] <= depth + 1
+            ):
+                # it would land on a state that needs no expansion from
+                # here (one never expanded sits at the depth bound): the
+                # table's own trust that equal states have equal futures
+                stats.memo_hits += 1
+            else:
+                if armed is None:
+                    armed = (self.recorder.checkpoint(), self._take_checkpoint())
+                    stats.checkpoints += 1
+                self.recorder.operation(action)
+                self.target.apply(action)  # PropertyViolation propagates: halt
+                self._note_operation()
+                stats.transitions += 1
+                child, should_expand = self._record_state(depth + 1)
+                successors[action] = child = sys.intern(child)
+                if should_expand:
+                    child_sleep = None
+                    if candidates is not None:
+                        # classic sleep sets: earlier siblings that commute
+                        # with `action` stay asleep in its subtree
+                        child_sleep = frozenset(
+                            other
+                            for other in candidates
+                            if self.target.independent(action, other)
+                        )
+                    self._dfs(child, depth + 1, child_sleep)
+                if child == state:
+                    # a self-loop left the fs abstract-equal to this node:
+                    # carry on from where it is, the checkpoint stays armed
+                    stats.restores_elided += 1
+                else:
+                    self._spend(armed)
+                    armed = None
             if candidates is not None:
                 candidates.append(action)
+        if armed is not None:
+            # consume the token so no snapshot outlives its node
+            self._spend(armed)
+
+    def _spend(self, armed: Tuple[int, Any]) -> None:
+        """Restore a node's armed checkpoint, which consumes its token."""
+        checkpoint_id, token = armed
+        self.recorder.restore(checkpoint_id)
+        self._restore_checkpoint(token)
+        self.stats.restores += 1
 
     # --------------------------------------------------------------- random --
     def run_random(self, backtrack_probability: float = 0.25) -> ExplorationStats:
@@ -414,7 +474,7 @@ class Explorer:
                 self.stats.transitions += 1
                 if self.stats.operations % self.state_check_every != 0:
                     continue  # between amortised checks: straight-line walk
-                is_new = self._record_state()
+                _, is_new = self._record_state()
                 should_backtrack = (not is_new) or (
                     self.rng.random() < backtrack_probability
                 )

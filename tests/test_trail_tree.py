@@ -431,6 +431,104 @@ class TestVerdictSurvivesPollutionDiscovery:
         assert replay_trail(result.trail).confirmed
 
 
+# --------------------------------------------------------- lazy frames --
+def widest_frame(events):
+    """Most OP events any CHECKPOINT..RESTORE frame holds at its own
+    level (operations of nested frames not counted)."""
+    widest, open_frames = 0, []
+    for event in events:
+        if event[0] == C:
+            open_frames.append(0)
+        elif event[0] == R:
+            widest = max(widest, open_frames.pop())
+        elif event[0] == OP and open_frames:
+            open_frames[-1] += 1
+    return widest
+
+
+def rearm_under_one_id(events):
+    """The same schedule with a node's re-armed checkpoints sharing the
+    id of its first one.  In a DFS schedule a CHECKPOINT straight after
+    a RESTORE is the same node arming again, so the frames of one id
+    never overlap and the run is unchanged."""
+    renamed, result = {}, []
+    for event in events:
+        if event[0] == C and result and result[-1][0] == R:
+            renamed[event[1]] = result[-1][1]
+        if event[0] in (C, R):
+            event = (event[0], renamed.get(event[1], event[1]))
+        result.append(event)
+    return result
+
+
+class TestLazyCheckpointFrames:
+    """The DFS loop arms a node's checkpoint before its first executed
+    child and spends it on the first child that moves the state, so a
+    frame encloses the no-op siblings run before that child."""
+
+    @pytest.mark.parametrize("shared_ids", [False, True],
+                             ids=["fresh-ids", "same-id-rearmed"])
+    def test_wide_frames_load_replay_and_minimize(self, shared_ids,
+                                                  tmp_path):
+        trail = dfs_trail("write-hole-stale", tmp_path)
+        events = trail.report.schedule
+        assert widest_frame(events) >= 3
+        assert trace.orphan_restores(events) == []
+        if shared_ids:
+            trail.report.schedule = rearm_under_one_id(events)
+            ids = [e[1] for e in trail.report.schedule if e[0] == C]
+            assert len(set(ids)) < len(ids)
+            assert (trace.live_path(trail.report.schedule)
+                    == trace.live_path(events))
+        loaded = Trail.load(trail.save(str(tmp_path / "wide.trail.json")))
+        assert loaded.report.schedule == trail.report.schedule
+        replayed = replay_trail(loaded)
+        assert replayed.confirmed
+        assert replayed.events == loaded.events  # verbatim, to the end
+        text = minimize_trail(loaded).describe()
+        assert "probes: live path reproduced" in text
+        assert "POLLUTED" not in text
+
+    def test_live_path_keeps_the_noops_of_open_frames(self):
+        # C0 a(no-op) b(no-op) c [C1 d(no-op) e <violation>: the no-ops
+        # ran on the way to the violation and stay in the operation log
+        events = [(CHECK,), (C, 0), (OP, "a"), (CHECK,), (OP, "b"),
+                  (CHECK,), (OP, "c"), (CHECK,), (C, 1), (OP, "d"),
+                  (CHECK,), (OP, "e")]
+        assert [e[1] for e in trace.live_path(events) if e[0] == OP] \
+            == ["a", "b", "c", "d", "e"]
+        # ... and a spent frame takes its no-ops with it
+        events[8:8] = [(R, 0), (C, 2), (OP, "f"), (CHECK,)]
+        assert [e[1] for e in trace.live_path(events) if e[0] == OP] \
+            == ["f", "d", "e"]
+
+
+class TestReplayVerdictTag:
+    """Which CONFIRMED trails are ``[exact]`` and which ``[signature]``."""
+
+    def test_ioctl_dfs_trail_drifts_in_sim_time_only(self, tmp_path):
+        # replay restores through restore_reusable, which re-checkpoints
+        # after every IOCTL_RESTORE: one more ioctl per restore than the
+        # explorer charged, and nothing else different
+        trail = dfs_trail("write-hole-stale", tmp_path)
+        replayed = replay_trail(trail)
+        assert replayed.confirmed and not replayed.exact
+        assert replayed.describe().endswith("[signature]")
+        recorded, again = trail.report.to_dict(), replayed.report.to_dict()
+        assert {key for key in recorded if key != "schedule"
+                and recorded[key] != again[key]} == {"sim_time"}
+        assert again["sim_time"] > recorded["sim_time"]
+
+    def test_minimized_trail_replays_exact(self, tmp_path):
+        # its report was recorded by the replayer's own executor
+        minimized = minimize_trail(dfs_trail(RESTORE_CORRUPTING, tmp_path))
+        tags = [event[0] for event in minimized.trail.report.schedule]
+        assert R in tags
+        replayed = replay_trail(minimized.trail)
+        assert replayed.confirmed and replayed.exact
+        assert replayed.describe().endswith("[exact]")
+
+
 # ------------------------------------------------------- observability --
 class TestMinimizeReportsHowItRan:
     def test_dfs_trail_is_projected_and_unpolluted(self, tmp_path):
