@@ -46,7 +46,7 @@ from repro.mc.swarm import RecordingTable
 MB = 1 << 20
 DEV_BYTES = 256 * 1024
 
-STORE_MODES = ("exact", "hc", "bitstate:8388608,3", "tiered:64")
+STORE_MODES = ("exact", "hc", "bitstate:8388608,3")
 
 LONGRUN_POOL = ParameterPool(
     file_paths=("/f0", "/f1", "/f2", "/f3", "/d0/f4", "/d1/f5"),

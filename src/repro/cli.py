@@ -11,7 +11,7 @@ Examples::
     python -m repro swarm --fs verifs1 --fs verifs2 --workers 4
     python -m repro bugdemo --bug write-hole-stale
     python -m repro fsck image.ext2 other.img
-    python -m repro lint --strict
+    python -m repro analyze --strict
 
 Counterexample trails (the ``spin -t`` loop)::
 
@@ -135,7 +135,6 @@ def _spec_from_args(args) -> CheckSpec:
         verifs_bugs=tuple(getattr(args, "inject_bug", None) or ()),
         state_check_every=max(1, getattr(args, "check_every", 1)),
         data_plane=getattr(args, "data_plane", "auto"),
-        shards=getattr(args, "shards", 4),
         profile=bool(getattr(args, "profile", False)),
     )
 
@@ -351,9 +350,8 @@ def cmd_fsck(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Whole-program analyzer: determinism lint + the four soundness
-    passes, unified behind one rule registry (``repro lint`` is an
-    alias).  Errors are always fatal; warns only under ``--strict``;
-    info never."""
+    passes, unified behind one rule registry.  Errors are always
+    fatal; warns only under ``--strict``; info never."""
     import repro
     from repro.analysis.static import RENDERERS, run_analysis
     from repro.analysis.static.baseline import render_baseline
@@ -711,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 12)")
     check.add_argument("--state-store", default="exact", metavar="SPEC",
                        help="visited-state store: exact | hc[:bytes] | "
-                            "bitstate[:bits,k] | tiered[:hot] "
+                            "bitstate[:bits,k] "
                             "(lossy modes report their omission "
                             "probability; default exact)")
     check.add_argument("--check-every", type=int, default=1, metavar="N",
@@ -721,13 +719,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "exists for; default 1)")
     check.add_argument("--data-plane", choices=("auto", "shm", "rpc"),
                        default="auto",
-                       help="distributed visited-state plane: sharded "
+                       help="distributed visited-state plane: "
                             "shared-memory segments or batched pipe RPC "
                             "(auto picks shm when the platform supports "
                             "it; the plane never changes what is found)")
-    check.add_argument("--shards", type=int, default=4, metavar="N",
-                       help="fingerprint-space shards per worker segment "
-                            "on the shm plane (default 4)")
     check.add_argument("--profile", action="store_true",
                        help="break per-state cost into abstraction-walk / "
                             "fingerprint / ship / snapshot-restore "
@@ -779,20 +774,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "--fsck-oracle; default 10)")
     swarm.add_argument("--state-store", default="exact", metavar="SPEC",
                        help="visited-state store for the fleet: exact | "
-                            "hc[:bytes] | bitstate[:bits,k] | tiered[:hot] "
-                            "(compact stores also ship integer "
-                            "fingerprints over the wire; default exact)")
+                            "hc[:bytes] | bitstate[:bits,k] "
+                            "(hc ships its compacted fingerprints over "
+                            "the wire; default exact)")
     swarm.add_argument("--check-every", type=int, default=1, metavar="N",
                        help="compare abstract states only every N "
                             "operations per unit (default 1)")
     swarm.add_argument("--data-plane", choices=("auto", "shm", "rpc"),
                        default="auto",
-                       help="visited-state plane: sharded shared-memory "
+                       help="visited-state plane: shared-memory "
                             "segments or batched pipe RPC (auto prefers "
                             "shm where supported)")
-    swarm.add_argument("--shards", type=int, default=4, metavar="N",
-                       help="fingerprint-space shards per worker segment "
-                            "on the shm plane (default 4)")
     swarm.add_argument("--profile", action="store_true",
                        help="report the fleet's merged per-state cost "
                             "breakdown (measurement only)")
@@ -820,30 +812,29 @@ def build_parser() -> argparse.ArgumentParser:
                            "capped at the CPU count)")
     fsck.set_defaults(func=cmd_fsck)
 
-    for name, title in (("analyze", "whole-program soundness analysis "
-                                    "(determinism lint + static passes)"),
-                        ("lint", "alias for 'analyze'")):
-        analyze = subparsers.add_parser(name, help=title)
-        analyze.add_argument("path", nargs="*",
-                             help="files/directories to analyze (default: "
-                                  "the installed repro package)")
-        analyze.add_argument("--strict", action="store_true",
-                             help="exit nonzero on warnings too")
-        analyze.add_argument("--format", default="text",
-                             choices=("text", "json", "sarif"),
-                             help="output format (default: text)")
-        analyze.add_argument("--baseline", default=None, metavar="FILE",
-                             help="baseline file of accepted findings "
-                                  "(default: the committed "
-                                  "analysis-baseline.json)")
-        analyze.add_argument("--no-baseline", action="store_true",
-                             help="report findings the baseline would "
-                                  "otherwise suppress")
-        analyze.add_argument("--write-baseline", default=None, metavar="FILE",
-                             help="write the current findings as a baseline "
-                                  "skeleton (justifications left empty on "
-                                  "purpose)")
-        analyze.set_defaults(func=cmd_analyze)
+    analyze = subparsers.add_parser(
+        "analyze", help="whole-program soundness analysis "
+                        "(determinism lint + static passes)")
+    analyze.add_argument("path", nargs="*",
+                         help="files/directories to analyze (default: "
+                              "the installed repro package)")
+    analyze.add_argument("--strict", action="store_true",
+                         help="exit nonzero on warnings too")
+    analyze.add_argument("--format", default="text",
+                         choices=("text", "json", "sarif"),
+                         help="output format (default: text)")
+    analyze.add_argument("--baseline", default=None, metavar="FILE",
+                         help="baseline file of accepted findings "
+                              "(default: the committed "
+                              "analysis-baseline.json)")
+    analyze.add_argument("--no-baseline", action="store_true",
+                         help="report findings the baseline would "
+                              "otherwise suppress")
+    analyze.add_argument("--write-baseline", default=None, metavar="FILE",
+                         help="write the current findings as a baseline "
+                              "skeleton (justifications left empty on "
+                              "purpose)")
+    analyze.set_defaults(func=cmd_analyze)
 
     bugdemo = subparsers.add_parser(
         "bugdemo", help="reproduce one of the paper's §6 historical bugs")
@@ -935,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "--fsck-oracle; default 10)")
     submit.add_argument("--state-store", default="exact", metavar="SPEC",
                         help="visited-state store: exact | hc[:bytes] | "
-                             "bitstate[:bits,k] | tiered[:hot] (a tenant "
+                             "bitstate[:bits,k] (a tenant "
                              "over budget is forced to bitstate)")
     submit.add_argument("--check-every", type=int, default=1, metavar="N",
                         help="compare abstract states only every N "

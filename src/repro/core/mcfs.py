@@ -29,8 +29,9 @@ from repro.core.integrity import DiscrepancyError
 from repro.core.ops import OperationCatalog, ParameterPool
 from repro.core.report import DiscrepancyReport
 from repro.mc.explorer import ExplorationStats, Explorer
-from repro.mc.hashtable import TableStats, VisitedStateTable
+from repro.mc.hashtable import TableStats
 from repro.mc.memory import MemoryModel
+from repro.mc.statestore import make_store
 from repro.mc.strategies import CheckpointStrategy, IoctlStrategy, RemountStrategy
 
 
@@ -75,8 +76,7 @@ class MCFSOptions:
     #: the COW benchmark's baseline run in this mode.
     legacy_snapshots: bool = False
     #: visited-state store spec: ``exact`` (full-hash table), ``hc[:bytes]``
-    #: (hash compaction), ``bitstate[:bits,k]`` (supertrace), or
-    #: ``tiered[:hot]`` (hot/cold LRU split) -- see
+    #: (hash compaction) or ``bitstate[:bits,k]`` (supertrace) -- see
     #: :mod:`repro.mc.statestore`
     state_store: str = "exact"
     #: diversification seed for lossy stores (swarm members hash
@@ -298,14 +298,9 @@ class MCFS:
                 self._resumed_operations = snapshot.operations_completed
                 self._resumed_runs = snapshot.runs
         if visited is None:
-            if self.options.state_store != "exact":
-                from repro.mc.statestore import make_store
-
-                visited = make_store(self.options.state_store,
-                                     memory=self.options.memory_model,
-                                     seed=self.options.store_seed)
-            else:
-                visited = VisitedStateTable(memory=self.options.memory_model)
+            visited = make_store(self.options.state_store,
+                                 memory=self.options.memory_model,
+                                 seed=self.options.store_seed)
         if self.options.fsck_every:
             from repro.analysis.oracle import FsckOracle
 

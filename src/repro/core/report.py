@@ -252,7 +252,7 @@ class RunSummary:
     bytes_snapshotted: int = 0
     bytes_restored: int = 0
     snapshot_dedup_ratio: float = 0.0
-    #: lossy visited-state stores (bitstate / hash compaction / tiered)
+    #: lossy visited-state stores (bitstate / hash compaction)
     #: may silently omit states; coverage loss is surfaced, never hidden
     omission_possible: bool = False
     omission_probability: float = 0.0

@@ -4,9 +4,10 @@ Where :mod:`repro.mc.swarm` *simulates* a diversified fleet (members run
 sequentially, wall-clock accounted as the max member time), this package
 runs one for real: a coordinator owns a seed-partitioned frontier of
 work units, a :mod:`multiprocessing` fleet executes them with work
-stealing, a shared visited-state service answers batched insert RPCs
-over pipes (fronted by per-worker Bloom + LRU caches), and heartbeats +
-lease timeouts make workers disposable -- a SIGKILL'd worker's leased
+stealing, a shared visited-state store collects every worker's
+discoveries (published into shared-memory segments, or shipped as
+batched insert RPCs over pipes behind a per-worker LRU), and heartbeats
++ lease timeouts make workers disposable -- a SIGKILL'd worker's leased
 unit is re-issued and the run still completes with the identical merged
 result.
 
@@ -29,8 +30,7 @@ See ``docs/distributed.md`` for the wire protocol and the determinism
 argument.
 """
 
-from repro.dist.bloom import BloomFilter, LRUSet
-from repro.dist.client import ShippingVisitedTable
+from repro.dist.client import LRUSet, ShippingVisitedTable
 from repro.dist.coordinator import (
     DistResult,
     DistributedChecker,
@@ -50,7 +50,6 @@ from repro.dist.spec import (
 from repro.dist.worker import WorkerConfig
 
 __all__ = [
-    "BloomFilter",
     "CheckSpec",
     "DistResult",
     "DistributedChecker",

@@ -5,44 +5,70 @@ hands its explorer.  The contract that keeps distributed runs
 deterministic:
 
 * **Expansion decisions are purely local.**  ``visit`` consults only the
-  unit's private :class:`~repro.mc.hashtable.VisitedStateTable`, so a
-  unit explores identically whether it runs alone, alongside three
-  other workers, or as a re-issued lease after a crash.
-* **Every locally-new hash reaches the service exactly-or-more than
-  once.**  New hashes are buffered and shipped in batches; the exact
-  :class:`~repro.dist.bloom.LRUSet` of already-shipped hashes suppresses
-  re-sends across units of the same worker; suppression is never
-  probabilistic, so the global union is exact.
-* **The Bloom filter only saves wire time.**  It summarises hashes the
-  service has confirmed; its answers feed the cross-worker duplicate
-  statistics and short-circuit lookups, never insert decisions.
+  unit's private store, so a unit explores identically whether it runs
+  alone, alongside three other workers, or as a re-issued lease after a
+  crash.
+* **Every locally-new state reaches the shared store exactly-or-more
+  than once.**  New states are buffered as ``(record key, depth)``
+  records and shipped in batches; the exact :class:`LRUSet` of
+  already-shipped keys suppresses re-sends across units of the same
+  worker.  Suppression is never probabilistic -- at worst an evicted
+  key ships twice and the receiving store deduplicates -- so the global
+  union is exact.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
-from repro.dist.bloom import BloomFilter, LRUSet
-from repro.mc.hashtable import AbstractVisitedTable, StateKey, VisitedStateTable
+from repro.mc.hashtable import AbstractVisitedTable, Record, VisitedStateTable
 
-#: ship callback: receives a drained batch of (wire key, depth) pairs
-ShipFn = Callable[[List[Tuple[StateKey, int]]], None]
+#: ship callback: receives a drained batch of (record key, depth) pairs
+ShipFn = Callable[[List[Record]], None]
+
+
+class LRUSet:
+    """A bounded set with least-recently-used eviction (exact membership)."""
+
+    def __init__(self, capacity: int = 1 << 16):
+        if capacity < 1:
+            raise ValueError("LRUSet capacity must be positive")
+        self.capacity = capacity
+        self._entries: "OrderedDict[int, None]" = OrderedDict()
+        self.evictions = 0
+
+    def add(self, item) -> None:
+        if item in self._entries:
+            self._entries.move_to_end(item)
+            return
+        self._entries[item] = None
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def __contains__(self, item) -> bool:
+        if item in self._entries:
+            self._entries.move_to_end(item)  # a hit refreshes recency
+            return True
+        return False
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class ShippingVisitedTable(AbstractVisitedTable):
-    """A per-unit local table that streams its discoveries to the service.
+    """A per-unit local table that streams its discoveries onward.
 
-    The local table can be any store (exact or one of the memory-bounded
-    :mod:`repro.mc.statestore` kinds).  What goes on the wire is the
-    local store's :meth:`wire_key` -- the full hex digest for an exact
-    table, a compact integer fingerprint for hc/bitstate -- so the
-    LRU/Bloom suppression layers and the service all key identically.
+    The local table can be any store kind.  What ships is the local
+    store's :meth:`~repro.mc.hashtable.AbstractVisitedTable.record_key`
+    -- the integer the campaign's store matches on -- so the LRU
+    suppression layer, the segments and the service all key identically.
     """
 
     def __init__(self, ship: ShipFn,
                  local: Optional[AbstractVisitedTable] = None,
                  shipped_lru: Optional[LRUSet] = None,
-                 global_bloom: Optional[BloomFilter] = None,
                  batch_size: int = 64):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -50,36 +76,26 @@ class ShippingVisitedTable(AbstractVisitedTable):
         self.local = local if local is not None else VisitedStateTable()
         self.memory = self.local.memory
         self.shipped_lru = shipped_lru if shipped_lru is not None else LRUSet()
-        self.global_bloom = (global_bloom if global_bloom is not None
-                             else BloomFilter())
         self.batch_size = batch_size
-        self._buffer: List[Tuple[StateKey, int]] = []
+        self._buffer: List[Record] = []
         self.shipped_hashes = 0
         self.suppressed_hashes = 0
-        self.probable_cross_duplicates = 0
 
     @property
     def stats(self):
         return self.local.stats
 
-    def wire_key(self, state_hash: str) -> StateKey:
-        return self.local.wire_key(state_hash)
-
     # ---------------------------------------------------------------- visit --
     def visit(self, state_hash: str, depth: int = 0) -> Tuple[bool, bool]:
         is_new, should_expand = self.local.visit(state_hash, depth)
         if is_new:
-            wire_key = self.local.wire_key(state_hash)
-            if wire_key in self.shipped_lru:
+            key = self.local.record_key(state_hash)
+            if key in self.shipped_lru:
                 # exact hit: this worker already shipped it (earlier unit)
                 self.suppressed_hashes += 1
             else:
-                if wire_key in self.global_bloom:
-                    # probably another worker's territory; ship anyway --
-                    # the service's exact answer settles it
-                    self.probable_cross_duplicates += 1
-                self._buffer.append((wire_key, depth))
-                self.shipped_lru.add(wire_key)
+                self._buffer.append((key, depth))
+                self.shipped_lru.add(key)
                 if len(self._buffer) >= self.batch_size:
                     self.flush()
         return is_new, should_expand

@@ -38,26 +38,25 @@ from repro.dist.protocol import (
     Heartbeat,
     Hello,
     NoMoreWork,
-    PackedVisitedBatch,
+    RecordBatch,
     Shutdown,
     UnitDone,
     UnitResult,
-    VisitedBatch,
-    VisitedReply,
     Wait,
     WorkGrant,
     WorkRequest,
 )
 from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
-from repro.dist.worker import WorkerConfig, ResultSink, run_unit, worker_main
+from repro.dist.worker import LocalSink, WorkerConfig, run_unit, worker_main
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
+from repro.mc.records import parse_store_spec
 from repro.mc.shardmem import (
     ShardLayout,
     ShardSegment,
     shared_memory_available,
 )
-from repro.mc.statestore import merge_into, parse_store_spec
+from repro.mc.statestore import merge_into
 
 
 @dataclass
@@ -247,8 +246,8 @@ class DistResult:
         """Lossless JSON-ready form (the server result wire and spool).
 
         The merged visited table rides along as a
-        :mod:`repro.mc.persistence` snapshot document, so exact *and*
-        memory-bounded stores round-trip with their own record formats.
+        :mod:`repro.mc.persistence` snapshot document, whatever its
+        store kind.
         """
         from repro.mc.persistence import snapshot_document
 
@@ -296,22 +295,6 @@ class DistResult:
         return result
 
 
-class _ServiceSink(ResultSink):
-    """Inline-fallback sink: feed the service directly, no wire."""
-
-    def __init__(self, service: VisitedStateService):
-        self.service = service
-
-    def ship_batch(self, entries) -> None:
-        self.service.insert_batch(entries)
-
-    def heartbeat(self, unit_index: int, operations: int) -> None:
-        pass
-
-    def checkpoint(self, unit_index: int, document) -> None:
-        pass
-
-
 class DistributedChecker:
     """Run a CheckSpec across a fault-tolerant multiprocessing fleet."""
 
@@ -357,36 +340,30 @@ class DistributedChecker:
                 "fork" if "fork" in methods else None)
         self.mp_context = mp_context
         self.chaos_kill_after = dict(chaos_kill_after or {})
-        #: resolved shm-plane state for the current run (set by run())
-        self._shm_layout: Optional[ShardLayout] = None
+        #: one segment per worker slot while a run is on the shm plane
         self._shm_segments: List[ShardSegment] = []
 
     # ------------------------------------------------------------ data plane --
     def _resolve_data_plane(self) -> str:
         """Pick the visited-state plane for this run.
 
-        ``auto`` takes shared memory whenever it can actually work:
-        the OS offers ``multiprocessing.shared_memory``, the fleet
-        forks (spawned children re-track segments and the layout's
-        determinism guarantees have only been validated fork-side), and
-        the store is not tiered (its hot tier keys on live hex strings,
-        which do not fit fixed-width slots).  Forcing ``shm`` where it
-        cannot work is an error, not a silent fallback.
+        ``auto`` takes shared memory whenever it can actually work: the
+        OS offers ``multiprocessing.shared_memory`` and the fleet forks
+        (spawned children re-track segments and the plane's determinism
+        guarantees have only been validated fork-side).  Forcing
+        ``shm`` where it cannot work is an error, not a silent fallback.
         """
-        requested = getattr(self.spec, "data_plane", "auto")
+        requested = self.spec.data_plane
         if requested == "rpc":
             return "rpc"
-        kind = parse_store_spec(self.spec.state_store).kind
         supported = (
             shared_memory_available()
             and self.mp_context.get_start_method() == "fork"
-            and kind != "tiered"
         )
         if requested == "shm" and not supported:
             raise ValueError(
                 "data_plane='shm' is not available here: needs the fork "
-                "start method, multiprocessing.shared_memory, and a "
-                "non-tiered state store"
+                "start method and multiprocessing.shared_memory"
             )
         return "shm" if supported else "rpc"
 
@@ -400,30 +377,24 @@ class DistributedChecker:
         overflow path exists for safety, not throughput.
         """
         worst_case = sum(unit.max_operations + 2 for unit in units)
-        shards = max(1, getattr(self.spec, "shards", 4))
-        slots = 1 << 10
-        while slots * shards < 2 * worst_case:
+        slots = 1 << 12
+        while slots < 2 * worst_case:
             slots *= 2
-        return ShardLayout.for_store(
-            self.spec.state_store, shards=shards, slots_per_shard=slots,
-            seed=self.spec.base_seed)
+        return ShardLayout(
+            slots, parse_store_spec(self.spec.state_store).key_bytes)
 
-    def _merge_segments(self, service: VisitedStateService,
-                        result: DistResult) -> None:
+    def _merge_segments(self, service: VisitedStateService) -> None:
         """Fold every worker segment into the authoritative table.
 
         The union is replayed **sorted by key** with shallowest depth
         winning -- a canonical order, so the merged table is identical
-        for any worker count, shard count, interleaving, or crash
-        schedule (and byte-identical to what the RPC plane's arrival-
-        order inserts converge to: same keys, same shallowest depths).
-        Duplicated territory (the same key published by several
-        workers) surfaces as ``cross_worker_duplicates``, exactly like
-        the RPC plane's not-new insert replies.
+        for any worker count, interleaving, or crash schedule (and
+        byte-identical to what the RPC plane's arrival-order inserts
+        converge to: same keys, same shallowest depths).  Duplicated
+        territory (the same key published by several workers) surfaces
+        as ``cross_worker_duplicates``, exactly like the RPC plane's
+        not-new insert replies.
         """
-        layout = self._shm_layout
-        if layout is None:
-            return
         union: Dict[int, int] = {}
         published = 0
         for segment in self._shm_segments:
@@ -432,8 +403,7 @@ class DistributedChecker:
                 existing = union.get(key)
                 if existing is None or depth < existing:
                     union[key] = depth
-        for key in sorted(union):
-            service.table.visit(layout.state_of(key), union[key])
+        service.table.visit_many(sorted(union.items()))
         service.hashes_received += published
         service.cross_worker_duplicates += published - len(union)
 
@@ -444,7 +414,6 @@ class DistributedChecker:
             except Exception:
                 pass  # never let cleanup mask the run's real outcome
         self._shm_segments = []
-        self._shm_layout = None
 
     # ------------------------------------------------------------------ run --
     def run(self) -> DistResult:
@@ -453,7 +422,7 @@ class DistributedChecker:
         service = self.external_service
         if service is None:
             service = VisitedStateService(
-                store=getattr(self.spec, "state_store", "exact"),
+                store=self.spec.state_store,
                 store_seed=self.spec.base_seed,
             )
         resumed_operations = 0
@@ -471,9 +440,11 @@ class DistributedChecker:
         if plane == "shm":
             layout = self._shard_layout(units)
             try:
-                self._shm_layout = layout
-                self._shm_segments = [ShardSegment(layout, create=True)
-                                      for _ in range(self.workers)]
+                # appended one by one, so a failure part-way still
+                # leaves the created ones where the release finds them
+                for _ in range(self.workers):
+                    self._shm_segments.append(
+                        ShardSegment(layout, create=True))
             except Exception:
                 # no /dev/shm room (or similar): degrade to the RPC plane
                 self._release_segments()
@@ -497,7 +468,7 @@ class DistributedChecker:
                 # union is part of its honest wall cost.  Runs on error
                 # exits too (a paused/aborted campaign keeps the fleet's
                 # published knowledge, like RPC checkpoints used to).
-                self._merge_segments(service, result)
+                self._merge_segments(service)
             finally:
                 self._release_segments()
         result.wall_time = realtime.now() - wall_start
@@ -563,18 +534,14 @@ class DistributedChecker:
         from dataclasses import replace
 
         records: List[WorkerRecord] = []
-        segment_names = tuple(segment.name for segment in self._shm_segments)
         for slot in range(self.workers):
             worker_id = f"w{slot}"
             parent_conn, child_conn = self.mp_context.Pipe(duplex=True)
             config = self.config
-            if segment_names:
-                config = replace(
-                    config,
-                    shm_layout=self._shm_layout,
-                    shm_segments=segment_names,
-                    shm_slot=slot,
-                )
+            if self._shm_segments:
+                segment = self._shm_segments[slot]
+                config = replace(config, shm_layout=segment.layout,
+                                 shm_segment=segment.name)
             if worker_id in self.chaos_kill_after:
                 config = replace(
                     config,
@@ -675,11 +642,8 @@ class DistributedChecker:
                     if self.on_progress is not None:
                         self.on_progress(message.unit_index,
                                          message.operations)
-            elif isinstance(message, PackedVisitedBatch):
+            elif isinstance(message, RecordBatch):
                 record.conn.send(service.insert_packed(message))
-            elif isinstance(message, VisitedBatch):
-                flags = service.insert_batch(message.entries)
-                record.conn.send(VisitedReply(message.sequence, tuple(flags)))
             elif isinstance(message, Checkpoint):
                 lease = leases.get(record.worker_id)
                 if lease is not None and lease.unit.index == message.unit_index:
@@ -732,7 +696,7 @@ class DistributedChecker:
                        service: VisitedStateService,
                        result: DistResult) -> None:
         """The whole fleet is gone: complete the frontier in-process."""
-        sink = _ServiceSink(service)
+        sink = LocalSink(service)
         config = self.config
         for unit in units:
             if unit.index in results:

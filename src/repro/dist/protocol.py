@@ -5,17 +5,16 @@ Messages are small frozen dataclasses pickled over
 The conversation is strictly client-driven except for shutdown:
 
 * worker -> coordinator: :class:`Hello`, :class:`WorkRequest`,
-  :class:`Heartbeat`, :class:`VisitedBatch` /
-  :class:`PackedVisitedBatch`, :class:`Checkpoint`, :class:`UnitDone`
+  :class:`Heartbeat`, :class:`RecordBatch`, :class:`Checkpoint`,
+  :class:`UnitDone`
 * coordinator -> worker: :class:`WorkGrant`, :class:`Wait`,
-  :class:`NoMoreWork`, :class:`VisitedReply` /
-  :class:`PackedVisitedReply`, :class:`Shutdown`
+  :class:`NoMoreWork`, :class:`RecordReply`, :class:`Shutdown`
 
 These messages are the **control plane** plus the RPC **data plane**.
-On platforms that support it the data plane moves to sharded
-shared-memory segments (:mod:`repro.mc.shardmem`): visited-state
-traffic then bypasses the pipe entirely, and only control messages
-(grants, heartbeats, results) remain here.
+On platforms that support it the data plane moves to shared-memory
+segments (:mod:`repro.mc.shardmem`): visited-state traffic then
+bypasses the pipe entirely, and only control messages (grants,
+heartbeats, results) remain here.
 
 See ``docs/distributed.md`` for the full protocol walk-through and the
 fault-tolerance semantics built on heartbeats and lease deadlines.
@@ -24,63 +23,10 @@ fault-tolerance semantics built on heartbeats and lease deadlines.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.dist.spec import WorkUnit
-
-#: packed-batch key widths/forms by store kind: exact and tiered ship
-#: full digests that decode back to 32-char hex strings; bitstate ships
-#: the digest as a 128-bit integer; hc ships its compacted fingerprint
-PACKED_KEY_FORMS: Dict[str, Tuple[int, str]] = {
-    "exact": (16, "hex"),
-    "tiered": (16, "hex"),
-    "bitstate": (16, "int"),
-    "hc": (8, "int"),
-}
-
-#: depth field width in a packed entry (u32, saturating)
-_PACKED_DEPTH_BYTES = 4
-_PACKED_DEPTH_MAX = 0xFFFFFFFF
-
-
-def packing_for_store(store: str) -> Tuple[int, str]:
-    """``(key_bytes, key_form)`` for a ``--state-store`` spec string."""
-    from repro.mc.statestore import parse_store_spec
-
-    return PACKED_KEY_FORMS[parse_store_spec(store).kind]
-
-
-def pack_entries(entries, key_bytes: int, key_form: str) -> bytes:
-    """Serialise ``(wire key, depth)`` pairs into one flat byte array.
-
-    One ``bytes`` object pickles as a single opaque blob -- no per-entry
-    object headers, no per-entry memo lookups -- which is the point:
-    the fleet's hottest message becomes O(1) pickle work.  Raises
-    ``ValueError`` for keys that do not fit the packing (callers fall
-    back to the legacy tuple form).
-    """
-    packed = bytearray()
-    for key, depth in entries:
-        value = int(key, 16) if key_form == "hex" else int(key)
-        packed += value.to_bytes(key_bytes, "little")
-        packed += min(int(depth), _PACKED_DEPTH_MAX).to_bytes(
-            _PACKED_DEPTH_BYTES, "little")
-    return bytes(packed)
-
-
-def unpack_entries(payload: bytes, key_bytes: int,
-                   key_form: str) -> List[Tuple[Any, int]]:
-    """Invert :func:`pack_entries` (hex keys come back as hex strings)."""
-    stride = key_bytes + _PACKED_DEPTH_BYTES
-    entries: List[Tuple[Any, int]] = []
-    for offset in range(0, len(payload), stride):
-        value = int.from_bytes(payload[offset:offset + key_bytes], "little")
-        depth = int.from_bytes(
-            payload[offset + key_bytes:offset + stride], "little")
-        key: Any = (format(value, f"0{key_bytes * 2}x")
-                    if key_form == "hex" else value)
-        entries.append((key, depth))
-    return entries
+from repro.mc.records import read_records
 
 
 def pack_flags(flags) -> bytes:
@@ -123,45 +69,29 @@ class Heartbeat:
 
 
 @dataclass(frozen=True)
-class VisitedBatch:
-    """Batched insert RPC: locally-new ``(wire key, depth)`` pairs.
+class RecordBatch:
+    """Batched insert RPC: locally-new ``(record key, depth)`` records.
 
-    Keys are whatever the campaign's store ships: full hex digests for
-    the exact table, compact integer fingerprints for the memory-bounded
-    stores (:mod:`repro.mc.statestore`).  The coordinator answers with a
-    :class:`VisitedReply` carrying one flag per entry (True = globally
-    new).
-    """
-
-    worker_id: str
-    sequence: int
-    entries: Tuple[Tuple[Any, int], ...]
-
-
-@dataclass(frozen=True)
-class PackedVisitedBatch:
-    """:class:`VisitedBatch` as one struct-packed byte array.
-
-    The RPC data plane's hot message: ``count`` fixed-width
-    ``(key, depth)`` records in ``payload`` (see :func:`pack_entries`),
-    so pickling cost no longer scales with per-entry Python objects.
-    The coordinator answers with a :class:`PackedVisitedReply`.
+    The RPC data plane's hot message: ``count`` fixed-width records in
+    ``payload`` (the :mod:`repro.mc.records` layout), one opaque blob --
+    so pickling cost does not scale with per-entry Python objects.  The
+    coordinator answers with a :class:`RecordReply` carrying one
+    flag per record (set = globally new).
     """
 
     worker_id: str
     sequence: int
     count: int
     key_bytes: int
-    key_form: str  # "hex" | "int"
     payload: bytes
 
-    def entries(self) -> List[Tuple[Any, int]]:
-        return unpack_entries(self.payload, self.key_bytes, self.key_form)
+    def records(self) -> Iterator[Tuple[int, int]]:
+        return read_records(self.payload, self.key_bytes)
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Periodic progress snapshot in ``repro.mc.persistence`` v2 format.
+    """Periodic progress snapshot, a :mod:`repro.mc.persistence` document.
 
     Covers the worker's *current* unit only; on lease recovery the
     coordinator merges the document so partial knowledge survives even
@@ -192,7 +122,6 @@ class UnitResult:
     #: hashes shipped to / suppressed before the visited service
     shipped_hashes: int = 0
     suppressed_hashes: int = 0
-    probable_cross_duplicates: int = 0
     #: snapshot traffic (defaulted so v1 result documents still load):
     #: bytes the COW checkpoint path physically copied / rewrote, and
     #: the full-copy volume it stood in for
@@ -251,16 +180,9 @@ class NoMoreWork:
 
 
 @dataclass(frozen=True)
-class VisitedReply:
-    """Answer to a :class:`VisitedBatch`: per-entry globally-new flags."""
-
-    sequence: int
-    new_flags: Tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class PackedVisitedReply:
-    """Answer to a :class:`PackedVisitedBatch`: bit-packed new flags."""
+class RecordReply:
+    """Answer to a :class:`RecordBatch`: bit-packed globally-new
+    flags, one per record."""
 
     sequence: int
     count: int

@@ -1,37 +1,37 @@
 """The shared visited-state service (coordinator side).
 
-One authoritative :class:`~repro.mc.hashtable.VisitedStateTable` backs
-the whole fleet; workers talk to it through batched insert RPCs
-(:class:`~repro.dist.protocol.VisitedBatch`).  Keeping the store shared
-is what lets the merged run report a true union -- workers' duplicated
-territory is detected here instead of inflating the state count -- and
-is the repro-side answer to "Reducing State Explosion for Software Model
-Checking"'s observation that a shared visited set stops workers
-re-exploring each other's ground.
+One authoritative store backs the whole fleet; workers talk to it
+through batched insert RPCs
+(:class:`~repro.dist.protocol.RecordBatch`) or, on the shm
+plane, publish into segments the coordinator folds in afterwards.
+Keeping the store shared is what lets the merged run report a true
+union -- workers' duplicated territory is detected here instead of
+inflating the state count -- and is the repro-side answer to "Reducing
+State Explosion for Software Model Checking"'s observation that a shared
+visited set stops workers re-exploring each other's ground.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.dist.protocol import (
-    PackedVisitedBatch,
-    PackedVisitedReply,
+    RecordBatch,
+    RecordReply,
     pack_flags,
 )
-from repro.mc.hashtable import AbstractVisitedTable, StateKey
+from repro.mc.hashtable import AbstractVisitedTable, Record
 from repro.mc.persistence import snapshot_from_document
 from repro.mc.statestore import make_store, merge_into
 
 
 class VisitedStateService:
-    """Answers batched insert/lookup requests against one global table.
+    """Answers batched insert requests against one global table.
 
     ``store`` picks the authoritative table's kind (the
-    :mod:`repro.mc.statestore` spec grammar): with a compacted store the
-    workers ship integer fingerprints instead of hex strings, shrinking
-    both the wire traffic and the coordinator's memory.  ``store_seed``
-    must match the workers' local stores so fingerprints agree.
+    :mod:`repro.mc.records` spec grammar).  ``store_seed`` must match
+    the workers' local stores so the record keys both sides derive
+    agree.
     """
 
     def __init__(self, table: Optional[AbstractVisitedTable] = None,
@@ -47,49 +47,38 @@ class VisitedStateService:
         self.snapshots_merged = 0
 
     # ------------------------------------------------------------- inserts --
-    def insert_batch(self, entries: Sequence[Tuple[StateKey, int]]) -> List[bool]:
-        """Insert ``(key, depth)`` pairs; return per-entry ``is_new`` flags.
+    def insert_batch(self, records: Iterable[Record]) -> List[bool]:
+        """Insert ``(record key, depth)`` pairs; return per-entry
+        ``is_new`` flags.
 
-        Keys are whatever the store's ``wire_key`` produces: full hex
-        digests for the exact table, compact integer fingerprints for the
-        memory-bounded stores.  Entries arrive in the worker's
-        (deterministic) discovery order; only membership matters for the
-        merge, so the table's content is interleaving-independent even
-        though its insertion order is not.
+        Entries arrive in the worker's (deterministic) discovery order;
+        only membership matters for the merge, so the table's content is
+        interleaving-independent even though its insertion order is not.
         """
-        flags = self.table.visit_many(entries)
+        flags = self.table.visit_many(records)
         self.cross_worker_duplicates += len(flags) - sum(flags)
         self.batches_served += 1
         self.hashes_received += len(flags)
         return flags
 
-    def insert_packed(self, batch: PackedVisitedBatch) -> PackedVisitedReply:
-        """Struct-packed insert: decode once, bulk-visit, bit-pack flags.
-
-        The packed path is the RPC data plane's fast lane -- one opaque
-        byte payload in, one bit array out, one :meth:`visit_many` call
-        against the store.
-        """
-        flags = self.insert_batch(batch.entries())
-        return PackedVisitedReply(sequence=batch.sequence, count=len(flags),
-                                  flag_bits=pack_flags(flags))
-
-    def lookup_batch(self, hashes: Sequence[StateKey]) -> List[bool]:
-        """Membership-only RPC (no insert); True = globally visited."""
-        return [state_hash in self.table for state_hash in hashes]
+    def insert_packed(self, batch: RecordBatch) -> RecordReply:
+        """The RPC data plane's entry point: read the payload once,
+        bulk-visit, bit-pack the flags."""
+        flags = self.insert_batch(batch.records())
+        return RecordReply(sequence=batch.sequence, count=len(flags),
+                           flag_bits=pack_flags(flags))
 
     # ----------------------------------------------------------- snapshots --
     def import_snapshot(self, document: Dict[str, Any]) -> int:
-        """Merge a persistence-format snapshot (v1/v2/v3) into the table.
+        """Merge a persistence snapshot document into the table.
 
         Used for a crashed worker's last shipped checkpoint and for
-        resuming a whole distributed campaign from a state file.  Returns
-        how many hashes were new; merging is idempotent, so replaying a
-        checkpoint whose unit later re-runs in full is harmless (the
-        checkpoint's states are a prefix of the deterministic re-run).
-        v3 (lossy-store) snapshots merge natively -- bit arrays OR
-        together, fingerprint maps union -- provided the snapshot's store
-        parameters match the service's.
+        resuming a paused campaign.  Returns how many states were new;
+        merging is idempotent, so replaying a checkpoint whose unit
+        later re-runs in full is harmless (the checkpoint's states are a
+        prefix of the deterministic re-run).  Lossy snapshots merge
+        natively -- bit arrays OR together, fingerprint maps union --
+        provided the snapshot's store parameters match the service's.
         """
         snapshot = snapshot_from_document(document)
         added = merge_into(self.table, snapshot.visited)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
+from repro.mc.records import parse_store_spec
 from repro.mc.strategies import (
     IoctlStrategy,
     NoRemountStrategy,
@@ -143,10 +144,10 @@ class CheckSpec:
     #: VeriFS bug ids injected into the *last* file system (which must
     #: then be a verifs); lets distributed campaigns hunt a known bug
     verifs_bugs: Tuple[str, ...] = ()
-    #: visited-state store spec (``exact | hc[:bytes] | bitstate[:bits,k]
-    #: | tiered[:hot]``); workers build their local tables from it and
-    #: the coordinator's service matches on the same fingerprints, so
-    #: compact wire keys agree fleet-wide (see :mod:`repro.mc.statestore`)
+    #: visited-state store spec (``exact | hc[:bytes] | bitstate[:bits,k]``);
+    #: workers build their local tables from it and the coordinator's
+    #: service derives the same record keys, so shipped keys agree
+    #: fleet-wide (see :mod:`repro.mc.records`)
     state_store: str = "exact"
     #: random mode: hash + cross-compare abstract states only every N
     #: operations (1 = the classic per-operation check).  N > 1 trades
@@ -155,17 +156,13 @@ class CheckSpec:
     #: operation logs, which is what the trail minimizer is for.
     state_check_every: int = 1
     #: distributed data plane for visited-state traffic: ``auto``
-    #: resolves to sharded shared-memory segments
-    #: (:mod:`repro.mc.shardmem`) when the platform supports them
-    #: (fork start method, ``multiprocessing.shared_memory``, and a
-    #: non-tiered store) and falls back to the batched pipe RPC plane
-    #: otherwise; ``shm``/``rpc`` force a plane.  The plane never
-    #: changes *what* is found -- only how discoveries travel.
+    #: resolves to shared-memory segments (:mod:`repro.mc.shardmem`)
+    #: when the platform supports them (fork start method and
+    #: ``multiprocessing.shared_memory``) and falls back to the batched
+    #: pipe RPC plane otherwise; ``shm``/``rpc`` force a plane.  The
+    #: plane never changes *what* is found -- only how discoveries
+    #: travel.
     data_plane: str = "auto"
-    #: fingerprint-space shards per worker segment on the shm plane (a
-    #: pure function of each key, so the merged union is shard-count
-    #: invariant)
-    shards: int = 4
     #: per-state cost profiling (:mod:`repro.mc.perf`): every unit
     #: reports wall time in abstraction-walk / fingerprint / ship /
     #: snapshot-restore buckets, merged campaign-wide.  Measurement
@@ -191,10 +188,6 @@ class CheckSpec:
         if self.data_plane not in ("auto", "shm", "rpc"):
             raise ValueError(f"unknown data plane {self.data_plane!r}; "
                              f"expected auto | shm | rpc")
-        if self.shards < 1:
-            raise ValueError("the shm plane needs at least one shard")
-        from repro.mc.statestore import parse_store_spec
-
         parse_store_spec(self.state_store)  # fail fast on a bad spec
         from repro.workload.profile import parse_profile
 

@@ -5,16 +5,19 @@ three side channels woven through the explorer's sample hook (which
 fires every ``heartbeat_operations`` explored operations):
 
 * **heartbeats** keep the coordinator's lease on the current unit alive;
-* **visited batches** flush locally-new state hashes to the shared
-  service (suppressed by the exact LRU of already-shipped hashes);
-* **checkpoints** ship a :mod:`repro.mc.persistence` v2 snapshot of the
+* **visited batches** flush locally-new ``(record key, depth)`` records
+  to the shared store (suppressed by the exact LRU of already-shipped
+  keys);
+* **checkpoints** ship a :mod:`repro.mc.persistence` snapshot of the
   current unit's partial table, so a SIGKILL'd worker's knowledge
   survives even though the re-issued unit deterministically re-runs.
 
-The same unit runner also serves the coordinator's inline fallback (when
-the whole fleet has died) through the :class:`ResultSink` indirection:
-a :class:`PipeSink` speaks the wire protocol, a local sink calls the
-service directly.
+The same unit runner also serves every in-process caller (the
+coordinator's inline fallback when the whole fleet has died, the
+campaign server's slot runner) through the :class:`ResultSink`
+indirection: a :class:`PipeSink` speaks the wire protocol, a
+:class:`ShmSink` writes the worker's segment, a :class:`LocalSink`
+calls the service directly.
 """
 
 from __future__ import annotations
@@ -22,31 +25,29 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.dist import realtime
-from repro.dist.bloom import BloomFilter, LRUSet
-from repro.dist.client import ShippingVisitedTable
+from repro.dist.client import LRUSet, ShippingVisitedTable
 from repro.dist.protocol import (
     Checkpoint,
     Heartbeat,
     Hello,
     NoMoreWork,
-    PackedVisitedBatch,
-    PackedVisitedReply,
+    RecordBatch,
+    RecordReply,
     Shutdown,
     UnitDone,
     UnitResult,
-    VisitedBatch,
-    VisitedReply,
     Wait,
     WorkGrant,
     WorkRequest,
-    pack_entries,
-    packing_for_store,
 )
+from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
+from repro.mc.hashtable import Record
 from repro.mc.persistence import snapshot_document
+from repro.mc.records import pack_records, parse_store_spec
 from repro.mc.shardmem import ShardFull, ShardLayout, ShardSegment
 from repro.mc.statestore import make_store
 
@@ -57,35 +58,27 @@ class WorkerConfig:
 
     #: sample-hook period: heartbeat + batch flush every N operations
     heartbeat_operations: int = 100
-    #: ship a persistence-v2 checkpoint every N operations
+    #: ship a persistence checkpoint every N operations
     checkpoint_operations: int = 400
     #: visited-batch size before an eager flush
     batch_size: int = 64
-    #: exact LRU of shipped hashes (suppresses re-sends)
+    #: exact LRU of shipped keys (suppresses re-sends)
     lru_capacity: int = 1 << 16
-    #: Bloom summary of service-confirmed hashes
-    bloom_bits: int = 1 << 17
     #: fault injection: SIGKILL ourselves after this many operations
     #: (counted across the whole worker session); None disables
     chaos_kill_after_operations: Optional[int] = None
     #: shared-memory data plane (set by the coordinator when resolved):
-    #: segment geometry, every worker's segment *name* (raw SharedMemory
-    #: handles must never ride the wire -- workers reattach by name),
-    #: and which slot is ours to write.  All defaults off = RPC plane.
+    #: segment geometry and the *name* of the segment that is ours to
+    #: write (raw SharedMemory handles must never ride the wire --
+    #: workers reattach by name).  Both None = RPC plane.
     shm_layout: Optional[ShardLayout] = None
-    shm_segments: Tuple[str, ...] = ()
-    shm_slot: int = -1
-
-    @property
-    def shm_enabled(self) -> bool:
-        return (self.shm_layout is not None and len(self.shm_segments) > 0
-                and 0 <= self.shm_slot < len(self.shm_segments))
+    shm_segment: Optional[str] = None
 
 
 class ResultSink:
     """Where a running unit sends its side-channel traffic."""
 
-    def ship_batch(self, entries: List[Tuple[str, int]]) -> None:
+    def ship_batch(self, records: List[Record]) -> None:
         raise NotImplementedError
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
@@ -98,41 +91,48 @@ class ResultSink:
         """Process any pending replies (non-blocking)."""
 
 
-class PipeSink(ResultSink):
-    """Speaks the wire protocol over the worker's pipe connection.
+class LocalSink(ResultSink):
+    """In-process sink: feed a service directly, no wire.
 
-    Batches ship struct-packed (:class:`PackedVisitedBatch`) whenever
-    the campaign's wire keys fit the fixed-width packing -- hex digests
-    and integer fingerprints both do -- falling back to the legacy
-    tuple form for anything else (ad-hoc test keys).
+    Serves the coordinator's inline fallback and the campaign server's
+    slot runner (which passes ``on_heartbeat`` to surface progress
+    events).  Checkpoints are a no-op: the service's table *is* the
+    caller's durable state.
     """
 
-    def __init__(self, conn, worker_id: str, bloom: BloomFilter,
-                 packing: Optional[Tuple[int, str]] = None):
+    def __init__(self, service: VisitedStateService,
+                 on_heartbeat: Optional[Callable[[int, int], None]] = None):
+        self.service = service
+        self.on_heartbeat = on_heartbeat
+
+    def ship_batch(self, records: List[Record]) -> None:
+        self.service.insert_batch(records)
+
+    def heartbeat(self, unit_index: int, operations: int) -> None:
+        if self.on_heartbeat is not None:
+            self.on_heartbeat(unit_index, operations)
+
+    def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
+        pass
+
+
+class PipeSink(ResultSink):
+    """Speaks the wire protocol over the worker's pipe connection:
+    every batch ships as one packed :class:`RecordBatch`."""
+
+    def __init__(self, conn, worker_id: str, key_bytes: int):
         self.conn = conn
         self.worker_id = worker_id
-        self.bloom = bloom
-        self.packing = packing
+        self.key_bytes = key_bytes
         self._sequence = 0
-        self._pending: Dict[int, Tuple[Tuple[str, int], ...]] = {}
+        #: shipped records the service answered "already known"
         self.confirmed_cross_duplicates = 0
 
-    def ship_batch(self, entries: List[Tuple[str, int]]) -> None:
+    def ship_batch(self, records: List[Record]) -> None:
         self._sequence += 1
-        batch = tuple(entries)
-        self._pending[self._sequence] = batch
-        if self.packing is not None:
-            key_bytes, key_form = self.packing
-            try:
-                payload = pack_entries(batch, key_bytes, key_form)
-            except (ValueError, TypeError):
-                pass  # unpackable keys: legacy tuple form below
-            else:
-                self.conn.send(PackedVisitedBatch(
-                    self.worker_id, self._sequence, len(batch),
-                    key_bytes, key_form, payload))
-                return
-        self.conn.send(VisitedBatch(self.worker_id, self._sequence, batch))
+        self.conn.send(RecordBatch(
+            self.worker_id, self._sequence, len(records), self.key_bytes,
+            pack_records(records, self.key_bytes)))
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
         self.conn.send(Heartbeat(self.worker_id, unit_index, operations))
@@ -146,57 +146,41 @@ class PipeSink(ResultSink):
 
     def handle(self, message) -> None:
         """Fold one coordinator message back into local state."""
-        if isinstance(message, (VisitedReply, PackedVisitedReply)):
-            flags = (message.flags() if isinstance(message, PackedVisitedReply)
-                     else message.new_flags)
-            entries = self._pending.pop(message.sequence, ())
-            for (state_hash, _depth), was_new in zip(entries, flags):
-                self.bloom.add(state_hash)
-                if not was_new:
-                    self.confirmed_cross_duplicates += 1
+        if isinstance(message, RecordReply):
+            self.confirmed_cross_duplicates += (
+                message.count - sum(message.flags()))
 
 
 class ShmSink(ResultSink):
-    """Shared-memory data plane: publish to our segment, read the peers'.
+    """Shared-memory data plane: publish to our own segment.
 
     Control traffic (heartbeats) still rides the pipe; visited-state
-    traffic becomes buffer stores into this worker's own single-writer
-    :class:`~repro.mc.shardmem.ShardSegment` plus lock-free membership
-    probes of the peers' segments.  Checkpoints are a no-op: the
-    segment *is* the checkpoint -- it lives in the coordinator's
+    traffic becomes buffer stores into this worker's single-writer
+    :class:`~repro.mc.shardmem.ShardSegment`.  Checkpoints are a no-op:
+    the segment *is* the checkpoint -- it lives in the coordinator's
     address space and survives this worker's death, carrying strictly
     more knowledge than any periodic snapshot message could.
 
-    A full shard overflows to the wrapped RPC sink, so a mis-sized
-    segment degrades to the old plane instead of losing states.
+    A full segment overflows to the wrapped RPC sink, so a mis-sized
+    segment degrades to the other plane instead of losing states.
     """
 
-    def __init__(self, layout: ShardLayout, own: ShardSegment,
-                 peers: List[ShardSegment], pipe: PipeSink):
-        self.layout = layout
+    def __init__(self, own: ShardSegment, pipe: PipeSink):
         self.own = own
-        self.peers = peers  # excludes our own segment
         self.pipe = pipe
-        #: published keys already present in some peer's segment at
-        #: publish time (the shm analogue of the Bloom-probable count)
-        self.peer_duplicates = 0
         self.published = 0
         self.overflowed = 0
 
-    def ship_batch(self, entries: List[Tuple[str, int]]) -> None:
-        key_of = self.layout.key_of
+    def ship_batch(self, records: List[Record]) -> None:
         insert = self.own.insert
-        for wire_key, depth in entries:
-            key = key_of(wire_key)
+        for key, depth in records:
             try:
-                is_new, _ = insert(key, depth)
+                insert(key, depth)
             except ShardFull:
                 self.overflowed += 1
-                self.pipe.ship_batch([(wire_key, depth)])
+                self.pipe.ship_batch([(key, depth)])
                 continue
             self.published += 1
-            if is_new and any(peer.contains(key) for peer in self.peers):
-                self.peer_duplicates += 1
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
         self.pipe.heartbeat(unit_index, operations)
@@ -214,7 +198,6 @@ class ShmSink(ResultSink):
 def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
              config: WorkerConfig, sink: ResultSink,
              shipped_lru: Optional[LRUSet] = None,
-             global_bloom: Optional[BloomFilter] = None,
              session_operations: int = 0) -> UnitResult:
     """Execute one work unit to completion; deterministic in isolation.
 
@@ -228,7 +211,7 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
     mcfs.options.input_profile = unit.input_profile
     profile = None
     ship = sink.ship_batch
-    if getattr(mcfs.options, "profile", False):
+    if mcfs.options.profile:
         from repro.mc.perf import CostProfile
 
         profile = CostProfile()
@@ -237,15 +220,11 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
             return _profile.timed("ship", _ship, entries)
 
     # the local store mirrors the service's spec (same kind, same seed),
-    # so the wire keys the two sides compute agree; for compacted stores
-    # those keys are small integers instead of 32-char hex strings
-    store_spec = getattr(spec, "state_store", "exact")
-    local = make_store(store_spec, seed=spec.base_seed)
+    # so the record keys the two sides derive agree
     table = ShippingVisitedTable(
         ship=ship,
-        local=local,
+        local=make_store(spec.state_store, seed=spec.base_seed),
         shipped_lru=shipped_lru,
-        global_bloom=global_bloom,
         batch_size=config.batch_size,
     )
     last_checkpoint = {"operations": 0}
@@ -266,7 +245,6 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
             ))
         sink.drain()
 
-    peer_duplicates_before = getattr(sink, "peer_duplicates", 0)
     wall_start = realtime.now()
     result = mcfs.run_random(
         max_operations=unit.max_operations,
@@ -279,8 +257,6 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         profile=profile,
     )
     table.flush()
-    peer_duplicates = (getattr(sink, "peer_duplicates", 0)
-                       - peer_duplicates_before)
     return UnitResult(
         index=unit.index,
         seed=unit.seed,
@@ -295,8 +271,6 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         violation=result.report.to_dict() if result.report else None,
         shipped_hashes=table.shipped_hashes,
         suppressed_hashes=table.suppressed_hashes,
-        probable_cross_duplicates=(table.probable_cross_duplicates
-                                   + peer_duplicates),
         omission_possible=table.stats.omission_possible,
         omission_probability=table.stats.omission_probability,
         bytes_snapshotted=result.bytes_snapshotted,
@@ -324,27 +298,18 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
                  config: WorkerConfig) -> None:
     conn.send(Hello(worker_id, os.getpid()))
     shipped_lru = LRUSet(config.lru_capacity)
-    global_bloom = BloomFilter(config.bloom_bits)
-    try:
-        packing = packing_for_store(getattr(spec, "state_store", "exact"))
-    except (KeyError, ValueError):
-        packing = None
-    pipe_sink = PipeSink(conn, worker_id, global_bloom, packing=packing)
+    pipe_sink = PipeSink(conn, worker_id,
+                         parse_store_spec(spec.state_store).key_bytes)
     sink: ResultSink = pipe_sink
-    if config.shm_enabled:
+    if config.shm_layout is not None and config.shm_segment is not None:
         try:
             # untrack=False: forked workers share the coordinator's
             # resource tracker (see ShardSegment.attach)
-            segments = [ShardSegment.attach(config.shm_layout, name,
-                                            untrack=False)
-                        for name in config.shm_segments]
+            sink = ShmSink(ShardSegment.attach(config.shm_layout,
+                                               config.shm_segment,
+                                               untrack=False), pipe_sink)
         except Exception:
-            segments = None  # segments gone (or non-fork spawn): RPC plane
-        if segments is not None:
-            own = segments[config.shm_slot]
-            peers = [segment for index, segment in enumerate(segments)
-                     if index != config.shm_slot]
-            sink = ShmSink(config.shm_layout, own, peers, pipe_sink)
+            pass  # segment gone (or non-fork spawn): stay on the RPC plane
     session_operations = 0
     while True:
         conn.send(WorkRequest(worker_id))
@@ -354,8 +319,7 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
         # WorkRequest, and the coordinator would overwrite our lease
         # and lose the first granted unit (livelock: the unit is no
         # longer queued, leased, or resulted)
-        while isinstance(message,
-                         (VisitedReply, PackedVisitedReply, Heartbeat)):
+        while isinstance(message, (RecordReply, Heartbeat)):
             sink.handle(message)
             message = conn.recv()
         if isinstance(message, Wait):
@@ -367,7 +331,7 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
             continue  # unknown message: ignore and re-request
         result = run_unit(
             spec, message.unit, worker_id, config, sink,
-            shipped_lru=shipped_lru, global_bloom=global_bloom,
+            shipped_lru=shipped_lru,
             session_operations=session_operations,
         )
         session_operations += result.operations

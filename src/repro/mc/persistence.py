@@ -13,21 +13,24 @@ re-exploring everything it already covered.
 
 Format: a single JSON document, versioned, written atomically (tmp file
 + rename) so a crash during save never corrupts the previous snapshot.
+Every store kind writes the same container::
 
-Version history:
+    {"version": 4,
+     "store": {"kind": ..., <parameters>, "entries": "<packed hex>"},
+     "table_stats": {...}, "operations_completed": N, "runs": N,
+     "seed": ..., "worker_id": ..., "frontier": [...]}
 
-* **v1** -- buckets, seen map, operations_completed, runs.
-* **v2** -- adds ``table_stats`` (insert/duplicate/resize counters, so a
-  resumed run's duplicate-hit ratio is meaningful), ``seed`` and
-  ``worker_id`` (so :mod:`repro.dist` workers can ship their periodic
-  checkpoints in this format and the coordinator knows whose leased work
-  a snapshot covers).  v1 documents still load.
-* **v3** -- memory-bounded stores (:mod:`repro.mc.statestore`): instead
-  of a ``seen`` hash map, the document carries a ``store`` record (the
-  store's own serialised form -- bit array, fingerprint map, or hot/cold
-  tiers) so a bitstate or hash-compaction campaign resumes without the
-  full hashes it never kept.  Exact tables keep writing v2; v1/v2 still
-  load.
+``store`` is the store's own record: keyed tables (exact, hc) carry
+their sorted ``(key, depth)`` records in the :mod:`repro.mc.records`
+layout, hex-encoded; bitstate carries its two arrays.  ``table_stats``
+restores the traffic counters so a resumed run's duplicate-hit ratio is
+meaningful; ``seed``/``worker_id`` say whose work a snapshot covers;
+``frontier`` is the campaign server's pause hook.
+
+Documents of any other version -- including the v1/v2/v3 forms earlier
+releases wrote -- are refused with :class:`StoreFormatError`, as is any
+document with a missing or malformed field: a snapshot loads whole or
+not at all.
 """
 
 from __future__ import annotations
@@ -37,15 +40,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.mc.hashtable import AbstractVisitedTable, TableStats, VisitedStateTable
+from repro.mc.hashtable import AbstractVisitedTable, TableStats
+from repro.mc.records import StoreFormatError, require
+from repro.mc.statestore import store_from_document
 
-FORMAT_VERSION = 2
-
-#: version written for memory-bounded (lossy) stores
-LOSSY_FORMAT_VERSION = 3
-
-#: versions this module can still read
-SUPPORTED_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -55,9 +54,9 @@ class CheckerSnapshot:
     visited: AbstractVisitedTable
     operations_completed: int = 0
     runs: int = 1
-    #: exploration seed the snapshot belongs to (v2; None for v1 docs)
+    #: exploration seed the snapshot belongs to
     seed: Optional[int] = None
-    #: distributed worker that produced the snapshot (v2; None for v1)
+    #: distributed worker that produced the snapshot
     worker_id: Optional[str] = None
     table_stats: TableStats = field(default_factory=TableStats)
     #: pending work-unit indices at pause time (the campaign server's
@@ -76,12 +75,19 @@ def snapshot_document(visited: AbstractVisitedTable,
                       frontier: Optional[List[int]] = None) -> Dict[str, Any]:
     """Build the (JSON-serialisable) snapshot document.
 
-    Exact tables produce the v2 form (full ``seen`` map); memory-bounded
-    stores produce v3 with their own ``store`` record.  Shared by
-    :func:`save_checker_state` and the distributed workers, which ship
-    the same document over a pipe instead of writing a file.
+    Shared by :func:`save_checker_state`, the distributed workers (which
+    ship the same document over a pipe instead of writing a file) and
+    the campaign server's spool.
     """
-    common = {
+    store_document = getattr(visited, "store_document", None)
+    if store_document is None:
+        raise ValueError(
+            f"{type(visited).__name__} does not support persistence "
+            f"(no store_document)"
+        )
+    document = {
+        "version": FORMAT_VERSION,
+        "store": store_document(),
         "operations_completed": operations_completed,
         "runs": runs,
         "seed": seed,
@@ -89,79 +95,30 @@ def snapshot_document(visited: AbstractVisitedTable,
         "table_stats": visited.stats.to_dict(),
     }
     if frontier is not None:
-        common["frontier"] = [int(index) for index in frontier]
-    if isinstance(visited, VisitedStateTable):
-        return {
-            "version": FORMAT_VERSION,
-            "buckets": visited.buckets,
-            "seen": visited.export_seen(),  # hash -> shallowest depth
-            **common,
-        }
-    store_document = getattr(visited, "store_document", None)
-    if store_document is None:
-        raise ValueError(
-            f"{type(visited).__name__} does not support persistence "
-            f"(no store_document)"
-        )
-    return {
-        "version": LOSSY_FORMAT_VERSION,
-        "store": store_document(),
-        **common,
-    }
-
-
-def _stats_from_raw(raw: Dict[str, Any], fallback_inserts: int) -> TableStats:
-    return TableStats(
-        inserts=int(raw.get("inserts", fallback_inserts)),
-        duplicate_hits=int(raw.get("duplicate_hits", 0)),
-        resizes=int(raw.get("resizes", 0)),
-        resize_time=float(raw.get("resize_time", 0.0)),
-        stored_bytes=int(raw.get("stored_bytes", 0)),
-        omission_possible=bool(raw.get("omission_possible", False)),
-        omission_probability=float(raw.get("omission_probability", 0.0)),
-    )
+        document["frontier"] = [int(index) for index in frontier]
+    return document
 
 
 def snapshot_from_document(document: Dict[str, Any],
                            memory=None) -> CheckerSnapshot:
-    """Rebuild a :class:`CheckerSnapshot` from a v1, v2, or v3 document."""
-    version = document.get("version")
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
+    """Rebuild a :class:`CheckerSnapshot`; malformed input of any shape
+    raises :class:`StoreFormatError`."""
+    version = require(document, "version")
+    if version != FORMAT_VERSION:
+        raise StoreFormatError(
             f"checker snapshot has version {version}, "
-            f"expected one of {SUPPORTED_VERSIONS}"
+            f"expected {FORMAT_VERSION}"
         )
-    if version >= 3:
-        from repro.mc.statestore import store_from_document
-
-        visited: AbstractVisitedTable = store_from_document(
-            document["store"], memory=memory)
-        stats = _stats_from_raw(document.get("table_stats", {}),
-                                fallback_inserts=len(visited))
-        # the rebuilt store already knows its footprint and omission
-        # state; the persisted counters restore the traffic history
-        stats.stored_bytes = max(stats.stored_bytes,
-                                 visited.stats.stored_bytes)
-        stats.omission_possible = (stats.omission_possible
-                                   or visited.stats.omission_possible)
-        stats.omission_probability = max(stats.omission_probability,
-                                         visited.stats.omission_probability)
-        visited.stats = stats
-    else:
-        visited = VisitedStateTable(memory=memory,
-                                    initial_buckets=document["buckets"])
-        visited.import_seen({
-            state_hash: int(depth)
-            for state_hash, depth in document["seen"].items()
-        })
-        stats = TableStats(inserts=len(visited),
-                           stored_bytes=visited.stats.stored_bytes)
-        if version >= 2:
-            stats = _stats_from_raw(document.get("table_stats", {}),
-                                    fallback_inserts=len(visited))
-            if not stats.stored_bytes:
-                stats.stored_bytes = visited.stats.stored_bytes
-        visited.stats = stats
+    visited = store_from_document(require(document, "store"), memory=memory)
+    # the rebuilt store already knows its footprint and omission state;
+    # the persisted counters restore the traffic history
+    stats = TableStats.from_dict(require(document, "table_stats"))
+    stats.stored_bytes = max(stats.stored_bytes, visited.stats.stored_bytes)
+    stats.omission_possible = (stats.omission_possible
+                               or visited.stats.omission_possible)
+    stats.omission_probability = max(stats.omission_probability,
+                                     visited.stats.omission_probability)
+    visited.stats = stats
     raw_frontier = document.get("frontier")
     return CheckerSnapshot(
         visited=visited,
@@ -200,4 +157,4 @@ def load_checker_state(path: str, memory=None) -> Optional[CheckerSnapshot]:
     try:
         return snapshot_from_document(document, memory=memory)
     except ValueError as error:
-        raise ValueError(f"{path}: {error}") from None
+        raise StoreFormatError(f"{path}: {error}") from None

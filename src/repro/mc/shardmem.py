@@ -1,26 +1,25 @@
-"""Sharded shared-memory state plane: single-writer segments, exact union.
+"""Shared-memory state plane: single-writer segments, exact union.
 
 The distributed fleet's original data plane funnelled every locally-new
 state through one coordinator-owned table over pickle-per-message pipe
-RPC.  This module replaces that round-trip with **sharded ownership
-over shared memory**:
+RPC.  This module replaces that round-trip with **single-writer
+ownership over shared memory**:
 
 * every worker owns exactly one :class:`ShardSegment` -- a fixed-size
   ``multiprocessing.shared_memory`` buffer it alone writes -- so
   publishing a discovery is a few buffer stores, not an RPC;
-* a segment is internally partitioned into ``shards`` regions by
-  fingerprint space (a pure function of the key, never of the worker),
-  each an open-addressed table of fixed-width ``(key, depth)`` slots;
-* *every* worker may read *every* segment lock-free: cross-worker
-  membership tests are local reads.  The single-writer discipline plus
-  presence-marker-written-last slot encoding means a racing reader can
-  only ever miss an in-flight entry (a benign false-absent), never
-  observe a torn one;
+* a segment is one open-addressed table of fixed-width ``(key, depth)``
+  records in the :mod:`repro.mc.records` layout, so the coordinator
+  reads it with the same reader that decodes wire batches and snapshot
+  payloads;
+* the coordinator may read a live segment lock-free: the single-writer
+  discipline plus presence-marker-written-last slot encoding means a
+  racing reader can only ever miss an in-flight entry (a benign
+  false-absent), never observe a torn one;
 * the authoritative union is assembled once, after the fleet stops, by
-  replaying the sorted union of all segments into a classic
-  :mod:`repro.mc.statestore` table -- a canonical order, so the merged
-  store is byte-identical for any worker count, shard count, crash
-  schedule, or interleaving.
+  replaying the sorted union of all segments into the campaign's store
+  -- a canonical order, so the merged store is byte-identical for any
+  worker count, crash schedule, or interleaving.
 
 Why the segments hold *key sets* rather than, say, one shared bitstate
 array all workers OR bits into: pure Python has no atomic read-modify-
@@ -28,47 +27,22 @@ write, so concurrent writers to shared words would lose updates --
 turning bitstate's *quantified* omission probability into a silent,
 nondeterministic one.  Single-writer key sets keep the global union
 exact-or-bounded exactly as the RPC plane's: what rides the segment is
-precisely what used to ride a :class:`~repro.dist.protocol.VisitedBatch`
-(the store's wire key plus the discovery depth), and the local decision
-store -- including a memory-bounded bitstate/hc one -- is untouched.
-
-Slot encoding (little-endian): ``key_bytes`` of key, then a 4-byte
-``depth + 1`` presence marker (0 = empty slot), written last.  The hc
-kind stores 8-byte compacted fingerprints; exact and bitstate kinds
-store the full 16-byte digest, matching their wire keys.
+precisely what rides a packed wire batch (the store's record key plus
+the discovery depth), and the local decision store -- including a
+memory-bounded bitstate/hc one -- is untouched.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.mc.hashtable import (
-    AbstractVisitedTable,
-    StateKey,
-    TableStats,
-    VisitedStateTable,
+from repro.mc.records import (
+    DEPTH_BYTES,
+    DEPTH_MAX,
+    pack_records,
+    read_records,
 )
-from repro.mc.memory import MemoryModel
-from repro.mc.statestore import StoreSpec, _digest, parse_store_spec
-
-#: default shard count per segment (fingerprint-space partitions)
-DEFAULT_SHARDS = 4
-
-#: default open-addressed slots per shard
-DEFAULT_SLOTS_PER_SHARD = 1 << 12
-
-#: presence marker width: ``depth + 1`` as an unsigned 32-bit integer
-_DEPTH_BYTES = 4
-
-#: largest depth the marker can encode (saturating clamp)
-_DEPTH_MAX = 0xFFFFFFFE
-
-#: 64-bit golden-ratio multiplier: spreads small hc fingerprints across
-#: shards (their high bits are all zero, so raw modulo would not)
-_SHARD_MIX = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 try:  # the plane degrades to RPC where the OS offers no shared memory
     from multiprocessing import shared_memory as _shared_memory
@@ -82,104 +56,42 @@ def shared_memory_available() -> bool:
 
 
 class ShardFull(RuntimeError):
-    """A shard region ran out of slots (caller should overflow to RPC)."""
+    """A segment ran out of slots (caller should overflow to RPC)."""
 
 
 @dataclass(frozen=True)
 class ShardLayout:
     """Geometry of one segment; plain numbers, so it rides any wire.
 
-    Workers receive the layout plus segment *names* and reattach on
-    their side -- raw :class:`~multiprocessing.shared_memory.SharedMemory`
+    Workers receive the layout plus their segment's *name* and reattach
+    on their side -- raw :class:`~multiprocessing.shared_memory.SharedMemory`
     handles must never be pickled (the ``shm-handle-field`` analyzer
     rule enforces this).
     """
 
-    kind: str  # "exact" | "hc" | "bitstate"
-    shards: int = DEFAULT_SHARDS
-    slots_per_shard: int = DEFAULT_SLOTS_PER_SHARD
-    key_bytes: int = 16
-    fp_bytes: int = 4
-    seed: int = 0
+    slots: int
+    key_bytes: int
 
     def __post_init__(self):
-        if self.kind not in ("exact", "hc", "bitstate"):
-            raise ValueError(
-                f"no shard-segment layout for store kind {self.kind!r} "
-                f"(tiered keeps live hex strings and stays on the RPC plane)"
-            )
-        if self.shards < 1:
-            raise ValueError("a segment needs at least one shard")
-        if self.slots_per_shard < 8:
-            raise ValueError("a shard needs at least 8 slots")
-        if self.key_bytes not in (8, 16):
-            raise ValueError("shard slots hold 8- or 16-byte keys")
+        if self.slots < 8:
+            raise ValueError("a segment needs at least 8 slots")
 
-    @classmethod
-    def for_store(cls, store: str, shards: int = DEFAULT_SHARDS,
-                  slots_per_shard: int = DEFAULT_SLOTS_PER_SHARD,
-                  seed: int = 0) -> "ShardLayout":
-        """Derive the layout from a ``--state-store`` spec string."""
-        spec = parse_store_spec(store)
-        key_bytes = 8 if spec.kind == "hc" else 16
-        return cls(kind=spec.kind, shards=shards,
-                   slots_per_shard=slots_per_shard, key_bytes=key_bytes,
-                   fp_bytes=spec.fp_bytes, seed=seed)
-
-    # ------------------------------------------------------------- geometry --
     @property
     def slot_bytes(self) -> int:
-        return self.key_bytes + _DEPTH_BYTES
-
-    @property
-    def shard_bytes(self) -> int:
-        return self.slots_per_shard * self.slot_bytes
+        return self.key_bytes + DEPTH_BYTES
 
     @property
     def segment_bytes(self) -> int:
-        return self.shards * self.shard_bytes
-
-    def shard_of(self, key: int) -> int:
-        """The shard owning ``key``: a pure function of the key alone,
-        so shard count partitions the key space without ever changing
-        *what* is stored -- the invariant behind shard-count-invariant
-        merges."""
-        return ((key * _SHARD_MIX) & _MASK64) % self.shards
-
-    # ----------------------------------------------------------------- keys --
-    def key_of(self, state_hash: StateKey) -> int:
-        """The integer key a state stores under (its wire key)."""
-        if isinstance(state_hash, int):
-            return state_hash
-        if self.kind == "hc":
-            digest = _digest(state_hash, self.seed)
-            return int.from_bytes(digest[:self.fp_bytes], "little")
-        try:
-            return int(state_hash, 16)
-        except ValueError:
-            # non-hex callers (unit tests, ad-hoc keys) hash through MD5
-            # exactly like the classic stores' _digest fallback
-            return int.from_bytes(
-                hashlib.md5(state_hash.encode("utf-8")).digest(), "big")
-
-    def state_of(self, key: int) -> StateKey:
-        """The state form a classic table expects for ``key``.
-
-        Exact tables key on the 32-char hex digest; compacted stores
-        accept the integer wire key directly.
-        """
-        if self.kind == "exact":
-            return format(key, "032x")
-        return key
+        return self.slots * self.slot_bytes
 
 
 class ShardSegment:
-    """One writer's sharded open-addressed ``(key, depth)`` set.
+    """One writer's open-addressed ``(key, depth)`` set.
 
     Backed by a named ``SharedMemory`` buffer -- or, for in-process use
-    (tests, the workers=1 path without shm), a plain ``bytearray`` of
-    the same layout.  Exactly one process may call :meth:`insert`; any
-    number may call :meth:`contains`.
+    (tests), a plain ``bytearray`` of the same layout.  Exactly one
+    process may call :meth:`insert`; any number may call
+    :meth:`depth_of` or :meth:`entries`.
     """
 
     def __init__(self, layout: ShardLayout, name: Optional[str] = None,
@@ -204,10 +116,6 @@ class ShardSegment:
                     raise ValueError("attaching needs a segment name")
                 self._shm = _shared_memory.SharedMemory(name=name)
             self._buf = self._shm.buf
-        #: entries this handle inserted (writer-side bookkeeping only)
-        self.inserted = 0
-        #: shards that refused an insert at least once
-        self.overflowed_shards = 0
 
     # -------------------------------------------------------------- attach --
     @classmethod
@@ -240,20 +148,18 @@ class ShardSegment:
         return segment
 
     # --------------------------------------------------------------- access --
-    def _probe(self, key: int) -> Tuple[int, Optional[int]]:
-        """Find ``key``'s slot: returns ``(offset, depth)`` where depth
-        is None for an empty slot the key would occupy."""
+    def _probe(self, key: int, raw: bytes) -> Tuple[int, Optional[int]]:
+        """Find the slot of ``key`` (``raw`` = its packed key bytes):
+        returns ``(offset, depth)`` where depth is None for an empty
+        slot the key would occupy."""
         layout = self.layout
         slot_bytes = layout.slot_bytes
         key_bytes = layout.key_bytes
-        shard = layout.shard_of(key)
-        base = shard * layout.shard_bytes
-        slots = layout.slots_per_shard
+        slots = layout.slots
         start = key % slots
-        raw = key.to_bytes(key_bytes, "little")
         buf = self._buf
         for step in range(slots):
-            offset = base + ((start + step) % slots) * slot_bytes
+            offset = ((start + step) % slots) * slot_bytes
             marker = int.from_bytes(
                 buf[offset + key_bytes:offset + slot_bytes], "little")
             if marker == 0:
@@ -261,9 +167,9 @@ class ShardSegment:
             if buf[offset:offset + key_bytes] == raw:
                 return offset, marker - 1
         raise ShardFull(
-            f"shard {shard} of segment {self.name or '<local>'} is full "
-            f"({slots} slots); raise slots_per_shard or let the caller "
-            f"overflow to the RPC plane"
+            f"segment {self.name or '<local>'} is full ({slots} slots); "
+            f"raise the slot count or let the caller overflow to the "
+            f"RPC plane"
         )
 
     def insert(self, key: int, depth: int = 0) -> Tuple[bool, bool]:
@@ -274,50 +180,32 @@ class ShardSegment:
         Writer-only.  The key bytes land before the presence marker, so
         concurrent readers never see a half-written slot as present.
         """
-        clamped = min(int(depth), _DEPTH_MAX)
-        offset, existing = self._probe(key)
-        layout = self.layout
-        key_bytes = layout.key_bytes
+        depth = min(int(depth), DEPTH_MAX)
+        key_bytes = self.layout.key_bytes
+        record = pack_records(((key, depth),), key_bytes)
+        offset, existing = self._probe(key, record[:key_bytes])
+        if existing is not None and depth >= existing:
+            return False, False
         if existing is None:
-            self._buf[offset:offset + key_bytes] = key.to_bytes(
-                key_bytes, "little")
-            self._buf[offset + key_bytes:offset + layout.slot_bytes] = (
-                clamped + 1).to_bytes(_DEPTH_BYTES, "little")
-            self.inserted += 1
-            return True, True
-        if clamped < existing:
-            self._buf[offset + key_bytes:offset + layout.slot_bytes] = (
-                clamped + 1).to_bytes(_DEPTH_BYTES, "little")
-            return False, True
-        return False, False
-
-    def contains(self, key: int) -> bool:
-        """Lock-free membership probe (safe from any process)."""
-        try:
-            _, existing = self._probe(key)
-        except ShardFull:
-            return False
-        return existing is not None
+            self._buf[offset:offset + key_bytes] = record[:key_bytes]
+        self._buf[offset + key_bytes:offset + len(record)] = \
+            record[key_bytes:]
+        return existing is None, True
 
     def depth_of(self, key: int) -> Optional[int]:
+        """Lock-free probe (safe from any process): the stored depth,
+        or None when ``key`` is absent."""
+        raw = pack_records(((key, 0),), self.layout.key_bytes)
         try:
-            _, existing = self._probe(key)
+            return self._probe(key, raw[:self.layout.key_bytes])[1]
         except ShardFull:
             return None
-        return existing
 
     def entries(self) -> Iterator[Tuple[int, int]]:
-        """Every stored ``(key, depth)``, in slot order (callers sort)."""
-        layout = self.layout
-        slot_bytes = layout.slot_bytes
-        key_bytes = layout.key_bytes
-        buf = self._buf
-        for offset in range(0, layout.segment_bytes, slot_bytes):
-            marker = int.from_bytes(
-                buf[offset + key_bytes:offset + slot_bytes], "little")
-            if marker:
-                yield (int.from_bytes(buf[offset:offset + key_bytes],
-                                      "little"), marker - 1)
+        """Every stored ``(key, depth)``, in slot order (callers sort):
+        the shared record reader over the segment's own memory."""
+        return read_records(self._buf[:self.layout.segment_bytes],
+                            self.layout.key_bytes)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
@@ -341,209 +229,3 @@ class ShardSegment:
                 shm.unlink()
             except FileNotFoundError:
                 pass  # already gone (e.g. a second cleanup pass)
-
-
-def merge_sorted_entries(table: AbstractVisitedTable, layout: ShardLayout,
-                         entry_lists: List[Iterator[Tuple[int, int]]]) -> int:
-    """Replay the union of many segments into ``table``, canonically.
-
-    Entries are merged **sorted by key** with the shallowest depth
-    winning, so the resulting table -- content, counters, even a
-    bitstate array's insertion-order-sensitive count -- is identical no
-    matter how work was scheduled across the fleet.  Returns how many
-    keys were new to ``table``.
-    """
-    union: Dict[int, int] = {}
-    for entries in entry_lists:
-        for key, depth in entries:
-            existing = union.get(key)
-            if existing is None or depth < existing:
-                union[key] = depth
-    added = 0
-    for key in sorted(union):
-        is_new, _ = table.visit(layout.state_of(key), union[key])
-        if is_new:
-            added += 1
-    return added
-
-
-class ShardedStore(AbstractVisitedTable):
-    """A visited-state table living in a (shardable) segment.
-
-    Standalone form of the state plane: one process, one segment, exact
-    membership on wire keys.  The distributed checker uses the same
-    :class:`ShardSegment` machinery with one segment per worker; this
-    class is what a single-process campaign (or the ``workers=1`` fleet
-    path) plugs into the explorer, and what persistence v3 snapshots
-    and merges as a shard set.
-
-    Membership is keyed on the underlying store kind's *wire key*: the
-    full 128-bit digest for exact/bitstate, the compacted fingerprint
-    for hc -- so hc sharding inherits hc's quantified omission
-    probability, while exact/bitstate sharding matches on the full
-    digest.  :meth:`to_classic` rebuilds the equivalent classic store
-    by canonical sorted replay.
-    """
-
-    def __init__(self, store: str = "exact", shards: int = DEFAULT_SHARDS,
-                 slots_per_shard: int = DEFAULT_SLOTS_PER_SHARD,
-                 seed: int = 0, memory: Optional[MemoryModel] = None,
-                 use_shm: Optional[bool] = None,
-                 segment: Optional[ShardSegment] = None):
-        self.store_spec: StoreSpec = parse_store_spec(store)
-        self.layout = ShardLayout.for_store(
-            store, shards=shards, slots_per_shard=slots_per_shard, seed=seed)
-        self.seed = seed
-        self.memory = memory
-        if segment is not None:
-            self.segment = segment
-        else:
-            backed = (shared_memory_available() if use_shm is None
-                      else use_shm)
-            if backed and shared_memory_available():
-                self.segment = ShardSegment(self.layout, create=True)
-            else:
-                self.segment = ShardSegment(
-                    self.layout,
-                    buffer=bytearray(self.layout.segment_bytes))
-        self.stats = TableStats(
-            omission_possible=(self.layout.kind == "hc"),
-            stored_bytes=self.layout.segment_bytes,
-        )
-        if memory is not None:
-            # like bitstate: the whole footprint is allocated up front
-            memory.store_bytes(self.layout.segment_bytes)
-        self._count = 0
-
-    # ---------------------------------------------------------------- visit --
-    def visit(self, state_hash: StateKey, depth: int = 0) -> Tuple[bool, bool]:
-        key = self.layout.key_of(state_hash)
-        is_new, should_expand = self.segment.insert(key, depth)
-        if is_new:
-            self._count += 1
-            self.stats.inserts += 1
-            if self.layout.kind == "hc":
-                self.stats.omission_probability = self.false_hit_probability
-        else:
-            self.stats.duplicate_hits += 1
-        if self.memory is not None:
-            self.memory.touch_bytes(self.layout.slot_bytes)
-        return is_new, should_expand
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, state_hash: StateKey) -> bool:
-        return self.segment.contains(self.layout.key_of(state_hash))
-
-    def wire_key(self, state_hash: str) -> int:
-        return self.layout.key_of(state_hash)
-
-    @property
-    def false_hit_probability(self) -> float:
-        if self.layout.kind != "hc":
-            return 0.0
-        return self._count / float(1 << (8 * self.layout.fp_bytes))
-
-    # ------------------------------------------------------- merge/persist --
-    def replay_into(self, table: AbstractVisitedTable) -> int:
-        """Canonical sorted replay of this store into a classic table."""
-        return merge_sorted_entries(table, self.layout,
-                                    [self.segment.entries()])
-
-    def to_classic(self, memory: Optional[MemoryModel] = None
-                   ) -> AbstractVisitedTable:
-        """The equivalent classic store (exact table, hc map, bitstate
-        array), built by canonical replay -- byte-identical to what the
-        RPC-plane service would hold after receiving the same keys."""
-        table = self.store_spec.build(memory=memory, seed=self.seed)
-        self.replay_into(table)
-        return table
-
-    def import_seen(self, seen: Mapping[str, int]) -> int:
-        added = 0
-        for state_hash in sorted(seen):
-            is_new, _ = self.visit(state_hash, int(seen[state_hash]))
-            if is_new:
-                added += 1
-                self.stats.inserts -= 1  # bookkeeping merge, not exploration
-            else:
-                self.stats.duplicate_hits -= 1
-        return added
-
-    def merge_from(self, other: "ShardedStore") -> int:
-        """Union another shard set in (kind/seed must match; the shard
-        *count* may differ -- sharding partitions the key space without
-        changing what is stored)."""
-        if (other.layout.kind, other.layout.seed, other.layout.fp_bytes) != \
-                (self.layout.kind, self.layout.seed, self.layout.fp_bytes):
-            raise ValueError("cannot merge shard sets with different "
-                             "kind/seed/fp_bytes parameters")
-        added = 0
-        for key, depth in sorted(other.segment.entries()):
-            is_new, _ = self.visit(key, depth)
-            if is_new:
-                added += 1
-                self.stats.inserts -= 1
-            else:
-                self.stats.duplicate_hits -= 1
-        return added
-
-    def visited_fingerprint(self) -> str:
-        """Canonical digest of the visited set; equals the fingerprint
-        of :meth:`to_classic`'s result by construction."""
-        return self.to_classic().visited_fingerprint()
-
-    def store_document(self) -> Dict:
-        """Persistence-v3 record: the sorted shard-set entries.
-
-        Sorted, so the document bytes are identical for any insertion
-        history reaching the same set -- and any shard count.
-        """
-        entries = sorted(self.segment.entries())
-        packed = bytearray()
-        for key, depth in entries:
-            packed += key.to_bytes(self.layout.key_bytes, "little")
-            packed += min(depth, _DEPTH_MAX).to_bytes(_DEPTH_BYTES, "little")
-        return {
-            "kind": "sharded",
-            "store": self.store_spec.describe(),
-            "shards": self.layout.shards,
-            "slots_per_shard": self.layout.slots_per_shard,
-            "seed": self.seed,
-            "count": self._count,
-            "entries": bytes(packed).hex(),
-        }
-
-    @classmethod
-    def from_document(cls, document: Mapping,
-                      memory: Optional[MemoryModel] = None) -> "ShardedStore":
-        store = cls(
-            store=str(document.get("store", "exact")),
-            shards=int(document.get("shards", DEFAULT_SHARDS)),
-            slots_per_shard=int(document.get("slots_per_shard",
-                                             DEFAULT_SLOTS_PER_SHARD)),
-            seed=int(document.get("seed", 0)),
-            memory=memory,
-            use_shm=False,  # a loaded snapshot should not claim OS segments
-        )
-        packed = bytes.fromhex(document["entries"])
-        stride = store.layout.slot_bytes
-        key_bytes = store.layout.key_bytes
-        for offset in range(0, len(packed), stride):
-            key = int.from_bytes(packed[offset:offset + key_bytes], "little")
-            depth = int.from_bytes(
-                packed[offset + key_bytes:offset + stride], "little")
-            store.segment.insert(key, depth)
-        store._count = store.segment.inserted
-        store.stats.inserts = store._count
-        if store.layout.kind == "hc":
-            store.stats.omission_probability = store.false_hit_probability
-        return store
-
-    # ------------------------------------------------------------ lifecycle --
-    def close(self) -> None:
-        self.segment.close()
-
-    def unlink(self) -> None:
-        self.segment.unlink()

@@ -1,31 +1,26 @@
-"""Memory-bounded visited-state stores (Spin ``-DBITSTATE`` / ``-DHC``).
+"""Bitstate hashing (Spin ``-DBITSTATE``) and the store factory.
 
 Figure 3's collapse is a *store* problem: the exact
 :class:`~repro.mc.hashtable.VisitedStateTable` keeps a full concrete
 snapshot per state, so a long run stalls when the table resizes and
 crawls once the store spills into swap.  Spin's classic remedies trade a
-quantified chance of *omitting* states for a bounded footprint, and this
-module reproduces them behind the same
+quantified chance of *omitting* states for a bounded footprint.  There
+are three store kinds behind the one
 :class:`~repro.mc.hashtable.AbstractVisitedTable` interface:
 
-* :class:`BitstateTable` -- supertrace/bitstate hashing: ``k``
-  MD5-derived bit positions per state in one fixed bit array.  Zero
-  per-state heap growth, zero resizes; a fresh state whose bits are all
-  already set is silently skipped (an *omission*), with probability
-  ``(set_bits / bits) ** k``.
-* :class:`HashCompactionTable` -- store a 4/8-byte compacted fingerprint
-  (+ shallowest depth) instead of the 32-char hex digest.  Two distinct
-  states colliding on the fingerprint omit the younger one, with
-  per-query probability ``stored / 2**(8*fp_bytes)``.
-* :class:`TieredTable` -- a hot/cold split matching DFS locality: recent
-  states stay exact in a bounded LRU tier; cold states demote to the
-  compacted tier.  Exact while the campaign fits the hot tier, bounded
-  forever after.
+========  ==========================================  ==================
+kind      what is stored per state                    omission
+========  ==========================================  ==================
+exact     full digest + depth (``VisitedStateTable``  none
+          with 16-byte keys)
+hc        2/4/8-byte fingerprint + depth (the same    ``stored /
+          class, narrower keys)                       2**(8*bytes)``
+bitstate  ``k`` bits in one fixed array               ``(set/bits)**k``
+          (:class:`BitstateTable`)
+========  ==========================================  ==================
 
-Every mode charges its true footprint to the attached
-:class:`~repro.mc.memory.MemoryModel` (the exact table charges one
-concrete snapshot per state; hash compaction charges bytes-per-entry;
-bitstate reserves its array once), and every lossy mode reports
+Every kind charges its true footprint to the attached
+:class:`~repro.mc.memory.MemoryModel`, and every lossy kind reports
 ``omission_possible`` / ``omission_probability`` through
 :class:`~repro.mc.hashtable.TableStats` so coverage loss is never
 silent.
@@ -35,65 +30,47 @@ fingerprints per store, which is what makes classic swarm+bitstate work:
 members with different seeds omit *different* states, so the union
 recovers coverage a single same-budget member loses.
 
-``parse_store_spec``/``make_store`` accept the CLI grammar::
-
-    exact | hc[:fp_bytes] | bitstate[:bits,k] | tiered[:hot_capacity]
+The spec grammar, the key derivation and the ``(key, depth)`` record
+layout live in :mod:`repro.mc.records`; this module re-exports
+:func:`parse_store_spec` and builds stores from specs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.clock import Cost
 from repro.mc.hashtable import (
-    EXACT_ENTRY_BYTES,
     AbstractVisitedTable,
-    StateKey,
+    Record,
     TableStats,
     VisitedStateTable,
 )
 from repro.mc.memory import MemoryModel
+from repro.mc.records import (
+    DEFAULT_BITS,
+    DEFAULT_K,
+    DIGEST_BYTES,
+    DigestFn,
+    StoreFormatError,
+    StoreSpec,
+    digest_of,
+    hex_field,
+    key_function,
+    parse_store_spec,
+    require,
+    reseed,
+)
 
-#: bytes of one compacted entry beyond the fingerprint: the shallowest
-#: depth slot (the fingerprint itself adds ``fp_bytes``)
-DEPTH_SLOT_BYTES = 4
-
-DEFAULT_FP_BYTES = 4
-DEFAULT_BITS = 1 << 23  # 1 MiB bit array
-DEFAULT_K = 3
-DEFAULT_HOT_CAPACITY = 1 << 12
-
-#: optional test hook type: maps a state hash to a 16-byte digest
-DigestFn = Callable[[str], bytes]
-
-
-def _digest(state_hash: StateKey, seed: int,
-            digest_fn: Optional[DigestFn] = None) -> bytes:
-    """The 16 bytes a store derives its fingerprint/positions from.
-
-    Abstract-state hashes are already MD5 hex digests, so the unseeded
-    fast path just decodes them; a nonzero seed re-mixes the digest so
-    differently-seeded stores collide on *different* state pairs.  A
-    128-bit integer (the wire form) decodes to the same bytes as its hex
-    string, so pre-compacted keys hash identically.
-    """
-    if isinstance(state_hash, int):
-        raw = state_hash.to_bytes(16, "big")
-    elif digest_fn is not None:
-        raw = digest_fn(state_hash)
-    else:
-        try:
-            raw = bytes.fromhex(state_hash)
-        except ValueError:
-            raw = hashlib.md5(state_hash.encode("utf-8")).digest()
-        if len(raw) != 16:
-            raw = hashlib.md5(state_hash.encode("utf-8")).digest()
-    if seed:
-        raw = hashlib.md5(seed.to_bytes(8, "big", signed=True) + raw).digest()
-    return raw
+__all__ = [
+    "BitstateTable",
+    "StoreSpec",
+    "build_store",
+    "make_store",
+    "merge_into",
+    "parse_store_spec",
+    "store_from_document",
+]
 
 
 class BitstateTable(AbstractVisitedTable):
@@ -131,6 +108,8 @@ class BitstateTable(AbstractVisitedTable):
         self.seed = seed
         self.memory = memory
         self._digest_fn = digest_fn
+        self._key_of = key_function(StoreSpec(kind="bitstate"), seed,
+                                    digest_fn)
         self._array = bytearray(bits // 8 + 1)
         #: shallowest depth per slot (saturating at 0xFE; 0xFF = unset)
         self._depths = bytearray([self._DEPTH_UNSET]) * (bits // 8 + 1)
@@ -145,17 +124,31 @@ class BitstateTable(AbstractVisitedTable):
             # swap collapse
             memory.store_bytes(len(self._array) + len(self._depths))
 
-    def _positions(self, state_hash: StateKey):
-        digest = _digest(state_hash, self.seed, self._digest_fn)
+    def _positions(self, raw: bytes):
+        """The ``k`` bit positions of a 16-byte (unseeded) digest."""
+        digest = reseed(raw, self.seed)
         first = int.from_bytes(digest[:8], "little")
         second = int.from_bytes(digest[8:], "little") | 1
         for i in range(self.k):
             yield (first + i * second) % self.bits
 
-    def visit(self, state_hash: StateKey, depth: int = 0) -> Tuple[bool, bool]:
+    def visit(self, state_hash: str, depth: int = 0) -> Tuple[bool, bool]:
+        return self._visit_raw(digest_of(state_hash, self._digest_fn), depth)
+
+    def visit_many(self, records: Iterable[Record]) -> List[bool]:
+        visit_raw = self._visit_raw
+        return [visit_raw(key.to_bytes(DIGEST_BYTES, "big"), depth)[0]
+                for key, depth in records]
+
+    def record_key(self, state_hash: str) -> int:
+        """The whole digest as a 128-bit integer; the seed re-mix
+        happens store-side, so shipped keys land on the same bits."""
+        return self._key_of(state_hash)
+
+    def _visit_raw(self, raw: bytes, depth: int) -> Tuple[bool, bool]:
         is_new = False
         slot = None
-        for position in self._positions(state_hash):
+        for position in self._positions(raw):
             if slot is None:
                 slot = position % len(self._depths)
             byte, bit = position >> 3, 1 << (position & 7)
@@ -184,15 +177,10 @@ class BitstateTable(AbstractVisitedTable):
     def __len__(self) -> int:
         return self._count
 
-    def __contains__(self, state_hash: StateKey) -> bool:
+    def __contains__(self, state_hash: str) -> bool:
+        raw = digest_of(state_hash, self._digest_fn)
         return all(self._array[p >> 3] & (1 << (p & 7))
-                   for p in self._positions(state_hash))
-
-    def wire_key(self, state_hash: str) -> int:
-        """Ship the digest as a 128-bit integer (16 bytes vs 32+ on the
-        wire); the seed re-mix happens store-side, so pre-compacted keys
-        land on the same bit positions."""
-        return int(state_hash, 16)
+                   for p in self._positions(raw))
 
     @property
     def fill_ratio(self) -> float:
@@ -262,511 +250,51 @@ class BitstateTable(AbstractVisitedTable):
     @classmethod
     def from_document(cls, document: Mapping,
                       memory: Optional[MemoryModel] = None) -> "BitstateTable":
-        table = cls(bits=int(document["bits"]), k=int(document["k"]),
-                    seed=int(document.get("seed", 0)), memory=memory)
-        array = bytearray(bytes.fromhex(document["array"]))
-        if len(array) != len(table._array):
-            raise ValueError("bitstate snapshot array length mismatch")
-        table._array = array
-        if "depths" in document:
-            depths = bytearray(bytes.fromhex(document["depths"]))
-            if len(depths) == len(table._depths):
-                table._depths = depths
-        table._set_bits = sum(bin(byte).count("1") for byte in array)
-        table._count = int(document.get("count", 0))
+        table = cls(bits=int(require(document, "bits")),
+                    k=int(require(document, "k")),
+                    seed=int(require(document, "seed")), memory=memory)
+        for name in ("array", "depths"):
+            loaded = bytearray(hex_field(document, name))
+            if len(loaded) != len(table._array):
+                raise StoreFormatError(
+                    f"{name}: {len(loaded)} bytes, but a {table.bits}-bit "
+                    f"store holds {len(table._array)}")
+            setattr(table, "_" + name, loaded)
+        table._set_bits = sum(bin(byte).count("1") for byte in table._array)
+        table._count = int(require(document, "count"))
         table.stats.inserts = table._count
         table.stats.omission_probability = table.false_hit_probability
         return table
 
 
-class HashCompactionTable(AbstractVisitedTable):
-    """Spin ``-DHC``: store a compacted fingerprint + shallowest depth.
-
-    Matching happens on a ``fp_bytes``-byte fingerprint of the abstract
-    hash, so each entry costs ``fp_bytes + 4`` bookkeeping bytes instead
-    of a 40-byte exact entry -- and, unlike the exact table, no concrete
-    snapshot is retained, so the memory model only grows by entry bytes.
-    Depth memory is kept (Spin's HC stores the depth too), so
-    depth-bounded re-expansion still works.
-    """
-
-    def __init__(self, fp_bytes: int = DEFAULT_FP_BYTES, seed: int = 0,
-                 memory: Optional[MemoryModel] = None,
-                 initial_buckets: int = 1 << 10,
-                 max_load_factor: float = 0.75,
-                 digest_fn: Optional[DigestFn] = None):
-        if fp_bytes not in (2, 4, 8):
-            raise ValueError("hash compaction supports 2/4/8-byte "
-                             "fingerprints")
-        self.fp_bytes = fp_bytes
-        self.seed = seed
-        self.memory = memory
-        self.buckets = initial_buckets
-        self.max_load_factor = max_load_factor
-        self._digest_fn = digest_fn
-        self._seen: Dict[int, int] = {}  # fingerprint -> shallowest depth
-        self.entry_bytes = fp_bytes + DEPTH_SLOT_BYTES
-        self.stats = TableStats(omission_possible=True)
-        self.resize_hooks = []
-
-    def fingerprint(self, state_hash: StateKey) -> int:
-        if isinstance(state_hash, int):
-            return state_hash  # already compacted (wire form)
-        digest = _digest(state_hash, self.seed, self._digest_fn)
-        return int.from_bytes(digest[:self.fp_bytes], "little")
-
-    def wire_key(self, state_hash: str) -> int:
-        return self.fingerprint(state_hash)
-
-    def visit(self, state_hash: StateKey, depth: int = 0) -> Tuple[bool, bool]:
-        fingerprint = self.fingerprint(state_hash)
-        existing = self._seen.get(fingerprint)
-        if existing is None:
-            self._seen[fingerprint] = depth
-            self.stats.inserts += 1
-            self.stats.stored_bytes += self.entry_bytes
-            self.stats.omission_probability = self.false_hit_probability
-            if self.memory is not None:
-                self.memory.store_bytes(self.entry_bytes)
-                self.memory.touch_bytes(self.entry_bytes)
-            if len(self._seen) > self.buckets * self.max_load_factor:
-                self._resize()
-            return True, True
-        self.stats.duplicate_hits += 1
-        if self.memory is not None:
-            self.memory.touch_bytes(self.entry_bytes)
-        if depth < existing:
-            self._seen[fingerprint] = depth
-            return False, True
-        return False, False
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def __contains__(self, state_hash: StateKey) -> bool:
-        return self.fingerprint(state_hash) in self._seen
-
-    @property
-    def false_hit_probability(self) -> float:
-        """Probability a fresh state's fingerprint collides with a
-        stored one (birthday-style per-query bound)."""
-        return len(self._seen) / float(1 << (8 * self.fp_bytes))
-
-    def _resize(self) -> None:
-        """Rehash stalls shrink with the entries: compacted records
-        sweep far fewer bytes than full exact entries."""
-        self.buckets *= 2
-        self.stats.resizes += 1
-        scale = self.entry_bytes / EXACT_ENTRY_BYTES
-        cost = Cost.HASH_RESIZE_PER_STATE * len(self._seen) * scale
-        if self.memory is not None:
-            hit = self.memory.ram_hit_ratio()
-            cost += ((1.0 - hit) * Cost.SWAP_STATE_TOUCH
-                     * len(self._seen) * scale)
-            self.memory.clock.charge(cost, "hash-resize")
-            self.stats.resize_time += cost
-        for hook in self.resize_hooks:
-            hook(self.buckets)
-
-    def visited_fingerprint(self) -> str:
-        """MD5 over the sorted ``fingerprint:depth`` entries."""
-        ctx = hashlib.md5()
-        for fingerprint in sorted(self._seen):
-            ctx.update(f"{fingerprint}:{self._seen[fingerprint]}\n".encode())
-        return ctx.hexdigest()
-
-    # ------------------------------------------------------- merge/persist --
-    def export_fingerprints(self) -> Dict[int, int]:
-        return dict(self._seen)
-
-    def import_seen(self, seen: Mapping[str, int]) -> int:
-        """Merge full ``hash -> depth`` knowledge by compacting it."""
-        added = 0
-        for state_hash in sorted(seen):
-            depth = int(seen[state_hash])
-            fingerprint = self.fingerprint(state_hash)
-            existing = self._seen.get(fingerprint)
-            if existing is None:
-                self._seen[fingerprint] = depth
-                self.stats.inserts += 1
-                self.stats.stored_bytes += self.entry_bytes
-                added += 1
-                if self.memory is not None:
-                    self.memory.store_bytes(self.entry_bytes)
-            elif depth < existing:
-                self._seen[fingerprint] = depth
-        self.stats.omission_probability = self.false_hit_probability
-        return added
-
-    def merge_from(self, other: "HashCompactionTable") -> int:
-        if (other.fp_bytes, other.seed) != (self.fp_bytes, self.seed):
-            raise ValueError("cannot merge hash-compaction tables with "
-                             "different fp_bytes/seed parameters")
-        added = 0
-        for fingerprint in sorted(other._seen):
-            depth = other._seen[fingerprint]
-            existing = self._seen.get(fingerprint)
-            if existing is None:
-                self._seen[fingerprint] = depth
-                self.stats.inserts += 1
-                self.stats.stored_bytes += self.entry_bytes
-                added += 1
-                if self.memory is not None:
-                    self.memory.store_bytes(self.entry_bytes)
-            elif depth < existing:
-                self._seen[fingerprint] = depth
-        self.stats.omission_probability = self.false_hit_probability
-        return added
-
-    def store_document(self) -> Dict:
-        return {
-            "kind": "hc",
-            "fp_bytes": self.fp_bytes,
-            "seed": self.seed,
-            "buckets": self.buckets,
-            "seen": {str(fp): depth for fp, depth in self._seen.items()},
-        }
-
-    @classmethod
-    def from_document(cls, document: Mapping,
-                      memory: Optional[MemoryModel] = None
-                      ) -> "HashCompactionTable":
-        table = cls(fp_bytes=int(document["fp_bytes"]),
-                    seed=int(document.get("seed", 0)), memory=memory,
-                    initial_buckets=int(document.get("buckets", 1 << 10)))
-        for fp_text in sorted(document["seen"]):
-            fingerprint = int(fp_text)
-            table._seen[fingerprint] = int(document["seen"][fp_text])
-            table.stats.inserts += 1
-            table.stats.stored_bytes += table.entry_bytes
-            if memory is not None:
-                memory.store_bytes(table.entry_bytes)
-        table.stats.omission_probability = table.false_hit_probability
-        return table
-
-
-class TieredTable(AbstractVisitedTable):
-    """Hot/cold two-tier store: exact LRU tier + compacted cold tier.
-
-    DFS locality means most duplicate hits land on recently stored
-    states; the hot tier answers those exactly (full hash, full depth
-    memory, full concrete-snapshot charge).  When the hot tier exceeds
-    ``hot_capacity`` its least-recently-used entry demotes to the cold
-    tier, shrinking from a concrete snapshot to a fingerprint -- so the
-    store's RAM ceiling is ``hot_capacity`` snapshots plus entry bytes,
-    no matter how long the campaign runs.  Omissions are only possible
-    between cold fingerprints, so the probability scales with the cold
-    tier, not the whole history.
-    """
-
-    def __init__(self, hot_capacity: int = DEFAULT_HOT_CAPACITY,
-                 fp_bytes: int = DEFAULT_FP_BYTES, seed: int = 0,
-                 memory: Optional[MemoryModel] = None,
-                 digest_fn: Optional[DigestFn] = None):
-        if hot_capacity < 1:
-            raise ValueError("the hot tier needs at least one slot")
-        if fp_bytes not in (2, 4, 8):
-            raise ValueError("the cold tier supports 2/4/8-byte "
-                             "fingerprints")
-        self.hot_capacity = hot_capacity
-        self.fp_bytes = fp_bytes
-        self.seed = seed
-        self.memory = memory
-        self._digest_fn = digest_fn
-        self._hot: "OrderedDict[str, int]" = OrderedDict()
-        self._cold: Dict[int, int] = {}
-        self.entry_bytes = fp_bytes + DEPTH_SLOT_BYTES
-        self.demotions = 0
-        self.stats = TableStats()  # exact until the first demotion
-
-    def fingerprint(self, state_hash: StateKey) -> int:
-        if isinstance(state_hash, int):
-            return state_hash
-        digest = _digest(state_hash, self.seed, self._digest_fn)
-        return int.from_bytes(digest[:self.fp_bytes], "little")
-
-    def visit(self, state_hash: StateKey, depth: int = 0) -> Tuple[bool, bool]:
-        hot_depth = None
-        if isinstance(state_hash, str):
-            hot_depth = self._hot.get(state_hash)
-        if hot_depth is not None:
-            self._hot.move_to_end(state_hash)
-            self.stats.duplicate_hits += 1
-            if self.memory is not None:
-                self.memory.touch_state()
-            if depth < hot_depth:
-                self._hot[state_hash] = depth
-                return False, True
-            return False, False
-        fingerprint = self.fingerprint(state_hash)
-        cold_depth = self._cold.get(fingerprint)
-        if cold_depth is not None:
-            self.stats.duplicate_hits += 1
-            if self.memory is not None:
-                self.memory.touch_bytes(self.entry_bytes)
-            if depth < cold_depth:
-                self._cold[fingerprint] = depth
-                return False, True
-            return False, False
-        self._insert_hot(state_hash, fingerprint, depth)
-        return True, True
-
-    def _insert_hot(self, state_hash: StateKey, fingerprint: int,
-                    depth: int) -> None:
-        # wire-form integer keys have no hex string to keep exact; they
-        # go straight to the cold tier (the service-side path)
-        if isinstance(state_hash, int):
-            self._cold[fingerprint] = depth
-            self.stats.inserts += 1
-            self.stats.stored_bytes += self.entry_bytes
-            if self.memory is not None:
-                self.memory.store_bytes(self.entry_bytes)
-            self._after_insert()
-            return
-        self._hot[state_hash] = depth
-        self.stats.inserts += 1
-        self.stats.stored_bytes += EXACT_ENTRY_BYTES
-        if self.memory is not None:
-            self.memory.store_state()
-        if len(self._hot) > self.hot_capacity:
-            cold_hash, cold_depth = self._hot.popitem(last=False)
-            self._cold[self.fingerprint(cold_hash)] = cold_depth
-            self.demotions += 1
-            self.stats.stored_bytes += self.entry_bytes - EXACT_ENTRY_BYTES
-            if self.memory is not None:
-                # the demoted state's concrete snapshot is dropped; only
-                # the fingerprint entry remains
-                self.memory.release_bytes(self.memory.state_bytes)
-                self.memory.store_bytes(self.entry_bytes)
-        self._after_insert()
-
-    def _after_insert(self) -> None:
-        if self._cold:
-            self.stats.omission_possible = True
-        self.stats.omission_probability = self.false_hit_probability
-
-    def __len__(self) -> int:
-        return len(self._hot) + len(self._cold)
-
-    def __contains__(self, state_hash: StateKey) -> bool:
-        if isinstance(state_hash, str) and state_hash in self._hot:
-            return True
-        return self.fingerprint(state_hash) in self._cold
-
-    @property
-    def false_hit_probability(self) -> float:
-        """Collisions only happen against cold fingerprints."""
-        return len(self._cold) / float(1 << (8 * self.fp_bytes))
-
-    def visited_fingerprint(self) -> str:
-        """MD5 over the sorted compacted view of both tiers.
-
-        Hot entries contribute their *fingerprint* (not the hex hash) so
-        the digest is invariant under the hot/cold split -- the split
-        depends on LRU history, which is scheduling, not content.
-        """
-        compacted: Dict[int, int] = {}
-        for state_hash, depth in self._hot.items():
-            fingerprint = self.fingerprint(state_hash)
-            existing = compacted.get(fingerprint)
-            if existing is None or depth < existing:
-                compacted[fingerprint] = depth
-        for fingerprint, depth in self._cold.items():
-            existing = compacted.get(fingerprint)
-            if existing is None or depth < existing:
-                compacted[fingerprint] = depth
-        ctx = hashlib.md5()
-        for fingerprint in sorted(compacted):
-            ctx.update(f"{fingerprint}:{compacted[fingerprint]}\n".encode())
-        return ctx.hexdigest()
-
-    # ------------------------------------------------------- merge/persist --
-    def import_seen(self, seen: Mapping[str, int]) -> int:
-        added = 0
-        for state_hash in sorted(seen):
-            is_new, _ = self.visit(state_hash, int(seen[state_hash]))
-            if is_new:
-                added += 1
-            else:
-                self.stats.duplicate_hits -= 1  # bookkeeping, not a visit
-        return added
-
-    def merge_from(self, other: "TieredTable") -> int:
-        if (other.fp_bytes, other.seed) != (self.fp_bytes, self.seed):
-            raise ValueError("cannot merge tiered tables with different "
-                             "fp_bytes/seed parameters")
-        added = self.import_seen(dict(other._hot))
-        for fingerprint in sorted(other._cold):
-            depth = other._cold[fingerprint]
-            existing = self._cold.get(fingerprint)
-            if existing is None:
-                self._cold[fingerprint] = depth
-                self.stats.inserts += 1
-                self.stats.stored_bytes += self.entry_bytes
-                added += 1
-                if self.memory is not None:
-                    self.memory.store_bytes(self.entry_bytes)
-            elif depth < existing:
-                self._cold[fingerprint] = depth
-        self._after_insert()
-        return added
-
-    def store_document(self) -> Dict:
-        return {
-            "kind": "tiered",
-            "hot_capacity": self.hot_capacity,
-            "fp_bytes": self.fp_bytes,
-            "seed": self.seed,
-            "hot": dict(self._hot),
-            "cold": {str(fp): depth for fp, depth in self._cold.items()},
-        }
-
-    @classmethod
-    def from_document(cls, document: Mapping,
-                      memory: Optional[MemoryModel] = None) -> "TieredTable":
-        table = cls(hot_capacity=int(document["hot_capacity"]),
-                    fp_bytes=int(document["fp_bytes"]),
-                    seed=int(document.get("seed", 0)), memory=memory)
-        table.import_seen({h: int(d) for h, d in document["hot"].items()})
-        for fp_text in sorted(document["cold"]):
-            fingerprint = int(fp_text)
-            if fingerprint not in table._cold:
-                table._cold[fingerprint] = int(document["cold"][fp_text])
-                table.stats.inserts += 1
-                table.stats.stored_bytes += table.entry_bytes
-                if memory is not None:
-                    memory.store_bytes(table.entry_bytes)
-        table._after_insert()
-        return table
-
-
-# ------------------------------------------------------------------- specs --
-@dataclass(frozen=True)
-class StoreSpec:
-    """A parsed ``--state-store`` argument; picklable and hashable."""
-
-    kind: str  # "exact" | "hc" | "bitstate" | "tiered"
-    fp_bytes: int = DEFAULT_FP_BYTES
-    bits: int = DEFAULT_BITS
-    k: int = DEFAULT_K
-    hot_capacity: int = DEFAULT_HOT_CAPACITY
-
-    def build(self, memory: Optional[MemoryModel] = None,
-              seed: int = 0) -> AbstractVisitedTable:
-        """Construct the store (``seed`` diversifies lossy hashing)."""
-        if self.kind == "exact":
-            return VisitedStateTable(memory=memory)
-        if self.kind == "hc":
-            return HashCompactionTable(fp_bytes=self.fp_bytes, seed=seed,
-                                       memory=memory)
-        if self.kind == "bitstate":
-            return BitstateTable(bits=self.bits, k=self.k, seed=seed,
-                                 memory=memory)
-        if self.kind == "tiered":
-            return TieredTable(hot_capacity=self.hot_capacity,
-                               fp_bytes=self.fp_bytes, seed=seed,
-                               memory=memory)
-        raise ValueError(f"unknown state-store kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "hc":
-            return f"hc:{self.fp_bytes}"
-        if self.kind == "bitstate":
-            return f"bitstate:{self.bits},{self.k}"
-        if self.kind == "tiered":
-            return f"tiered:{self.hot_capacity}"
-        return self.kind
-
-    def planned_bytes(self, expected_states: int) -> int:
-        """Worst-case store footprint for a campaign expected to visit
-        at most ``expected_states`` distinct states.
-
-        The campaign server charges this *reservation* against a
-        tenant's memory budget at admission time (before any state has
-        been stored), so the bound must be closed-form: exact and
-        compacted stores grow per state (every operation could discover
-        a new state), bitstate is its two fixed arrays regardless of
-        traffic, and tiered is a full hot tier plus a compacted entry
-        for everything else.
-        """
-        if self.kind == "exact":
-            return expected_states * EXACT_ENTRY_BYTES
-        if self.kind == "hc":
-            return expected_states * (self.fp_bytes + DEPTH_SLOT_BYTES)
-        if self.kind == "bitstate":
-            return 2 * (self.bits // 8 + 1)  # bit array + depth slots
-        if self.kind == "tiered":
-            return (self.hot_capacity * EXACT_ENTRY_BYTES
-                    + max(0, expected_states - self.hot_capacity)
-                    * (self.fp_bytes + DEPTH_SLOT_BYTES))
-        raise ValueError(f"unknown state-store kind {self.kind!r}")
-
-
-def parse_store_spec(text: str) -> StoreSpec:
-    """Parse ``exact | hc[:bytes] | bitstate[:bits,k] | tiered[:hot]``."""
-    kind, separator, params = text.strip().partition(":")
-    kind = kind.lower()
-    if separator and not params:
-        raise ValueError(f"bad state-store spec {text!r}: "
-                         f"':' must be followed by parameters")
-    try:
-        if kind == "exact":
-            if params:
-                raise ValueError("exact takes no parameters")
-            return StoreSpec(kind="exact")
-        if kind == "hc":
-            fp_bytes = int(params) if params else DEFAULT_FP_BYTES
-            return StoreSpec(kind="hc", fp_bytes=fp_bytes)
-        if kind == "bitstate":
-            bits, k = DEFAULT_BITS, DEFAULT_K
-            if params:
-                first, _, second = params.partition(",")
-                bits = int(first)
-                if second:
-                    k = int(second)
-            return StoreSpec(kind="bitstate", bits=bits, k=k)
-        if kind == "tiered":
-            hot = int(params) if params else DEFAULT_HOT_CAPACITY
-            return StoreSpec(kind="tiered", hot_capacity=hot)
-    except ValueError as error:
-        raise ValueError(f"bad state-store spec {text!r}: {error}") from None
-    raise ValueError(
-        f"unknown state-store {text!r}; expected "
-        f"exact | hc[:bytes] | bitstate[:bits,k] | tiered[:hot]"
-    )
+# ----------------------------------------------------------------- factory --
+def build_store(spec: StoreSpec, memory: Optional[MemoryModel] = None,
+                seed: int = 0) -> AbstractVisitedTable:
+    """Construct ``spec``'s store (``seed`` diversifies lossy hashing)."""
+    if spec.kind == "bitstate":
+        return BitstateTable(bits=spec.bits, k=spec.k, seed=seed,
+                             memory=memory)
+    return VisitedStateTable(memory=memory, key_bytes=spec.key_bytes,
+                             seed=seed)
 
 
 def make_store(spec: str, memory: Optional[MemoryModel] = None,
                seed: int = 0) -> AbstractVisitedTable:
     """One-call convenience: parse a spec string and build the store."""
-    return parse_store_spec(spec).build(memory=memory, seed=seed)
+    return build_store(parse_store_spec(spec), memory=memory, seed=seed)
 
 
 def merge_into(dst: AbstractVisitedTable, src: AbstractVisitedTable) -> int:
     """Merge ``src``'s knowledge into ``dst``; return how many were new.
 
-    Exact sources merge into anything (their full hashes re-compact);
+    Exact sources merge into anything (their full hashes re-key);
     lossy sources only merge into a same-kind, same-parameter store --
-    fingerprints cannot be widened back into hashes.  A sharded
-    shared-memory store (:mod:`repro.mc.shardmem`) replays its sorted
-    entries into the classic store of its kind.
+    fingerprints cannot be widened back into hashes.
     """
-    if isinstance(src, VisitedStateTable):
+    if isinstance(src, VisitedStateTable) and src.exact:
         return dst.import_seen(src.export_seen())
     if type(src) is type(dst):
         return dst.merge_from(src)
-    layout = getattr(src, "layout", None)
-    if layout is not None and hasattr(src, "replay_into"):
-        compatible = (
-            (layout.kind == "exact" and isinstance(dst, VisitedStateTable))
-            or (layout.kind == "hc" and isinstance(dst, HashCompactionTable)
-                and dst.fp_bytes == layout.fp_bytes
-                and dst.seed == layout.seed)
-            or (layout.kind == "bitstate" and isinstance(dst, BitstateTable)
-                and dst.seed == layout.seed)
-        )
-        if compatible:
-            return src.replay_into(dst)
     raise ValueError(
         f"cannot merge a {type(src).__name__} snapshot into a "
         f"{type(dst).__name__} store; store specs must match"
@@ -776,17 +304,10 @@ def merge_into(dst: AbstractVisitedTable, src: AbstractVisitedTable) -> int:
 def store_from_document(document: Mapping,
                         memory: Optional[MemoryModel] = None
                         ) -> AbstractVisitedTable:
-    """Rebuild a lossy store from its persistence-v3 ``store`` record."""
-    kind = document.get("kind")
-    if kind == "hc":
-        return HashCompactionTable.from_document(document, memory=memory)
+    """Rebuild a store from a snapshot's ``store`` record."""
+    kind = require(document, "kind")
+    if kind in ("exact", "hc"):
+        return VisitedStateTable.from_document(document, memory=memory)
     if kind == "bitstate":
         return BitstateTable.from_document(document, memory=memory)
-    if kind == "tiered":
-        return TieredTable.from_document(document, memory=memory)
-    if kind == "sharded":
-        # local import: shardmem builds on this module's specs
-        from repro.mc.shardmem import ShardedStore
-
-        return ShardedStore.from_document(document, memory=memory)
-    raise ValueError(f"unknown persisted store kind {kind!r}")
+    raise StoreFormatError(f"store.kind: unknown store kind {kind!r}")

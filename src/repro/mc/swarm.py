@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.mc.explorer import ExplorationStats, Explorer
 from repro.mc.hashtable import AbstractVisitedTable, TableStats, VisitedStateTable
-from repro.mc.statestore import parse_store_spec
+from repro.mc.statestore import build_store, parse_store_spec
 
 
 class RecordingTable(AbstractVisitedTable):
@@ -219,7 +219,7 @@ class SwarmVerifier:
                 # the recorder captures full hashes for union coverage
                 # (lossy stores cannot export their keys)
                 visited = RecordingTable(
-                    self.store_spec.build(seed=seed))
+                    build_store(self.store_spec, seed=seed))
             else:
                 visited = VisitedStateTable()
             explorer = Explorer(

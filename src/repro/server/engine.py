@@ -23,7 +23,7 @@ Responsibilities:
   runs, lossy, with its omission probability accounted;
 * **pause/resume** -- a pause lands at the next unit boundary and
   serialises the job's visited store plus the *frontier* of not-yet-run
-  unit indices as a :mod:`repro.mc.persistence` document (v2/v3); resume
+  unit indices as a :mod:`repro.mc.persistence` document; resume
   -- in the same engine or a restarted one -- rebuilds the store from
   the snapshot and re-derives the remaining units from the spec;
 * **events** -- every transition appends to a totally-ordered,
@@ -51,9 +51,9 @@ from repro.core.report import DiscrepancyReport
 from repro.dist.coordinator import DistResult, DistributedChecker
 from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
-from repro.dist.worker import ResultSink, WorkerConfig, run_unit
+from repro.dist.worker import LocalSink, WorkerConfig, run_unit
 from repro.mc.persistence import snapshot_document
-from repro.mc.statestore import parse_store_spec
+from repro.mc.records import parse_store_spec
 from repro.server.protocol import (
     CANCELLED,
     DONE,
@@ -139,24 +139,6 @@ class _Runtime:
     result: Optional[DistResult] = None
     #: result document from the spool (job finished before a restart)
     result_document: Optional[Dict[str, Any]] = None
-
-
-class _EngineSink(ResultSink):
-    """Inline unit sink: feed the job's service, surface heartbeats."""
-
-    def __init__(self, service: VisitedStateService,
-                 on_heartbeat: Callable[[int, int], None]):
-        self.service = service
-        self.on_heartbeat = on_heartbeat
-
-    def ship_batch(self, entries) -> None:
-        self.service.insert_batch(entries)
-
-    def heartbeat(self, unit_index: int, operations: int) -> None:
-        self.on_heartbeat(unit_index, operations)
-
-    def checkpoint(self, unit_index: int, document) -> None:
-        pass  # pause snapshots cover the engine's durability needs
 
 
 class CampaignEngine:
@@ -412,7 +394,9 @@ class CampaignEngine:
             self._emit("heartbeat", descriptor.job_id,
                        {"unit": unit_index, "operations": operations})
 
-        sink = _EngineSink(runtime.service, on_heartbeat)
+        # pause snapshots cover the engine's durability needs, so the
+        # local sink's no-op checkpoints lose nothing
+        sink = LocalSink(runtime.service, on_heartbeat)
         config = WorkerConfig(
             heartbeat_operations=self.config.heartbeat_operations)
         return run_unit(runtime.spec, unit, f"slot{slot}", config, sink)
@@ -494,8 +478,8 @@ class CampaignEngine:
         runtime = self._runtimes[job_id]
         runtime.pause_requested = False
         # the pause snapshot: visited store + frontier, in the same
-        # versioned format crash-recovery checkpoints use (v2 exact,
-        # v3 lossy) -- resume and daemon restart read one format
+        # versioned format crash-recovery checkpoints use -- resume and
+        # daemon restart read one format
         runtime.snapshot = snapshot_document(
             runtime.service.table,
             operations_completed=descriptor.operations,

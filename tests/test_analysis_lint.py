@@ -283,12 +283,12 @@ def test_runner_walks_the_whole_package():
 
 
 def test_cli_lint_strict_passes_as_in_ci():
-    """The CI gate: ``python -m repro lint --strict`` must exit 0."""
+    """The CI gate: ``python -m repro analyze --strict`` must exit 0."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--strict"],
+        [sys.executable, "-m", "repro", "analyze", "--strict"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -6,8 +6,8 @@ The load-bearing properties under test:
   total, discrepancy signature) is identical for any worker count;
 * **fault tolerance** -- SIGKILLing a worker mid-run re-issues its
   leased unit and the final result is still identical;
-* **exactness of the caches** -- the LRU/Bloom fast paths never lose a
-  hash, so the union at the service is exact.
+* **exactness of the cache** -- the LRU fast path never loses a key, so
+  the union at the service is exact.
 """
 
 import dataclasses
@@ -18,7 +18,6 @@ import pytest
 from repro.clock import SimClock
 from repro.core.report import RunSummary
 from repro.dist import (
-    BloomFilter,
     CheckSpec,
     DistributedChecker,
     LRUSet,
@@ -34,9 +33,10 @@ from repro.mc.persistence import (
     load_checker_state,
     save_checker_state,
     snapshot_document,
-    snapshot_from_document,
 )
+from repro.mc.records import StoreFormatError
 from repro.mc.swarm import SwarmVerifier
+from repro.util.hashing import md5_hex
 
 SPEC = CheckSpec(
     filesystems=("verifs1", "verifs2"),
@@ -52,6 +52,12 @@ BUG_SPEC = dataclasses.replace(
 
 #: chaos tests need ticks to fire well inside a 100-op unit
 CHAOS_CONFIG = WorkerConfig(heartbeat_operations=20, checkpoint_operations=40)
+
+
+#: three well-formed state hashes and the record keys an exact store
+#: ships for them (the whole digest as an integer)
+A, B, C = (md5_hex(name) for name in "abc")
+KA, KB, KC = (int(state_hash, 16) for state_hash in (A, B, C))
 
 
 def fingerprint(dist):
@@ -72,29 +78,6 @@ def baseline():
 
 
 # ---------------------------------------------------------------- caches --
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(bits=1 << 12)
-        hashes = [f"hash-{i}" for i in range(200)]
-        for value in hashes:
-            bloom.add(value)
-        assert all(value in bloom for value in hashes)
-
-    def test_fill_ratio_grows(self):
-        bloom = BloomFilter(bits=1 << 10)
-        assert bloom.fill_ratio == 0.0
-        for i in range(50):
-            bloom.add(f"h{i}")
-        assert 0.0 < bloom.fill_ratio <= 1.0
-
-    def test_mostly_rejects_unseen(self):
-        bloom = BloomFilter(bits=1 << 14)
-        for i in range(100):
-            bloom.add(f"present-{i}")
-        misses = sum(f"absent-{i}" in bloom for i in range(1000))
-        assert misses < 50  # comfortably under the design false-positive rate
-
-
 class TestLRUSet:
     def test_evicts_oldest(self):
         lru = LRUSet(capacity=2)
@@ -157,47 +140,37 @@ class TestShippingVisitedTable:
     def test_batches_until_threshold(self):
         shipped = []
         table = ShippingVisitedTable(ship=shipped.append, batch_size=3)
-        table.visit("a", 1)
-        table.visit("b", 2)
+        table.visit(A, 1)
+        table.visit(B, 2)
         assert shipped == []  # buffered
-        table.visit("c", 3)
-        assert shipped == [[("a", 1), ("b", 2), ("c", 3)]]  # eager flush
+        table.visit(C, 3)
+        assert shipped == [[(KA, 1), (KB, 2), (KC, 3)]]  # eager flush
 
     def test_flush_drains_partial_batch(self):
         shipped = []
         table = ShippingVisitedTable(ship=shipped.append, batch_size=64)
-        table.visit("a", 1)
+        table.visit(A, 1)
         table.flush()
-        assert shipped == [[("a", 1)]]
+        assert shipped == [[(KA, 1)]]
         assert table.shipped_hashes == 1
 
     def test_duplicates_never_ship(self):
         shipped = []
         table = ShippingVisitedTable(ship=shipped.append, batch_size=1)
-        table.visit("a", 1)
-        is_new, _ = table.visit("a", 2)
+        table.visit(A, 1)
+        is_new, _ = table.visit(A, 2)
         assert not is_new
-        assert shipped == [[("a", 1)]]  # shipped exactly once
+        assert shipped == [[(KA, 1)]]  # shipped exactly once
 
     def test_lru_suppresses_cross_unit_resends(self):
         lru = LRUSet()
-        lru.add("a")  # an earlier unit of this worker shipped it
+        lru.add(KA)  # an earlier unit of this worker shipped it
         shipped = []
         table = ShippingVisitedTable(ship=shipped.append, shipped_lru=lru,
                                      batch_size=1)
-        table.visit("a", 1)
+        table.visit(A, 1)
         assert shipped == []
         assert table.suppressed_hashes == 1
-
-    def test_bloom_hit_counts_but_still_ships(self):
-        bloom = BloomFilter()
-        bloom.add("a")  # another worker's confirmed territory
-        shipped = []
-        table = ShippingVisitedTable(ship=shipped.append, global_bloom=bloom,
-                                     batch_size=1)
-        table.visit("a", 1)
-        assert shipped == [[("a", 1)]]  # exactness beats the probable hit
-        assert table.probable_cross_duplicates == 1
 
     def test_local_semantics_delegate(self):
         table = ShippingVisitedTable(ship=lambda batch: None)
@@ -215,21 +188,16 @@ class TestShippingVisitedTable:
 class TestVisitedStateService:
     def test_insert_batch_reports_new_flags(self):
         service = VisitedStateService()
-        assert service.insert_batch([("a", 1), ("b", 2)]) == [True, True]
-        assert service.insert_batch([("a", 1), ("c", 3)]) == [False, True]
+        assert service.insert_batch([(KA, 1), (KB, 2)]) == [True, True]
+        assert service.insert_batch([(KA, 1), (KC, 3)]) == [False, True]
         assert len(service) == 3
         assert service.cross_worker_duplicates == 1
-
-    def test_lookup_batch_never_inserts(self):
-        service = VisitedStateService()
-        service.insert_batch([("a", 1)])
-        assert service.lookup_batch(["a", "b"]) == [True, False]
-        assert len(service) == 1
+        assert A in service.table  # record keys land as state hashes
 
     def test_import_snapshot_is_idempotent(self):
         table = VisitedStateTable()
-        table.visit("a", 1)
-        table.visit("b", 2)
+        table.visit(A, 1)
+        table.visit(B, 2)
         document = snapshot_document(table)
         service = VisitedStateService()
         assert service.import_snapshot(document) == 2
@@ -239,11 +207,14 @@ class TestVisitedStateService:
 
 # ----------------------------------------------------------- persistence --
 class TestPersistenceV2:
+    """Exact-table snapshots (the class name predates the single
+    format; refusal of old versions is pinned in test_statestore)."""
+
     def test_roundtrip_carries_provenance(self, tmp_path):
         path = str(tmp_path / "state.json")
         table = VisitedStateTable()
-        table.visit("aaa", 2)
-        table.visit("aaa", 5)  # duplicate hit
+        table.visit(A, 2)
+        table.visit(A, 5)  # duplicate hit
         save_checker_state(path, table, operations_completed=7, runs=3,
                            seed=42, worker_id="w1")
         snapshot = load_checker_state(path)
@@ -251,26 +222,13 @@ class TestPersistenceV2:
         assert snapshot.worker_id == "w1"
         assert snapshot.operations_completed == 7
         assert snapshot.runs == 3
-        assert snapshot.visited.export_seen() == {"aaa": 2}
+        assert snapshot.visited.export_seen() == {A: 2}
         assert snapshot.table_stats.duplicate_hits == 1
-
-    def test_v1_documents_still_load(self):
-        snapshot = snapshot_from_document({
-            "version": 1,
-            "buckets": 64,
-            "seen": {"aaa": 2},
-            "operations_completed": 5,
-            "runs": 2,
-        })
-        assert snapshot.seed is None
-        assert snapshot.worker_id is None
-        assert snapshot.visited.export_seen() == {"aaa": 2}
-        assert snapshot.table_stats.inserts == 1
 
     def test_unsupported_version_names_path(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"version": 99, "buckets": 64, "seen": {}}))
-        with pytest.raises(ValueError, match="state.json"):
+        with pytest.raises(StoreFormatError, match="state.json.*version 99"):
             load_checker_state(str(path))
 
     def test_export_seen_returns_a_copy(self):

@@ -65,7 +65,6 @@ unit_results = st.builds(
     violation=violations,
     shipped_hashes=counts,
     suppressed_hashes=counts,
-    probable_cross_duplicates=counts,
     bytes_snapshotted=counts,
     bytes_restored=counts,
     logical_snapshot_bytes=counts,

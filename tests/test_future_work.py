@@ -180,16 +180,18 @@ class TestVfsCheckpointStrategy:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
+        from repro.util.hashing import md5_hex
+
         table = VisitedStateTable()
-        table.visit("aaa", 2)
-        table.visit("bbb", 0)
+        table.visit(md5_hex("aaa"), 2)
+        table.visit(md5_hex("bbb"), 0)
         path = str(tmp_path / "state.json")
         save_checker_state(path, table, operations_completed=42, runs=3)
         snapshot = load_checker_state(path)
         assert snapshot is not None
         assert len(snapshot.visited) == 2
-        assert "aaa" in snapshot.visited
-        assert snapshot.visited._seen["aaa"] == 2
+        assert md5_hex("aaa") in snapshot.visited
+        assert snapshot.visited.export_seen()[md5_hex("aaa")] == 2
         assert snapshot.operations_completed == 42
         assert snapshot.runs == 3
 

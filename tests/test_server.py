@@ -289,8 +289,8 @@ class TestPauseResume:
         assert queued.state == "done"
 
     def test_lossy_store_pause_resume_round_trips(self, tmp_path):
-        """v3 snapshot path: a bitstate campaign pauses and resumes
-        through its own store record, not a seen-map it never kept."""
+        """A bitstate campaign pauses and resumes through its own store
+        record (two arrays), not an entry list it never kept."""
         spool = str(tmp_path / "spool")
         spec = dataclasses.replace(SPEC, state_store="bitstate:16384,3")
         one_shot = DistributedChecker(spec, workers=1).run()

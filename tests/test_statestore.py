@@ -1,6 +1,8 @@
 """Memory-bounded visited-state stores (Spin -DBITSTATE / -DHC).
 
-The contract every store must honour, lossy or not:
+The per-kind behaviour every store must honour, lossy or not (the
+kind-independent contract -- depth re-expansion, bulk visits, snapshot /
+segment / wire equivalence -- is ``tests/test_store_contract.py``):
 
 * **soundness** -- a store may *omit* states (report a fresh state as
   visited) but must never do so silently: any store whose hashing can
@@ -34,17 +36,15 @@ from repro.mc.explorer import Explorer
 from repro.mc.hashtable import EXACT_ENTRY_BYTES, VisitedStateTable
 from repro.mc.memory import MemoryModel
 from repro.mc.persistence import (
-    LOSSY_FORMAT_VERSION,
+    FORMAT_VERSION,
     save_checker_state,
     load_checker_state,
     snapshot_document,
     snapshot_from_document,
 )
+from repro.mc.records import StoreFormatError
 from repro.mc.statestore import (
     BitstateTable,
-    HashCompactionTable,
-    StoreSpec,
-    TieredTable,
     make_store,
     merge_into,
     parse_store_spec,
@@ -53,7 +53,7 @@ from repro.mc.statestore import (
 from repro.mc.swarm import SwarmVerifier
 from repro.util.hashing import md5_hex
 
-ALL_STORE_SPECS = ["exact", "hc", "bitstate:65536,3", "tiered:64"]
+ALL_STORE_SPECS = ["exact", "hc", "bitstate:65536,3"]
 
 
 def hashes(n, prefix="s"):
@@ -69,42 +69,48 @@ class TestParseStoreSpec:
         assert (spec.kind, spec.fp_bytes) == ("hc", 4)
         spec = parse_store_spec("bitstate")
         assert spec.kind == "bitstate" and spec.bits > 0 and spec.k >= 1
-        assert parse_store_spec("tiered").kind == "tiered"
 
     def test_parameters(self):
         assert parse_store_spec("hc:8").fp_bytes == 8
         spec = parse_store_spec("bitstate:65536,2")
         assert (spec.bits, spec.k) == (65536, 2)
         assert parse_store_spec("bitstate:1024").bits == 1024
-        assert parse_store_spec("tiered:128").hot_capacity == 128
 
     def test_describe_round_trips(self):
-        for text in ("exact", "hc:8", "bitstate:65536,2", "tiered:128"):
+        for text in ("exact", "hc:8", "bitstate:65536,2"):
             spec = parse_store_spec(text)
             assert parse_store_spec(spec.describe()) == spec
 
     @pytest.mark.parametrize("bad", [
-        "bogus", "exact:4", "hc:banana", "bitstate:x,y", "tiered:", "",
+        "bogus", "exact:4", "hc:banana", "hc:3", "bitstate:x,y", "",
+        # the retired hot/cold store is an unknown kind like any other
+        "tiered:", "tiered", "tiered:64",
     ])
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(ValueError):
             parse_store_spec(bad)
 
+    def test_unknown_kind_names_the_grammar(self):
+        with pytest.raises(ValueError, match=r"expected exact \| "
+                                             r"hc\[:bytes\] \| "
+                                             r"bitstate\[:bits,k\]$"):
+            parse_store_spec("tiered")
+
     def test_build_types(self):
-        assert isinstance(make_store("exact"), VisitedStateTable)
-        assert isinstance(make_store("hc"), HashCompactionTable)
+        """Exact and hc are one class, told apart by key width only."""
+        exact, compacted = make_store("exact"), make_store("hc:8")
+        assert type(exact) is type(compacted) is VisitedStateTable
+        assert (exact.key_bytes, compacted.key_bytes) == (16, 8)
+        assert exact.exact and not compacted.exact
         assert isinstance(make_store("bitstate:65536,2"), BitstateTable)
-        assert isinstance(make_store("tiered:16"), TieredTable)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            HashCompactionTable(fp_bytes=3)
+            VisitedStateTable(key_bytes=3)
         with pytest.raises(ValueError):
             BitstateTable(bits=8)
         with pytest.raises(ValueError):
             BitstateTable(k=0)
-        with pytest.raises(ValueError):
-            TieredTable(hot_capacity=0)
 
 
 # ---------------------------------------------------------- soundness (PBT)
@@ -126,13 +132,10 @@ def colliding_digest(state_hash: str) -> bytes:
 
 
 LOSSY_BUILDERS = [
-    pytest.param(lambda fn: HashCompactionTable(fp_bytes=8, digest_fn=fn),
+    pytest.param(lambda fn: VisitedStateTable(key_bytes=8, digest_fn=fn),
                  id="hc"),
     pytest.param(lambda fn: BitstateTable(bits=1 << 20, k=3, digest_fn=fn),
                  id="bitstate"),
-    pytest.param(lambda fn: TieredTable(hot_capacity=1, fp_bytes=8,
-                                        digest_fn=fn),
-                 id="tiered"),
 ]
 
 
@@ -194,13 +197,13 @@ class TestBitstate:
         assert table.visit(state, depth=2) == (False, False)
 
     def test_wire_key_is_int(self):
-        table = BitstateTable(bits=1 << 16)
+        table = BitstateTable(bits=1 << 16, seed=5)
         state = md5_hex("wire")
-        key = table.wire_key(state)
-        assert isinstance(key, int)
-        # a pre-compacted wire key lands on the same bits
+        key = table.record_key(state)
+        assert key == int(state, 16)  # the whole digest, unseeded
+        # a shipped record key lands on the same (seed-mixed) bits
         table.visit(state)
-        assert table.visit(key)[0] is False
+        assert table.visit_many([(key, 0)]) == [False]
 
     def test_merge_requires_same_parameters(self):
         a = BitstateTable(bits=1 << 16, k=3)
@@ -224,7 +227,7 @@ class TestBitstate:
 # ------------------------------------------------------- hash compaction
 class TestHashCompaction:
     def test_entry_is_5x_smaller_than_exact(self):
-        table = HashCompactionTable(fp_bytes=4)
+        table = VisitedStateTable(key_bytes=4)
         assert EXACT_ENTRY_BYTES / table.entry_bytes == 5.0
         for state_hash in hashes(100):
             table.visit(state_hash)
@@ -234,77 +237,37 @@ class TestHashCompaction:
     def test_memory_charged_in_entry_bytes(self):
         memory = MemoryModel(clock=SimClock(), ram_bytes=1 << 30,
                              swap_bytes=1 << 30, state_bytes=1 << 20)
-        table = HashCompactionTable(fp_bytes=4, memory=memory)
+        table = VisitedStateTable(key_bytes=4, memory=memory)
         for state_hash in hashes(100):
             table.visit(state_hash)
         assert memory.stored_bytes == 100 * table.entry_bytes
 
     def test_wire_key_round_trip(self):
         """The service matches on fingerprints a worker pre-compacted."""
-        table = HashCompactionTable(fp_bytes=8, seed=42)
+        table = VisitedStateTable(key_bytes=8, seed=42)
         state = md5_hex("shipped")
-        fingerprint = table.wire_key(state)
-        assert isinstance(fingerprint, int)
-        assert table.visit(fingerprint)[0] is True
+        fingerprint = table.record_key(state)
+        assert 0 <= fingerprint < 1 << 64
+        assert table.visit_many([(fingerprint, 0)]) == [True]
         assert table.visit(state)[0] is False  # same state, either form
 
     def test_depth_reexpansion(self):
-        table = HashCompactionTable()
+        table = make_store("hc")
         state = md5_hex("hc-depth")
         assert table.visit(state, depth=4) == (True, True)
         assert table.visit(state, depth=2) == (False, True)
         assert table.visit(state, depth=3) == (False, False)
 
     def test_resizes_are_counted(self):
-        table = HashCompactionTable(initial_buckets=8)
+        table = VisitedStateTable(key_bytes=4, initial_buckets=8)
         for state_hash in hashes(100):
             table.visit(state_hash)
         assert table.stats.resizes > 0
 
 
-# ---------------------------------------------------------------- tiered
-class TestTiered:
-    def test_exact_until_hot_tier_overflows(self):
-        table = TieredTable(hot_capacity=32)
-        for state_hash in hashes(32):
-            table.visit(state_hash)
-        assert table.demotions == 0
-        assert not table.stats.omission_possible
-        assert table.stats.omission_probability == 0.0
-
-    def test_demotion_shrinks_footprint(self):
-        memory = MemoryModel(clock=SimClock(), ram_bytes=1 << 30,
-                             swap_bytes=1 << 30, state_bytes=1 << 20)
-        table = TieredTable(hot_capacity=8, memory=memory)
-        for state_hash in hashes(8):
-            table.visit(state_hash)
-        full = memory.stored_bytes
-        table.visit(md5_hex("overflow"))  # LRU entry demotes to cold
-        assert table.demotions == 1
-        assert memory.stored_bytes < full + memory.state_bytes
-        assert table.stats.omission_possible  # cold tier now non-empty
-
-    def test_lru_keeps_recent_states_exact(self):
-        table = TieredTable(hot_capacity=2)
-        first, second, third = hashes(3, "lru")
-        table.visit(first)
-        table.visit(second)
-        table.visit(first)  # refresh first: second is now LRU
-        table.visit(third)
-        assert second not in table._hot  # noqa: SLF001 -- tier inspection
-        assert first in table._hot and third in table._hot
-        assert len(table) == 3
-
-    def test_len_counts_both_tiers(self):
-        table = TieredTable(hot_capacity=4)
-        for state_hash in hashes(10):
-            table.visit(state_hash)
-        assert len(table) == 10
-
-
 # ------------------------------------------------------------- merge_into
 class TestMergeInto:
-    @pytest.mark.parametrize("spec", ["hc", "bitstate:65536,3", "tiered:16"])
+    @pytest.mark.parametrize("spec", ["hc", "bitstate:65536,3"])
     def test_exact_source_merges_into_any_store(self, spec):
         source = VisitedStateTable()
         for state_hash in hashes(25):
@@ -316,10 +279,14 @@ class TestMergeInto:
 
     def test_lossy_kind_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
-            merge_into(HashCompactionTable(), BitstateTable(bits=1 << 16))
+            merge_into(make_store("hc"), BitstateTable(bits=1 << 16))
+        with pytest.raises(ValueError):  # fingerprints cannot be widened
+            merge_into(make_store("hc:8"), make_store("hc:4"))
+        with pytest.raises(ValueError):
+            merge_into(make_store("exact"), make_store("hc"))
 
     def test_same_kind_merges(self):
-        a, b = HashCompactionTable(seed=5), HashCompactionTable(seed=5)
+        a, b = make_store("hc", seed=5), make_store("hc", seed=5)
         for state_hash in hashes(10, "a"):
             a.visit(state_hash)
         for state_hash in hashes(10, "b"):
@@ -328,9 +295,12 @@ class TestMergeInto:
         assert len(a) == 20
 
 
-# ------------------------------------------------------- persistence (v3)
+# ------------------------------------------------------------ persistence
 class TestPersistenceV3:
-    @pytest.mark.parametrize("spec", ["hc:8", "bitstate:65536,3", "tiered:16"])
+    """Snapshots of the lossy kinds (the class name predates the single
+    format: every kind now writes the same versioned document)."""
+
+    @pytest.mark.parametrize("spec", ["hc:8", "bitstate:65536,3"])
     def test_round_trip(self, tmp_path, spec):
         path = str(tmp_path / "state.json")
         table = make_store(spec, seed=7)
@@ -348,26 +318,25 @@ class TestPersistenceV3:
         for state_hash in hashes(40):
             assert snapshot.visited.visit(state_hash, depth=10)[0] is False
 
-    def test_lossy_documents_are_version_3(self):
-        table = make_store("hc")
+    @pytest.mark.parametrize("spec", ALL_STORE_SPECS)
+    def test_every_kind_writes_the_one_format(self, spec):
+        table = make_store(spec)
         table.visit(md5_hex("one"))
         document = snapshot_document(table)
-        assert document["version"] == LOSSY_FORMAT_VERSION
-        assert document["store"]["kind"] == "hc"
-        assert "seen" not in document
+        assert document["version"] == FORMAT_VERSION
+        assert document["store"]["kind"] == parse_store_spec(spec).kind
+        assert "seen" not in document and "buckets" not in document
 
-    def test_exact_documents_stay_version_2(self):
-        table = VisitedStateTable()
-        table.visit(md5_hex("one"))
-        assert snapshot_document(table)["version"] == 2
-
-    def test_v1_documents_still_load(self):
-        document = {"version": 1, "buckets": 1024,
-                    "seen": {md5_hex("old"): 2}, "operations_completed": 5,
-                    "runs": 1}
-        snapshot = snapshot_from_document(document)
-        assert isinstance(snapshot.visited, VisitedStateTable)
-        assert md5_hex("old") in snapshot.visited
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_versions_are_refused(self, version):
+        """v1/v2 ``seen`` maps and v3 ``store`` records are no longer
+        read: the refusal is typed and names the version it saw."""
+        document = {"version": version, "buckets": 1024,
+                    "seen": {md5_hex("old"): 2},
+                    "store": {"kind": "hc", "fp_bytes": 4, "seen": {}},
+                    "operations_completed": 5, "runs": 1}
+        with pytest.raises(StoreFormatError, match=f"version {version}"):
+            snapshot_from_document(document)
 
     def test_bitstate_depth_slots_survive(self):
         table = BitstateTable(bits=1 << 16)
@@ -379,7 +348,7 @@ class TestPersistenceV3:
         assert restored.visit(state, depth=1) == (False, True)
 
     def test_unknown_store_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StoreFormatError, match="martian"):
             store_from_document({"kind": "martian"})
 
 

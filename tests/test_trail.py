@@ -135,7 +135,7 @@ class TestCaptureReplayMinimize:
         again = replay_trail(minimized.trail)
         assert again.confirmed, again.describe()
 
-    @pytest.mark.parametrize("store", ["exact", "hc", "bitstate", "tiered"])
+    @pytest.mark.parametrize("store", ["exact", "hc", "bitstate"])
     def test_store_modes(self, store, tmp_path):
         result = capture_one("size-update-on-capacity-only", tmp_path,
                              state_store=store, state_check_every=200,
