@@ -38,10 +38,9 @@ from repro import (
 )
 from repro.core.engine import MCFSTarget
 from repro.mc.explorer import Explorer
-from repro.mc.hashtable import VisitedStateTable
+from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
 from repro.mc.memory import MemoryModel
 from repro.mc.statestore import BitstateTable, make_store
-from repro.mc.swarm import RecordingTable
 
 MB = 1 << 20
 DEV_BYTES = 256 * 1024
@@ -188,7 +187,30 @@ MEMBER_BUDGET_STATES = 120  # RAM+swap per member, in full-state units
 MEMBER_OPS = 1_500
 
 
+class RecordingTable(AbstractVisitedTable):
+    """Wrap a member's store, recording the full hashes it inserted
+    (a lossy store cannot export its keys, and the union needs them)."""
+
+    def __init__(self, inner: AbstractVisitedTable):
+        self.inner = inner
+        self.memory = inner.memory
+        self.stats = inner.stats
+        self.discovered = set()
+
+    def visit(self, state_hash, depth=0):
+        is_new, should_expand = self.inner.visit(state_hash, depth)
+        if is_new:
+            self.discovered.add(state_hash)
+        return is_new, should_expand
+
+    def __len__(self):
+        return len(self.inner)
+
+
 def _swarm_fleet(kind: str) -> dict:
+    """Classic Holzmann swarm, built by hand: private per-member stores
+    that never merge, so each member may hash with its own seed (a
+    :mod:`repro.dist` fleet shares one seed -- its tables do merge)."""
     union = set()
     member_rows = []
     for index in range(SWARM_MEMBERS):

@@ -2,65 +2,55 @@
 """Swarm verification: diversified explorers covering more state space.
 
 The paper plans to "use Spin's swarm verification to explore larger
-state spaces in parallel" (section 7).  This example runs a swarm of
-seed- and depth-diversified random explorers over VeriFS1 vs a buggy
-VeriFS2 and shows:
+state spaces in parallel" (section 7).  Here the swarm is a
+:class:`~repro.dist.DistributedChecker` campaign: a ``CheckSpec`` names
+the file systems and how many seed- and depth-diversified members
+(work units) to run, a fleet of worker processes runs them, and one
+shared visited-state service holds the union.  The example shows:
 
 * union coverage exceeding any single member's coverage;
-* parallel wall-clock = the slowest member, far below the sequential sum;
-* a member finding the injected bug, stopping the swarm.
+* modelled parallel time = the busiest lane, far below the sequential sum;
+* members finding an injected VeriFS2 bug (each stops where it finds it;
+  the others carry on, so the result lists every finder).
 
 Run:  python examples/swarm_exploration.py
 """
 
-from repro import MCFS, MCFSOptions, SimClock, SwarmVerifier, VeriFS1, VeriFS2, VeriFSBug
-from repro.core.engine import MCFSTarget
-
-
-def target_factory_clean(seed):
-    clock = SimClock()
-    mcfs = MCFS(clock, MCFSOptions(include_extended_operations=False))
-    mcfs.add_verifs("verifs1", VeriFS1())
-    mcfs.add_verifs("verifs2", VeriFS2())
-    return MCFSTarget(mcfs.engine()), clock
-
-
-def target_factory_buggy(seed):
-    clock = SimClock()
-    mcfs = MCFS(clock, MCFSOptions(include_extended_operations=False))
-    mcfs.add_verifs("verifs1", VeriFS1())
-    mcfs.add_verifs("verifs2", VeriFS2(bugs=[VeriFSBug.WRITE_HOLE_STALE]))
-    return MCFSTarget(mcfs.engine()), clock
+from repro.dist import CheckSpec, DistributedChecker
 
 
 def main() -> None:
     print("Coverage swarm: 4 diversified members over clean VeriFS1 vs VeriFS2")
-    swarm = SwarmVerifier(target_factory_clean, members=4,
-                          max_depth=8, max_operations=400)
-    result = swarm.run()
-    for member in result.members:
-        print(f"  member seed={member.seed:6d}: "
-              f"{member.stats.operations:4d} ops, "
-              f"{len(member.coverage):4d} states, "
-              f"{member.sim_time:6.3f}s simulated")
-    print(f"  union coverage : {len(result.union_coverage)} states")
+    spec = CheckSpec(filesystems=("verifs1", "verifs2"), units=4,
+                     max_depth=8, unit_operations=400)
+    result = DistributedChecker(spec, workers=2).run()
+    for unit in result.unit_results:
+        print(f"  member seed={unit.seed:6d}: {unit.operations:4d} ops, "
+              f"{unit.unique_states:4d} states, "
+              f"{unit.sim_time:6.3f}s simulated ({unit.worker_id})")
+    print(f"  union coverage : {result.visited_states} states")
     print(f"  best member    : "
-          f"{max(len(m.coverage) for m in result.members)} states")
-    print(f"  parallel time  : {result.parallel_time:.3f}s "
-          f"(sequential would be {result.sequential_time:.3f}s)")
+          f"{max(unit.unique_states for unit in result.unit_results)} states")
+    print(f"  parallel time  : {result.modeled_parallel_time:.3f}s on "
+          f"{result.workers} lanes (sequential would be "
+          f"{result.sequential_sim_time:.3f}s)")
+    assert not result.found_discrepancy
 
-    print("\nBug-hunting swarm: members run until one finds the injected bug")
-    swarm = SwarmVerifier(target_factory_buggy, members=8,
-                          max_depth=12, max_operations=5_000)
-    result = swarm.run()
-    violation = result.first_violation()
-    if violation is not None:
-        finder = result.members[-1]
-        print(f"  member seed={finder.seed} found the bug after "
-              f"{finder.stats.operations} operations")
-        print(f"  members launched before success: {len(result.members)}")
-    else:
-        print("  no member found the bug within its budget")
+    print("\nBug-hunting swarm: 8 members against a VeriFS2 with "
+          "write-hole-stale injected")
+    hunt = CheckSpec(filesystems=("verifs1", "verifs2"), units=8,
+                     max_depth=12, unit_operations=1_500,
+                     verifs_bugs=("write-hole-stale",))
+    # workers=0 is the same campaign with every member run in this process
+    result = DistributedChecker(hunt, workers=0).run()
+    finders = [unit for unit in result.unit_results
+               if unit.violation is not None]
+    for unit in finders:
+        print(f"  member seed={unit.seed} found the bug after "
+              f"{unit.operations} operations")
+    print(f"  {len(finders)} of {len(result.unit_results)} members found it")
+    assert finders, "no member found the bug within its budget"
+    print(f"  first report   : {result.discrepancies[0].summary}")
 
 
 if __name__ == "__main__":

@@ -49,7 +49,6 @@ from repro.mc import (
     NaiveDiskStrategy,
     ProcessSnapshotStrategy,
     RemountStrategy,
-    SwarmVerifier,
     VMSnapshotStrategy,
 )
 from repro.mc.strategies import NoRemountStrategy, VfsCheckpointStrategy
@@ -108,5 +107,4 @@ __all__ = [
     "IoctlStrategy",
     "VMSnapshotStrategy",
     "ProcessSnapshotStrategy",
-    "SwarmVerifier",
 ]

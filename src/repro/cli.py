@@ -155,54 +155,44 @@ def _minimize_into(trail_path: str, summary: RunSummary) -> None:
     print(f"minimized trail: {minimized_path}")
 
 
-def _run_distributed(args) -> int:
-    """The ``--workers N`` path of ``repro check`` (real multiprocessing)."""
+def _run_campaign(args, state_file: Optional[str] = None,
+                  per_worker: bool = False) -> int:
+    """``repro check --workers N`` and ``repro swarm``: one campaign over
+    a real fleet, one summary; ``swarm`` adds the per-worker table."""
     from repro.dist import DistributedChecker
 
-    if args.mode == "dfs":
-        print("error: --workers requires --mode random (distributed "
-              "campaigns partition seeded walks)", file=sys.stderr)
-        return 2
     try:
-        spec = _spec_from_args(args)
+        # a bad spec, or e.g. --data-plane shm forced on a platform (or
+        # store) that cannot carry it: same contract either way
+        dist = DistributedChecker(
+            _spec_from_args(args), workers=args.workers,
+            state_file=state_file, trail_dir=args.trail_dir).run()
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    try:
-        dist = DistributedChecker(spec, workers=args.workers,
-                                  state_file=args.state_file,
-                                  trail_dir=args.trail_dir).run()
-    except ValueError as error:
-        # e.g. --data-plane shm forced on a platform (or store) that
-        # cannot carry it; same contract as the other spec validation
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    parallel = dist.modeled_parallel_time
-    summary = RunSummary(
-        operations=dist.total_operations,
-        unique_states=dist.visited_states,
-        sim_time=parallel,
-        ops_per_second=dist.total_operations / parallel if parallel else 0.0,
-        stopped_reason="distributed campaign complete",
-        duplicate_hits=dist.table.stats.duplicate_hits,
-        duplicate_hit_ratio=dist.table.stats.duplicate_hit_ratio,
-        omission_possible=dist.omission_possible,
-        omission_probability=dist.omission_probability,
-        store_bits_per_state=dist.table.stats.bits_per_state,
-        cost_profile=dist.cost_profile,
-    )
-    if dist.trail_paths:
-        summary.trail_path = dist.trail_paths[0]
-    print(summary.render())
+    print(RunSummary.from_campaign(dist).render())
     for path in dist.trail_paths[1:]:
         print(f"trail      : {path}")
     print(f"workers    : {dist.workers} ({len(dist.unit_results)} units, "
-          f"{dist.stolen_units} stolen, {dist.recovered_units} recovered)")
+          f"{dist.stolen_units} stolen, {dist.recovered_units} recovered, "
+          f"{dist.inline_units} inline)")
     print(f"data plane : {dist.data_plane} "
           f"({dist.wall_states_per_second:.1f} states/s wall)")
     print(f"speedup    : {dist.speedup:.2f}x modeled "
           f"({dist.sequential_sim_time:.3f}s sequential -> "
-          f"{parallel:.3f}s parallel)")
+          f"{dist.modeled_parallel_time:.3f}s parallel)")
+    if per_worker:
+        print(f"{'worker':8s} {'units':>5s} {'ops':>8s} {'sim s':>8s} "
+              f"{'wall s':>8s} {'ops/s (wall)':>12s}")
+        for summary in dist.worker_summaries:
+            note = "" if summary.alive_at_end else "  [died]"
+            print(f"{summary.worker_id:8s} {summary.units_completed:5d} "
+                  f"{summary.operations:8d} {summary.sim_time:8.3f} "
+                  f"{summary.wall_time:8.2f} "
+                  f"{summary.wall_ops_per_second:12.1f}{note}")
+        print(f"merged states : {dist.visited_states} "
+              f"({dist.cross_worker_duplicates} cross-worker duplicates) "
+              f"in {dist.wall_time:.2f}s wall")
     discrepancies = dist.discrepancies
     if discrepancies:
         print(f"\n{len(discrepancies)} discrepancy(ies) across units")
@@ -227,7 +217,11 @@ def cmd_check(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.workers is not None:
-        return _run_distributed(args)
+        if args.mode == "dfs":
+            print("error: --workers requires --mode random (distributed "
+                  "campaigns partition seeded walks)", file=sys.stderr)
+            return 2
+        return _run_campaign(args, state_file=args.state_file)
     # the local path builds from the same spec a worker fleet would use,
     # so a trail captured here embeds everything a replay needs
     spec = _spec_from_args(args)
@@ -259,62 +253,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_swarm(args) -> int:
-    """Distributed campaign with per-worker throughput and speedup."""
-    from repro.dist import DistributedChecker
-
+    """``repro check --workers N`` plus per-worker throughput."""
     if len(args.fs) < 2:
         print("error: --fs must be given at least twice (MCFS compares "
               "file systems)", file=sys.stderr)
         return 2
     _validate_fs_and_bugs(args)
-    try:
-        spec = _spec_from_args(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        dist = DistributedChecker(spec, workers=args.workers,
-                                  trail_dir=args.trail_dir).run()
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(f"{dist.workers} workers, {len(dist.unit_results)} units "
-          f"({dist.stolen_units} stolen, {dist.recovered_units} recovered, "
-          f"{dist.inline_units} inline)")
-    print(f"{'worker':8s} {'units':>5s} {'ops':>8s} {'sim s':>8s} "
-          f"{'wall s':>8s} {'ops/s (wall)':>12s}")
-    for summary in dist.worker_summaries:
-        note = "" if summary.alive_at_end else "  [died]"
-        print(f"{summary.worker_id:8s} {summary.units_completed:5d} "
-              f"{summary.operations:8d} {summary.sim_time:8.3f} "
-              f"{summary.wall_time:8.2f} "
-              f"{summary.wall_ops_per_second:12.1f}{note}")
-    print(f"merged states : {dist.visited_states} "
-          f"({dist.cross_worker_duplicates} cross-worker duplicates, "
-          f"dup-hit ratio {dist.table.stats.duplicate_hit_ratio:.1%})")
-    if dist.omission_possible:
-        print(f"store         : LOSSY "
-              f"({dist.table.stats.bits_per_state:.1f} bits/state, "
-              f"omission p <= {dist.omission_probability:.2e})")
-    print(f"speedup       : {dist.speedup:.2f}x modeled "
-          f"({dist.sequential_sim_time:.3f}s sequential -> "
-          f"{dist.modeled_parallel_time:.3f}s parallel, "
-          f"{dist.states_per_second:.1f} states/s)")
-    print(f"data plane    : {dist.data_plane} "
-          f"({dist.wall_states_per_second:.1f} states/s wall)")
-    if dist.cost_profile is not None:
-        from repro.mc.perf import CostProfile
-
-        print("cost/state    : "
-              + CostProfile.from_dict(dist.cost_profile).describe())
-    print(f"wall time     : {dist.wall_time:.2f}s")
-    for path in dist.trail_paths:
-        print(f"trail         : {path}")
-    if dist.found_discrepancy:
-        for report in dist.discrepancies:
-            print("\n" + str(report))
-        return 1
-    return 0
+    return _run_campaign(args, per_worker=True)
 
 
 def cmd_fsck(args) -> int:

@@ -79,8 +79,8 @@ class MCFSOptions:
     #: (hash compaction) or ``bitstate[:bits,k]`` (supertrace) -- see
     #: :mod:`repro.mc.statestore`
     state_store: str = "exact"
-    #: diversification seed for lossy stores (swarm members hash
-    #: differently so their omissions don't overlap)
+    #: hash seed for lossy stores (runs with different seeds omit
+    #: different states; a fleet shares one so its tables can merge)
     store_seed: int = 0
     #: random mode: hash + cross-compare abstract states only every N
     #: operations (1 = classic per-operation checking).  Amortising the
@@ -172,7 +172,7 @@ class MCFS:
         self.strategies: Dict[str, CheckpointStrategy] = {}
         self._engine: Optional[SyscallEngine] = None
         #: picklable description of this harness (set by
-        #: ``CheckSpec.build_mcfs``); required for ``workers > 1``
+        #: ``CheckSpec.build_mcfs``); trail capture embeds it
         self.spec = None
 
     # ------------------------------------------------------------- registry --
@@ -373,29 +373,15 @@ class MCFS:
                    sim_time_budget: Optional[float] = None,
                    state_file: Optional[str] = None,
                    visited=None,
-                   workers: int = 1,
-                   units: Optional[int] = None,
                    profile=None) -> MCFSResult:
         """Seeded randomized walk (long-horizon experiments).
 
         ``visited`` plugs in a custom visited table (any
         :class:`~repro.mc.hashtable.AbstractVisitedTable`); the
-        distributed workers pass service-backed tables here.
-
-        ``workers > 1`` runs the walk as a *distributed campaign* on a
-        real multiprocessing fleet (see :mod:`repro.dist`): the operation
-        budget is split into ``units`` diversified work units and the
-        merged result is returned.  Requires this harness to have been
-        built from a :class:`~repro.dist.spec.CheckSpec` (``spec``
-        attribute), because workers must rebuild it in their own
-        processes.
+        distributed workers pass service-backed tables here.  This is
+        one walk in this process; a campaign of many diversified walks
+        is :class:`repro.dist.DistributedChecker` over the same spec.
         """
-        if workers > 1:
-            return self._run_distributed(
-                workers=workers, max_operations=max_operations, seed=seed,
-                max_depth=max_depth,
-                backtrack_probability=backtrack_probability, units=units,
-            )
         target = self._prepare()
         explorer = self._make_explorer(
             target, state_file=state_file, visited=visited,
@@ -409,64 +395,6 @@ class MCFS:
         explorer.run_random(backtrack_probability=backtrack_probability)
         result = self._finish_run(explorer, start, state_file)
         self._maybe_capture_trail(result, mode="random", seed=seed)
-        return result
-
-    def _run_distributed(self, workers: int, max_operations: int, seed: int,
-                         max_depth: int, backtrack_probability: float,
-                         units: Optional[int]) -> MCFSResult:
-        """Fan the run out to a worker fleet; fold the merge into a result."""
-        from dataclasses import replace
-
-        from repro.dist import DistributedChecker
-
-        spec = getattr(self, "spec", None)
-        if spec is None:
-            raise ValueError(
-                "workers > 1 needs a picklable run description; build the "
-                "harness from a CheckSpec (spec.build_mcfs()) so worker "
-                "processes can reconstruct it"
-            )
-        unit_count = units if units is not None else spec.units
-        spec = replace(
-            spec,
-            units=unit_count,
-            base_seed=seed,
-            unit_operations=max(1, max_operations // unit_count),
-            max_depth=max_depth,
-            backtrack_probability=backtrack_probability,
-        )
-        dist = DistributedChecker(spec, workers=workers,
-                                  trail_dir=self.options.trail_dir).run()
-        stats = ExplorationStats()
-        stats.operations = dist.total_operations
-        stats.transitions = sum(u.transitions for u in dist.unit_results)
-        stats.unique_states = dist.visited_states
-        stats.revisited_states = sum(u.revisited_states
-                                     for u in dist.unit_results)
-        stats.end_time = dist.modeled_parallel_time
-        stats.stopped_reason = "distributed campaign complete"
-        report = dist.discrepancies[0] if dist.discrepancies else None
-        if report is not None:
-            stats.stopped_reason = "property violation"
-        result = MCFSResult(
-            stats=stats,
-            report=report,
-            sim_time=dist.modeled_parallel_time,
-            operations=dist.total_operations,
-            unique_states=dist.visited_states,
-            table_stats=dist.table.stats,
-            bytes_snapshotted=dist.bytes_snapshotted,
-            bytes_restored=dist.bytes_restored,
-            logical_snapshot_bytes=sum(
-                unit.logical_snapshot_bytes for unit in dist.unit_results
-            ),
-            trail_path=dist.trail_paths[0] if dist.trail_paths else None,
-        )
-        if dist.cost_profile is not None:
-            from repro.mc.perf import CostProfile
-
-            result.cost_profile = CostProfile.from_dict(dist.cost_profile)
-        result.dist = dist  # full fleet detail for callers that want it
         return result
 
     def _maybe_capture_trail(self, result: MCFSResult, mode: str,

@@ -18,6 +18,8 @@ from repro.analysis.findings import Finding, finding_from_dict
 from repro.core.integrity import Outcome, StateDiff
 from repro.core.ops import Operation
 from repro.mc import trace
+from repro.mc.hashtable import TableStats
+from repro.util.fieldcodec import FieldCodec
 
 
 def _encode_arg(value: Any) -> Any:
@@ -221,8 +223,19 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
+def _store_columns(stats: TableStats) -> Dict[str, Any]:
+    """The visited-store part of a :class:`RunSummary`."""
+    return {
+        "duplicate_hits": stats.duplicate_hits,
+        "duplicate_hit_ratio": stats.duplicate_hit_ratio,
+        "omission_possible": stats.omission_possible,
+        "omission_probability": stats.omission_probability,
+        "store_bits_per_state": stats.bits_per_state,
+    }
+
+
 @dataclass
-class RunSummary:
+class RunSummary(FieldCodec):
     """The per-run scoreboard ``repro check`` prints.
 
     Includes the visited table's duplicate-hit ratio so the table's
@@ -271,7 +284,7 @@ class RunSummary:
     @classmethod
     def from_result(cls, result, show_fsck: bool = False) -> "RunSummary":
         """Build from an :class:`~repro.core.mcfs.MCFSResult` (duck-typed)."""
-        table_stats = getattr(result, "table_stats", None)
+        table_stats = getattr(result, "table_stats", None) or TableStats()
         cost_profile = getattr(result, "cost_profile", None)
         if cost_profile is not None and not isinstance(cost_profile, dict):
             cost_profile = cost_profile.to_dict()
@@ -282,10 +295,6 @@ class RunSummary:
             ops_per_second=result.ops_per_second,
             stopped_reason=result.stats.stopped_reason,
             revisited_states=result.stats.revisited_states,
-            duplicate_hits=(table_stats.duplicate_hits
-                            if table_stats is not None else 0),
-            duplicate_hit_ratio=(table_stats.duplicate_hit_ratio
-                                 if table_stats is not None else 0.0),
             fsck_checks=result.stats.fsck_checks,
             show_fsck=show_fsck,
             por_pruned=result.stats.por_pruned,
@@ -294,68 +303,37 @@ class RunSummary:
             bytes_snapshotted=getattr(result, "bytes_snapshotted", 0),
             bytes_restored=getattr(result, "bytes_restored", 0),
             snapshot_dedup_ratio=getattr(result, "snapshot_dedup_ratio", 0.0),
-            omission_possible=(table_stats.omission_possible
-                               if table_stats is not None else False),
-            omission_probability=(table_stats.omission_probability
-                                  if table_stats is not None else 0.0),
-            store_bits_per_state=(table_stats.bits_per_state
-                                  if table_stats is not None else 0.0),
             trail_path=getattr(result, "trail_path", None),
             cost_profile=cost_profile,
+            **_store_columns(table_stats),
         )
 
-    # ------------------------------------------------------- serialisation --
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "operations": self.operations,
-            "unique_states": self.unique_states,
-            "sim_time": self.sim_time,
-            "ops_per_second": self.ops_per_second,
-            "stopped_reason": self.stopped_reason,
-            "revisited_states": self.revisited_states,
-            "duplicate_hits": self.duplicate_hits,
-            "duplicate_hit_ratio": self.duplicate_hit_ratio,
-            "fsck_checks": self.fsck_checks,
-            "show_fsck": self.show_fsck,
-            "por_pruned": self.por_pruned,
-            "memo_hits": self.memo_hits,
-            "restores_elided": self.restores_elided,
-            "bytes_snapshotted": self.bytes_snapshotted,
-            "bytes_restored": self.bytes_restored,
-            "snapshot_dedup_ratio": self.snapshot_dedup_ratio,
-            "omission_possible": self.omission_possible,
-            "omission_probability": self.omission_probability,
-            "store_bits_per_state": self.store_bits_per_state,
-            "trail_path": self.trail_path,
-            "minimized_operations": self.minimized_operations,
-            "cost_profile": self.cost_profile,
-        }
-
     @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "RunSummary":
+    def from_campaign(cls, dist) -> "RunSummary":
+        """Build from a :class:`~repro.dist.DistResult` (duck-typed): the
+        merged table, time on the modelled parallel lanes, and a
+        property violation as soon as any unit reports one."""
+        parallel = dist.modeled_parallel_time
+        columns = _store_columns(dist.table.stats)
+        # a unit's private store may have omitted what the union did not
+        columns.update(omission_possible=dist.omission_possible,
+                       omission_probability=dist.omission_probability)
         return cls(
-            operations=document["operations"],
-            unique_states=document["unique_states"],
-            sim_time=document["sim_time"],
-            ops_per_second=document["ops_per_second"],
-            stopped_reason=document["stopped_reason"],
-            revisited_states=document.get("revisited_states", 0),
-            duplicate_hits=document.get("duplicate_hits", 0),
-            duplicate_hit_ratio=document.get("duplicate_hit_ratio", 0.0),
-            fsck_checks=document.get("fsck_checks", 0),
-            show_fsck=document.get("show_fsck", False),
-            por_pruned=document.get("por_pruned", 0),
-            memo_hits=document.get("memo_hits", 0),
-            restores_elided=document.get("restores_elided", 0),
-            bytes_snapshotted=document.get("bytes_snapshotted", 0),
-            bytes_restored=document.get("bytes_restored", 0),
-            snapshot_dedup_ratio=document.get("snapshot_dedup_ratio", 0.0),
-            omission_possible=document.get("omission_possible", False),
-            omission_probability=document.get("omission_probability", 0.0),
-            store_bits_per_state=document.get("store_bits_per_state", 0.0),
-            trail_path=document.get("trail_path"),
-            minimized_operations=document.get("minimized_operations"),
-            cost_profile=document.get("cost_profile"),
+            operations=dist.total_operations,
+            unique_states=dist.visited_states,
+            sim_time=parallel,
+            ops_per_second=(dist.total_operations / parallel
+                            if parallel else 0.0),
+            stopped_reason=("property violation" if dist.found_discrepancy
+                            else "distributed campaign complete"),
+            revisited_states=sum(unit.revisited_states
+                                 for unit in dist.unit_results),
+            bytes_snapshotted=dist.bytes_snapshotted,
+            bytes_restored=dist.bytes_restored,
+            snapshot_dedup_ratio=dist.snapshot_dedup_ratio,
+            trail_path=dist.trail_paths[0] if dist.trail_paths else None,
+            cost_profile=dist.cost_profile,
+            **columns,
         )
 
     def render(self) -> str:

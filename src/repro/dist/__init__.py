@@ -1,17 +1,19 @@
-"""repro.dist: real multiprocess exploration.
+"""repro.dist: the campaign runner -- swarm verification, for real.
 
-Where :mod:`repro.mc.swarm` *simulates* a diversified fleet (members run
-sequentially, wall-clock accounted as the max member time), this package
-runs one for real: a coordinator owns a seed-partitioned frontier of
-work units, a :mod:`multiprocessing` fleet executes them with work
-stealing, a shared visited-state store collects every worker's
-discoveries (published into shared-memory segments, or shipped as
-batched insert RPCs over pipes behind a per-worker LRU), and heartbeats
-+ lease timeouts make workers disposable -- a SIGKILL'd worker's leased
-unit is re-issued and the run still completes with the identical merged
-result.
+A campaign is a :class:`CheckSpec`: which file systems, and how many
+seed-, depth- and profile-diversified work units (the swarm's members)
+to explore them with.  :class:`DistributedChecker` is the only thing
+that runs one.  A coordinator owns the seed-partitioned frontier, a
+:mod:`multiprocessing` fleet executes units with work stealing, a shared
+visited-state store collects every worker's discoveries (published into
+shared-memory segments, or shipped as batched insert RPCs over pipes
+behind a per-worker LRU), and heartbeats + lease timeouts make workers
+disposable -- a SIGKILL'd worker's leased unit is re-issued and the run
+still completes with the identical merged result.  ``workers=0`` is the
+same campaign with nobody to lease to: every unit runs in the calling
+process, and nothing is forked, piped or mapped.
 
-Entry points::
+Entry point::
 
     from repro.dist import CheckSpec, DistributedChecker
 
@@ -20,11 +22,6 @@ Entry points::
     result = DistributedChecker(spec, workers=4).run()
     assert not result.found_discrepancy
     print(result.visited_states, result.speedup)
-
-or, from an MCFS harness built from a spec::
-
-    mcfs = spec.build_mcfs()
-    result = mcfs.run_random(max_operations=3200, workers=4)
 
 See ``docs/distributed.md`` for the wire protocol and the determinism
 argument.

@@ -14,8 +14,10 @@ a real :mod:`multiprocessing` campaign:
   SIGKILL'd worker costs wall time, never results;
 * a **visited-state service** (one authoritative table) answers the
   workers' batched insert RPCs, deduplicating cross-worker territory;
-* if the *entire* fleet dies, the coordinator finishes the remaining
-  units inline -- the run always completes.
+* units no live worker can take run **inline**, in this process, through
+  the same ``run_unit``: that is what a fleet whose workers have all
+  died falls back to, and all that ``workers=0`` ever does (no process,
+  no pipe, no segment) -- the run always completes.
 
 Determinism: units are self-contained and deterministic, the unit list
 depends only on the spec, and merges are sorted -- so the discrepancy
@@ -57,6 +59,7 @@ from repro.mc.shardmem import (
     shared_memory_available,
 )
 from repro.mc.statestore import merge_into
+from repro.util.fieldcodec import FieldCodec
 
 
 @dataclass
@@ -66,64 +69,65 @@ class Lease:
     unit: WorkUnit
     worker_id: str
     deadline: float
-    heartbeats: int = 0
-    operations_reported: int = 0
     checkpoint: Optional[Dict[str, Any]] = None
 
 
 @dataclass
-class WorkerRecord:
+class WorkerSummary(FieldCodec):
+    """Per-worker accounting surfaced by ``repro swarm``."""
+
     worker_id: str
-    process: Any
-    conn: Any
-    pid: Optional[int] = None
-    alive: bool = True
     units_completed: int = 0
     operations: int = 0
     sim_time: float = 0.0
     wall_time: float = 0.0
-
-
-@dataclass
-class WorkerSummary:
-    """Per-worker accounting surfaced by ``repro swarm``."""
-
-    worker_id: str
-    units_completed: int
-    operations: int
-    sim_time: float
-    wall_time: float
-    alive_at_end: bool
+    alive_at_end: bool = True
 
     @property
     def wall_ops_per_second(self) -> float:
         return self.operations / self.wall_time if self.wall_time > 0 else 0.0
 
-    # ------------------------------------------------------- serialisation --
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "worker_id": self.worker_id,
-            "units_completed": self.units_completed,
-            "operations": self.operations,
-            "sim_time": self.sim_time,
-            "wall_time": self.wall_time,
-            "alive_at_end": self.alive_at_end,
-        }
 
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "WorkerSummary":
-        return cls(
-            worker_id=document["worker_id"],
-            units_completed=int(document.get("units_completed", 0)),
-            operations=int(document.get("operations", 0)),
-            sim_time=float(document.get("sim_time", 0.0)),
-            wall_time=float(document.get("wall_time", 0.0)),
-            alive_at_end=bool(document.get("alive_at_end", True)),
-        )
+@dataclass
+class WorkerRecord:
+    """A worker slot while the fleet runs: its process and pipe, and the
+    tally that is its :class:`WorkerSummary` once the run ends."""
+
+    process: Any
+    conn: Any
+    summary: WorkerSummary
+    pid: Optional[int] = None
+
+    @property
+    def worker_id(self) -> str:
+        return self.summary.worker_id
+
+    @property
+    def alive(self) -> bool:
+        return self.summary.alive_at_end
+
+
+def _accumulate(into, other, names) -> None:
+    for name in names:
+        setattr(into, name, getattr(into, name) + getattr(other, name))
+
+
+def merged_cost_profile(documents) -> Optional[Dict[str, Any]]:
+    """Sum units' cost-profile documents into their campaign's, skipping
+    the None of whoever did not profile."""
+    documents = [document for document in documents if document is not None]
+    if not documents:
+        return None
+    from repro.mc.perf import CostProfile
+
+    merged = CostProfile()
+    for document in documents:
+        merged.merge(CostProfile.from_dict(document))
+    return merged.to_dict()
 
 
 @dataclass
-class DistResult:
+class DistResult(FieldCodec):
     """The deterministic merge of a distributed campaign."""
 
     workers: int
@@ -212,7 +216,7 @@ class DistResult:
     def modeled_parallel_time(self) -> float:
         """Simulated wall-clock of the seed partition on ``workers`` lanes.
 
-        The deterministic analogue of :attr:`SwarmResult.parallel_time`:
+        Swarm accounting, made deterministic: members run concurrently,
         lane ``p`` runs the units with ``index % workers == p`` back to
         back, and the campaign takes as long as its slowest lane.  Using
         the static partition (not the stealing-adjusted actual schedule)
@@ -241,6 +245,35 @@ class DistResult:
         throughput headline (the modeled number is the *shape* check)."""
         return self.visited_states / self.wall_time if self.wall_time > 0 else 0.0
 
+    # ------------------------------------------------------------ slices --
+    def absorb(self, later: "DistResult") -> None:
+        """Fold in the next slice of the same campaign.
+
+        A campaign run a few units at a time (the server's scheduling
+        quantum) is the same campaign: every slice merged into one
+        service, so the latest slice's table and duplicate count already
+        speak for all of them, and everything else adds up (the cost
+        profile is a sum over ``unit_results``, whoever holds them).
+        """
+        self.unit_results = sorted(self.unit_results + later.unit_results,
+                                   key=lambda unit: unit.index)
+        self.table = later.table
+        self.data_plane = later.data_plane
+        self.cross_worker_duplicates = later.cross_worker_duplicates
+        _accumulate(self, later, ("wall_time", "recovered_units",
+                                  "stolen_units", "inline_units"))
+        self.trail_paths.extend(later.trail_paths)
+        mine = {summary.worker_id: summary
+                for summary in self.worker_summaries}
+        for summary in later.worker_summaries:
+            earlier = mine.get(summary.worker_id)
+            if earlier is None:
+                self.worker_summaries.append(summary)
+                continue
+            _accumulate(earlier, summary, ("units_completed", "operations",
+                                           "sim_time", "wall_time"))
+            earlier.alive_at_end = summary.alive_at_end
+
     # ------------------------------------------------------- serialisation --
     def to_dict(self) -> Dict[str, Any]:
         """Lossless JSON-ready form (the server result wire and spool).
@@ -251,52 +284,36 @@ class DistResult:
         """
         from repro.mc.persistence import snapshot_document
 
-        return {
-            "workers": self.workers,
-            "wall_time": self.wall_time,
-            "recovered_units": self.recovered_units,
-            "stolen_units": self.stolen_units,
-            "inline_units": self.inline_units,
-            "cross_worker_duplicates": self.cross_worker_duplicates,
-            "data_plane": self.data_plane,
-            "cost_profile": self.cost_profile,
-            "trail_paths": list(self.trail_paths),
-            "unit_results": [unit.to_dict() for unit in self.unit_results],
-            "worker_summaries": [summary.to_dict()
-                                 for summary in self.worker_summaries],
-            "table": snapshot_document(self.table),
-        }
+        document = super().to_dict()
+        document["unit_results"] = [unit.to_dict()
+                                    for unit in self.unit_results]
+        document["worker_summaries"] = [summary.to_dict()
+                                        for summary in self.worker_summaries]
+        document["table"] = snapshot_document(self.table)
+        return document
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "DistResult":
         from repro.mc.persistence import snapshot_from_document
 
-        result = cls(
-            workers=int(document["workers"]),
-            wall_time=float(document.get("wall_time", 0.0)),
-            recovered_units=int(document.get("recovered_units", 0)),
-            stolen_units=int(document.get("stolen_units", 0)),
-            inline_units=int(document.get("inline_units", 0)),
-            cross_worker_duplicates=int(
-                document.get("cross_worker_duplicates", 0)),
-            data_plane=str(document.get("data_plane", "rpc")),
-            cost_profile=document.get("cost_profile"),
-            trail_paths=list(document.get("trail_paths", [])),
-            unit_results=[UnitResult.from_dict(entry)
-                          for entry in document.get("unit_results", [])],
-            worker_summaries=[WorkerSummary.from_dict(entry)
-                              for entry in document.get("worker_summaries",
-                                                        [])],
-        )
-        table_document = document.get("table")
-        if table_document is not None:
-            snapshot = snapshot_from_document(table_document)
-            result.table = snapshot.visited
+        result = super().from_dict({
+            key: value for key, value in document.items() if key != "table"})
+        result.unit_results = [UnitResult.from_dict(entry)
+                               for entry in result.unit_results]
+        result.worker_summaries = [WorkerSummary.from_dict(entry)
+                                   for entry in result.worker_summaries]
+        if document.get("table") is not None:
+            result.table = snapshot_from_document(document["table"]).visited
         return result
 
 
 class DistributedChecker:
-    """Run a CheckSpec across a fault-tolerant multiprocessing fleet."""
+    """Run a CheckSpec across a fault-tolerant multiprocessing fleet.
+
+    The one campaign runner: ``workers=N`` forks N workers, ``workers=0``
+    runs every unit in this process -- same units, same merge, same
+    result.
+    """
 
     def __init__(
         self,
@@ -321,8 +338,8 @@ class DistributedChecker:
         on_unit_done=None,
         on_progress=None,
     ):
-        if workers < 1:
-            raise ValueError("the fleet needs at least one worker")
+        if workers < 0:
+            raise ValueError("a fleet cannot have fewer than zero workers")
         self.spec = spec
         self.workers = workers
         self.units_override = units
@@ -436,7 +453,9 @@ class DistributedChecker:
                 resumed_operations = snapshot.operations_completed
                 resumed_runs = snapshot.runs
 
-        plane = self._resolve_data_plane()
+        # a fleet of zero has no plane to choose: inline units insert
+        # straight into the service
+        plane = self._resolve_data_plane() if self.workers else "rpc"
         if plane == "shm":
             layout = self._shard_layout(units)
             try:
@@ -452,9 +471,10 @@ class DistributedChecker:
 
         result = DistResult(workers=self.workers, data_plane=plane)
         # seed-partitioned initial split: unit i -> partition i mod W
-        partitions: List[Deque[WorkUnit]] = [deque() for _ in range(self.workers)]
+        partitions: List[Deque[WorkUnit]] = [
+            deque() for _ in range(max(1, self.workers))]
         for unit in units:
-            partitions[unit.index % self.workers].append(unit)
+            partitions[unit.index % len(partitions)].append(unit)
 
         records: List[WorkerRecord] = []
         wall_start = realtime.now()
@@ -475,29 +495,12 @@ class DistributedChecker:
 
         result.unit_results.sort(key=lambda unit: unit.index)
         result.table = service.table
-        profiles = [unit.cost_profile for unit in result.unit_results
-                    if unit.cost_profile is not None]
-        if profiles:
-            from repro.mc.perf import CostProfile
-
-            merged = CostProfile()
-            for document in profiles:
-                merged.merge(CostProfile.from_dict(document))
-            result.cost_profile = merged.to_dict()
+        result.cost_profile = merged_cost_profile(
+            unit.cost_profile for unit in result.unit_results)
         if self.trail_dir is not None:
             self._capture_trails(result)
         result.cross_worker_duplicates = service.cross_worker_duplicates
-        result.worker_summaries = [
-            WorkerSummary(
-                worker_id=record.worker_id,
-                units_completed=record.units_completed,
-                operations=record.operations,
-                sim_time=record.sim_time,
-                wall_time=record.wall_time,
-                alive_at_end=record.alive,
-            )
-            for record in records
-        ]
+        result.worker_summaries = [record.summary for record in records]
         if self.state_file is not None:
             from repro.mc.persistence import save_checker_state
 
@@ -555,8 +558,8 @@ class DistributedChecker:
             )
             process.start()
             child_conn.close()
-            records.append(WorkerRecord(worker_id=worker_id, process=process,
-                                        conn=parent_conn))
+            records.append(WorkerRecord(process, parent_conn,
+                                        WorkerSummary(worker_id)))
         return records
 
     def _supervise(self, records: List[WorkerRecord],
@@ -574,18 +577,19 @@ class DistributedChecker:
 
         def recover(record: WorkerRecord) -> None:
             """A worker is gone: merge its checkpoint, re-issue its lease."""
-            record.alive = False
+            record.summary.alive_at_end = False
             lease = leases.pop(record.worker_id, None)
             if lease is not None:
                 if lease.checkpoint is not None:
                     service.import_snapshot(lease.checkpoint)
                 # back to the front of its home partition: the next
                 # requester (owner or thief) re-runs it deterministically
-                partitions[lease.unit.index % self.workers].appendleft(lease.unit)
+                partitions[lease.unit.index % self.workers].appendleft(
+                    lease.unit)
                 result.recovered_units += 1
             if record.worker_id in wall_started:
-                record.wall_time += (realtime.now()
-                                     - wall_started.pop(record.worker_id))
+                record.summary.wall_time += (
+                    realtime.now() - wall_started.pop(record.worker_id))
             if record.process.is_alive():
                 record.process.terminate()
             try:
@@ -637,13 +641,11 @@ class DistributedChecker:
                 lease = leases.get(record.worker_id)
                 if lease is not None and lease.unit.index == message.unit_index:
                     lease.deadline = now + self.lease_timeout
-                    lease.heartbeats += 1
-                    lease.operations_reported = message.operations
                     if self.on_progress is not None:
                         self.on_progress(message.unit_index,
                                          message.operations)
             elif isinstance(message, RecordBatch):
-                record.conn.send(service.insert_packed(message))
+                service.insert_packed(message)
             elif isinstance(message, Checkpoint):
                 lease = leases.get(record.worker_id)
                 if lease is not None and lease.unit.index == message.unit_index:
@@ -653,11 +655,13 @@ class DistributedChecker:
                 lease = leases.get(record.worker_id)
                 if lease is not None and lease.unit.index == unit_result.index:
                     leases.pop(record.worker_id)
-                record.units_completed += 1
-                record.operations += unit_result.operations
-                record.sim_time += unit_result.sim_time
+                summary = record.summary
+                summary.units_completed += 1
+                summary.operations += unit_result.operations
+                summary.sim_time += unit_result.sim_time
                 if record.worker_id in wall_started:
-                    record.wall_time += now - wall_started.pop(record.worker_id)
+                    summary.wall_time += now - wall_started.pop(
+                        record.worker_id)
                 if unit_result.index not in results:
                     results[unit_result.index] = unit_result
                     if self.on_unit_done is not None:
@@ -689,20 +693,20 @@ class DistributedChecker:
         # final per-worker wall accounting for workers still mid-request
         now = realtime.now()
         for worker_id, started in list(wall_started.items()):
-            by_id[worker_id].wall_time += now - started
+            by_id[worker_id].summary.wall_time += now - started
 
     def _finish_inline(self, units: List[WorkUnit],
                        results: Dict[int, UnitResult],
                        service: VisitedStateService,
                        result: DistResult) -> None:
-        """The whole fleet is gone: complete the frontier in-process."""
-        sink = LocalSink(service)
-        config = self.config
+        """No live worker (none was asked for, or all died): complete
+        the frontier in-process, reporting progress like leased units."""
+        sink = LocalSink(service, self.on_progress)
         for unit in units:
             if unit.index in results:
                 continue
             results[unit.index] = run_unit(
-                self.spec, unit, "coordinator", config, sink)
+                self.spec, unit, "coordinator", self.config, sink)
             result.inline_units += 1
             if self.on_unit_done is not None:
                 self.on_unit_done(results[unit.index])

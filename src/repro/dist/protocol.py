@@ -8,7 +8,11 @@ The conversation is strictly client-driven except for shutdown:
   :class:`Heartbeat`, :class:`RecordBatch`, :class:`Checkpoint`,
   :class:`UnitDone`
 * coordinator -> worker: :class:`WorkGrant`, :class:`Wait`,
-  :class:`NoMoreWork`, :class:`RecordReply`, :class:`Shutdown`
+  :class:`NoMoreWork`, :class:`Shutdown`
+
+Nothing the coordinator sends is an answer to a data-plane message:
+record batches are fire-and-forget, so the only message a worker ever
+blocks on is the reply to its own :class:`WorkRequest`.
 
 These messages are the **control plane** plus the RPC **data plane**.
 On platforms that support it the data plane moves to shared-memory
@@ -22,25 +26,12 @@ fault-tolerance semantics built on heartbeats and lease deadlines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.dist.spec import WorkUnit
 from repro.mc.records import read_records
-
-
-def pack_flags(flags) -> bytes:
-    """Bit-pack a sequence of booleans (LSB-first within each byte)."""
-    packed = bytearray((len(flags) + 7) // 8)
-    for index, flag in enumerate(flags):
-        if flag:
-            packed[index >> 3] |= 1 << (index & 7)
-    return bytes(packed)
-
-
-def unpack_flags(bits: bytes, count: int) -> Tuple[bool, ...]:
-    return tuple(bool(bits[index >> 3] & (1 << (index & 7)))
-                 for index in range(count))
+from repro.util.fieldcodec import FieldCodec
 
 
 # ------------------------------------------------------------------ worker --
@@ -75,12 +66,10 @@ class RecordBatch:
     The RPC data plane's hot message: ``count`` fixed-width records in
     ``payload`` (the :mod:`repro.mc.records` layout), one opaque blob --
     so pickling cost does not scale with per-entry Python objects.  The
-    coordinator answers with a :class:`RecordReply` carrying one
-    flag per record (set = globally new).
+    coordinator inserts and sends nothing back.
     """
 
     worker_id: str
-    sequence: int
     count: int
     key_bytes: int
     payload: bytes
@@ -104,8 +93,12 @@ class Checkpoint:
 
 
 @dataclass
-class UnitResult:
-    """Everything a finished work unit reports back (and the merge keeps)."""
+class UnitResult(FieldCodec):
+    """Everything a finished work unit reports back (and the merge keeps).
+
+    Its :class:`~repro.util.fieldcodec.FieldCodec` document is the
+    server wire and result-spool form.
+    """
 
     index: int
     seed: int
@@ -137,21 +130,6 @@ class UnitResult:
     #: form) when the campaign profiled; None otherwise
     cost_profile: Optional[Dict[str, Any]] = None
 
-    # ------------------------------------------------------- serialisation --
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; the server wire and result spool use this."""
-        return {result_field.name: getattr(self, result_field.name)
-                for result_field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "UnitResult":
-        """Rebuild from :meth:`to_dict` output; unknown keys are ignored
-        and missing keys fall back to defaults, so result documents
-        survive protocol evolution in both directions."""
-        known = {result_field.name for result_field in fields(cls)}
-        return cls(**{key: value for key, value in document.items()
-                      if key in known})
-
 
 @dataclass(frozen=True)
 class UnitDone:
@@ -177,19 +155,6 @@ class Wait:
 @dataclass(frozen=True)
 class NoMoreWork:
     """Every unit has a result; the worker should exit cleanly."""
-
-
-@dataclass(frozen=True)
-class RecordReply:
-    """Answer to a :class:`RecordBatch`: bit-packed globally-new
-    flags, one per record."""
-
-    sequence: int
-    count: int
-    flag_bits: bytes
-
-    def flags(self) -> Tuple[bool, ...]:
-        return unpack_flags(self.flag_bits, self.count)
 
 
 @dataclass(frozen=True)

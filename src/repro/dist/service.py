@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.dist.protocol import (
-    RecordBatch,
-    RecordReply,
-    pack_flags,
-)
+from repro.dist.protocol import RecordBatch
 from repro.mc.hashtable import AbstractVisitedTable, Record
 from repro.mc.persistence import snapshot_from_document
 from repro.mc.statestore import make_store, merge_into
@@ -40,11 +36,9 @@ class VisitedStateService:
             self.table = table
         else:
             self.table = make_store(store, seed=store_seed)
-        self.batches_served = 0
         self.hashes_received = 0
         #: hashes some *other* worker had already contributed
         self.cross_worker_duplicates = 0
-        self.snapshots_merged = 0
 
     # ------------------------------------------------------------- inserts --
     def insert_batch(self, records: Iterable[Record]) -> List[bool]:
@@ -57,16 +51,14 @@ class VisitedStateService:
         """
         flags = self.table.visit_many(records)
         self.cross_worker_duplicates += len(flags) - sum(flags)
-        self.batches_served += 1
         self.hashes_received += len(flags)
         return flags
 
-    def insert_packed(self, batch: RecordBatch) -> RecordReply:
-        """The RPC data plane's entry point: read the payload once,
-        bulk-visit, bit-pack the flags."""
-        flags = self.insert_batch(batch.records())
-        return RecordReply(sequence=batch.sequence, count=len(flags),
-                           flag_bits=pack_flags(flags))
+    def insert_packed(self, batch: RecordBatch) -> None:
+        """The RPC data plane's entry point: read the payload once and
+        bulk-visit.  Nothing goes back to the worker -- what was already
+        known is counted here, in ``cross_worker_duplicates``."""
+        self.insert_batch(batch.records())
 
     # ----------------------------------------------------------- snapshots --
     def import_snapshot(self, document: Dict[str, Any]) -> int:
@@ -82,7 +74,6 @@ class VisitedStateService:
         """
         snapshot = snapshot_from_document(document)
         added = merge_into(self.table, snapshot.visited)
-        self.snapshots_merged += 1
         return added
 
     def __len__(self) -> int:

@@ -17,7 +17,7 @@ independent of worker count and scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
@@ -29,6 +29,7 @@ from repro.mc.strategies import (
     VfsCheckpointStrategy,
     VMSnapshotStrategy,
 )
+from repro.util.fieldcodec import FieldCodec
 
 KB = 1024
 MB = 1024 * KB
@@ -123,7 +124,7 @@ class WorkUnit:
 
 
 @dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(FieldCodec):
     """A complete, picklable description of a distributed checking run."""
 
     filesystems: Tuple[str, ...]
@@ -196,31 +197,14 @@ class CheckSpec:
             parse_profile(spec)
 
     # ------------------------------------------------------- serialisation --
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (tuples become lists); trail files embed this."""
-        document: Dict[str, Any] = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            document[spec_field.name] = (
-                list(value) if isinstance(value, tuple) else value
-            )
-        return document
-
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "CheckSpec":
-        """Rebuild a spec from :meth:`to_dict` output.
-
-        Unknown keys are ignored and missing keys fall back to the
-        dataclass defaults, so trail files survive spec evolution in
-        both directions.
-        """
-        known = {spec_field.name for spec_field in fields(cls)}
-        kwargs = {key: value for key, value in document.items()
-                  if key in known}
-        for name in ("filesystems", "verifs_bugs", "profile_rotation"):
-            if name in kwargs and kwargs[name] is not None:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        """Rebuild a spec from ``to_dict`` output (trail files embed
+        one); list-valued fields become the tuples a frozen, hashable
+        spec needs."""
+        return super().from_dict({
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in document.items()})
 
     # ------------------------------------------------------------- harness --
     def build_mcfs(self):
@@ -244,9 +228,9 @@ class CheckSpec:
             state_check_every=self.state_check_every,
             profile=self.profile,
             # one fleet-wide store seed: every worker's fingerprints must
-            # match the service's, so the spec's base seed is used (swarm
-            # diversification is a *classic*-mode technique, not a
-            # shared-store one)
+            # match the service's, so the spec's base seed is used
+            # (per-member hash seeds suit swarm members that never merge
+            # their tables; these do)
             store_seed=self.base_seed,
         )
         mcfs = MCFS(clock, options)

@@ -12,12 +12,13 @@ fires every ``heartbeat_operations`` explored operations):
   current unit's partial table, so a SIGKILL'd worker's knowledge
   survives even though the re-issued unit deterministically re-runs.
 
-The same unit runner also serves every in-process caller (the
-coordinator's inline fallback when the whole fleet has died, the
-campaign server's slot runner) through the :class:`ResultSink`
-indirection: a :class:`PipeSink` speaks the wire protocol, a
-:class:`ShmSink` writes the worker's segment, a :class:`LocalSink`
-calls the service directly.
+The same unit runner also serves the coordinator's in-process path (a
+fleet of zero workers, or one whose workers have all died) through the
+:class:`ResultSink` indirection: a :class:`PipeSink` speaks the wire
+protocol, a :class:`ShmSink` writes the worker's segment, a
+:class:`LocalSink` calls the service directly.  ``run_unit`` has no
+other caller: every campaign, served or not, is a
+:class:`~repro.dist.coordinator.DistributedChecker`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.dist.protocol import (
     Hello,
     NoMoreWork,
     RecordBatch,
-    RecordReply,
     Shutdown,
     UnitDone,
     UnitResult,
@@ -87,17 +87,14 @@ class ResultSink:
     def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
         raise NotImplementedError
 
-    def drain(self) -> None:
-        """Process any pending replies (non-blocking)."""
-
 
 class LocalSink(ResultSink):
     """In-process sink: feed a service directly, no wire.
 
-    Serves the coordinator's inline fallback and the campaign server's
-    slot runner (which passes ``on_heartbeat`` to surface progress
-    events).  Checkpoints are a no-op: the service's table *is* the
-    caller's durable state.
+    Serves the coordinator when there is no live worker to run a unit;
+    ``on_heartbeat`` is the coordinator's progress callback, so inline
+    units report like leased ones.  Checkpoints are a no-op: the
+    service's table *is* the caller's durable state.
     """
 
     def __init__(self, service: VisitedStateService,
@@ -124,14 +121,10 @@ class PipeSink(ResultSink):
         self.conn = conn
         self.worker_id = worker_id
         self.key_bytes = key_bytes
-        self._sequence = 0
-        #: shipped records the service answered "already known"
-        self.confirmed_cross_duplicates = 0
 
     def ship_batch(self, records: List[Record]) -> None:
-        self._sequence += 1
         self.conn.send(RecordBatch(
-            self.worker_id, self._sequence, len(records), self.key_bytes,
+            self.worker_id, len(records), self.key_bytes,
             pack_records(records, self.key_bytes)))
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
@@ -139,16 +132,6 @@ class PipeSink(ResultSink):
 
     def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
         self.conn.send(Checkpoint(self.worker_id, unit_index, document))
-
-    def drain(self) -> None:
-        while self.conn.poll(0):
-            self.handle(self.conn.recv())
-
-    def handle(self, message) -> None:
-        """Fold one coordinator message back into local state."""
-        if isinstance(message, RecordReply):
-            self.confirmed_cross_duplicates += (
-                message.count - sum(message.flags()))
 
 
 class ShmSink(ResultSink):
@@ -168,8 +151,6 @@ class ShmSink(ResultSink):
     def __init__(self, own: ShardSegment, pipe: PipeSink):
         self.own = own
         self.pipe = pipe
-        self.published = 0
-        self.overflowed = 0
 
     def ship_batch(self, records: List[Record]) -> None:
         insert = self.own.insert
@@ -177,22 +158,13 @@ class ShmSink(ResultSink):
             try:
                 insert(key, depth)
             except ShardFull:
-                self.overflowed += 1
                 self.pipe.ship_batch([(key, depth)])
-                continue
-            self.published += 1
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
         self.pipe.heartbeat(unit_index, operations)
 
     def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
         pass  # the segment outlives us; there is nothing extra to ship
-
-    def drain(self) -> None:
-        self.pipe.drain()
-
-    def handle(self, message) -> None:
-        self.pipe.handle(message)
 
 
 def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
@@ -243,7 +215,6 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
                 table.local, operations_completed=stats.operations,
                 seed=unit.seed, worker_id=worker_id,
             ))
-        sink.drain()
 
     wall_start = realtime.now()
     result = mcfs.run_random(
@@ -313,15 +284,9 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
     session_operations = 0
     while True:
         conn.send(WorkRequest(worker_id))
+        # the coordinator answers requests and nothing else, so the next
+        # message is the answer to this one
         message = conn.recv()
-        # replies to earlier batches may arrive ahead of the grant; a
-        # reply that falls through this loop would trigger a duplicate
-        # WorkRequest, and the coordinator would overwrite our lease
-        # and lose the first granted unit (livelock: the unit is no
-        # longer queued, leased, or resulted)
-        while isinstance(message, (RecordReply, Heartbeat)):
-            sink.handle(message)
-            message = conn.recv()
         if isinstance(message, Wait):
             realtime.sleep(message.seconds)
             continue

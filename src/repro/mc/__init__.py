@@ -9,8 +9,11 @@ Provides what MCFS used Spin for:
 * concrete-state checkpoint/restore through pluggable strategies
   (remount, VeriFS ioctls, CRIU-like process snapshot, VM snapshot,
   and the broken disk-only restore of section 3.2);
-* a RAM/swap memory model so long runs reproduce Figure 3's dynamics;
-* swarm verification: several diversified explorers sharing a work split.
+* a RAM/swap memory model so long runs reproduce Figure 3's dynamics.
+
+Swarm verification -- many diversified explorers, one union -- is
+:mod:`repro.dist`: a campaign of seed- and depth-diversified walks over
+this engine.
 """
 
 from repro.mc.memory import MemoryModel
@@ -24,7 +27,6 @@ from repro.mc.strategies import (
     RemountStrategy,
     VMSnapshotStrategy,
 )
-from repro.mc.swarm import SwarmVerifier
 
 __all__ = [
     "MemoryModel",
@@ -38,5 +40,4 @@ __all__ = [
     "NaiveDiskStrategy",
     "VMSnapshotStrategy",
     "ProcessSnapshotStrategy",
-    "SwarmVerifier",
 ]

@@ -12,8 +12,8 @@ Two modes:
   permutation of enabled operations (the paper's primary mode);
 * :meth:`Explorer.run_random` -- a seeded randomized walk with
   probabilistic backtracking, used for the long-horizon experiments
-  (Figure 3, the five-day endurance run) and as the per-member mode of
-  swarm verification.
+  (Figure 3, the five-day endurance run) and as what every unit of a
+  :mod:`repro.dist` campaign (the swarm) runs.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.clock import SimClock
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
 from repro.mc.memory import OutOfMemoryError
 from repro.mc.trace import TrailRecorder
+from repro.util.fieldcodec import FieldCodec
 
 
 class PropertyViolation(Exception):
@@ -89,7 +90,7 @@ class ExplorationTarget(ABC):
 
 
 @dataclass
-class ExplorationStats:
+class ExplorationStats(FieldCodec):
     """What happened during a run."""
 
     operations: int = 0
@@ -127,66 +128,32 @@ class ExplorationStats:
         """JSON-ready form.  A violation is carried as its message plus
         the embedded :class:`~repro.core.report.DiscrepancyReport` (when
         it has one) -- everything a remote consumer can act on."""
-        violation = None
+        document = super().to_dict()
         if self.violation is not None:
             report = getattr(self.violation, "report", None)
-            violation = {
+            document["violation"] = {
                 "message": str(self.violation),
                 "report": report.to_dict() if report is not None else None,
             }
-        return {
-            "operations": self.operations,
-            "transitions": self.transitions,
-            "unique_states": self.unique_states,
-            "revisited_states": self.revisited_states,
-            "checkpoints": self.checkpoints,
-            "restores": self.restores,
-            "por_pruned": self.por_pruned,
-            "memo_hits": self.memo_hits,
-            "restores_elided": self.restores_elided,
-            "fsck_checks": self.fsck_checks,
-            "max_depth_reached": self.max_depth_reached,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "stopped_reason": self.stopped_reason,
-            "samples": [list(sample) for sample in self.samples],
-            "violation": violation,
-        }
+        return document
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "ExplorationStats":
         """Rebuild from :meth:`to_dict` output.  A violation with a
         report becomes a :class:`~repro.core.integrity.DiscrepancyError`
         again; one without stays a bare :class:`PropertyViolation`."""
-        violation: Optional[PropertyViolation] = None
-        raw = document.get("violation")
-        if raw is not None:
-            if raw.get("report") is not None:
-                from repro.core.integrity import DiscrepancyError
-                from repro.core.report import DiscrepancyReport
+        stats = super().from_dict(document)
+        stats.samples = [tuple(sample) for sample in stats.samples]
+        raw = stats.violation
+        if raw is not None and raw.get("report") is not None:
+            from repro.core.integrity import DiscrepancyError
+            from repro.core.report import DiscrepancyReport
 
-                violation = DiscrepancyError(
-                    DiscrepancyReport.from_dict(raw["report"]))
-            else:
-                violation = PropertyViolation(raw.get("message", ""))
-        return cls(
-            operations=int(document.get("operations", 0)),
-            transitions=int(document.get("transitions", 0)),
-            unique_states=int(document.get("unique_states", 0)),
-            revisited_states=int(document.get("revisited_states", 0)),
-            checkpoints=int(document.get("checkpoints", 0)),
-            restores=int(document.get("restores", 0)),
-            por_pruned=int(document.get("por_pruned", 0)),
-            memo_hits=int(document.get("memo_hits", 0)),
-            restores_elided=int(document.get("restores_elided", 0)),
-            fsck_checks=int(document.get("fsck_checks", 0)),
-            max_depth_reached=int(document.get("max_depth_reached", 0)),
-            start_time=float(document.get("start_time", 0.0)),
-            end_time=float(document.get("end_time", 0.0)),
-            stopped_reason=document.get("stopped_reason", ""),
-            samples=[tuple(sample) for sample in document.get("samples", [])],
-            violation=violation,
-        )
+            stats.violation = DiscrepancyError(
+                DiscrepancyReport.from_dict(raw["report"]))
+        elif raw is not None:
+            stats.violation = PropertyViolation(raw.get("message", ""))
+        return stats
 
 
 class Explorer:

@@ -130,9 +130,8 @@ class AbstractVisitedTable(ABC):
 
     The concrete :class:`VisitedStateTable` is the in-process default
     (exact or hash-compacted); :mod:`repro.mc.statestore` provides
-    bitstate, :mod:`repro.dist` plugs in a shipping table that streams
-    newly discovered keys to a coordinator, and swarm's cooperative mode
-    wraps one shared table per member to record coverage.
+    bitstate, and :mod:`repro.dist` plugs in a shipping table that
+    streams newly discovered keys to a coordinator.
     """
 
     #: optional RAM/swap model (the explorer samples its swap usage)

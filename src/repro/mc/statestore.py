@@ -28,7 +28,10 @@ silent.
 Seeded diversification (``seed=...``) re-mixes the hash positions /
 fingerprints per store, which is what makes classic swarm+bitstate work:
 members with different seeds omit *different* states, so the union
-recovers coverage a single same-budget member loses.
+recovers coverage a single same-budget member loses
+(``benchmarks/test_statestore.py`` builds such members by hand).  A
+:mod:`repro.dist` fleet deliberately uses one seed -- its members'
+tables must merge.
 
 The spec grammar, the key derivation and the ``(key, depth)`` record
 layout live in :mod:`repro.mc.records`; this module re-exports

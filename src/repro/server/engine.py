@@ -32,9 +32,11 @@ Responsibilities:
   sequence, a scripted multi-client scenario replays byte-identically.
 
 Everything here is single-threaded and synchronous; the daemon
-interleaves ``step()`` with socket polling.  Jobs with ``workers > 1``
-run each slice on an embedded :class:`~repro.dist.DistributedChecker`
-fleet (real processes) merging into the job's own service.
+interleaves ``step()`` with socket polling.  A slice *is* a
+:class:`~repro.dist.DistributedChecker` run over the next few pending
+units, merging into the job's own service: a fleet of real processes
+for jobs with ``workers > 1``, a fleet of zero (units run in this
+process) otherwise.
 """
 
 from __future__ import annotations
@@ -48,10 +50,15 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.clock import SimClock
 from repro.core.report import DiscrepancyReport
-from repro.dist.coordinator import DistResult, DistributedChecker
+from repro.dist.coordinator import (
+    DistResult,
+    DistributedChecker,
+    merged_cost_profile,
+)
+from repro.dist.protocol import UnitResult
 from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
-from repro.dist.worker import LocalSink, WorkerConfig, run_unit
+from repro.dist.worker import WorkerConfig
 from repro.mc.persistence import snapshot_document
 from repro.mc.records import parse_store_spec
 from repro.server.protocol import (
@@ -125,20 +132,13 @@ class _Runtime:
     spec: CheckSpec
     pending: Deque[WorkUnit]
     submit_seq: int
+    #: the campaign so far: every slice's result absorbed into one
+    result: DistResult
     service: Optional[VisitedStateService] = None
     #: persistence document to seed the service from (set while paused
     #: and after a spool reload; consumed at (re)start)
     snapshot: Optional[Dict[str, Any]] = None
-    unit_results: List[Any] = field(default_factory=list)
     pause_requested: bool = False
-    #: fleet bookkeeping accumulated across slices (workers > 1)
-    wall_time: float = 0.0
-    stolen_units: int = 0
-    recovered_units: int = 0
-    inline_units: int = 0
-    result: Optional[DistResult] = None
-    #: result document from the spool (job finished before a restart)
-    result_document: Optional[Dict[str, Any]] = None
 
 
 class CampaignEngine:
@@ -215,6 +215,7 @@ class CampaignEngine:
             spec=effective_spec,
             pending=deque(effective_spec.work_units()),
             submit_seq=self._submit_seq,
+            result=DistResult(workers=workers),
         )
         heapq.heappush(self._queue,
                        (-descriptor.priority, self._submit_seq, job_id))
@@ -360,12 +361,30 @@ class CampaignEngine:
         if not runtime.pending:
             self._finish(job_id, slot)
             return
-        if descriptor.workers > 1:
-            completed = self._run_fleet_slice(descriptor, runtime)
-        else:
-            completed = [self._run_inline_unit(descriptor, runtime, slot)]
-        for unit_result in completed:
-            runtime.unit_results.append(unit_result)
+        # one slice: the next max(1, workers) pending units through the
+        # one campaign runner -- forked workers for a fleet job, none
+        # (units run here, inline) otherwise
+        workers = descriptor.workers if descriptor.workers > 1 else 0
+        batch = [runtime.pending.popleft()
+                 for _ in range(min(max(1, workers), len(runtime.pending)))]
+
+        def on_progress(unit_index: int, operations: int) -> None:
+            self._emit("heartbeat", job_id,
+                       {"unit": unit_index, "operations": operations})
+
+        # pause snapshots cover the engine's durability needs, so inline
+        # units' no-op checkpoints lose nothing
+        completed = DistributedChecker(
+            runtime.spec,
+            workers=workers,
+            config=WorkerConfig(
+                heartbeat_operations=self.config.heartbeat_operations),
+            units=batch,
+            service=runtime.service,
+            on_progress=on_progress,
+        ).run()
+        runtime.result.absorb(completed)
+        for unit_result in completed.unit_results:
             descriptor.units_done += 1
             descriptor.operations += unit_result.operations
             self.clock.charge(unit_result.sim_time, "campaign")
@@ -385,48 +404,6 @@ class CampaignEngine:
             self._finish(job_id, slot)
         else:
             self._save_spool(job_id)
-
-    def _run_inline_unit(self, descriptor: JobDescriptor,
-                         runtime: _Runtime, slot: int):
-        unit = runtime.pending.popleft()
-
-        def on_heartbeat(unit_index: int, operations: int) -> None:
-            self._emit("heartbeat", descriptor.job_id,
-                       {"unit": unit_index, "operations": operations})
-
-        # pause snapshots cover the engine's durability needs, so the
-        # local sink's no-op checkpoints lose nothing
-        sink = LocalSink(runtime.service, on_heartbeat)
-        config = WorkerConfig(
-            heartbeat_operations=self.config.heartbeat_operations)
-        return run_unit(runtime.spec, unit, f"slot{slot}", config, sink)
-
-    def _run_fleet_slice(self, descriptor: JobDescriptor,
-                         runtime: _Runtime) -> List[Any]:
-        """One slice of a fleet job: up to ``workers`` units at once."""
-        batch: List[WorkUnit] = []
-        while runtime.pending and len(batch) < descriptor.workers:
-            batch.append(runtime.pending.popleft())
-
-        def on_progress(unit_index: int, operations: int) -> None:
-            self._emit("heartbeat", descriptor.job_id,
-                       {"unit": unit_index, "operations": operations})
-
-        checker = DistributedChecker(
-            runtime.spec,
-            workers=descriptor.workers,
-            config=WorkerConfig(
-                heartbeat_operations=self.config.heartbeat_operations),
-            units=batch,
-            service=runtime.service,
-            on_progress=on_progress,
-        )
-        slice_result = checker.run()
-        runtime.wall_time += slice_result.wall_time
-        runtime.stolen_units += slice_result.stolen_units
-        runtime.recovered_units += slice_result.recovered_units
-        runtime.inline_units += slice_result.inline_units
-        return list(slice_result.unit_results)
 
     def _record_discrepancy(self, descriptor: JobDescriptor,
                             runtime: _Runtime, unit_result) -> None:
@@ -514,10 +491,9 @@ class CampaignEngine:
             raise InvalidTransition(job_id, descriptor.state, "cancel")
         if job_id in self._slots:
             self._slots[self._slots.index(job_id)] = None
-        runtime = self._runtimes.get(job_id)
-        if runtime is not None:
-            runtime.service = None
-            runtime.pause_requested = False
+        runtime = self._runtimes[job_id]
+        runtime.service = None
+        runtime.pause_requested = False
         descriptor.state = CANCELLED
         descriptor.finished_vtime = self.clock.now
         self._emit("cancelled", job_id,
@@ -528,20 +504,14 @@ class CampaignEngine:
     def _finish(self, job_id: str, slot: int) -> None:
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
-        runtime.unit_results.sort(key=lambda unit: unit.index)
-        result = DistResult(
-            workers=descriptor.workers,
-            unit_results=list(runtime.unit_results),
-            table=runtime.service.table,
-            wall_time=runtime.wall_time,
-            stolen_units=runtime.stolen_units,
-            recovered_units=runtime.recovered_units,
-            inline_units=runtime.inline_units,
-            cross_worker_duplicates=(
-                runtime.service.cross_worker_duplicates),
-            trail_paths=list(descriptor.trail_paths),
-        )
-        runtime.result = result
+        result = runtime.result
+        # a job resumed with nothing left to run absorbed no slice since
+        # its service was rebuilt from the snapshot
+        result.table = runtime.service.table
+        # from the units, not the slices: the units survive a restart
+        result.cost_profile = merged_cost_profile(
+            unit.cost_profile for unit in result.unit_results)
+        result.trail_paths = list(descriptor.trail_paths)
         runtime.service = None
         self._slots[slot] = None
         descriptor.state = DONE
@@ -557,9 +527,7 @@ class CampaignEngine:
 
     def _fail(self, job_id: str, slot: int, error: Exception) -> None:
         descriptor = self.jobs[job_id]
-        runtime = self._runtimes.get(job_id)
-        if runtime is not None:
-            runtime.service = None
+        self._runtimes[job_id].service = None
         self._slots[slot] = None
         descriptor.state = FAILED
         descriptor.error = f"{type(error).__name__}: {error}"
@@ -582,12 +550,10 @@ class CampaignEngine:
 
     def result(self, job_id: str) -> DistResult:
         descriptor = self._descriptor(job_id)
-        runtime = self._runtimes.get(job_id)
-        if runtime is not None and runtime.result is not None:
-            return runtime.result
-        if runtime is not None and runtime.result_document is not None:
-            return DistResult.from_dict(runtime.result_document)
-        raise InvalidTransition(job_id, descriptor.state, "fetch result of")
+        if descriptor.state != DONE:
+            raise InvalidTransition(job_id, descriptor.state,
+                                    "fetch result of")
+        return self._runtimes[job_id].result
 
     # ---------------------------------------------------------------- spool --
     def shutdown(self) -> None:
@@ -603,10 +569,9 @@ class CampaignEngine:
         if self.config.spool_dir is None:
             return
         descriptor = self.jobs[job_id]
-        runtime = self._runtimes.get(job_id)
-        snapshot = runtime.snapshot if runtime is not None else None
-        if snapshot is None and runtime is not None \
-                and runtime.service is not None:
+        runtime = self._runtimes[job_id]
+        snapshot = runtime.snapshot
+        if snapshot is None and runtime.service is not None:
             # the job is live: spool a slice-boundary snapshot so a
             # crash (no graceful shutdown) still resumes with the
             # completed units' visited states instead of an empty table
@@ -620,17 +585,13 @@ class CampaignEngine:
         document = {
             "spool_version": SPOOL_VERSION,
             "descriptor": descriptor.to_dict(),
-            "submit_seq": runtime.submit_seq if runtime is not None else 0,
+            "submit_seq": runtime.submit_seq,
             "snapshot": snapshot,
-            "pending": ([unit.index for unit in runtime.pending]
-                        if runtime is not None else []),
-            "unit_results": ([unit.to_dict() for unit in
-                              runtime.unit_results]
-                             if runtime is not None else []),
+            "pending": [unit.index for unit in runtime.pending],
+            "unit_results": [unit.to_dict()
+                             for unit in runtime.result.unit_results],
             "result": (runtime.result.to_dict()
-                       if runtime is not None and runtime.result is not None
-                       else (runtime.result_document
-                             if runtime is not None else None)),
+                       if descriptor.state == DONE else None),
         }
         path = self._spool_path(job_id)
         tmp_path = path + ".tmp"
@@ -658,8 +619,6 @@ class CampaignEngine:
                                key=lambda entry: entry.get("submit_seq", 0)):
             descriptor = JobDescriptor.from_dict(document["descriptor"])
             spec = CheckSpec.from_dict(descriptor.spec)
-            from repro.dist.protocol import UnitResult
-
             unit_results = [UnitResult.from_dict(entry)
                             for entry in document.get("unit_results", [])]
             snapshot = document.get("snapshot")
@@ -680,8 +639,12 @@ class CampaignEngine:
                 pending=pending,
                 submit_seq=int(document.get("submit_seq", 0)),
                 snapshot=snapshot,
-                unit_results=unit_results,
-                result_document=document.get("result"),
+                # a finished job spooled its whole result; any other
+                # resumes from the units it had completed
+                result=(DistResult.from_dict(document["result"])
+                        if document.get("result") is not None
+                        else DistResult(workers=descriptor.workers,
+                                        unit_results=unit_results)),
             )
             self.jobs[descriptor.job_id] = descriptor
             self._runtimes[descriptor.job_id] = runtime

@@ -27,8 +27,10 @@ tests compare raw event streams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.util.fieldcodec import FieldCodec
 
 PROTOCOL_VERSION = 1
 
@@ -72,8 +74,9 @@ class SubmitRequest:
     spec: Dict[str, Any]
     tenant: str = "default"
     priority: int = 0
-    #: per-job fleet width: 1 runs unit slices inline, >1 drives an
-    #: embedded :class:`~repro.dist.DistributedChecker` fleet per slice
+    #: per-job fleet width: every slice is a
+    #: :class:`~repro.dist.DistributedChecker` run, on this many forked
+    #: workers when > 1, inline in the daemon (a fleet of zero) otherwise
     workers: int = 1
 
     def to_dict(self) -> Dict[str, Any]:
@@ -91,7 +94,7 @@ class SubmitRequest:
 
 
 @dataclass
-class JobDescriptor:
+class JobDescriptor(FieldCodec):
     """Everything a client can know about a job without its full result.
 
     This is the shape ``repro jobs`` renders and every event stream
@@ -123,22 +126,6 @@ class JobDescriptor:
     #: tenant-budget reservation this job holds while active (bytes)
     planned_store_bytes: int = 0
     error: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        document: Dict[str, Any] = {}
-        for descriptor_field in fields(self):
-            value = getattr(self, descriptor_field.name)
-            document[descriptor_field.name] = (
-                list(value) if isinstance(value, tuple) else value
-            )
-        return document
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "JobDescriptor":
-        known = {descriptor_field.name for descriptor_field in fields(cls)}
-        kwargs = {key: value for key, value in document.items()
-                  if key in known}
-        return cls(**kwargs)
 
     @property
     def active(self) -> bool:

@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.clock import SimClock
 from repro.core.report import RunSummary
 from repro.dist import (
     CheckSpec,
@@ -27,7 +26,6 @@ from repro.dist import (
     unique_labels,
 )
 from repro.dist.spec import SEED_STRIDE
-from repro.mc.explorer import ExplorationTarget
 from repro.mc.hashtable import VisitedStateTable
 from repro.mc.persistence import (
     load_checker_state,
@@ -35,7 +33,6 @@ from repro.mc.persistence import (
     snapshot_document,
 )
 from repro.mc.records import StoreFormatError
-from repro.mc.swarm import SwarmVerifier
 from repro.util.hashing import md5_hex
 
 SPEC = CheckSpec(
@@ -66,6 +63,7 @@ def fingerprint(dist):
         dist.visited_states,
         dist.total_operations,
         dist.discrepancy_signature(),
+        dist.table.visited_fingerprint(),
         sorted((unit.index, unit.operations, unit.unique_states)
                for unit in dist.unit_results),
     )
@@ -253,8 +251,10 @@ class TestDistributedDeterminism:
         assert baseline.total_operations == SPEC.units * SPEC.unit_operations
 
     def test_worker_count_does_not_change_the_result(self, baseline):
-        fleet = DistributedChecker(SPEC, workers=3).run()
-        assert fingerprint(fleet) == fingerprint(baseline)
+        for workers in (0, 3):  # 0: every unit inline, no process at all
+            fleet = DistributedChecker(SPEC, workers=workers).run()
+            assert fingerprint(fleet) == fingerprint(baseline)
+            assert fleet.inline_units == (0 if workers else SPEC.units)
 
     def test_modeled_speedup_uses_static_lanes(self, baseline):
         fleet = DistributedChecker(SPEC, workers=4).run()
@@ -266,16 +266,17 @@ class TestDistributedDeterminism:
 
     def test_bug_found_identically_at_any_fleet_size(self):
         solo = DistributedChecker(BUG_SPEC, workers=1).run()
-        fleet = DistributedChecker(BUG_SPEC, workers=3).run()
         assert solo.found_discrepancy
-        assert solo.discrepancy_signature() == fleet.discrepancy_signature()
         # units after the first violation still ran: no global early stop
         assert len(solo.unit_results) == BUG_SPEC.units
-        assert len(fleet.unit_results) == BUG_SPEC.units
+        for workers in (0, 3):
+            fleet = DistributedChecker(BUG_SPEC, workers=workers).run()
+            assert fingerprint(fleet) == fingerprint(solo)
 
     def test_rejects_empty_fleet(self):
+        # zero workers is the inline runner; less than none is an error
         with pytest.raises(ValueError):
-            DistributedChecker(SPEC, workers=0)
+            DistributedChecker(SPEC, workers=-1)
 
 
 # ------------------------------------------------------- fault tolerance --
@@ -291,12 +292,18 @@ class TestFaultTolerance:
         assert not dead.alive_at_end
 
     def test_whole_fleet_dead_finishes_inline(self, baseline):
+        beats = []
         fleet = DistributedChecker(
             SPEC, workers=1, config=CHAOS_CONFIG,
             chaos_kill_after={"w0": 50},
+            on_progress=lambda unit, operations: beats.append(unit),
         ).run()
         assert fingerprint(fleet) == fingerprint(baseline)
         assert fleet.inline_units >= 1
+        # units finished inline heartbeat like leased ones: the last
+        # unit can only have run after the one worker died
+        assert beats.count(SPEC.units - 1) == \
+            SPEC.unit_operations // CHAOS_CONFIG.heartbeat_operations
 
     def test_state_file_resumes_across_campaigns(self, tmp_path, baseline):
         path = str(tmp_path / "dist-state.json")
@@ -335,61 +342,20 @@ class TestFaultTolerance:
 
 
 # ----------------------------------------------------- cooperative swarm --
-class _Grid(ExplorationTarget):
-    def __init__(self, limit=6):
-        self.x = 0
-        self.y = 0
-        self.limit = limit
-        self.clock = SimClock()
-
-    def actions(self):
-        return ["right", "up"]
-
-    def apply(self, action):
-        self.clock.charge(0.001, "op")
-        if action == "right":
-            self.x = min(self.limit, self.x + 1)
-        else:
-            self.y = min(self.limit, self.y + 1)
-
-    def checkpoint(self):
-        return (self.x, self.y)
-
-    def restore(self, token):
-        self.x, self.y = token
-
-    def abstract_state(self):
-        return f"{self.x},{self.y}"
-
-
 class TestCooperativeSwarm:
-    @staticmethod
-    def _factory(seed):
-        target = _Grid()
-        return target, target.clock
+    """The fleet is the swarm: diversified members that each explore
+    privately and pool what they find in one shared service."""
 
-    def test_members_share_one_table(self):
-        shared = VisitedStateTable()
-        swarm = SwarmVerifier(self._factory, members=3, max_depth=6,
-                              max_operations=60, shared_table=shared)
-        assert swarm.cooperative  # shared_table implies cooperative
-        result = swarm.run()
-        assert result.union_coverage == set(shared.export_seen())
+    def test_members_share_one_table(self, baseline):
+        service = VisitedStateService()
+        result = DistributedChecker(SPEC, workers=0, service=service).run()
+        assert result.table is service.table
+        assert service.table.visited_fingerprint() == \
+            baseline.table.visited_fingerprint()
 
-    def test_member_coverages_are_disjoint(self):
-        swarm = SwarmVerifier(self._factory, members=3, max_depth=6,
-                              max_operations=60, cooperative=True)
-        result = swarm.run()
-        for i, first in enumerate(result.members):
-            for second in result.members[i + 1:]:
-                assert not (first.coverage & second.coverage)
-
-    def test_classic_members_may_overlap(self):
-        swarm = SwarmVerifier(self._factory, members=3, max_depth=6,
-                              max_operations=60)
-        result = swarm.run()
-        total = sum(len(member.coverage) for member in result.members)
-        assert total > len(result.union_coverage)  # re-explored territory
+    def test_classic_members_may_overlap(self, baseline):
+        explored = sum(unit.unique_states for unit in baseline.unit_results)
+        assert explored > baseline.visited_states  # re-explored territory
 
 
 # ------------------------------------------------------------ reporting --
@@ -410,24 +376,6 @@ class TestRunSummary:
         assert summary.operations == 50
         assert summary.duplicate_hits == result.table_stats.duplicate_hits
         assert 0.0 <= summary.duplicate_hit_ratio <= 1.0
-
-
-class TestMCFSWorkersOption:
-    def test_run_random_workers_matches_inline(self):
-        distributed = SPEC.build_mcfs().run_random(
-            max_operations=400, seed=1, max_depth=8, workers=2, units=4)
-        inline = DistributedChecker(SPEC, workers=1).run()
-        assert distributed.unique_states == inline.visited_states
-        assert distributed.operations == inline.total_operations
-        assert distributed.dist.discrepancy_signature() == \
-            inline.discrepancy_signature()
-
-    def test_workers_require_a_spec(self):
-        from repro.core.mcfs import MCFS
-
-        mcfs = MCFS(SimClock())
-        with pytest.raises(ValueError):
-            mcfs.run_random(max_operations=10, workers=2)
 
 
 # ------------------------------------------------------------------- cli --
@@ -461,3 +409,20 @@ class TestDistCLI:
         assert "w0" in out and "w1" in out
         assert "merged states" in out
         assert "speedup" in out
+        # swarm is check --workers plus the per-worker table
+        assert "workers    : 2" in out
+        assert "stopped    : distributed campaign complete" in out
+
+    def test_check_workers_reports_a_violation(self, capsys):
+        from repro.cli import main
+
+        code = main(["check", "--fs", "verifs1", "--fs", "verifs2",
+                     "--mode", "random", "--max-ops", "900", "--seed", "1",
+                     "--workers", "0", "--units", "6", "--unit-depth", "8",
+                     "--inject-bug", "write-hole-stale"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "stopped    : property violation" in out
+        assert "campaign complete" not in out
+        assert "workers    : 0 (6 units, 0 stolen, 0 recovered, 6 inline)" \
+            in out

@@ -3,8 +3,8 @@
 The companion of ``tests/test_report_serialization.py`` one layer up the
 stack: every document the campaign server ships over its wire or writes
 to its spool -- unit results, worker summaries, merged
-:class:`~repro.dist.DistResult` campaigns, swarm results, job
-descriptors, and job events -- must survive ``to_dict`` -> JSON ->
+:class:`~repro.dist.DistResult` campaigns, job descriptors, and job
+events -- must survive ``to_dict`` -> JSON ->
 ``from_dict`` without losing anything a consumer can observe.
 
 Where a type embeds non-comparable state (exception objects inside
@@ -13,16 +13,17 @@ Where a type embeds non-comparable state (exception objects inside
 ``from_dict(doc).to_dict() == doc``.
 """
 
+import dataclasses
 import json
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.report import RunSummary
 from repro.dist.coordinator import DistResult, WorkerSummary
 from repro.dist.protocol import UnitResult
 from repro.dist.spec import CheckSpec
-from repro.mc.explorer import ExplorationStats
-from repro.mc.hashtable import TableStats, VisitedStateTable
-from repro.mc.swarm import SwarmMemberResult, SwarmResult
+from repro.mc.explorer import ExplorationStats, PropertyViolation
+from repro.mc.hashtable import VisitedStateTable
 from repro.server.protocol import JobDescriptor, JobEvent, SubmitRequest
 
 
@@ -83,18 +84,6 @@ worker_summaries = st.builds(
     alive_at_end=st.booleans(),
 )
 
-table_stats = st.builds(
-    TableStats,
-    inserts=counts,
-    duplicate_hits=counts,
-    resizes=st.integers(min_value=0, max_value=100),
-    resize_time=finite_floats,
-    stored_bytes=counts,
-    omission_possible=st.booleans(),
-    omission_probability=st.floats(min_value=0.0, max_value=1.0,
-                                   allow_nan=False, width=32),
-)
-
 exploration_stats = st.builds(
     ExplorationStats,
     operations=counts,
@@ -104,6 +93,8 @@ exploration_stats = st.builds(
     checkpoints=counts,
     restores=counts,
     por_pruned=counts,
+    memo_hits=counts,
+    restores_elided=counts,
     fsck_checks=counts,
     max_depth_reached=st.integers(min_value=0, max_value=100),
     start_time=finite_floats,
@@ -112,18 +103,6 @@ exploration_stats = st.builds(
     samples=st.lists(
         st.tuples(finite_floats, counts, counts), max_size=4),
 )
-
-swarm_members = st.builds(
-    SwarmMemberResult,
-    seed=st.integers(min_value=0, max_value=2**31),
-    stats=exploration_stats,
-    coverage=st.sets(hashes, max_size=6),
-    sim_time=finite_floats,
-    table_stats=st.one_of(st.none(), table_stats),
-)
-
-swarm_results = st.builds(
-    SwarmResult, members=st.lists(swarm_members, max_size=3))
 
 
 def _dist_result(unit_list, summaries, seen):
@@ -245,24 +224,77 @@ class TestExplorationStatsRoundTrip:
 
 
 class TestSwarmRoundTrip:
-    @settings(max_examples=25, deadline=None)
-    @given(swarm_members)
-    def test_member_round_trip(self, member):
-        document = through_json(member.to_dict())
-        restored = SwarmMemberResult.from_dict(document)
-        assert restored.seed == member.seed
-        assert restored.coverage == member.coverage
-        assert restored.to_dict() == member.to_dict()
+    """The swarm is the campaign: its document is a DistResult."""
 
     @settings(max_examples=25, deadline=None)
-    @given(swarm_results)
+    @given(dist_results)
     def test_swarm_round_trip_preserves_derived_metrics(self, swarm):
-        restored = SwarmResult.from_dict(through_json(swarm.to_dict()))
-        assert restored.to_dict() == swarm.to_dict()
-        assert restored.union_coverage == swarm.union_coverage
-        assert restored.parallel_time == swarm.parallel_time
-        assert restored.total_operations == swarm.total_operations
+        restored = DistResult.from_dict(through_json(swarm.to_dict()))
+        assert restored.modeled_parallel_time == swarm.modeled_parallel_time
+        assert restored.sequential_sim_time == swarm.sequential_sim_time
+        assert restored.speedup == swarm.speedup
+        # benchmarks/test_dist_scaling.py's modelled-scaling headline
+        assert restored.states_per_second == swarm.states_per_second
         assert restored.omission_possible == swarm.omission_possible
+        assert restored.omission_probability == swarm.omission_probability
+        assert restored.bytes_snapshotted == swarm.bytes_snapshotted
+        assert restored.found_discrepancy == swarm.found_discrepancy
+
+
+#: a non-default value per declared field type; a field of a type not
+#: listed here (or not overridden below) fails the test until it is
+SAMPLE_BY_TYPE = {
+    "int": 7,
+    "float": 0.5,
+    "str": "x",
+    "Optional[int]": 3,
+    "Optional[str]": "p",
+    "Optional[Dict[str, Any]]": {"kind": "state", "summary": "s"},
+    "List[str]": ["a"],
+    "List[Tuple[float, int, int]]": [(0.5, 1, 2)],
+}
+
+
+def _every_field_set(cls, **overrides):
+    values = {}
+    for item in dataclasses.fields(cls):
+        if item.name in overrides:
+            values[item.name] = overrides[item.name]
+        elif item.type == "bool":
+            values[item.name] = item.default is not True
+        else:
+            values[item.name] = SAMPLE_BY_TYPE[item.type]
+        assert values[item.name] != item.default, item.name
+    return cls(**values)
+
+
+class TestEveryResultFieldRoundTrips:
+    def test_no_field_is_forgotten(self):
+        """The four result types (and the two they embed) serialise from
+        ``dataclasses.fields``: set every field to a non-default value
+        and a field dropped by either direction shows up as a diff."""
+        table = VisitedStateTable()
+        table.visit("ab" * 16, depth=2)
+        unit = _every_field_set(UnitResult)
+        worker = _every_field_set(WorkerSummary)
+        for instance in (
+            unit,
+            worker,
+            _every_field_set(RunSummary),
+            _every_field_set(ExplorationStats,
+                             violation=PropertyViolation("boom")),
+            _every_field_set(DistResult, unit_results=[unit],
+                             worker_summaries=[worker], table=table),
+        ):
+            document = through_json(instance.to_dict())
+            assert set(document) == {
+                item.name for item in dataclasses.fields(instance)}
+            restored = type(instance).from_dict(document)
+            assert through_json(restored.to_dict()) == document
+            for item in dataclasses.fields(instance):
+                if item.name not in ("violation", "table"):
+                    assert getattr(restored, item.name) == \
+                        getattr(instance, item.name), item.name
 
 
 class TestDistResultRoundTrip:

@@ -11,8 +11,8 @@ single-writer shared-memory segments.  That must never change
   coordinator's address space, recovery reproduces the baseline result,
   and no ``/dev/shm`` segment outlives the run;
 * **wire hygiene** -- raw segment handles never cross the pipe (workers
-  reattach by name), and a stray data-plane reply in the work-grant
-  handshake must not desynchronise the lease protocol.
+  reattach by name), and record batches are fire-and-forget: the only
+  message a worker ever waits for is the answer to its work request.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from repro.dist import CheckSpec, DistributedChecker, WorkerConfig
 from repro.dist.protocol import (
     Hello,
     NoMoreWork,
-    RecordReply,
+    RecordBatch,
     UnitDone,
     WorkGrant,
     WorkRequest,
@@ -117,6 +117,24 @@ class TestPlaneGating:
         assert fleet.data_plane == "rpc"
         assert outcome(fleet) == outcome(rpc_baselines["exact"])
 
+    @pytest.mark.parametrize("store", STORES)
+    def test_fleet_of_zero_matches_on_any_plane(self, rpc_baselines, store):
+        """``workers=0`` runs every unit in this process: whatever plane
+        the spec names there is no process, no pipe and no segment."""
+        class NoMultiprocessing:
+            def __getattr__(self, name):
+                raise AssertionError(f"a fleet of zero used {name}")
+
+        before = set(os.listdir("/dev/shm")) if SHM_SUPPORTED else set()
+        for plane in ("shm", "rpc", "auto"):
+            inline = run_fleet(plane, workers=0, store=store,
+                               mp_context=NoMultiprocessing())
+            assert outcome(inline) == outcome(rpc_baselines[store])
+            assert inline.inline_units == SPEC.units
+            assert inline.worker_summaries == []
+        if SHM_SUPPORTED:
+            assert set(os.listdir("/dev/shm")) == before
+
 
 # ----------------------------------------------------------- crash safety --
 @needs_shm
@@ -149,34 +167,35 @@ class TestCrashSafety:
 
 # ------------------------------------------------------ handshake protocol --
 class TestGrantHandshake:
-    def test_stray_packed_reply_does_not_duplicate_work_request(self):
-        """Regression: a data-plane reply arriving between WorkRequest
-        and WorkGrant must be consumed in place.  Falling through the
-        skip loop re-sent WorkRequest, the coordinator granted a second
-        unit over the first one's lease, and the orphaned unit livelocked
-        the campaign (never queued, leased, or resulted again)."""
+    def test_worker_waits_for_nothing_but_its_grant(self):
+        """Record batches are fire-and-forget.  A coordinator that never
+        says a word about them still gets the unit done, and sees exactly
+        one WorkRequest per grant -- a second one would have it re-lease
+        over a live unit."""
         parent, child = multiprocessing.Pipe(duplex=True)
-        unit = SPEC.work_units()[0]
+        spec = dataclasses.replace(SPEC, data_plane="rpc")
+        unit = spec.work_units()[0]
         worker = threading.Thread(
-            target=worker_main, args=(child, SPEC, "w0", WorkerConfig()),
+            target=worker_main,
+            args=(child, spec, "w0", WorkerConfig(batch_size=1)),
             daemon=True)
         worker.start()
         try:
             assert isinstance(parent.recv(), Hello)
             assert isinstance(parent.recv(), WorkRequest)
-            # a reply to an (imaginary) earlier batch lands first ...
-            parent.send(RecordReply(sequence=99, count=0, flag_bits=b""))
-            # ... and only then the grant the worker is waiting for
             parent.send(WorkGrant(unit))
-            requests = 0
+            requests = batches = 0
             while True:
                 message = parent.recv()
                 if isinstance(message, WorkRequest):
                     requests += 1
+                elif isinstance(message, RecordBatch):
+                    batches += 1  # ... and deliberately no answer
                 elif isinstance(message, UnitDone):
                     assert message.result.index == unit.index
                     break
-            assert requests == 0, "stray reply triggered duplicate requests"
+            assert batches > 0
+            assert requests == 0, "the worker asked twice for one grant"
             assert isinstance(parent.recv(), WorkRequest)
             parent.send(NoMoreWork())
             worker.join(timeout=30)

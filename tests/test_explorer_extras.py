@@ -1,12 +1,13 @@
-"""Additional explorer/swarm mechanics not covered by the basic suite."""
+"""Additional explorer mechanics, and the swarm (fleet) diversification
+rules, not covered by the basic suite."""
 
 import pytest
 
 from repro.clock import SimClock
-from repro.mc.explorer import ExplorationTarget, Explorer, PropertyViolation
+from repro.dist import CheckSpec, DistributedChecker
+from repro.mc.explorer import ExplorationTarget, Explorer
 from repro.mc.hashtable import VisitedStateTable
 from repro.mc.memory import MemoryModel, OutOfMemoryError
-from repro.mc.swarm import SwarmVerifier
 
 
 class GridTarget(ExplorationTarget):
@@ -145,39 +146,17 @@ class TestRandomWalkEdgeCases:
 
 
 class TestSwarmDetails:
-    @staticmethod
-    def _factory(seed):
-        target = GridTarget(limit=6)
-        return target, target.clock
+    SPEC = CheckSpec(filesystems=("verifs1", "verifs2"), units=3,
+                     max_depth=4, unit_operations=40)
 
     def test_member_depth_diversification(self):
-        swarm = SwarmVerifier(self._factory, members=3, max_depth=2,
-                              max_operations=30, mode="dfs")
-        result = swarm.run()
-        depths = [member.stats.max_depth_reached for member in result.members]
-        assert len(set(depths)) > 1  # members got different bounds
+        # the depth rule swarm scripts use: bound + (member index mod 3)
+        assert [unit.max_depth for unit in self.SPEC.work_units()] == \
+            [4, 5, 6]
 
     def test_union_at_least_each_member(self):
-        swarm = SwarmVerifier(self._factory, members=3, max_depth=4,
-                              max_operations=40)
-        result = swarm.run()
-        union = result.union_coverage
-        for member in result.members:
-            assert member.coverage <= union
-
-    def test_violation_stops_spawning(self):
-        class Poison(GridTarget):
-            def apply(self, action):
-                super().apply(action)
-                if (self.x, self.y) == (2, 1):
-                    raise PropertyViolation("hit (2,1)")
-
-        def factory(seed):
-            target = Poison(limit=6)
-            return target, target.clock
-
-        swarm = SwarmVerifier(factory, members=10, max_depth=8,
-                              max_operations=10_000)
-        result = swarm.run()
-        assert result.first_violation() is not None
-        assert len(result.members) < 10  # stopped early
+        result = DistributedChecker(self.SPEC, workers=0).run()
+        union = result.table.export_seen()
+        assert len(union) == result.visited_states
+        for unit in result.unit_results:
+            assert unit.unique_states <= len(union)

@@ -24,9 +24,8 @@ from repro import (
     VeriFSBug,
     XfsFileSystemType,
 )
-from repro.core.engine import MCFSTarget
 from repro.core.report import replay
-from repro.mc.swarm import SwarmVerifier
+from repro.dist import CheckSpec, DistributedChecker
 
 
 def make_mcfs(clock=None, **options_kw):
@@ -245,46 +244,39 @@ class TestEqualizationIntegration:
 
 
 class TestSwarm:
-    def _factory(self, bug):
-        def factory(seed):
-            clock = SimClock()
-            mcfs = MCFS(clock, MCFSOptions(include_extended_operations=False))
-            mcfs.add_verifs("verifs1", VeriFS1())
-            mcfs.add_verifs("verifs2", VeriFS2(bugs=[bug] if bug else []))
-            return MCFSTarget(mcfs.engine()), clock
-        return factory
+    """Swarm verification (sections 2 and 7) is a fleet campaign:
+    seed- and depth-diversified members, union coverage."""
+
+    @staticmethod
+    def _swarm(members, depth, operations, workers=0, bug=None):
+        spec = CheckSpec(filesystems=("verifs1", "verifs2"), units=members,
+                         max_depth=depth, unit_operations=operations,
+                         verifs_bugs=(bug.value,) if bug else ())
+        return DistributedChecker(spec, workers=workers).run()
 
     def test_swarm_union_coverage_beats_single_member(self):
-        swarm = SwarmVerifier(self._factory(None), members=4,
-                              max_depth=8, max_operations=250)
-        result = swarm.run()
-        best_single = max(len(member.coverage) for member in result.members)
-        assert len(result.union_coverage) >= best_single
+        result = self._swarm(members=4, depth=8, operations=250)
+        best_single = max(unit.unique_states for unit in result.unit_results)
+        assert result.visited_states >= best_single
 
     def test_swarm_parallel_time_less_than_sequential(self):
-        swarm = SwarmVerifier(self._factory(None), members=3,
-                              max_depth=6, max_operations=150)
-        result = swarm.run()
-        assert result.parallel_time < result.sequential_time
+        result = self._swarm(members=3, depth=6, operations=150, workers=3)
+        assert result.modeled_parallel_time < result.sequential_sim_time
 
     def test_swarm_finds_bug_and_stops(self):
-        swarm = SwarmVerifier(self._factory(VeriFSBug.WRITE_HOLE_STALE),
-                              members=6, max_depth=10, max_operations=5000)
-        result = swarm.run()
-        assert result.first_violation() is not None
-        assert len(result.members) <= 6
-
-    def test_dfs_mode(self):
-        swarm = SwarmVerifier(self._factory(None), members=2,
-                              max_depth=2, max_operations=300, mode="dfs")
-        result = swarm.run()
-        assert result.total_operations > 0
+        result = self._swarm(members=6, depth=10, operations=800,
+                             bug=VeriFSBug.WRITE_HOLE_STALE)
+        assert result.found_discrepancy
+        assert result.discrepancies[0].kind == "state"
+        # a member that finds the bug stops there; the others carry on
+        finders = [unit for unit in result.unit_results
+                   if unit.violation is not None]
+        assert all(unit.operations < 800 for unit in finders)
+        assert len(result.unit_results) == 6
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            SwarmVerifier(self._factory(None), members=0)
-        with pytest.raises(ValueError):
-            SwarmVerifier(self._factory(None), mode="bogus")
+            self._swarm(members=0, depth=4, operations=10)
 
 
 class TestMCFSConfiguration:

@@ -86,8 +86,13 @@ class TestEngineBasics:
         job = submit(engine)
         engine.run_until_idle()
         assert job.state == "done"
-        assert fingerprint(engine.result(job.job_id)) == \
-            fingerprint(baseline)
+        served = engine.result(job.job_id)
+        # each slice was a fleet of zero; so is this whole campaign
+        inline = DistributedChecker(SPEC, workers=0).run()
+        for result in (served, inline):
+            assert fingerprint(result) == fingerprint(baseline)
+            assert result.table.visited_fingerprint() == \
+                baseline.table.visited_fingerprint()
 
     def test_concurrent_jobs_interleave_and_both_finish(self, baseline):
         engine = CampaignEngine(EngineConfig(slots=2))
@@ -126,13 +131,42 @@ class TestEngineBasics:
         assert fingerprint(engine.result(job.job_id)) == \
             fingerprint(bug_baseline)
 
-    def test_fleet_job_equals_one_shot(self, baseline):
+    def test_fleet_job_equals_one_shot(self, baseline, bug_baseline):
         engine = CampaignEngine(EngineConfig(slots=1))
         job = submit(engine, workers=2)
+        hunt = submit(engine, spec=BUG_SPEC, workers=2)
         engine.run_until_idle()
-        assert job.state == "done"
-        assert fingerprint(engine.result(job.job_id)) == \
-            fingerprint(baseline)
+        assert job.state == hunt.state == "done"
+        assert fingerprint(engine.result(hunt.job_id)) == \
+            fingerprint(bug_baseline)
+        result = engine.result(job.job_id)
+        assert fingerprint(result) == fingerprint(baseline)
+        assert result.table.visited_fingerprint() == \
+            baseline.table.visited_fingerprint()
+        # the slices' fleet accounting reaches the job's one result
+        one_shot = DistributedChecker(SPEC, workers=2).run()
+        assert result.data_plane == one_shot.data_plane
+        assert [(worker.worker_id, worker.units_completed)
+                for worker in result.worker_summaries] == \
+            [("w0", 2), ("w1", 2)]
+        assert result.wall_time > 0
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_profiled_job_returns_the_merged_profile(self, workers):
+        engine = CampaignEngine(EngineConfig(slots=1))
+        job = submit(engine, spec=dataclasses.replace(SPEC, profile=True),
+                     workers=workers)
+        engine.run_until_idle()
+        result = engine.result(job.job_id)
+        units = [unit.cost_profile for unit in result.unit_results]
+        assert all(profile is not None for profile in units)
+        assert result.cost_profile["states"] == \
+            sum(profile["states"] for profile in units)
+        assert result.cost_profile["seconds"]["ship"] == pytest.approx(
+            sum(profile["seconds"]["ship"] for profile in units))
+        restored = DistResult.from_dict(
+            json.loads(json.dumps(result.to_dict())))
+        assert restored.cost_profile == result.cost_profile
 
     def test_unknown_job_and_bad_transitions_raise(self):
         engine = CampaignEngine(EngineConfig(slots=1))
@@ -273,6 +307,24 @@ class TestPauseResume:
         reborn.run_until_idle()
         assert fingerprint(reborn.result(job.job_id)) == \
             fingerprint(baseline)
+
+    def test_profiled_job_keeps_its_whole_profile_across_a_restart(
+            self, tmp_path):
+        """The merged profile covers the units finished before the daemon
+        died, not only the slices the reborn daemon ran."""
+        spool = str(tmp_path / "spool")
+        engine = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
+        job = submit(engine, spec=dataclasses.replace(SPEC, profile=True))
+        engine.step()
+        engine.step()
+        del engine
+
+        reborn = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
+        reborn.run_until_idle()
+        result = reborn.result(job.job_id)
+        assert len(result.unit_results) == SPEC.units
+        assert result.cost_profile["states"] == sum(
+            unit.cost_profile["states"] for unit in result.unit_results)
 
     def test_pause_of_queued_job_skips_admission(self):
         engine = CampaignEngine(EngineConfig(slots=1))

@@ -50,7 +50,6 @@ from repro.mc.statestore import (
     parse_store_spec,
     store_from_document,
 )
-from repro.mc.swarm import SwarmVerifier
 from repro.util.hashing import md5_hex
 
 ALL_STORE_SPECS = ["exact", "hc", "bitstate:65536,3"]
@@ -383,46 +382,27 @@ class TestClearResetsEverything:
 
 
 # ------------------------------------------------------------ swarm wiring
-def counting_factory(limit=6):
-    from tests.test_mc_engine import CounterTarget
-
-    def factory(seed):
-        clock = SimClock()
-        return CounterTarget(limit=limit, clock=clock), clock
-
-    return factory
-
-
 class TestSwarmStores:
-    def test_cooperative_rejects_lossy_stores(self):
-        with pytest.raises(ValueError):
-            SwarmVerifier(counting_factory(), members=2, cooperative=True,
-                          state_store="bitstate")
+    """A fleet's members keep private stores of the campaign's kind and
+    report what those could have omitted."""
+
+    @staticmethod
+    def _swarm(store):
+        from repro.dist import CheckSpec, DistributedChecker
+
+        spec = CheckSpec(filesystems=("verifs1", "verifs2"), units=3,
+                         max_depth=3, unit_operations=40, state_store=store)
+        return DistributedChecker(spec, workers=0).run()
 
     def test_lossy_members_report_omission(self):
-        swarm = SwarmVerifier(counting_factory(), members=3, mode="dfs",
-                              max_depth=3, state_store="hc")
-        result = swarm.run()
+        result = self._swarm("hc")
         assert result.omission_possible
-        assert all(m.table_stats is not None and m.table_stats.omission_possible
-                   for m in result.members)
+        assert all(unit.omission_possible for unit in result.unit_results)
 
     def test_exact_swarm_reports_no_omission(self):
-        swarm = SwarmVerifier(counting_factory(), members=2, mode="dfs",
-                              max_depth=3)
-        result = swarm.run()
+        result = self._swarm("exact")
         assert not result.omission_possible
         assert result.omission_probability == 0.0
-
-    def test_members_get_diversified_store_seeds(self):
-        """Classic swarm + lossy store: every member hashes with its own
-        seed, so members collide on different state pairs (Holzmann's
-        swarm+bitstate union-coverage argument)."""
-        swarm = SwarmVerifier(counting_factory(), members=3, mode="dfs",
-                              max_depth=2, state_store="bitstate:65536,2")
-        result = swarm.run()
-        assert len({m.seed for m in result.members}) == 3
-        assert result.union_coverage  # recorder captured full hashes
 
 
 # ------------------------------------------------ end-to-end bug discovery
