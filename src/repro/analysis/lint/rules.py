@@ -19,11 +19,11 @@ These rules flag the source-level hazards that silently break that:
   so anything derived from such a loop (reports, hashes, allocation
   order) varies run to run.
 * ``raw-device-data`` -- direct access to a device's backing store
-  (``._data``, ``._chunks``).  Outside :mod:`repro.storage` everything
-  must go through ``read``/``write``/``snapshot_*`` so the
-  copy-on-write dirty tracking and I/O accounting stay truthful;
-  a raw poke would silently corrupt both.  (Warn severity: enforced
-  by ``repro lint --strict``.)
+  (``._chunk_groups``, the live chunk table).  Outside
+  :mod:`repro.storage` everything must go through ``read``/``write``/
+  ``snapshot_*`` so the copy-on-write dirty tracking and I/O accounting
+  stay truthful; a raw poke would silently corrupt both.  (Warn
+  severity: enforced by ``repro analyze --strict``.)
 * ``raw-visited-state`` -- direct access to a visited table's ``._seen``
   map.  Outside :mod:`repro.mc` callers must use
   ``export_seen``/``import_seen``/``visit``: not every store *has* a
@@ -99,7 +99,7 @@ WALL_CLOCK_TIME_NAMES = {
 
 #: private backing-store attributes of the storage layer; touching them
 #: from anywhere else bypasses COW dirty tracking and I/O accounting
-RAW_DEVICE_ATTRS = {"_data", "_chunks"}
+RAW_DEVICE_ATTRS = {"_chunk_groups"}
 
 #: the visited-state tables' private hash maps; callers outside
 #: ``repro.mc`` must use the export/import/visit boundary instead

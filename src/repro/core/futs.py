@@ -215,9 +215,9 @@ class FilesystemUnderTest:
     def snapshot_disk(self):
         """Checkpoint the device: a COW chunk-table grab by default.
 
-        The copy-on-write grab is O(1) plus a per-byte charge for only
-        the chunks dirtied since the parent checkpoint -- the DFS stack
-        of checkpoints is a chain of deltas.  In ``legacy_snapshots``
+        The copy-on-write grab is charged a fixed cost plus a per-byte
+        cost for only the chunks dirtied since the parent checkpoint --
+        the DFS stack of checkpoints is a chain of deltas.  In ``legacy_snapshots``
         mode (the paper's measured system) the whole image is copied and
         charged per *used* byte instead.
         """
@@ -320,9 +320,9 @@ class FilesystemUnderTest:
         Linux kernel file systems".  No remount needed: restore brings
         memory and disk back together and invalidates kernel caches.
 
-        The data plane rides the COW device snapshot (an O(1) chunk-table
-        grab); only the driver's in-memory tables are deep-copied, with
-        the device and clock pinned out of the copy.
+        The data plane rides the COW device snapshot (a chunk-table grab,
+        one reference per group); only the driver's in-memory tables are
+        deep-copied, with the device and clock pinned out of the copy.
         """
         if self.device is None:
             raise FsError(19, f"{self.label}: VFS checkpoint needs a device")

@@ -5,19 +5,23 @@ read and write whole blocks (their own block size, a multiple of the sector
 size).  Every access charges latency to the device's clock.
 
 Storage is held as a table of *refcounted immutable chunks* rather than one
-flat buffer: a write copies only the touched chunk, a snapshot is an O(1)
-grab of the chunk table (:meth:`BlockDevice.snapshot_chunks`), and a restore
-swaps tables back.  Successive snapshots therefore share every chunk that
-was not rewritten between them -- the copy-on-write hot path MCFS leans on
-when it checkpoints before every operation (the paper mmaps the backing
-store into Spin's address space; chunk sharing is our equivalent of its
-page-granular copy-on-write).  :meth:`snapshot_image` still materializes
-the full byte image for legacy callers and the offline fsck checkers.
+flat buffer: a write copies only the touched chunk, a snapshot grabs the
+table (:meth:`BlockDevice.snapshot_chunks`), and a restore swaps tables
+back.  Successive snapshots therefore share every chunk that was not
+rewritten between them -- the copy-on-write hot path MCFS leans on when it
+checkpoints before every operation (the paper mmaps the backing store into
+Spin's address space; chunk sharing is our equivalent of its page-granular
+copy-on-write).  The table itself is two-level -- a list of immutable
+groups of :data:`GROUP_CHUNKS` chunks -- so a grab costs O(groups) and a
+restore compares chunks only inside the groups written since the snapshot.
+:meth:`snapshot_image` still materializes the full byte image for legacy
+callers and the offline fsck checkers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import List, Optional, Set, Tuple
 
 from repro.clock import SimClock
@@ -26,6 +30,11 @@ from repro.errors import DeviceError
 #: granularity of copy-on-write sharing.  4 KiB mirrors the page-cache
 #: granularity a real mmap-based checker would fault at.
 DEFAULT_CHUNK_SIZE = 4096
+
+#: chunks per group tuple of the chunk table.  A write rebuilds one group
+#: (64 references); a snapshot grabs one reference per group, so a 16 MiB
+#: device (4 096 chunks) costs 64 of them instead of 4 096.
+GROUP_CHUNKS = 64
 
 
 @dataclass
@@ -59,36 +68,46 @@ class DeviceStats:
 
 @dataclass(frozen=True)
 class DiskSnapshot:
-    """An O(1) checkpoint token: a frozen grab of the chunk table.
+    """A checkpoint token: a frozen grab of the chunk table's groups.
 
     Chunks are immutable ``bytes`` objects shared (refcounted) with the
     live device and with every other snapshot that has not rewritten
     them, so a DFS stack of snapshots is naturally a chain of deltas.
+    Whole groups are shared the same way: a group no write touched
+    between two snapshots is one tuple object in both.
     """
 
     device_name: str
     size_bytes: int
     chunk_size: int
-    chunks: Tuple[bytes, ...]
+    groups: Tuple[Tuple[bytes, ...], ...]
+
+    @property
+    def chunks(self) -> Tuple[bytes, ...]:
+        """The chunk table, flattened (a read-only view built per call)."""
+        return tuple(chain.from_iterable(self.groups))
 
     def materialize(self) -> bytes:
         """Flatten to the raw byte image (legacy/fsck consumers)."""
-        return b"".join(self.chunks)
+        return b"".join(chain.from_iterable(self.groups))
 
 
 class ChunkedStore:
     """Shared chunk-table mechanics for :class:`BlockDevice` and MTD.
 
-    Hosts hold ``_chunks`` (a list of immutable ``bytes``), ``_dirty``
+    Hosts hold ``_chunk_groups`` (a list of tuples of :data:`GROUP_CHUNKS`
+    immutable ``bytes`` chunks each; the last may be shorter), ``_dirty``
     (chunk indices rewritten since the last :meth:`snapshot_chunks`
     grab), and a ``stats`` object with the snapshot/restore counters.
+    Group tuples are never mutated: replacing a chunk installs a new
+    tuple for its group, so a snapshot can share the old one.
     """
 
     size_bytes: int
     chunk_size: int
     name: str
     stats: DeviceStats
-    _chunks: List[bytes]
+    _chunk_groups: List[Tuple[bytes, ...]]
     _dirty: Set[int]
 
     def _init_chunks(self, size_bytes: int, chunk_size: int, fill: int = 0) -> None:
@@ -97,24 +116,42 @@ class ChunkedStore:
         # one shared fill chunk: an untouched device is a single refcounted
         # chunk repeated, so empty regions never cost snapshot bytes
         shared = bytes([fill]) * self.chunk_size
-        self._chunks = [shared] * full
+        chunks = [shared] * full
         if tail:
-            self._chunks.append(bytes([fill]) * tail)
+            chunks.append(bytes([fill]) * tail)
+        self._chunk_groups = [tuple(chunks[start : start + GROUP_CHUNKS])
+                              for start in range(0, len(chunks), GROUP_CHUNKS)]
         self._dirty = set()
+
+    # -- the chunk table ---------------------------------------------------
+    def _chunk(self, index: int) -> bytes:
+        return self._chunk_groups[index // GROUP_CHUNKS][index % GROUP_CHUNKS]
+
+    def _set_chunk(self, index: int, chunk: bytes) -> None:
+        """Install ``chunk`` at ``index`` (a new tuple for its group) and
+        mark it dirty."""
+        position, slot = divmod(index, GROUP_CHUNKS)
+        groups = self._chunk_groups
+        group = groups[position]
+        groups[position] = group[:slot] + (chunk,) + group[slot + 1 :]
+        self._dirty.add(index)
 
     # -- ranged access over the chunk table ---------------------------------
     def _read_range(self, offset: int, length: int) -> bytes:
         cs = self.chunk_size
         if length <= 0:
             return b""
-        first = offset // cs
+        first, within = divmod(offset, cs)
         last = (offset + length - 1) // cs
         if first == last:
-            within = offset - first * cs
-            return self._chunks[first][within : within + length]
-        parts = [self._chunks[first][offset - first * cs :]]
-        parts.extend(self._chunks[first + 1 : last])
-        parts.append(self._chunks[last][: offset + length - last * cs])
+            return self._chunk(first)[within : within + length]
+        lo, hi = first // GROUP_CHUNKS, last // GROUP_CHUNKS
+        base = lo * GROUP_CHUNKS
+        parts = list(islice(
+            chain.from_iterable(self._chunk_groups[lo : hi + 1]),
+            first - base, last - base + 1))
+        parts[0] = parts[0][within:]
+        parts[-1] = parts[-1][: offset + length - last * cs]
         return b"".join(parts)
 
     def _store_range(self, offset: int, data: bytes) -> None:
@@ -122,51 +159,62 @@ class ChunkedStore:
         replaced (and marked dirty); identical rewrites keep the shared
         chunk object so snapshot chains stay deduplicated.
 
-        ``data`` may be any buffer (bytes, bytearray, memoryview); it is
-        sliced through a ``memoryview`` so the only copies taken are the
-        per-chunk pieces that actually land in the table.
+        ``data`` may be any buffer; anything but ``bytes`` is copied to
+        ``bytes`` once, so every compare runs bytes against bytes.  A
+        changed chunk is always a new object, never the caller's: a
+        whole-chunk read returns the chunk itself, and writing that
+        object back later must not make the live table share it with a
+        snapshot (restores count diverged chunks by identity).
         """
-        cs = self.chunk_size
-        view = memoryview(data)
-        total = len(view)
+        if type(data) is not bytes:
+            data = bytes(data)
+        total = len(data)
+        index, within = divmod(offset, self.chunk_size)
         consumed = 0
-        position = offset
         while consumed < total:
-            index = position // cs
-            within = position - index * cs
-            old = self._chunks[index]
-            take = min(len(old) - within, total - consumed)
-            piece = view[consumed : consumed + take]
-            if old[within : within + take] != piece:
-                self._chunks[index] = (old[:within] + bytes(piece)
-                                       + old[within + take :])
-                self._dirty.add(index)
-            position += take
+            old = self._chunk(index)
+            size = len(old)
+            end = min(size, within + total - consumed)
+            take = end - within
+            piece = data if take == total else data[consumed : consumed + take]
+            # startswith at ``within`` compares in place, without slicing
+            if not old.startswith(piece, within):
+                if take != size:
+                    piece = old[:within] + piece + old[end:]
+                elif piece is data:
+                    piece = memoryview(data).tobytes()
+                self._set_chunk(index, piece)
             consumed += take
+            index += 1
+            within = 0
 
     # -- snapshot / restore --------------------------------------------------
     @property
     def dirty_bytes_since_snapshot(self) -> int:
         """Bytes rewritten since the last chunk-table grab (what the next
         snapshot will have to account as newly copied)."""
-        return sum(len(self._chunks[index]) for index in self._dirty)
+        return sum(len(self._chunk(index)) for index in self._dirty)
 
     def snapshot_chunks(self) -> DiskSnapshot:
-        """O(1) checkpoint: freeze the chunk table.  Only the chunks
-        dirtied since the previous grab count as copied bytes -- the
-        rest are shared with the parent snapshot."""
+        """Checkpoint: freeze the chunk table, one reference per group.
+        Only the chunks dirtied since the previous grab count as copied
+        bytes -- the rest are shared with the parent snapshot."""
         self.stats.bytes_snapshotted += self.dirty_bytes_since_snapshot
         self._dirty.clear()
         return DiskSnapshot(
             device_name=self.name,
             size_bytes=self.size_bytes,
             chunk_size=self.chunk_size,
-            chunks=tuple(self._chunks),
+            groups=tuple(self._chunk_groups),
         )
 
     def restore_snapshot(self, snapshot: DiskSnapshot) -> int:
         """Swap the chunk table back to ``snapshot``; returns the number
-        of bytes actually rewritten (chunks that diverged)."""
+        of bytes actually rewritten (chunks that diverged).
+
+        A group tuple shared with the snapshot holds the same chunks by
+        construction, so chunk identities are compared only inside the
+        groups that diverged."""
         if snapshot.size_bytes != self.size_bytes or \
                 snapshot.chunk_size != self.chunk_size:
             raise DeviceError(
@@ -174,12 +222,12 @@ class ChunkedStore:
                 f"{snapshot.chunk_size} does not match device "
                 f"{self.size_bytes}/{self.chunk_size}"
             )
-        changed = sum(
-            len(new)
-            for new, current in zip(snapshot.chunks, self._chunks)
-            if new is not current
-        )
-        self._chunks = list(snapshot.chunks)
+        changed = 0
+        for new, current in zip(snapshot.groups, self._chunk_groups):
+            if new is not current:
+                changed += sum(len(chunk) for chunk, live in zip(new, current)
+                               if chunk is not live)
+        self._chunk_groups = list(snapshot.groups)
         self._dirty.clear()
         self.stats.bytes_restored += changed
         return changed
@@ -189,7 +237,7 @@ class ChunkedStore:
         offline fsck checkers need flat bytes).  Counted as snapshot
         traffic: unlike a chunk grab, this copies everything."""
         self.stats.bytes_snapshotted += self.size_bytes
-        return b"".join(self._chunks)
+        return b"".join(chain.from_iterable(self._chunk_groups))
 
     def restore_image(self, image: bytes) -> None:
         """Overwrite the device contents from a raw byte image.
@@ -205,11 +253,12 @@ class ChunkedStore:
             )
         changed = 0
         position = 0
-        for index, old in enumerate(self._chunks):
+        # iterate a frozen copy: _set_chunk replaces group tuples
+        frozen = tuple(chain.from_iterable(self._chunk_groups))
+        for index, old in enumerate(frozen):
             piece = image[position : position + len(old)]
             if piece != old:
-                self._chunks[index] = piece
-                self._dirty.add(index)
+                self._set_chunk(index, piece)
                 changed += len(old)
             position += len(old)
         self.stats.bytes_restored += changed
@@ -252,8 +301,10 @@ class BlockDevice(ChunkedStore):
     # -- raw byte access (used by file systems) --------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``, charging device latency."""
-        self._check_range(offset, length)
-        self._charge(length)
+        if length < 0 or offset < 0 or offset + length > self.size_bytes:
+            raise self._range_error(offset, length)
+        self.clock.charge(self.access_cost + self.per_byte_cost * length,
+                          self.cost_category)
         self.stats.read_requests += 1
         self.stats.bytes_read += length
         return self._read_range(offset, length)
@@ -262,10 +313,13 @@ class BlockDevice(ChunkedStore):
         """Write ``data`` at ``offset``, charging device latency."""
         if self.read_only:
             raise DeviceError(f"{self.name}: device is read-only")
-        self._check_range(offset, len(data))
-        self._charge(len(data))
+        length = len(data)
+        if offset < 0 or offset + length > self.size_bytes:
+            raise self._range_error(offset, length)
+        self.clock.charge(self.access_cost + self.per_byte_cost * length,
+                          self.cost_category)
         self.stats.write_requests += 1
-        self.stats.bytes_written += len(data)
+        self.stats.bytes_written += length
         self._store_range(offset, data)
 
     def read_block(self, block_index: int, block_size: int) -> bytes:
@@ -282,16 +336,10 @@ class BlockDevice(ChunkedStore):
         self.write(block_index * block_size, data)
 
     # -- helpers ----------------------------------------------------------------
-    def _check_range(self, offset: int, length: int) -> None:
-        if length < 0 or offset < 0 or offset + length > self.size_bytes:
-            raise DeviceError(
-                f"{self.name}: access [{offset}, {offset + length}) outside "
-                f"device of {self.size_bytes} bytes"
-            )
-
-    def _charge(self, nbytes: int) -> None:
-        self.clock.charge(
-            self.access_cost + self.per_byte_cost * nbytes, self.cost_category
+    def _range_error(self, offset: int, length: int) -> DeviceError:
+        return DeviceError(
+            f"{self.name}: access [{offset}, {offset + length}) outside "
+            f"device of {self.size_bytes} bytes"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

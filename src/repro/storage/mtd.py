@@ -88,20 +88,26 @@ class MTDDevice(ChunkedStore):
 
     def write(self, offset: int, data: bytes) -> None:
         """Program bytes.  Flash can only clear bits (1 -> 0)."""
-        self._check_range(offset, len(data))
-        current = self._read_range(offset, len(data))
-        for i, byte in enumerate(data):
-            if current[i] & byte != byte:
-                raise DeviceError(
-                    f"{self.name}: programming 0x{byte:02x} over "
-                    f"0x{current[i]:02x} at offset {offset + i} would set "
-                    f"bits; erase first"
-                )
-        self.clock.charge(Cost.MTD_ACCESS + Cost.MTD_PER_BYTE * len(data), "mtd-io")
+        length = len(data)
+        self._check_range(offset, length)
+        current = self._read_range(offset, length)
+        # one whole-buffer AND: byte i is bits 8i..8i+7 of the little-endian
+        # integer, so the lowest bit the write would set names its byte
+        have = int.from_bytes(current, "little")
+        want = int.from_bytes(data, "little")
+        programmed = have & want
+        if programmed != want:
+            bad = want & ~have
+            i = ((bad & -bad).bit_length() - 1) // 8
+            raise DeviceError(
+                f"{self.name}: programming 0x{data[i]:02x} over "
+                f"0x{current[i]:02x} at offset {offset + i} would set "
+                f"bits; erase first"
+            )
+        self.clock.charge(Cost.MTD_ACCESS + Cost.MTD_PER_BYTE * length, "mtd-io")
         self.stats.write_requests += 1
-        self.stats.bytes_written += len(data)
-        programmed = bytes(c & b for c, b in zip(current, data))
-        self._store_range(offset, programmed)
+        self.stats.bytes_written += length
+        self._store_range(offset, programmed.to_bytes(length, "little"))
 
     def erase_block(self, block_index: int) -> None:
         if not 0 <= block_index < self.erase_block_count:
@@ -109,13 +115,12 @@ class MTDDevice(ChunkedStore):
         self.clock.charge(Cost.MTD_ERASE, "mtd-erase")
         self.stats.erases += 1
         self.wear[block_index] += 1
-        if self._chunks[block_index] != self._erased_chunk:
+        if self._chunk(block_index) != self._erased_chunk:
             # install the shared erased chunk so snapshots dedup it
-            self._chunks[block_index] = self._erased_chunk
-            self._dirty.add(block_index)
+            self._set_chunk(block_index, self._erased_chunk)
 
     def is_block_erased(self, block_index: int) -> bool:
-        return self._chunks[block_index] == self._erased_chunk
+        return self._chunk(block_index) == self._erased_chunk
 
     # -- snapshot / restore (wear rides the checkpoint token) ---------------
     def snapshot_chunks(self) -> MTDSnapshot:
@@ -124,7 +129,7 @@ class MTDDevice(ChunkedStore):
             device_name=base.device_name,
             size_bytes=base.size_bytes,
             chunk_size=base.chunk_size,
-            chunks=base.chunks,
+            groups=base.groups,
             wear=tuple(self.wear),
         )
 
@@ -159,7 +164,7 @@ class MTDBlockAdapter(BlockDevice):
         self.mtd = mtd
         # the adapter has no storage of its own; all snapshot/restore
         # traffic flows through the MTD's chunk table
-        self._chunks = []
+        self._chunk_groups = []
         self._dirty = set()
 
     def read(self, offset: int, length: int) -> bytes:

@@ -130,6 +130,23 @@ def test_visited_table_public_api_is_fine():
     assert invariants("seen = table.export_seen()") == []
 
 
+def test_raw_device_data_access():
+    assert invariants("groups = device._chunk_groups") == ["raw-device-data"]
+    assert invariants("device._chunk_groups[0] = ()") == ["raw-device-data"]
+
+
+def test_raw_device_data_allowed_inside_storage_package():
+    path = os.path.join(os.path.dirname(repro.__file__),
+                        "storage", "device.py")
+    findings = run_lint([path])
+    assert not [f for f in findings if f.invariant == "raw-device-data"]
+
+
+def test_device_public_api_is_fine():
+    assert invariants("token = device.snapshot_chunks()") == []
+    assert invariants("chunks = token.chunks") == []
+
+
 def test_raw_entry_cache_access():
     assert invariants("store = cache._merkle") == ["raw-entry-cache"]
     assert invariants("memo = record._enc_memo") == ["raw-entry-cache"]

@@ -1,6 +1,8 @@
 """Tests for the MTD device (mtdram) and block adapter (mtdblock)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.errors import DeviceError
@@ -57,6 +59,54 @@ class TestFlashSemantics:
         write_time = clock.now
         device.erase_block(0)
         assert clock.now - write_time > write_time
+
+
+def loop_program(name, offset, current, data):
+    """The per-byte programming loop ``MTDDevice.write`` used to run,
+    kept as the reference for the whole-buffer version."""
+    for i, byte in enumerate(data):
+        if current[i] & byte != byte:
+            raise DeviceError(
+                f"{name}: programming 0x{byte:02x} over "
+                f"0x{current[i]:02x} at offset {offset + i} would set "
+                f"bits; erase first"
+            )
+    return bytes(c & b for c, b in zip(current, data))
+
+
+class TestProgrammingMatchesTheLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.binary(min_size=256, max_size=256),
+           offset=st.integers(0, 255),
+           data=st.binary(max_size=96),
+           compatible=st.booleans())
+    def test_same_result_or_same_error(self, base, offset, data, compatible):
+        mtd = MTDDevice(256, erase_block_size=64, clock=SimClock())
+        mtd.write(0, base)  # anything programs over fresh 0xFF flash
+        data = data[: 256 - offset]
+        current = mtd.read(offset, len(data))
+        if compatible:  # only clears bits: must succeed
+            data = bytes(c & b for c, b in zip(current, data))
+        try:
+            expected = loop_program(mtd.name, offset, current, data)
+        except DeviceError as error:
+            with pytest.raises(DeviceError) as raised:
+                mtd.write(offset, data)
+            assert str(raised.value) == str(error)
+            assert mtd.read(offset, len(data)) == current
+            return
+        before = mtd.stats.write_requests
+        mtd.write(offset, data)
+        assert mtd.read(offset, len(data)) == expected
+        assert mtd.stats.write_requests == before + 1
+
+    def test_error_names_the_first_offending_byte(self, mtd):
+        mtd.write(8, b"\x0f\xff\x00\x0f")
+        with pytest.raises(DeviceError) as raised:
+            mtd.write(8, b"\x0f\xff\x01\xff")  # bytes 2 and 3 set bits
+        assert str(raised.value).endswith(
+            f"{mtd.name}: programming 0x01 over 0x00 at offset 10 would "
+            f"set bits; erase first")
 
 
 class TestSnapshotRestore:
