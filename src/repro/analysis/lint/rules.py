@@ -32,13 +32,13 @@ These rules flag the source-level hazards that silently break that:
   bypasses the stats/memory accounting.  (Warn severity: enforced by
   ``repro lint --strict``.)
 * ``raw-entry-cache`` -- direct access to the incremental abstraction
-  cache's internals (``._merkle`` copy-on-write store, ``._enc_memo``
-  per-record encodings).  Outside :mod:`repro.core.abstraction` callers
-  must use ``refresh``/``digests``/``snapshot``/``restore``/
-  ``invalidate``: a raw poke can desynchronise the sorted key array,
-  the digest lanes, and the Merkle prefix checkpoints, silently
-  corrupting every later state hash.  (Warn severity: enforced by
-  ``repro lint --strict``.)
+  cache's internals (the ``._merkle`` copy-on-write store, whose digest
+  lanes hold the per-record encodings).  Outside
+  :mod:`repro.core.abstraction` callers must use ``refresh``/
+  ``digests``/``snapshot``/``restore``/``invalidate``: a raw poke can
+  desynchronise the sorted key array, the digest lanes, and the Merkle
+  prefix checkpoints, silently corrupting every later state hash.
+  (Warn severity: enforced by ``repro lint --strict``.)
 * ``unsorted-fs-listing`` -- bare ``os.listdir``/``os.scandir``/
   ``glob.glob``/``glob.iglob``/``Path.iterdir`` results used without
   ``sorted(...)``.  The OS returns directory entries in on-disk order,
@@ -106,9 +106,9 @@ RAW_DEVICE_ATTRS = {"_chunk_groups"}
 RAW_VISITED_ATTRS = {"_seen"}
 
 #: the incremental abstraction cache's internals (the copy-on-write
-#: Merkle store and the per-record encoding memo); callers outside
-#: ``repro.core.abstraction`` must use the cache's public surface
-RAW_ENTRY_CACHE_ATTRS = {"_merkle", "_enc_memo"}
+#: Merkle store); callers outside ``repro.core.abstraction`` must use the
+#: cache's public surface
+RAW_ENTRY_CACHE_ATTRS = {"_merkle"}
 
 #: dotted call suffixes returning OS-ordered directory listings
 FS_LISTING_SUFFIXES = ("os.listdir", "os.scandir", "glob.glob", "glob.iglob")

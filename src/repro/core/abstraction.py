@@ -26,13 +26,14 @@ behaviour POSIX leaves unspecified.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from repro.errors import FsError
-from repro.kernel.stat import DT_DIR, DT_LNK, S_IFMT
-from repro.util.paths import join_path
+from repro.errors import ENOENT, ENOSYS, ENOTDIR, ENOTSUP, FsError
+from repro.kernel.stat import S_IFMT
 
 #: special paths ignored by default: ext's lost+found and the dummy file
 #: created by free-space equalization.
@@ -68,8 +69,8 @@ class AbstractionOptions:
         )
 
     def __hash__(self):
-        # options are immutable and used as memo keys on every record
-        # encode; memoize the field-tuple hash instead of recomputing it
+        # options are immutable and key every store's digest lanes;
+        # memoize the field-tuple hash instead of recomputing it
         cached = self.__dict__.get("_hash_memo")
         if cached is None:
             cached = hash((  # det-lint: allow[builtin-hash] in-process memo key only; excluded from pickles, never serialised or compared across processes
@@ -88,11 +89,14 @@ class AbstractionOptions:
                 if key != "_hash_memo"}
 
 
-@dataclass(frozen=True)
-class EntryRecord:
+class EntryRecord(NamedTuple):
     """One walked entry: everything the abstraction hashes, plus the
     relative path -- also used by integrity checks to produce readable
-    diffs between file systems."""
+    diffs between file systems.
+
+    An immutable tuple: one is built per re-walked entry per state, and a
+    tuple is built in one allocation where a frozen dataclass pays an
+    ``object.__setattr__`` per field."""
 
     path: str  # relative to the mount point, e.g. "/d0/f1"
     mode: int
@@ -116,41 +120,28 @@ class EntryRecord:
             attrs.extend([self.atime, self.mtime])
         return tuple(attrs)
 
-    def __getstate__(self):
-        # the per-variant encoding memo (see encode_entry) is a derived
-        # cache: rebuild it rather than shipping it across pickles/copies
-        return {key: value for key, value in self.__dict__.items()
-                if key != "_enc_memo"}
-
 
 def encode_entry(record: EntryRecord, options: AbstractionOptions) -> bytes:
     """The exact bytes :func:`hash_entries` feeds MD5 for one record.
 
-    Memoized on the record per :class:`AbstractionOptions` variant
-    (records are frozen, so the encoding can never go stale): the
-    state-matching and the integrity abstraction share one encoding pass
-    per record, and re-hashing an unchanged record costs one dict lookup
-    instead of per-attribute ``str().encode()`` work.
+    The content digest, the xattr digest, then every important attribute
+    and the path, each NUL-terminated.  The incremental cache keeps these
+    bytes in its digest lanes, so a record is encoded once per options
+    variant while it stays cached.
     """
-    memo = record.__dict__.get("_enc_memo")
-    if memo is None:
-        memo = {}
-        object.__setattr__(record, "_enc_memo", memo)
-    cached = memo.get(options)
-    if cached is None:
-        # one join + one encode: every piece before the path is ASCII
-        # (hex digests, decimal attributes), so a single utf-8 encode of
-        # the concatenation is byte-identical to encoding piecewise
-        parts = [record.content_md5]
-        if options.include_xattrs:
-            parts.append(record.xattr_md5)
-        for attr in record.important_attributes(options):
-            parts.append(f"{attr}\x00")
-        parts.append(record.path)
-        parts.append("\x00")
-        cached = "".join(parts).encode("utf-8")
-        memo[options] = cached
-    return cached
+    # one encode: every piece before the path is ASCII (hex digests,
+    # decimal attributes), so encoding the concatenation is
+    # byte-identical to encoding piecewise
+    return (
+        record.content_md5
+        + (record.xattr_md5 if options.include_xattrs else "")
+        + "\x00".join(map(str, record.important_attributes(options)))
+        + "\x00" + record.path + "\x00"
+    ).encode("utf-8")
+
+
+#: sort key of walked records
+_record_path = attrgetter("path")
 
 
 def _build_record(
@@ -221,7 +212,7 @@ def collect_entries(
                 _build_record(kernel, mountpoint, rel_path, attrs, options)
             )
     if options.sort_entries:
-        records.sort(key=lambda record: record.path)
+        records.sort(key=_record_path)
     return records
 
 
@@ -237,8 +228,6 @@ def collect_subtree(
     try:
         attrs = kernel.lstat(mountpoint + rel_root)
     except FsError as error:
-        from repro.errors import ENOENT, ENOTDIR
-
         if error.code in (ENOENT, ENOTDIR):
             return []
         raise
@@ -267,8 +256,6 @@ def _hash_xattrs(kernel, mountpoint: str, path: str) -> str:
     discrepancy on the setxattr operation itself).  The first feature
     absence is remembered on the mount, so later record builds skip the
     listxattr call instead of re-learning the same errno per entry."""
-    from repro.errors import ENOSYS, ENOTSUP
-
     try:
         mount = kernel.mount_at(mountpoint)
     except FsError:
@@ -427,8 +414,7 @@ class _MerkleStore:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class AbstractionToken:
+class AbstractionToken(NamedTuple):
     """Checkpoint of an :class:`EntryCache` plus the mount's dirty state.
 
     Captured alongside a checkpoint strategy's token and reinstated on
@@ -448,6 +434,25 @@ class AbstractionToken:
     dirty_parents: FrozenSet[str]
     multilink_inos: FrozenSet[int]
     change_generation: int
+
+
+def _excepted(path: str, marks: Tuple[str, ...]) -> bool:
+    """Whether a component of ``path`` is on the exception list, given
+    the list as ``"/name/"`` marks: ``"/name/"`` occurs in ``path + "/"``
+    exactly when ``name`` is one of its components."""
+    probe = path + "/"
+    for mark in marks:
+        if mark in probe:
+            return True
+    return False
+
+
+def _covered(path: str, roots: List[str]) -> bool:
+    """Whether ``path`` is one of ``roots`` or lies below one."""
+    for root in roots:
+        if path == root or path.startswith(root + "/"):
+            return True
+    return False
 
 
 class EntryCache:
@@ -472,6 +477,9 @@ class EntryCache:
 
     def __init__(self, options: AbstractionOptions):
         self.options = options
+        #: the exception list as ``_excepted``'s ``"/name/"`` marks
+        self._exception_marks = tuple(
+            f"/{name}/" for name in sorted(options.exception_list) if name)
         self._merkle: Optional[_MerkleStore] = None
         self.generation: Optional[int] = None
         self.counters: Dict[str, int] = {
@@ -492,23 +500,6 @@ class EntryCache:
             self._merkle = store
             self.counters["cow_clones"] += 1
         return store
-
-    def _lane(self, store: _MerkleStore,
-              options: AbstractionOptions) -> _Lane:
-        """The digest lane for ``options``, encoding the store lazily.
-
-        Filling a missing lane mutates ``store.lanes`` even when the
-        store is shared with checkpoints: the lane is a pure function of
-        the store's records, so every holder computes the same bytes.
-        """
-        lane = store.lanes.get(options)
-        if lane is None:
-            enc = [encode_entry(store.records[key], options)
-                   for key in store.keys]
-            lane = _Lane(enc, [], None)
-            store.lanes[options] = lane
-            self.counters["records_encoded"] += len(enc)
-        return lane
 
     def _invalidate_from(self, store: _MerkleStore, index: int) -> None:
         """Drop derived state at and after sorted position ``index``."""
@@ -536,12 +527,14 @@ class EntryCache:
                 self.counters["records_encoded"] += 1
         self._invalidate_from(store, index)
 
-    def _evict(self, store: _MerkleStore, path: str) -> None:
-        """Drop ``path`` and its whole subtree: one range splice."""
+    def _evict(self, store: _MerkleStore, path: str,
+               with_root: bool = True) -> None:
+        """Drop ``path``'s subtree (``with_root=False``: only what is
+        below it): range splices."""
         keys = store.keys
         lo, hi = store.descendants(path)
         exact = bisect_left(keys, path, 0, lo)
-        has_exact = exact < len(keys) and keys[exact] == path
+        has_exact = with_root and exact < len(keys) and keys[exact] == path
         if not has_exact and lo == hi:
             return
         if hi > lo:
@@ -561,15 +554,20 @@ class EntryCache:
         self._invalidate_from(store, exact if has_exact else lo)
 
     def _adopt_subtree(self, store: _MerkleStore, kernel, mountpoint: str,
-                       path: str) -> None:
-        """Evict ``path``'s subtree and splice in a fresh collection."""
-        self._evict(store, path)
+                       path: str, rewalked: List[str]) -> None:
+        """Replace ``path``'s subtree with a fresh collection, and note
+        ``path`` in ``rewalked``."""
+        rewalked.append(path)
         collected = collect_subtree(kernel, mountpoint, path, self.options)
         if not collected:
-            return  # the subtree is gone; the evict already said so
+            self._evict(store, path)  # the subtree is gone
+            return
+        # the root record is replaced in place (or inserted), its old
+        # descendants are dropped and the fresh ones spliced in
+        self._evict(store, path, with_root=False)
         self._upsert(store, collected[0])
-        children = sorted(collected[1:], key=lambda record: record.path)
-        if children:
+        if len(collected) > 1:
+            children = sorted(collected[1:], key=_record_path)
             # the evict emptied the descendant range, so the sorted batch
             # splices in as one contiguous run at the range's lower bound
             lo = bisect_left(store.keys, path + "/")
@@ -586,24 +584,26 @@ class EntryCache:
     def _sync(self, kernel, mountpoint: str, mount,
               profile=None) -> _MerkleStore:
         """Bring the store up to date, re-walking only dirty regions."""
-        if (
-            self._merkle is not None
-            and not mount.fully_dirty
-            and self.generation == mount.change_generation
-        ):
-            return self._merkle  # nothing changed: zero syscalls
-        if self._merkle is None or mount.fully_dirty:
-            work = lambda: self._rebuild(kernel, mountpoint)
+        store = self._merkle
+        if (store is not None and not mount.fully_dirty
+                and self.generation == mount.change_generation):
+            return store  # nothing changed: zero syscalls
+        if store is None or mount.fully_dirty:
+            if profile is None:
+                self._rebuild(kernel, mountpoint)
+            else:
+                profile.timed("abstraction_syscall", self._rebuild,
+                              kernel, mountpoint)
+            # the full walk answers every pending mark
+            mount.fully_dirty = False
+            mount.dirty_paths.clear()
+            mount.dirty_records.clear()
+            mount.dirty_parents.clear()
+        elif profile is None:
+            self._apply_dirty(kernel, mountpoint, mount)
         else:
-            work = lambda: self._apply_dirty(kernel, mountpoint, mount)
-        if profile is not None:
-            profile.timed("abstraction_syscall", work)
-        else:
-            work()
-        mount.fully_dirty = False
-        mount.dirty_paths.clear()
-        mount.dirty_records.clear()
-        mount.dirty_parents.clear()
+            profile.timed("abstraction_syscall", self._apply_dirty,
+                          kernel, mountpoint, mount)
         self.generation = mount.change_generation
         return self._merkle
 
@@ -645,20 +645,33 @@ class EntryCache:
         """
         store = self._sync(kernel, mountpoint, mount, profile)
         if profile is not None:
-            return profile.timed("abstraction_hash", self._digest_all,
+            return profile.timed("abstraction_hash", self._digests,
                                  store, variants)
-        return self._digest_all(store, variants)
+        return self._digests(store, variants)
 
-    def _digest_all(self, store: _MerkleStore,
-                    variants: Sequence[AbstractionOptions]) -> Tuple[str, ...]:
-        return tuple([self._digest(store, options) for options in variants])
+    def _digests(self, store: _MerkleStore,
+                 variants: Sequence[AbstractionOptions]) -> Tuple[str, ...]:
+        digests = []
+        for options in variants:
+            lane = store.lanes.get(options)
+            if lane is None:
+                # encoded lazily, into the store even when checkpoints
+                # share it: a lane is a pure function of the records, so
+                # every holder computes the same bytes
+                enc = [encode_entry(store.records[key], options)
+                       for key in store.keys]
+                lane = store.lanes[options] = _Lane(enc, [], None)
+                self.counters["records_encoded"] += len(enc)
+            digest = lane.digest
+            if digest is None:
+                digest = lane.digest = self._hash_lane(lane)
+            else:
+                self.counters["digest_hits"] += 1
+            digests.append(digest)
+        return tuple(digests)
 
-    def _digest(self, store: _MerkleStore,
-                options: AbstractionOptions) -> str:
-        lane = self._lane(store, options)
-        if lane.digest is not None:
-            self.counters["digest_hits"] += 1
-            return lane.digest
+    def _hash_lane(self, lane: _Lane) -> str:
+        """Resume the lane's MD5 from its last prefix checkpoint."""
         enc = lane.enc
         ctxs = lane.ctxs
         blocks = len(enc) // HASH_BLOCK
@@ -671,48 +684,34 @@ class EntryCache:
             # are pure functions of the content, stored as private copies
             ctxs.append(ctx.copy())
             self.counters["blocks_hashed"] += 1
-        tail = enc[blocks * HASH_BLOCK:]
+        tail = enc[blocks * HASH_BLOCK:] if blocks else enc
         if tail:
             ctx.update(b"".join(tail))
             self.counters["blocks_hashed"] += 1
-        lane.digest = ctx.hexdigest()
-        return lane.digest
+        return ctx.hexdigest()
 
     def _apply_dirty(self, kernel, mountpoint: str, mount) -> None:
-        from repro.errors import ENOENT, ENOTDIR
-
+        """Consume the mount's dirty sets into a writable store."""
         store = self._writable()
         options = self.options
+        marks = self._exception_marks
         rewalked: List[str] = []  # subtree roots re-collected this refresh
 
-        def covered(path: str) -> bool:
-            return any(
-                path == root or path.startswith(root + "/") for root in rewalked
-            )
-
-        def excepted(path: str) -> bool:
-            return any(
-                part in options.exception_list
-                for part in path.split("/")
-                if part
-            )
-
-        def rewalk(path: str) -> None:
-            self._adopt_subtree(store, kernel, mountpoint, path)
-            rewalked.append(path)
+        dirty_paths, dirty_parents, dirty_records = (
+            mount.dirty_paths, mount.dirty_parents, mount.dirty_records)
 
         # 1. entry-dirty: content (and possibly the whole subtree) changed.
-        #    Ancestors sort first, so covered() suppresses nested re-walks.
-        for path in sorted(mount.dirty_paths):
-            if excepted(path) or covered(path):
+        #    Ancestors sort first, so _covered() suppresses nested re-walks.
+        for path in sorted(dirty_paths):
+            if _excepted(path, marks) or _covered(path, rewalked):
                 continue
-            rewalk(path)
+            self._adopt_subtree(store, kernel, mountpoint, path, rewalked)
 
         # 2. parent-dirty: directory membership changed; reconcile the
         #    entry list and refresh the directory's own record, keeping
         #    every untouched child subtree cached.
-        for rel_dir in sorted(mount.dirty_parents):
-            if excepted(rel_dir) or covered(rel_dir):
+        for rel_dir in sorted(dirty_parents):
+            if _excepted(rel_dir, marks) or _covered(rel_dir, rewalked):
                 continue
             abs_dir = mountpoint if rel_dir == "/" else mountpoint + rel_dir
             try:
@@ -722,11 +721,12 @@ class EntryCache:
                     self._evict(store, rel_dir)  # the directory is gone
                     continue
                 raise
-            if not attrs.is_dir:
-                rewalk(rel_dir)  # replaced by a non-directory
-                continue
-            if rel_dir != "/" and rel_dir not in store.records:
-                rewalk(rel_dir)  # never cached: collect it whole
+            if not attrs.is_dir or (rel_dir != "/"
+                                    and rel_dir not in store.records):
+                # replaced by a non-directory, or never cached: collect
+                # it whole
+                self._adopt_subtree(store, kernel, mountpoint, rel_dir,
+                                    rewalked)
                 continue
             prefix = "" if rel_dir == "/" else rel_dir
             live_names = {
@@ -744,7 +744,8 @@ class EntryCache:
                 if "/" not in key[len(prefix) + 1:]
             }
             for name in sorted(live_names - cached_names):
-                rewalk(prefix + "/" + name)
+                self._adopt_subtree(store, kernel, mountpoint,
+                                    prefix + "/" + name, rewalked)
             for name in sorted(cached_names - live_names):
                 self._evict(store, prefix + "/" + name)
             if rel_dir != "/":
@@ -768,8 +769,8 @@ class EntryCache:
 
         # 3. record-dirty: only the entry's own attributes (and possibly
         #    xattrs) changed; content and children stay cached.
-        for path in sorted(mount.dirty_records):
-            if excepted(path) or covered(path):
+        for path in sorted(dirty_records):
+            if _excepted(path, marks) or _covered(path, rewalked):
                 continue
             cached = store.records.get(path)
             if cached is None:
@@ -798,6 +799,11 @@ class EntryCache:
                 atime=attrs.st_atime,
                 mtime=attrs.st_mtime,
             ))
+
+        # consumed: clear only the sets that held marks
+        for marked in (dirty_paths, dirty_parents, dirty_records):
+            if marked:
+                marked.clear()
 
     # -- checkpoint plumbing -------------------------------------------------
     def snapshot(self, mount) -> AbstractionToken:

@@ -73,19 +73,19 @@ class SyscallEngine:
     def run_operation(self, operation: Operation) -> LoggedOperation:
         """Execute one operation everywhere; check outcomes; log it."""
         outcomes: Dict[str, Outcome] = {}
+        catalog, strategies = self.catalog, self.strategies
         for fut in self.futs:
-            outcomes[fut.label] = self.catalog.execute(fut, operation)
-            self.strategy_for(fut).after_operation(fut)
-        logged = LoggedOperation(operation=operation, outcomes=outcomes)
+            outcomes[fut.label] = catalog.execute(fut, operation)
+            strategies[fut.label].after_operation(fut)
+        logged = LoggedOperation(operation, outcomes)
         self.operation_log.append(logged)
         self.operations_executed += 1
         if self.coverage is not None:
             self.coverage.record(operation, outcomes)
 
-        labels = [fut.label for fut in self.futs]
+        # labels are unique, so the dict holds the outcomes in fut order
         mismatch = self.checker.compare_outcomes(
-            labels, [outcomes[label] for label in labels]
-        )
+            list(outcomes), list(outcomes.values()))
         if mismatch is not None:
             suspects: List[str] = []
             if self.majority_voting and len(self.futs) >= 3:
@@ -127,14 +127,16 @@ class SyscallEngine:
         On the incremental route the records never leave the cache --
         both variant hashes resume from their Merkle prefix checkpoints.
         """
-        matching = self.matching_options or self.options
+        options = self.options
+        matching = self.matching_options or options
+        profile = self.profile
         hashes: List[str] = []
         match_hashes: List[str] = []
         held: List[Optional[Sequence]] = []
         for fut in self.futs:
             try:
                 records, state_hash, match_hash = fut.entries_digests(
-                    self.options, matching, profile=self.profile
+                    options, matching, profile=profile
                 )
             except FsError as error:
                 raise DiscrepancyError(
@@ -148,10 +150,9 @@ class SyscallEngine:
             match_hashes.append(match_hash)
 
         reference = hashes[0]
-        for index, (fut, state_hash) in enumerate(
-            zip(self.futs[1:], hashes[1:]), start=1
-        ):
-            if state_hash != reference:
+        for index in range(1, len(hashes)):
+            if hashes[index] != reference:
+                fut = self.futs[index]
                 def held_records(index: int):
                     # full-walk route: reuse the records collected above;
                     # cache route: the cache is synced, so this costs

@@ -32,6 +32,10 @@ from repro.verifs.common import IOCTL_CHECKPOINT, IOCTL_RESTORE
 from repro.verifs.mounting import VeriFSMount, mount_verifs
 
 
+def _hash_variants(records, variants) -> tuple:
+    return tuple([hash_entries(records, variant) for variant in variants])
+
+
 class FilesystemUnderTest:
     """One file system registered with MCFS."""
 
@@ -136,25 +140,26 @@ class FilesystemUnderTest:
         no further syscalls.  The full-walk route collects once, hashes
         twice, and returns the records it held anyway.
         """
-        variants = ((options,) if matching is options or matching == options
-                    else (options, matching))
-        if self._use_cache(options, incremental) and all(
-            cacheable_options(variant) for variant in variants
-        ):
-            cache = self._live_cache(options)
-            mount = self.kernel.mount_at(self.mountpoint)
-            digests = cache.digests(
-                self.kernel, self.mountpoint, mount, variants, profile)
+        same = matching is options or matching == options
+        variants = (options,) if same else (options, matching)
+        if (self._use_cache(options, incremental)
+                and (same or cacheable_options(matching))):
+            cache = self._entry_cache
+            if cache is None or cache.options is not options:
+                cache = self._live_cache(options)
+            kernel = self.kernel
+            digests = cache.digests(kernel, self.mountpoint,
+                                    kernel.mount_at(self.mountpoint),
+                                    variants, profile)
             return (None, digests[0], digests[-1])
-        walk = lambda: collect_entries(self.kernel, self.mountpoint, options)
         if profile is not None:
-            records = profile.timed("abstraction_syscall", walk)
-            hashes = profile.timed("abstraction_hash", lambda: tuple(
-                hash_entries(records, variant) for variant in variants))
+            records = profile.timed("abstraction_syscall", collect_entries,
+                                    self.kernel, self.mountpoint, options)
+            hashes = profile.timed("abstraction_hash", _hash_variants,
+                                   records, variants)
         else:
-            records = walk()
-            hashes = tuple(hash_entries(records, variant)
-                           for variant in variants)
+            records = collect_entries(self.kernel, self.mountpoint, options)
+            hashes = _hash_variants(records, variants)
         return (records, hashes[0], hashes[-1])
 
     # ------------------------------------------------- abstraction cache --
@@ -173,16 +178,18 @@ class FilesystemUnderTest:
         cache): distrust everything and force a full re-walk.
         """
         mount = self.kernel.mount_at(self.mountpoint)
+        cache = self._entry_cache
         if (
             token is None
-            or self._entry_cache is None
-            or token.options != self._entry_cache.options
+            or cache is None
+            or (token.options is not cache.options
+                and token.options != cache.options)
         ):
             mount.mark_fully_dirty()
-            if self._entry_cache is not None:
-                self._entry_cache.invalidate()  # the next refresh re-walks
+            if cache is not None:
+                cache.invalidate()  # the next refresh re-walks
             return
-        self._entry_cache.restore(token, mount)
+        cache.restore(token, mount)
 
     def check_consistency(self) -> List[str]:
         return self.kernel.mount_at(self.mountpoint).fs.check_consistency()

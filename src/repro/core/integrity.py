@@ -23,7 +23,8 @@ from repro.mc.explorer import PropertyViolation
 
 @dataclass(frozen=True)
 class Outcome:
-    """The observable result of one operation on one file system."""
+    """The observable result of one operation on one file system (an
+    immutable value: ``ok(0)`` and each errno's failure are shared)."""
 
     ok: bool
     value: Optional[object] = None
@@ -31,11 +32,16 @@ class Outcome:
 
     @classmethod
     def success(cls, value: object = 0) -> "Outcome":
+        if type(value) is int and value == 0:
+            return OK
         return cls(ok=True, value=value)
 
     @classmethod
     def failure(cls, errno: int) -> "Outcome":
-        return cls(ok=False, errno=errno)
+        outcome = _FAILURES.get(errno)
+        if outcome is None:
+            outcome = _FAILURES[errno] = cls(ok=False, errno=errno)
+        return outcome
 
     def describe(self) -> str:
         if self.ok:
@@ -48,6 +54,12 @@ class Outcome:
         if self.ok:
             return self.value == other.value
         return self.errno == other.errno
+
+
+#: the shared ``ok(0)`` outcome
+OK = Outcome(ok=True, value=0)
+#: errno -> its shared failure outcome, filled on first use
+_FAILURES: Dict[int, Outcome] = {}
 
 
 @dataclass
@@ -152,7 +164,8 @@ class IntegrityChecker:
         self.outcome_checks += 1
         reference = outcomes[0]
         for label, outcome in zip(labels[1:], outcomes[1:]):
-            if not reference.matches(outcome):
+            # shared outcomes (ok(0), one per errno) match by identity
+            if outcome is not reference and not reference.matches(outcome):
                 return (
                     f"{labels[0]} -> {reference.describe()} but "
                     f"{label} -> {outcome.describe()}"

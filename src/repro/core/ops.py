@@ -37,6 +37,21 @@ class Operation:
     name: str
     args: Tuple = ()
 
+    def __hash__(self):
+        # operations are immutable and hashed by every sleep-set and
+        # successor-memo probe of the DFS; memoize the field-tuple hash
+        cached = self.__dict__.get("_hash_memo")
+        if cached is None:
+            cached = hash((self.name, self.args))  # det-lint: allow[builtin-hash] in-process memo key only; excluded from pickles, never serialised or compared across processes
+            object.__setattr__(self, "_hash_memo", cached)
+        return cached
+
+    def __getstate__(self):
+        # the memoized hash mixes string hashes, which vary per process
+        # under hash randomization: never ship it across pickles
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_hash_memo"}
+
     def describe(self) -> str:
         rendered = ", ".join(repr(value) for value in self.args)
         return f"{self.name}({rendered})"

@@ -12,7 +12,7 @@ caused VeriFS1's ghost-EEXIST bug (section 6).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 from repro.clock import Cost, SimClock
 from repro.errors import EIO, FsError
@@ -37,26 +37,19 @@ class FuseConnection:
         self._next_unique = 1
 
     # ----------------------------------------------------------- kernel side --
-    def send(self, op: FuseOp, **args):
+    def send_dict(self, op: FuseOp, args: Tuple[Any, ...]):
         """Send a request to the userspace server and return its reply.
 
-        Failures come back as raised :class:`FsError`, mirroring how the
-        real kernel driver turns negative reply codes into errno results.
-        """
-        return self.send_dict(op, args)
-
-    def send_dict(self, op: FuseOp, args):
-        """:meth:`send` taking the argument dict directly.
-
-        The driver already holds its kwargs as a dict; passing it through
-        unchanged avoids a second pack/unpack on every message (the
-        hottest constant in the whole transport).  ``args`` is owned by
-        the request from here on -- callers must not mutate it after.
+        ``args`` is the callback's positional argument tuple (the name is
+        historical: it once carried a kwargs dict), which the server
+        unpacks straight into the method call.  Failures come back as
+        raised :class:`FsError`, mirroring how the real kernel driver
+        turns negative reply codes into errno results.
         """
         server = self.server
         if server is None:
             raise FsError(EIO, "FUSE connection has no server (transport endpoint)")
-        request = FuseRequest(op=op, args=args, unique=self._next_unique)
+        request = FuseRequest(op, args, self._next_unique)
         self._next_unique += 1
         self.requests_sent += 1
         # hand-inlined clock.charge: one round trip per message, and the

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, NamedTuple, Tuple
 
 
 class FuseOp(enum.Enum):
@@ -40,10 +39,13 @@ class FuseOp(enum.Enum):
     DESTROY = "destroy"
 
 
-@dataclass(slots=True)
-class FuseRequest:
-    """One kernel -> userspace request."""
+class FuseRequest(NamedTuple):
+    """One kernel -> userspace request.
+
+    ``args`` is the positional argument tuple of the server callback
+    ``op`` names, so dispatch is a plain ``method(*args)``.
+    """
 
     op: FuseOp
-    args: Dict[str, Any] = field(default_factory=dict)
+    args: Tuple[Any, ...] = ()
     unique: int = 0  # request id, mirrors the real protocol's unique field

@@ -71,7 +71,7 @@ class FuseServerProcess:
         if method is None:
             raise FsError(ENOSYS, f"{type(self.filesystem).__name__} does not "
                                   f"implement {request.op.value}")
-        return method(**request.args)
+        return method(*request.args)
 
     # ------------------------------------------------- process snapshotting --
     def memory_image(self) -> Dict[str, Any]:

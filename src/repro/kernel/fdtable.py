@@ -64,7 +64,7 @@ class FDTable:
 
     def allocate(self, mount_id: int, ino: int, flags: int, path: str = "") -> OpenFile:
         fd = self._lowest_free_fd()
-        entry = OpenFile(fd=fd, mount_id=mount_id, ino=ino, flags=flags, path=path)
+        entry = OpenFile(fd, mount_id, ino, flags, 0, path)
         self._open[fd] = entry
         return entry
 

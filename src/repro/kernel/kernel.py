@@ -88,10 +88,10 @@ class Kernel:
         self._mounts: Dict[str, Mount] = {}
         self._next_mount_id = 1
         self.syscall_count = 0
-        #: memo for _find_mount: path -> (mount, relative).  Pure
-        #: mountpoint arithmetic, so entries stay valid until the mount
-        #: table itself changes; mount()/umount() clear it.
-        self._mount_cache: Dict[str, Tuple[Mount, str]] = {}
+        #: memo for _find_mount: path -> (mount, relative, components).
+        #: Pure mountpoint arithmetic, so entries stay valid until the
+        #: mount table itself changes; mount()/umount() clear it.
+        self._mount_cache: Dict[str, Tuple[Mount, str, Tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------------ mounts --
     def mount(self, fstype: FileSystemType, device, mountpoint: str) -> Mount:
@@ -117,6 +117,7 @@ class Kernel:
         self._next_mount_id += 1
         self._mounts[mountpoint] = mount
         self._mount_cache.clear()
+        fs.mounted(self, mount.mount_id)
         return mount
 
     def umount(self, mountpoint: str) -> None:
@@ -190,8 +191,9 @@ class Kernel:
                 break
 
     # ------------------------------------------------------------ path walking --
-    def _find_mount(self, path: str) -> Tuple[Mount, str]:
-        """Return the mount covering ``path`` and the fs-relative remainder."""
+    def _find_mount(self, path: str) -> Tuple[Mount, str, Tuple[str, ...]]:
+        """Return the mount covering ``path``, the fs-relative remainder and
+        the remainder's components."""
         cached = self._mount_cache.get(path)
         if cached is not None:
             return cached
@@ -207,8 +209,9 @@ class Kernel:
                     best = mountpoint
         if best is None:
             raise FsError(ENOENT, f"no file system mounted covering {path}")
-        relative = path[len(best) :] if best != "/" else path
-        result = (self._mounts[best], relative or "/")
+        relative = (path[len(best) :] if best != "/" else path) or "/"
+        components = tuple(relative[1:].split("/")) if relative != "/" else ()
+        result = (self._mounts[best], relative, components)
         self._mount_cache[raw] = result
         return result
 
@@ -222,10 +225,15 @@ class Kernel:
         inode's file type never changes).
         """
         cached = self.dcache.get(mount.mount_id, dir_ino, name)
+        if cached is None:
+            return self._lookup_uncached(mount, dir_ino, name)
         if cached is NEGATIVE:
             raise FsError(ENOENT, name)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
+        return cached  # type: ignore[return-value]
+
+    def _lookup_uncached(self, mount: Mount, dir_ino: int,
+                         name: str) -> Tuple[int, int]:
+        """A dcache miss: ask the fs, and cache its answer either way."""
         try:
             ino = mount.fs.lookup(dir_ino, name)
         except FsError as exc:
@@ -235,35 +243,12 @@ class Kernel:
         self.dcache.insert(mount.mount_id, dir_ino, name, ino)
         return ino, DT_UNKNOWN
 
-    def _lookup_child(self, mount: Mount, dir_ino: int, name: str) -> int:
-        return self._lookup_child_typed(mount, dir_ino, name)[0]
-
     def _child_dtype(self, mount: Mount, dir_ino: int, name: str,
                      child: int) -> int:
         """Fetch a dentry's missing d_type and remember it."""
         dtype = mode_to_dtype(mount.fs.getattr(child).st_mode)
         self.dcache.insert(mount.mount_id, dir_ino, name, child, dtype)
         return dtype
-
-    def _walk(
-        self, path: str, follow_last_symlink: bool = True, _depth: int = 0
-    ) -> Tuple[Mount, int]:
-        """Resolve ``path`` to ``(mount, inode)``, following symlinks."""
-        mount, ino, _rel, _dtype = self._resolve_entry(
-            path, follow_last_symlink, _depth)
-        return mount, ino
-
-    def _resolve(
-        self, path: str, follow_last_symlink: bool = True, _depth: int = 0
-    ) -> Tuple[Mount, int, str]:
-        """Resolve ``path`` to ``(mount, inode, fs-relative resolved path)``.
-
-        The returned relative path has every symlink expanded, so it is
-        the canonical name the dirty-path tracking indexes by.
-        """
-        mount, ino, rel, _dtype = self._resolve_entry(
-            path, follow_last_symlink, _depth)
-        return mount, ino, rel
 
     def _resolve_entry(
         self, path: str, follow_last_symlink: bool = True, _depth: int = 0
@@ -274,22 +259,31 @@ class Kernel:
         the symlink test read the cached d_type instead of issuing a
         ``getattr`` per component (twice, as the pre-d_type walker did).
         Only a cold dentry pays one ``getattr`` to learn its type.
+
+        The returned relative path has every symlink expanded, so it is
+        the canonical name the dirty-path tracking indexes by.  A walk
+        that follows no symlink resolves to the normalised relative path
+        itself, so the partial path is only spelled out for an error
+        message or a relative symlink target.
         """
         if _depth > MAX_SYMLINK_DEPTH:
             raise FsError(ELOOP, path)
-        mount, relative = self._find_mount(path)
+        mount, relative, components = self._find_mount(path)
         ino = mount.fs.ROOT_INO
-        if relative == "/":
-            return mount, ino, "/", DT_DIR
-        components = relative[1:].split("/")
-        walked = mount.mountpoint if mount.mountpoint != "/" else ""
-        rel = ""
         dtype = DT_DIR  # a mount root is a directory by construction
         last = len(components) - 1
+        dcache, mount_id = self.dcache, mount.mount_id
         for index, name in enumerate(components):
             if dtype != DT_DIR:
-                raise FsError(ENOTDIR, walked or "/")
-            child, child_type = self._lookup_child_typed(mount, ino, name)
+                raise FsError(ENOTDIR, self._walked(mount, components, index)
+                              or "/")
+            # _lookup_child_typed, inlined: one dcache probe per component
+            entry = dcache.get(mount_id, ino, name)
+            if entry is None:
+                entry = self._lookup_uncached(mount, ino, name)
+            elif entry is NEGATIVE:
+                raise FsError(ENOENT, name)
+            child, child_type = entry
             if child_type == DT_UNKNOWN:
                 child_type = self._child_dtype(mount, ino, name, child)
             if child_type == DT_LNK and (index != last or follow_last_symlink):
@@ -297,15 +291,19 @@ class Kernel:
                 if target.startswith("/"):
                     base = target
                 else:
-                    base = (walked or "") + "/" + target
+                    base = self._walked(mount, components, index) + "/" + target
                 rest = "/".join(components[index + 1 :])
                 full = base + ("/" + rest if rest else "")
                 return self._resolve_entry(full, follow_last_symlink, _depth + 1)
-            walked += "/" + name
-            rel += "/" + name
             ino = child
             dtype = child_type
-        return mount, ino, rel, dtype
+        return mount, ino, relative, dtype
+
+    @staticmethod
+    def _walked(mount: Mount, components: Tuple[str, ...], count: int) -> str:
+        """Absolute path of the first ``count`` components of a walk."""
+        prefix = mount.mountpoint if mount.mountpoint != "/" else ""
+        return prefix + "".join("/" + name for name in components[:count])
 
     def _walk_parent(self, path: str) -> Tuple[Mount, int, str, str]:
         """Resolve the parent directory of ``path``.
@@ -495,7 +493,8 @@ class Kernel:
         self._sys()
         mount, dir_ino, name, rel_dir = self._walk_parent(path)
         try:
-            target_ino: Optional[int] = self._lookup_child(mount, dir_ino, name)
+            target_ino: Optional[int] = self._lookup_child_typed(
+                mount, dir_ino, name)[0]
         except FsError:
             target_ino = None
         mount.fs.unlink(dir_ino, name)
@@ -515,9 +514,10 @@ class Kernel:
             raise FsError(EXDEV, f"{old_path} -> {new_path}")
         # POSIX: renaming onto another hard link of the same inode (or onto
         # itself) succeeds and changes nothing -- both names stay valid.
-        source_ino = self._lookup_child(old_mount, old_dir, old_name)
+        source_ino = self._lookup_child_typed(old_mount, old_dir, old_name)[0]
         try:
-            target_ino: Optional[int] = self._lookup_child(new_mount, new_dir, new_name)
+            target_ino: Optional[int] = self._lookup_child_typed(
+                new_mount, new_dir, new_name)[0]
         except FsError as exc:
             if exc.code != ENOENT:
                 raise
@@ -547,9 +547,8 @@ class Kernel:
 
     def link(self, existing_path: str, new_path: str) -> None:
         self._sys()
-        mount, ino, source_rel = self._resolve(
-            existing_path, follow_last_symlink=False
-        )
+        mount, ino, source_rel, _dtype = self._resolve_entry(
+            existing_path, False)
         new_mount, dir_ino, name, rel_dir = self._walk_parent(new_path)
         if mount.mount_id != new_mount.mount_id:
             raise FsError(EXDEV, f"{existing_path} -> {new_path}")
@@ -574,7 +573,7 @@ class Kernel:
 
     def readlink(self, path: str) -> str:
         self._sys()
-        mount, ino = self._walk(path, follow_last_symlink=False)
+        mount, ino, _rel, _dtype = self._resolve_entry(path, False)
         return mount.fs.readlink(ino)
 
     def truncate(self, path: str, size: int) -> None:
@@ -600,12 +599,12 @@ class Kernel:
 
     def stat(self, path: str) -> StatResult:
         self._sys()
-        mount, ino = self._walk(path)
+        mount, ino, _rel, _dtype = self._resolve_entry(path)
         return mount.fs.getattr(ino)
 
     def lstat(self, path: str) -> StatResult:
         self._sys()
-        mount, ino = self._walk(path, follow_last_symlink=False)
+        mount, ino, _rel, _dtype = self._resolve_entry(path, False)
         return mount.fs.getattr(ino)
 
     def fstat(self, fd: int) -> StatResult:
@@ -644,26 +643,26 @@ class Kernel:
 
     def chmod(self, path: str, mode: int) -> None:
         self._sys()
-        mount, ino, rel = self._resolve(path)
+        mount, ino, rel, _dtype = self._resolve_entry(path)
         mount.fs.setattr(ino, mode=mode & 0o7777)
         self._mark_inode_record(mount, rel, ino)
 
     def chown(self, path: str, uid: int, gid: int) -> None:
         self._sys()
-        mount, ino, rel = self._resolve(path)
+        mount, ino, rel, _dtype = self._resolve_entry(path)
         mount.fs.setattr(ino, uid=uid if uid >= 0 else None, gid=gid if gid >= 0 else None)
         self._mark_inode_record(mount, rel, ino)
 
     def utimens(self, path: str, atime: Optional[float], mtime: Optional[float]) -> None:
         self._sys()
-        mount, ino, rel = self._resolve(path)
+        mount, ino, rel, _dtype = self._resolve_entry(path)
         mount.fs.setattr(ino, atime=atime, mtime=mtime)
         self._mark_inode_record(mount, rel, ino)
 
     def access(self, path: str, amode: int = F_OK) -> None:
         """access(2): raise EACCES/ENOENT rather than returning -1."""
         self._sys()
-        mount, ino = self._walk(path)
+        mount, ino, _rel, _dtype = self._resolve_entry(path)
         if amode == F_OK:
             return
         attrs = mount.fs.getattr(ino)
@@ -684,7 +683,7 @@ class Kernel:
 
     def statfs(self, path: str) -> StatVFS:
         self._sys()
-        mount, _ = self._walk(path)
+        mount, _ino, _rel, _dtype = self._resolve_entry(path)
         return mount.fs.statfs()
 
     def fsync(self, fd: int) -> None:
@@ -705,22 +704,22 @@ class Kernel:
     # xattrs ----------------------------------------------------------------
     def setxattr(self, path: str, key: str, value: bytes, flags: int = 0) -> None:
         self._sys()
-        mount, ino, rel = self._resolve(path)
+        mount, ino, rel, _dtype = self._resolve_entry(path)
         mount.fs.setxattr(ino, key, value, flags)
         self._mark_inode_record(mount, rel, ino)
 
     def getxattr(self, path: str, key: str) -> bytes:
         self._sys()
-        mount, ino = self._walk(path)
+        mount, ino, _rel, _dtype = self._resolve_entry(path)
         return mount.fs.getxattr(ino, key)
 
     def listxattr(self, path: str) -> List[str]:
         self._sys()
-        mount, ino = self._walk(path)
+        mount, ino, _rel, _dtype = self._resolve_entry(path)
         return mount.fs.listxattr(ino)
 
     def removexattr(self, path: str, key: str) -> None:
         self._sys()
-        mount, ino, rel = self._resolve(path)
+        mount, ino, rel, _dtype = self._resolve_entry(path)
         mount.fs.removexattr(ino, key)
         self._mark_inode_record(mount, rel, ino)

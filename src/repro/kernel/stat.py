@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 # File type bits (matching POSIX <sys/stat.h>).
 S_IFMT = 0o170000
@@ -36,14 +37,17 @@ def mode_to_dtype(mode: int) -> int:
     return DT_UNKNOWN
 
 
-@dataclass(frozen=True)
-class StatResult:
+class StatResult(NamedTuple):
     """The observable metadata of one inode.
 
     The fields mirror ``struct stat``.  The MCFS abstraction function
     (Algorithm 1) hashes only the *important* subset -- mode, size, nlink,
     uid, gid -- and deliberately omits timestamps and block placement,
     which vary between file systems without indicating bugs.
+
+    An immutable tuple rather than a frozen dataclass: every ``getattr``
+    reply builds one, and a tuple is built in one allocation where a
+    frozen dataclass pays an ``object.__setattr__`` per field.
     """
 
     st_ino: int
@@ -70,12 +74,12 @@ class StatResult:
         return (self.st_mode & S_IFMT) == S_IFLNK
 
     def with_updates(self, **changes) -> "StatResult":
-        return replace(self, **changes)
+        return self._replace(**changes)
 
 
-@dataclass(frozen=True)
-class Dirent:
-    """One getdents entry: name, inode number, and entry type."""
+class Dirent(NamedTuple):
+    """One getdents entry: name, inode number, and entry type (an
+    immutable tuple, like :class:`StatResult`)."""
 
     name: str
     ino: int

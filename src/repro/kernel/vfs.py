@@ -142,6 +142,10 @@ class MountedFileSystem(ABC):
     ROOT_INO = 1
 
     # -- lifecycle ---------------------------------------------------------------
+    def mounted(self, kernel, mount_id: int) -> None:
+        """Called once, after ``kernel`` registered this instance under
+        ``mount_id`` (FUSE hooks its notify channel up here)."""
+
     @abstractmethod
     def sync(self) -> None:
         """Flush all dirty in-memory state to the backing store."""

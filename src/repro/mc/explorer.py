@@ -22,7 +22,8 @@ import random
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.clock import SimClock
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
@@ -204,12 +205,18 @@ class Explorer:
         #: attached to the report so it can be captured as a trail
         self.recorder = TrailRecorder()
         self.stats = ExplorationStats()
+        #: ``run_dfs``'s action alphabet: memo keys, sleep sets and the
+        #: commutation relation hold slots (positions in it), not actions
+        self._actions: List[Any] = []
         #: ``run_dfs``'s successor memo, emptied when the run ends: state ->
-        #: (depth last expanded at, {action: successor hash}); hashes interned
+        #: (depth last expanded at, {slot: successor hash}); hashes interned
         #: (one string per state, not per edge), entries booked to the store's
         #: memory model at ``_memo_entry`` bytes (1 + |actions| hashes)
-        self._memo: Dict[str, Tuple[int, Dict[Any, str]]] = {}
+        self._memo: Dict[str, Tuple[int, Dict[int, str]]] = {}
         self._memo_entry = 0
+        #: ``run_dfs(por=True)``'s commutation relation, emptied when the
+        #: run ends: slot -> the slots of the actions independent of it
+        self._commutes: List[FrozenSet[int]] = []
 
     # ---------------------------------------------------------------- common --
     def _budget_exceeded(self) -> Optional[str]:
@@ -309,7 +316,18 @@ class Explorer:
         stats = self.stats = ExplorationStats(start_time=self.clock.now)
         try:
             root, _ = self._record_state()
-            self._memo_entry = 4 + len(root) * (1 + len(self.target.actions()))
+            # the action alphabet is the same in every state (the do..od
+            # alternatives), so it is numbered once and the commutation
+            # relation is built once, not probed per sleep-set candidate
+            actions = self._actions = list(self.target.actions())
+            self._memo_entry = 4 + len(root) * (1 + len(actions))
+            if por:
+                independent = self.target.independent
+                self._commutes = [
+                    frozenset([slot for slot, other in enumerate(actions)
+                               if independent(action, other)])
+                    for action in actions
+                ]
             self._dfs(sys.intern(root), 0, frozenset() if por else None)
             if not stats.stopped_reason:
                 stats.stopped_reason = "state space exhausted"
@@ -322,6 +340,7 @@ class Explorer:
         if self.visited.memory is not None:
             self.visited.memory.release_bytes(len(self._memo) * self._memo_entry)
         self._memo.clear()
+        self._actions, self._commutes = [], []
         self.stats.end_time = self.clock.now
         return self.stats
 
@@ -341,24 +360,26 @@ class Explorer:
             self.visited.memory.store_bytes(self._memo_entry)
         successors = memo[state][1] if state in memo else {}
         memo[state] = (depth, successors)
-        actions = self.target.actions()
         # sleep-set candidates: the inherited sleep set plus every earlier
         # sibling, maintained incrementally (one append per action instead
         # of rebuilding `set(sleep) | set(explored)` for each one)
-        candidates: Optional[List[Any]] = list(sleep) if sleep is not None else None
+        candidates: Optional[List[int]] = list(sleep) if sleep is not None else None
         # the node's checkpoint is armed lazily, before an executed child,
         # and spent by the first restore: (recorder id, target token)
         armed: Optional[Tuple[int, Any]] = None
-        for action in actions:
-            reason = self._budget_exceeded()
+        budgeted = (self.max_operations is not None
+                    or self.max_unique_states is not None
+                    or self.sim_time_budget is not None)
+        for slot, action in enumerate(self._actions):
+            reason = budgeted and self._budget_exceeded()
             if reason:
                 stats.stopped_reason = reason
                 break
-            if sleep is not None and action in sleep:
+            if sleep is not None and slot in sleep:
                 # an independent permutation already covered this order
                 stats.por_pruned += 1
                 continue
-            known = successors.get(action)
+            known = successors.get(slot)
             if known is not None and (
                 known == state
                 or memo.get(known, (self.max_depth,))[0] <= depth + 1
@@ -376,17 +397,14 @@ class Explorer:
                 self._note_operation()
                 stats.transitions += 1
                 child, should_expand = self._record_state(depth + 1)
-                successors[action] = child = sys.intern(child)
+                successors[slot] = child = sys.intern(child)
                 if should_expand:
                     child_sleep = None
                     if candidates is not None:
                         # classic sleep sets: earlier siblings that commute
                         # with `action` stay asleep in its subtree
-                        child_sleep = frozenset(
-                            other
-                            for other in candidates
-                            if self.target.independent(action, other)
-                        )
+                        child_sleep = self._commutes[slot].intersection(
+                            candidates)
                     self._dfs(child, depth + 1, child_sleep)
                 if child == state:
                     # a self-loop left the fs abstract-equal to this node:
@@ -396,7 +414,7 @@ class Explorer:
                     self._spend(armed)
                     armed = None
             if candidates is not None:
-                candidates.append(action)
+                candidates.append(slot)
         if armed is not None:
             # consume the token so no snapshot outlives its node
             self._spend(armed)

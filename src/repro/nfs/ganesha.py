@@ -35,7 +35,7 @@ class NfsConnection(FuseConnection):
 
     def send_dict(self, op, args):
         # an extra network-ish cost on top of the base dispatch
-        # (``send_dict`` is the funnel every ``send`` goes through)
+        # (``send_dict`` is the funnel every message goes through)
         self.clock.charge(Cost.FUSE_ROUNDTRIP, "nfs-transport")
         return super().send_dict(op, args)
 
@@ -64,5 +64,4 @@ def mount_nfs(kernel: Kernel, filesystem, mountpoint: str,
     server = GaneshaLikeServer(filesystem, connection, name=f"{name}-daemon")
     fstype = FuseKernelFileSystemType(connection, name=name)
     mount = kernel.mount(fstype, None, mountpoint)
-    connection.attach_kernel(kernel, mount.mount_id)
     return server, connection, mount

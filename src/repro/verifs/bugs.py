@@ -13,6 +13,11 @@ import enum
 class VeriFSBug(enum.Enum):
     """Injectable defects, in the order the paper reports finding them."""
 
+    # members are singletons, so identity hashing is correct -- and much
+    # cheaper than Enum's name-based hash on the ``has_bug`` probes every
+    # write and restore makes
+    __hash__ = object.__hash__
+
     #: VeriFS1 bug 1 (found vs. Ext4 after ~9K operations): truncate
     #: failed to clear newly allocated space when expanding a file, so
     #: stale buffer bytes reappeared as file content.

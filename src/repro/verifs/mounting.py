@@ -43,7 +43,6 @@ def mount_verifs(kernel: Kernel, filesystem, mountpoint: str,
                                name=f"{name}-daemon")
     fstype = FuseKernelFileSystemType(connection, name=name)
     mount = kernel.mount(fstype, None, mountpoint)
-    connection.attach_kernel(kernel, mount.mount_id)
     return VeriFSMount(
         filesystem=filesystem,
         server=server,

@@ -87,7 +87,10 @@ class V1Inode:
         are this inode's only mutable containers -- but without the
         generic-deepcopy machinery.  The clone starts unsealed.
         """
-        other = V1Inode(self.ino)
+        # bypass __init__: every slot is assigned below
+        other = object.__new__(V1Inode)
+        other.ino = self.ino
+        other.shared = False
         other.mode = self.mode
         other.uid = self.uid
         other.gid = self.gid
@@ -108,7 +111,10 @@ class VeriFS1(VeriFSBase):
     def __init__(self, bugs=(), clock=None, inode_table_size: int = DEFAULT_INODE_TABLE_SIZE):
         super().__init__(bugs=bugs, clock=clock)
         self.inode_table_size = inode_table_size
-        self.inodes: List[Optional[V1Inode]] = [None] * inode_table_size
+        #: the fixed-capacity inode array, stored only up to its highest
+        #: slot ever used (slots past the end are free): a copy-on-write
+        #: checkpoint copies the used part of the table, not its capacity
+        self.inodes: List[Optional[V1Inode]] = [None] * (self.ROOT_INO + 1)
         root = V1Inode(self.ROOT_INO)
         root.mode = S_IFDIR | 0o755
         root.nlink = 2
@@ -138,7 +144,7 @@ class VeriFS1(VeriFSBase):
     def _get(self, ino: int) -> V1Inode:
         if not 0 < ino < self.inode_table_size:
             raise FsError(ENOENT, f"inode {ino} out of range")
-        inode = self.inodes[ino]
+        inode = self.inodes[ino] if ino < len(self.inodes) else None
         if inode is None:
             raise FsError(ENOENT, f"inode {ino}")
         return inode
@@ -150,10 +156,13 @@ class VeriFS1(VeriFSBase):
         return inode
 
     def _alloc(self) -> V1Inode:
+        inodes = self.inodes
         for ino in range(1, self.inode_table_size):
-            if self.inodes[ino] is None:
+            if ino == len(inodes):
+                inodes.append(None)  # first use of this slot
+            if inodes[ino] is None:
                 inode = V1Inode(ino)
-                self.inodes[ino] = inode
+                inodes[ino] = inode
                 self._fresh.append(inode)
                 return inode
         raise FsError(ENOSPC, "inode table full")
@@ -343,6 +352,6 @@ class VeriFS1(VeriFSBase):
             if inode is None or not inode.is_dir:
                 continue
             for name, child_ino in inode.entries.items():
-                if not 0 < child_ino < self.inode_table_size or self.inodes[child_ino] is None:
+                if not 0 < child_ino < len(self.inodes) or self.inodes[child_ino] is None:
                     problems.append(f"dirent {name!r} in ino {ino} -> dead inode {child_ino}")
         return problems

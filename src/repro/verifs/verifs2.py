@@ -108,7 +108,10 @@ class V2Inode:
         -- exactly the structural sharing ``copy.deepcopy`` produced,
         minus its per-object dispatch cost.  The clone starts unsealed.
         """
-        other = V2Inode(self.ino)
+        # bypass __init__: every slot is assigned below
+        other = object.__new__(V2Inode)
+        other.ino = self.ino
+        other.shared = False
         other.mode = self.mode
         other.uid = self.uid
         other.gid = self.gid

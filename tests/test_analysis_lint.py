@@ -149,7 +149,6 @@ def test_device_public_api_is_fine():
 
 def test_raw_entry_cache_access():
     assert invariants("store = cache._merkle") == ["raw-entry-cache"]
-    assert invariants("memo = record._enc_memo") == ["raw-entry-cache"]
 
 
 def test_raw_entry_cache_allowed_inside_abstraction_module():

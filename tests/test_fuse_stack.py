@@ -19,6 +19,18 @@ def stack(clock):
     return kernel, mounted
 
 
+def record_requests(server):
+    """Log every request ``server`` handles."""
+    log, handle = [], server.handle
+
+    def recording(request):
+        log.append(request)
+        return handle(request)
+
+    server.handle = recording
+    return log
+
+
 class TestTransport:
     def test_requests_counted(self, stack):
         kernel, mounted = stack
@@ -35,21 +47,68 @@ class TestTransport:
     def test_connection_without_server_fails_eio(self, clock):
         connection = FuseConnection(clock)
         with pytest.raises(FsError) as excinfo:
-            connection.send(FuseOp.GETATTR, ino=1)
+            connection.send_dict(FuseOp.GETATTR, (1,))
         assert excinfo.value.code == EIO
 
     def test_unique_ids_increase(self, stack):
         kernel, mounted = stack
+        log = record_requests(mounted.server)
         kernel.mkdir("/mnt/fuse/a")
-        first = mounted.connection._next_unique
-        kernel.mkdir("/mnt/fuse/b")
-        assert mounted.connection._next_unique > first
+        kernel.stat("/mnt/fuse/a")
+        kernel.rmdir("/mnt/fuse/a")
+        uniques = [request.unique for request in log]
+        assert len(uniques) >= 3
+        # one id per message, in send order
+        assert uniques == list(range(uniques[0], uniques[0] + len(uniques)))
 
     def test_connection_is_character_device(self, stack):
         _, mounted = stack
         assert mounted.connection.device_path == "/dev/fuse"
         assert mounted.connection.is_character_device
         assert "/dev/fuse" in mounted.server.open_devices
+
+
+class VeriFS2WithoutReaddirplus(VeriFS2):
+    """A server that never implemented the READDIRPLUS callback."""
+
+    readdirplus = None
+
+
+class TestPositionalTransport:
+    def test_requests_carry_the_callback_arguments_in_order(self, stack):
+        kernel, mounted = stack
+        kernel.mkdir("/mnt/fuse/d")
+        log = record_requests(mounted.server)
+        kernel.rename("/mnt/fuse/d", "/mnt/fuse/e")
+        root = mounted.filesystem.ROOT_INO
+        assert [request.args for request in log
+                if request.op is FuseOp.RENAME] == [(root, "d", root, "e")]
+
+    def test_absent_readdirplus_is_learned_once(self, clock):
+        kernel = Kernel(clock)
+        mounted = mount_verifs(kernel, VeriFS2WithoutReaddirplus(clock=clock),
+                               "/mnt/fuse")
+        kernel.mkdir("/mnt/fuse/d")
+        log = record_requests(mounted.server)
+        first = kernel.getdents_attrs("/mnt/fuse")
+        ops = [request.op for request in log]
+        assert ops.count(FuseOp.READDIRPLUS) == 1  # answered ENOSYS
+        assert FuseOp.READDIR in ops  # the fallback composition
+        del log[:]
+        assert kernel.getdents_attrs("/mnt/fuse") == first
+        assert FuseOp.READDIRPLUS not in [request.op for request in log]
+
+    def test_absent_xattr_callback_sends_no_second_message(self, clock):
+        kernel = Kernel(clock)
+        mounted = mount_verifs(kernel, VeriFS1(clock=clock), "/mnt/v1")
+        kernel.close(kernel.open("/mnt/v1/a", O_CREAT))
+        log = record_requests(mounted.server)
+        for _ in range(2):
+            with pytest.raises(FsError) as excinfo:
+                kernel.listxattr("/mnt/v1/a")
+            assert excinfo.value.code == ENOSYS
+        # the first call learned the absence; the second stayed in the kernel
+        assert [request.op for request in log].count(FuseOp.LISTXATTR) == 1
 
 
 class TestDispatch:
@@ -155,5 +214,7 @@ class TestUnmount:
         kernel.mkdir("/mnt/fuse/survives")
         kernel.umount("/mnt/fuse")
         mount = kernel.mount(mounted.fstype, None, "/mnt/fuse")
-        mounted.connection.attach_kernel(kernel, mount.mount_id)
+        # mounting hooks the notify channel up to the new mount id
+        assert mounted.connection.kernel is kernel
+        assert mounted.connection.mount_id == mount.mount_id
         assert kernel.stat("/mnt/fuse/survives").is_dir

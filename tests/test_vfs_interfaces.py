@@ -133,10 +133,21 @@ class TestNfsGanesha:
     def test_nfs_costs_more_than_fuse_per_request(self, clock):
         from repro.clock import Cost
         kernel = Kernel(clock)
-        mount_nfs(kernel, VeriFS2(clock=clock), "/mnt/nfs")
+        server, connection, _mount = mount_nfs(kernel, VeriFS2(clock=clock),
+                                               "/mnt/nfs")
         before = clock.by_category.get("nfs-transport", 0.0)
         kernel.mkdir("/mnt/nfs/d")
         assert clock.by_category["nfs-transport"] > before
+        fd = kernel.open("/mnt/nfs/d/f", O_CREAT | O_RDWR)
+        kernel.write(fd, b"payload")
+        kernel.close(fd)
+        kernel.getdents_attrs("/mnt/nfs/d")
+        # the network charge rides on top of the FUSE one, once per message
+        assert connection.requests_sent == server.requests_handled
+        assert clock.by_category["nfs-transport"] == pytest.approx(
+            connection.requests_sent * Cost.FUSE_ROUNDTRIP)
+        assert clock.by_category["fuse-transport"] == pytest.approx(
+            clock.by_category["nfs-transport"])
 
     def test_server_holds_no_device_handles(self, clock):
         kernel = Kernel(clock)
