@@ -216,7 +216,8 @@ class Explorer:
         self._memo_entry = 0
         #: ``run_dfs(por=True)``'s commutation relation, emptied when the
         #: run ends: slot -> the slots of the actions independent of it
-        self._commutes: List[FrozenSet[int]] = []
+        #: (None until ``_commuting`` first builds that row)
+        self._commutes: List[Optional[FrozenSet[int]]] = []
 
     # ---------------------------------------------------------------- common --
     def _budget_exceeded(self) -> Optional[str]:
@@ -317,17 +318,14 @@ class Explorer:
         try:
             root, _ = self._record_state()
             # the action alphabet is the same in every state (the do..od
-            # alternatives), so it is numbered once and the commutation
-            # relation is built once, not probed per sleep-set candidate
+            # alternatives), so it is numbered once and each row of the
+            # commutation relation built once, not probed per sleep-set
+            # candidate; a row is built on first use, so a run that stops
+            # early (a bug found in a few operations) pays for few rows
             actions = self._actions = list(self.target.actions())
             self._memo_entry = 4 + len(root) * (1 + len(actions))
             if por:
-                independent = self.target.independent
-                self._commutes = [
-                    frozenset([slot for slot, other in enumerate(actions)
-                               if independent(action, other)])
-                    for action in actions
-                ]
+                self._commutes = [None] * len(actions)
             self._dfs(sys.intern(root), 0, frozenset() if por else None)
             if not stats.stopped_reason:
                 stats.stopped_reason = "state space exhausted"
@@ -403,8 +401,10 @@ class Explorer:
                     if candidates is not None:
                         # classic sleep sets: earlier siblings that commute
                         # with `action` stay asleep in its subtree
-                        child_sleep = self._commutes[slot].intersection(
-                            candidates)
+                        row = self._commutes[slot]
+                        if row is None:
+                            row = self._commuting(slot)
+                        child_sleep = row.intersection(candidates)
                     self._dfs(child, depth + 1, child_sleep)
                 if child == state:
                     # a self-loop left the fs abstract-equal to this node:
@@ -418,6 +418,15 @@ class Explorer:
         if armed is not None:
             # consume the token so no snapshot outlives its node
             self._spend(armed)
+
+    def _commuting(self, slot: int) -> FrozenSet[int]:
+        """Build and keep row ``slot`` of the commutation relation: the
+        slots of the actions independent of the action at ``slot``."""
+        action, independent = self._actions[slot], self.target.independent
+        row = self._commutes[slot] = frozenset(
+            [other_slot for other_slot, other in enumerate(self._actions)
+             if independent(action, other)])
+        return row
 
     def _spend(self, armed: Tuple[int, Any]) -> None:
         """Restore a node's armed checkpoint, which consumes its token."""
