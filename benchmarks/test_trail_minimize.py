@@ -29,7 +29,7 @@ import json
 from pathlib import Path
 
 from conftest import record_result
-from repro.cli import BUG_PAIRS, hunt_spec
+from repro.cli import hunt_spec
 from repro.dist.spec import CheckSpec
 from repro.trail import Trail, minimize_trail, minimize_trail_naive, replay_trail
 
@@ -41,9 +41,7 @@ def _capture(tmp_path, state_check_every, max_operations):
                      verifs_bugs=("write-hole-stale",),
                      pool="data-heavy",
                      state_check_every=state_check_every)
-    mcfs = spec.build_mcfs()
-    mcfs.options.trail_dir = str(tmp_path)
-    result = mcfs.run_random(seed=1, max_operations=max_operations,
+    result = spec.build_mcfs(trail_dir=str(tmp_path)).run_random(seed=1, max_operations=max_operations,
                              max_depth=12, backtrack_probability=0.25)
     assert result.found_discrepancy and result.trail_path
     return Trail.load(result.trail_path)
@@ -119,10 +117,8 @@ def test_long_log_convergence(benchmark, tmp_path):
 
 def test_dfs_trail_projection(benchmark, tmp_path):
     bug = "truncate-stale-data"
-    reference, buggy, depth, _profile = BUG_PAIRS[bug]
-    mcfs = hunt_spec(bug).build_mcfs()
-    mcfs.options.trail_dir = str(tmp_path)
-    result = mcfs.run_dfs(max_depth=depth, max_operations=400_000)
+    hunt = hunt_spec(bug)
+    result = hunt.run(trail_dir=str(tmp_path))
     assert result.found_discrepancy and result.trail_path
     trail = Trail.load(result.trail_path)
 
@@ -137,7 +133,8 @@ def test_dfs_trail_projection(benchmark, tmp_path):
         f"(schedule: {res.original_events} events)",
     )
     _json_payload["dfs_trail"] = {
-        "bug": bug, "filesystems": [reference, buggy], "max_depth": depth,
+        "bug": bug, "filesystems": list(hunt.filesystems),
+        "max_depth": hunt.depth,
         **_row("ddmin", res),
     }
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro.core.report import RunSummary
@@ -34,6 +35,7 @@ from repro.dist.spec import (
     FILESYSTEMS,
     KERNEL_FS,
     STRATEGIES,
+    WALK_OPERATIONS,
     CheckSpec,
 )
 from repro.verifs import VeriFSBug
@@ -56,13 +58,12 @@ BUG_PAIRS = {
 
 
 def hunt_spec(bug: str) -> CheckSpec:
-    """The campaign that finds ``bug`` (a ``BUG_PAIRS`` key) by DFS at
-    that entry's depth: the buggy file system against its reference."""
-    reference, buggy, _depth, profile = BUG_PAIRS[bug]
-    return CheckSpec(filesystems=(reference, buggy),
-                     include_extended=False,
-                     verifs_bugs=(bug,),
-                     input_profile=profile)
+    """The complete hunt for ``bug`` (a ``BUG_PAIRS`` key): a DFS of the
+    buggy file system against its reference to that entry's depth."""
+    reference, buggy, depth, profile = BUG_PAIRS[bug]
+    return CheckSpec(filesystems=(reference, buggy), include_extended=False,
+                     verifs_bugs=(bug,), input_profile=profile,
+                     mode="dfs", depth=depth, max_ops=400_000)
 
 
 def cmd_list(_args) -> int:
@@ -86,57 +87,102 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _fsck_every_from_args(args) -> Optional[int]:
-    if args.fsck_oracle or args.fsck_every is not None:
-        return args.fsck_every if args.fsck_every is not None else 10
-    return None
+CHECK, FLEET = ("check",), ("check", "swarm")
+CAMPAIGN = ("check", "swarm", "submit")
+STORE_TRUE = dict(action="store_true")
+
+#: Every spec-field flag of ``check``/``swarm``/``submit``, one row per
+#: flag: the commands that take it, the :class:`CheckSpec` field its
+#: value fills (None: :func:`spec_from_args` derives the field from
+#: it), and its argparse keywords.  A flag whose default differs by
+#: command has one row per default.
+SPEC_FLAGS = (
+    ("--fs", CAMPAIGN, "filesystems", dict(action="append", default=[], help=(
+        f"file system to check (repeatable): {' | '.join(FILESYSTEMS)}"))),
+    ("--mode", CHECK, "mode", dict(choices=("dfs", "random"), default="dfs")),
+    ("--depth", CHECK, "depth", dict(type=int, default=2, help=(
+        "DFS depth bound (default 2)"))),
+    ("--por", CHECK, "por", dict(STORE_TRUE, help=(
+        "sleep-set partial-order reduction (DFS only)"))),
+    ("--coverage", CHECK, "coverage", dict(STORE_TRUE, help=(
+        "print behavioural coverage (§7)"))),
+    ("--max-ops", CAMPAIGN, "max_ops", dict(type=int, help=(
+        "operation budget (a campaign's total across its units)"))),
+    ("--seed", CHECK, "base_seed", dict(type=int, default=0, help=(
+        "random-walk seed"))),
+    ("--seed", ("swarm", "submit"), "base_seed", dict(type=int, default=1,
+                                                      help="base seed")),
+    ("--units", CAMPAIGN, "units", dict(type=int, default=8, help=(
+        "work units of a campaign (fixed by the spec, not the fleet)"))),
+    ("--unit-depth", CAMPAIGN, "max_depth", dict(
+        dest="dist_depth", type=int, default=12,
+        help="per-unit depth bound of a campaign (default 12)")),
+    ("--strategy", CAMPAIGN, "strategy", dict(choices=tuple(STRATEGIES), help=(
+        "checkpoint strategy for every fs (default: remount for kernel "
+        "fs, ioctl for VeriFS)"))),
+    ("--pool", CAMPAIGN, "pool", dict(choices=sorted(PRESETS),
+                                      default="default",
+                                      help="workload preset")),
+    ("--input-profile", CAMPAIGN, None, dict(
+        action="append", default=[], metavar="SPEC",
+        help="input-exploration profile: uniform | write-heavy | meta-churn "
+             "| boundary | custom:op=weight,... with optional +boundary / "
+             "+steer; repeat to rotate profiles across work units")),
+    ("--equalize", CAMPAIGN, "equalize", dict(STORE_TRUE, help=(
+        "equalize free space at startup (§3.4)"))),
+    ("--voting", CAMPAIGN, "voting", dict(STORE_TRUE, help=(
+        "majority voting with >= 3 file systems (§7)"))),
+    ("--fsck-oracle", CAMPAIGN, None, dict(STORE_TRUE, help=(
+        "run the offline fsck oracle over the device images"))),
+    ("--fsck-every", CAMPAIGN, None, dict(type=int, metavar="N", help=(
+        "oracle period in operations (implies --fsck-oracle; default 10)"))),
+    ("--state-store", CAMPAIGN, "state_store", dict(
+        default="exact", metavar="SPEC",
+        help="visited-state store: exact | hc[:bytes] | bitstate[:bits,k] "
+             "(lossy stores report their omission probability)")),
+    ("--check-every", CAMPAIGN, "state_check_every", dict(
+        type=int, default=1, metavar="N",
+        help="random walks: compare abstract states every N operations")),
+    ("--data-plane", FLEET, "data_plane", dict(
+        choices=("auto", "shm", "rpc"), default="auto",
+        help="visited-state plane of a fleet (never changes what is found)")),
+    ("--profile", FLEET, "profile", dict(STORE_TRUE, help=(
+        "per-state cost breakdown (measurement only)"))),
+    ("--inject-bug", CAMPAIGN, "verifs_bugs", dict(
+        action="append", default=[], metavar="BUG",
+        help="inject a VeriFS bug into the last --fs (repeatable)")),
+)
 
 
-def _validate_fs_and_bugs(args) -> None:
-    for name in args.fs:
-        if name not in FILESYSTEMS:
-            raise SystemExit(f"unknown file system {name!r}; see 'repro list'")
-    for bug in getattr(args, "inject_bug", None) or ():
-        try:
-            VeriFSBug(bug)
-        except ValueError:
-            raise SystemExit(f"unknown bug {bug!r}; see 'repro list'")
-    from repro.workload.profile import parse_profile
-
-    for profile_spec in getattr(args, "input_profile", None) or ():
-        try:
-            parse_profile(profile_spec)
-        except ValueError as error:
-            # match the --state-store convention: bad spec exits 2
-            print(f"error: {error}", file=sys.stderr)
-            raise SystemExit(2)
+def _add_spec_flags(parser, command: str) -> None:
+    for flag, commands, _field, keywords in SPEC_FLAGS:
+        if command in commands:
+            parser.add_argument(flag, **keywords)
 
 
-def _spec_from_args(args) -> CheckSpec:
-    """Build the picklable run description a worker fleet needs."""
-    total_operations = args.max_ops or 1000
-    profiles = tuple(getattr(args, "input_profile", None) or ())
+def spec_from_args(args) -> CheckSpec:
+    """The run a ``check``/``swarm``/``submit`` command line describes;
+    raises ``ValueError`` when it is not a valid run."""
+    values = {}
+    for flag, _commands, field, keywords in SPEC_FLAGS:
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        if field is not None and hasattr(args, dest):
+            value = getattr(args, dest)
+            values[field] = tuple(value) if isinstance(value, list) else value
+    profiles = tuple(args.input_profile)
+    fsck_every = args.fsck_every
+    if fsck_every is None and args.fsck_oracle:
+        fsck_every = 10
+    total_operations = args.max_ops or WALK_OPERATIONS
     return CheckSpec(
         # one --input-profile applies fleet-wide; several rotate across
         # units (profile diversification on top of seed diversification)
         input_profile=profiles[0] if profiles else "uniform",
         profile_rotation=profiles if len(profiles) > 1 else (),
-        filesystems=tuple(args.fs),
-        pool=args.pool,
-        strategy=args.strategy,
-        equalize=args.equalize,
-        voting=args.voting,
-        fsck_every=_fsck_every_from_args(args),
-        units=args.units,
-        base_seed=args.seed,
-        unit_operations=max(1, total_operations // args.units),
-        max_depth=args.dist_depth,
-        state_store=args.state_store,
-        verifs_bugs=tuple(getattr(args, "inject_bug", None) or ()),
-        state_check_every=max(1, getattr(args, "check_every", 1)),
-        data_plane=getattr(args, "data_plane", "auto"),
-        profile=bool(getattr(args, "profile", False)),
-    )
+        fsck_every=fsck_every,
+        # --units below 1 is the spec's to refuse
+        unit_operations=max(1, total_operations // max(1, args.units)),
+        **values)
 
 
 def _minimize_into(trail_path: str, summary: RunSummary) -> None:
@@ -145,10 +191,7 @@ def _minimize_into(trail_path: str, summary: RunSummary) -> None:
     from repro.trail import Trail, minimize_trail
 
     result = minimize_trail(Trail.load(trail_path))
-    stem = trail_path
-    if stem.endswith(".trail.json"):
-        stem = stem[:-len(".trail.json")]
-    minimized_path = f"{stem}.min.trail.json"
+    minimized_path = _minimized_path(trail_path)
     result.trail.save(minimized_path)
     summary.minimized_operations = result.minimized_operations
     print(result.describe())
@@ -165,7 +208,7 @@ def _run_campaign(args, state_file: Optional[str] = None,
         # a bad spec, or e.g. --data-plane shm forced on a platform (or
         # store) that cannot carry it: same contract either way
         dist = DistributedChecker(
-            _spec_from_args(args), workers=args.workers,
+            args.spec, workers=args.workers,
             state_file=state_file, trail_dir=args.trail_dir).run()
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -204,62 +247,25 @@ def _run_campaign(args, state_file: Optional[str] = None,
 
 
 def cmd_check(args) -> int:
-    if len(args.fs) < 2:
-        print("error: --fs must be given at least twice (MCFS compares "
-              "file systems)", file=sys.stderr)
-        return 2
-    _validate_fs_and_bugs(args)
-    try:
-        from repro.mc.statestore import parse_store_spec
-
-        parse_store_spec(args.state_store)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if args.workers is not None:
-        if args.mode == "dfs":
-            print("error: --workers requires --mode random (distributed "
-                  "campaigns partition seeded walks)", file=sys.stderr)
-            return 2
         return _run_campaign(args, state_file=args.state_file)
-    # the local path builds from the same spec a worker fleet would use,
-    # so a trail captured here embeds everything a replay needs
-    spec = _spec_from_args(args)
-    mcfs = spec.build_mcfs()
-    mcfs.options.track_coverage = args.coverage
-    mcfs.options.trail_dir = args.trail_dir
-    fsck_every = spec.fsck_every
-    if args.mode == "dfs":
-        result = mcfs.run_dfs(max_depth=args.depth,
-                              max_operations=args.max_ops,
-                              state_file=args.state_file,
-                              por=args.por)
-    else:
-        result = mcfs.run_random(max_operations=args.max_ops or 1000,
-                                 seed=args.seed,
-                                 state_file=args.state_file)
-    summary = RunSummary.from_result(result, show_fsck=bool(fsck_every))
+    # the local path runs the same spec a worker fleet would use, so a
+    # trail captured here embeds everything a replay needs
+    result = args.spec.run(trail_dir=args.trail_dir,
+                           state_file=args.state_file)
+    summary = RunSummary.from_result(result,
+                                     show_fsck=bool(args.spec.fsck_every))
     if result.trail_path and args.minimize:
         _minimize_into(result.trail_path, summary)
     print(summary.render())
-    if args.coverage:
+    if result.coverage is not None:
         print("\ncoverage:")
-        print(mcfs.coverage_report().render())
+        print(result.coverage.render())
     if result.found_discrepancy:
         print("\n" + str(result.report))
         return 1
     print("\nno discrepancies found")
     return 0
-
-
-def cmd_swarm(args) -> int:
-    """``repro check --workers N`` plus per-worker throughput."""
-    if len(args.fs) < 2:
-        print("error: --fs must be given at least twice (MCFS compares "
-              "file systems)", file=sys.stderr)
-        return 2
-    _validate_fs_and_bugs(args)
-    return _run_campaign(args, per_worker=True)
 
 
 def cmd_fsck(args) -> int:
@@ -332,12 +338,11 @@ def cmd_bugdemo(args) -> int:
     if args.bug not in BUG_PAIRS:
         print(f"unknown bug {args.bug!r}; see 'repro list'", file=sys.stderr)
         return 2
-    reference, buggy, depth, profile = BUG_PAIRS[args.bug]
-    mcfs = hunt_spec(args.bug).build_mcfs()
-    mcfs.options.trail_dir = args.trail_dir
+    spec = hunt_spec(args.bug)
+    reference, buggy = spec.filesystems
     print(f"hunting {args.bug} in {buggy} (reference: {reference}, "
-          f"profile: {profile}) ...")
-    result = mcfs.run_dfs(max_depth=depth, max_operations=400_000)
+          f"profile: {spec.input_profile}) ...")
+    result = spec.run(trail_dir=args.trail_dir)
     if result.found_discrepancy:
         print(f"found after {result.operations} operations\n")
         if result.trail_path:
@@ -346,6 +351,14 @@ def cmd_bugdemo(args) -> int:
         return 1
     print("bug not found within the bounded search (unexpected)")
     return 0
+
+
+def _minimized_path(trail_path: str) -> str:
+    """``x.trail.json`` -> ``x.min.trail.json``."""
+    stem = trail_path
+    if stem.endswith(".trail.json"):
+        stem = stem[:-len(".trail.json")]
+    return f"{stem}.min.trail.json"
 
 
 def cmd_replay(args) -> int:
@@ -383,12 +396,7 @@ def cmd_minimize(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(result.describe())
-    output = args.output
-    if output is None:
-        stem = args.trail
-        if stem.endswith(".trail.json"):
-            stem = stem[:-len(".trail.json")]
-        output = f"{stem}.min.trail.json"
+    output = args.output or _minimized_path(args.trail)
     result.trail.save(output)
     print(f"wrote {output}")
     print(result.trail.describe())
@@ -462,33 +470,36 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_submit(args) -> int:
-    """Queue a campaign on a running daemon (optionally watch it)."""
-    from repro.server import RequestFailed, ServerUnavailable
+def _client_command(command):
+    """A daemon client subcommand: ``command(client, args)`` runs on a
+    connected client; an unreachable daemon or a refused request exits
+    2, like any other invalid input."""
+    def run(args) -> int:
+        from repro.server import RequestFailed, ServerUnavailable
 
-    if len(args.fs) < 2:
-        print("error: --fs must be given at least twice (MCFS compares "
-              "file systems)", file=sys.stderr)
-        return 2
-    _validate_fs_and_bugs(args)
-    spec = _spec_from_args(args)
-    try:
-        with _client_from_args(args) as client:
-            job = client.submit(spec, tenant=args.tenant,
-                                priority=args.priority,
-                                workers=args.job_workers)
-            print(f"submitted {job['job_id']} "
-                  f"(tenant {job['tenant']}, priority {job['priority']}, "
-                  f"{job['units_total']} units, "
-                  f"store {job['effective_store']}"
-                  + (" [forced by budget]" if job["store_forced"] else "")
-                  + ")")
-            if not args.watch:
-                return 0
-            return _watch_until_done(client, job["job_id"], from_seq=0)
-    except (ServerUnavailable, RequestFailed) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        try:
+            with _client_from_args(args) as client:
+                return command(client, args)
+        except (ServerUnavailable, RequestFailed) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+    return run
+
+
+@_client_command
+def cmd_submit(client, args) -> int:
+    """Queue a campaign on a running daemon (optionally watch it)."""
+    job = client.submit(args.spec, tenant=args.tenant,
+                        priority=args.priority, workers=args.job_workers)
+    print(f"submitted {job['job_id']} "
+          f"(tenant {job['tenant']}, priority {job['priority']}, "
+          f"{job['units_total']} units, "
+          f"store {job['effective_store']}"
+          + (" [forced by budget]" if job["store_forced"] else "")
+          + ")")
+    if not args.watch:
+        return 0
+    return _watch_until_done(client, job["job_id"], from_seq=0)
 
 
 def _watch_until_done(client, job_id: str, from_seq: int) -> int:
@@ -500,16 +511,10 @@ def _watch_until_done(client, job_id: str, from_seq: int) -> int:
     return 0
 
 
-def cmd_jobs(args) -> int:
+@_client_command
+def cmd_jobs(client, args) -> int:
     """List the daemon's job table."""
-    from repro.server import ServerUnavailable
-
-    try:
-        with _client_from_args(args) as client:
-            jobs = client.jobs()
-    except ServerUnavailable as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    jobs = client.jobs()
     if not jobs:
         print("no jobs")
         return 0
@@ -525,62 +530,34 @@ def cmd_jobs(args) -> int:
     return 0
 
 
-def cmd_watch(args) -> int:
+@_client_command
+def cmd_watch(client, args) -> int:
     """Stream one job's (or every job's) events to stdout."""
-    from repro.server import RequestFailed, ServerUnavailable
-
-    try:
-        with _client_from_args(args) as client:
-            if args.job == "*":
-                for event in client.watch("*", from_seq=args.from_seq,
-                                          follow=args.follow):
-                    print(_render_event(event))
-                return 0
-            return _watch_until_done(client, args.job,
-                                     from_seq=args.from_seq)
-    except (ServerUnavailable, RequestFailed) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if args.job == "*":
+        for event in client.watch("*", from_seq=args.from_seq,
+                                  follow=args.follow):
+            print(_render_event(event))
+        return 0
+    return _watch_until_done(client, args.job, from_seq=args.from_seq)
 
 
-def _job_verb(args, verb: str) -> int:
-    from repro.server import RequestFailed, ServerUnavailable
-
-    try:
-        with _client_from_args(args) as client:
-            job = getattr(client, verb)(args.job)
-            print(f"{job['job_id']}: {job['state']} "
-                  f"({job['units_done']}/{job['units_total']} units)")
-            return 0
-    except (ServerUnavailable, RequestFailed) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def _job_verb(verb: str):
+    """``pause`` / ``resume`` / ``cancel``: one job, one state change."""
+    @_client_command
+    def command(client, args) -> int:
+        job = getattr(client, verb)(args.job)
+        print(f"{job['job_id']}: {job['state']} "
+              f"({job['units_done']}/{job['units_total']} units)")
+        return 0
+    return command
 
 
-def cmd_pause(args) -> int:
-    return _job_verb(args, "pause")
-
-
-def cmd_resume(args) -> int:
-    return _job_verb(args, "resume")
-
-
-def cmd_cancel(args) -> int:
-    return _job_verb(args, "cancel")
-
-
-def cmd_shutdown(args) -> int:
+@_client_command
+def cmd_shutdown(client, args) -> int:
     """Stop a running daemon gracefully (running jobs spool as paused)."""
-    from repro.server import RequestFailed, ServerUnavailable
-
-    try:
-        with _client_from_args(args) as client:
-            client.shutdown()
-            print("daemon stopping (running jobs paused into the spool)")
-            return 0
-    except (ServerUnavailable, RequestFailed) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    client.shutdown()
+    print("daemon stopping (running jobs paused into the spool)")
+    return 0
 
 
 def _add_address_arguments(parser) -> None:
@@ -604,143 +581,30 @@ def build_parser() -> argparse.ArgumentParser:
         .set_defaults(func=cmd_list)
 
     check = subparsers.add_parser("check", help="run a checking campaign")
-    check.add_argument("--fs", action="append", default=[],
-                       help=f"file system to check (repeatable); one of "
-                            f"{', '.join(FILESYSTEMS)}")
-    check.add_argument("--mode", choices=("dfs", "random"), default="dfs")
-    check.add_argument("--depth", type=int, default=2,
-                       help="DFS depth bound (default 2)")
-    check.add_argument("--max-ops", type=int, default=None,
-                       help="operation budget")
-    check.add_argument("--seed", type=int, default=0, help="random-walk seed")
-    check.add_argument("--strategy", choices=tuple(STRATEGIES), default=None,
-                       help="checkpoint strategy for every fs (default: "
-                            "remount for kernel fs, ioctl for VeriFS)")
-    check.add_argument("--equalize", action="store_true",
-                       help="equalize free space at startup (§3.4)")
-    check.add_argument("--voting", action="store_true",
-                       help="majority voting with >= 3 file systems (§7)")
-    check.add_argument("--coverage", action="store_true",
-                       help="print behavioural coverage at the end (§7)")
+    _add_spec_flags(check, "check")
     check.add_argument("--state-file", default=None,
                        help="persist/resume the visited-state table (§7)")
-    check.add_argument("--por", action="store_true",
-                       help="sleep-set partial-order reduction (DFS only)")
-    check.add_argument("--pool", choices=sorted(PRESETS), default="default",
-                       help="workload preset (see repro.workload)")
-    check.add_argument("--input-profile", action="append", default=[],
-                       metavar="SPEC",
-                       help="input-exploration profile: uniform | "
-                            "write-heavy | meta-churn | boundary | "
-                            "custom:op=weight,... with optional +boundary "
-                            "/ +steer flags; repeat to rotate profiles "
-                            "across work units (see docs/workloads.md)")
-    check.add_argument("--fsck-oracle", action="store_true",
-                       help="run the offline fsck oracle over every "
-                            "device image during exploration")
-    check.add_argument("--fsck-every", type=int, default=None, metavar="N",
-                       help="oracle period in operations (implies "
-                            "--fsck-oracle; default 10)")
     check.add_argument("--workers", type=int, default=None, metavar="N",
                        help="run the campaign on N real worker processes "
                             "(random mode only; result is identical for "
                             "any N)")
-    check.add_argument("--units", type=int, default=8,
-                       help="work units to partition the campaign into "
-                            "(with --workers; default 8)")
-    check.add_argument("--unit-depth", dest="dist_depth", type=int,
-                       default=12,
-                       help="per-unit depth bound for distributed runs "
-                            "(default 12)")
-    check.add_argument("--state-store", default="exact", metavar="SPEC",
-                       help="visited-state store: exact | hc[:bytes] | "
-                            "bitstate[:bits,k] "
-                            "(lossy modes report their omission "
-                            "probability; default exact)")
-    check.add_argument("--check-every", type=int, default=1, metavar="N",
-                       help="random mode: compare abstract states only "
-                            "every N operations (amortised checking; "
-                            "trails get longer, which 'repro minimize' "
-                            "exists for; default 1)")
-    check.add_argument("--data-plane", choices=("auto", "shm", "rpc"),
-                       default="auto",
-                       help="distributed visited-state plane: "
-                            "shared-memory segments or batched pipe RPC "
-                            "(auto picks shm when the platform supports "
-                            "it; the plane never changes what is found)")
-    check.add_argument("--profile", action="store_true",
-                       help="break per-state cost into abstraction-walk / "
-                            "fingerprint / ship / snapshot-restore "
-                            "buckets (measurement only)")
     check.add_argument("--trail-dir", default=None, metavar="DIR",
                        help="capture every discrepancy as a replayable "
                             "*.trail.json under DIR")
     check.add_argument("--minimize", action="store_true",
                        help="ddmin a captured trail to a 1-minimal "
                             "reproducer before exiting (needs --trail-dir)")
-    check.add_argument("--inject-bug", action="append", default=[],
-                       metavar="BUG",
-                       help="inject a VeriFS bug (repeatable; the last "
-                            "--fs must be a verifs); see 'repro list'")
     check.set_defaults(func=cmd_check)
 
     swarm = subparsers.add_parser(
         "swarm", help="distributed campaign with per-worker throughput")
-    swarm.add_argument("--fs", action="append", default=[],
-                       help=f"file system to check (repeatable); one of "
-                            f"{', '.join(FILESYSTEMS)}")
+    _add_spec_flags(swarm, "swarm")
     swarm.add_argument("--workers", type=int, default=2,
                        help="worker processes (default 2)")
-    swarm.add_argument("--units", type=int, default=8,
-                       help="work units (fixed by the spec, not the fleet; "
-                            "default 8)")
-    swarm.add_argument("--max-ops", type=int, default=None,
-                       help="total operation budget across units")
-    swarm.add_argument("--seed", type=int, default=1, help="base seed")
-    swarm.add_argument("--pool", choices=sorted(PRESETS), default="default",
-                       help="workload preset (see repro.workload)")
-    swarm.add_argument("--input-profile", action="append", default=[],
-                       metavar="SPEC",
-                       help="input-exploration profile (repeatable: "
-                            "members rotate through the list, diversifying "
-                            "by profile as well as seed)")
-    swarm.add_argument("--unit-depth", dest="dist_depth", type=int,
-                       default=12, help="per-unit depth bound (default 12)")
-    swarm.add_argument("--strategy", choices=tuple(STRATEGIES), default=None,
-                       help="checkpoint strategy for every fs")
-    swarm.add_argument("--equalize", action="store_true",
-                       help="equalize free space at startup (§3.4)")
-    swarm.add_argument("--voting", action="store_true",
-                       help="majority voting with >= 3 file systems (§7)")
-    swarm.add_argument("--fsck-oracle", action="store_true",
-                       help="run the offline fsck oracle during exploration")
-    swarm.add_argument("--fsck-every", type=int, default=None, metavar="N",
-                       help="oracle period in operations (implies "
-                            "--fsck-oracle; default 10)")
-    swarm.add_argument("--state-store", default="exact", metavar="SPEC",
-                       help="visited-state store for the fleet: exact | "
-                            "hc[:bytes] | bitstate[:bits,k] "
-                            "(hc ships its compacted fingerprints over "
-                            "the wire; default exact)")
-    swarm.add_argument("--check-every", type=int, default=1, metavar="N",
-                       help="compare abstract states only every N "
-                            "operations per unit (default 1)")
-    swarm.add_argument("--data-plane", choices=("auto", "shm", "rpc"),
-                       default="auto",
-                       help="visited-state plane: shared-memory "
-                            "segments or batched pipe RPC (auto prefers "
-                            "shm where supported)")
-    swarm.add_argument("--profile", action="store_true",
-                       help="report the fleet's merged per-state cost "
-                            "breakdown (measurement only)")
     swarm.add_argument("--trail-dir", default=None, metavar="DIR",
                        help="capture each unit's discrepancy as a "
                             "replayable *.trail.json under DIR")
-    swarm.add_argument("--inject-bug", action="append", default=[],
-                       metavar="BUG",
-                       help="inject a VeriFS bug (repeatable; the last "
-                            "--fs must be a verifs); see 'repro list'")
-    swarm.set_defaults(func=cmd_swarm)
+    swarm.set_defaults(func=partial(_run_campaign, per_worker=True))
 
     fsck = subparsers.add_parser(
         "fsck", help="offline-check saved device images for corruption")
@@ -829,9 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = subparsers.add_parser(
         "submit", help="queue a campaign on a running daemon")
     _add_address_arguments(submit)
-    submit.add_argument("--fs", action="append", default=[],
-                        help=f"file system to check (repeatable); one of "
-                             f"{', '.join(FILESYSTEMS)}")
+    _add_spec_flags(submit, "submit")
     submit.add_argument("--tenant", default="default",
                         help="tenant the job's store budget is charged to")
     submit.add_argument("--priority", type=int, default=0,
@@ -843,43 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--watch", action="store_true",
                         help="stream the job's events until it finishes "
                              "(exit 1 on discrepancies)")
-    submit.add_argument("--units", type=int, default=8,
-                        help="work units to partition the campaign into "
-                             "(default 8)")
-    submit.add_argument("--max-ops", type=int, default=None,
-                        help="total operation budget across units")
-    submit.add_argument("--seed", type=int, default=1, help="base seed")
-    submit.add_argument("--pool", choices=sorted(PRESETS), default="default",
-                        help="workload preset (see repro.workload)")
-    submit.add_argument("--input-profile", action="append", default=[],
-                        metavar="SPEC",
-                        help="input-exploration profile (repeatable: "
-                             "units rotate through the list)")
-    submit.add_argument("--unit-depth", dest="dist_depth", type=int,
-                        default=12, help="per-unit depth bound (default 12)")
-    submit.add_argument("--strategy", choices=tuple(STRATEGIES), default=None,
-                        help="checkpoint strategy for every fs")
-    submit.add_argument("--equalize", action="store_true",
-                        help="equalize free space at startup (§3.4)")
-    submit.add_argument("--voting", action="store_true",
-                        help="majority voting with >= 3 file systems (§7)")
-    submit.add_argument("--fsck-oracle", action="store_true",
-                        help="run the offline fsck oracle during "
-                             "exploration")
-    submit.add_argument("--fsck-every", type=int, default=None, metavar="N",
-                        help="oracle period in operations (implies "
-                             "--fsck-oracle; default 10)")
-    submit.add_argument("--state-store", default="exact", metavar="SPEC",
-                        help="visited-state store: exact | hc[:bytes] | "
-                             "bitstate[:bits,k] (a tenant "
-                             "over budget is forced to bitstate)")
-    submit.add_argument("--check-every", type=int, default=1, metavar="N",
-                        help="compare abstract states only every N "
-                             "operations per unit (default 1)")
-    submit.add_argument("--inject-bug", action="append", default=[],
-                        metavar="BUG",
-                        help="inject a VeriFS bug (repeatable); see "
-                             "'repro list'")
     submit.set_defaults(func=cmd_submit)
 
     jobs = subparsers.add_parser(
@@ -899,15 +724,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "streaming live events")
     watch.set_defaults(func=cmd_watch)
 
-    for verb, handler, title in (
-            ("pause", cmd_pause,
-             "pause a job at its next unit boundary (snapshot to spool)"),
-            ("resume", cmd_resume, "re-queue a paused job"),
-            ("cancel", cmd_cancel, "cancel a queued/running/paused job")):
+    for verb, title in (
+            ("pause", "pause a job at its next unit boundary (snapshot to "
+                      "spool)"),
+            ("resume", "re-queue a paused job"),
+            ("cancel", "cancel a queued/running/paused job")):
         verb_parser = subparsers.add_parser(verb, help=title)
         _add_address_arguments(verb_parser)
         verb_parser.add_argument("job", help="job id")
-        verb_parser.set_defaults(func=handler)
+        verb_parser.set_defaults(func=_job_verb(verb))
 
     shutdown = subparsers.add_parser(
         "shutdown", help="stop a running daemon (running jobs spool "
@@ -918,8 +743,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if hasattr(args, "fs"):  # check / swarm / submit describe a CheckSpec
+        try:
+            args.spec = spec_from_args(args)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2  # invalid input; 1 means a discrepancy was found
     return args.func(args)
 
 

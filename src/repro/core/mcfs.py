@@ -17,7 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.clock import SimClock
@@ -125,6 +125,9 @@ class MCFSResult:
     #: per-state cost breakdown (:class:`repro.mc.perf.CostProfile`) when
     #: the run profiled; None otherwise
     cost_profile: Optional[Any] = None
+    #: behavioural coverage (:class:`repro.core.coverage.CoverageReport`)
+    #: when the harness tracked it; None otherwise
+    coverage: Optional[Any] = None
 
     @property
     def found_discrepancy(self) -> bool:
@@ -334,6 +337,8 @@ class MCFS:
                               table_stats=getattr(explorer.visited, "stats",
                                                   None))
         result.cost_profile = explorer.profile
+        if self.options.track_coverage:
+            result.coverage = self.coverage_report()
         return result
 
     # ----------------------------------------------------------------- runs --
@@ -362,7 +367,8 @@ class MCFS:
         start = self.clock.now
         explorer.run_dfs(por=por)
         result = self._finish_run(explorer, start, state_file)
-        self._maybe_capture_trail(result, mode="dfs", seed=0)
+        self._maybe_capture_trail(result, seed=0, mode="dfs", depth=max_depth,
+                                  max_ops=max_operations, por=por)
         return result
 
     def run_random(self, max_operations: int, seed: int = 0,
@@ -394,15 +400,17 @@ class MCFS:
         start = self.clock.now
         explorer.run_random(backtrack_probability=backtrack_probability)
         result = self._finish_run(explorer, start, state_file)
-        self._maybe_capture_trail(result, mode="random", seed=seed)
+        self._maybe_capture_trail(result, seed=seed, mode="random",
+                                  max_ops=max_operations)
         return result
 
-    def _maybe_capture_trail(self, result: MCFSResult, mode: str,
-                             seed: int) -> None:
+    def _maybe_capture_trail(self, result: MCFSResult, seed: int,
+                             **search) -> None:
         """Write the run's counterexample trail (``options.trail_dir``).
 
         Needs a spec-built harness: the trail embeds the CheckSpec so a
-        replay can rebuild identical targets in any process.
+        replay can rebuild identical targets in any process, with
+        ``search`` (the spec fields of the run just made) filled in.
         """
         if self.options.trail_dir is None or result.report is None:
             return
@@ -411,8 +419,8 @@ class MCFS:
         from repro.trail import capture_trail
 
         result.trail_path = capture_trail(
-            result.report, self.spec, self.options.trail_dir,
-            mode=mode, seed=seed,
+            result.report, replace(self.spec, **search),
+            self.options.trail_dir, seed=seed,
         )
 
     def _result(self, stats: ExplorationStats, start_time: float,

@@ -41,7 +41,6 @@ from repro.dist.spec import (
     STRATEGIES,
     CheckSpec,
     WorkUnit,
-    add_filesystem_by_name,
     unique_labels,
 )
 from repro.dist.worker import WorkerConfig
@@ -60,6 +59,5 @@ __all__ = [
     "WorkUnit",
     "WorkerConfig",
     "WorkerSummary",
-    "add_filesystem_by_name",
     "unique_labels",
 ]

@@ -528,8 +528,7 @@ class DistributedChecker:
             if report.schedule is None:
                 continue
             result.trail_paths.append(capture_trail(
-                report, self.spec, self.trail_dir,
-                mode="random", seed=unit.seed,
+                report, self.spec, self.trail_dir, seed=unit.seed,
                 name=f"unit{unit.index:03d}-seed{unit.seed}",
             ))
 

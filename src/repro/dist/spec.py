@@ -1,12 +1,12 @@
 """Picklable run descriptions: rebuild an MCFS harness in any process.
 
 A live :class:`~repro.core.mcfs.MCFS` holds open devices, kernels, and
-FUSE servers -- none of which survive a trip through ``pickle``.  The
-distributed runtime therefore ships a :class:`CheckSpec` (plain names
-and numbers) to each worker, which rebuilds its own harness locally,
-exactly the way the CLI builds one from command-line flags.  The CLI
-shares this registry so ``repro check`` and a worker constructing the
-same spec produce identical harnesses.
+FUSE servers -- none of which survive a trip through ``pickle``.  A run
+is therefore described by a :class:`CheckSpec` (plain names and
+numbers): ``repro check`` builds one from its flags and runs it here
+(:meth:`CheckSpec.run`), the distributed runtime ships it to each
+worker, which rebuilds its own harness locally, the daemon queues it,
+and every trail embeds it -- so all of them produce identical harnesses.
 
 The spec also fixes the **work partition**: :meth:`CheckSpec.work_units`
 derives a list of diversified, self-contained exploration units (seeded
@@ -30,6 +30,7 @@ from repro.mc.strategies import (
     VMSnapshotStrategy,
 )
 from repro.util.fieldcodec import FieldCodec
+from repro.verifs import VeriFSBug
 
 KB = 1024
 MB = 1024 * KB
@@ -37,6 +38,9 @@ MB = 1024 * KB
 FILESYSTEMS = ("ext2", "ext4", "xfs", "jffs2", "verifs1", "verifs2")
 #: kernel file systems get the remount strategy by default; VeriFS ioctl
 KERNEL_FS = ("ext2", "ext4", "xfs", "jffs2")
+#: the file systems a seeded bug can be injected into
+VERIFS = ("verifs1", "verifs2")
+BUG_IDS = frozenset(bug.value for bug in VeriFSBug)
 STRATEGIES = {
     "remount": RemountStrategy,
     "no-remount": NoRemountStrategy,
@@ -48,11 +52,13 @@ STRATEGIES = {
 #: the swarm seed stride (a prime, so diversified seeds never collide)
 SEED_STRIDE = 7919
 
+#: operation budget of a walk (or a whole campaign) given none
+WALK_OPERATIONS = 1000
 
-def add_filesystem_by_name(mcfs, clock: SimClock, name: str, label: str,
-                           strategy_name: Optional[str] = None,
-                           verifs_bugs=None) -> None:
-    """Register file system ``name`` on ``mcfs`` (the CLI/worker registry)."""
+
+def _add_filesystem(mcfs, clock: SimClock, name: str, label: str,
+                    strategy_name: Optional[str], bugs) -> None:
+    """Register file system ``name`` on ``mcfs`` under ``label``."""
     from repro.fs import (
         Ext2FileSystemType,
         Ext4FileSystemType,
@@ -64,30 +70,19 @@ def add_filesystem_by_name(mcfs, clock: SimClock, name: str, label: str,
     from repro.verifs import VeriFS1, VeriFS2
 
     strategy = STRATEGIES[strategy_name]() if strategy_name else None
-    bugs = verifs_bugs or []
-    if name == "verifs1":
-        mcfs.add_verifs(label, VeriFS1(bugs=bugs), strategy=strategy)
-    elif name == "verifs2":
-        mcfs.add_verifs(label, VeriFS2(bugs=bugs), strategy=strategy)
-    elif name == "ext2":
-        mcfs.add_block_filesystem(label, Ext2FileSystemType(),
-                                  RAMBlockDevice(256 * KB, clock=clock, name=label),
-                                  strategy=strategy)
-    elif name == "ext4":
-        mcfs.add_block_filesystem(label, Ext4FileSystemType(),
-                                  RAMBlockDevice(256 * KB, clock=clock, name=label),
-                                  strategy=strategy)
-    elif name == "xfs":
-        mcfs.add_block_filesystem(label, XfsFileSystemType(),
-                                  RAMBlockDevice(16 * MB, clock=clock, name=label),
-                                  strategy=strategy)
-    elif name == "jffs2":
-        mcfs.add_block_filesystem(label, Jffs2FileSystemType(),
-                                  MTDDevice(256 * KB, clock=clock, name=label),
-                                  strategy=strategy)
-    else:
-        raise ValueError(f"unknown file system {name!r}; "
-                         f"expected one of {', '.join(FILESYSTEMS)}")
+    if name in VERIFS:
+        verifs = VeriFS1 if name == "verifs1" else VeriFS2
+        mcfs.add_verifs(label, verifs(bugs=bugs), strategy=strategy)
+        return
+    fstype, device, size = {
+        "ext2": (Ext2FileSystemType, RAMBlockDevice, 256 * KB),
+        "ext4": (Ext4FileSystemType, RAMBlockDevice, 256 * KB),
+        "xfs": (XfsFileSystemType, RAMBlockDevice, 16 * MB),
+        "jffs2": (Jffs2FileSystemType, MTDDevice, 256 * KB),
+    }[name]
+    mcfs.add_block_filesystem(label, fstype(),
+                              device(size, clock=clock, name=label),
+                              strategy=strategy)
 
 
 def unique_labels(names: List[str]) -> List[str]:
@@ -125,7 +120,14 @@ class WorkUnit:
 
 @dataclass(frozen=True)
 class CheckSpec(FieldCodec):
-    """A complete, picklable description of a distributed checking run."""
+    """A complete, picklable description of a checking run: the one
+    search :meth:`run` executes in this process, or the campaign of
+    seeded walks :meth:`work_units` partitions across a fleet.
+
+    Every field is validated here, so an invalid run is refused where
+    it is described -- by the CLI, at ``submit`` -- and never in a
+    worker or a daemon slot.  Where a run writes (trail directory,
+    state file) is not part of what it is, and stays outside."""
 
     filesystems: Tuple[str, ...]
     pool: str = "default"
@@ -177,15 +179,40 @@ class CheckSpec(FieldCodec):
     #: input profile as well as seed.  A function of the unit index only,
     #: so merged fingerprints stay independent of fleet size.
     profile_rotation: Tuple[str, ...] = ()
+    #: the search :meth:`run` executes: ``random`` is one walk seeded
+    #: with ``base_seed``, ``dfs`` the exhaustive search to ``depth``.
+    #: A campaign (:meth:`work_units`) partitions random walks only.
+    mode: str = "random"
+    #: DFS depth bound
+    depth: int = 2
+    #: sleep-set partial-order reduction (DFS only)
+    por: bool = False
+    #: operation budget of :meth:`run` (None: a DFS runs to exhaustion,
+    #: a walk takes ``WALK_OPERATIONS``)
+    max_ops: Optional[int] = None
+    #: record behavioural coverage; the result carries its report
+    coverage: bool = False
 
     def __post_init__(self):
         if len(self.filesystems) < 2:
-            raise ValueError("a check needs at least two file systems")
+            raise ValueError("--fs must be given at least twice (MCFS "
+                             "compares file systems)")
         if self.units < 1:
             raise ValueError("a run needs at least one work unit")
         for name in self.filesystems:
             if name not in FILESYSTEMS:
-                raise ValueError(f"unknown file system {name!r}")
+                raise ValueError(f"unknown file system {name!r}; see "
+                                 f"'repro list'")
+        for bug in self.verifs_bugs:
+            if bug not in BUG_IDS:
+                raise ValueError(f"unknown bug {bug!r}; see 'repro list'")
+        if self.verifs_bugs and self.filesystems[-1] not in VERIFS:
+            raise ValueError(f"injected bugs go into the last file system, "
+                             f"which must be a verifs, not "
+                             f"{self.filesystems[-1]!r}")
+        if self.mode not in ("random", "dfs"):
+            raise ValueError(f"unknown mode {self.mode!r}; expected "
+                             f"random | dfs")
         if self.data_plane not in ("auto", "shm", "rpc"):
             raise ValueError(f"unknown data plane {self.data_plane!r}; "
                              f"expected auto | shm | rpc")
@@ -207,8 +234,9 @@ class CheckSpec(FieldCodec):
             for key, value in document.items()})
 
     # ------------------------------------------------------------- harness --
-    def build_mcfs(self):
-        """Construct a fresh MCFS harness for this spec (any process)."""
+    def build_mcfs(self, trail_dir: Optional[str] = None):
+        """Construct a fresh MCFS harness for this spec (any process);
+        its counterexample trails go to ``trail_dir`` (None: none)."""
         from repro.core.mcfs import MCFS, MCFSOptions
         from repro.workload import preset
 
@@ -232,20 +260,36 @@ class CheckSpec(FieldCodec):
             # (per-member hash seeds suit swarm members that never merge
             # their tables; these do)
             store_seed=self.base_seed,
+            track_coverage=self.coverage,
+            trail_dir=trail_dir,
         )
         mcfs = MCFS(clock, options)
         labels = unique_labels(list(self.filesystems))
         last = len(self.filesystems) - 1
         for position, (name, label) in enumerate(zip(self.filesystems, labels)):
-            bugs = None
-            if position == last and self.verifs_bugs:
-                from repro.verifs import VeriFSBug
-
-                bugs = [VeriFSBug(value) for value in self.verifs_bugs]
-            add_filesystem_by_name(mcfs, clock, name, label, self.strategy,
-                                   verifs_bugs=bugs)
+            bugs = [VeriFSBug(value) for value in self.verifs_bugs
+                    if position == last]
+            _add_filesystem(mcfs, clock, name, label, self.strategy, bugs)
         mcfs.spec = self
         return mcfs
+
+    def run(self, trail_dir: Optional[str] = None,
+            state_file: Optional[str] = None):
+        """Run this spec's search in this process on a fresh harness.
+
+        ``trail_dir`` receives the counterexample trail of a find and
+        ``state_file`` makes the run resumable (see ``MCFS.run_dfs``).
+        Returns the :class:`~repro.core.mcfs.MCFSResult`; with
+        ``coverage`` set, ``result.coverage`` holds the report.
+        """
+        mcfs = self.build_mcfs(trail_dir=trail_dir)
+        if self.mode == "dfs":
+            return mcfs.run_dfs(max_depth=self.depth,
+                                max_operations=self.max_ops,
+                                state_file=state_file, por=self.por)
+        return mcfs.run_random(
+            max_operations=self.max_ops or WALK_OPERATIONS,
+            seed=self.base_seed, state_file=state_file)
 
     # ------------------------------------------------------------ partition --
     def unit_profile(self, index: int) -> str:
@@ -256,6 +300,9 @@ class CheckSpec(FieldCodec):
 
     def work_units(self) -> List[WorkUnit]:
         """The deterministic unit list (seeds and depth bounds like swarm)."""
+        if self.mode != "random":
+            raise ValueError("--workers requires --mode random (distributed "
+                             "campaigns partition seeded walks)")
         return [
             WorkUnit(
                 index=index,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.dist import realtime
@@ -176,11 +176,9 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
     ``session_operations`` is the operation count the worker completed in
     earlier units (chaos fault injection triggers on the session total).
     """
-    mcfs = spec.build_mcfs()
-    # per-unit input diversification: the unit's profile (a function of
-    # the unit index only, via CheckSpec.unit_profile) overrides the
-    # spec-wide default before the engine/catalog is built
-    mcfs.options.input_profile = unit.input_profile
+    # per-unit input diversification: the unit explores with its own
+    # profile (a function of the unit index only, CheckSpec.unit_profile)
+    mcfs = replace(spec, input_profile=unit.input_profile).build_mcfs()
     profile = None
     ship = sink.ship_batch
     if mcfs.options.profile:

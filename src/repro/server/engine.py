@@ -129,7 +129,6 @@ class EngineConfig:
 class _Runtime:
     """The in-memory half of a job the descriptor does not carry."""
 
-    spec: CheckSpec
     pending: Deque[WorkUnit]
     submit_seq: int
     #: the campaign so far: every slice's result absorbed into one
@@ -188,7 +187,8 @@ class CampaignEngine:
     # ------------------------------------------------------------ admission --
     def submit(self, request: SubmitRequest) -> JobDescriptor:
         """Admit a campaign: budget-check, enqueue, and announce it."""
-        spec = CheckSpec.from_dict(request.spec)
+        spec = request.spec
+        units = spec.work_units()  # a spec no fleet can run is refused here
         workers = max(1, int(request.workers))
         self._job_counter += 1
         job_id = f"job-{self._job_counter:04d}"
@@ -201,7 +201,7 @@ class CampaignEngine:
             priority=request.priority,
             state=QUEUED,
             workers=workers,
-            spec=effective_spec.to_dict(),
+            spec=effective_spec,
             requested_store=requested.describe(),
             effective_store=parse_store_spec(
                 effective_spec.state_store).describe(),
@@ -212,8 +212,7 @@ class CampaignEngine:
         )
         self.jobs[job_id] = descriptor
         self._runtimes[job_id] = _Runtime(
-            spec=effective_spec,
-            pending=deque(effective_spec.work_units()),
+            pending=deque(units),
             submit_seq=self._submit_seq,
             result=DistResult(workers=workers),
         )
@@ -326,8 +325,8 @@ class CampaignEngine:
             runtime = self._runtimes[job_id]
             if runtime.service is None:
                 runtime.service = VisitedStateService(
-                    store=runtime.spec.state_store,
-                    store_seed=runtime.spec.base_seed)
+                    store=descriptor.spec.state_store,
+                    store_seed=descriptor.spec.base_seed)
                 if runtime.snapshot is not None:
                     runtime.service.import_snapshot(runtime.snapshot)
                     runtime.snapshot = None
@@ -375,7 +374,7 @@ class CampaignEngine:
         # pause snapshots cover the engine's durability needs, so inline
         # units' no-op checkpoints lose nothing
         completed = DistributedChecker(
-            runtime.spec,
+            descriptor.spec,
             workers=workers,
             config=WorkerConfig(
                 heartbeat_operations=self.config.heartbeat_operations),
@@ -425,8 +424,8 @@ class CampaignEngine:
                        {"unit": unit_result.index, "path": path})
 
         capture_trail(
-            report, runtime.spec, self.config.trail_dir,
-            mode="random", seed=unit_result.seed,
+            report, descriptor.spec, self.config.trail_dir,
+            seed=unit_result.seed,
             name=f"{descriptor.job_id}-unit{unit_result.index:03d}",
             notify=announce)
 
@@ -460,7 +459,7 @@ class CampaignEngine:
         runtime.snapshot = snapshot_document(
             runtime.service.table,
             operations_completed=descriptor.operations,
-            seed=runtime.spec.base_seed,
+            seed=descriptor.spec.base_seed,
             worker_id=job_id,
             frontier=[unit.index for unit in runtime.pending],
         )
@@ -578,7 +577,7 @@ class CampaignEngine:
             snapshot = snapshot_document(
                 runtime.service.table,
                 operations_completed=descriptor.operations,
-                seed=runtime.spec.base_seed,
+                seed=descriptor.spec.base_seed,
                 worker_id=job_id,
                 frontier=[unit.index for unit in runtime.pending],
             )
@@ -618,7 +617,7 @@ class CampaignEngine:
         for document in sorted(entries,
                                key=lambda entry: entry.get("submit_seq", 0)):
             descriptor = JobDescriptor.from_dict(document["descriptor"])
-            spec = CheckSpec.from_dict(descriptor.spec)
+            units = descriptor.spec.work_units()
             unit_results = [UnitResult.from_dict(entry)
                             for entry in document.get("unit_results", [])]
             snapshot = document.get("snapshot")
@@ -628,14 +627,13 @@ class CampaignEngine:
                 # interrupted mid-run: completed units are kept, the
                 # remainder recomputed; determinism makes this a resume
                 done_indices = {unit.index for unit in unit_results}
-                frontier = [unit.index for unit in spec.work_units()
+                frontier = [unit.index for unit in units
                             if unit.index not in done_indices]
                 descriptor.state = QUEUED
-            by_index = {unit.index: unit for unit in spec.work_units()}
+            by_index = {unit.index: unit for unit in units}
             pending = deque(by_index[index] for index in frontier
                             if index in by_index)
             runtime = _Runtime(
-                spec=spec,
                 pending=pending,
                 submit_seq=int(document.get("submit_seq", 0)),
                 snapshot=snapshot,

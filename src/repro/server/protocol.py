@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.dist.spec import CheckSpec
 from repro.util.fieldcodec import FieldCodec
 
 PROTOCOL_VERSION = 1
@@ -63,15 +64,16 @@ TERMINAL_EVENTS = frozenset(("done", "failed", "cancelled"))
 
 
 @dataclass(frozen=True)
-class SubmitRequest:
+class SubmitRequest(FieldCodec):
     """A campaign submission: the spec plus scheduling metadata.
 
-    ``spec`` is a :meth:`repro.dist.spec.CheckSpec.to_dict` document --
-    the same picklable run description the distributed fleet ships, so
-    anything ``repro check --workers`` can run, the server can queue.
+    ``spec`` is the same :class:`~repro.dist.spec.CheckSpec` the
+    distributed fleet ships (on the wire, its ``to_dict`` document), so
+    anything ``repro check --workers`` can run, the server can queue --
+    and a spec that does not validate is refused here, at decode.
     """
 
-    spec: Dict[str, Any]
+    spec: CheckSpec
     tenant: str = "default"
     priority: int = 0
     #: per-job fleet width: every slice is a
@@ -79,18 +81,14 @@ class SubmitRequest:
     #: workers when > 1, inline in the daemon (a fleet of zero) otherwise
     workers: int = 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"spec": dict(self.spec), "tenant": self.tenant,
-                "priority": self.priority, "workers": self.workers}
-
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "SubmitRequest":
-        return cls(
-            spec=dict(document["spec"]),
-            tenant=document.get("tenant", "default"),
-            priority=int(document.get("priority", 0)),
-            workers=int(document.get("workers", 1)),
-        )
+        # numbers off the wire are checked here (a ValueError the daemon
+        # answers), not found wrong later in the scheduler's heap
+        return super().from_dict({
+            **document, "spec": CheckSpec.from_dict(document["spec"]),
+            "priority": int(document.get("priority", 0)),
+            "workers": int(document.get("workers", 1))})
 
 
 @dataclass
@@ -108,7 +106,7 @@ class JobDescriptor(FieldCodec):
     priority: int
     state: str
     workers: int
-    spec: Dict[str, Any] = field(default_factory=dict)
+    spec: CheckSpec
     #: store the client asked for vs. what admission control granted
     requested_store: str = "exact"
     effective_store: str = "exact"
@@ -127,6 +125,11 @@ class JobDescriptor(FieldCodec):
     planned_store_bytes: int = 0
     error: Optional[str] = None
 
+    @classmethod
+    def from_dict(cls, document: Dict[str, Any]) -> "JobDescriptor":
+        return super().from_dict(
+            {**document, "spec": CheckSpec.from_dict(document["spec"])})
+
     @property
     def active(self) -> bool:
         """True while the job holds queue/slot/budget resources."""
@@ -134,7 +137,7 @@ class JobDescriptor(FieldCodec):
 
 
 @dataclass(frozen=True)
-class JobEvent:
+class JobEvent(FieldCodec):
     """One entry of a job's totally-ordered event stream.
 
     ``seq`` is the engine-global sequence number (watchers resume from
@@ -148,20 +151,6 @@ class JobEvent:
     seq: int
     vtime: float
     payload: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "job_id": self.job_id, "seq": self.seq,
-                "vtime": self.vtime, "payload": dict(self.payload)}
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "JobEvent":
-        return cls(
-            kind=document["kind"],
-            job_id=document["job_id"],
-            seq=int(document["seq"]),
-            vtime=float(document["vtime"]),
-            payload=dict(document.get("payload", {})),
-        )
 
     @property
     def terminal(self) -> bool:

@@ -1,9 +1,10 @@
 """Trail files: self-contained, shippable counterexamples.
 
 A trail is everything a fresh process needs to re-witness a discrepancy:
-the campaign :class:`~repro.dist.spec.CheckSpec` (which rebuilds
-identical file systems, strategies, and workload pools anywhere), the
-seed and mode that found it, the explorer's full event schedule (inside
+the :class:`~repro.dist.spec.CheckSpec` of the run that found it (which
+rebuilds identical file systems, strategies, and workload pools
+anywhere, and names the search), the seed of the walk that found it,
+the explorer's full event schedule (inside
 the serialised report), and the expected outcome -- both a relaxed
 structured *signature* and a strict byte-level *digest* of the report.
 
@@ -90,7 +91,6 @@ class Trail:
 
     spec: CheckSpec
     report: DiscrepancyReport
-    mode: str = "random"
     seed: int = 0
     #: operation count of the originating trail (set on minimized trails)
     minimized_from: Optional[int] = None
@@ -99,6 +99,11 @@ class Trail:
     #: how those probes were served (``MinimizeResult.stats()``): live
     #: path projected or not, cached/fresh split, cache hits, pollution
     minimization: Optional[Dict[str, Any]] = None
+
+    @property
+    def mode(self) -> str:
+        """The search that found it (``random`` or ``dfs``)."""
+        return self.spec.mode
 
     @property
     def operations(self) -> int:
@@ -142,10 +147,12 @@ class Trail:
             raise TrailFormatError(
                 f"trail version {document['version']} is newer than this "
                 f"reader (supports <= {TRAIL_VERSION})")
+        # trails written before the spec named its search carry the
+        # mode beside it
+        spec = {"mode": document.get("mode", "random"), **document["spec"]}
         trail = cls(
-            spec=CheckSpec.from_dict(document["spec"]),
+            spec=CheckSpec.from_dict(spec),
             report=DiscrepancyReport.from_dict(document["report"]),
-            mode=document.get("mode", "random"),
             seed=document.get("seed", 0),
             minimized_from=document.get("minimized_from"),
             probes=document.get("probes"),
@@ -189,7 +196,7 @@ class Trail:
 
 
 def capture_trail(report: DiscrepancyReport, spec: CheckSpec,
-                  trail_dir: str, mode: str = "random", seed: int = 0,
+                  trail_dir: str, seed: int = 0,
                   name: Optional[str] = None, notify=None) -> str:
     """Write ``report`` (which must carry a schedule) as a trail file.
 
@@ -206,13 +213,13 @@ def capture_trail(report: DiscrepancyReport, spec: CheckSpec,
     if not report.schedule:
         raise ValueError("report has no schedule; nothing to capture")
     os.makedirs(trail_dir, exist_ok=True)
-    stem = name or f"{'-'.join(spec.filesystems)}-{mode}-seed{seed}"
+    stem = name or f"{'-'.join(spec.filesystems)}-{spec.mode}-seed{seed}"
     path = os.path.join(trail_dir, f"{stem}.trail.json")
     suffix = 2
     while os.path.exists(path):
         path = os.path.join(trail_dir, f"{stem}-{suffix}.trail.json")
         suffix += 1
-    written = Trail(spec=spec, report=report, mode=mode, seed=seed).save(path)
+    written = Trail(spec=spec, report=report, seed=seed).save(path)
     if notify is not None:
         notify(written)
     return written

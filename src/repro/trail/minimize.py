@@ -443,7 +443,6 @@ def _finalize(trail: Trail, minimized: List[Event], probes: int,
     new_trail = Trail(
         spec=trail.spec,
         report=report,
-        mode=trail.mode,
         seed=trail.seed,
         minimized_from=trail.operations,
         probes=probes,

@@ -15,9 +15,12 @@ from typing import Any, Dict
 
 
 def _plain(value: Any) -> Any:
-    """Tuples become lists (what JSON would do anyway); lists are copied."""
+    """Tuples become lists (what JSON would do anyway); lists are copied;
+    an embedded codec dataclass becomes its own document."""
     if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
+    if isinstance(value, FieldCodec):
+        return value.to_dict()
     return value
 
 

@@ -9,6 +9,7 @@ with the same ``{state: shallowest depth}`` map -- which is what
 ``visited_fingerprint()`` digests.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -185,10 +186,8 @@ class TestSeededBugsStillFound:
     @pytest.mark.parametrize("por", [False, True], ids=["full", "por"])
     @pytest.mark.parametrize("bug", sorted(BUG_PAIRS))
     def test_found_confirmed_minimised(self, bug, por, tmp_path):
-        mcfs = hunt_spec(bug).build_mcfs()
-        mcfs.options.trail_dir = str(tmp_path)
-        result = mcfs.run_dfs(max_depth=BUG_PAIRS[bug][2],
-                              max_operations=400_000, por=por)
+        hunt = dataclasses.replace(hunt_spec(bug), por=por)
+        result = hunt.run(trail_dir=str(tmp_path))
         assert result.found_discrepancy and result.trail_path
         trail = Trail.load(result.trail_path)
         assert replay_trail(trail).status == "CONFIRMED"

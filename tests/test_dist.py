@@ -123,6 +123,37 @@ class TestCheckSpec:
         with pytest.raises(ValueError):
             CheckSpec(filesystems=("verifs1", "verifs2"), units=0)
 
+    def test_rejects_unknown_bug(self):
+        with pytest.raises(ValueError, match="unknown bug 'nope'"):
+            CheckSpec(filesystems=("verifs1", "verifs2"), verifs_bugs=("nope",))
+
+    def test_rejects_a_bug_the_last_fs_cannot_carry(self):
+        with pytest.raises(ValueError, match="must be a verifs"):
+            CheckSpec(filesystems=("verifs1", "ext4"),
+                      verifs_bugs=("write-hole-stale",))
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            CheckSpec(filesystems=("verifs1", "verifs2"), mode="bfs")
+
+    def test_a_dfs_spec_has_no_work_units(self):
+        with pytest.raises(ValueError, match="--mode random"):
+            CheckSpec(filesystems=("verifs1", "verifs2"),
+                      mode="dfs").work_units()
+
+    def test_run_is_the_searches_it_names(self):
+        dfs = CheckSpec(filesystems=("verifs1", "verifs2"), mode="dfs",
+                        depth=2, por=True)
+        expected = dfs.build_mcfs().run_dfs(max_depth=2, por=True)
+        assert dfs.run().stats.to_dict() == expected.stats.to_dict()
+        walk = CheckSpec(filesystems=("verifs1", "verifs2"), base_seed=3,
+                         max_ops=120, coverage=True)
+        result = walk.run()
+        mcfs = walk.build_mcfs()
+        expected = mcfs.run_random(max_operations=120, seed=3)
+        assert result.stats.to_dict() == expected.stats.to_dict()
+        assert result.coverage.render() == mcfs.coverage_report().render()
+
     def test_unique_labels(self):
         assert unique_labels(["ext4", "ext4", "ext4"]) == [
             "ext4", "ext42", "ext43"]
@@ -328,7 +359,7 @@ class TestFaultTolerance:
 
         spool = str(tmp_path / "spool")
         engine = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
-        job = engine.submit(SubmitRequest(spec=SPEC.to_dict()))
+        job = engine.submit(SubmitRequest(spec=SPEC))
         engine.step()  # one unit lands
         engine.pause(job.job_id)
         engine.step()  # the pause snapshot (store + frontier) is spooled

@@ -139,7 +139,7 @@ job_descriptors = st.builds(
     state=st.sampled_from(("queued", "running", "paused", "done",
                            "failed", "cancelled")),
     workers=st.integers(min_value=1, max_value=8),
-    spec=st.just(CheckSpec(filesystems=("verifs1", "verifs2")).to_dict()),
+    spec=st.just(CheckSpec(filesystems=("verifs1", "verifs2"))),
     requested_store=st.sampled_from(("exact", "hc:8", "bitstate:8192,3")),
     effective_store=st.sampled_from(("exact", "bitstate:8192,3")),
     store_forced=st.booleans(),
@@ -168,7 +168,7 @@ job_events = st.builds(
 
 submit_requests = st.builds(
     SubmitRequest,
-    spec=st.just(CheckSpec(filesystems=("verifs1", "verifs2")).to_dict()),
+    spec=st.just(CheckSpec(filesystems=("verifs1", "verifs2"))),
     tenant=names,
     priority=st.integers(min_value=-10, max_value=10),
     workers=st.integers(min_value=1, max_value=8),
@@ -354,5 +354,4 @@ class TestServerDocumentRoundTrip:
             through_json(request.to_dict()))
         assert restored == request
         # and the embedded spec still builds a real campaign
-        assert CheckSpec.from_dict(restored.spec).filesystems == \
-            ("verifs1", "verifs2")
+        assert restored.spec.filesystems == ("verifs1", "verifs2")

@@ -76,7 +76,7 @@ def bug_baseline():
 
 
 def submit(engine, spec=SPEC, **kwargs):
-    return engine.submit(SubmitRequest(spec=spec.to_dict(), **kwargs))
+    return engine.submit(SubmitRequest(spec=spec, **kwargs))
 
 
 # ------------------------------------------------------------ the engine --
@@ -326,6 +326,31 @@ class TestPauseResume:
         assert result.cost_profile["states"] == sum(
             unit.cost_profile["states"] for unit in result.unit_results)
 
+    def test_spool_written_before_typed_specs_resumes(self, baseline,
+                                                      tmp_path):
+        """A spool whose descriptor carries the spec as a plain dict
+        without the search fields loads as a CheckSpec and resumes."""
+        spool = tmp_path / "spool"
+        engine = CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
+        job = submit(engine)
+        engine.step()
+        engine.pause(job.job_id)
+        engine.step()
+        del engine
+        path = spool / f"{job.job_id}.json"
+        document = json.loads(path.read_text())
+        spec = document["descriptor"]["spec"]
+        for key in ("mode", "depth", "por", "max_ops", "coverage"):
+            del spec[key]
+        path.write_text(json.dumps(document))
+
+        reborn = CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
+        assert reborn.job(job.job_id).spec == SPEC
+        reborn.resume(job.job_id)
+        reborn.run_until_idle()
+        assert fingerprint(reborn.result(job.job_id)) == \
+            fingerprint(baseline)
+
     def test_pause_of_queued_job_skips_admission(self):
         engine = CampaignEngine(EngineConfig(slots=1))
         running = submit(engine)
@@ -521,6 +546,19 @@ class TestDaemon:
             client.pause(first["job_id"])  # hold the reservation
             with pytest.raises(RequestFailed, match="BudgetExceeded"):
                 client.submit(SPEC, tenant="poor")
+
+    def test_invalid_specs_are_refused_at_submit(self, server):
+        from repro.server import RequestFailed
+
+        with ReproClient(socket_path=server.socket_path) as client:
+            before = len(client.jobs())
+            for bad in ({"verifs_bugs": ["not-a-bug"]},
+                        {"filesystems": ["verifs1", "ext4"],
+                         "verifs_bugs": ["write-hole-stale"]},
+                        {"mode": "dfs"}):
+                with pytest.raises(RequestFailed, match="ValueError"):
+                    client.submit({**SPEC.to_dict(), **bad})
+            assert len(client.jobs()) == before
 
     def test_graceful_shutdown_spools_running_jobs(self, tmp_path,
                                                    baseline):

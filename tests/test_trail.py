@@ -9,9 +9,11 @@ via the distributed fleet.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.cli import hunt_spec
 from repro.core.report import DiscrepancyReport
 from repro.dist.spec import CheckSpec
 from repro.mc import trace
@@ -42,11 +44,9 @@ def capture_one(bug, trail_dir, state_store="exact", state_check_every=1000,
     spec = CheckSpec(filesystems=filesystems, verifs_bugs=(bug,), pool=pool,
                      state_store=state_store,
                      state_check_every=state_check_every)
-    mcfs = spec.build_mcfs()
-    mcfs.options.trail_dir = str(trail_dir)
-    result = mcfs.run_random(seed=1, max_operations=max_operations,
-                             max_depth=max_depth,
-                             backtrack_probability=backtrack)
+    result = spec.build_mcfs(trail_dir=str(trail_dir)).run_random(
+        seed=1, max_operations=max_operations, max_depth=max_depth,
+        backtrack_probability=backtrack)
     assert result.found_discrepancy, f"{bug} not found by the seeded walk"
     assert result.trail_path, f"{bug} produced no trail"
     return result
@@ -95,6 +95,35 @@ class TestTrailFiles:
         # the embedded report is lossless, schedule included
         restored = DiscrepancyReport.from_dict(trail.report.to_dict())
         assert restored.schedule == trail.report.schedule
+
+    def test_the_spec_names_the_search_that_found_it(self, tmp_path):
+        # a harness built from a walk's spec, driven by run_dfs: the
+        # trail's spec says what actually ran
+        spec = hunt_spec("extent-boundary-stale")
+        mcfs = replace(spec, mode="random").build_mcfs(
+            trail_dir=str(tmp_path))
+        result = mcfs.run_dfs(max_depth=spec.depth, por=True)
+        trail = Trail.load(result.trail_path)
+        assert trail.spec == replace(spec, por=True, max_ops=None)
+        assert trail.mode == "dfs"
+        assert trail.describe().startswith("trail: dfs run, seed 0")
+
+    def test_trail_from_before_the_spec_named_its_search_loads(
+            self, tmp_path):
+        """The earlier format: ``mode`` beside the spec, and a spec
+        without the search fields."""
+        result = hunt_spec("extent-boundary-stale").run(
+            trail_dir=str(tmp_path))
+        with open(result.trail_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        for key in ("mode", "depth", "por", "max_ops", "coverage"):
+            del document["spec"][key]
+        document["mode"] = "dfs"
+        old = tmp_path / "old.trail.json"
+        old.write_text(json.dumps(document))
+        trail = Trail.load(str(old))
+        assert trail.spec.mode == trail.mode == "dfs"
+        assert replay_trail(trail).status == "CONFIRMED"
 
     def test_not_a_trail_rejected(self, tmp_path):
         path = tmp_path / "junk.trail.json"

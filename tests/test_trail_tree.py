@@ -8,6 +8,8 @@ bindings valid at that prefix.  These tests pin each piece down by
 rather than by argument.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,10 +34,7 @@ RESTORE_CORRUPTING = "missing-cache-invalidation"
 
 def dfs_trail(bug, tmp_path, por=False):
     """The trail of a ``repro bugdemo``-style depth-bounded DFS hunt."""
-    mcfs = hunt_spec(bug).build_mcfs()
-    mcfs.options.trail_dir = str(tmp_path)
-    result = mcfs.run_dfs(max_depth=BUG_PAIRS[bug][2],
-                          max_operations=400_000, por=por)
+    result = replace(hunt_spec(bug), por=por).run(trail_dir=str(tmp_path))
     assert result.found_discrepancy and result.trail_path
     return Trail.load(result.trail_path)
 
