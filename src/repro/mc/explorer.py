@@ -23,7 +23,7 @@ import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
 from repro.clock import SimClock
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
@@ -108,7 +108,6 @@ class ExplorationStats(FieldCodec):
     restores_elided: int = 0
     #: per-state fsck oracle sweeps performed (``fsck_every``)
     fsck_checks: int = 0
-    max_depth_reached: int = 0
     start_time: float = 0.0
     end_time: float = 0.0
     violation: Optional[PropertyViolation] = None
@@ -155,6 +154,27 @@ class ExplorationStats(FieldCodec):
         elif raw is not None:
             stats.violation = PropertyViolation(raw.get("message", ""))
         return stats
+
+
+@dataclass
+class _Frame:
+    """One open DFS node: what a recursive activation would keep on the
+    interpreter's stack, kept on the explorer's own stack instead."""
+
+    state: str
+    depth: int
+    #: this run's memo row for ``state``: {slot: successor hash}
+    successors: Dict[int, str]
+    #: the sleep set (None without POR): the inherited one, then each
+    #: visited sibling slot, added as the loop moves past it
+    sleep: Optional[Set[int]]
+    #: the action slot being visited
+    slot: int = 0
+    #: the node's checkpoint, armed lazily before an executed child and
+    #: spent by the first restore: (recorder id, target token)
+    armed: Optional[Tuple[int, Any]] = None
+    #: the child reached through ``slot``, while its subtree is open
+    child: Optional[str] = None
 
 
 class Explorer:
@@ -205,37 +225,56 @@ class Explorer:
         #: attached to the report so it can be captured as a trail
         self.recorder = TrailRecorder()
         self.stats = ExplorationStats()
-        #: ``run_dfs``'s action alphabet: memo keys, sleep sets and the
-        #: commutation relation hold slots (positions in it), not actions
-        self._actions: List[Any] = []
         #: ``run_dfs``'s successor memo, emptied when the run ends: state ->
         #: (depth last expanded at, {slot: successor hash}); hashes interned
         #: (one string per state, not per edge), entries booked to the store's
         #: memory model at ``_memo_entry`` bytes (1 + |actions| hashes)
         self._memo: Dict[str, Tuple[int, Dict[int, str]]] = {}
         self._memo_entry = 0
-        #: ``run_dfs(por=True)``'s commutation relation, emptied when the
-        #: run ends: slot -> the slots of the actions independent of it
-        #: (None until ``_commuting`` first builds that row)
-        self._commutes: List[Optional[FrozenSet[int]]] = []
 
     # ---------------------------------------------------------------- common --
-    def _budget_exceeded(self) -> Optional[str]:
-        if self.max_operations is not None and self.stats.operations >= self.max_operations:
-            return "operation budget"
-        if (
-            self.max_unique_states is not None
-            and self.stats.unique_states >= self.max_unique_states
-        ):
-            return "state budget"
-        if (
-            self.sim_time_budget is not None
-            and self.clock.now - self.stats.start_time >= self.sim_time_budget
-        ):
-            return "time budget"
-        return None
+    def _run(self, search: Callable[[], None]) -> ExplorationStats:
+        """The envelope of a run in either mode: fresh stats, ``search()``,
+        and a violation or an out-of-memory stop turned into the verdict."""
+        stats = self.stats = ExplorationStats(start_time=self.clock.now)
+        try:
+            search()
+        except PropertyViolation as violation:
+            stats.violation = violation
+            stats.stopped_reason = "property violation"
+            # hang the recorded schedule off the report (if any) so the
+            # run's exact event sequence survives into the trail
+            report = getattr(violation, "report", None)
+            if report is not None and getattr(report, "schedule", None) is None:
+                report.schedule = self.recorder.schedule()
+        except OutOfMemoryError:
+            stats.stopped_reason = "out of memory"
+        stats.end_time = self.clock.now
+        return stats
 
-    def _note_operation(self) -> None:
+    def _budget_exceeded(self) -> Optional[str]:
+        """The spent budget, if any, which also becomes the stop reason."""
+        stats = self.stats
+        if self.max_operations is not None and stats.operations >= self.max_operations:
+            stats.stopped_reason = "operation budget"
+        elif (
+            self.max_unique_states is not None
+            and stats.unique_states >= self.max_unique_states
+        ):
+            stats.stopped_reason = "state budget"
+        elif (
+            self.sim_time_budget is not None
+            and self.clock.now - stats.start_time >= self.sim_time_budget
+        ):
+            stats.stopped_reason = "time budget"
+        else:
+            return None
+        return stats.stopped_reason
+
+    def _apply(self, action: Any) -> None:
+        """Execute and count one action (PropertyViolation propagates)."""
+        self.recorder.operation(action)
+        self.target.apply(action)
         self.stats.operations += 1
         if (
             self.fsck_oracle is not None
@@ -254,6 +293,7 @@ class Explorer:
             )
             if self.sample_hook is not None:
                 self.sample_hook(self.stats)
+        self.stats.transitions += 1
 
     def _record_state(self, depth: int = 0) -> Tuple[str, bool]:
         """Hash the current state; returns ``(hash, should it be expanded)``.
@@ -263,17 +303,13 @@ class Explorer:
         subtrees of frontier states).
         """
         self.recorder.check()
-        if self.profile is None:
-            state_hash = self.target.abstract_state()
-            is_new, should_expand = self.visited.visit(state_hash, depth)
-        else:
-            # the engine charges the syscall-walk and hash-encode
-            # sub-phases itself; timed() nests exclusively, so this outer
-            # span keeps only the residual combine/compare glue
-            state_hash = self.profile.timed(
-                "abstraction_hash", self.target.abstract_state)
-            is_new, should_expand = self.profile.timed(
-                "fingerprint", self.visited.visit, state_hash, depth)
+        # the engine charges the syscall-walk and hash-encode sub-phases
+        # itself; timed() nests exclusively, so this outer span keeps only
+        # the residual combine/compare glue
+        state_hash = self._timed("abstraction_hash", self.target.abstract_state)
+        is_new, should_expand = self._timed(
+            "fingerprint", self.visited.visit, state_hash, depth)
+        if self.profile is not None:
             self.profile.note_state()
         if is_new:
             self.stats.unique_states += 1
@@ -282,24 +318,27 @@ class Explorer:
         self.target.note_state_visit(is_new)
         return state_hash, should_expand
 
-    def _take_checkpoint(self) -> Any:
-        if self.profile is not None:
-            return self.profile.timed("snapshot_restore",
-                                      self.target.checkpoint)
-        return self.target.checkpoint()
+    def _arm(self) -> Tuple[int, Any]:
+        """Checkpoint the current state: the armed ``(recorder id, token)``
+        a DFS frame or a walk's frontier holds until :meth:`_spend`."""
+        checkpoint_id = self.recorder.checkpoint()
+        token = self._timed("snapshot_restore", self.target.checkpoint)
+        self.stats.checkpoints += 1
+        return checkpoint_id, token
 
-    def _restore_checkpoint(self, token: Any) -> None:
-        if self.profile is not None:
-            self.profile.timed("snapshot_restore", self.target.restore, token)
-            return
-        self.target.restore(token)
+    def _spend(self, armed: Tuple[int, Any]) -> None:
+        """Restore an armed checkpoint, which consumes its token."""
+        checkpoint_id, token = armed
+        self.recorder.restore(checkpoint_id)
+        self._timed("snapshot_restore", self.target.restore, token)
+        self.stats.restores += 1
 
-    def _attach_schedule(self, violation: PropertyViolation) -> None:
-        """Hang the recorded schedule off the violation's report (if any)
-        so the run's exact event sequence survives into the trail."""
-        report = getattr(violation, "report", None)
-        if report is not None and getattr(report, "schedule", None) is None:
-            report.schedule = self.recorder.schedule()
+    def _timed(self, bucket: str, function: Callable, *args) -> Any:
+        """``function(*args)``, its wall time charged to ``bucket`` when a
+        cost profile is on (measurement only)."""
+        if self.profile is None:
+            return function(*args)
+        return self.profile.timed(bucket, function, *args)
 
     # ------------------------------------------------------------------ DFS --
     def run_dfs(self, por: bool = False) -> ExplorationStats:
@@ -314,43 +353,98 @@ class Explorer:
         With or without it, known-successor transitions are not re-executed
         and self-loop children not rolled back (``docs/architecture.md``).
         """
-        stats = self.stats = ExplorationStats(start_time=self.clock.now)
+        return self._run(lambda: self._search(por))
+
+    def _search(self, por: bool) -> None:
+        """The DFS: one loop over an explicit stack of :class:`_Frame`."""
+        stats, memo, max_depth = self.stats, self._memo, self.max_depth
         try:
             root, _ = self._record_state()
             # the action alphabet is the same in every state (the do..od
-            # alternatives), so it is numbered once and each row of the
-            # commutation relation built once, not probed per sleep-set
-            # candidate; a row is built on first use, so a run that stops
-            # early (a bug found in a few operations) pays for few rows
-            actions = self._actions = list(self.target.actions())
+            # alternatives), so memo keys, sleep sets and the commutation
+            # relation hold slots (positions in it), not actions; a row of
+            # the relation (slot -> the slots independent of it) is built
+            # on first use, so a run that stops early (a bug found in a
+            # few operations) pays for few rows
+            actions = list(self.target.actions())
+            commutes: List[Optional[FrozenSet[int]]] = [None] * len(actions)
             self._memo_entry = 4 + len(root) * (1 + len(actions))
-            if por:
-                self._commutes = [None] * len(actions)
-            self._dfs(sys.intern(root), 0, frozenset() if por else None)
+            budgeted = (self.max_operations is not None
+                        or self.max_unique_states is not None
+                        or self.sim_time_budget is not None)
+            stack: List[_Frame] = []
+            self._enter(stack, sys.intern(root), 0,
+                        frozenset() if por else None)
+            while stack:
+                frame = stack[-1]
+                slot, state, depth = frame.slot, frame.state, frame.depth
+                if frame.child is not None:
+                    # back from the child's subtree
+                    if frame.child == state:
+                        # a self-loop left the fs abstract-equal to this
+                        # node: carry on from where it is, still armed
+                        stats.restores_elided += 1
+                    else:
+                        self._spend(frame.armed)
+                        frame.armed = None
+                    frame.child = None
+                elif slot == len(actions) or (budgeted
+                                              and self._budget_exceeded()):
+                    if frame.armed is not None:
+                        # consume the token so no snapshot outlives its node
+                        self._spend(frame.armed)
+                    stack.pop()
+                    continue
+                elif frame.sleep is not None and slot in frame.sleep:
+                    # an independent permutation already covered this order
+                    stats.por_pruned += 1
+                    frame.slot += 1
+                    continue
+                elif (known := frame.successors.get(slot)) is not None and (
+                    known == state
+                    or memo.get(known, (max_depth,))[0] <= depth + 1
+                ):
+                    # it would land on a state that needs no expansion from
+                    # here (one never expanded sits at the depth bound): the
+                    # table's own trust that equal states have equal futures
+                    stats.memo_hits += 1
+                else:
+                    if frame.armed is None:
+                        frame.armed = self._arm()
+                    action = actions[slot]
+                    self._apply(action)
+                    child, should_expand = self._record_state(depth + 1)
+                    frame.successors[slot] = frame.child = sys.intern(child)
+                    if should_expand:
+                        sleep = None
+                        if frame.sleep is not None:
+                            # classic sleep sets: earlier siblings that
+                            # commute with `action` stay asleep in its subtree
+                            row = commutes[slot]
+                            if row is None:
+                                row = commutes[slot] = frozenset(
+                                    [other_slot for other_slot, other
+                                     in enumerate(actions)
+                                     if self.target.independent(action, other)])
+                            sleep = row.intersection(frame.sleep)
+                        self._enter(stack, frame.child, depth + 1, sleep)
+                    continue
+                if frame.sleep is not None:
+                    frame.sleep.add(slot)
+                frame.slot = slot + 1
             if not stats.stopped_reason:
                 stats.stopped_reason = "state space exhausted"
-        except PropertyViolation as violation:
-            self.stats.violation = violation
-            self.stats.stopped_reason = "property violation"
-            self._attach_schedule(violation)
-        except OutOfMemoryError:
-            self.stats.stopped_reason = "out of memory"
-        if self.visited.memory is not None:
-            self.visited.memory.release_bytes(len(self._memo) * self._memo_entry)
-        self._memo.clear()
-        self._actions, self._commutes = [], []
-        self.stats.end_time = self.clock.now
-        return self.stats
+        finally:
+            if self.visited.memory is not None:
+                self.visited.memory.release_bytes(len(memo) * self._memo_entry)
+            memo.clear()
 
-    def _dfs(self, state: str, depth: int, sleep) -> None:
-        """Expand ``state`` (the abstract hash just recorded) at ``depth``."""
-        stats = self.stats
-        stats.max_depth_reached = max(stats.max_depth_reached, depth)
-        if depth >= self.max_depth:
-            return
-        reason = self._budget_exceeded()
-        if reason:
-            stats.stopped_reason = reason
+    def _enter(self, stack: List[_Frame], state: str, depth: int,
+               sleep: Optional[FrozenSet[int]]) -> None:
+        """Push the frame expanding ``state`` (the abstract hash just
+        recorded) at ``depth``, unless the depth bound or a budget stops
+        the search there.  The loop's one expansion seam."""
+        if depth >= self.max_depth or self._budget_exceeded():
             return
         # what this run executed from `state`, kept for its re-expansions
         memo = self._memo
@@ -358,142 +452,43 @@ class Explorer:
             self.visited.memory.store_bytes(self._memo_entry)
         successors = memo[state][1] if state in memo else {}
         memo[state] = (depth, successors)
-        # sleep-set candidates: the inherited sleep set plus every earlier
-        # sibling, maintained incrementally (one append per action instead
-        # of rebuilding `set(sleep) | set(explored)` for each one)
-        candidates: Optional[List[int]] = list(sleep) if sleep is not None else None
-        # the node's checkpoint is armed lazily, before an executed child,
-        # and spent by the first restore: (recorder id, target token)
-        armed: Optional[Tuple[int, Any]] = None
-        budgeted = (self.max_operations is not None
-                    or self.max_unique_states is not None
-                    or self.sim_time_budget is not None)
-        for slot, action in enumerate(self._actions):
-            reason = budgeted and self._budget_exceeded()
-            if reason:
-                stats.stopped_reason = reason
-                break
-            if sleep is not None and slot in sleep:
-                # an independent permutation already covered this order
-                stats.por_pruned += 1
-                continue
-            known = successors.get(slot)
-            if known is not None and (
-                known == state
-                or memo.get(known, (self.max_depth,))[0] <= depth + 1
-            ):
-                # it would land on a state that needs no expansion from
-                # here (one never expanded sits at the depth bound): the
-                # table's own trust that equal states have equal futures
-                stats.memo_hits += 1
-            else:
-                if armed is None:
-                    armed = (self.recorder.checkpoint(), self._take_checkpoint())
-                    stats.checkpoints += 1
-                self.recorder.operation(action)
-                self.target.apply(action)  # PropertyViolation propagates: halt
-                self._note_operation()
-                stats.transitions += 1
-                child, should_expand = self._record_state(depth + 1)
-                successors[slot] = child = sys.intern(child)
-                if should_expand:
-                    child_sleep = None
-                    if candidates is not None:
-                        # classic sleep sets: earlier siblings that commute
-                        # with `action` stay asleep in its subtree
-                        row = self._commutes[slot]
-                        if row is None:
-                            row = self._commuting(slot)
-                        child_sleep = row.intersection(candidates)
-                    self._dfs(child, depth + 1, child_sleep)
-                if child == state:
-                    # a self-loop left the fs abstract-equal to this node:
-                    # carry on from where it is, the checkpoint stays armed
-                    stats.restores_elided += 1
-                else:
-                    self._spend(armed)
-                    armed = None
-            if candidates is not None:
-                candidates.append(slot)
-        if armed is not None:
-            # consume the token so no snapshot outlives its node
-            self._spend(armed)
-
-    def _commuting(self, slot: int) -> FrozenSet[int]:
-        """Build and keep row ``slot`` of the commutation relation: the
-        slots of the actions independent of the action at ``slot``."""
-        action, independent = self._actions[slot], self.target.independent
-        row = self._commutes[slot] = frozenset(
-            [other_slot for other_slot, other in enumerate(self._actions)
-             if independent(action, other)])
-        return row
-
-    def _spend(self, armed: Tuple[int, Any]) -> None:
-        """Restore a node's armed checkpoint, which consumes its token."""
-        checkpoint_id, token = armed
-        self.recorder.restore(checkpoint_id)
-        self._restore_checkpoint(token)
-        self.stats.restores += 1
+        stack.append(_Frame(state, depth, successors,
+                            set(sleep) if sleep is not None else None))
 
     # --------------------------------------------------------------- random --
     def run_random(self, backtrack_probability: float = 0.25) -> ExplorationStats:
         """Seeded random walk with probabilistic backtracking.
 
-        The walk keeps a bounded stack of checkpoints.  After each
-        operation it records the abstract state; on revisiting a known
-        state (or by coin flip) it backtracks to a random saved
-        checkpoint, mimicking the way a depth-bounded search keeps
-        re-entering unexplored regions.
+        The walk's frontier is up to ``max_depth`` armed checkpoints, the
+        entries a DFS frame holds.  A checked state is recorded at depth
+        0, so ``should_expand`` (the depth-aware rule) also holds for a
+        state known only deeper: it is frontier, and checkpointed while
+        there is room.  On any other state, or by coin flip, the walk
+        backtracks to a random saved checkpoint, mimicking the way a
+        depth-bounded search keeps re-entering unexplored regions.
         """
-        self.stats = ExplorationStats(start_time=self.clock.now)
-        checkpoints: List[Tuple[int, Any]] = [
-            (self.recorder.checkpoint(), self._take_checkpoint())
-        ]
-        self.stats.checkpoints += 1
-        try:
-            self._record_state()
-            while True:
-                reason = self._budget_exceeded()
-                if reason:
-                    self.stats.stopped_reason = reason
-                    break
-                actions = list(self.target.actions())
-                if not actions:
-                    self.stats.stopped_reason = "no enabled actions"
-                    break
-                action = self.target.choose_action(self.rng, actions)
-                self.recorder.operation(action)
-                self.target.apply(action)
-                self._note_operation()
-                self.stats.transitions += 1
-                if self.stats.operations % self.state_check_every != 0:
-                    continue  # between amortised checks: straight-line walk
-                _, is_new = self._record_state()
-                should_backtrack = (not is_new) or (
-                    self.rng.random() < backtrack_probability
-                )
-                if is_new and len(checkpoints) < self.max_depth:
-                    checkpoints.append(
-                        (self.recorder.checkpoint(), self._take_checkpoint())
-                    )
-                    self.stats.checkpoints += 1
-                elif should_backtrack and checkpoints:
-                    index = self.rng.randrange(len(checkpoints))
-                    checkpoint_id, token = checkpoints[index]
-                    # Replace the consumed checkpoint with a fresh one of
-                    # the restored state so it can be revisited again.
-                    self.recorder.restore(checkpoint_id)
-                    self._restore_checkpoint(token)
-                    self.stats.restores += 1
-                    checkpoints[index] = (
-                        self.recorder.checkpoint(), self._take_checkpoint()
-                    )
-                    self.stats.checkpoints += 1
-        except PropertyViolation as violation:
-            self.stats.violation = violation
-            self.stats.stopped_reason = "property violation"
-            self._attach_schedule(violation)
-        except OutOfMemoryError:
-            self.stats.stopped_reason = "out of memory"
-        self.stats.end_time = self.clock.now
-        return self.stats
+        return self._run(lambda: self._walk(backtrack_probability))
+
+    def _walk(self, backtrack_probability: float) -> None:
+        frontier = [self._arm()]
+        self._record_state()
+        while not self._budget_exceeded():
+            actions = list(self.target.actions())
+            if not actions:
+                self.stats.stopped_reason = "no enabled actions"
+                break
+            self._apply(self.target.choose_action(self.rng, actions))
+            if self.stats.operations % self.state_check_every != 0:
+                continue  # between amortised checks: straight-line walk
+            _, should_expand = self._record_state()
+            should_backtrack = (not should_expand) or (
+                self.rng.random() < backtrack_probability
+            )
+            if should_expand and len(frontier) < self.max_depth:
+                frontier.append(self._arm())
+            elif should_backtrack:
+                index = self.rng.randrange(len(frontier))
+                # Replace the spent checkpoint with a fresh one of the
+                # restored state so it can be revisited again.
+                self._spend(frontier[index])
+                frontier[index] = self._arm()

@@ -19,6 +19,7 @@ from repro.fs import (
     XfsFileSystemType,
 )
 from repro.kernel import Kernel
+from repro.mc.explorer import Explorer
 from repro.storage import RAMBlockDevice
 from repro.storage.mtd import MTDDevice
 from repro.verifs import VeriFS1, VeriFS2
@@ -109,6 +110,22 @@ def mounted_fs(request, clock) -> MountedFixture:
 @pytest.fixture(params=BLOCK_FS)
 def mounted_block_fs(request, clock) -> MountedFixture:
     return _mount(request.param, clock)
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Every (state, depth) the DFS expanded, in order: what reached
+    ``Explorer._enter``, the search loop's one expansion seam, inside the
+    depth bound."""
+    expanded, real = [], Explorer._enter
+
+    def counting(self, stack, state, depth, sleep):
+        if depth < self.max_depth:
+            expanded.append((state, depth))
+        return real(self, stack, state, depth, sleep)
+
+    monkeypatch.setattr(Explorer, "_enter", counting)
+    return expanded
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """The DFS loop's successor memo and lazy checkpoints, proven by execution.
 
-``Explorer._dfs`` skips a transition whose successor this run already
+``Explorer.run_dfs`` skips a transition whose successor this run already
 knows needs no expansion, and leaves a self-loop child where it is
 instead of restoring.  Both lean on the visited table's own assumption
 (abstract-equal states have equal futures), so the proof is the same
@@ -127,20 +127,6 @@ class TestSameVisitedSetAsNaiveSearch:
         _, resumed, _ = explore(VERIFS_PAIR, 3, True, state_file)
         assert len(resumed) > len(cut)
         assert resumed.export_seen() == expected
-
-
-@pytest.fixture
-def expansions(monkeypatch):
-    """Every (state, depth) ``Explorer._dfs`` expanded, in order."""
-    expanded, real = [], Explorer._dfs
-
-    def counting(self, state, depth, sleep):
-        if depth < self.max_depth:
-            expanded.append((state, depth))
-        return real(self, state, depth, sleep)
-
-    monkeypatch.setattr(Explorer, "_dfs", counting)
-    return expanded
 
 
 class TestCounters:
@@ -321,14 +307,13 @@ class TestMemoIsPaidForAndGivenBack:
         assert explorer._memo == {}
 
     def test_one_string_per_state_not_per_edge(self, monkeypatch):
-        held, real = {}, Explorer._dfs
+        held, real = {}, Explorer._enter
 
-        def spy(self, state, depth, sleep):
-            real(self, state, depth, sleep)
-            if depth == 0:
-                held.update(self._memo)
+        def spy(self, stack, state, depth, sleep):
+            real(self, stack, state, depth, sleep)
+            held.update(self._memo)  # successor rows fill in place
 
-        monkeypatch.setattr(Explorer, "_dfs", spy)
+        monkeypatch.setattr(Explorer, "_enter", spy)
         Explorer(_HashedPoolTarget(), SimClock(), max_depth=4).run_dfs()
         hashes = list(held) + [child for _, successors in held.values()
                                for child in successors.values()]

@@ -96,7 +96,6 @@ exploration_stats = st.builds(
     memo_hits=counts,
     restores_elided=counts,
     fsck_checks=counts,
-    max_depth_reached=st.integers(min_value=0, max_value=100),
     start_time=finite_floats,
     end_time=finite_floats,
     stopped_reason=names,
@@ -221,6 +220,14 @@ class TestExplorationStatsRoundTrip:
             through_json(stats.to_dict()))
         assert isinstance(restored.violation, DiscrepancyError)
         assert restored.violation.report.summary == "states differ"
+
+    def test_document_with_a_retired_field_loads(self):
+        # documents written before ``max_depth_reached`` was dropped
+        document = ExplorationStats(operations=5, restores=2).to_dict()
+        document["max_depth_reached"] = 4
+        stats = ExplorationStats.from_dict(through_json(document))
+        assert (stats.operations, stats.restores) == (5, 2)
+        assert "max_depth_reached" not in stats.to_dict()
 
 
 class TestSwarmRoundTrip:

@@ -1,5 +1,7 @@
 """Tests for the model-checking engine: memory model, table, explorer."""
 
+import sys
+
 import pytest
 
 from repro.clock import Cost, SimClock
@@ -197,6 +199,15 @@ class TestExplorerDFS:
         explorer = Explorer(target, target.clock, max_depth=5)
         stats = explorer.run_dfs()
         assert stats.checkpoints == stats.restores
+
+    def test_dfs_deeper_than_the_recursion_limit(self):
+        # the frontier is data, not the interpreter's call stack
+        depth = sys.getrecursionlimit() + 100
+        target = CounterTarget(limit=depth)
+        target.actions = lambda: ["a"]
+        stats = Explorer(target, target.clock, max_depth=depth).run_dfs()
+        assert stats.stopped_reason == "state space exhausted"
+        assert stats.unique_states == depth + 1
 
 
 class TestExplorerRandom:

@@ -9,6 +9,10 @@ exactly where it was.  These tests make that executable:
   asserts the syscall, round-trip, handler and search counts, the
   simulated time and the visited ``{state: depth}`` map, all as recorded
   before the mechanism work;
+* the schedule pins digest every recorded event, the (state, depth)
+  expansion sequence and the stats of six runs (DFS exhausted and cut
+  by each budget, one seeded-bug hunt, one random walk), recorded on
+  the recursive search before it became a loop over explicit frames;
 * the tracer contract installs class-level counting wrappers the way
   ``bench/tracer.py`` does *after* the harness is built and checks that
   every wrapper saw exactly what the matching public counter saw -- an
@@ -19,17 +23,21 @@ exactly where it was.  These tests make that executable:
 """
 
 import hashlib
+import json
 import types
 from collections import Counter
 
 import pytest
 
+from repro.cli import hunt_spec
 from repro.core.futs import FilesystemUnderTest
 from repro.core.ops import OperationCatalog
+from repro.core.report import schedule_event_to_dict
 from repro.dist.spec import CheckSpec
 from repro.fuse.connection import FuseConnection
 from repro.fuse.server import FuseServerProcess
 from repro.kernel.kernel import Kernel
+from repro.mc.explorer import Explorer
 from repro.mc.persistence import load_checker_state
 
 VERIFS_PAIR = CheckSpec(filesystems=("verifs1", "verifs2"), strategy="ioctl")
@@ -90,6 +98,75 @@ class TestCountPin:
                 stats.por_pruned, stats.memo_hits) == PINS[por]
         seen = load_checker_state(state_file).visited.export_seen()
         assert seen_digest(seen) == REFERENCE_SEEN
+
+
+# --------------------------------------------------------- schedule pins --
+def md5_json(value) -> str:
+    return hashlib.md5(
+        json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+#: the runs whose every event is pinned: VeriFS1 vs VeriFS2 DFS to
+#: exhaustion and cut by each budget, one seeded-bug hunt, one walk
+SCHEDULE_RUNS = {
+    "d4-full": lambda: VERIFS_PAIR.build_mcfs().run_dfs(max_depth=4),
+    "d4-por": lambda: VERIFS_PAIR.build_mcfs().run_dfs(max_depth=4, por=True),
+    "d3-por-ops137": lambda: VERIFS_PAIR.build_mcfs().run_dfs(
+        max_depth=3, por=True, max_operations=137),
+    "d3-por-states90": lambda: VERIFS_PAIR.build_mcfs().run_dfs(
+        max_depth=3, por=True, max_unique_states=90),
+    "hunt-write-hole-stale": lambda: hunt_spec("write-hole-stale").run(),
+    "random-400-seed3": lambda: VERIFS_PAIR.build_mcfs().run_random(
+        max_operations=400, seed=3),
+}
+
+#: md5 of the recorded schedule (``DiscrepancyReport``'s event codec),
+#: of the (state, depth) expansion sequence and of ``stats.to_dict()``
+SCHEDULE_PINS = {
+    "d4-full": ("1c41919e83d9a014e1fb6b5362e2b784",
+                "cace7238b2c2597c910f3d28dd7cc706",
+                "8a9012c3241ffde40a3a4de8eb6b825c"),
+    "d4-por": ("f8cef2c9b35af1e1da7fd0e5caee0c28",
+               "cace7238b2c2597c910f3d28dd7cc706",
+               "d905784bff6690de6e888ed0785f0af0"),
+    "d3-por-ops137": ("df690204e2674437007e6160fea1bc89",
+                      "e08543ebf8b16e69ba857934975ea838",
+                      "b1c5402b0f36e860b6e05f1a058863e3"),
+    "d3-por-states90": ("56d198dc8a2af5212f768fe2d514eecb",
+                        "c9e218671d4269562d51c251261fdf19",
+                        "fa4f971362e82f6919a1d85053d6040d"),
+    "hunt-write-hole-stale": ("dfa4d008c7ea2c3e838222c65ba09578",
+                              "3ae26c85cc8e83e469544f1a4eea2f34",
+                              "06faec8997454e6bfb83c5059b2f1644"),
+    "random-400-seed3": ("86e7bbb541002268906aec7eb49fbbce",
+                         "d751713988987e9331980363e24189ce",
+                         "4c82d36c121b4b9acc5334567f085025"),
+}
+
+
+@pytest.fixture
+def explorers(monkeypatch):
+    """Every Explorer whose run_dfs/run_random was called, in order."""
+    ran = []
+    for method in ("run_dfs", "run_random"):
+        def wrapper(self, *args, _real=getattr(Explorer, method), **kwargs):
+            ran.append(self)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Explorer, method, wrapper)
+    return ran
+
+
+class TestSchedulePins:
+    @pytest.mark.parametrize("run", sorted(SCHEDULE_RUNS))
+    def test_every_event_is_unchanged(self, run, explorers, expansions):
+        result = SCHEDULE_RUNS[run]()
+        schedule = (result.report.schedule if result.report is not None
+                    else explorers[-1].recorder.events)
+        found = (md5_json([schedule_event_to_dict(e) for e in schedule]),
+                 md5_json(expansions), md5_json(result.stats.to_dict()))
+        assert (result.report is not None) == run.startswith("hunt")
+        assert found == SCHEDULE_PINS[run]
 
 
 # ------------------------------------------------------- tracer contract --
