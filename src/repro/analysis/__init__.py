@@ -8,10 +8,11 @@ file systems.  This package adds the two complementary static layers:
   blocks, wrong link counts, dangling dirents, bitmap disagreement,
   broken journals, torn log nodes.  Checkers run in a pFSCK-style
   worker pool so auditing many images stays cheap.
-* :mod:`repro.analysis.lint` -- an AST-based determinism linter over the
-  engine's own sources, flagging hazards that would break state hashing
-  and trace replay (unseeded randomness, wall-clock reads, iteration
-  over unordered collections).
+* :mod:`repro.analysis.analyze` -- ``repro analyze`` over the engine's
+  own sources: the determinism lint (:mod:`repro.analysis.lint`:
+  unseeded randomness, wall-clock reads, iteration over unordered
+  collections) and the two whole-program soundness passes
+  (:mod:`repro.analysis.static`), in one parse-and-pragma pass.
 
 :mod:`repro.analysis.oracle` wires the fsck checkers into the explorer
 as a per-state oracle, turning silent on-disk corruption into a

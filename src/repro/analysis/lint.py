@@ -18,27 +18,6 @@ These rules flag the source-level hazards that silently break that:
   without ``sorted(...)``.  Set order varies with hash randomisation,
   so anything derived from such a loop (reports, hashes, allocation
   order) varies run to run.
-* ``raw-device-data`` -- direct access to a device's backing store
-  (``._chunk_groups``, the live chunk table).  Outside
-  :mod:`repro.storage` everything must go through ``read``/``write``/
-  ``snapshot_*`` so the copy-on-write dirty tracking and I/O accounting
-  stay truthful; a raw poke would silently corrupt both.  (Warn
-  severity: enforced by ``repro analyze --strict``.)
-* ``raw-visited-state`` -- direct access to a visited table's ``._seen``
-  map.  Outside :mod:`repro.mc` callers must use
-  ``export_seen``/``import_seen``/``visit``: not every store *has* a
-  hash map (bitstate keeps a bit array, hash compaction keeps
-  fingerprints -- see :mod:`repro.mc.statestore`), and a raw read
-  bypasses the stats/memory accounting.  (Warn severity: enforced by
-  ``repro lint --strict``.)
-* ``raw-entry-cache`` -- direct access to the incremental abstraction
-  cache's internals (the ``._merkle`` copy-on-write store, whose digest
-  lanes hold the per-record encodings).  Outside
-  :mod:`repro.core.abstraction` callers must use ``refresh``/
-  ``digests``/``snapshot``/``restore``/``invalidate``: a raw poke can
-  desynchronise the sorted key array, the digest lanes, and the Merkle
-  prefix checkpoints, silently corrupting every later state hash.
-  (Warn severity: enforced by ``repro lint --strict``.)
 * ``unsorted-fs-listing`` -- bare ``os.listdir``/``os.scandir``/
   ``glob.glob``/``glob.iglob``/``Path.iterdir`` results used without
   ``sorted(...)``.  The OS returns directory entries in on-disk order,
@@ -48,14 +27,10 @@ These rules flag the source-level hazards that silently break that:
   element (whichever hash bucket comes first), so the popped value --
   and everything downstream of it -- varies with ``PYTHONHASHSEED``.
 
-A finding on a given line is suppressed by an inline pragma **with a
-justification** (see :mod:`repro.analysis.pragmas` for the stacked and
-multi-line forms)::
-
-    for block in blocks:  # det-lint: allow[unordered-iteration] result is a count, order-free
-
-A pragma without a justification is itself reported (``bare-pragma``),
-so the allowlist stays self-documenting.
+The visitor runs on the tree :mod:`repro.analysis.analyze` parsed once
+per file; that pipeline also reports ``syntax-error`` and
+``unreadable-file`` and applies the inline pragmas of
+:mod:`repro.analysis.pragmas` to every finding.
 """
 
 from __future__ import annotations
@@ -64,17 +39,8 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.findings import Finding
-from repro.analysis.pragmas import apply_pragmas
 
 CHECKER = "lint.determinism"
-
-#: rule ids this module can emit (the pragma machinery treats pragmas
-#: for other rules as belonging to the whole-program passes)
-DETERMINISM_RULE_IDS = frozenset({
-    "unseeded-random", "wall-clock", "builtin-hash", "unordered-iteration",
-    "raw-device-data", "raw-visited-state", "raw-entry-cache",
-    "unsorted-fs-listing", "set-pop", "syntax-error",
-})
 
 #: module-global functions of :mod:`random` that use the shared unseeded RNG
 RANDOM_GLOBALS = {
@@ -96,19 +62,6 @@ WALL_CLOCK_TIME_NAMES = {
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
     "perf_counter_ns", "process_time", "process_time_ns",
 }
-
-#: private backing-store attributes of the storage layer; touching them
-#: from anywhere else bypasses COW dirty tracking and I/O accounting
-RAW_DEVICE_ATTRS = {"_chunk_groups"}
-
-#: the visited-state tables' private hash maps; callers outside
-#: ``repro.mc`` must use the export/import/visit boundary instead
-RAW_VISITED_ATTRS = {"_seen"}
-
-#: the incremental abstraction cache's internals (the copy-on-write
-#: Merkle store); callers outside ``repro.core.abstraction`` must use the
-#: cache's public surface
-RAW_ENTRY_CACHE_ATTRS = {"_merkle"}
 
 #: dotted call suffixes returning OS-ordered directory listings
 FS_LISTING_SUFFIXES = ("os.listdir", "os.scandir", "glob.glob", "glob.iglob")
@@ -153,14 +106,13 @@ class DeterminismVisitor(ast.NodeVisitor):
 
     # ------------------------------------------------------------- helpers --
     def _finding(self, invariant: str, lineno: int, message: str,
-                 severity: str = "error",
-                 end_lineno: Optional[int] = None, **detail) -> None:
+                 end_lineno: Optional[int] = None) -> None:
+        detail = {"line": lineno}
         if end_lineno is not None and end_lineno > lineno:
             detail["end_line"] = end_lineno
         self.findings.append(Finding(
             checker=CHECKER, invariant=invariant, message=message,
-            severity=severity, location=f"{self.path}:{lineno}",
-            detail=dict(detail, line=lineno),
+            location=f"{self.path}:{lineno}", detail=detail,
         ))
 
     # ------------------------------------------------------------- imports --
@@ -273,30 +225,6 @@ class DeterminismVisitor(ast.NodeVisitor):
             return
         self.generic_visit(node)
 
-    # ----------------------------------------------------------- attributes --
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in RAW_DEVICE_ATTRS:
-            self._finding("raw-device-data", node.lineno,
-                          f".{node.attr} reaches into a device's backing "
-                          f"store; use read/write/snapshot_* so COW dirty "
-                          f"tracking and stats stay correct",
-                          severity="warn")
-        if node.attr in RAW_VISITED_ATTRS:
-            self._finding("raw-visited-state", node.lineno,
-                          f".{node.attr} reaches into a visited table's "
-                          f"hash map; use export_seen/import_seen/visit -- "
-                          f"memory-bounded stores have no such map at all",
-                          severity="warn")
-        if node.attr in RAW_ENTRY_CACHE_ATTRS:
-            self._finding("raw-entry-cache", node.lineno,
-                          f".{node.attr} reaches into the abstraction "
-                          f"cache's Merkle store; use refresh/digests/"
-                          f"snapshot/restore/invalidate so the key array, "
-                          f"digest lanes, and prefix checkpoints stay "
-                          f"coherent",
-                          severity="warn")
-        self.generic_visit(node)
-
     # ---------------------------------------------------- scope/assignment --
     def _visit_scope(self, node: ast.AST) -> None:
         self.set_locals.append(set())
@@ -356,16 +284,8 @@ class DeterminismVisitor(ast.NodeVisitor):
     visit_GeneratorExp = _visit_comprehension
 
 
-def lint_source(source: str, path: str) -> List[Finding]:
-    """Lint one module's source text; pragma-suppressed findings drop out."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        return [Finding(
-            checker=CHECKER, invariant="syntax-error",
-            message=f"cannot parse: {error}", location=f"{path}:{error.lineno or 0}",
-        )]
+def determinism_findings(tree: ast.AST, path: str) -> List[Finding]:
+    """The determinism findings of one parsed module, pragmas not applied."""
     visitor = DeterminismVisitor(path)
     visitor.visit(tree)
-    return apply_pragmas(visitor.findings, source, path,
-                         active_rules=DETERMINISM_RULE_IDS)
+    return visitor.findings

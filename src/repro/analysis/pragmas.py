@@ -4,9 +4,9 @@ A finding is suppressed by an inline pragma **with a justification**::
 
     for block in blocks:  # det-lint: allow[unordered-iteration] order-free count
 
-The machinery is shared between the one-file determinism linter and the
-whole-program static passes so a single pragma syntax covers every rule.
-Semantics:
+``repro analyze`` applies the pragmas of each file once, over the
+findings of every rule, so one pragma syntax covers the determinism
+lint and the whole-program passes alike.  Semantics:
 
 * Pragmas live in real comments only (tokenize-based collection), so a
   docstring or f-string that merely *documents* the syntax never
@@ -20,10 +20,9 @@ Semantics:
   so the pragma can sit on the readable closing line.
 * A matching pragma without a justification keeps the finding suppressed
   but reports ``bare-pragma``, so the allowlist stays self-documenting.
-* A pragma for an *active* rule that suppresses nothing is reported as
-  ``unused-pragma`` (warn).  Pragmas for rules not checked in this run
-  (e.g. a static-pass pragma during a determinism-only lint) are left
-  alone so partial runs do not flag each other's allowlists.
+* A pragma that suppresses nothing is reported as ``unused-pragma``
+  (warn) -- including one naming a rule that does not exist, so a typo
+  or a retired rule id cannot linger in the allowlist.
 """
 
 from __future__ import annotations
@@ -64,16 +63,10 @@ def _finding_span(finding: Finding) -> Tuple[int, int]:
     return line, max(line, end_line)
 
 
-def apply_pragmas(
-    findings: Iterable[Finding],
-    source: str,
-    path: str,
-    active_rules: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Filter ``findings`` through the pragmas of ``source``.
+def apply_pragmas(findings: Iterable[Finding], source: str,
+                  path: str) -> List[Finding]:
+    """Filter all of one file's ``findings`` through its pragmas.
 
-    ``active_rules`` is the set of rule ids this run actually checked;
-    unused-pragma is only reported for those (None = report for all).
     Returns the surviving findings plus any ``bare-pragma`` /
     ``unused-pragma`` meta-findings, sorted by line then invariant.
     """
@@ -104,8 +97,6 @@ def apply_pragmas(
         for rule in sorted(pragmas[line]):
             if (line, rule) in used:
                 continue
-            if active_rules is not None and rule not in active_rules:
-                continue  # not checked in this run; leave it alone
             kept.append(Finding(
                 checker=PRAGMA_CHECKER, invariant="unused-pragma",
                 message=f"pragma allow[{rule}] suppresses nothing",

@@ -1,62 +1,21 @@
-"""Whole-program soundness analyzer (``repro analyze``).
+"""Whole-program soundness passes (part of ``repro analyze``).
 
-Where :mod:`repro.analysis.lint` checks one file at a time for
-determinism hazards, this package builds a project-wide model (class
+Where :mod:`repro.analysis.lint` checks one module at a time for
+determinism hazards, these passes run over a project-wide model (class
 attribute inventories, an import graph, a light call graph -- see
-:mod:`repro.analysis.static.model`) and proves the soundness invariants
-the checker's verdicts silently rest on:
+:mod:`repro.analysis.static.model`) and check the two soundness
+invariants the checker's verdicts silently rest on:
 
 * :mod:`.snapshot`  -- ``restore-blind``: mutable instance state must be
   reachable from its class's snapshot/restore surface;
 * :mod:`.dirtymark` -- ``dirty-mark-missing``: VFS write-surface methods
-  must mark a dirty path on some path through the method;
-* :mod:`.wire`      -- ``unpicklable-field``: everything crossing the
-  dist protocol must be statically picklable;
-* :mod:`.atomicity` -- ``raise-after-mutate``: ops must not mutate state
-  and then raise with neither rollback nor re-mark.
+  must mark a dirty path on some path through the method.
 
-:mod:`.registry` unifies these with the determinism rules behind one
-rule catalogue; :mod:`.baseline` holds the committed accepted-findings
-mechanism; :mod:`.report` renders text, JSON, and SARIF.
+:mod:`repro.analysis.analyze` builds the model and runs both.
 """
 
-from repro.analysis.static.baseline import (
-    default_baseline_path,
-    load_baseline,
-    render_baseline,
-)
-from repro.analysis.static.model import ProjectModel, build_model
-from repro.analysis.static.registry import (
-    RULES,
-    RULES_BY_ID,
-    STATIC_RULE_IDS,
-    Rule,
-    run_analysis,
-    run_static_passes,
-)
-from repro.analysis.static.report import (
-    RENDERERS,
-    render_json,
-    render_sarif,
-    render_text,
-    summary_line,
-)
+from repro.analysis.static.dirtymark import run_dirtymark_pass
+from repro.analysis.static.model import ProjectModel
+from repro.analysis.static.snapshot import run_snapshot_pass
 
-__all__ = [
-    "ProjectModel",
-    "build_model",
-    "Rule",
-    "RULES",
-    "RULES_BY_ID",
-    "STATIC_RULE_IDS",
-    "run_analysis",
-    "run_static_passes",
-    "default_baseline_path",
-    "load_baseline",
-    "render_baseline",
-    "RENDERERS",
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "summary_line",
-]
+__all__ = ["ProjectModel", "run_dirtymark_pass", "run_snapshot_pass"]

@@ -26,7 +26,7 @@ method/property (a restore surface that reads ``self.snapshot`` reaches
 
 The model is deliberately flow-insensitive and alias-free -- it
 over-approximates, and every pass built on it pairs findings with the
-pragma/baseline escape hatches.
+inline pragma escape hatch.
 """
 
 from __future__ import annotations
@@ -78,24 +78,11 @@ class MethodInfo:
     owner: str                      # qualname of the defining class
     path: str
     lineno: int
-    node: ast.AST
-    is_property: bool = False
     bind_stores: Dict[str, int] = field(default_factory=dict)
     mut_stores: Dict[str, int] = field(default_factory=dict)
     attr_reads: Set[str] = field(default_factory=set)
     self_calls: Set[str] = field(default_factory=set)
     call_terminals: Set[str] = field(default_factory=set)
-    #: attrs only ever bumped by a constant (``self.n += 1``) -- stat
-    #: counters, which some clients (the atomicity pass) discount
-    counter_bumps: Set[str] = field(default_factory=set)
-    #: effects of *unconditional* top-level statements only -- what the
-    #: method does on every call, guards and loops excluded
-    uncond_binds: Set[str] = field(default_factory=set)
-    #: in-place stores through an attribute (``self.x[i] = ...``,
-    #: ``del self.x[i]``) at depth 0 -- mutation that happens every call
-    uncond_muts: Set[str] = field(default_factory=set)
-    uncond_self_calls: Set[str] = field(default_factory=set)
-    uncond_call_terminals: Set[str] = field(default_factory=set)
 
     @property
     def stored_attrs(self) -> Dict[str, int]:
@@ -137,12 +124,6 @@ class _MethodScan(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._store(node.target, node.lineno)
-        if (isinstance(node.target, ast.Attribute)
-                and isinstance(node.target.value, ast.Name)
-                and node.target.value.id == self.self_name
-                and isinstance(node.op, (ast.Add, ast.Sub))
-                and isinstance(node.value, ast.Constant)):
-            self.info.counter_bumps.add(node.target.attr)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -183,55 +164,16 @@ class _MethodScan(ast.NodeVisitor):
         pass  # a nested class has its own `self`
 
 
-def _scan_unconditional(info: MethodInfo, self_name: str,
-                        body: List[ast.stmt]) -> None:
-    """Effects of the method's depth-0 simple statements: what happens
-    on *every* call.  Guarded/looped statements are excluded, so a load
-    helper that only writes back on cache eviction does not look like
-    an unconditional writer."""
-    for stmt in body:
-        if not isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign,
-                                 ast.Expr, ast.Return, ast.Delete)):
-            continue
-        for sub in ast.walk(stmt):
-            if (isinstance(sub, ast.Attribute)
-                    and isinstance(sub.ctx, ast.Store)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == self_name):
-                info.uncond_binds.add(sub.attr)
-            elif (isinstance(sub, (ast.Attribute, ast.Subscript))
-                    and isinstance(sub.ctx, (ast.Store, ast.Del))):
-                attr = _self_root(sub, self_name)
-                if attr is not None:
-                    info.uncond_muts.add(attr)
-            elif isinstance(sub, ast.Call):
-                terminal = _terminal_name(sub.func)
-                if terminal is not None:
-                    info.uncond_call_terminals.add(terminal)
-                if (isinstance(sub.func, ast.Attribute)
-                        and isinstance(sub.func.value, ast.Name)
-                        and sub.func.value.id == self_name):
-                    info.uncond_self_calls.add(sub.func.attr)
-
-
 @dataclass
 class ClassInfo:
     name: str
     module: str
-    path: str
-    lineno: int
     base_exprs: List[str]           # bases as written ("ChunkedStore", "a.B")
     methods: Dict[str, MethodInfo]
-    decorator_names: Set[str]
-    node: ast.ClassDef
 
     @property
     def qualname(self) -> str:
         return f"{self.module}.{self.name}"
-
-    @property
-    def is_dataclass(self) -> bool:
-        return "dataclass" in self.decorator_names
 
     def mro_methods(self, model: "ProjectModel") -> Dict[str, MethodInfo]:
         """Effective method table: own methods shadow bases, left-to-right."""
@@ -247,13 +189,10 @@ class ModuleInfo:
     name: str
     path: str
     source: str
-    tree: Optional[ast.Module]
+    tree: Optional[ast.Module]      # None when the source does not parse
     imports: Dict[str, str]         # local name -> dotted target
     classes: Dict[str, ClassInfo]
-
-    @property
-    def segments(self) -> Set[str]:
-        return set(self.name.split("."))
+    syntax_error: Optional[SyntaxError] = None
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -274,33 +213,17 @@ def _scan_class(node: ast.ClassDef, module: str, path: str) -> ClassInfo:
             continue
         args = item.args.posonlyargs + item.args.args
         self_name = args[0].arg if args else "self"
-        decorators = sorted(d for d in (_dotted(dec)
-                                        for dec in item.decorator_list)
-                            if d is not None)
-        if any(d == "staticmethod" or d == "classmethod" for d in decorators):
+        if any(_dotted(dec) in ("staticmethod", "classmethod")
+               for dec in item.decorator_list):
             continue  # no instance state
-        info = MethodInfo(
-            name=item.name, owner=f"{module}.{node.name}", path=path,
-            lineno=item.lineno, node=item,
-            is_property=any(d in ("property", "functools.cached_property",
-                                  "cached_property") or d.endswith(".setter")
-                            or d.endswith(".getter") or d.endswith(".deleter")
-                            for d in decorators),
-        )
+        info = MethodInfo(name=item.name, owner=f"{module}.{node.name}",
+                          path=path, lineno=item.lineno)
         _MethodScan(info, self_name).visit(item)
-        _scan_unconditional(info, self_name, item.body)
         methods.setdefault(item.name, info)
     bases = [b for b in (_dotted(base) for base in node.bases)
              if b is not None]
-    decorator_names = set()
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = _dotted(target)
-        if name is not None:
-            decorator_names.add(name.rpartition(".")[2])
-    return ClassInfo(name=node.name, module=module, path=path,
-                     lineno=node.lineno, base_exprs=bases, methods=methods,
-                     decorator_names=decorator_names, node=node)
+    return ClassInfo(name=node.name, module=module, base_exprs=bases,
+                     methods=methods)
 
 
 class ProjectModel:
@@ -311,15 +234,17 @@ class ProjectModel:
         self.classes: Dict[str, ClassInfo] = {}
 
     # -------------------------------------------------------------- build --
-    def add_file(self, path: str, source: str) -> None:
+    def add_file(self, path: str, source: str) -> ModuleInfo:
+        """Parse ``source`` (the one parse of this file) into the model."""
         name = module_name_for(path)
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            self.modules[name] = ModuleInfo(name=name, path=path,
-                                            source=source, tree=None,
-                                            imports={}, classes={})
-            return
+        except SyntaxError as error:
+            module = ModuleInfo(name=name, path=path, source=source,
+                                tree=None, imports={}, classes={},
+                                syntax_error=error)
+            self.modules[name] = module
+            return module
         imports: Dict[str, str] = {}
         classes: Dict[str, ClassInfo] = {}
         for node in tree.body:
@@ -341,9 +266,10 @@ class ProjectModel:
                 info = _scan_class(node, name, path)
                 classes[info.name] = info
                 self.classes[info.qualname] = info
-        self.modules[name] = ModuleInfo(name=name, path=path, source=source,
-                                        tree=tree, imports=imports,
-                                        classes=classes)
+        module = ModuleInfo(name=name, path=path, source=source, tree=tree,
+                            imports=imports, classes=classes)
+        self.modules[name] = module
+        return module
 
     # ------------------------------------------------------------ resolve --
     def resolve_class(self, module: ModuleInfo,
@@ -383,14 +309,6 @@ class ProjectModel:
             stack = [b for b in bases if b is not None] + stack
         return order
 
-    def base_names(self, cls: ClassInfo) -> Set[str]:
-        """Terminal names of the full (resolved) base chain, as written."""
-        names: Set[str] = set()
-        for ancestor in self.mro(cls):
-            for base in ancestor.base_exprs:
-                names.add(base.rpartition(".")[2])
-        return names
-
 
 def reach(table: Dict[str, MethodInfo],
           seeds: Iterable[str]) -> Set[str]:
@@ -413,15 +331,3 @@ def reach(table: Dict[str, MethodInfo],
             if nxt not in seen:
                 work.append(nxt)
     return seen
-
-
-def build_model(files: Iterable[str]) -> ProjectModel:
-    model = ProjectModel()
-    for path in sorted(set(files)):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError:
-            continue
-        model.add_file(path, source)
-    return model

@@ -25,7 +25,6 @@ Counterexample trails (the ``spin -t`` loop)::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import partial
 from typing import List, Optional
@@ -249,10 +248,16 @@ def _run_campaign(args, state_file: Optional[str] = None,
 def cmd_check(args) -> int:
     if args.workers is not None:
         return _run_campaign(args, state_file=args.state_file)
+    from repro.mc.records import StoreFormatError
+
     # the local path runs the same spec a worker fleet would use, so a
     # trail captured here embeds everything a replay needs
-    result = args.spec.run(trail_dir=args.trail_dir,
-                           state_file=args.state_file)
+    try:
+        result = args.spec.run(trail_dir=args.trail_dir,
+                               state_file=args.state_file)
+    except StoreFormatError as error:  # a malformed --state-file
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     summary = RunSummary.from_result(result,
                                      show_fsck=bool(args.spec.fsck_every))
     if result.trail_path and args.minimize:
@@ -300,33 +305,12 @@ def cmd_fsck(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Whole-program analyzer: determinism lint + the four soundness
-    passes, unified behind one rule registry.  Errors are always
-    fatal; warns only under ``--strict``; info never."""
-    import repro
-    from repro.analysis.static import RENDERERS, run_analysis
-    from repro.analysis.static.baseline import render_baseline
+    """Determinism lint + the whole-program passes.  Errors are always
+    fatal; warns only under ``--strict``."""
+    from repro.analysis.analyze import render_text, run_analysis
 
-    try:
-        findings = run_analysis(
-            args.path or None,
-            baseline_path=args.baseline,
-            use_baseline=not args.no_baseline,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"repro analyze: {exc}", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        root = os.path.dirname(os.path.abspath(repro.__file__))
-        suppressible = [f for f in findings
-                        if f.detail.get("symbol")]
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(render_baseline(suppressible, root))
-        print(f"wrote {len(suppressible)} baseline entr"
-              f"{'y' if len(suppressible) == 1 else 'ies'} to "
-              f"{args.write_baseline}; fill in the justifications")
-    rendered = RENDERERS[args.format](findings)
-    sys.stdout.write(rendered if rendered.endswith("\n") else rendered + "\n")
+    findings = run_analysis(args.path or None)
+    print(render_text(findings))
     errors = [f for f in findings if f.severity == "error"]
     warns = [f for f in findings if f.severity == "warn"]
     if errors or (args.strict and warns):
@@ -622,27 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.set_defaults(func=cmd_fsck)
 
     analyze = subparsers.add_parser(
-        "analyze", help="whole-program soundness analysis "
-                        "(determinism lint + static passes)")
+        "analyze", help="determinism lint + whole-program soundness "
+                        "passes over the sources")
     analyze.add_argument("path", nargs="*",
                          help="files/directories to analyze (default: "
                               "the installed repro package)")
     analyze.add_argument("--strict", action="store_true",
                          help="exit nonzero on warnings too")
-    analyze.add_argument("--format", default="text",
-                         choices=("text", "json", "sarif"),
-                         help="output format (default: text)")
-    analyze.add_argument("--baseline", default=None, metavar="FILE",
-                         help="baseline file of accepted findings "
-                              "(default: the committed "
-                              "analysis-baseline.json)")
-    analyze.add_argument("--no-baseline", action="store_true",
-                         help="report findings the baseline would "
-                              "otherwise suppress")
-    analyze.add_argument("--write-baseline", default=None, metavar="FILE",
-                         help="write the current findings as a baseline "
-                              "skeleton (justifications left empty on "
-                              "purpose)")
     analyze.set_defaults(func=cmd_analyze)
 
     bugdemo = subparsers.add_parser(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Deque, Dict, List, Optional
 
@@ -93,8 +94,8 @@ class WorkerRecord:
     """A worker slot while the fleet runs: its process and pipe, and the
     tally that is its :class:`WorkerSummary` once the run ends."""
 
-    process: Any
-    conn: Any
+    process: multiprocessing.process.BaseProcess
+    conn: Connection
     summary: WorkerSummary
     pid: Optional[int] = None
 

@@ -153,7 +153,10 @@ def load_checker_state(path: str, memory=None) -> Optional[CheckerSnapshot]:
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
+        try:
+            document = json.load(handle)
+        except ValueError as error:  # torn JSON, or not UTF-8 at all
+            raise StoreFormatError(f"{path}: not JSON ({error})") from None
     try:
         return snapshot_from_document(document, memory=memory)
     except ValueError as error:

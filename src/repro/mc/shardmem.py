@@ -65,8 +65,7 @@ class ShardLayout:
 
     Workers receive the layout plus their segment's *name* and reattach
     on their side -- raw :class:`~multiprocessing.shared_memory.SharedMemory`
-    handles must never be pickled (the ``shm-handle-field`` analyzer
-    rule enforces this).
+    handles must never be pickled.
     """
 
     slots: int

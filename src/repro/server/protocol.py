@@ -13,11 +13,11 @@ document cross the wire:
   subscribed connections (no id; see :class:`JobEvent`).
 
 The dataclasses here are the canonical payload shapes.  They are
-deliberately built from JSON-safe primitives only -- the wire-safety
-static pass (``repro analyze``, rule ``unpicklable-field``) scans every
-dataclass in ``repro.server`` modules exactly like the ``repro.dist``
-protocol, so an unserialisable field is a lint error, not a mid-campaign
-surprise.
+deliberately built from JSON-safe primitives only; the tier-1 suite
+sends an instance of every dataclass in this module and in
+:mod:`repro.dist.protocol` through ``to_dict`` -> JSON -> ``from_dict``
+and through pickle, so an unserialisable field fails a test, not a
+campaign.
 
 Framing is one JSON document per ``\\n``-terminated line, encoded with
 sorted keys so identical payloads are byte-identical -- the determinism

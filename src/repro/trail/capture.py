@@ -140,6 +140,11 @@ class Trail:
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "Trail":
+        """Rebuild a trail; a document of any wrong shape raises
+        :class:`TrailFormatError`."""
+        if not isinstance(document, dict):
+            raise TrailFormatError(
+                f"not an mcfs trail (a JSON {type(document).__name__})")
         if document.get("format") != TRAIL_FORMAT:
             raise TrailFormatError(
                 f"not an mcfs trail (format={document.get('format')!r})")
@@ -147,17 +152,22 @@ class Trail:
             raise TrailFormatError(
                 f"trail version {document['version']} is newer than this "
                 f"reader (supports <= {TRAIL_VERSION})")
-        # trails written before the spec named its search carry the
-        # mode beside it
-        spec = {"mode": document.get("mode", "random"), **document["spec"]}
-        trail = cls(
-            spec=CheckSpec.from_dict(spec),
-            report=DiscrepancyReport.from_dict(document["report"]),
-            seed=document.get("seed", 0),
-            minimized_from=document.get("minimized_from"),
-            probes=document.get("probes"),
-            minimization=document.get("minimization"),
-        )
+        try:
+            # trails written before the spec named its search carry the
+            # mode beside it
+            spec = {"mode": document.get("mode", "random"),
+                    **document["spec"]}
+            trail = cls(
+                spec=CheckSpec.from_dict(spec),
+                report=DiscrepancyReport.from_dict(document["report"]),
+                seed=document.get("seed", 0),
+                minimized_from=document.get("minimized_from"),
+                probes=document.get("probes"),
+                minimization=document.get("minimization"),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as error:
+            raise TrailFormatError(
+                f"malformed trail ({type(error).__name__}: {error})") from None
         if not trail.report.schedule:
             raise TrailFormatError("trail carries no schedule to replay")
         return trail

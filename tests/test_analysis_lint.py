@@ -1,6 +1,6 @@
 """Determinism linter: rule units, pragma allowlisting, CI enforcement.
 
-The last test is the gate: it runs ``python -m repro lint --strict``
+The last test is the gate: it runs ``python -m repro analyze --strict``
 over the installed package exactly the way CI does, so any future
 nondeterminism hazard (unseeded RNG, wall-clock read, set-order
 dependence) fails the tier-1 suite until fixed or justified inline.
@@ -8,17 +8,24 @@ dependence) fails the tier-1 suite until fixed or justified inline.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import repro
-from repro.analysis.lint import iter_python_files, lint_source, run_lint
+from repro.analysis.analyze import (
+    analyze_sources,
+    default_paths,
+    iter_python_files,
+    run_analysis,
+)
 
 
 def lint(snippet: str):
-    return lint_source(textwrap.dedent(snippet), "snippet.py")
+    return analyze_sources({"snippet.py": textwrap.dedent(snippet)})
 
 
 def invariants(snippet: str):
@@ -115,56 +122,14 @@ def test_direct_set_expression_iteration():
     """) == ["unordered-iteration"]
 
 
-def test_raw_visited_state_access():
-    assert invariants("count = len(table._seen)") == ["raw-visited-state"]
-
-
-def test_raw_visited_state_allowed_inside_mc_package():
-    path = os.path.join(os.path.dirname(repro.__file__),
-                        "mc", "hashtable.py")
-    findings = run_lint([path])
-    assert not [f for f in findings if f.invariant == "raw-visited-state"]
-
-
-def test_visited_table_public_api_is_fine():
-    assert invariants("seen = table.export_seen()") == []
-
-
-def test_raw_device_data_access():
-    assert invariants("groups = device._chunk_groups") == ["raw-device-data"]
-    assert invariants("device._chunk_groups[0] = ()") == ["raw-device-data"]
-
-
-def test_raw_device_data_allowed_inside_storage_package():
-    path = os.path.join(os.path.dirname(repro.__file__),
-                        "storage", "device.py")
-    findings = run_lint([path])
-    assert not [f for f in findings if f.invariant == "raw-device-data"]
-
-
-def test_device_public_api_is_fine():
-    assert invariants("token = device.snapshot_chunks()") == []
-    assert invariants("chunks = token.chunks") == []
-
-
-def test_raw_entry_cache_access():
-    assert invariants("store = cache._merkle") == ["raw-entry-cache"]
-
-
-def test_raw_entry_cache_allowed_inside_abstraction_module():
-    path = os.path.join(os.path.dirname(repro.__file__),
-                        "core", "abstraction.py")
-    findings = run_lint([path])
-    assert not [f for f in findings if f.invariant == "raw-entry-cache"]
-
-
-def test_entry_cache_public_api_is_fine():
-    assert invariants("records = cache.refresh(kernel, '/mnt', mount)") == []
-    assert invariants("cache.invalidate()") == []
-
-
 def test_syntax_error_is_reported_not_raised():
     assert invariants("def broken(:\n") == ["syntax-error"]
+
+
+def test_unreadable_file_is_reported_not_raised(tmp_path):
+    findings = run_analysis([str(tmp_path / "missing.py")])
+    assert [f.invariant for f in findings] == ["unreadable-file"]
+    assert findings[0].severity == "error"
 
 
 def test_unsorted_fs_listing():
@@ -286,13 +251,22 @@ def test_wrong_rule_pragma_does_not_suppress():
 
 
 # ------------------------------------------------------------ the codebase --
-def test_repro_package_lints_clean():
-    findings = run_lint()
+def test_repro_package_lints_clean(monkeypatch):
+    # every rule runs on one parse per file
+    parse, parsed = ast.parse, Counter()
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[filename] += 1
+        return parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    findings = run_analysis()
     assert findings == [], "\n".join(f.describe() for f in findings)
+    assert dict(parsed) == dict.fromkeys(iter_python_files(default_paths()), 1)
 
 
 def test_runner_walks_the_whole_package():
-    files = iter_python_files(run_lint.__globals__["default_paths"]())
+    files = iter_python_files(default_paths())
     names = {os.path.basename(f) for f in files}
     assert {"explorer.py", "ext2.py", "cli.py", "clock.py"} <= names
     assert len(files) > 40

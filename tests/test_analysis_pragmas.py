@@ -1,23 +1,23 @@
 """Pragma machinery edge cases (repro.analysis.pragmas).
 
-The machinery is shared between the determinism linter and the
-whole-program passes, so the edge cases are tested once here: pragmas
-on multi-line statements, stacked pragmas in one comment, pragma-shaped
-text in strings, and the ``active_rules`` scoping that keeps partial
-runs from flagging each other's allowlists.
+The machinery is applied once per file over the findings of every
+rule, so the edge cases are tested once here: pragmas on multi-line
+statements, stacked pragmas in one comment, pragma-shaped text in
+strings, and pragmas that suppress nothing -- for any rule id at all.
 """
 
 from __future__ import annotations
 
 import textwrap
 
+from repro.analysis.analyze import analyze_sources
 from repro.analysis.findings import Finding
-from repro.analysis.lint import lint_source
 from repro.analysis.pragmas import apply_pragmas, collect_pragmas
+from repro.cli import main
 
 
 def lint(snippet: str):
-    return lint_source(textwrap.dedent(snippet), "snippet.py")
+    return analyze_sources({"snippet.py": textwrap.dedent(snippet)})
 
 
 def invariants(snippet: str):
@@ -115,26 +115,28 @@ def test_stacked_pragma_one_bare_one_justified():
     assert [f.invariant for f in findings] == ["unused-pragma"]
 
 
-# -------------------------------------------------------- active_rules ----
-def test_inactive_rule_pragma_is_left_alone():
-    suppressed = apply_pragmas(
-        [], "x = 1  # det-lint: allow[restore-blind] handled elsewhere\n",
-        "snippet.py", active_rules={"wall-clock"})
-    assert suppressed == []
-
-
+# ------------------------------------------------------- unused pragmas ----
 def test_active_rule_pragma_unused_is_flagged():
     flagged = apply_pragmas(
         [], "x = 1  # det-lint: allow[restore-blind] stale reason\n",
-        "snippet.py", active_rules={"restore-blind"})
+        "snippet.py")
     assert [f.invariant for f in flagged] == ["unused-pragma"]
 
 
-def test_determinism_lint_ignores_static_pass_pragmas():
-    # a restore-blind pragma must not be "unused" during a
-    # determinism-only lint: that pass never checks the rule
-    assert invariants("""
-        class C:
-            def f(self):
-                self.cache = {}  # det-lint: allow[restore-blind] paired surface
-    """) == []
+def test_pragmas_for_unknown_or_retired_rules_are_unused(tmp_path, capsys):
+    module = tmp_path / "m.py"
+    module.write_text(textwrap.dedent("""\
+        def f():
+            return 1  # det-lint: allow[no-such-rule] typo in the id
+        def g():
+            return 2  # det-lint: allow[raise-after-mutate] stale
+    """))
+    assert main(["analyze", "--strict", str(module)]) == 1
+    output = capsys.readouterr().out.splitlines()
+    assert output == [
+        f"[warn] lint.determinism/unused-pragma @ {module}:2: pragma "
+        f"allow[no-such-rule] suppresses nothing",
+        f"[warn] lint.determinism/unused-pragma @ {module}:4: pragma "
+        f"allow[raise-after-mutate] suppresses nothing",
+        "2 finding(s), 0 error(s)",
+    ]

@@ -1,4 +1,4 @@
-"""Whole-program analyzer: model units, the four passes, baseline, CLI.
+"""Whole-program analyzer: model units, the two passes, the pipeline.
 
 The positive tests double as the analyzer's *mutation self-tests*: each
 fixture tree seeds one violation of one invariant and asserts the pass
@@ -8,33 +8,17 @@ regresses into blindness (or into noise), these fail first.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 import textwrap
 
-import pytest
-
-import repro
+from repro.analysis.analyze import run_analysis, summary_line
 from repro.analysis.findings import Finding
 from repro.analysis.static import (
-    build_model,
-    render_json,
-    render_sarif,
-    run_analysis,
-    summary_line,
+    ProjectModel,
+    run_dirtymark_pass,
+    run_snapshot_pass,
 )
-from repro.analysis.static.atomicity import run_atomicity_pass
-from repro.analysis.static.baseline import (
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
-from repro.analysis.static.dirtymark import run_dirtymark_pass
 from repro.analysis.static.model import module_name_for, reach
-from repro.analysis.static.snapshot import run_snapshot_pass
-from repro.analysis.static.wire import run_wire_pass
 
 
 def make_tree(tmp_path, files):
@@ -56,7 +40,11 @@ def make_tree(tmp_path, files):
 
 
 def model_of(tmp_path, files):
-    return build_model(make_tree(tmp_path, files))
+    model = ProjectModel()
+    for path in make_tree(tmp_path, files):
+        with open(path, encoding="utf-8") as handle:
+            model.add_file(path, handle.read())
+    return model
 
 
 # ------------------------------------------------------------------- model --
@@ -272,305 +260,14 @@ def test_never_marking_class_is_out_of_scope(tmp_path):
     assert findings == []
 
 
-# ------------------------------------------------------- wire-safety pass --
-def test_unpicklable_fields_are_flagged(tmp_path):
-    findings = run_wire_pass(model_of(tmp_path, {"pkg/dist/spec.py": """
-        import threading
-        from dataclasses import dataclass, field
-
-
-        @dataclass
-        class Spec:
-            name: str
-            lock: threading.Lock
-            hook: object = lambda: 1
-            safe_factory: object = field(default_factory=lambda: [])
-    """}))
-    assert [f.detail["symbol"] for f in findings] == ["Spec.hook", "Spec.lock"]
-    assert all(f.invariant == "unpicklable-field" for f in findings)
-
-
-def test_device_reference_is_flagged(tmp_path):
-    findings = run_wire_pass(model_of(tmp_path, {
-        "pkg/storage/dev.py": """
-            class Dev:
-                pass
-        """,
-        "pkg/dist/spec.py": """
-            from dataclasses import dataclass
-
-            from pkg.storage.dev import Dev
-
-
-            @dataclass
-            class Unit:
-                device: Dev
-        """,
-    }))
-    assert [f.detail["symbol"] for f in findings] == ["Unit.device"]
-    assert "must not cross the wire" in findings[0].message
-
-
-def test_containers_enums_and_nested_dataclasses_are_safe(tmp_path):
-    findings = run_wire_pass(model_of(tmp_path, {"pkg/dist/spec.py": """
-        import enum
-        from dataclasses import dataclass
-        from typing import Dict, List, Optional, Tuple
-
-
-        class Mode(enum.Enum):
-            DFS = 1
-
-
-        @dataclass
-        class Inner:
-            sizes: Tuple[int, ...]
-
-
-        @dataclass
-        class Spec:
-            name: str
-            mode: Mode
-            ops: List[str]
-            weights: Dict[str, float]
-            inner: Optional[Inner]
-            note: "Optional[str]" = None
-    """}))
-    assert findings == []
-
-
-def test_nested_dataclass_problem_is_traced(tmp_path):
-    findings = run_wire_pass(model_of(tmp_path, {"pkg/dist/spec.py": """
-        import threading
-        from dataclasses import dataclass
-
-
-        @dataclass
-        class Inner:
-            lock: threading.Lock
-
-
-        @dataclass
-        class Outer:
-            inner: Inner
-    """}))
-    symbols = [f.detail["symbol"] for f in findings]
-    assert "Inner.lock" in symbols and "Outer.inner" in symbols
-
-
-def test_non_dist_dataclass_is_out_of_scope(tmp_path):
-    findings = run_wire_pass(model_of(tmp_path, {"pkg/core/spec.py": """
-        import threading
-        from dataclasses import dataclass
-
-
-        @dataclass
-        class Local:
-            lock: threading.Lock
-    """}))
-    assert findings == []
-
-
-def test_server_protocol_dataclasses_are_in_scope(tmp_path):
-    """The campaign-server wire (JSON lines + spool) is policed like the
-    dist wire: a server dataclass growing an unserialisable field is a
-    lint error, not a mid-campaign surprise."""
-    findings = run_wire_pass(model_of(tmp_path, {"pkg/server/protocol.py": """
-        import socket
-        from dataclasses import dataclass
-
-
-        @dataclass
-        class JobEvent:
-            kind: str
-            conn: socket.socket
-    """}))
-    assert [f.detail["symbol"] for f in findings] == ["JobEvent.conn"]
-    assert all(f.invariant == "unpicklable-field" for f in findings)
-
-
-def test_shm_handle_fields_are_flagged(tmp_path):
-    """Raw shared-memory handles must never ride the wire: workers
-    attach by segment *name* (ShardSegment.attach), so a live handle in
-    a dist dataclass is a design error even where it would pickle."""
-    findings = run_wire_pass(model_of(tmp_path, {"pkg/dist/config.py": """
-        from dataclasses import dataclass
-        from multiprocessing.shared_memory import SharedMemory
-        from typing import Optional, Tuple
-
-
-        @dataclass
-        class Config:
-            segment: SharedMemory
-            view: Optional[memoryview]
-            own: "ShardSegment" = None
-            names: Tuple[str, ...] = ()
-    """}))
-    symbols = sorted(f.detail["symbol"] for f in findings)
-    assert symbols == ["Config.own", "Config.segment", "Config.view"]
-    assert all(f.invariant == "shm-handle-field" for f in findings)
-    assert all("segment *name*" in f.message for f in findings)
-
-
-def test_shm_rule_registered():
-    from repro.analysis.static.registry import RULES_BY_ID, STATIC_RULE_IDS
-
-    assert "shm-handle-field" in STATIC_RULE_IDS
-    assert RULES_BY_ID["shm-handle-field"].checker == "analyze.wire"
-    assert RULES_BY_ID["shm-handle-field"].severity == "error"
-
-
-def test_real_dist_tree_is_shm_handle_clean():
-    """Mutation guard for the live tree: the shipped dist dataclasses
-    (WorkerConfig and friends) must keep shipping segment names and
-    picklable ShardLayout geometry, never live segments."""
-    from repro.analysis.lint.runner import iter_python_files
-
-    root = os.path.dirname(os.path.abspath(repro.__file__))
-    model = build_model(iter_python_files([root]))
-    findings = [f for f in run_wire_pass(model)
-                if f.invariant == "shm-handle-field"]
-    assert findings == []
-
-
-def test_real_server_protocol_is_wire_clean():
-    """Mutation guard for the live tree: the shipped repro.server
-    dataclasses must stay serialisable (the pass scans them for real)."""
-    from repro.analysis.lint.runner import iter_python_files
-
-    root = os.path.dirname(os.path.abspath(repro.__file__))
-    model = build_model(iter_python_files([root]))
-    scanned = [name for name in model.modules if "server" in name.split(".")]
-    assert scanned, "repro.server modules must be in the analysis model"
-    findings = [f for f in run_wire_pass(model)
-                if "server" in f.location.replace(os.sep, "/").split("/")]
-    assert findings == []
-
-
-# ------------------------------------------------- error-path atomicity ----
-ATOMICITY_SEEDED = {"pkg/fs/drv.py": """
-    class Driver:
-        def unlink(self, name):
-            del self.entries[name]
-            if name in self.protected:
-                raise ValueError(name)
-"""}
-
-ATOMICITY_FENCED = {"pkg/fs/drv.py": """
-    class Driver:
-        def unlink(self, name):
-            del self.entries[name]
-            self.mount.mark_dirty_parent(name)
-            if name in self.protected:
-                raise ValueError(name)
-"""}
-
-ATOMICITY_GUARD_FIRST = {"pkg/fs/drv.py": """
-    class Driver:
-        def unlink(self, name):
-            if name in self.protected:
-                raise ValueError(name)
-            del self.entries[name]
-"""}
-
-
-def test_raise_after_mutate_is_flagged(tmp_path):
-    findings = run_atomicity_pass(model_of(tmp_path, ATOMICITY_SEEDED))
-    assert [f.invariant for f in findings] == ["raise-after-mutate"]
-    assert findings[0].severity == "warn"
-    assert findings[0].detail["symbol"] == "Driver.unlink"
-
-
-def test_fence_discharges_the_hazard(tmp_path):
-    assert run_atomicity_pass(model_of(tmp_path, ATOMICITY_FENCED)) == []
-
-
-def test_guard_before_mutation_is_clean(tmp_path):
-    assert run_atomicity_pass(model_of(tmp_path, ATOMICITY_GUARD_FIRST)) == []
-
-
-def test_mutating_helper_call_arms_the_hazard(tmp_path):
-    findings = run_atomicity_pass(model_of(tmp_path, {"pkg/fs/drv.py": """
-        class Driver:
-            def _drop(self, name):
-                del self.entries[name]
-
-            def rename(self, old, new):
-                self._drop(new)
-                if old not in self.entries:
-                    raise KeyError(old)
-    """}))
-    assert [f.detail["symbol"] for f in findings] == ["Driver.rename"]
-
-
-def test_cache_fill_helper_is_discounted(tmp_path):
-    findings = run_atomicity_pass(model_of(tmp_path, {"pkg/fs/drv.py": """
-        class Driver:
-            def _load(self, ino):
-                node = self.parse(ino)
-                self._inode_cache[ino] = node
-                return node
-
-            def truncate(self, ino, size):
-                node = self._load(ino)
-                if size < 0:
-                    raise ValueError(size)
-                node.size = size
-                self.mount.mark_dirty_entry(ino)
-    """}))
-    assert findings == []
-
-
-def test_counter_bump_is_discounted(tmp_path):
-    findings = run_atomicity_pass(model_of(tmp_path, {"pkg/kernel/k.py": """
-        class Kernel:
-            def _sys(self):
-                self.syscall_count += 1
-
-            def unlink(self, name):
-                self._sys()
-                if name not in self.entries:
-                    raise KeyError(name)
-                del self.entries[name]
-                self.mount.mark_dirty_parent(name)
-    """}))
-    assert findings == []
-
-
-def test_raise_in_except_handler_is_not_counted(tmp_path):
-    findings = run_atomicity_pass(model_of(tmp_path, {"pkg/fs/drv.py": """
-        class Driver:
-            def write(self, name, data):
-                self.entries[name] = data
-                try:
-                    self.flush()
-                except OSError:
-                    raise
-                self.mount.mark_dirty_entry(name)
-    """}))
-    assert findings == []
-
-
-def test_non_scope_module_is_ignored(tmp_path):
-    findings = run_atomicity_pass(model_of(tmp_path, {"pkg/util/drv.py": """
-        class Driver:
-            def unlink(self, name):
-                del self.entries[name]
-                raise ValueError(name)
-    """}))
-    assert findings == []
-
-
 # ------------------------------------------------------- pragma interplay --
 def test_static_finding_suppressed_by_pragma(tmp_path):
-    files = dict(ATOMICITY_SEEDED)
-    files["pkg/fs/drv.py"] = files["pkg/fs/drv.py"].replace(
-        "raise ValueError(name)",
-        "raise ValueError(name)  # det-lint: allow[raise-after-mutate] "
-        "branches are exclusive")
+    files = {"pkg/dev.py": SNAPSHOT_SEEDED["pkg/dev.py"].replace(
+        "self.epoch = self.epoch + 1",
+        "self.epoch = self.epoch + 1  # det-lint: allow[restore-blind] "
+        "a counter of real events")}
     paths = make_tree(tmp_path, files)
-    findings = run_analysis(paths, use_baseline=False)
-    assert [f.invariant for f in findings] == []
+    assert run_analysis(paths) == []
 
 
 # ------------------------------------------------------------- full engine --
@@ -578,124 +275,34 @@ def test_seeded_tree_yields_every_invariant(tmp_path):
     files = {}
     files.update(SNAPSHOT_SEEDED)
     files.update(DIRTYMARK_SEEDED)
-    files.update(ATOMICITY_SEEDED)
-    files["pkg/dist/spec.py"] = """
-        import threading
-        from dataclasses import dataclass
-
-
-        @dataclass
-        class Spec:
-            lock: threading.Lock
-    """
     files["pkg/rng.py"] = """
         import random
 
         value = random.randint(0, 5)
     """
     paths = make_tree(tmp_path, files)
-    invariants = {f.invariant for f in run_analysis(paths,
-                                                    use_baseline=False)}
-    assert {"restore-blind", "dirty-mark-missing", "unpicklable-field",
-            "raise-after-mutate", "unseeded-random"} <= invariants
+    invariants = sorted(f.invariant for f in run_analysis(paths))
+    assert invariants == ["dirty-mark-missing", "restore-blind",
+                          "unseeded-random"]
 
 
 def test_clean_tree_yields_nothing(tmp_path):
     files = {}
     files.update(SNAPSHOT_CLEAN)
     files.update(DIRTYMARK_CLEAN)
-    files["pkg/fs/drv.py"] = ATOMICITY_FENCED["pkg/fs/drv.py"]
     paths = make_tree(tmp_path, files)
-    assert run_analysis(paths, use_baseline=False) == []
-
-
-# ----------------------------------------------------------------- baseline --
-def baseline_doc(entries):
-    return {"version": 1, "entries": entries}
-
-
-def finding(invariant, path, symbol, severity="warn"):
-    return Finding(checker="t", invariant=invariant, message="m",
-                   severity=severity, location=f"/root/x/{path}:10",
-                   detail={"line": 10, "symbol": symbol})
-
-
-def test_baseline_drops_matched_findings(tmp_path):
-    entry = {"invariant": "raise-after-mutate", "path": "fs/a.py",
-             "symbol": "A.rename", "justification": "sibling branches"}
-    kept = apply_baseline([finding("raise-after-mutate", "fs/a.py",
-                                   "A.rename")],
-                          [entry], "/root/x", "bl.json")
-    assert kept == []
-
-
-def test_stale_baseline_entry_is_warned(tmp_path):
-    entry = {"invariant": "raise-after-mutate", "path": "fs/gone.py",
-             "symbol": "A.rename", "justification": "was fixed"}
-    kept = apply_baseline([], [entry], "/root/x", "bl.json")
-    assert [f.invariant for f in kept] == ["stale-baseline"]
-    assert kept[0].severity == "warn"
-
-
-def test_unjustified_baseline_entry_is_an_error(tmp_path):
-    entry = {"invariant": "raise-after-mutate", "path": "fs/a.py",
-             "symbol": "A.rename", "justification": "  "}
-    kept = apply_baseline([finding("raise-after-mutate", "fs/a.py",
-                                   "A.rename")],
-                          [entry], "/root/x", "bl.json")
-    assert [f.invariant for f in kept] == ["unjustified-baseline"]
-    assert kept[0].severity == "error"
-
-
-def test_load_baseline_rejects_malformed(tmp_path):
-    bad = tmp_path / "bl.json"
-    bad.write_text(json.dumps({"entries": [{"invariant": "x"}]}))
-    with pytest.raises(ValueError):
-        load_baseline(str(bad))
-
-
-def test_render_baseline_leaves_justifications_empty():
-    document = json.loads(render_baseline(
-        [finding("raise-after-mutate", "fs/a.py", "A.rename")], "/root/x"))
-    assert document["entries"] == [{
-        "invariant": "raise-after-mutate", "path": "fs/a.py",
-        "symbol": "A.rename", "justification": "",
-    }]
-
-
-def test_shipped_baseline_is_fully_justified():
-    path = os.path.join(os.path.dirname(repro.__file__),
-                        "analysis-baseline.json")
-    for entry in load_baseline(path):
-        assert entry["justification"].strip(), entry
+    assert run_analysis(paths) == []
 
 
 # ------------------------------------------------------------------ output --
-def test_render_json_shape():
-    document = json.loads(render_json(
-        [finding("raise-after-mutate", "fs/a.py", "A.rename")]))
-    assert document["summary"] == {"total": 1, "error": 0, "warn": 1,
-                                   "info": 0}
-    assert document["findings"][0]["invariant"] == "raise-after-mutate"
-
-
-def test_render_sarif_shape():
-    document = json.loads(render_sarif(
-        [finding("restore-blind", "fs/a.py", "A.x", severity="error")]))
-    run = document["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-analyze"
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"restore-blind", "unseeded-random", "stale-baseline"} <= rule_ids
-    result = run["results"][0]
-    assert result["ruleId"] == "restore-blind"
-    assert result["level"] == "error"
-    assert result["locations"][0]["physicalLocation"]["region"][
-        "startLine"] == 10
+def finding(invariant, severity):
+    return Finding(checker="t", invariant=invariant, message="m",
+                   severity=severity, location="a.py:10")
 
 
 def test_summary_line_counts_errors():
-    findings = [finding("restore-blind", "a.py", "A.x", severity="error"),
-                finding("raise-after-mutate", "a.py", "A.y")]
+    findings = [finding("restore-blind", "error"),
+                finding("unused-pragma", "warn")]
     assert summary_line(findings) == "2 finding(s), 1 error(s)"
 
 
@@ -704,18 +311,3 @@ def test_shipped_tree_analyzes_clean():
     findings = run_analysis()
     assert findings == [], "\n".join(f.describe() for f in findings)
 
-
-def test_cli_analyze_strict_sarif_as_in_ci(tmp_path):
-    """The CI job: strict analysis must pass and emit valid SARIF."""
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "analyze", "--strict",
-         "--format", "sarif"],
-        capture_output=True, text=True, env=env, timeout=180,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    document = json.loads(proc.stdout)
-    assert document["version"] == "2.1.0"
-    assert document["runs"][0]["results"] == []

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import json
 
 import pytest
 
@@ -218,6 +219,47 @@ class TestCheck:
                      "--state-file", state_file]) == 0
         output = capsys.readouterr().out
         assert "new states : 0" in output  # resumed: nothing re-explored
+
+
+    @pytest.mark.parametrize("workers", [None, "0"])
+    @pytest.mark.parametrize("content", ['{"version": 4, "sto', "[1]"],
+                             ids=["torn", "not-a-snapshot"])
+    def test_malformed_state_file_is_invalid_input(self, tmp_path, capsys,
+                                                   content, workers):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(content)
+        argv = ["check", "--fs", "verifs1", "--fs", "verifs2",
+                "--state-file", str(state_file)]
+        argv += (["--mode", "dfs", "--depth", "1"] if workers is None else
+                 ["--mode", "random", "--workers", workers, "--units", "1",
+                  "--max-ops", "10"])
+        assert main(argv) == 2  # not 1: nothing was checked
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(state_file) in err
+
+
+class TestMalformedTrail:
+    @pytest.mark.parametrize("command", ["replay", "minimize"])
+    @pytest.mark.parametrize("document", [
+        [1, 2],
+        [],
+        {"format": "mcfs-trail", "version": 1, "spec": 5},
+        {"format": "mcfs-trail", "version": 1, "report": {}},
+    ], ids=["list", "empty-list", "spec-not-a-dict", "no-spec"])
+    def test_exits_two(self, tmp_path, capsys, command, document):
+        path = tmp_path / "bad.trail.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestAnalyze:
+    def test_clean_file_outside_the_package_is_clean(self, tmp_path,
+                                                      capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def f():\n    return sorted({1, 2})\n")
+        assert main(["analyze", "--strict", str(clean)]) == 0
+        assert "0 finding(s), 0 error(s)" in capsys.readouterr().out
 
 
 class TestBugdemo:

@@ -5,7 +5,9 @@ stack: every document the campaign server ships over its wire or writes
 to its spool -- unit results, worker summaries, merged
 :class:`~repro.dist.DistResult` campaigns, job descriptors, and job
 events -- must survive ``to_dict`` -> JSON ->
-``from_dict`` without losing anything a consumer can observe.
+``from_dict`` without losing anything a consumer can observe, and every
+message and ``Process`` argument of the worker fleet must survive the
+pickling its pipes do (:class:`TestWireRoundTrip`).
 
 Where a type embeds non-comparable state (exception objects inside
 :class:`~repro.mc.explorer.ExplorationStats`, visited tables inside
@@ -15,15 +17,24 @@ Where a type embeds non-comparable state (exception objects inside
 
 import dataclasses
 import json
+import pickle
+from multiprocessing.reduction import ForkingPickler
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.report import RunSummary
+from repro.dist import protocol as dist_protocol
 from repro.dist.coordinator import DistResult, WorkerSummary
 from repro.dist.protocol import UnitResult
 from repro.dist.spec import CheckSpec
+from repro.dist.worker import WorkerConfig
 from repro.mc.explorer import ExplorationStats, PropertyViolation
 from repro.mc.hashtable import VisitedStateTable
+from repro.mc.persistence import snapshot_document
+from repro.mc.records import pack_records
+from repro.mc.shardmem import ShardLayout
+from repro.server import protocol as server_protocol
 from repro.server.protocol import JobDescriptor, JobEvent, SubmitRequest
 
 
@@ -362,3 +373,85 @@ class TestServerDocumentRoundTrip:
         assert restored == request
         # and the embedded spec still builds a real campaign
         assert restored.spec.filesystems == ("verifs1", "verifs2")
+
+
+# ------------------------------------------------------------- the wire --
+
+WIRE_SPEC = CheckSpec(filesystems=("verifs1", "verifs2"),
+                      verifs_bugs=("write-hole-stale",), units=4,
+                      max_depth=9, state_store="bitstate:8192,3",
+                      input_profile="boundary")
+WIRE_UNIT = WIRE_SPEC.work_units()[1]
+WIRE_RESULT = UnitResult(
+    index=1, seed=WIRE_UNIT.seed, worker_id="w1", operations=40,
+    unique_states=12, sim_time=0.5, stopped_reason="property violation",
+    violation={"kind": "state", "summary": "abstract states differ"},
+    omission_possible=True, omission_probability=0.01,
+    cost_profile={"states": 12})
+
+
+def _checkpoint_document():
+    table = VisitedStateTable()
+    table.visit("ab" * 16, depth=2)
+    return snapshot_document(table, operations_completed=40, seed=7,
+                             worker_id="w1")
+
+
+#: one representative instance of every dataclass that crosses a wire
+WIRE = {
+    dist_protocol.Hello: dist_protocol.Hello("w0", 4242),
+    dist_protocol.WorkRequest: dist_protocol.WorkRequest("w0"),
+    dist_protocol.Heartbeat: dist_protocol.Heartbeat("w0", 1, 120),
+    dist_protocol.RecordBatch: dist_protocol.RecordBatch(
+        "w0", 2, 8, pack_records([(3, 1), (1 << 60, 9)], 8)),
+    dist_protocol.Checkpoint: dist_protocol.Checkpoint(
+        "w1", 1, _checkpoint_document()),
+    UnitResult: WIRE_RESULT,
+    dist_protocol.UnitDone: dist_protocol.UnitDone("w1", WIRE_RESULT),
+    dist_protocol.WorkGrant: dist_protocol.WorkGrant(WIRE_UNIT),
+    dist_protocol.Wait: dist_protocol.Wait(0.1),
+    dist_protocol.NoMoreWork: dist_protocol.NoMoreWork(),
+    dist_protocol.Shutdown: dist_protocol.Shutdown(),
+    SubmitRequest: SubmitRequest(WIRE_SPEC, tenant="ci", priority=3,
+                                 workers=2),
+    JobDescriptor: JobDescriptor(
+        job_id="job-1", tenant="ci", priority=3, state="running",
+        workers=2, spec=WIRE_SPEC, requested_store="exact",
+        effective_store="bitstate:8192,3", store_forced=True,
+        started_vtime=1.5, units_total=4, trail_paths=["t.trail.json"],
+        error="boom"),
+    JobEvent: JobEvent("progress", "job-1", 7, 2.5, {"operations": 40}),
+}
+
+#: what a worker ``Process`` is started with besides its pipe end
+PROCESS_ARGS = (WIRE_SPEC, WIRE_UNIT, WorkerConfig(
+    chaos_kill_after_operations=50,
+    shm_layout=ShardLayout(slots=64, key_bytes=8), shm_segment="psm_w1"))
+
+
+def wire_dataclasses(module):
+    return sorted((value for value in vars(module).values()
+                   if isinstance(value, type)
+                   and dataclasses.is_dataclass(value)
+                   and value.__module__ == module.__name__),
+                  key=lambda cls: cls.__name__)
+
+
+class TestWireRoundTrip:
+    def test_every_protocol_dataclass_has_an_instance(self):
+        for module in (dist_protocol, server_protocol):
+            missing = [cls.__name__ for cls in wire_dataclasses(module)
+                       if cls not in WIRE]
+            assert not missing, f"add an instance of {missing} to WIRE"
+
+    @pytest.mark.parametrize("value", [*WIRE.values(), *PROCESS_ARGS],
+                             ids=lambda value: type(value).__name__)
+    def test_pickles_through_the_pipe(self, value):
+        # the pickler multiprocessing's pipes and Process arguments use
+        assert pickle.loads(ForkingPickler.dumps(value)) == value
+
+    @pytest.mark.parametrize("cls", wire_dataclasses(server_protocol),
+                             ids=lambda cls: cls.__name__)
+    def test_server_types_round_trip_json(self, cls):
+        value = WIRE[cls]
+        assert cls.from_dict(through_json(value.to_dict())) == value

@@ -143,6 +143,18 @@ class TestTrailFiles:
         with pytest.raises(TrailFormatError):
             Trail.load(str(path))
 
+    @pytest.mark.parametrize("document", [
+        [1, 2],
+        [],
+        {"format": "mcfs-trail", "version": 1, "spec": 5},
+        {"format": "mcfs-trail", "version": 1, "report": {}},
+        {"format": "mcfs-trail", "version": 1,
+         "spec": CheckSpec(filesystems=("verifs1", "verifs2")).to_dict()},
+    ], ids=["list", "empty-list", "spec-not-a-dict", "no-spec", "no-report"])
+    def test_wrong_shape_rejected(self, document):
+        with pytest.raises(TrailFormatError):
+            Trail.from_dict(document)
+
 
 class TestCaptureReplayMinimize:
     """The acceptance matrix: long log -> CONFIRMED -> <= 10 ops."""
