@@ -4,10 +4,8 @@ The paper positions swarm/parallel exploration as the answer to state
 spaces a single checker cannot cover (sections 2 and 7).  ``repro.dist``
 runs that fleet for real (multiprocessing workers, a shared visited-
 state service, work stealing); this benchmark measures how throughput
-scales with fleet size, compares the two visited-state data planes
-(sharded shared-memory segments vs batched pipe RPC), and checks the
-property everything else rests on -- that the *merged result does not
-change* with the fleet size or the plane.
+scales with fleet size and checks the property everything else rests on
+-- that the *merged result does not change* with the fleet size.
 
 The headline number is **wall states/second with its cost profile**:
 real merged-state throughput, decomposed into abstraction-walk /
@@ -16,7 +14,7 @@ so a rate change is attributable to a specific cost.  Wall-clock
 *scaling* assertions are gated on ``os.cpu_count()``: on a single-CPU
 container 4 workers time-slice one core and wall parallelism is
 physically impossible, so there the guards check the deterministic
-modeled clock plus plane parity instead.
+modeled clock instead.
 
 A second experiment measures what the campaign *server* adds on top: the
 same spec run once directly and once submitted through a live daemon
@@ -27,10 +25,8 @@ Emits ``BENCH_dist.json`` and ``BENCH_server.json`` at the repo root.
 """
 
 import json
-import multiprocessing
 import os
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 from conftest import record_result
@@ -38,7 +34,6 @@ from repro.dist import CheckSpec, DistributedChecker
 from repro.dist import realtime
 from repro.dist.coordinator import DistResult
 from repro.mc.perf import CostProfile
-from repro.mc.shardmem import shared_memory_available
 from repro.server import ReproClient, ReproServer, EngineConfig
 
 SPEC = CheckSpec(
@@ -52,47 +47,29 @@ SPEC = CheckSpec(
 
 FLEETS = (1, 2, 4)
 
-SHM_SUPPORTED = (shared_memory_available()
-                 and "fork" in multiprocessing.get_all_start_methods())
-PLANES = ("rpc", "shm") if SHM_SUPPORTED else ("rpc",)
-
 
 def test_dist_scaling(benchmark):
-    def run_once(plane, workers):
-        return DistributedChecker(replace(SPEC, data_plane=plane),
-                                  workers=workers).run()
-
     def measure(rounds=5):
         # best-of-N is the standard defence against scheduler noise on a
         # shared box: the fastest round is the closest estimate of the
         # true cost (every run does identical deterministic work).
-        # Fleet-size-major, plane-interleaved order: on burstable boxes
-        # the earliest rounds are the fastest, so the headline
-        # single-lane rows run first and the planes alternate within
-        # each round -- each plane gets an equally warm best round
-        # instead of one plane paying for the other's warm-up drain.
-        results = {}
-        for workers in FLEETS:
-            runs = {plane: [] for plane in PLANES}
-            for _ in range(rounds):
-                for plane in PLANES:
-                    runs[plane].append(run_once(plane, workers))
-            for plane in PLANES:
-                results[(plane, workers)] = max(
-                    runs[plane],
-                    key=lambda dist: dist.wall_states_per_second)
-        return results
+        # Fleet-size-major order: on burstable boxes the earliest rounds
+        # are the fastest, so the headline single-lane rows run first.
+        return {workers: max(
+            (DistributedChecker(SPEC, workers=workers).run()
+             for _ in range(rounds)),
+            key=lambda dist: dist.wall_states_per_second)
+            for workers in FLEETS}
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    solo = results[(PLANES[-1], 1)]
+    solo = results[1]
 
     rows = []
-    for (plane, workers), dist in sorted(results.items()):
+    for workers, dist in sorted(results.items()):
         profile = (CostProfile.from_dict(dist.cost_profile)
                    if dist.cost_profile else CostProfile())
         rows.append({
             "workers": workers,
-            "data_plane": dist.data_plane,
             "units": len(dist.unit_results),
             "operations": dist.total_operations,
             "visited_states": dist.visited_states,
@@ -111,7 +88,7 @@ def test_dist_scaling(benchmark):
         })
         record_result(
             "distributed scaling (verifs1 vs verifs2, 8 units)",
-            f"{workers} worker(s) via {dist.data_plane}: "
+            f"{workers} worker(s): "
             f"{dist.visited_states:4d} merged states "
             f"in {dist.wall_time:5.2f}s wall "
             f"= {dist.wall_states_per_second:7.1f} states/s "
@@ -135,9 +112,8 @@ def test_dist_scaling(benchmark):
         "results": rows,
     }, indent=2))
 
-    # the merge is plane- and fleet-invariant: same union (byte-identical
-    # visited fingerprints), same work, same findings -- for any worker
-    # count on either data plane
+    # the merge is fleet-invariant: same union (byte-identical visited
+    # fingerprints), same work, same findings -- for any worker count
     solo_fingerprint = solo.table.visited_fingerprint()
     for dist in results.values():
         assert dist.visited_states == solo.visited_states
@@ -146,22 +122,14 @@ def test_dist_scaling(benchmark):
         assert dist.table.visited_fingerprint() == solo_fingerprint
     # modeled throughput scales regardless of the host: 4 workers must
     # clear 1.5x the single-lane modeled rate
-    best = PLANES[-1]
-    assert (results[(best, 4)].states_per_second
-            >= 1.5 * solo.states_per_second)
-    assert results[(best, 2)].states_per_second > solo.states_per_second
+    assert results[4].states_per_second >= 1.5 * solo.states_per_second
+    assert results[2].states_per_second > solo.states_per_second
     # wall-clock scaling needs real cores: only assert it where the OS
     # actually offers 4 (a 1-CPU container time-slices the fleet)
     cores = os.cpu_count() or 1
     if cores >= 4:
-        assert (results[(best, 4)].wall_states_per_second
+        assert (results[4].wall_states_per_second
                 >= 1.5 * solo.wall_states_per_second)
-    if SHM_SUPPORTED:
-        # the shm plane must never lose meaningfully to RPC at any
-        # fleet size (slack absorbs single-box timing noise)
-        for workers in FLEETS[1:]:
-            assert (results[("shm", workers)].wall_states_per_second
-                    >= 0.75 * results[("rpc", workers)].wall_states_per_second)
 
 
 def test_server_submission_overhead(benchmark, tmp_path):

@@ -142,9 +142,6 @@ SPEC_FLAGS = (
     ("--check-every", CAMPAIGN, "state_check_every", dict(
         type=int, default=1, metavar="N",
         help="random walks: compare abstract states every N operations")),
-    ("--data-plane", FLEET, "data_plane", dict(
-        choices=("auto", "shm", "rpc"), default="auto",
-        help="visited-state plane of a fleet (never changes what is found)")),
     ("--profile", FLEET, "profile", dict(STORE_TRUE, help=(
         "per-state cost breakdown (measurement only)"))),
     ("--inject-bug", CAMPAIGN, "verifs_bugs", dict(
@@ -204,8 +201,6 @@ def _run_campaign(args, state_file: Optional[str] = None,
     from repro.dist import DistributedChecker
 
     try:
-        # a bad spec, or e.g. --data-plane shm forced on a platform (or
-        # store) that cannot carry it: same contract either way
         dist = DistributedChecker(
             args.spec, workers=args.workers,
             state_file=state_file, trail_dir=args.trail_dir).run()
@@ -217,9 +212,8 @@ def _run_campaign(args, state_file: Optional[str] = None,
         print(f"trail      : {path}")
     print(f"workers    : {dist.workers} ({len(dist.unit_results)} units, "
           f"{dist.stolen_units} stolen, {dist.recovered_units} recovered, "
-          f"{dist.inline_units} inline)")
-    print(f"data plane : {dist.data_plane} "
-          f"({dist.wall_states_per_second:.1f} states/s wall)")
+          f"{dist.inline_units} inline), "
+          f"{dist.wall_states_per_second:.1f} states/s wall")
     print(f"speedup    : {dist.speedup:.2f}x modeled "
           f"({dist.sequential_sim_time:.3f}s sequential -> "
           f"{dist.modeled_parallel_time:.3f}s parallel)")

@@ -5,13 +5,13 @@ seed-, depth- and profile-diversified work units (the swarm's members)
 to explore them with.  :class:`DistributedChecker` is the only thing
 that runs one.  A coordinator owns the seed-partitioned frontier, a
 :mod:`multiprocessing` fleet executes units with work stealing, a shared
-visited-state store collects every worker's discoveries (published into
-shared-memory segments, or shipped as batched insert RPCs over pipes
-behind a per-worker LRU), and heartbeats + lease timeouts make workers
-disposable -- a SIGKILL'd worker's leased unit is re-issued and the run
-still completes with the identical merged result.  ``workers=0`` is the
+visited-state store collects every worker's discoveries (shipped as
+packed record batches over pipes behind a per-worker LRU), and
+heartbeats + lease timeouts make workers disposable -- a SIGKILL'd
+worker's leased unit is re-issued and the run still completes with the
+identical merged result.  ``workers=0`` is the
 same campaign with nobody to lease to: every unit runs in the calling
-process, and nothing is forked, piped or mapped.
+process, and nothing is forked or piped.
 
 Entry point::
 

@@ -63,7 +63,8 @@ class ShippingVisitedTable(AbstractVisitedTable):
     The local table can be any store kind.  What ships is the local
     store's :meth:`~repro.mc.hashtable.AbstractVisitedTable.record_key`
     -- the integer the campaign's store matches on -- so the LRU
-    suppression layer, the segments and the service all key identically.
+    suppression layer, the wire batches and the service all key
+    identically.
     """
 
     def __init__(self, ship: ShipFn,

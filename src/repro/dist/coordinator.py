@@ -12,12 +12,12 @@ a real :mod:`multiprocessing` campaign:
   an expired lease (or a dead process, detected sooner) re-issues the
   unit -- after merging the worker's last shipped checkpoint -- so a
   SIGKILL'd worker costs wall time, never results;
-* a **visited-state service** (one authoritative table) answers the
-  workers' batched insert RPCs, deduplicating cross-worker territory;
+* a **visited-state service** (one authoritative table) takes the
+  workers' packed record batches, deduplicating cross-worker territory;
 * units no live worker can take run **inline**, in this process, through
   the same ``run_unit``: that is what a fleet whose workers have all
   died falls back to, and all that ``workers=0`` ever does (no process,
-  no pipe, no segment) -- the run always completes.
+  no pipe) -- the run always completes.
 
 Determinism: units are self-contained and deterministic, the unit list
 depends only on the spec, and merges are sorted -- so the discrepancy
@@ -53,12 +53,6 @@ from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
 from repro.dist.worker import LocalSink, WorkerConfig, run_unit, worker_main
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
-from repro.mc.records import parse_store_spec
-from repro.mc.shardmem import (
-    ShardLayout,
-    ShardSegment,
-    shared_memory_available,
-)
 from repro.mc.statestore import merge_into
 from repro.util.fieldcodec import FieldCodec
 
@@ -140,8 +134,6 @@ class DistResult(FieldCodec):
     stolen_units: int = 0
     inline_units: int = 0
     cross_worker_duplicates: int = 0
-    #: which data plane carried visited-state traffic ("shm" or "rpc")
-    data_plane: str = "rpc"
     #: campaign-wide per-state cost breakdown (unit profiles merged;
     #: :meth:`repro.mc.perf.CostProfile.to_dict` form) when the spec
     #: profiled; None otherwise
@@ -259,7 +251,6 @@ class DistResult(FieldCodec):
         self.unit_results = sorted(self.unit_results + later.unit_results,
                                    key=lambda unit: unit.index)
         self.table = later.table
-        self.data_plane = later.data_plane
         self.cross_worker_duplicates = later.cross_worker_duplicates
         _accumulate(self, later, ("wall_time", "recovered_units",
                                   "stolen_units", "inline_units"))
@@ -358,80 +349,6 @@ class DistributedChecker:
                 "fork" if "fork" in methods else None)
         self.mp_context = mp_context
         self.chaos_kill_after = dict(chaos_kill_after or {})
-        #: one segment per worker slot while a run is on the shm plane
-        self._shm_segments: List[ShardSegment] = []
-
-    # ------------------------------------------------------------ data plane --
-    def _resolve_data_plane(self) -> str:
-        """Pick the visited-state plane for this run.
-
-        ``auto`` takes shared memory whenever it can actually work: the
-        OS offers ``multiprocessing.shared_memory`` and the fleet forks
-        (spawned children re-track segments and the plane's determinism
-        guarantees have only been validated fork-side).  Forcing
-        ``shm`` where it cannot work is an error, not a silent fallback.
-        """
-        requested = self.spec.data_plane
-        if requested == "rpc":
-            return "rpc"
-        supported = (
-            shared_memory_available()
-            and self.mp_context.get_start_method() == "fork"
-        )
-        if requested == "shm" and not supported:
-            raise ValueError(
-                "data_plane='shm' is not available here: needs the fork "
-                "start method and multiprocessing.shared_memory"
-            )
-        return "shm" if supported else "rpc"
-
-    def _shard_layout(self, units: List[WorkUnit]) -> ShardLayout:
-        """Segment geometry sized so overflow is an anomaly, not a plan.
-
-        Worst case one worker (via stealing) discovers every state the
-        whole campaign can produce: one state per operation plus the
-        initial state of each unit.  Slots are provisioned at 2x that
-        bound (open addressing wants load factor <= 0.5), so the RPC
-        overflow path exists for safety, not throughput.
-        """
-        worst_case = sum(unit.max_operations + 2 for unit in units)
-        slots = 1 << 12
-        while slots < 2 * worst_case:
-            slots *= 2
-        return ShardLayout(
-            slots, parse_store_spec(self.spec.state_store).key_bytes)
-
-    def _merge_segments(self, service: VisitedStateService) -> None:
-        """Fold every worker segment into the authoritative table.
-
-        The union is replayed **sorted by key** with shallowest depth
-        winning -- a canonical order, so the merged table is identical
-        for any worker count, interleaving, or crash schedule (and
-        byte-identical to what the RPC plane's arrival-order inserts
-        converge to: same keys, same shallowest depths).  Duplicated
-        territory (the same key published by several workers) surfaces
-        as ``cross_worker_duplicates``, exactly like the RPC plane's
-        not-new insert replies.
-        """
-        union: Dict[int, int] = {}
-        published = 0
-        for segment in self._shm_segments:
-            for key, depth in segment.entries():
-                published += 1
-                existing = union.get(key)
-                if existing is None or depth < existing:
-                    union[key] = depth
-        service.table.visit_many(sorted(union.items()))
-        service.hashes_received += published
-        service.cross_worker_duplicates += published - len(union)
-
-    def _release_segments(self) -> None:
-        for segment in self._shm_segments:
-            try:
-                segment.unlink()
-            except Exception:
-                pass  # never let cleanup mask the run's real outcome
-        self._shm_segments = []
 
     # ------------------------------------------------------------------ run --
     def run(self) -> DistResult:
@@ -454,23 +371,7 @@ class DistributedChecker:
                 resumed_operations = snapshot.operations_completed
                 resumed_runs = snapshot.runs
 
-        # a fleet of zero has no plane to choose: inline units insert
-        # straight into the service
-        plane = self._resolve_data_plane() if self.workers else "rpc"
-        if plane == "shm":
-            layout = self._shard_layout(units)
-            try:
-                # appended one by one, so a failure part-way still
-                # leaves the created ones where the release finds them
-                for _ in range(self.workers):
-                    self._shm_segments.append(
-                        ShardSegment(layout, create=True))
-            except Exception:
-                # no /dev/shm room (or similar): degrade to the RPC plane
-                self._release_segments()
-                plane = "rpc"
-
-        result = DistResult(workers=self.workers, data_plane=plane)
+        result = DistResult(workers=self.workers)
         # seed-partitioned initial split: unit i -> partition i mod W
         partitions: List[Deque[WorkUnit]] = [
             deque() for _ in range(max(1, self.workers))]
@@ -484,14 +385,6 @@ class DistributedChecker:
             self._supervise(records, partitions, units, service, result)
         finally:
             self._shutdown_fleet(records)
-            try:
-                # merge before the timer stops: the shm plane's deferred
-                # union is part of its honest wall cost.  Runs on error
-                # exits too (a paused/aborted campaign keeps the fleet's
-                # published knowledge, like RPC checkpoints used to).
-                self._merge_segments(service)
-            finally:
-                self._release_segments()
         result.wall_time = realtime.now() - wall_start
 
         result.unit_results.sort(key=lambda unit: unit.index)
@@ -541,10 +434,6 @@ class DistributedChecker:
             worker_id = f"w{slot}"
             parent_conn, child_conn = self.mp_context.Pipe(duplex=True)
             config = self.config
-            if self._shm_segments:
-                segment = self._shm_segments[slot]
-                config = replace(config, shm_layout=segment.layout,
-                                 shm_segment=segment.name)
             if worker_id in self.chaos_kill_after:
                 config = replace(
                     config,

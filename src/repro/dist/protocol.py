@@ -14,11 +14,9 @@ Nothing the coordinator sends is an answer to a data-plane message:
 record batches are fire-and-forget, so the only message a worker ever
 blocks on is the reply to its own :class:`WorkRequest`.
 
-These messages are the **control plane** plus the RPC **data plane**.
-On platforms that support it the data plane moves to shared-memory
-segments (:mod:`repro.mc.shardmem`): visited-state traffic then
-bypasses the pipe entirely, and only control messages (grants,
-heartbeats, results) remain here.
+These messages are the **control plane** and the one **data plane**:
+every discovery a worker publishes reaches the shared visited set as a
+packed :class:`RecordBatch` on this pipe.
 
 See ``docs/distributed.md`` for the full protocol walk-through and the
 fault-tolerance semantics built on heartbeats and lease deadlines.
@@ -63,14 +61,13 @@ class Heartbeat:
 class RecordBatch:
     """Batched insert RPC: locally-new ``(record key, depth)`` records.
 
-    The RPC data plane's hot message: ``count`` fixed-width records in
-    ``payload`` (the :mod:`repro.mc.records` layout), one opaque blob --
-    so pickling cost does not scale with per-entry Python objects.  The
-    coordinator inserts and sends nothing back.
+    The data plane's hot message: fixed-width records in ``payload``
+    (the :mod:`repro.mc.records` layout; its length gives the count),
+    one opaque blob -- so pickling cost does not scale with per-entry
+    Python objects.  The coordinator inserts and sends nothing back.
     """
 
     worker_id: str
-    count: int
     key_bytes: int
     payload: bytes
 

@@ -1,9 +1,9 @@
 """The shared visited-state service (coordinator side).
 
 One authoritative store backs the whole fleet; workers talk to it
-through batched insert RPCs
-(:class:`~repro.dist.protocol.RecordBatch`) or, on the shm
-plane, publish into segments the coordinator folds in afterwards.
+through batched insert RPCs, one packed
+:class:`~repro.dist.protocol.RecordBatch` per flush (a fleet of zero
+calls :meth:`VisitedStateService.insert_batch` directly).
 Keeping the store shared is what lets the merged run report a true
 union -- workers' duplicated territory is detected here instead of
 inflating the state count -- and is the repro-side answer to "Reducing
@@ -55,9 +55,10 @@ class VisitedStateService:
         return flags
 
     def insert_packed(self, batch: RecordBatch) -> None:
-        """The RPC data plane's entry point: read the payload once and
-        bulk-visit.  Nothing goes back to the worker -- what was already
-        known is counted here, in ``cross_worker_duplicates``."""
+        """The data plane's entry point: read the payload once and
+        bulk-visit; a malformed payload raises ``StoreFormatError``.
+        Nothing goes back to the worker -- what was already known is
+        counted here, in ``cross_worker_duplicates``."""
         self.insert_batch(batch.records())
 
     # ----------------------------------------------------------- snapshots --

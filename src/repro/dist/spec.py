@@ -17,7 +17,7 @@ independent of worker count and scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
@@ -158,14 +158,10 @@ class CheckSpec(FieldCodec):
     #: delayed, the counterexample trails it produces carry long
     #: operation logs, which is what the trail minimizer is for.
     state_check_every: int = 1
-    #: distributed data plane for visited-state traffic: ``auto``
-    #: resolves to shared-memory segments (:mod:`repro.mc.shardmem`)
-    #: when the platform supports them (fork start method and
-    #: ``multiprocessing.shared_memory``) and falls back to the batched
-    #: pipe RPC plane otherwise; ``shm``/``rpc`` force a plane.  The
-    #: plane never changes *what* is found -- only how discoveries
-    #: travel.
-    data_plane: str = "auto"
+    #: retired: discoveries always travel as packed record batches.
+    #: Still accepted (``auto`` | ``shm`` | ``rpc``) and stored nowhere,
+    #: so specs written while a fleet had two data planes keep working
+    data_plane: InitVar[str] = "auto"
     #: per-state cost profiling (:mod:`repro.mc.perf`): every unit
     #: reports wall time in abstraction-walk / fingerprint / ship /
     #: snapshot-restore buckets, merged campaign-wide.  Measurement
@@ -193,7 +189,7 @@ class CheckSpec(FieldCodec):
     #: record behavioural coverage; the result carries its report
     coverage: bool = False
 
-    def __post_init__(self):
+    def __post_init__(self, data_plane: str):
         if len(self.filesystems) < 2:
             raise ValueError("--fs must be given at least twice (MCFS "
                              "compares file systems)")
@@ -213,8 +209,8 @@ class CheckSpec(FieldCodec):
         if self.mode not in ("random", "dfs"):
             raise ValueError(f"unknown mode {self.mode!r}; expected "
                              f"random | dfs")
-        if self.data_plane not in ("auto", "shm", "rpc"):
-            raise ValueError(f"unknown data plane {self.data_plane!r}; "
+        if data_plane not in ("auto", "shm", "rpc"):
+            raise ValueError(f"unknown data plane {data_plane!r}; "
                              f"expected auto | shm | rpc")
         parse_store_spec(self.state_store)  # fail fast on a bad spec
         from repro.workload.profile import parse_profile

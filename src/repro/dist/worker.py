@@ -6,8 +6,8 @@ fires every ``heartbeat_operations`` explored operations):
 
 * **heartbeats** keep the coordinator's lease on the current unit alive;
 * **visited batches** flush locally-new ``(record key, depth)`` records
-  to the shared store (suppressed by the exact LRU of already-shipped
-  keys);
+  to the shared store as one packed batch (suppressed by the exact LRU
+  of already-shipped keys);
 * **checkpoints** ship a :mod:`repro.mc.persistence` snapshot of the
   current unit's partial table, so a SIGKILL'd worker's knowledge
   survives even though the re-issued unit deterministically re-runs.
@@ -15,9 +15,8 @@ fires every ``heartbeat_operations`` explored operations):
 The same unit runner also serves the coordinator's in-process path (a
 fleet of zero workers, or one whose workers have all died) through the
 :class:`ResultSink` indirection: a :class:`PipeSink` speaks the wire
-protocol, a :class:`ShmSink` writes the worker's segment, a
-:class:`LocalSink` calls the service directly.  ``run_unit`` has no
-other caller: every campaign, served or not, is a
+protocol, a :class:`LocalSink` calls the service directly.
+``run_unit`` has no other caller: every campaign, served or not, is a
 :class:`~repro.dist.coordinator.DistributedChecker`.
 """
 
@@ -48,7 +47,6 @@ from repro.dist.spec import CheckSpec, WorkUnit
 from repro.mc.hashtable import Record
 from repro.mc.persistence import snapshot_document
 from repro.mc.records import pack_records, parse_store_spec
-from repro.mc.shardmem import ShardFull, ShardLayout, ShardSegment
 from repro.mc.statestore import make_store
 
 
@@ -67,12 +65,6 @@ class WorkerConfig:
     #: fault injection: SIGKILL ourselves after this many operations
     #: (counted across the whole worker session); None disables
     chaos_kill_after_operations: Optional[int] = None
-    #: shared-memory data plane (set by the coordinator when resolved):
-    #: segment geometry and the *name* of the segment that is ours to
-    #: write (raw SharedMemory handles must never ride the wire --
-    #: workers reattach by name).  Both None = RPC plane.
-    shm_layout: Optional[ShardLayout] = None
-    shm_segment: Optional[str] = None
 
 
 class ResultSink:
@@ -123,48 +115,14 @@ class PipeSink(ResultSink):
         self.key_bytes = key_bytes
 
     def ship_batch(self, records: List[Record]) -> None:
-        self.conn.send(RecordBatch(
-            self.worker_id, len(records), self.key_bytes,
-            pack_records(records, self.key_bytes)))
+        self.conn.send(RecordBatch(self.worker_id, self.key_bytes,
+                                   pack_records(records, self.key_bytes)))
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
         self.conn.send(Heartbeat(self.worker_id, unit_index, operations))
 
     def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
         self.conn.send(Checkpoint(self.worker_id, unit_index, document))
-
-
-class ShmSink(ResultSink):
-    """Shared-memory data plane: publish to our own segment.
-
-    Control traffic (heartbeats) still rides the pipe; visited-state
-    traffic becomes buffer stores into this worker's single-writer
-    :class:`~repro.mc.shardmem.ShardSegment`.  Checkpoints are a no-op:
-    the segment *is* the checkpoint -- it lives in the coordinator's
-    address space and survives this worker's death, carrying strictly
-    more knowledge than any periodic snapshot message could.
-
-    A full segment overflows to the wrapped RPC sink, so a mis-sized
-    segment degrades to the other plane instead of losing states.
-    """
-
-    def __init__(self, own: ShardSegment, pipe: PipeSink):
-        self.own = own
-        self.pipe = pipe
-
-    def ship_batch(self, records: List[Record]) -> None:
-        insert = self.own.insert
-        for key, depth in records:
-            try:
-                insert(key, depth)
-            except ShardFull:
-                self.pipe.ship_batch([(key, depth)])
-
-    def heartbeat(self, unit_index: int, operations: int) -> None:
-        self.pipe.heartbeat(unit_index, operations)
-
-    def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
-        pass  # the segment outlives us; there is nothing extra to ship
 
 
 def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
@@ -267,18 +225,8 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
                  config: WorkerConfig) -> None:
     conn.send(Hello(worker_id, os.getpid()))
     shipped_lru = LRUSet(config.lru_capacity)
-    pipe_sink = PipeSink(conn, worker_id,
-                         parse_store_spec(spec.state_store).key_bytes)
-    sink: ResultSink = pipe_sink
-    if config.shm_layout is not None and config.shm_segment is not None:
-        try:
-            # untrack=False: forked workers share the coordinator's
-            # resource tracker (see ShardSegment.attach)
-            sink = ShmSink(ShardSegment.attach(config.shm_layout,
-                                               config.shm_segment,
-                                               untrack=False), pipe_sink)
-        except Exception:
-            pass  # segment gone (or non-fork spawn): stay on the RPC plane
+    sink = PipeSink(conn, worker_id,
+                    parse_store_spec(spec.state_store).key_bytes)
     session_operations = 0
     while True:
         conn.send(WorkRequest(worker_id))

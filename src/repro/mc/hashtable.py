@@ -153,7 +153,7 @@ class AbstractVisitedTable(ABC):
 
     def record_key(self, state_hash: str) -> int:
         """The integer key this store matches ``state_hash`` on: what a
-        worker ships, a segment holds and a snapshot persists (see
+        worker ships and a snapshot persists (see
         :func:`repro.mc.records.key_function`)."""
         raise NotImplementedError(
             f"{type(self).__name__} does not derive record keys")
@@ -163,8 +163,8 @@ class AbstractVisitedTable(ABC):
         records: one ``is_new`` flag each.
 
         The distributed data plane moves records in batches; this is
-        the store-side entry point, so a whole wire batch (or a merged
-        segment union) costs one call.  Semantically identical to
+        the store-side entry point, so a whole wire batch costs one
+        call.  Semantically identical to
         looping ``visit`` over the states the keys were derived from.
         """
         raise NotImplementedError(
@@ -347,8 +347,8 @@ class VisitedStateTable(AbstractVisitedTable):
         return sorted(self._seen.items())
 
     def merge_records(self, records: Iterable[Record]) -> int:
-        """Merge ``(key, depth)`` records (a read payload, a segment
-        union); return how many were new."""
+        """Merge ``(key, depth)`` records (a read payload); return how
+        many were new."""
         from_record = self._from_record
         return self._merge((from_record(key), depth)
                            for key, depth in records)

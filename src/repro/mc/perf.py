@@ -5,7 +5,7 @@ might be paying for the abstraction syscall walk (re-reading dirty
 regions through the kernel surface), the hash encode (feeding record
 bytes to MD5 and resuming Merkle prefix checkpoints), the fingerprint
 insert (the visited-table probe), shipping (moving discoveries to the
-global union -- RPC pickling or shared-memory stores), or
+global union -- packing and pickling record batches), or
 snapshot/restore (the ``c_track`` concrete-state captures backtracking
 needs).  The profiler charges wall time to exactly those five buckets
 so ``repro check --profile`` and the distributed benchmarks can

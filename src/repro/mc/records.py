@@ -9,10 +9,9 @@ two decisions, and this module is the only place that makes them:
   keys on a 2/4/8-byte fingerprint of the (seed-mixed) digest.
 * **how a ``(key, depth)`` record is laid out in bytes** --
   :func:`pack_records` / :func:`read_records`: ``key`` little-endian in
-  ``key_bytes`` bytes, then ``depth + 1`` as a little-endian u32.  A
-  zero marker means "empty slot", so the same reader scans a wire
-  batch, a snapshot's ``entries`` payload and a half-empty
-  shared-memory segment alike.
+  ``key_bytes`` bytes, then ``depth + 1`` as a little-endian u32.  One
+  reader decodes a wire batch and a snapshot's ``entries`` payload
+  alike; no writer produces a zero depth field, so it refuses one.
 
 The spec grammar (``--state-store``) lives here too, because the key
 width is a property of the spec::
@@ -54,8 +53,9 @@ class StoreFormatError(ValueError):
 
     Raised (never ``KeyError``, never a silent partial load) for an
     unsupported snapshot version, a missing field, a packed payload
-    truncated mid-record, mismatched bitstate array lengths and an
-    unknown store kind; the message names the offending field.
+    truncated mid-record or holding a zero depth marker, mismatched
+    bitstate array lengths and an unknown store kind; the message names
+    the offending field.
     """
 
 
@@ -182,7 +182,7 @@ def key_function(spec: StoreSpec, seed: int = 0,
                  digest_fn: Optional[DigestFn] = None
                  ) -> Callable[[str], int]:
     """How a state hash becomes the integer key ``spec``'s store matches
-    on -- the key that rides wire batches, segments and snapshots.
+    on -- the key that rides wire batches and snapshots.
 
     Hash compaction keys on the first ``fp_bytes`` of the seed-mixed
     digest.  Exact and bitstate key on the whole *unseeded* digest as a
@@ -209,8 +209,8 @@ def key_function(spec: StoreSpec, seed: int = 0,
 def pack_records(records: Iterable[Tuple[int, int]], key_bytes: int) -> bytes:
     """Lay ``(key, depth)`` records out as one flat byte string.
 
-    The one writer: a wire batch, a snapshot ``entries`` payload and a
-    segment slot are all these bytes.
+    The one writer: a wire batch and a snapshot ``entries`` payload are
+    both these bytes.
     """
     packed = bytearray()
     for key, depth in records:
@@ -220,11 +220,10 @@ def pack_records(records: Iterable[Tuple[int, int]], key_bytes: int) -> bytes:
 
 
 def read_records(buffer, key_bytes: int) -> Iterator[Tuple[int, int]]:
-    """Every present ``(key, depth)`` record in ``buffer``, in order.
+    """Every ``(key, depth)`` record in ``buffer``, in order.
 
-    The one reader.  ``buffer`` is any bytes-like object (a payload or a
-    live segment's memory); empty slots (marker 0) are skipped.  A
-    buffer that ends mid-record is refused, not half-read.
+    The one reader.  A buffer that ends mid-record, or a record whose
+    depth field is zero, is refused, not half-read.
     """
     stride = key_bytes + DEPTH_BYTES
     if len(buffer) % stride:
@@ -234,6 +233,9 @@ def read_records(buffer, key_bytes: int) -> Iterator[Tuple[int, int]]:
     for offset in range(0, len(buffer), stride):
         marker = int.from_bytes(buffer[offset + key_bytes:offset + stride],
                                 "little")
-        if marker:
-            yield (int.from_bytes(buffer[offset:offset + key_bytes],
-                                  "little"), marker - 1)
+        if not marker:
+            raise StoreFormatError(
+                f"entries: the record at byte offset {offset} has a zero "
+                f"depth marker")
+        yield (int.from_bytes(buffer[offset:offset + key_bytes], "little"),
+               marker - 1)

@@ -40,8 +40,6 @@ CAMPAIGN_FLAGS = {
     "--voting": ("voting", False, None, None, TRUE),
 }
 FLEET_FLAGS = {
-    "--data-plane": ("data_plane", "auto", None, ("auto", "shm", "rpc"),
-                     STORE),
     "--profile": ("profile", False, None, None, TRUE),
     "--trail-dir": ("trail_dir", None, None, None, STORE),
 }

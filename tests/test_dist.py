@@ -6,12 +6,18 @@ The load-bearing properties under test:
   total, discrepancy signature) is identical for any worker count;
 * **fault tolerance** -- SIGKILLing a worker mid-run re-issues its
   leased unit and the final result is still identical;
+* **one data plane** -- a fleet that ships packed record batches over
+  its pipes ends with exactly what a fleet of zero (every unit in this
+  process, nothing forked) ends with, for every store kind and ship
+  cadence, and record batches are fire-and-forget;
 * **exactness of the cache** -- the LRU fast path never loses a key, so
   the union at the service is exact.
 """
 
 import dataclasses
 import json
+import multiprocessing
+import threading
 
 import pytest
 
@@ -25,7 +31,17 @@ from repro.dist import (
     WorkerConfig,
     unique_labels,
 )
+from repro.dist.coordinator import DistResult
+from repro.dist.protocol import (
+    Hello,
+    NoMoreWork,
+    RecordBatch,
+    UnitDone,
+    WorkGrant,
+    WorkRequest,
+)
 from repro.dist.spec import SEED_STRIDE
+from repro.dist.worker import worker_main
 from repro.mc.hashtable import VisitedStateTable
 from repro.mc.persistence import (
     load_checker_state,
@@ -372,6 +388,124 @@ class TestFaultTolerance:
             fingerprint(baseline)
 
 
+# -------------------------------------------------------- one data plane --
+FLEET_STORES = ("exact", "hc", "bitstate")
+
+
+class NoMultiprocessing:
+    """An ``mp_context`` that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a fleet of zero used {name}")
+
+
+@pytest.fixture(scope="module")
+def fleets_of_zero():
+    """The ``workers=0`` run of every store kind: no process, no pipe."""
+    return {store: DistributedChecker(
+        dataclasses.replace(SPEC, state_store=store), workers=0,
+        mp_context=NoMultiprocessing()).run() for store in FLEET_STORES}
+
+
+class TestOneDataPlane:
+    @pytest.mark.parametrize("store", FLEET_STORES)
+    def test_fleet_of_zero_forks_nothing(self, fleets_of_zero, store):
+        inline = fleets_of_zero[store]
+        assert inline.inline_units == SPEC.units
+        assert inline.worker_summaries == []
+
+    @pytest.mark.parametrize("store", FLEET_STORES)
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("batch_size", (1, 64))
+    def test_fleet_matches_the_fleet_of_zero(self, fleets_of_zero, store,
+                                             workers, batch_size):
+        """``batch_size`` is the ship cadence: how many locally-new
+        records a worker packs into one batch.  It moves *when* keys
+        reach the service, never which ones."""
+        fleet = DistributedChecker(
+            dataclasses.replace(SPEC, state_store=store), workers=workers,
+            config=WorkerConfig(batch_size=batch_size)).run()
+        assert fleet.inline_units == 0
+        assert fingerprint(fleet) == fingerprint(fleets_of_zero[store])
+
+
+class TestGrantHandshake:
+    def test_worker_waits_for_nothing_but_its_grant(self):
+        """Record batches are fire-and-forget.  A coordinator that never
+        says a word about them still gets the unit done, and sees exactly
+        one WorkRequest per grant -- a second one would have it re-lease
+        over a live unit."""
+        parent, child = multiprocessing.Pipe(duplex=True)
+        unit = SPEC.work_units()[0]
+        worker = threading.Thread(
+            target=worker_main,
+            args=(child, SPEC, "w0", WorkerConfig(batch_size=1)),
+            daemon=True)
+        worker.start()
+        try:
+            assert isinstance(parent.recv(), Hello)
+            assert isinstance(parent.recv(), WorkRequest)
+            parent.send(WorkGrant(unit))
+            requests = batches = 0
+            while True:
+                message = parent.recv()
+                if isinstance(message, WorkRequest):
+                    requests += 1
+                elif isinstance(message, RecordBatch):
+                    batches += 1  # ... and deliberately no answer
+                elif isinstance(message, UnitDone):
+                    assert message.result.index == unit.index
+                    break
+            assert batches > 0
+            assert requests == 0, "the worker asked twice for one grant"
+            assert isinstance(parent.recv(), WorkRequest)
+            parent.send(NoMoreWork())
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        finally:
+            parent.close()
+
+
+class TestRetiredDataPlane:
+    """``data_plane`` is still accepted, so specs and results written
+    while a fleet had a shared-memory plane keep loading, but it is
+    stored nowhere."""
+
+    def test_keyword_constructs_and_replaces(self):
+        spec = CheckSpec(filesystems=("verifs1", "verifs2"),
+                         data_plane="auto")
+        again = dataclasses.replace(spec, base_seed=5)
+        assert again == CheckSpec(filesystems=("verifs1", "verifs2"),
+                                  base_seed=5)
+        for plane in ("shm", "rpc"):
+            assert dataclasses.replace(spec, data_plane=plane) == spec
+
+    def test_not_a_field(self):
+        spec = CheckSpec(filesystems=("verifs1", "verifs2"),
+                         data_plane="shm")
+        assert "data_plane" not in {item.name
+                                    for item in dataclasses.fields(spec)}
+        assert "data_plane" not in spec.to_dict()
+        assert hash(spec) == hash(CheckSpec(
+            filesystems=("verifs1", "verifs2")))
+
+    def test_old_documents_load(self, baseline):
+        spec_document = SPEC.to_dict()
+        spec_document["data_plane"] = "shm"
+        assert CheckSpec.from_dict(spec_document) == SPEC
+        result_document = baseline.to_dict()
+        assert "data_plane" not in result_document
+        result_document["data_plane"] = "shm"
+        loaded = DistResult.from_dict(json.loads(json.dumps(
+            result_document)))
+        assert fingerprint(loaded) == fingerprint(baseline)
+
+    def test_unknown_plane_is_still_refused(self):
+        with pytest.raises(ValueError, match="unknown data plane"):
+            CheckSpec(filesystems=("verifs1", "verifs2"),
+                      data_plane="bogus")
+
+
 # ----------------------------------------------------- cooperative swarm --
 class TestCooperativeSwarm:
     """The fleet is the swarm: diversified members that each explore
@@ -420,6 +554,8 @@ class TestDistCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "workers    : 2" in out
+        assert "inline), " in out and "states/s wall" in out
+        assert "data plane" not in out
         assert "speedup" in out
 
     def test_check_workers_rejects_dfs(self, capsys):

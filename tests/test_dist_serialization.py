@@ -33,7 +33,6 @@ from repro.mc.explorer import ExplorationStats, PropertyViolation
 from repro.mc.hashtable import VisitedStateTable
 from repro.mc.persistence import snapshot_document
 from repro.mc.records import pack_records
-from repro.mc.shardmem import ShardLayout
 from repro.server import protocol as server_protocol
 from repro.server.protocol import JobDescriptor, JobEvent, SubmitRequest
 
@@ -403,7 +402,7 @@ WIRE = {
     dist_protocol.WorkRequest: dist_protocol.WorkRequest("w0"),
     dist_protocol.Heartbeat: dist_protocol.Heartbeat("w0", 1, 120),
     dist_protocol.RecordBatch: dist_protocol.RecordBatch(
-        "w0", 2, 8, pack_records([(3, 1), (1 << 60, 9)], 8)),
+        "w0", 8, pack_records([(3, 1), (1 << 60, 9)], 8)),
     dist_protocol.Checkpoint: dist_protocol.Checkpoint(
         "w1", 1, _checkpoint_document()),
     UnitResult: WIRE_RESULT,
@@ -424,9 +423,8 @@ WIRE = {
 }
 
 #: what a worker ``Process`` is started with besides its pipe end
-PROCESS_ARGS = (WIRE_SPEC, WIRE_UNIT, WorkerConfig(
-    chaos_kill_after_operations=50,
-    shm_layout=ShardLayout(slots=64, key_bytes=8), shm_segment="psm_w1"))
+PROCESS_ARGS = (WIRE_SPEC, WIRE_UNIT,
+                WorkerConfig(chaos_kill_after_operations=50))
 
 
 def wire_dataclasses(module):

@@ -144,8 +144,6 @@ class TestEngineBasics:
         assert result.table.visited_fingerprint() == \
             baseline.table.visited_fingerprint()
         # the slices' fleet accounting reaches the job's one result
-        one_shot = DistributedChecker(SPEC, workers=2).run()
-        assert result.data_plane == one_shot.data_plane
         assert [(worker.worker_id, worker.units_completed)
                 for worker in result.worker_summaries] == \
             [("w0", 2), ("w1", 2)]

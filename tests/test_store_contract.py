@@ -2,12 +2,12 @@
 
 Whatever a store is made of, the same insertion history must produce the
 same store however it got there: visited one state at a time, in bulk,
-rebuilt from a snapshot, merged from several shared-memory segments, or
-fed a packed wire batch.  "Same" means equal ``visited_fingerprint()``,
+rebuilt from a snapshot, merged from several partitions, or fed a packed
+wire batch.  "Same" means equal ``visited_fingerprint()``,
 ``len`` and omission fields.  The matrix runs over all three kinds (hash
 compaction at every width); the record codec underneath is pinned by
-hypothesis properties, and malformed snapshots must fail with the typed
-error rather than load partially.
+hypothesis properties, and malformed snapshots and batches must fail
+with the typed error rather than load partially.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.mc.records import (
     parse_store_spec,
     read_records,
 )
-from repro.mc.shardmem import ShardLayout, ShardSegment
 from repro.mc.statestore import make_store
 from repro.util.hashing import md5_hex
 
@@ -123,21 +122,6 @@ class TestStoreContract:
         assert (snapshot_document(reordered)["store"]
                 == snapshot_document(table)["store"])
 
-    def test_merged_segments_equal_the_in_process_store(self, spec):
-        visits = history()
-        layout = ShardLayout(512, parse_store_spec(spec).key_bytes)
-        segments = [ShardSegment(layout,
-                                 buffer=bytearray(layout.segment_bytes))
-                    for _ in range(3)]
-        for index, (key, depth) in enumerate(records_of(spec, visits)):
-            segments[index % 3].insert(key, depth)
-            if index % 7 == 0:  # duplicated territory across writers
-                segments[(index + 1) % 3].insert(key, depth)
-        merged = build(spec)
-        merged.visit_many(shallowest(
-            record for segment in segments for record in segment.entries()))
-        assert content(merged) == content(visited(spec, visits))
-
     def test_packed_wire_batches_equal_the_in_process_store(self, spec):
         visits = history()
         records = records_of(spec, visits)
@@ -146,7 +130,7 @@ class TestStoreContract:
         for start in range(0, len(records), 16):
             chunk = records[start:start + 16]
             service.insert_packed(RecordBatch(
-                "w0", len(chunk), key_bytes, pack_records(chunk, key_bytes)))
+                "w0", key_bytes, pack_records(chunk, key_bytes)))
         reference = visited(spec, visits)
         assert content(service.table) == content(reference)
         # nothing is answered per record: what was already known is
@@ -197,28 +181,28 @@ class TestRecordCodec:
         payload = pack_records([(1, DEPTH_MAX + 5)], 4)
         assert list(read_records(payload, 4)) == [(1, DEPTH_MAX)]
 
-    @given(record_lists())
-    @settings(max_examples=40, deadline=None)
-    def test_shared_reader_scans_a_live_segment(self, drawn):
-        """Reading a segment's raw buffer with the shared reader is
-        exactly ``ShardSegment.entries()`` -- empty slots are skipped by
-        the zero marker, not by segment-specific code."""
-        key_bytes, records = drawn
-        layout = ShardLayout(slots=128, key_bytes=key_bytes)
-        backing = bytearray(layout.segment_bytes)
-        segment = ShardSegment(layout, buffer=backing)
-        for key, depth in records:
-            segment.insert(key, depth)
-        raw = list(read_records(bytes(backing), key_bytes))
-        assert raw == list(segment.entries())
-        assert sorted(raw) == shallowest(records)
-
     @pytest.mark.parametrize("key_bytes", [2, 4, 8, 16])
     def test_truncated_payload_is_refused(self, key_bytes):
         payload = pack_records([(1, 0), (2, 3)], key_bytes)
         for cut in (1, key_bytes, key_bytes + 3):
             with pytest.raises(StoreFormatError, match="record size"):
                 list(read_records(payload[:-cut], key_bytes))
+
+    @pytest.mark.parametrize("spec", STORES)
+    def test_batch_with_a_zero_marker_is_refused(self, spec):
+        """A zero depth field used to mean "empty segment slot" and was
+        skipped; no writer produces one, so a batch carrying it is
+        corrupt."""
+        key_bytes = parse_store_spec(spec).key_bytes
+        payload = bytearray(pack_records([(1, 0), (2, 3), (3, 5)],
+                                         key_bytes))
+        stride = key_bytes + 4
+        payload[stride + key_bytes:2 * stride] = bytes(4)
+        service = VisitedStateService(store=spec, store_seed=SEED)
+        with pytest.raises(StoreFormatError,
+                           match=f"entries: .* offset {stride} "):
+            service.insert_packed(RecordBatch("w0", key_bytes,
+                                              bytes(payload)))
 
 
 # ------------------------------------------------------ malformed snapshots --
@@ -264,6 +248,26 @@ class TestMalformedSnapshots:
         document["store"]["entries"] = document["store"]["entries"][:-2]
         with pytest.raises(StoreFormatError, match="entries"):
             snapshot_from_document(document)
+
+    @pytest.mark.parametrize("spec", ["exact", "hc:2", "hc:4", "hc:8"])
+    def test_entries_zero_marker_mid_payload(self, spec, tmp_path):
+        """A record whose depth field was zeroed used to be skipped as
+        an empty segment slot: the load returned one state fewer and no
+        error."""
+        path = str(tmp_path / "state.json")
+        save_checker_state(path, visited(spec, history(count=3)), seed=SEED)
+        with open(path) as handle:
+            document = json.load(handle)
+        stride = parse_store_spec(spec).key_bytes + 4
+        entries = document["store"]["entries"]
+        marker = 2 * (2 * stride - 4)  # hex digits up to the 2nd marker
+        document["store"]["entries"] = (entries[:marker] + "0" * 8
+                                         + entries[marker + 8:])
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(StoreFormatError,
+                           match=f"'?entries'?.*offset {stride} "):
+            load_checker_state(path)
 
     def test_entries_bit_flip_out_of_hex(self):
         document = document_of("hc:4")
