@@ -2,9 +2,9 @@
 
 Whatever a store is made of, the same insertion history must produce the
 same store however it got there: visited one state at a time, in bulk,
-rebuilt from a snapshot, merged from several partitions, or fed a packed
-wire batch.  "Same" means equal ``visited_fingerprint()``,
-``len`` and omission fields.  The matrix runs over all three kinds (hash
+rebuilt from a snapshot, merged from several partitions or writers'
+packed segments, or fed a packed wire batch.  "Same" means equal
+``visited_fingerprint()``, ``len`` and omission fields.  The matrix runs over all three kinds (hash
 compaction at every width); the record codec underneath is pinned by
 hypothesis properties, and malformed snapshots and batches must fail
 with the typed error rather than load partially.
@@ -121,6 +121,24 @@ class TestStoreContract:
         reordered = visited(spec, sorted(history()))
         assert (snapshot_document(reordered)["store"]
                 == snapshot_document(table)["store"])
+
+    def test_merged_segments_equal_the_in_process_store(self, spec):
+        """Each writer's segment is the packed payload it ships; three of
+        them, overlapping where writers explored the same territory,
+        read back and merge into the store one process would build."""
+        visits = history()
+        key_bytes = parse_store_spec(spec).key_bytes
+        shares = [[] for _ in range(3)]
+        for index, record in enumerate(records_of(spec, visits)):
+            shares[index % 3].append(record)
+            if index % 7 == 0:  # duplicated territory across writers
+                shares[(index + 1) % 3].append(record)
+        segments = [pack_records(share, key_bytes) for share in shares]
+        merged = build(spec)
+        merged.visit_many(shallowest(
+            record for segment in segments
+            for record in read_records(segment, key_bytes)))
+        assert content(merged) == content(visited(spec, visits))
 
     def test_packed_wire_batches_equal_the_in_process_store(self, spec):
         visits = history()
