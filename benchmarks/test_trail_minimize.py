@@ -1,9 +1,9 @@
-"""Counterexample minimization: prefix-cached ddmin vs the naive baseline.
+"""Counterexample minimization: ddmin vs the naive baseline.
 
 Spin's trail files replay a counterexample but leave shrinking it to the
 developer.  The trail subsystem automates that with ddmin over the
-captured schedule, re-executing only suffixes from copy-on-write prefix
-checkpoints.  The baseline it must beat is the obvious loop -- delete
+captured schedule's checkpoint tree, on one harness rewound to its
+pristine state per probe.  The baseline it must beat is the obvious loop -- delete
 one event at a time and re-run the whole candidate from scratch -- whose
 cost is quadratic in the trail length.
 
@@ -69,7 +69,7 @@ def test_ddmin_vs_naive(benchmark, tmp_path):
     ddmin, naive = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = naive.events_executed / max(1, ddmin.events_executed)
 
-    for kind, res in (("ddmin+prefix-cache", ddmin), ("naive", naive)):
+    for kind, res in (("ddmin", ddmin), ("naive", naive)):
         record_result(
             "Trail minimization: ddmin vs one-event-at-a-time",
             f"{kind:20s} {res.original_operations:4d} -> "
@@ -89,7 +89,7 @@ def test_ddmin_vs_naive(benchmark, tmp_path):
     # same 1-minimal answer, and it still reproduces on a fresh harness
     assert ddmin.minimized_operations == naive.minimized_operations
     assert replay_trail(ddmin.trail).confirmed
-    # the headline: prefix-cached ddmin does strictly less re-execution
+    # the headline: ddmin does strictly less re-execution
     assert ddmin.events_executed < naive.events_executed, (
         f"ddmin executed {ddmin.events_executed} events vs the baseline's "
         f"{naive.events_executed}")

@@ -227,7 +227,7 @@ def _run_campaign(args, state_file: Optional[str] = None,
                   f"{summary.wall_time:8.2f} "
                   f"{summary.wall_ops_per_second:12.1f}{note}")
         print(f"merged states : {dist.visited_states} "
-              f"({dist.cross_worker_duplicates} cross-worker duplicates) "
+              f"({dist.cross_worker_duplicates} duplicates shipped) "
               f"in {dist.wall_time:.2f}s wall")
     discrepancies = dist.discrepancies
     if discrepancies:

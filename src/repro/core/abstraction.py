@@ -29,8 +29,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ENOENT, ENOSYS, ENOTDIR, ENOTSUP, FsError
 from repro.kernel.stat import S_IFMT
@@ -67,26 +66,6 @@ class AbstractionOptions:
             sort_entries=False,
             exception_list=frozenset(),
         )
-
-    def __hash__(self):
-        # options are immutable and key every store's digest lanes;
-        # memoize the field-tuple hash instead of recomputing it
-        cached = self.__dict__.get("_hash_memo")
-        if cached is None:
-            cached = hash((  # det-lint: allow[builtin-hash] in-process memo key only; excluded from pickles, never serialised or compared across processes
-                self.ignore_dir_sizes, self.sort_entries,
-                self.exception_list, self.include_owner,
-                self.include_symlink_targets, self.include_xattrs,
-                self.track_timestamps,
-            ))
-            object.__setattr__(self, "_hash_memo", cached)
-        return cached
-
-    def __getstate__(self):
-        # the memoized hash mixes string hashes, which vary per process
-        # under hash randomization: never ship it across pickles
-        return {key: value for key, value in self.__dict__.items()
-                if key != "_hash_memo"}
 
 
 class EntryRecord(NamedTuple):
@@ -126,8 +105,8 @@ def encode_entry(record: EntryRecord, options: AbstractionOptions) -> bytes:
 
     The content digest, the xattr digest, then every important attribute
     and the path, each NUL-terminated.  The incremental cache keeps these
-    bytes in its digest lanes, so a record is encoded once per options
-    variant while it stays cached.
+    bytes in its digest lane, so a record is encoded once while it stays
+    cached.
     """
     # one encode: every piece before the path is ASCII (hex digests,
     # decimal attributes), so encoding the concatenation is
@@ -356,7 +335,7 @@ _AFTER_SLASH = "0"
 
 
 class _Lane:
-    """One abstraction variant's digest pipeline over a record store.
+    """The cache's digest pipeline over a record store.
 
     ``enc`` holds each record's hash-input bytes (:func:`encode_entry`)
     parallel to the store's sorted key array.  ``ctxs[j]`` is a *copy* of
@@ -384,25 +363,25 @@ class _MerkleStore:
     Content (``keys``/``records``/lane encodings) is never mutated while
     ``shared`` -- :meth:`EntryCache._writable` clones first, so every
     :class:`AbstractionToken` holding this store stays a faithful O(1)
-    checkpoint.  Derived memos (``view``, lane contexts and digests, new
-    lanes) *are* filled in place even when shared: they are pure
+    checkpoint.  Derived memos (``view``, the lane's contexts and
+    digest) *are* filled in place even when shared: they are pure
     functions of the immutable content, so every holder sees the same
     values either way.
     """
 
-    __slots__ = ("keys", "records", "lanes", "view", "shared")
+    __slots__ = ("keys", "records", "lane", "view", "shared")
 
     def __init__(self, keys: List[str], records: Dict[str, EntryRecord],
-                 lanes: Dict[AbstractionOptions, _Lane]):
+                 lane: _Lane):
         self.keys = keys
         self.records = records
-        self.lanes = lanes
+        self.lane = lane
         self.view: Optional[Tuple[EntryRecord, ...]] = None
         self.shared = False
 
     def clone(self) -> "_MerkleStore":
-        lanes = {options: lane.clone() for options, lane in self.lanes.items()}
-        store = _MerkleStore(list(self.keys), dict(self.records), lanes)
+        store = _MerkleStore(list(self.keys), dict(self.records),
+                             self.lane.clone())
         store.view = self.view
         return store
 
@@ -421,7 +400,7 @@ class AbstractionToken(NamedTuple):
     restore, so an exact rollback also rolls the incremental cache back
     instead of degrading to a full re-walk.  The token shares the cache's
     copy-on-write :class:`_MerkleStore` (including the sorted key array
-    and every digest lane), so capture and restore are O(1) and a stack
+    and the digest lane), so capture and restore are O(1) and a stack
     of checkpoints shares structure.
     """
 
@@ -460,8 +439,8 @@ class EntryCache:
 
     The cache holds the records of the last walk in a copy-on-write
     :class:`_MerkleStore`: a bisect-maintained sorted key array, the
-    record map, and per-variant digest lanes with MD5 prefix
-    checkpoints.  On refresh it consumes the mount's dirty sets at three
+    record map, and one digest lane for the cache's own options with MD5
+    prefix checkpoints.  On refresh it consumes the mount's dirty sets at three
     granularities -- entry-dirty subtree re-walks, parent-dirty
     membership reconciles, record-dirty re-stats -- as O(log n + k)
     range splices on the sorted array, and produces the same sorted
@@ -504,27 +483,24 @@ class EntryCache:
     def _invalidate_from(self, store: _MerkleStore, index: int) -> None:
         """Drop derived state at and after sorted position ``index``."""
         store.view = None
-        block = index // HASH_BLOCK
-        for lane in store.lanes.values():
-            del lane.ctxs[block:]
-            lane.digest = None
+        lane = store.lane
+        del lane.ctxs[index // HASH_BLOCK:]
+        lane.digest = None
 
     def _upsert(self, store: _MerkleStore, record: EntryRecord) -> None:
-        """Insert or replace one record, keeping keys and lanes aligned."""
+        """Insert or replace one record, keeping keys and the lane
+        aligned."""
         keys = store.keys
         path = record.path
         index = bisect_left(keys, path)
+        encoded = encode_entry(record, self.options)
         if index < len(keys) and keys[index] == path:
-            store.records[path] = record
-            for options, lane in store.lanes.items():
-                lane.enc[index] = encode_entry(record, options)
-                self.counters["records_encoded"] += 1
+            store.lane.enc[index] = encoded
         else:
             keys.insert(index, path)
-            store.records[path] = record
-            for options, lane in store.lanes.items():
-                lane.enc.insert(index, encode_entry(record, options))
-                self.counters["records_encoded"] += 1
+            store.lane.enc.insert(index, encoded)
+        store.records[path] = record
+        self.counters["records_encoded"] += 1
         self._invalidate_from(store, index)
 
     def _evict(self, store: _MerkleStore, path: str,
@@ -541,16 +517,14 @@ class EntryCache:
             for key in keys[lo:hi]:
                 del store.records[key]
             del keys[lo:hi]
-            for lane in store.lanes.values():
-                del lane.enc[lo:hi]
+            del store.lane.enc[lo:hi]
         if has_exact:
             # keys like "path!" sort between ``path`` and ``path + "/"``,
             # so the exact entry is spliced separately from its children;
             # its index is below the range just deleted, hence unmoved
             del store.records[path]
             del keys[exact]
-            for lane in store.lanes.values():
-                del lane.enc[exact]
+            del store.lane.enc[exact]
         self._invalidate_from(store, exact if has_exact else lo)
 
     def _adopt_subtree(self, store: _MerkleStore, kernel, mountpoint: str,
@@ -574,10 +548,9 @@ class EntryCache:
             store.keys[lo:lo] = [record.path for record in children]
             for record in children:
                 store.records[record.path] = record
-            for options, lane in store.lanes.items():
-                lane.enc[lo:lo] = [encode_entry(record, options)
-                                   for record in children]
-                self.counters["records_encoded"] += len(children)
+            store.lane.enc[lo:lo] = [encode_entry(record, self.options)
+                                     for record in children]
+            self.counters["records_encoded"] += len(children)
             self._invalidate_from(store, lo)
 
     # -- the walk -----------------------------------------------------------
@@ -608,12 +581,15 @@ class EntryCache:
         return self._merkle
 
     def _rebuild(self, kernel, mountpoint: str) -> None:
-        records = collect_entries(kernel, mountpoint, self.options)
+        options = self.options
+        records = collect_entries(kernel, mountpoint, options)
         store = _MerkleStore(
             [record.path for record in records],  # already path-sorted
             {record.path: record for record in records},
-            {},
+            _Lane([encode_entry(record, options) for record in records],
+                  [], None),
         )
+        self.counters["records_encoded"] += len(records)
         store.view = tuple(records)
         self._merkle = store
         self.counters["full_walks"] += 1
@@ -633,42 +609,27 @@ class EntryCache:
             store.view = view  # derived memo: safe on shared stores
         return view
 
-    def digests(self, kernel, mountpoint: str, mount,
-                variants: Sequence[AbstractionOptions],
-                profile=None) -> Tuple[str, ...]:
-        """Hexdigests for each options variant over one synced walk.
+    def digest(self, kernel, mountpoint: str, mount, profile=None) -> str:
+        """Hexdigest of the cache's options over one synced walk.
 
-        The hot path: never materializes the record view, resumes each
+        The hot path: never materializes the record view, resumes the
         lane's MD5 from its last prefix checkpoint before the first
         change, and serves repeat hashes of an unchanged tree from the
         digest memo.
         """
         store = self._sync(kernel, mountpoint, mount, profile)
         if profile is not None:
-            return profile.timed("abstraction_hash", self._digests,
-                                 store, variants)
-        return self._digests(store, variants)
+            return profile.timed("abstraction_hash", self._digest, store)
+        return self._digest(store)
 
-    def _digests(self, store: _MerkleStore,
-                 variants: Sequence[AbstractionOptions]) -> Tuple[str, ...]:
-        digests = []
-        for options in variants:
-            lane = store.lanes.get(options)
-            if lane is None:
-                # encoded lazily, into the store even when checkpoints
-                # share it: a lane is a pure function of the records, so
-                # every holder computes the same bytes
-                enc = [encode_entry(store.records[key], options)
-                       for key in store.keys]
-                lane = store.lanes[options] = _Lane(enc, [], None)
-                self.counters["records_encoded"] += len(enc)
-            digest = lane.digest
-            if digest is None:
-                digest = lane.digest = self._hash_lane(lane)
-            else:
-                self.counters["digest_hits"] += 1
-            digests.append(digest)
-        return tuple(digests)
+    def _digest(self, store: _MerkleStore) -> str:
+        lane = store.lane
+        digest = lane.digest
+        if digest is None:
+            digest = lane.digest = self._hash_lane(lane)
+        else:
+            self.counters["digest_hits"] += 1
+        return digest
 
     def _hash_lane(self, lane: _Lane) -> str:
         """Resume the lane's MD5 from its last prefix checkpoint."""

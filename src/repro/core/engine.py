@@ -125,7 +125,7 @@ class SyscallEngine:
         produces the visited-state hash is the same walk that compares
         the file systems, so each costs one traversal per fs, like MCFS.
         On the incremental route the records never leave the cache --
-        both variant hashes resume from their Merkle prefix checkpoints.
+        the hash resumes from its Merkle prefix checkpoints.
         """
         options = self.options
         matching = self.matching_options or options

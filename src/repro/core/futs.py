@@ -133,25 +133,26 @@ class FilesystemUnderTest:
     ):
         """``(records, hash(options), hash(matching))`` in one walk.
 
-        The engine's hot path: on the incremental route the records stay
-        inside the cache (``records`` comes back ``None``) and both
-        variant hashes resume from their Merkle prefix checkpoints --
-        call :meth:`collect_entries` afterwards for the records, it costs
-        no further syscalls.  The full-walk route collects once, hashes
-        twice, and returns the records it held anyway.
+        The engine's hot path: when ``matching`` is ``options`` the
+        incremental route keeps the records inside the cache
+        (``records`` comes back ``None``) and the hash resumes from its
+        Merkle prefix checkpoints -- call :meth:`collect_entries`
+        afterwards for the records, it costs no further syscalls.  The
+        full-walk route, taken for uncacheable options and for a
+        ``matching`` variant that differs from ``options``, collects
+        once, hashes each variant, and returns the records it held
+        anyway.
         """
         same = matching is options or matching == options
-        variants = (options,) if same else (options, matching)
-        if (self._use_cache(options, incremental)
-                and (same or cacheable_options(matching))):
+        if same and self._use_cache(options, incremental):
             cache = self._entry_cache
             if cache is None or cache.options is not options:
                 cache = self._live_cache(options)
             kernel = self.kernel
-            digests = cache.digests(kernel, self.mountpoint,
-                                    kernel.mount_at(self.mountpoint),
-                                    variants, profile)
-            return (None, digests[0], digests[-1])
+            digest = cache.digest(kernel, self.mountpoint,
+                                  kernel.mount_at(self.mountpoint), profile)
+            return (None, digest, digest)
+        variants = (options,) if same else (options, matching)
         if profile is not None:
             records = profile.timed("abstraction_syscall", collect_entries,
                                     self.kernel, self.mountpoint, options)

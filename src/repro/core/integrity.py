@@ -14,7 +14,7 @@ differences.  Whatever still differs is surfaced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.abstraction import AbstractionOptions, EntryRecord
 from repro.errors import errno_name
@@ -171,21 +171,3 @@ class IntegrityChecker:
                     f"{label} -> {outcome.describe()}"
                 )
         return None
-
-    def compare_states(self, futs) -> Tuple[Optional[str], Optional[StateDiff]]:
-        """Compare abstract states of all FUTs; diff the first mismatch."""
-        self.state_checks += 1
-        reference_fut = futs[0]
-        reference_hash = reference_fut.abstract_state(self.options)
-        for fut in futs[1:]:
-            if fut.abstract_state(self.options) != reference_hash:
-                diff = diff_entries(
-                    reference_fut.collect_entries(self.options),
-                    fut.collect_entries(self.options),
-                    self.options,
-                )
-                return (
-                    f"abstract states differ: {reference_fut.label} vs {fut.label}",
-                    diff,
-                )
-        return None, None

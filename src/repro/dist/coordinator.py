@@ -10,8 +10,8 @@ a real :mod:`multiprocessing` campaign:
   contend for the same units);
 * every granted unit is covered by a **lease** kept alive by heartbeats;
   an expired lease (or a dead process, detected sooner) re-issues the
-  unit -- after merging the worker's last shipped checkpoint -- so a
-  SIGKILL'd worker costs wall time, never results;
+  unit, which re-runs deterministically, so a SIGKILL'd worker costs
+  wall time, never results;
 * a **visited-state service** (one authoritative table) takes the
   workers' packed record batches, deduplicating cross-worker territory;
 * units no live worker can take run **inline**, in this process, through
@@ -37,7 +37,6 @@ from typing import Any, Deque, Dict, List, Optional
 from repro.core.report import DiscrepancyReport
 from repro.dist import realtime
 from repro.dist.protocol import (
-    Checkpoint,
     Heartbeat,
     Hello,
     NoMoreWork,
@@ -64,7 +63,6 @@ class Lease:
     unit: WorkUnit
     worker_id: str
     deadline: float
-    checkpoint: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -133,6 +131,10 @@ class DistResult(FieldCodec):
     recovered_units: int = 0
     stolen_units: int = 0
     inline_units: int = 0
+    #: shipped records the shared table already held on arrival, from
+    #: any worker including the shipper (the service's counter of the
+    #: same name); for an exact store started empty it is
+    #: ``sum(shipped_hashes) - visited_states``
     cross_worker_duplicates: int = 0
     #: campaign-wide per-state cost breakdown (unit profiles merged;
     #: :meth:`repro.mc.perf.CostProfile.to_dict` form) when the spec
@@ -465,12 +467,10 @@ class DistributedChecker:
             return [record for record in records if record.alive]
 
         def recover(record: WorkerRecord) -> None:
-            """A worker is gone: merge its checkpoint, re-issue its lease."""
+            """A worker is gone: re-issue its lease."""
             record.summary.alive_at_end = False
             lease = leases.pop(record.worker_id, None)
             if lease is not None:
-                if lease.checkpoint is not None:
-                    service.import_snapshot(lease.checkpoint)
                 # back to the front of its home partition: the next
                 # requester (owner or thief) re-runs it deterministically
                 partitions[lease.unit.index % self.workers].appendleft(
@@ -535,10 +535,6 @@ class DistributedChecker:
                                          message.operations)
             elif isinstance(message, RecordBatch):
                 service.insert_packed(message)
-            elif isinstance(message, Checkpoint):
-                lease = leases.get(record.worker_id)
-                if lease is not None and lease.unit.index == message.unit_index:
-                    lease.checkpoint = message.document
             elif isinstance(message, UnitDone):
                 unit_result = message.result
                 lease = leases.get(record.worker_id)

@@ -5,8 +5,7 @@ Messages are small frozen dataclasses pickled over
 The conversation is strictly client-driven except for shutdown:
 
 * worker -> coordinator: :class:`Hello`, :class:`WorkRequest`,
-  :class:`Heartbeat`, :class:`RecordBatch`, :class:`Checkpoint`,
-  :class:`UnitDone`
+  :class:`Heartbeat`, :class:`RecordBatch`, :class:`UnitDone`
 * coordinator -> worker: :class:`WorkGrant`, :class:`Wait`,
   :class:`NoMoreWork`, :class:`Shutdown`
 
@@ -73,20 +72,6 @@ class RecordBatch:
 
     def records(self) -> Iterator[Tuple[int, int]]:
         return read_records(self.payload, self.key_bytes)
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Periodic progress snapshot, a :mod:`repro.mc.persistence` document.
-
-    Covers the worker's *current* unit only; on lease recovery the
-    coordinator merges the document so partial knowledge survives even
-    though the unit itself is deterministically re-run elsewhere.
-    """
-
-    worker_id: str
-    unit_index: int
-    document: Dict[str, Any]
 
 
 @dataclass

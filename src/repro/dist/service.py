@@ -37,7 +37,11 @@ class VisitedStateService:
         else:
             self.table = make_store(store, seed=store_seed)
         self.hashes_received = 0
-        #: hashes some *other* worker had already contributed
+        #: records the table already held when they arrived: shipped
+        #: by another worker, by another unit of the same worker, by a
+        #: re-run of a recovered unit, or loaded from a resumed
+        #: snapshot.  The name is historical: a fleet of zero counts
+        #: them too.
         self.cross_worker_duplicates = 0
 
     # ------------------------------------------------------------- inserts --
@@ -57,21 +61,18 @@ class VisitedStateService:
     def insert_packed(self, batch: RecordBatch) -> None:
         """The data plane's entry point: read the payload once and
         bulk-visit; a malformed payload raises ``StoreFormatError``.
-        Nothing goes back to the worker -- what was already known is
-        counted here, in ``cross_worker_duplicates``."""
+        Nothing goes back to the worker -- records the table already
+        held are counted here, in ``cross_worker_duplicates``."""
         self.insert_batch(batch.records())
 
     # ----------------------------------------------------------- snapshots --
     def import_snapshot(self, document: Dict[str, Any]) -> int:
         """Merge a persistence snapshot document into the table.
 
-        Used for a crashed worker's last shipped checkpoint and for
-        resuming a paused campaign.  Returns how many states were new;
-        merging is idempotent, so replaying a checkpoint whose unit
-        later re-runs in full is harmless (the checkpoint's states are a
-        prefix of the deterministic re-run).  Lossy snapshots merge
-        natively -- bit arrays OR together, fingerprint maps union --
-        provided the snapshot's store parameters match the service's.
+        Used for resuming a paused campaign.  Returns how many states
+        were new; merging is idempotent.  Lossy snapshots merge natively
+        -- bit arrays OR together, fingerprint maps union -- provided
+        the snapshot's store parameters match the service's.
         """
         snapshot = snapshot_from_document(document)
         added = merge_into(self.table, snapshot.visited)

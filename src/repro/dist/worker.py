@@ -1,16 +1,17 @@
 """Worker process: runs leased work units and streams its discoveries.
 
 A worker is a plain loop -- request a unit, run it, report it -- with
-three side channels woven through the explorer's sample hook (which
-fires every ``heartbeat_operations`` explored operations):
+two side channels woven through the explorer's sample hook (which fires
+every ``heartbeat_operations`` explored operations):
 
 * **heartbeats** keep the coordinator's lease on the current unit alive;
 * **visited batches** flush locally-new ``(record key, depth)`` records
   to the shared store as one packed batch (suppressed by the exact LRU
-  of already-shipped keys);
-* **checkpoints** ship a :mod:`repro.mc.persistence` snapshot of the
-  current unit's partial table, so a SIGKILL'd worker's knowledge
-  survives even though the re-issued unit deterministically re-runs.
+  of already-shipped keys).
+
+A SIGKILL'd worker loses nothing that matters: every flushed batch is
+already in the shared table, and the re-issued unit re-runs
+deterministically.
 
 The same unit runner also serves the coordinator's in-process path (a
 fleet of zero workers, or one whose workers have all died) through the
@@ -25,12 +26,11 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.dist import realtime
 from repro.dist.client import LRUSet, ShippingVisitedTable
 from repro.dist.protocol import (
-    Checkpoint,
     Heartbeat,
     Hello,
     NoMoreWork,
@@ -45,7 +45,6 @@ from repro.dist.protocol import (
 from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
 from repro.mc.hashtable import Record
-from repro.mc.persistence import snapshot_document
 from repro.mc.records import pack_records, parse_store_spec
 from repro.mc.statestore import make_store
 
@@ -56,8 +55,6 @@ class WorkerConfig:
 
     #: sample-hook period: heartbeat + batch flush every N operations
     heartbeat_operations: int = 100
-    #: ship a persistence checkpoint every N operations
-    checkpoint_operations: int = 400
     #: visited-batch size before an eager flush
     batch_size: int = 64
     #: exact LRU of shipped keys (suppresses re-sends)
@@ -76,17 +73,13 @@ class ResultSink:
     def heartbeat(self, unit_index: int, operations: int) -> None:
         raise NotImplementedError
 
-    def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
 
 class LocalSink(ResultSink):
     """In-process sink: feed a service directly, no wire.
 
     Serves the coordinator when there is no live worker to run a unit;
     ``on_heartbeat`` is the coordinator's progress callback, so inline
-    units report like leased ones.  Checkpoints are a no-op: the
-    service's table *is* the caller's durable state.
+    units report like leased ones.
     """
 
     def __init__(self, service: VisitedStateService,
@@ -100,9 +93,6 @@ class LocalSink(ResultSink):
     def heartbeat(self, unit_index: int, operations: int) -> None:
         if self.on_heartbeat is not None:
             self.on_heartbeat(unit_index, operations)
-
-    def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
-        pass
 
 
 class PipeSink(ResultSink):
@@ -120,9 +110,6 @@ class PipeSink(ResultSink):
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
         self.conn.send(Heartbeat(self.worker_id, unit_index, operations))
-
-    def checkpoint(self, unit_index: int, document: Dict[str, Any]) -> None:
-        self.conn.send(Checkpoint(self.worker_id, unit_index, document))
 
 
 def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
@@ -155,7 +142,6 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         shipped_lru=shipped_lru,
         batch_size=config.batch_size,
     )
-    last_checkpoint = {"operations": 0}
 
     def tick(stats) -> None:
         if (config.chaos_kill_after_operations is not None
@@ -164,13 +150,6 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
             os.kill(os.getpid(), signal.SIGKILL)  # fault injection: die hard
         table.flush()
         sink.heartbeat(unit.index, stats.operations)
-        if (stats.operations - last_checkpoint["operations"]
-                >= config.checkpoint_operations):
-            last_checkpoint["operations"] = stats.operations
-            sink.checkpoint(unit.index, snapshot_document(
-                table.local, operations_completed=stats.operations,
-                seed=unit.seed, worker_id=worker_id,
-            ))
 
     wall_start = realtime.now()
     result = mcfs.run_random(

@@ -371,8 +371,8 @@ class CampaignEngine:
             self._emit("heartbeat", job_id,
                        {"unit": unit_index, "operations": operations})
 
-        # pause snapshots cover the engine's durability needs, so inline
-        # units' no-op checkpoints lose nothing
+        # the engine's pause snapshots are the job's only durable state:
+        # a unit cut short is re-run from its seed, never resumed
         completed = DistributedChecker(
             descriptor.spec,
             workers=workers,

@@ -75,8 +75,7 @@ def describe_minimization(stats: Dict[str, Any]) -> str:
     """One line on how a minimization's probes were served."""
     line = ("live path reproduced" if stats["projected"]
             else "full schedule (live path alone does not reproduce)")
-    line += (f"; {stats['cached_probes']} cached "
-             f"({stats['cache_hits']} from a cached prefix), "
+    line += (f"; {stats['cached_probes']} on the rewound harness, "
              f"{stats['fresh_probes']} fresh")
     if stats["polluted_at"] is None:
         return line + "; prober never contradicted a fresh harness"
@@ -97,7 +96,7 @@ class Trail:
     #: delta-debugging probes spent producing this trail (minimized only)
     probes: Optional[int] = None
     #: how those probes were served (``MinimizeResult.stats()``): live
-    #: path projected or not, cached/fresh split, cache hits, pollution
+    #: path projected or not, rewound/fresh split, pollution
     minimization: Optional[Dict[str, Any]] = None
 
     @property

@@ -20,16 +20,14 @@ A schedule is a tree of ``CHECKPOINT id ... RESTORE id`` episodes
 2. **ddmin over atoms, coarse to fine** (:class:`_Reduction`).  Zeller's
    ddmin -- subsets, then complements, doubling granularity -- removes
    whole episodes first, then their children, single events last.
-3. **An exact prefix cache** (:class:`_Prober`).  Candidates share long
-   prefixes, so one long-lived harness snapshots itself every
-   ``checkpoint_every`` events (copy-on-write ``snapshot_chunks()``
-   grabs for block devices, re-armable ioctl keys for VeriFS) and each
-   probe rewinds to the longest cached prefix and re-executes only the
-   suffix.
+3. **One long-lived harness** (:class:`_Prober`).  Each probe rewinds
+   it to its pristine state -- a copy-on-write ``snapshot_chunks()``
+   grab for block devices, a re-armable ioctl key for VeriFS -- instead
+   of building a fresh one, and runs the candidate from the start.
 
-:func:`minimize_trail_naive` is the deliberately cache-less
-one-event-at-a-time baseline the ``BENCH_trail`` benchmark compares
-against.
+:func:`minimize_trail_naive` is the one-event-at-a-time baseline, on a
+freshly built harness per probe, that the ``BENCH_trail`` benchmark
+compares against.
 """
 
 from __future__ import annotations
@@ -45,10 +43,6 @@ from repro.trail.replay import TrailExecutor
 Event = Tuple[Any, ...]
 
 
-#: prefix digests live below this (a Mersenne prime)
-_DIGEST_MODULUS = (1 << 61) - 1
-
-
 class _BudgetExceeded(Exception):
     """Raised by a prober when its probe budget runs out."""
 
@@ -61,7 +55,7 @@ class MinimizeResult:
     trail: Trail
     probes: int
     #: schedule events actually executed across all probes (the work
-    #: metric prefix caching reduces)
+    #: metric projection and coarse-to-fine ddmin reduce)
     events_executed: int
     original_operations: int
     minimized_operations: int
@@ -72,13 +66,11 @@ class MinimizeResult:
     exhausted: bool = False
     #: the live path alone reproduced: ddmin never saw the full schedule
     projected: bool = False
-    #: probes served by the long-lived prefix-cached harness / by a
-    #: freshly built one (confirmations and the polluted fallback)
+    #: probes served by the long-lived, rewound harness / by a freshly
+    #: built one (confirmations and the polluted fallback)
     cached_probes: int = 0
     fresh_probes: int = 0
-    #: cached probes that started from a cached prefix, not from scratch
-    cache_hits: int = 0
-    #: probe count at which the cached harness was given up -- it
+    #: probe count at which the long-lived harness was given up -- it
     #: contradicted a fresh one, or the bug turned out to need rollbacks
     #: (so restore itself is suspect) -- and all later probes ran fresh
     polluted_at: Optional[int] = None
@@ -89,7 +81,6 @@ class MinimizeResult:
             "projected": self.projected,
             "cached_probes": self.cached_probes,
             "fresh_probes": self.fresh_probes,
-            "cache_hits": self.cache_hits,
             "polluted_at": self.polluted_at,
         }
 
@@ -107,73 +98,25 @@ class MinimizeResult:
 class _Prober:
     """Runs candidate schedules against one long-lived harness.
 
-    The harness is rebuilt never; every probe rewinds to the pristine
-    initial snapshot or to the longest cached prefix of its candidate.
-    A cache entry is a full :meth:`TrailExecutor.snapshot` -- target
-    token, operation-log copy *and* the checkpoint-id bindings valid at
-    that prefix -- so a ``RESTORE id`` in the re-executed suffix rolls
-    back to the checkpoint this candidate's own prefix took, never to
-    one an earlier candidate left under the same id.
-
-    Entries are keyed by ``(length, rolling digest)`` of the prefix, so
-    finding the longest cached prefix is one pass over the candidate.
+    The harness is built once; every probe rewinds it to its pristine
+    initial state (:meth:`TrailExecutor.reset`) and runs the whole
+    candidate, so a ``RESTORE id`` only ever finds a checkpoint the
+    candidate itself took.
     """
 
-    def __init__(self, spec, checkpoint_every: int = 64,
-                 cache_limit: int = 48):
+    def __init__(self, spec):
         self.executor = TrailExecutor(spec)
-        self.checkpoint_every = checkpoint_every
-        self.cache_limit = cache_limit
         self.probes = 0
-        self.events_executed = 0
-        self.cache_hits = 0
-        #: pristine initial state: every probe starts here or later
-        self._base = self.executor.snapshot()
-        #: prefix key -> executor snapshot, oldest first
-        self._cache: Dict[Tuple[int, int], Any] = {}
-        self._codes: Dict[Event, int] = {}
 
-    def _prefix_keys(self, events: List[Event]) -> List[Tuple[int, int]]:
-        """``(length, digest)`` of every prefix: a polynomial rolling
-        hash over per-event codes handed out in order of first sight
-        (no ``hash()``: its values differ from process to process)."""
-        keys: List[Tuple[int, int]] = []
-        codes = self._codes
-        digest = 0
-        for length, event in enumerate(events, 1):
-            code = codes.setdefault(event, len(codes) + 1)
-            digest = (digest * 1_000_003 + code) % _DIGEST_MODULUS
-            keys.append((length, digest))
-        return keys
+    @property
+    def events_executed(self) -> int:
+        return self.executor.events_executed
 
     def run(self, events: List[Event]) -> Tuple[int, Optional[PropertyViolation]]:
         """Execute one candidate; same contract as TrailExecutor.execute."""
         self.probes += 1
-        executor = self.executor
-        keys = self._prefix_keys(events)
-        start, snapshot = 0, self._base
-        for key in reversed(keys):
-            if key in self._cache:
-                start, snapshot = key[0], self._cache[key]
-                self.cache_hits += 1
-                break
-        executor.rewind(snapshot)
-        since_checkpoint = 0
-        for index in range(start, len(events)):
-            try:
-                executor.execute_one(events[index])
-            except PropertyViolation as violation:
-                self.events_executed += index + 1 - start
-                return index, violation
-            since_checkpoint += 1
-            if (since_checkpoint >= self.checkpoint_every
-                    and index + 1 < len(events)):
-                since_checkpoint = 0
-                if len(self._cache) >= self.cache_limit:
-                    del self._cache[next(iter(self._cache))]
-                self._cache[keys[index]] = executor.snapshot()
-        self.events_executed += len(events) - start
-        return len(events), None
+        self.executor.reset()
+        return self.executor.execute(events)
 
 
 class _Reduction:
@@ -328,8 +271,8 @@ class _FreshProber:
 
 
 class _HybridTest:
-    """ddmin's test function: fast prefix-cached probes, fresh-harness
-    ground truth where it matters.
+    """ddmin's test function: fast probes on the rewound harness,
+    fresh-harness ground truth where it matters.
 
     The long-lived prober assumes checkpoint/restore is exact -- but the
     bug being minimized may corrupt restore *itself* (VeriFS's missing
@@ -462,9 +405,8 @@ def _finalize(trail: Trail, minimized: List[Event], probes: int,
     return result
 
 
-def minimize_trail(trail: Trail, max_probes: Optional[int] = 5000,
-                   checkpoint_every: int = 64,
-                   cache_limit: int = 48) -> MinimizeResult:
+def minimize_trail(trail: Trail,
+                   max_probes: Optional[int] = 5000) -> MinimizeResult:
     """Shrink a trail to a 1-minimal reproducer.
 
     The schedule is a tree of checkpoint/restore episodes and is
@@ -472,14 +414,13 @@ def minimize_trail(trail: Trail, max_probes: Optional[int] = 5000,
     bug that does not depend on a rollback having happened, those few
     events *are* the reproducer and the full schedule is never run);
     what survives goes through ddmin over episode atoms, coarse to
-    fine (:class:`_Reduction`), on a prefix-cached prober.
+    fine (:class:`_Reduction`), on a rewound long-lived harness.
     """
     events = trace.normalize(list(trail.report.schedule or []))
     if not events:
         raise ValueError("trail carries no schedule to minimize")
     expected = trail.signature()
-    prober = _Prober(trail.spec, checkpoint_every=checkpoint_every,
-                     cache_limit=cache_limit)
+    prober = _Prober(trail.spec)
     failing = _HybridTest(trail.spec, expected, prober, max_probes)
 
     path = trace.live_path(events)
@@ -508,7 +449,6 @@ def minimize_trail(trail: Trail, max_probes: Optional[int] = 5000,
                      projected=projected,
                      cached_probes=prober.probes,
                      fresh_probes=failing.fresh.probes,
-                     cache_hits=prober.cache_hits,
                      polluted_at=failing.polluted_at)
 
 

@@ -81,6 +81,8 @@ class TrailExecutor:
         self.engine = self.mcfs.engine()
         #: trail checkpoint id -> concrete target token
         self.tokens: Dict[int, Any] = {}
+        #: target token of the initial state, taken by the first reset()
+        self._pristine = None
         self._oracle = None
         self.operations_executed = 0
         self.events_executed = 0
@@ -92,21 +94,17 @@ class TrailExecutor:
             self._oracle = FsckOracle(self.engine, max_workers=1)
         self._oracle()
 
-    def snapshot(self) -> Tuple[Any, list, Dict[int, Any]]:
-        """Everything :meth:`rewind` must re-establish: a target token,
-        the operation log (the token only knows its length), and the
-        checkpoint-id bindings valid *here* -- a later ``RESTORE id``
-        must find the token this run took, not one a different run
-        left under the same id."""
-        return (self.target.checkpoint(), list(self.engine.operation_log),
-                dict(self.tokens))
-
-    def rewind(self, snapshot: Tuple[Any, list, Dict[int, Any]]) -> None:
-        """Put the harness back where :meth:`snapshot` was taken."""
-        token, log, bindings = snapshot
-        self.target.restore_reusable(token)
-        self.engine.operation_log[:] = log
-        self.tokens = dict(bindings)
+    def reset(self) -> None:
+        """Put the harness back in its pristine state for the next
+        schedule: the target, an empty operation log, and no
+        checkpoint-id bindings, so a ``RESTORE id`` finds only a token
+        the next schedule takes.  The first call checkpoints the
+        pristine state and so must come before any event runs."""
+        if self._pristine is None:
+            self._pristine = self.target.checkpoint()
+        self.target.restore_reusable(self._pristine)
+        self.engine.operation_log.clear()
+        self.tokens = {}
 
     def execute_one(self, event: Tuple) -> None:
         """Execute one schedule event; violations propagate."""

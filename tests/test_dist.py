@@ -64,7 +64,7 @@ BUG_SPEC = dataclasses.replace(
     SPEC, units=6, unit_operations=150, verifs_bugs=("write-hole-stale",))
 
 #: chaos tests need ticks to fire well inside a 100-op unit
-CHAOS_CONFIG = WorkerConfig(heartbeat_operations=20, checkpoint_operations=40)
+CHAOS_CONFIG = WorkerConfig(heartbeat_operations=20)
 
 
 #: three well-formed state hashes and the record keys an exact store
@@ -239,6 +239,15 @@ class TestVisitedStateService:
         assert service.cross_worker_duplicates == 1
         assert A in service.table  # record keys land as state hashes
 
+    def test_duplicates_count_every_known_record_even_with_no_fleet(self):
+        """``cross_worker_duplicates`` counts each shipped record the
+        table already held, whoever shipped it: a fleet of zero, where
+        no other worker exists, still reports shipped minus stored."""
+        dist = DistributedChecker(SPEC, workers=0).run()
+        shipped = sum(unit.shipped_hashes for unit in dist.unit_results)
+        assert dist.cross_worker_duplicates == shipped - dist.visited_states
+        assert dist.cross_worker_duplicates > 0
+
     def test_import_snapshot_is_idempotent(self):
         table = VisitedStateTable()
         table.visit(A, 1)
@@ -328,9 +337,16 @@ class TestDistributedDeterminism:
 
 # ------------------------------------------------------- fault tolerance --
 class TestFaultTolerance:
-    def test_sigkilled_worker_costs_nothing_but_time(self, baseline):
+    @pytest.mark.parametrize("store", ("exact", "hc", "bitstate"))
+    def test_sigkilled_worker_costs_nothing_but_time(self, store, baseline):
+        """Recovery re-runs the lost unit and merges nothing else: what
+        the dead worker shipped is already in the table, and the re-run
+        ships the rest, for every store kind."""
+        spec = dataclasses.replace(SPEC, state_store=store)
+        if store != SPEC.state_store:
+            baseline = DistributedChecker(spec, workers=1).run()
         fleet = DistributedChecker(
-            SPEC, workers=2, config=CHAOS_CONFIG,
+            spec, workers=2, config=CHAOS_CONFIG,
             chaos_kill_after={"w1": 50},  # SIGKILL mid-unit
         ).run()
         assert fingerprint(fleet) == fingerprint(baseline)

@@ -31,7 +31,6 @@ from repro.dist.spec import CheckSpec
 from repro.dist.worker import WorkerConfig
 from repro.mc.explorer import ExplorationStats, PropertyViolation
 from repro.mc.hashtable import VisitedStateTable
-from repro.mc.persistence import snapshot_document
 from repro.mc.records import pack_records
 from repro.server import protocol as server_protocol
 from repro.server.protocol import JobDescriptor, JobEvent, SubmitRequest
@@ -389,13 +388,6 @@ WIRE_RESULT = UnitResult(
     cost_profile={"states": 12})
 
 
-def _checkpoint_document():
-    table = VisitedStateTable()
-    table.visit("ab" * 16, depth=2)
-    return snapshot_document(table, operations_completed=40, seed=7,
-                             worker_id="w1")
-
-
 #: one representative instance of every dataclass that crosses a wire
 WIRE = {
     dist_protocol.Hello: dist_protocol.Hello("w0", 4242),
@@ -403,8 +395,6 @@ WIRE = {
     dist_protocol.Heartbeat: dist_protocol.Heartbeat("w0", 1, 120),
     dist_protocol.RecordBatch: dist_protocol.RecordBatch(
         "w0", 8, pack_records([(3, 1), (1 << 60, 9)], 8)),
-    dist_protocol.Checkpoint: dist_protocol.Checkpoint(
-        "w1", 1, _checkpoint_document()),
     UnitResult: WIRE_RESULT,
     dist_protocol.UnitDone: dist_protocol.UnitDone("w1", WIRE_RESULT),
     dist_protocol.WorkGrant: dist_protocol.WorkGrant(WIRE_UNIT),

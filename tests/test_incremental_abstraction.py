@@ -36,8 +36,8 @@ from repro.mc.strategies import IoctlStrategy, RemountStrategy
 
 OPTIONS = AbstractionOptions()
 #: a second cacheable variant, standing in for the engine's
-#: ``matching_options`` -- it must share the cache's walk via its own
-#: digest lane and still hash bit-identically to a reference walk
+#: ``matching_options`` -- it takes the full-walk route and must still
+#: hash bit-identically to a reference walk
 MATCHING = AbstractionOptions(include_owner=False, include_xattrs=False)
 
 NAMES = ("a", "b", "c", "sub")
@@ -106,11 +106,24 @@ def assert_incremental_matches(fut) -> None:
     )
 
 
+def digest_pair(fut):
+    """``(hash(OPTIONS), hash(MATCHING))``: the first from the cache
+    route, the second from the full-walk route a differing matching
+    variant takes."""
+    records, state_hash, same_hash = fut.entries_digests(
+        OPTIONS, OPTIONS, incremental=True)
+    assert records is None  # cache route: records stay inside the cache
+    assert same_hash == state_hash
+    records, walked_hash, match_hash = fut.entries_digests(
+        OPTIONS, MATCHING, incremental=True)
+    assert records is not None  # a differing variant walks fully
+    assert walked_hash == state_hash
+    return state_hash, match_hash
+
+
 def assert_digests_match_reference(fut) -> None:
     """The memoized fast path vs the reference walk, both variants."""
-    records, state_hash, match_hash = fut.entries_digests(
-        OPTIONS, MATCHING, incremental=True)
-    assert records is None  # cache route: records stay inside the cache
+    state_hash, match_hash = digest_pair(fut)
     reference = collect_entries(fut.kernel, fut.mountpoint, OPTIONS)
     assert state_hash == hash_entries(reference, OPTIONS), (
         f"{fut.label}: memoized digest diverged from reference hash"
@@ -223,7 +236,7 @@ class TestMemoizedDigestsEqualReference:
     def test_matches_across_checkpoint_restore_interleavings(
         self, family, ops, more, after
     ):
-        """Digest lanes must survive snapshot/restore: hash, checkpoint,
+        """The digest lane must survive snapshot/restore: hash, checkpoint,
         mutate + hash, roll back, mutate again -- the memoized path must
         track the reference walk through the whole interleaving."""
         fut = build_fut(family)
@@ -235,8 +248,7 @@ class TestMemoizedDigestsEqualReference:
         token = strategy.checkpoint(fut)
         abstraction = (fut.snapshot_abstraction()
                        if strategy.restores_exactly(fut) else None)
-        _, reference_hash, reference_match = fut.entries_digests(
-            OPTIONS, MATCHING, incremental=True)
+        reference_hash, reference_match = digest_pair(fut)
 
         for op in more:
             apply_op(fut, op)
@@ -245,8 +257,7 @@ class TestMemoizedDigestsEqualReference:
         strategy.restore(fut, token)
         fut.restore_abstraction(abstraction)
         assert_digests_match_reference(fut)
-        _, restored_hash, restored_match = fut.entries_digests(
-            OPTIONS, MATCHING, incremental=True)
+        restored_hash, restored_match = digest_pair(fut)
         assert (restored_hash, restored_match) == (
             reference_hash, reference_match)
 
@@ -322,15 +333,14 @@ class TestViewAndCheckpointMechanics:
         for op in (("create", "a", b"x"), ("mkdir", "sub"),
                    ("create", "b", b"y" * 200)):
             apply_op(fut, op)
-        fut.entries_digests(OPTIONS, MATCHING, incremental=True)
+        fut.entries_digests(OPTIONS, OPTIONS, incremental=True)
 
         token = strategy.checkpoint(fut)
         abstraction = fut.snapshot_abstraction()
-        baseline_hashes = fut.entries_digests(OPTIONS, MATCHING,
-                                              incremental=True)[1:]
+        baseline_hashes = digest_pair(fut)
 
         apply_op(fut, ("overwrite", "a", b"diverged"))
-        fut.entries_digests(OPTIONS, MATCHING, incremental=True)
+        fut.entries_digests(OPTIONS, OPTIONS, incremental=True)
 
         strategy.restore(fut, token)
         cache = fut._entry_cache
@@ -345,10 +355,11 @@ class TestViewAndCheckpointMechanics:
             assert after[key] == counters_before[key], (
                 f"restore did per-record work: {key}"
             )
-        # the rolled-back digests are served from the shared store's
-        # memo: bit-identical to the pre-divergence hashes
-        assert fut.entries_digests(OPTIONS, MATCHING,
-                                   incremental=True)[1:] == baseline_hashes
+        # the rolled-back digest is served from the shared store's memo,
+        # and both hashes are bit-identical to the pre-divergence ones
+        hits_before = after["digest_hits"]
+        assert digest_pair(fut) == baseline_hashes
+        assert cache.counters["digest_hits"] == hits_before + 1
 
     def test_snapshot_is_o1_and_shares_structure(self):
         """Checkpoint stacks share one store until a mutation clones it."""

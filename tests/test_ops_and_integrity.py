@@ -192,16 +192,6 @@ class TestIntegrityChecker:
             ["a", "b"], [Outcome.success(0), Outcome.success(0)]
         ) is None
 
-    def test_state_comparison_against_futs(self, clock):
-        checker = IntegrityChecker()
-        fut_a = make_verifs_fut("a", VeriFS2(), clock, mountpoint="/mnt/a")
-        fut_b = make_verifs_fut("b", VeriFS2(), clock, mountpoint="/mnt/b")
-        assert checker.compare_states([fut_a, fut_b]) == (None, None)
-        fut_a.kernel.mkdir("/mnt/a/only-here")
-        summary, diff = checker.compare_states([fut_a, fut_b])
-        assert summary is not None
-        assert diff.only_in_first == ["/only-here"]
-
 
 class TestEqualization:
     def test_free_space_equalized(self, clock):

@@ -2,8 +2,8 @@
 
 A schedule is a tree of ``CHECKPOINT id ... RESTORE id`` episodes, and
 the minimizer treats it as one: live-path projection first, ddmin over
-episode atoms second, a prefix cache whose entries carry the checkpoint
-bindings valid at that prefix.  These tests pin each piece down by
+episode atoms second, one long-lived prober rewound to its pristine
+state before every probe.  These tests pin each piece down by
 *executing* it against the ground truth -- a freshly built harness --
 rather than by argument.
 """
@@ -291,9 +291,9 @@ class TestLivePathSoundness:
 
 # ------------------------------------------ prober vs fresh cross-check --
 def cross_checked_ddmin(trail):
-    """ddmin over the *full* schedule (no projection, so the prefix cache
-    and in-candidate RESTOREs do real work) with every probe executed on
-    both the cached prober and a fresh harness.  Fresh drives; returns
+    """ddmin over the *full* schedule (no projection, so in-candidate
+    RESTOREs do real work) with every probe executed on both the rewound
+    prober and a fresh harness.  Fresh drives; returns
     ``(probes, contradictions)``."""
     expected = trail.signature()
     events = trace.normalize(list(trail.report.schedule))
@@ -326,9 +326,8 @@ class TestProberMatchesFreshHarness:
     @pytest.mark.parametrize("bug", sorted(set(BUG_PAIRS)
                                            - {RESTORE_CORRUPTING}))
     def test_never_disagrees_on_exact_restore_bugs(self, bug, tmp_path):
-        # on the parent, a cache hit skipped the prefix's CHECKPOINTs and
-        # a later RESTORE found a token some *earlier* candidate took:
-        # first contradiction at probe 35-49 on the four long trails
+        # a RESTORE must find the token this candidate took, never one
+        # an earlier candidate left under the same id
         probes, contradictions = cross_checked_ddmin(dfs_trail(bug, tmp_path))
         assert probes >= 5
         assert contradictions == []
@@ -343,38 +342,20 @@ class TestProberMatchesFreshHarness:
 
     def test_restore_after_cache_hit_finds_this_candidates_checkpoint(self):
         # the stale-binding bug in three probes on a bug-free pair: X
-        # caches the prefix [C0 a]; Y re-takes id 0 in a different state
-        # (after b); Z hits X's cached prefix -- skipping its C0 -- and
-        # then restores 0, which must be X's pristine state, not Y's
+        # takes id 0 in the pristine state; Y re-takes id 0 in a
+        # different state (after b); Z shares X's prefix [C0 a] and then
+        # restores 0, which must be Z's own pristine checkpoint, not Y's
         spec = BUG_FREE_PAIRS["verifs-ioctl"]
         actions = spec.build_mcfs().engine().catalog.operations()
         a, b = (OP, actions[0]), (OP, actions[1])  # create /f0, create /f1
-        prober = _Prober(spec, checkpoint_every=2)
+        prober = _Prober(spec)
         prober.run([(C, 0), a, b, (CHECK,)])
         prober.run([b, (C, 0), a])
         schedule = [(C, 0), a, (R, 0), (CHECK,)]
         assert prober.run(schedule) == (len(schedule), None)
-        assert prober.cache_hits == 1
         engine = prober.executor.engine
         digests = [fut.abstract_state(engine.options) for fut in engine.futs]
         assert (digests, []) == _end_state(spec, schedule)
-
-    def test_cache_entry_restores_its_own_bindings(self, tmp_path):
-        trail = dfs_trail("size-update-on-capacity-only", tmp_path)
-        events = trace.normalize(list(trail.report.schedule))
-        prober = _Prober(trail.spec, checkpoint_every=8)
-        prober.run(events)
-        snapshots = list(prober._cache.items())
-        assert snapshots
-        for (length, _digest), (_token, log, bindings) in snapshots:
-            prefix = events[:length]
-            taken = {event[1] for event in prefix if event[0] == C}
-            assert set(bindings) == taken
-            assert len(log) == len(
-                [e for e in trace.live_path(prefix) if e[0] == OP])
-        # a different candidate sharing only a prefix starts from it
-        prober.run(events[:20] + events[-1:])
-        assert prober.cache_hits == 1
 
 
 # ------------------------------------------------ pollution discovery --
