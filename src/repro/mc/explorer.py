@@ -221,8 +221,8 @@ class Explorer:
         #: to abstraction-walk / fingerprint / snapshot-restore buckets
         #: (measurement only -- never feeds back into decisions)
         self.profile = profile
-        #: always-on schedule log; on a violation the schedule is
-        #: attached to the report so it can be captured as a trail
+        #: always-on schedule log, a fresh one per run; on a violation the
+        #: schedule is attached to the report so it can be captured as a trail
         self.recorder = TrailRecorder()
         self.stats = ExplorationStats()
         #: ``run_dfs``'s successor memo, emptied when the run ends: state ->
@@ -234,9 +234,11 @@ class Explorer:
 
     # ---------------------------------------------------------------- common --
     def _run(self, search: Callable[[], None]) -> ExplorationStats:
-        """The envelope of a run in either mode: fresh stats, ``search()``,
-        and a violation or an out-of-memory stop turned into the verdict."""
+        """The envelope of a run in either mode: fresh stats and a fresh
+        schedule, ``search()``, and a violation or an out-of-memory stop
+        turned into the verdict."""
         stats = self.stats = ExplorationStats(start_time=self.clock.now)
+        self.recorder = TrailRecorder(self.recorder.max_events)
         try:
             search()
         except PropertyViolation as violation:

@@ -13,7 +13,7 @@ ghost only appears after an ioctl rollback, so a linear re-run of the
 operation log alone can never show it, but a schedule replay performs
 the same rollback and hits the same ghost.
 
-Events are lightweight tuples (the first element is one of the module
+A schedule is a list of tuples (the first element is one of the module
 constants below)::
 
     (OP, operation)      -- apply one Operation to every FUT
@@ -21,6 +21,10 @@ constants below)::
     (FSCK,)              -- run the offline fsck oracle sweep
     (CHECKPOINT, id)     -- capture the concrete state under ``id``
     (RESTORE, id)        -- roll back to the state captured under ``id``
+
+The recorder does not keep that list while the run goes on: it stores
+one signed 64-bit code per event and builds the tuples only when
+:meth:`TrailRecorder.schedule` is asked for them (see its docstring).
 
 Serialisation of events lives in :mod:`repro.core.report` next to the
 operation codecs, so a schedule travels inside a serialised
@@ -30,7 +34,8 @@ dist wire) for free.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, List, Optional, Tuple
 
 #: event tags (the first element of every event tuple)
 OP = "op"
@@ -41,9 +46,14 @@ RESTORE = "restore"
 
 Event = Tuple[Any, ...]
 
-#: recording stops past this many events; a schedule that long is not a
-#: useful reproducer and the memory is better spent on exploration
+#: recording stops past this many events (8 bytes each in the recorder,
+#: about 1.6 MB); a schedule that long is not a useful reproducer and the
+#: memory is better spent on exploration
 DEFAULT_MAX_EVENTS = 200_000
+
+#: the recorder's codes of the two events without an argument
+_CHECK_CODE = -1
+_FSCK_CODE = -2
 
 
 def count_operations(events) -> int:
@@ -167,51 +177,76 @@ def split(events: List[Event], atom: List[int]) -> List[List[int]]:
 class TrailRecorder:
     """Append-only schedule log, written by the explorer as it runs.
 
-    Recording is always on: an event is one small tuple, so the cost is
-    noise next to executing the operation it describes.  If a run
-    outlives ``max_events`` the recorder stops (and says so through
-    :attr:`truncated`) rather than growing without bound -- a truncated
-    schedule cannot be replayed faithfully, so :meth:`schedule` then
-    returns None and no trail is captured.
+    Recording is always on, so an event costs one word: a signed 64-bit
+    code in an ``array('q')``.  An operation is its index (from 0) in the
+    recorder's table of distinct operations; CHECK and FSCK are the fixed
+    codes -1 and -2; a CHECKPOINT of id ``k`` is ``-3 - 2k`` and a RESTORE
+    of id ``k`` is ``-4 - 2k`` (ids are non-negative and below 2**62).
+    :meth:`schedule` decodes the codes back into the event tuples above.
+
+    If a run outlives ``max_events`` the recorder stops (and says so
+    through :attr:`truncated`) rather than growing without bound -- a
+    truncated schedule cannot be replayed faithfully, so :meth:`schedule`
+    then returns None and no trail is captured.
     """
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS):
-        self.events: List[Event] = []
         self.max_events = max_events
         self.truncated = False
+        self._codes = array("q")
+        #: distinct operations, in order of first use, and their codes
+        self._operations: List[Any] = []
+        self._operation_codes: Dict[Any, int] = {}
         self._next_checkpoint_id = 0
 
-    def _append(self, event: Event) -> None:
+    def _append(self, code: int) -> None:
         if self.truncated:
             return
-        if len(self.events) >= self.max_events:
+        if len(self._codes) >= self.max_events:
             self.truncated = True
             return
-        self.events.append(event)
+        self._codes.append(code)
 
     # -------------------------------------------------------------- events --
     def operation(self, operation) -> None:
-        self._append((OP, operation))
+        code = self._operation_codes.get(operation)
+        if code is None:
+            code = self._operation_codes[operation] = len(self._operations)
+            self._operations.append(operation)
+        self._append(code)
 
     def check(self) -> None:
-        self._append((CHECK,))
+        self._append(_CHECK_CODE)
 
     def fsck(self) -> None:
-        self._append((FSCK,))
+        self._append(_FSCK_CODE)
 
     def checkpoint(self) -> int:
         """Record a checkpoint; returns its id for later :meth:`restore`."""
         checkpoint_id = self._next_checkpoint_id
         self._next_checkpoint_id += 1
-        self._append((CHECKPOINT, checkpoint_id))
+        self._append(-3 - 2 * checkpoint_id)
         return checkpoint_id
 
     def restore(self, checkpoint_id: int) -> None:
-        self._append((RESTORE, checkpoint_id))
+        self._append(-4 - 2 * checkpoint_id)
 
     # ------------------------------------------------------------- harvest --
     def schedule(self) -> Optional[List[Event]]:
         """The recorded schedule, or None when recording overflowed."""
         if self.truncated:
             return None
-        return list(self.events)
+        operations = self._operations
+        events: List[Event] = []
+        for code in self._codes:
+            if code >= 0:
+                events.append((OP, operations[code]))
+            elif code == _CHECK_CODE:
+                events.append((CHECK,))
+            elif code == _FSCK_CODE:
+                events.append((FSCK,))
+            else:
+                folded = -3 - code  # 2k for CHECKPOINT k, 2k + 1 for RESTORE k
+                events.append((RESTORE if folded & 1 else CHECKPOINT,
+                               folded >> 1))
+        return events

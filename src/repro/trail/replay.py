@@ -72,14 +72,17 @@ class TrailExecutor:
     (many passes over candidate subsets).  All rollbacks go through
     ``restore_reusable`` so checkpoint tokens survive arbitrarily many
     restores -- the single-use ioctl snapshot keys are re-armed in
-    place.
+    place.  A token is held only while the schedule still restores it:
+    it is dropped at its id's last RESTORE, and never kept for an id
+    the schedule does not restore.
     """
 
     def __init__(self, spec):
         self.mcfs = spec.build_mcfs()
         self.target = self.mcfs._prepare()
         self.engine = self.mcfs.engine()
-        #: trail checkpoint id -> concrete target token
+        #: trail checkpoint id -> concrete target token, while a later
+        #: event of the running schedule restores it
         self.tokens: Dict[int, Any] = {}
         #: target token of the initial state, taken by the first reset()
         self._pristine = None
@@ -106,33 +109,36 @@ class TrailExecutor:
         self.engine.operation_log.clear()
         self.tokens = {}
 
-    def execute_one(self, event: Tuple) -> None:
-        """Execute one schedule event; violations propagate."""
-        tag = event[0]
-        self.events_executed += 1
-        if tag == trace.OP:
-            self.operations_executed += 1
-            self.target.apply(event[1])
-        elif tag == trace.CHECK:
-            self.target.abstract_state()
-        elif tag == trace.FSCK:
-            self._fsck()
-        elif tag == trace.CHECKPOINT:
-            self.tokens[event[1]] = self.target.checkpoint()
-        elif tag == trace.RESTORE:
-            self.target.restore_reusable(self.tokens[event[1]])
-        else:
-            raise ValueError(f"unknown trail event {tag!r}")
-
     def execute(self, events: List[Tuple]) -> Tuple[int, Optional[PropertyViolation]]:
         """Execute events in order until one raises.
 
         Returns ``(index, violation)`` of the first violating event, or
         ``(len(events), None)`` when the whole schedule ran clean.
         """
+        last_restore = {event[1]: index for index, event in enumerate(events)
+                        if event[0] == trace.RESTORE}
+        target, tokens = self.target, self.tokens
         for index, event in enumerate(events):
+            tag = event[0]
+            self.events_executed += 1
             try:
-                self.execute_one(event)
+                if tag == trace.OP:
+                    self.operations_executed += 1
+                    target.apply(event[1])
+                elif tag == trace.CHECK:
+                    target.abstract_state()
+                elif tag == trace.FSCK:
+                    self._fsck()
+                elif tag == trace.CHECKPOINT:
+                    token = target.checkpoint()
+                    if last_restore.get(event[1], -1) > index:
+                        tokens[event[1]] = token
+                elif tag == trace.RESTORE:
+                    target.restore_reusable(tokens[event[1]])
+                    if last_restore[event[1]] == index:
+                        del tokens[event[1]]
+                else:
+                    raise ValueError(f"unknown trail event {tag!r}")
             except PropertyViolation as violation:
                 return index, violation
         return len(events), None

@@ -168,6 +168,22 @@ class TestCounters:
 
 
 # ----------------------------------------------------------- bug hunts --
+#: (bug, por) -> the minimisation's probes, events executed and minimised
+#: operations, as the ``bug_hunt`` benchmark counts them
+MINIMISATION_PINS = {
+    ("extent-boundary-stale", False): (10, 27, 1),
+    ("extent-boundary-stale", True): (10, 27, 1),
+    ("missing-cache-invalidation", False): (80, 817, 2),
+    ("missing-cache-invalidation", True): (74, 513, 2),
+    ("size-update-on-capacity-only", False): (23, 86, 2),
+    ("size-update-on-capacity-only", True): (23, 86, 2),
+    ("truncate-stale-data", False): (55, 204, 3),
+    ("truncate-stale-data", True): (55, 204, 3),
+    ("write-hole-stale", False): (54, 164, 3),
+    ("write-hole-stale", True): (54, 164, 3),
+}
+
+
 class TestSeededBugsStillFound:
     @pytest.mark.parametrize("por", [False, True], ids=["full", "por"])
     @pytest.mark.parametrize("bug", sorted(BUG_PAIRS))
@@ -178,7 +194,8 @@ class TestSeededBugsStillFound:
         trail = Trail.load(result.trail_path)
         assert replay_trail(trail).status == "CONFIRMED"
         minimized = minimize_trail(trail)
-        assert minimized.minimized_operations <= 4
+        assert (minimized.probes, minimized.events_executed,
+                minimized.minimized_operations) == MINIMISATION_PINS[bug, por]
         assert replay_trail(minimized.trail).confirmed
 
 
@@ -258,6 +275,19 @@ class TestSingleUseTokens:
                 == reference_dfs(_PoolTarget(), depth, por))
         assert (stats.transitions + stats.memo_hits + stats.por_pruned
                 == len(expansions) * len(target.actions()))
+
+
+class TestReusedExplorer:
+    @pytest.mark.parametrize("por", [False, True], ids=["full", "por"])
+    def test_each_run_records_only_its_own_schedule(self, por):
+        explorer = Explorer(_PoolTarget(), SimClock(), max_depth=3)
+        schedules = []
+        for _ in range(2):
+            explorer.visited = VisitedStateTable()
+            explorer.run_dfs(por=por)
+            schedules.append(explorer.recorder.schedule())
+        # equal, so the second run's checkpoint ids also start at 0
+        assert schedules[0] == schedules[1]
 
 
 # -------------------------------------------------------------- memory --

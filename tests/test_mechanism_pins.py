@@ -162,7 +162,7 @@ class TestSchedulePins:
     def test_every_event_is_unchanged(self, run, explorers, expansions):
         result = SCHEDULE_RUNS[run]()
         schedule = (result.report.schedule if result.report is not None
-                    else explorers[-1].recorder.events)
+                    else explorers[-1].recorder.schedule())
         found = (md5_json([schedule_event_to_dict(e) for e in schedule]),
                  md5_json(expansions), md5_json(result.stats.to_dict()))
         assert (result.report is not None) == run.startswith("hunt")

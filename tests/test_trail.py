@@ -9,11 +9,14 @@ via the distributed fleet.
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import hunt_spec
+from repro.core.ops import Operation
 from repro.core.report import DiscrepancyReport
 from repro.dist.spec import CheckSpec
 from repro.mc import trace
@@ -52,7 +55,104 @@ def capture_one(bug, trail_dir, state_store="exact", state_check_every=1000,
     return result
 
 
+class TupleRecorder:
+    """The reference recorder: one event tuple per call, kept in a list."""
+
+    def __init__(self, max_events):
+        self.events, self.max_events, self.truncated = [], max_events, False
+        self.next_id = 0
+
+    def append(self, event):
+        if not self.truncated and len(self.events) >= self.max_events:
+            self.truncated = True
+        if not self.truncated:
+            self.events.append(event)
+
+    def operation(self, operation):
+        self.append((trace.OP, operation))
+
+    def check(self):
+        self.append((trace.CHECK,))
+
+    def fsck(self):
+        self.append((trace.FSCK,))
+
+    def checkpoint(self):
+        self.next_id += 1
+        self.append((trace.CHECKPOINT, self.next_id - 1))
+        return self.next_id - 1
+
+    def restore(self, checkpoint_id):
+        self.append((trace.RESTORE, checkpoint_id))
+
+    def schedule(self):
+        return None if self.truncated else list(self.events)
+
+
+#: one recorder call: an operation built afresh on every call (so equal
+#: operations are distinct objects), a bare event, or a restore of an id
+#: the recorder handed out (an index) or of any id up to 2**62 - 3
+_recorder_calls = st.lists(st.one_of(
+    st.tuples(st.just("operation"), st.sampled_from(["write", "unlink"]),
+              st.integers(0, 3)),
+    st.tuples(st.sampled_from(["check", "fsck", "checkpoint"])),
+    st.tuples(st.just("restore-taken"), st.integers(0, 50)),
+    st.tuples(st.just("restore"), st.one_of(
+        st.integers(0, 2**62 - 3), st.sampled_from([2**31, 2**32 + 1])))),
+    max_size=60)
+
+
 class TestTrailRecorder:
+    @settings(max_examples=200, deadline=None)
+    @given(calls=_recorder_calls,
+           max_events=st.one_of(st.integers(0, 70),
+                                st.just(trace.DEFAULT_MAX_EVENTS)))
+    def test_matches_the_tuple_reference(self, calls, max_events):
+        recorder = TrailRecorder(max_events)
+        reference = TupleRecorder(max_events)
+        taken, recorded = [], 0
+        for call in calls:
+            recorded += 1
+            if call[0] == "operation":
+                for rec in (recorder, reference):
+                    rec.operation(Operation(call[1], ("/f", call[2])))
+            elif call[0] == "checkpoint":
+                taken.append(recorder.checkpoint())
+                assert reference.checkpoint() == taken[-1]
+            elif call[0] in ("restore", "restore-taken"):
+                checkpoint_id = call[1]
+                if call[0] == "restore-taken":
+                    if not taken:
+                        recorded -= 1
+                        continue
+                    checkpoint_id = taken[checkpoint_id % len(taken)]
+                recorder.restore(checkpoint_id)
+                reference.restore(checkpoint_id)
+            else:
+                getattr(recorder, call[0])()
+                getattr(reference, call[0])()
+        assert recorder.truncated == (recorded > max_events)
+        assert recorder.schedule() == reference.schedule()
+        assert (recorder.schedule() is None) == recorder.truncated
+
+    def test_an_event_is_one_word(self):
+        operations = [Operation("write", ("/f", size)) for size in range(8)]
+        recorder = TrailRecorder()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(25_000):
+                checkpoint_id = recorder.checkpoint()
+                recorder.operation(operations[index % len(operations)])
+                recorder.check()
+                recorder.restore(checkpoint_id)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not recorder.truncated
+        assert len(recorder.schedule()) == 100_000
+        assert held / 100_000 < 16
+
     def test_records_all_event_kinds(self):
         recorder = TrailRecorder()
         token = recorder.checkpoint()

@@ -17,6 +17,7 @@ from repro.cli import BUG_PAIRS, hunt_spec, main
 from repro.dist.spec import CheckSpec
 from repro.mc import trace
 from repro.trail import Trail, TrailExecutor, minimize_trail, replay_trail
+from repro.trail import replay as replay_module
 from repro.trail.capture import signature
 from repro.trail.minimize import (
     _FreshProber,
@@ -507,6 +508,58 @@ class TestReplayVerdictTag:
         replayed = replay_trail(minimized.trail)
         assert replayed.confirmed and replayed.exact
         assert replayed.describe().endswith("[exact]")
+
+
+# ----------------------------------------------------- replay tokens --
+class _WatchedExecutor(TrailExecutor):
+    """An executor that notes, whenever an event reaches the target, the
+    event's index and the checkpoint ids it holds tokens for."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.held, self.calls = [], {"checkpoint": 0, "restore_reusable": 0}
+        for name in ("apply", "abstract_state", "checkpoint",
+                     "restore_reusable"):
+            setattr(self.target, name,
+                    self._watched(name, getattr(self.target, name)))
+
+    def _watched(self, name, method):
+        def call(*args):
+            self.held.append((self.events_executed - 1, set(self.tokens)))
+            if name in self.calls:
+                self.calls[name] += 1
+            return method(*args)
+        return call
+
+
+class TestReplayTokenLifetime:
+    def test_tokens_live_until_their_last_restore(self, tmp_path,
+                                                  monkeypatch):
+        # ext4 + verifs1 under remount: an ext4 token holds disk chunks
+        trail = dfs_trail("truncate-stale-data", tmp_path)
+        executors = []
+
+        def watched(spec):
+            executors.append(_WatchedExecutor(spec))
+            return executors[-1]
+
+        monkeypatch.setattr(replay_module, "TrailExecutor", watched)
+        replayed = replay_trail(trail)
+        events = trail.report.schedule
+        last_restore = {event[1]: index for index, event in enumerate(events)
+                        if event[0] == R}
+        (executor,) = executors
+        assert len(executor.held) == len(events)
+        for index, held in executor.held:
+            # a token is held only while this or a later event restores it
+            assert held <= {checkpoint_id for checkpoint_id, last
+                            in last_restore.items() if last >= index}
+        assert executor.tokens == {}
+        # the same work as when every token lived to the end
+        assert executor.calls == {"checkpoint": 399, "restore_reusable": 395}
+        assert replayed.describe() == (
+            "CONFIRMED: abstract states differ: ext4 vs verifs1 "
+            "(799 operation(s), 2393 event(s)) [signature]")
 
 
 # ------------------------------------------------------- observability --
