@@ -4,8 +4,7 @@ Entry points:
 
 * :func:`detect_fstype` -- identify an image by its magic;
 * :func:`check_image` -- run the right checker over one raw image;
-* :func:`check_images` -- pFSCK-style worker pool over many images
-  (results come back in input order, so the pool is deterministic);
+* :func:`check_images` -- many images, checked in input order;
 * :func:`check_mounted` -- the generic VFS-level tree checker, for
   backends with no device image (VeriFS).
 
@@ -16,8 +15,6 @@ by ``device.snapshot_image()``) and returns a list of structured
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.analysis.findings import Finding
@@ -101,22 +98,13 @@ def check_image(image: bytes, fstype: Optional[str] = None,
     return checker_class(image, **kwargs).check()
 
 
-def check_images(jobs: Iterable[Union[bytes, dict]],
-                 max_workers: Optional[int] = None) -> List[List[Finding]]:
-    """Check many images concurrently (the pFSCK-style pool).
+def check_images(jobs: Iterable[Union[bytes, dict]]) -> List[List[Finding]]:
+    """Check many images, one after another, in input order.
 
     ``jobs`` is a sequence of raw images, or dicts of :func:`check_image`
-    keyword arguments (``{"image": ..., "fstype": ..., ...}``).  Results
-    return in input order regardless of completion order, so the pool
-    adds parallelism without adding nondeterminism.
+    keyword arguments (``{"image": ..., "fstype": ..., ...}``).  The
+    checkers are pure Python and hold the GIL, so a thread pool over them
+    ran no faster than this loop (see EXPERIMENTS.md).
     """
-    normalised = [job if isinstance(job, dict) else {"image": job}
-                  for job in jobs]
-    if not normalised:
-        return []
-    if max_workers is None:
-        max_workers = min(len(normalised), os.cpu_count() or 1)
-    if max_workers <= 1 or len(normalised) == 1:
-        return [check_image(**job) for job in normalised]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda job: check_image(**job), normalised))
+    return [check_image(**job) if isinstance(job, dict)
+            else check_image(job) for job in jobs]

@@ -37,6 +37,3 @@ class BlockImage:
         if len(raw) < self.block_size:
             raw = raw + b"\x00" * (self.block_size - len(raw))
         return raw
-
-    def in_range(self, index: int) -> bool:
-        return 0 <= index < self.block_count

@@ -6,8 +6,8 @@ POSIX-visible tree stays plausible -- a leaked block, an over-counted
 link, a dirent pointing into freed space -- sails straight through.
 The oracle closes that hole: every N explored operations it syncs each
 file system under test, snapshots its device image, and runs the
-offline :mod:`repro.analysis.fsck` checkers over the images (the
-pFSCK-style pool checks them concurrently).  Any error-severity finding
+offline :mod:`repro.analysis.fsck` checkers over the images, one
+after another.  Any error-severity finding
 raises :class:`FsckCorruptionError`, a
 :class:`~repro.core.integrity.DiscrepancyError` subclass, so the
 explorer halts with a **replayable** report exactly as it does for a
@@ -17,9 +17,11 @@ Backends with no device image (the VeriFS reference implementations)
 are audited with the generic VFS-level tree checker instead.
 
 Checking time is charged to the simulated clock (``Cost.FSCK_FIXED`` +
-``Cost.FSCK_PER_BYTE`` per image byte, divided by the worker count to
-model the parallel pool), so ``fsck_every`` shows up honestly in the
-states/second numbers.
+``Cost.FSCK_PER_BYTE`` per image byte), so ``fsck_every`` shows up
+honestly in the states/second numbers.  The charge models a pFSCK-style
+parallel checker: it is divided among ``max_workers`` lanes (default
+``min(images, 4)``).  Only the charge is divided; the host checks the
+images one at a time.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ class FsckOracle:
     for device-less backends, its mounted tree) violates an invariant.
     """
 
-    def __init__(self, engine, max_workers: Optional[int] = None,
-                 charge_time: bool = True):
+    def __init__(self, engine, max_workers: Optional[int] = None):
         self.engine = engine
+        #: lanes of the modelled pFSCK pool the simulated charge is
+        #: divided among (None: one per image, at most four)
         self.max_workers = max_workers
-        self.charge_time = charge_time
         self.checks_run = 0
         self.images_checked = 0
 
@@ -70,7 +72,7 @@ class FsckOracle:
         }
 
     def _charge(self, image_bytes: int, images: int) -> None:
-        if not self.charge_time or not images:
+        if not images:
             return
         workers = self.max_workers or min(images, 4)
         cost = images * Cost.FSCK_FIXED + image_bytes * Cost.FSCK_PER_BYTE
@@ -100,7 +102,7 @@ class FsckOracle:
 
         jobs = [self._image_job(fut) for fut in with_device]
         self._charge(sum(len(job["image"]) for job in jobs), len(jobs))
-        per_image = check_images(jobs, max_workers=self.max_workers)
+        per_image = check_images(jobs)
         self.images_checked += len(jobs)
 
         labelled: List[Tuple[str, Finding]] = []

@@ -285,7 +285,7 @@ def cmd_fsck(args) -> int:
             "block_size": args.block_size,
             "erase_block_size": args.erase_block_size,
         })
-    results = check_images(jobs, max_workers=args.jobs)
+    results = check_images(jobs)
     total_errors = 0
     for path, job, findings in zip(args.image, jobs, results):
         fstype = job["fstype"] or detect_fstype(job["image"]) or "unknown"
@@ -594,9 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="block size for ext2/ext4/xfs images")
     fsck.add_argument("--erase-block-size", type=int, default=None,
                       help="erase-block size for jffs2 images")
-    fsck.add_argument("--jobs", type=int, default=None,
-                      help="worker-pool width (default: one per image, "
-                           "capped at the CPU count)")
     fsck.set_defaults(func=cmd_fsck)
 
     analyze = subparsers.add_parser(

@@ -76,10 +76,6 @@ class FilesystemUnderTest:
     def clock(self) -> SimClock:
         return self.kernel.clock
 
-    @property
-    def special_paths(self):
-        return self.fstype.special_paths if self.fstype is not None else ()
-
     def statfs(self) -> StatVFS:
         return self.kernel.statfs(self.mountpoint)
 

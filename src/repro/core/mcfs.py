@@ -68,7 +68,9 @@ class MCFSOptions:
     #: (the drivers' in-memory self-checks), this parses the raw device
     #: images, so it catches corruption the live driver cannot see.
     fsck_every: Optional[int] = None
-    #: worker-pool width for the fsck oracle's image checks
+    #: lanes of the modelled pFSCK pool: the oracle's simulated charge
+    #: is divided by this (None: one per image, at most four).  The host
+    #: checks the images one at a time either way.
     fsck_max_workers: Optional[int] = None
     #: pre-refactor checkpoint behaviour: full byte-image snapshots
     #: charged per *used* byte, and no incremental abstraction hashing.
@@ -146,22 +148,10 @@ class MCFSResult:
         return self.operations / self.sim_time if self.sim_time > 0 else 0.0
 
     @property
-    def duplicate_hit_ratio(self) -> float:
-        """Fraction of state visits the visited table answered as known."""
-        return (self.table_stats.duplicate_hit_ratio
-                if self.table_stats is not None else 0.0)
-
-    @property
     def omission_possible(self) -> bool:
         """True when a lossy store may have silently skipped states."""
         return (self.table_stats.omission_possible
                 if self.table_stats is not None else False)
-
-    @property
-    def omission_probability(self) -> float:
-        """Per-query probability a fresh state was wrongly matched."""
-        return (self.table_stats.omission_probability
-                if self.table_stats is not None else 0.0)
 
 
 class MCFS:

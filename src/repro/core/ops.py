@@ -123,11 +123,9 @@ class OperationCatalog:
         self,
         pool: ParameterPool = ParameterPool(),
         include_extended: bool = True,
-        include_meta: bool = True,
     ):
         self.pool = pool
         self.include_extended = include_extended
-        self.include_meta = include_meta
         self._operations = self._build()
 
     def operations(self) -> List[Operation]:
@@ -140,14 +138,13 @@ class OperationCatalog:
     def _build(self) -> List[Operation]:
         pool = self.pool
         ops: List[Operation] = []
-        if self.include_meta:
-            for path in pool.file_paths:
-                ops.append(Operation("create_file", (path, 0o644)))
-            for path in pool.file_paths:
-                for offset in pool.write_offsets:
-                    for size in pool.write_sizes:
-                        for fill in pool.fill_bytes:
-                            ops.append(Operation("write_file", (path, offset, size, fill)))
+        for path in pool.file_paths:
+            ops.append(Operation("create_file", (path, 0o644)))
+        for path in pool.file_paths:
+            for offset in pool.write_offsets:
+                for size in pool.write_sizes:
+                    for fill in pool.fill_bytes:
+                        ops.append(Operation("write_file", (path, offset, size, fill)))
         for path in pool.file_paths:
             for size in pool.truncate_sizes:
                 ops.append(Operation("truncate", (path, size)))
@@ -157,10 +154,9 @@ class OperationCatalog:
             ops.append(Operation("rmdir", (path,)))
         for path in pool.file_paths:
             ops.append(Operation("unlink", (path,)))
-        if self.include_meta:
-            for flags in pool.open_flag_sets:
-                for path in pool.file_paths[:2] + pool.dir_paths[:1]:
-                    ops.append(Operation("open_flags", (path, flags)))
+        for flags in pool.open_flag_sets:
+            for path in pool.file_paths[:2] + pool.dir_paths[:1]:
+                ops.append(Operation("open_flags", (path, flags)))
         if self.include_extended:
             for source in pool.file_paths[:2]:
                 for dest in pool.file_paths[:2]:

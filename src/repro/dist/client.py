@@ -53,9 +53,6 @@ class LRUSet:
             return True
         return False
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class ShippingVisitedTable(AbstractVisitedTable):
     """A per-unit local table that streams its discoveries onward.

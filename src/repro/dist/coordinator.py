@@ -55,6 +55,10 @@ from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
 from repro.mc.statestore import merge_into
 from repro.util.fieldcodec import FieldCodec
 
+#: seconds the coordinator waits on its worker pipes before it checks
+#: leases and liveness again
+POLL_INTERVAL = 0.02
+
 
 @dataclass
 class Lease:
@@ -315,7 +319,6 @@ class DistributedChecker:
         workers: int = 2,
         config: Optional[WorkerConfig] = None,
         lease_timeout: float = 15.0,
-        poll_interval: float = 0.02,
         state_file: Optional[str] = None,
         mp_context=None,
         #: fault injection: worker_id -> SIGKILL-self after N operations
@@ -326,10 +329,9 @@ class DistributedChecker:
         #: embedding hooks (the campaign server drives the fleet through
         #: these): an explicit unit subset to run instead of the spec's
         #: full partition, an external visited-state service to merge
-        #: into, and progress callbacks fired as the fleet reports
+        #: into, and a progress callback fired as the fleet reports
         units: Optional[List[WorkUnit]] = None,
         service: Optional[VisitedStateService] = None,
-        on_unit_done=None,
         on_progress=None,
     ):
         if workers < 0:
@@ -338,11 +340,9 @@ class DistributedChecker:
         self.workers = workers
         self.units_override = units
         self.external_service = service
-        self.on_unit_done = on_unit_done
         self.on_progress = on_progress
         self.config = config if config is not None else WorkerConfig()
         self.lease_timeout = lease_timeout
-        self.poll_interval = poll_interval
         self.state_file = state_file
         self.trail_dir = trail_dir
         if mp_context is None:
@@ -547,17 +547,14 @@ class DistributedChecker:
                 if record.worker_id in wall_started:
                     summary.wall_time += now - wall_started.pop(
                         record.worker_id)
-                if unit_result.index not in results:
-                    results[unit_result.index] = unit_result
-                    if self.on_unit_done is not None:
-                        self.on_unit_done(unit_result)
+                results.setdefault(unit_result.index, unit_result)
 
         while len(results) < len(units):
             connections = [record.conn for record in live()]
             if not connections:
                 self._finish_inline(units, results, service, result)
                 break
-            ready = connection_wait(connections, timeout=self.poll_interval)
+            ready = connection_wait(connections, timeout=POLL_INTERVAL)
             for conn in ready:
                 record = next(r for r in live() if r.conn is conn)
                 try:
@@ -593,8 +590,6 @@ class DistributedChecker:
             results[unit.index] = run_unit(
                 self.spec, unit, "coordinator", self.config, sink)
             result.inline_units += 1
-            if self.on_unit_done is not None:
-                self.on_unit_done(results[unit.index])
 
     def _shutdown_fleet(self, records: List[WorkerRecord]) -> None:
         for record in records:

@@ -57,8 +57,6 @@ class WorkerConfig:
     heartbeat_operations: int = 100
     #: visited-batch size before an eager flush
     batch_size: int = 64
-    #: exact LRU of shipped keys (suppresses re-sends)
-    lru_capacity: int = 1 << 16
     #: fault injection: SIGKILL ourselves after this many operations
     #: (counted across the whole worker session); None disables
     chaos_kill_after_operations: Optional[int] = None
@@ -203,7 +201,7 @@ def worker_main(conn, spec: CheckSpec, worker_id: str,
 def _worker_loop(conn, spec: CheckSpec, worker_id: str,
                  config: WorkerConfig) -> None:
     conn.send(Hello(worker_id, os.getpid()))
-    shipped_lru = LRUSet(config.lru_capacity)
+    shipped_lru = LRUSet()
     sink = PipeSink(conn, worker_id,
                     parse_store_spec(spec.state_store).key_bytes)
     session_operations = 0

@@ -65,7 +65,7 @@ from repro.kernel.stat import (
     mode_to_dtype,
 )
 from repro.kernel.vfs import FileSystemType, Mount, MountedFileSystem
-from repro.util.paths import is_subpath, normalize_path, split_path
+from repro.util.paths import normalize_path, split_path
 
 MAX_SYMLINK_DEPTH = 40
 
@@ -100,7 +100,7 @@ class Kernel:
         if mountpoint in self._mounts:
             raise FsError(EBUSY, f"{mountpoint} is already a mountpoint")
         for existing in self._mounts:
-            if is_subpath(mountpoint, existing):
+            if existing == "/" or mountpoint.startswith(existing + "/"):
                 raise FsError(EBUSY, f"{mountpoint} is inside mount {existing}")
         size_cost = (
             device.size_bytes * Cost.MOUNT_PER_BYTE if device is not None else 0.0

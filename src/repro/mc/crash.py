@@ -57,10 +57,6 @@ class CrashSweepResult:
             if o.consistent and o.legal_state is False
         ]
 
-    @property
-    def all_consistent(self) -> bool:
-        return not self.inconsistent_points
-
 
 class CrashHarness:
     """Runs a workload under power-cut sweeps for one file-system type.

@@ -58,6 +58,9 @@ StateKey = Union[str, int]
 #: a ``(key, depth)`` record as :mod:`repro.mc.records` reads it
 Record = Tuple[int, int]
 
+#: the bucket array doubles once it holds more than this share of entries
+MAX_LOAD_FACTOR = 0.75
+
 
 @dataclass
 class TableStats:
@@ -114,16 +117,6 @@ class TableStats:
                 document.get("omission_probability", 0.0)),
         )
 
-    def reset(self) -> None:
-        """Zero every counter (``omission_possible`` is sticky: it
-        describes the store *mode*, not the traffic)."""
-        self.inserts = 0
-        self.duplicate_hits = 0
-        self.resizes = 0
-        self.resize_time = 0.0
-        self.stored_bytes = 0
-        self.omission_probability = 0.0
-
 
 class AbstractVisitedTable(ABC):
     """What the explorer needs from a visited-state store.
@@ -132,6 +125,14 @@ class AbstractVisitedTable(ABC):
     (exact or hash-compacted); :mod:`repro.mc.statestore` provides
     bitstate, and :mod:`repro.dist` plugs in a shipping table that
     streams newly discovered keys to a coordinator.
+
+    The two stores a campaign can hold also share ``record_key(hash)``
+    (the integer a worker ships and a snapshot persists, see
+    :func:`repro.mc.records.key_function`), ``visit_many(records)`` (one
+    ``is_new`` flag per ``(key, depth)`` record: a whole wire batch in
+    one call) and ``visited_fingerprint()`` (a digest of the visited
+    set's content, equal for two stores of one kind holding one set
+    whatever the insertion order or worker count).
     """
 
     #: optional RAM/swap model (the explorer samples its swap usage)
@@ -150,44 +151,6 @@ class AbstractVisitedTable(ABC):
         """Insert a state hash; return True if it was new."""
         is_new, _ = self.visit(state_hash, depth=0)
         return is_new
-
-    def record_key(self, state_hash: str) -> int:
-        """The integer key this store matches ``state_hash`` on: what a
-        worker ships and a snapshot persists (see
-        :func:`repro.mc.records.key_function`)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not derive record keys")
-
-    def visit_many(self, records: Iterable[Record]) -> List[bool]:
-        """Bulk :meth:`visit` of already-derived ``(key, depth)``
-        records: one ``is_new`` flag each.
-
-        The distributed data plane moves records in batches; this is
-        the store-side entry point, so a whole wire batch costs one
-        call.  Semantically identical to
-        looping ``visit`` over the states the keys were derived from.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not accept record batches")
-
-    @property
-    def duplicate_hit_ratio(self) -> float:
-        """Fraction of visits answered from the store (effectiveness)."""
-        return self.stats.duplicate_hit_ratio
-
-    def visited_fingerprint(self) -> str:
-        """A canonical digest of the visited set's *content*.
-
-        Two stores of the same kind holding the same set report the same
-        fingerprint regardless of insertion order, worker count or data
-        plane -- the equality the distributed determinism tests assert.
-        Fingerprints are only comparable between stores of the same kind
-        (an exact set and its bitstate projection are different
-        objects).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a canonical "
-            f"visited-set fingerprint")
 
 
 class VisitedStateTable(AbstractVisitedTable):
@@ -209,7 +172,6 @@ class VisitedStateTable(AbstractVisitedTable):
 
     def __init__(self, memory: Optional[MemoryModel] = None,
                  initial_buckets: int = 1 << 10,
-                 max_load_factor: float = 0.75,
                  key_bytes: int = DIGEST_BYTES, seed: int = 0,
                  digest_fn: Optional[DigestFn] = None):
         if key_bytes == DIGEST_BYTES:
@@ -225,15 +187,10 @@ class VisitedStateTable(AbstractVisitedTable):
         self.entry_bytes = self.spec.entry_bytes
         self.memory = memory
         self.buckets = initial_buckets
-        self.initial_buckets = initial_buckets
-        self.max_load_factor = max_load_factor
         self._key_of = key_function(self.spec, seed, digest_fn)
         #: store key -> shallowest depth at which the state was reached
         self._seen: Dict[StateKey, int] = {}
         self.stats = TableStats(omission_possible=not self.exact)
-        #: callbacks invoked as resize_hook(new_buckets) -- the Figure 3
-        #: benchmark uses this to timestamp resize events.
-        self.resize_hooks = []
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -275,7 +232,7 @@ class VisitedStateTable(AbstractVisitedTable):
                 charge = self._charge_bytes()
                 self.memory.store_bytes(charge)
                 self.memory.touch_bytes(charge)
-            if len(self._seen) > self.buckets * self.max_load_factor:
+            if len(self._seen) > self.buckets * MAX_LOAD_FACTOR:
                 self._resize()
         elif depth < existing:
             self._seen[key] = depth
@@ -431,23 +388,3 @@ class VisitedStateTable(AbstractVisitedTable):
                      * len(self._seen) * scale)
             self.memory.clock.charge(cost, "hash-resize")
             self.stats.resize_time += cost
-        for hook in self.resize_hooks:
-            hook(self.buckets)
-
-    def clear(self) -> None:
-        """Empty the table and reset every observable side effect.
-
-        The stats are zeroed (a cleared table that still reports the old
-        inserts/resizes would poison any rate derived from them), the
-        memory model releases the stored states, and resize hooks are
-        notified of the bucket array shrinking back to its initial size
-        -- the same channel they use for growth, so event timelines stay
-        consistent.
-        """
-        self._seen.clear()
-        self.buckets = self.initial_buckets
-        self.stats.reset()
-        if self.memory is not None:
-            self.memory.reset()
-        for hook in self.resize_hooks:
-            hook(self.buckets)

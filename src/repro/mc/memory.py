@@ -47,11 +47,6 @@ class MemoryModel:
     stored_bytes: int = 0
 
     @property
-    def stored_states(self) -> int:
-        """Equivalent full-state count (exact-table view of the usage)."""
-        return self.stored_bytes // self.state_bytes
-
-    @property
     def ram_capacity_states(self) -> int:
         return self.ram_bytes // self.state_bytes
 
@@ -111,6 +106,3 @@ class MemoryModel:
     def touch_state(self) -> None:
         """Charge the expected cost of accessing one full stored state."""
         self.touch_bytes(self.state_bytes)
-
-    def reset(self) -> None:
-        self.stored_bytes = 0

@@ -89,10 +89,6 @@ class CostProfile:
     _spans: List[float] = field(default_factory=list, repr=False, compare=False)
 
     # ------------------------------------------------------------ recording --
-    def add(self, bucket: str, elapsed: float, count: int = 1) -> None:
-        self.seconds[bucket] += elapsed
-        self.calls[bucket] += count
-
     def timed(self, bucket: str, func: Callable, *args) -> Any:
         """Run ``func(*args)``, charging its wall time to ``bucket``.
 

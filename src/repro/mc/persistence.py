@@ -75,9 +75,10 @@ def snapshot_document(visited: AbstractVisitedTable,
                       frontier: Optional[List[int]] = None) -> Dict[str, Any]:
     """Build the (JSON-serialisable) snapshot document.
 
-    Shared by :func:`save_checker_state`, the distributed workers (which
-    ship the same document over a pipe instead of writing a file) and
-    the campaign server's spool.
+    Shared by :func:`save_checker_state`, a serialised campaign result
+    (``DistResult.to_dict``) and the campaign server's spool.  Fleet
+    workers ship no documents: they send packed ``RecordBatch`` records
+    over their pipes.
     """
     store_document = getattr(visited, "store_document", None)
     if store_document is None:

@@ -15,7 +15,7 @@ See ``docs/server.md`` for the protocol and job lifecycle.
 """
 
 from repro.server.client import ReproClient, RequestFailed, ServerUnavailable
-from repro.server.daemon import ReproServer, serve
+from repro.server.daemon import ReproServer
 from repro.server.engine import (
     BudgetExceeded,
     CampaignEngine,
@@ -46,5 +46,4 @@ __all__ = [
     "ServerUnavailable",
     "SubmitRequest",
     "UnknownJob",
-    "serve",
 ]

@@ -286,13 +286,3 @@ class ReproServer:
                 if line is None:
                     line = encode_line({"event": event.to_dict()})
                 conn.outbox.extend(line)
-
-
-def serve(socket_path: Optional[str] = None, host: Optional[str] = None,
-          port: int = 0, config: Optional[EngineConfig] = None,
-          engine: Optional[CampaignEngine] = None) -> ReproServer:
-    """Build, bind, and return a server (caller runs ``serve_forever``)."""
-    server = ReproServer(socket_path=socket_path, host=host, port=port,
-                         engine=engine, config=config)
-    server.start()
-    return server

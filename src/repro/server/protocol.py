@@ -152,10 +152,6 @@ class JobEvent(FieldCodec):
     vtime: float
     payload: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def terminal(self) -> bool:
-        return self.kind in TERMINAL_EVENTS
-
 
 # ------------------------------------------------------------------ framing --
 def encode_line(document: Dict[str, Any]) -> bytes:

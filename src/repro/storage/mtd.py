@@ -4,8 +4,9 @@ JFFS2 cannot mount a plain block device: it needs an MTD character device
 with erase-block semantics.  The paper loads ``mtdram`` (a RAM-backed MTD
 device) plus ``mtdblock`` (a block-interface shim) so Spin can mmap the MTD
 storage through the block layer.  :class:`MTDDevice` models mtdram --
-byte-readable, write-once-until-erased flash organised in erase blocks --
-and :class:`MTDBlockAdapter` models mtdblock.
+byte-readable, write-once-until-erased flash organised in erase blocks.
+No mtdblock shim is modelled: the checker snapshots the MTD device
+through its own chunk table, the same surface a block device offers.
 
 MTD storage uses the same copy-on-write chunk table as block devices, with
 one chunk per erase block: an erase installs the shared all-``0xFF`` chunk
@@ -19,12 +20,7 @@ from typing import Optional, Tuple
 
 from repro.clock import Cost, SimClock
 from repro.errors import DeviceError
-from repro.storage.device import (
-    BlockDevice,
-    ChunkedStore,
-    DeviceStats,
-    DiskSnapshot,
-)
+from repro.storage.device import ChunkedStore, DeviceStats, DiskSnapshot
 
 
 @dataclass(frozen=True)
@@ -145,66 +141,3 @@ class MTDDevice(ChunkedStore):
                 f"{self.name}: access [{offset}, {offset + length}) outside "
                 f"MTD of {self.size_bytes} bytes"
             )
-
-
-class MTDBlockAdapter(BlockDevice):
-    """The ``mtdblock`` shim: a block-device view over an MTD device.
-
-    Reads pass straight through.  Block writes implement read-modify-erase-
-    write on the underlying erase block, exactly like mtdblock's (slow)
-    emulation.  This adapter exists so the model checker can snapshot MTD
-    storage through the uniform block interface, mirroring the paper's
-    mtdram+mtdblock setup; JFFS2 itself talks to the raw MTD device.
-    """
-
-    cost_category = "mtd-io"
-
-    def __init__(self, mtd: MTDDevice, sector_size: int = 512):
-        super().__init__(mtd.size_bytes, sector_size, mtd.clock, mtd.name + "-blk")
-        self.mtd = mtd
-        # the adapter has no storage of its own; all snapshot/restore
-        # traffic flows through the MTD's chunk table
-        self._chunk_groups = []
-        self._dirty = set()
-
-    def read(self, offset: int, length: int) -> bytes:
-        self.stats.read_requests += 1
-        self.stats.bytes_read += length
-        return self.mtd.read(offset, length)
-
-    def write(self, offset: int, data: bytes) -> None:
-        """Read-modify-erase-write through whole erase blocks."""
-        if not data:
-            return
-        ebs = self.mtd.erase_block_size
-        self.stats.write_requests += 1
-        self.stats.bytes_written += len(data)
-        end = offset + len(data)
-        first_block = offset // ebs
-        last_block = (end - 1) // ebs
-        for block in range(first_block, last_block + 1):
-            block_start = block * ebs
-            current = bytearray(self.mtd.read(block_start, ebs))
-            lo = max(offset, block_start) - block_start
-            hi = min(end, block_start + ebs) - block_start
-            current[lo:hi] = data[
-                max(offset, block_start) - offset : min(end, block_start + ebs) - offset
-            ]
-            self.mtd.erase_block(block)
-            self.mtd.write(block_start, bytes(current))
-
-    @property
-    def dirty_bytes_since_snapshot(self) -> int:
-        return self.mtd.dirty_bytes_since_snapshot
-
-    def snapshot_chunks(self) -> DiskSnapshot:
-        return self.mtd.snapshot_chunks()
-
-    def restore_snapshot(self, snapshot: DiskSnapshot) -> int:
-        return self.mtd.restore_snapshot(snapshot)
-
-    def snapshot_image(self) -> bytes:
-        return self.mtd.snapshot_image()
-
-    def restore_image(self, image: bytes) -> None:
-        self.mtd.restore_image(image)

@@ -2,16 +2,14 @@
 
 Linux's stock ``brd`` driver requires every RAM disk to share one size;
 the authors patched it ("renamed brd2") to allow per-device sizes because
-XFS needs a 16 MB minimum while ext2/ext4 run on 256 KB devices.  The
-:class:`RamDiskRegistry` models the patched driver: a module-like factory
-that hands out independently sized RAM disks.
+XFS needs a 16 MB minimum while ext2/ext4 run on 256 KB devices.  Here
+every :class:`RAMBlockDevice` takes its own size, which is all the patch
+was for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.clock import Cost, SimClock
+from repro.clock import Cost
 from repro.storage.device import BlockDevice
 
 
@@ -21,41 +19,3 @@ class RAMBlockDevice(BlockDevice):
     cost_category = "ram-io"
     access_cost = Cost.RAM_ACCESS
     per_byte_cost = Cost.RAM_PER_BYTE
-
-
-class RamDiskRegistry:
-    """The ``brd2`` module: creates RAM disks of *different* sizes.
-
-    The stock-driver restriction is modelled too: constructing the registry
-    with ``uniform_size`` set emulates unpatched ``brd``, which rejects
-    requests for a different size -- the behaviour that forced the authors
-    to patch the driver.
-    """
-
-    def __init__(self, clock: Optional[SimClock] = None, uniform_size: Optional[int] = None):
-        self.clock = clock if clock is not None else SimClock()
-        self.uniform_size = uniform_size
-        self._devices: Dict[str, RAMBlockDevice] = {}
-
-    def create(self, name: str, size_bytes: int, sector_size: int = 512) -> RAMBlockDevice:
-        """Create and register a RAM disk named ``name``."""
-        if name in self._devices:
-            raise ValueError(f"RAM disk {name!r} already exists")
-        if self.uniform_size is not None and size_bytes != self.uniform_size:
-            raise ValueError(
-                f"stock brd requires all RAM disks to be {self.uniform_size} "
-                f"bytes; use the patched driver (uniform_size=None) for "
-                f"{size_bytes}-byte disks"
-            )
-        device = RAMBlockDevice(size_bytes, sector_size, self.clock, name)
-        self._devices[name] = device
-        return device
-
-    def get(self, name: str) -> RAMBlockDevice:
-        return self._devices[name]
-
-    def remove(self, name: str) -> None:
-        del self._devices[name]
-
-    def __len__(self) -> int:
-        return len(self._devices)

@@ -65,20 +65,6 @@ class Bitmap:
             self.set(index)
         return index
 
-    def allocate_run(self, count: int) -> Optional[int]:
-        """Allocate ``count`` contiguous bits; return the first index."""
-        if count <= 0:
-            raise ValueError("run length must be positive")
-        run = 0
-        for index in range(self.nbits):
-            run = run + 1 if not self.get(index) else 0
-            if run == count:
-                first = index - count + 1
-                for bit in range(first, first + count):
-                    self.set(bit)
-                return first
-        return None
-
     # -- accounting and serialisation -------------------------------------------
     @property
     def set_count(self) -> int:

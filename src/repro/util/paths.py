@@ -62,27 +62,3 @@ def split_path(path: str) -> Tuple[str, str]:
         return "/", ""
     parent, _, name = path.rpartition("/")
     return parent or "/", name
-
-
-def join_path(parent: str, name: str) -> str:
-    """Join a directory path and a single component."""
-    if parent.endswith("/"):
-        return normalize_path(parent + name)
-    return normalize_path(parent + "/" + name)
-
-
-def path_components(path: str) -> List[str]:
-    """Return the list of components of a normalised path (root -> [])."""
-    path = normalize_path(path)
-    if path == "/":
-        return []
-    return path[1:].split("/")
-
-
-def is_subpath(path: str, ancestor: str) -> bool:
-    """True when ``path`` is ``ancestor`` or lives beneath it."""
-    path = normalize_path(path)
-    ancestor = normalize_path(ancestor)
-    if ancestor == "/":
-        return True
-    return path == ancestor or path.startswith(ancestor + "/")

@@ -143,15 +143,6 @@ class OpProfile:
                 return weight
         return 1.0
 
-    def describe(self) -> str:
-        flags = []
-        if self.boundary:
-            flags.append("boundary args")
-        if self.steer:
-            flags.append("coverage-steered")
-        suffix = f" ({', '.join(flags)})" if flags else ""
-        return f"{self.name}{suffix}"
-
 
 def _full_weights(overrides: Dict[str, float]) -> Tuple[Tuple[str, float], ...]:
     return tuple((name, float(overrides.get(name, 1.0))) for name in OP_CLASSES)

@@ -74,23 +74,6 @@ class TestAllocation:
         assert bitmap.find_free() == 0
         assert bitmap.set_count == 0
 
-    def test_allocate_run_contiguous(self):
-        bitmap = Bitmap(10)
-        bitmap.set(1)
-        start = bitmap.allocate_run(3)
-        assert start == 2
-        assert all(bitmap.get(i) for i in range(2, 5))
-
-    def test_allocate_run_no_space(self):
-        bitmap = Bitmap(4)
-        bitmap.set(1)
-        bitmap.set(3)
-        assert bitmap.allocate_run(2) is None
-
-    def test_allocate_run_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Bitmap(4).allocate_run(0)
-
 
 class TestSerialization:
     def test_roundtrip(self):

@@ -1,4 +1,4 @@
-"""Tests for RAM/HDD/SSD block devices and the brd2 registry."""
+"""Tests for RAM/HDD/SSD block devices."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +8,6 @@ from repro.errors import DeviceError
 from repro.storage import (
     HDDBlockDevice,
     RAMBlockDevice,
-    RamDiskRegistry,
     SSDBlockDevice,
 )
 
@@ -103,34 +102,6 @@ class TestSnapshotRestore:
         image = device.snapshot_image()
         device.write(0, b"changed")
         assert image[:7] == b"\x00" * 7
-
-
-class TestRamDiskRegistry:
-    def test_patched_driver_allows_different_sizes(self):
-        registry = RamDiskRegistry()
-        a = registry.create("ram0", 256 * 1024)
-        b = registry.create("ram1", 16 * 1024 * 1024)
-        assert a.size_bytes != b.size_bytes
-        assert len(registry) == 2
-
-    def test_stock_driver_requires_uniform_size(self):
-        registry = RamDiskRegistry(uniform_size=256 * 1024)
-        registry.create("ram0", 256 * 1024)
-        with pytest.raises(ValueError):
-            registry.create("ram1", 16 * 1024 * 1024)
-
-    def test_duplicate_name_rejected(self):
-        registry = RamDiskRegistry()
-        registry.create("ram0", 1024)
-        with pytest.raises(ValueError):
-            registry.create("ram0", 1024)
-
-    def test_get_and_remove(self):
-        registry = RamDiskRegistry()
-        device = registry.create("ram0", 1024)
-        assert registry.get("ram0") is device
-        registry.remove("ram0")
-        assert len(registry) == 0
 
 
 @given(st.data())

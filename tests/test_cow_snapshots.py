@@ -28,7 +28,7 @@ from repro.errors import DeviceError
 from repro.fs.ext2 import Ext2FileSystemType
 from repro.storage.device import DiskSnapshot
 from repro.storage.fault import PowerCutDevice, PowerCutMTD
-from repro.storage.mtd import MTDBlockAdapter, MTDDevice
+from repro.storage.mtd import MTDDevice
 
 CHUNK = 4096
 
@@ -155,16 +155,6 @@ class TestMTDAndFaultProxies:
         assert mtd.dirty_bytes_since_snapshot == mtd.erase_block_size
         mtd.restore_snapshot(snapshot)
         assert mtd.read(0, 16) == b"\xff" * 16
-
-    def test_mtd_block_adapter_delegates_to_mtd(self):
-        mtd = MTDDevice(64 * 1024, clock=SimClock(), name="mtd")
-        adapter = MTDBlockAdapter(mtd)
-        adapter.write(0, b"hello")
-        snapshot = adapter.snapshot_chunks()
-        assert snapshot.device_name == mtd.name
-        adapter.write(0, b"WORLD")
-        adapter.restore_snapshot(snapshot)
-        assert adapter.read(0, 5) == b"hello"
 
     def test_power_cut_proxies_delegate_cow_surface(self):
         inner = make_device()

@@ -94,12 +94,10 @@ class TestVisitedStateTable:
         clock = SimClock()
         memory = MemoryModel(clock=clock, ram_bytes=1 << 30, state_bytes=1)
         table = VisitedStateTable(memory=memory, initial_buckets=8)
-        events = []
-        table.resize_hooks.append(events.append)
         for index in range(20):
             table.add(f"h{index}")
-        assert table.stats.resizes >= 1
-        assert events and events[0] == 16
+        assert table.stats.resizes == 2  # 8 -> 16 at 7 states, -> 32 at 13
+        assert table.buckets == 32
         assert clock.by_category.get("hash-resize", 0) > 0
 
     def test_duplicate_stats(self):
@@ -109,12 +107,6 @@ class TestVisitedStateTable:
         table.add("a")
         assert table.stats.inserts == 1
         assert table.stats.duplicate_hits == 2
-
-    def test_clear(self):
-        table = VisitedStateTable()
-        table.add("a")
-        table.clear()
-        assert len(table) == 0
 
 
 class CounterTarget(ExplorationTarget):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.clock import SimClock
 from repro.errors import DeviceError
-from repro.storage.mtd import MTDBlockAdapter, MTDDevice
+from repro.storage.mtd import MTDDevice
 
 
 @pytest.fixture
@@ -120,36 +120,3 @@ class TestSnapshotRestore:
     def test_wrong_size_rejected(self, mtd):
         with pytest.raises(DeviceError):
             mtd.restore_image(b"x")
-
-
-class TestBlockAdapter:
-    def test_read_passthrough(self, mtd):
-        adapter = MTDBlockAdapter(mtd)
-        mtd.write(0, b"\xaa\xbb")
-        assert adapter.read(0, 2) == b"\xaa\xbb"
-
-    def test_write_does_read_modify_erase_write(self, mtd):
-        adapter = MTDBlockAdapter(mtd)
-        mtd.write(0, b"\x11" * 8)
-        adapter.write(4, b"\x22" * 2)  # overwrite middle; needs erase cycle
-        assert mtd.read(0, 8) == b"\x11" * 4 + b"\x22" * 2 + b"\x11" * 2
-        assert mtd.stats.erases >= 1
-
-    def test_write_spanning_erase_blocks(self, mtd):
-        adapter = MTDBlockAdapter(mtd)
-        boundary = mtd.erase_block_size
-        adapter.write(boundary - 2, b"\x01\x02\x03\x04")
-        assert mtd.read(boundary - 2, 4) == b"\x01\x02\x03\x04"
-
-    def test_snapshot_goes_through_to_mtd(self, mtd):
-        adapter = MTDBlockAdapter(mtd)
-        mtd.write(0, b"\x42")
-        image = adapter.snapshot_image()
-        mtd.erase_block(0)
-        adapter.restore_image(image)
-        assert mtd.read(0, 1) == b"\x42"
-
-    def test_empty_write_is_noop(self, mtd):
-        adapter = MTDBlockAdapter(mtd)
-        adapter.write(0, b"")
-        assert mtd.stats.erases == 0

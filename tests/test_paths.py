@@ -3,16 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import EINVAL, ENAMETOOLONG, FsError
-from repro.util.paths import (
-    NAME_MAX,
-    PATH_MAX,
-    is_subpath,
-    join_path,
-    normalize_path,
-    path_components,
-    split_path,
-)
+from repro.errors import EBUSY, EINVAL, ENAMETOOLONG, FsError
+from repro.fs import Ext2FileSystemType
+from repro.kernel import Kernel
+from repro.storage import RAMBlockDevice
+from repro.util.paths import NAME_MAX, PATH_MAX, normalize_path, split_path
 
 
 class TestNormalize:
@@ -63,27 +58,40 @@ class TestSplitJoin:
     def test_split_root(self):
         assert split_path("/") == ("/", "")
 
-    def test_join(self):
-        assert join_path("/a", "b") == "/a/b"
-        assert join_path("/", "b") == "/b"
-
-    def test_components(self):
-        assert path_components("/") == []
-        assert path_components("/a/b") == ["a", "b"]
-
 
 class TestSubpath:
-    def test_self(self):
-        assert is_subpath("/a/b", "/a/b")
+    """The subpath rule as ``Kernel.mount`` applies it: no mount may sit
+    at or beneath an existing mountpoint."""
 
-    def test_child(self):
-        assert is_subpath("/a/b/c", "/a/b")
+    @staticmethod
+    def mount(kernel, mountpoint):
+        fstype = Ext2FileSystemType()
+        device = RAMBlockDevice(256 * 1024, clock=kernel.clock)
+        fstype.mkfs(device)
+        kernel.mount(fstype, device, mountpoint)
 
-    def test_sibling_prefix_not_subpath(self):
-        assert not is_subpath("/a/bc", "/a/b")
+    def refused(self, clock, existing, mountpoint):
+        kernel = Kernel(clock)
+        self.mount(kernel, existing)
+        with pytest.raises(FsError) as excinfo:
+            self.mount(kernel, mountpoint)
+        return excinfo.value.code == EBUSY
 
-    def test_root_is_ancestor_of_all(self):
-        assert is_subpath("/anything", "/")
+    def test_self(self, clock):
+        assert self.refused(clock, "/a/b", "/a/b")
+
+    def test_child(self, clock):
+        assert self.refused(clock, "/a/b", "/a/b/c")
+
+    def test_sibling_prefix_not_subpath(self, clock):
+        kernel = Kernel(clock)
+        self.mount(kernel, "/a/b")
+        self.mount(kernel, "/a/bc")
+        assert sorted(m.mountpoint for m in kernel.mounts()) == \
+            ["/a/b", "/a/bc"]
+
+    def test_root_is_ancestor_of_all(self, clock):
+        assert self.refused(clock, "/", "/anything")
 
 
 @st.composite
@@ -108,7 +116,7 @@ def test_property_split_join_roundtrip(components):
     if path == "/":
         return
     parent, name = split_path(path)
-    assert join_path(parent, name) == path
+    assert parent.rstrip("/") + "/" + name == path
 
 
 @given(safe_components())

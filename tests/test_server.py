@@ -241,6 +241,40 @@ class TestEventStream:
         assert all(event.seq >= only_second[0].seq for event in tail)
 
 
+class TestJobFailure:
+    def test_a_raising_slice_fails_its_job_only(self, baseline, tmp_path,
+                                                monkeypatch):
+        """A campaign that raises mid-slice ends ``failed`` with the
+        error; the engine, the other job and the spool carry on."""
+        broken = dataclasses.replace(SPEC, base_seed=99)
+        run = DistributedChecker.run
+
+        def run_or_raise(checker):
+            if checker.spec == broken:
+                raise RuntimeError("slice exploded")
+            return run(checker)
+
+        monkeypatch.setattr(DistributedChecker, "run", run_or_raise)
+        spool = str(tmp_path / "spool")
+        engine = CampaignEngine(EngineConfig(slots=2, spool_dir=spool))
+        bad = submit(engine, spec=broken)
+        good = submit(engine)
+        engine.run_until_idle()
+
+        assert bad.state == "failed"
+        assert bad.error == "RuntimeError: slice exploded"
+        assert [(event.job_id, event.payload) for event in engine.events
+                if event.kind == "failed"] == \
+            [(bad.job_id, {"error": bad.error})]
+        assert good.state == "done"
+        assert fingerprint(engine.result(good.job_id)) == \
+            fingerprint(baseline)
+
+        reborn = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
+        restored = reborn.job(bad.job_id)
+        assert (restored.state, restored.error) == ("failed", bad.error)
+
+
 # -------------------------------------------------------- pause / resume --
 class TestPauseResume:
     def test_pause_lands_at_unit_boundary(self):

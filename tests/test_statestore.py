@@ -351,36 +351,6 @@ class TestPersistenceV3:
             store_from_document({"kind": "martian"})
 
 
-# ------------------------------------------------- satellite: clear() stats
-class TestClearResetsEverything:
-    def test_clear_zeroes_stats_and_buckets(self):
-        """A cleared table reporting stale inserts/resizes poisons every
-        rate derived from its stats (the bug this release fixes)."""
-        memory = MemoryModel(clock=SimClock(), ram_bytes=1 << 30,
-                             swap_bytes=1 << 30, state_bytes=1 << 20)
-        table = VisitedStateTable(memory=memory, initial_buckets=8)
-        events = []
-        table.resize_hooks.append(events.append)
-        for state_hash in hashes(50):
-            table.visit(state_hash)
-            table.visit(state_hash)  # a duplicate hit each
-        assert table.stats.resizes > 0
-        table.clear()
-        assert len(table) == 0
-        assert table.buckets == 8
-        assert table.stats.inserts == 0
-        assert table.stats.duplicate_hits == 0
-        assert table.stats.resizes == 0
-        assert table.stats.stored_bytes == 0
-        assert memory.stored_bytes == 0
-        assert events[-1] == 8  # hooks saw the shrink
-
-    def test_sticky_omission_mode_survives_reset(self):
-        table = BitstateTable(bits=1 << 16)
-        table.stats.reset()
-        assert table.stats.omission_possible  # mode, not traffic
-
-
 # ------------------------------------------------------------ swarm wiring
 class TestSwarmStores:
     """A fleet's members keep private stores of the campaign's kind and

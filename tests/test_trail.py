@@ -288,6 +288,40 @@ class TestCaptureReplayMinimize:
         assert replay_trail(minimized.trail).confirmed
 
 
+class TestFsckEventReplay:
+    """A walk with the fsck oracle on records FSCK events; replay runs the
+    oracle at each one (``TrailExecutor._fsck``)."""
+
+    def test_replay_runs_the_oracle_and_minimises(self, tmp_path,
+                                                  monkeypatch):
+        from repro.analysis.oracle import FsckOracle
+
+        spec = CheckSpec(filesystems=("verifs1", "verifs2"),
+                         verifs_bugs=("size-update-on-capacity-only",),
+                         pool="data-heavy", fsck_every=2, mode="random",
+                         base_seed=1)
+        result = spec.run(trail_dir=str(tmp_path))
+        trail = Trail.load(result.trail_path)
+        assert (trail.operations, trail.events) == (9, 35)
+        assert any(event[0] == trace.FSCK for event in trail.report.schedule)
+
+        checks = []
+        oracle_call = FsckOracle.__call__
+
+        def counted(oracle):
+            checks.append(oracle)
+            return oracle_call(oracle)
+
+        monkeypatch.setattr(FsckOracle, "__call__", counted)
+        verdict = replay_trail(trail)
+        assert checks, "replay never ran the fsck oracle"
+        assert verdict.status == "CONFIRMED", verdict.describe()
+
+        minimized = minimize_trail(trail).trail
+        assert minimized.operations == 2
+        assert replay_trail(minimized).describe().endswith("[exact]")
+
+
 class TestReplayVerdicts:
     def test_not_reproduced_when_bug_removed(self, tmp_path):
         # simulate a fixed bug (or a determinism failure): same schedule,
