@@ -238,9 +238,9 @@ class Ext2ImageChecker:
                                           f"{size_blocks} blocks",
                                           location=f"ino {ino}", severity="warn",
                                           file_block=file_block)
-        if inode.flags:  # the xattr block pointer
+        if inode.xattr_block:
             mapped += 1
-            self._claim(inode.flags, ino, "xattr block", claims)
+            self._claim(inode.xattr_block, ino, "xattr block", claims)
         if mapped != inode.nblocks:
             self._finding("nblocks-mismatch",
                           f"ino {ino} says nblocks={inode.nblocks} but maps "

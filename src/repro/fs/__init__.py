@@ -16,6 +16,12 @@ jffs2             always 0                         MTD (erase-block) device
 
 getdents ordering also differs: ext2/ext4 return insertion order, xfs
 returns name-hash order, jffs2 returns log-discovery order.
+
+The three block file systems share one POSIX layer,
+:class:`repro.fs.base.MountedBlockFileSystem`: namespace and xattr
+operations, the inode cache and the data path are written once there, and
+``ext2``/``ext4``/``xfs`` supply only their on-disk formats.  jffs2 is
+log-structured and keeps its own.
 """
 
 from repro.fs.base import BufferCache

@@ -24,51 +24,20 @@ to demonstrate that corruption.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import (
-    EEXIST,
-    EINVAL,
-    EIO,
-    EISDIR,
-    ENODATA,
-    ENOENT,
-    ENOSPC,
-    ENOTDIR,
-    ENOTEMPTY,
-    ERANGE,
-    EFBIG,
-    FsError,
-)
-from repro.fs.base import (BufferCache, pack_dirent, pack_xattrs,
-                           unpack_dirents, unpack_xattrs)
-from repro.kernel.stat import (
-    DT_DIR,
-    DT_LNK,
-    DT_REG,
-    Dirent,
-    S_IFDIR,
-    S_IFLNK,
-    S_IFMT,
-    S_IFREG,
-    StatResult,
-    StatVFS,
-    mode_to_dtype,
-)
-from repro.kernel.vfs import FileSystemType, MountedFileSystem
+from repro.errors import EFBIG, EINVAL, ENOSPC, FsError
+from repro.fs.base import (BufferCache, InodeRecord, MountedBlockFileSystem,
+                           pack_dirent, read_region)
+from repro.kernel.stat import DT_DIR, S_IFDIR, StatVFS
+from repro.kernel.vfs import FileSystemType
 from repro.util.bitmap import Bitmap
-
-# <sys/xattr.h> setxattr flags (shared by every xattr-capable fs here)
-XATTR_CREATE = 1
-XATTR_REPLACE = 2
 
 MAGIC = b"SIMEXT2\x00"
 SUPER_FMT = "<8sIIIIIQ"  # magic, version, block_size, blocks, inodes, first_data, generation
 SUPER_SIZE = struct.calcsize(SUPER_FMT)
 
 INODE_FMT = "<4IQ3dI12III"  # mode,uid,gid,nlink, size, a/m/ctime, nblocks, direct[12], indirect, xattr block
-# the final u32 of the record ("flags") holds the xattr block pointer
 INODE_SIZE = 128
 DIRECT_POINTERS = 12
 
@@ -76,12 +45,12 @@ ROOT_INO = 2
 FIRST_FREE_INO = 3  # ino 1 reserved (bad blocks), 2 is root
 
 
-class Ext2Inode:
+class Ext2Inode(InodeRecord):
     """In-memory image of one on-disk inode record."""
 
     __slots__ = (
         "ino", "mode", "uid", "gid", "nlink", "size",
-        "atime", "mtime", "ctime", "nblocks", "direct", "indirect", "flags",
+        "atime", "mtime", "ctime", "nblocks", "direct", "indirect", "xattr_block",
     )
 
     def __init__(self, ino: int):
@@ -97,14 +66,14 @@ class Ext2Inode:
         self.nblocks = 0
         self.direct = [0] * DIRECT_POINTERS
         self.indirect = 0
-        self.flags = 0
+        self.xattr_block = 0
 
     def pack(self) -> bytes:
         raw = struct.pack(
             INODE_FMT,
             self.mode, self.uid, self.gid, self.nlink,
             self.size, self.atime, self.mtime, self.ctime,
-            self.nblocks, *self.direct, self.indirect, self.flags,
+            self.nblocks, *self.direct, self.indirect, self.xattr_block,
         )
         return raw + b"\x00" * (INODE_SIZE - len(raw))
 
@@ -117,16 +86,8 @@ class Ext2Inode:
          inode.nblocks) = fields[:9]
         inode.direct = list(fields[9 : 9 + DIRECT_POINTERS])
         inode.indirect = fields[9 + DIRECT_POINTERS]
-        inode.flags = fields[10 + DIRECT_POINTERS]
+        inode.xattr_block = fields[10 + DIRECT_POINTERS]
         return inode
-
-    @property
-    def is_dir(self) -> bool:
-        return (self.mode & S_IFMT) == S_IFDIR
-
-    @property
-    def is_symlink(self) -> bool:
-        return (self.mode & S_IFMT) == S_IFLNK
 
 
 class Ext2Geometry:
@@ -152,36 +113,51 @@ class Ext2Geometry:
         self.inodes_per_block = inodes_per_block
 
 
-class Ext2FileSystemType(FileSystemType):
-    """mkfs + mount entry points for SimExt2."""
 
-    name = "ext2"
-    min_device_size = 64 * 1024
-    special_paths = ("/lost+found",)
 
-    def __init__(self, block_size: int = 1024,
-                 cache_blocks: Optional[int] = None,
-                 inode_cache_capacity: Optional[int] = None):
-        self.block_size = block_size
-        self.cache_blocks = cache_blocks
-        self.inode_cache_capacity = inode_cache_capacity
+class MountedExt2(MountedBlockFileSystem):
+    """A live SimExt2 instance: buffer cache + in-memory metadata."""
 
-    def _make_cache(self, device) -> BufferCache:
-        if self.cache_blocks is not None:
-            return BufferCache(device, self.block_size, self.cache_blocks)
-        return BufferCache(device, self.block_size)
+    ROOT_INO = ROOT_INO
+    MAGIC = MAGIC
+    LABEL = "SimExt2"
+    INODE_CLASS = Ext2Inode
+    INODE_SIZE = INODE_SIZE
+    #: a write keeps one block back for the indirect block it may need
+    WRITE_RESERVE = 1
 
-    def _apply_tuning(self, fs: "MountedExt2") -> "MountedExt2":
-        if self.inode_cache_capacity is not None:
-            fs.INODE_CACHE_CAPACITY = self.inode_cache_capacity
-        return fs
+    def __init__(self, device, block_size: int, cache: Optional[BufferCache] = None):
+        if cache is None:
+            cache = BufferCache(device, block_size)
+        super_raw = cache.read_block(0)
+        magic, version, sb_block_size, blocks, inodes, first_data, generation = (
+            struct.unpack(SUPER_FMT, super_raw[:SUPER_SIZE])
+        )
+        if magic != self.MAGIC:
+            raise FsError(EINVAL, f"not a {self.LABEL} file system (magic {magic!r})")
+        if sb_block_size != block_size:
+            raise FsError(EINVAL, f"superblock says block size {sb_block_size}, mounted with {block_size}")
+        geometry = self._geometry(device.size_bytes, block_size)
+        self._check_super_geometry(geometry, blocks, inodes, first_data)
+        self._recover(cache, geometry)
+        block_bitmap, inode_bitmap = self._read_bitmaps(cache, geometry)
+        self._init_raw(device, cache, geometry, block_bitmap, inode_bitmap)
+        self.generation = generation
 
-    def mkfs(self, device) -> None:
-        if device.size_bytes < (self.min_device_size or 0):
-            raise FsError(EINVAL, f"{self.name} needs >= {self.min_device_size} bytes")
-        geometry = Ext2Geometry(device.size_bytes, self.block_size)
-        cache = self._make_cache(device)
-        # zero everything first
+    def _geometry(self, device_size: int, block_size: int) -> Ext2Geometry:
+        return Ext2Geometry(device_size, block_size)
+
+    def _recover(self, cache: BufferCache, geo: Ext2Geometry) -> None:
+        """Make the on-disk metadata trustworthy before it is read; ext2
+        has no journal to replay."""
+
+    def _init_raw(self, device, cache, geometry, block_bitmap, inode_bitmap) -> None:
+        self._init_common(device, cache, geometry, block_bitmap)
+        self.inode_bitmap = inode_bitmap
+
+    @classmethod
+    def _mkfs(cls, device, cache: BufferCache, geometry: Ext2Geometry) -> None:
+        """Format the device: zeroed metadata, root and ``lost+found``."""
         for block in range(geometry.block_count):
             cache.write_block(block, b"")
         block_bitmap = Bitmap(geometry.block_count)
@@ -191,9 +167,10 @@ class Ext2FileSystemType(FileSystemType):
         inode_bitmap.set(0)  # ino 1, reserved
 
         now = device.clock.now
-        fs = MountedExt2.__new__(MountedExt2)
+        fs = cls.__new__(cls)
         fs._init_raw(device, cache, geometry, block_bitmap, inode_bitmap)
-        root = fs._alloc_inode_exact(ROOT_INO)
+        fs.inode_bitmap.set(ROOT_INO - 1)
+        root = fs._new_inode(ROOT_INO)
         root.mode = S_IFDIR | 0o755
         root.nlink = 2
         root.atime = root.mtime = root.ctime = now
@@ -211,51 +188,6 @@ class Ext2FileSystemType(FileSystemType):
         root.nlink += 1
         fs._store_inode(root)
         fs.sync()
-
-    def mount(self, device, kernel=None) -> "MountedExt2":
-        return self._apply_tuning(
-            MountedExt2(device, self.block_size, cache=self._make_cache(device))
-        )
-
-
-class MountedExt2(MountedFileSystem):
-    """A live SimExt2 instance: buffer cache + in-memory metadata."""
-
-    ROOT_INO = ROOT_INO
-
-    def __init__(self, device, block_size: int, cache: Optional[BufferCache] = None):
-        if cache is None:
-            cache = BufferCache(device, block_size)
-        super_raw = cache.read_block(0)
-        magic, version, sb_block_size, blocks, inodes, first_data, generation = (
-            struct.unpack(SUPER_FMT, super_raw[:SUPER_SIZE])
-        )
-        if magic != MAGIC:
-            raise FsError(EINVAL, f"not a SimExt2 file system (magic {magic!r})")
-        if sb_block_size != block_size:
-            raise FsError(EINVAL, f"superblock says block size {sb_block_size}, mounted with {block_size}")
-        geometry = Ext2Geometry(device.size_bytes, block_size)
-        self._check_super_geometry(geometry, blocks, inodes, first_data)
-        block_bitmap, inode_bitmap = self._read_bitmaps(cache, geometry)
-        self._init_raw(device, cache, geometry, block_bitmap, inode_bitmap)
-        self.generation = generation
-
-    #: in-memory inode cache capacity; bounded like the kernel's icache so
-    #: that evicted inodes are re-read from disk (which is how a disk
-    #: restored under a live mount manifests as zeroed-inode corruption).
-    INODE_CACHE_CAPACITY = 32
-
-    def _init_raw(self, device, cache, geometry, block_bitmap, inode_bitmap) -> None:
-        self.device = device
-        self.clock = device.clock
-        self.cache = cache
-        self.geo = geometry
-        self.block_bitmap = block_bitmap
-        self.inode_bitmap = inode_bitmap
-        self._inode_cache: "OrderedDict[int, Ext2Inode]" = OrderedDict()
-        self._dirty_inodes: Set[int] = set()
-        self.generation = 0
-        self._alive = True
 
     @staticmethod
     def _check_super_geometry(geo: Ext2Geometry, blocks: int, inodes: int,
@@ -276,138 +208,45 @@ class MountedExt2(MountedFileSystem):
 
     @staticmethod
     def _read_bitmaps(cache: BufferCache, geo: Ext2Geometry) -> Tuple[Bitmap, Bitmap]:
-        raw = b"".join(
-            cache.read_block(geo.block_bitmap_start + i)
-            for i in range(geo.block_bitmap_blocks)
-        )
+        raw = read_region(cache, geo.block_bitmap_start, geo.block_bitmap_blocks)
         block_bitmap = Bitmap.from_bytes(raw, geo.block_count)
-        raw = b"".join(
-            cache.read_block(geo.inode_bitmap_start + i)
-            for i in range(geo.inode_bitmap_blocks)
-        )
-        inode_bitmap = Bitmap.from_bytes(raw, geo.inode_count)
-        return block_bitmap, inode_bitmap
-
-    # ------------------------------------------------------------- lifecycle --
-    def sync(self) -> None:
-        self._check_alive()
-        for ino in sorted(self._dirty_inodes):
-            self._write_inode_to_cache(self._inode_cache[ino])
-        self._dirty_inodes.clear()
-        self._write_bitmaps()
-        self._write_super(self.generation)
-        self.cache.flush()
-
-    def unmount(self) -> None:
-        self.sync()
-        self.cache.drop()
-        self._inode_cache.clear()
-        self._alive = False
-
-    def _check_alive(self) -> None:
-        if not self._alive:
-            raise FsError(EIO, "file system is unmounted")
+        raw = read_region(cache, geo.inode_bitmap_start, geo.inode_bitmap_blocks)
+        return block_bitmap, Bitmap.from_bytes(raw, geo.inode_count)
 
     def _write_super(self, generation: int) -> None:
         raw = struct.pack(
-            SUPER_FMT, MAGIC, 1, self.geo.block_size,
+            SUPER_FMT, self.MAGIC, 1, self.geo.block_size,
             self.geo.block_count, self.geo.inode_count,
             self.geo.first_data_block, generation,
         )
         self.cache.write_block(0, raw)
 
-    def _write_bitmaps(self) -> None:
-        bs = self.geo.block_size
-        raw = self.block_bitmap.to_bytes()
-        for i in range(self.geo.block_bitmap_blocks):
-            self.cache.write_block(self.geo.block_bitmap_start + i, raw[i * bs : (i + 1) * bs])
-        raw = self.inode_bitmap.to_bytes()
-        for i in range(self.geo.inode_bitmap_blocks):
-            self.cache.write_block(self.geo.inode_bitmap_start + i, raw[i * bs : (i + 1) * bs])
+    def _write_tables(self) -> None:
+        geo = self.geo
+        self._write_region(geo.block_bitmap_start, geo.block_bitmap_blocks,
+                           self.block_bitmap.to_bytes())
+        self._write_region(geo.inode_bitmap_start, geo.inode_bitmap_blocks,
+                           self.inode_bitmap.to_bytes())
 
     # ------------------------------------------------------- inode management --
     def _inode_location(self, ino: int) -> Tuple[int, int]:
+        if not 1 <= ino <= self.geo.inode_count:
+            raise FsError(EINVAL, f"inode {ino} out of range")
         index = ino - 1
         block = self.geo.inode_table_start + index // self.geo.inodes_per_block
         offset = (index % self.geo.inodes_per_block) * INODE_SIZE
         return block, offset
 
-    def _load_inode(self, ino: int) -> Ext2Inode:
-        self._check_alive()
-        if not 1 <= ino <= self.geo.inode_count:
-            raise FsError(EINVAL, f"inode {ino} out of range")
-        cached = self._inode_cache.get(ino)
-        if cached is not None:
-            self._inode_cache.move_to_end(ino)
-            return cached
-        block, offset = self._inode_location(ino)
-        raw = self.cache.read_block(block)[offset : offset + INODE_SIZE]
-        inode = Ext2Inode.unpack(ino, raw)
-        self._inode_cache[ino] = inode
-        self._evict_inodes()
-        return inode
-
-    def _store_inode(self, inode: Ext2Inode) -> None:
-        self._inode_cache[inode.ino] = inode
-        self._inode_cache.move_to_end(inode.ino)
-        self._dirty_inodes.add(inode.ino)
-        self._evict_inodes()
-
-    def _evict_inodes(self) -> None:
-        """Shrink the inode cache (dirty victims are written back first)."""
-        while len(self._inode_cache) > self.INODE_CACHE_CAPACITY:
-            victim_ino = next(iter(self._inode_cache))
-            victim = self._inode_cache.pop(victim_ino)
-            if victim_ino in self._dirty_inodes:
-                self._write_inode_to_cache(victim)
-                self._dirty_inodes.discard(victim_ino)
-
-    def _write_inode_to_cache(self, inode: Ext2Inode) -> None:
-        block, offset = self._inode_location(inode.ino)
-        raw = bytearray(self.cache.read_block(block))
-        raw[offset : offset + INODE_SIZE] = inode.pack()
-        self.cache.write_block(block, bytes(raw))
-
     def _allocate_inode(self) -> int:
         index = self.inode_bitmap.allocate(start=FIRST_FREE_INO - 1)
         if index is None:
             raise FsError(ENOSPC, "out of inodes")
-        ino = index + 1
-        self._inode_cache[ino] = Ext2Inode(ino)
-        self._dirty_inodes.add(ino)
-        return ino
+        return self._new_inode(index + 1).ino
 
-    def _alloc_inode_exact(self, ino: int) -> Ext2Inode:
-        self.inode_bitmap.set(ino - 1)
-        inode = Ext2Inode(ino)
-        self._inode_cache[ino] = inode
-        self._dirty_inodes.add(ino)
-        return inode
-
-    def _free_inode(self, ino: int) -> None:
+    def _release_inode(self, ino: int) -> None:
         self.inode_bitmap.clear(ino - 1)
-        self._inode_cache.pop(ino, None)
-        self._dirty_inodes.discard(ino)
-        # zero the on-disk record so dangling dirents are detectable
-        block, offset = self._inode_location(ino)
-        raw = bytearray(self.cache.read_block(block))
-        raw[offset : offset + INODE_SIZE] = b"\x00" * INODE_SIZE
-        self.cache.write_block(block, bytes(raw))
 
-    # -------------------------------------------------------- block management --
-    def _allocate_block(self) -> int:
-        index = self.block_bitmap.allocate(start=self.geo.first_data_block)
-        if index is None or index < self.geo.first_data_block:
-            if index is not None:
-                self.block_bitmap.clear(index)
-            raise FsError(ENOSPC, "out of data blocks")
-        self.cache.write_block(index, b"")  # fresh blocks read as zeros
-        return index
-
-    def _free_block(self, block: int) -> None:
-        if block:
-            self.block_bitmap.clear(block)
-
+    # ------------------------------------------------------------- block map --
     @property
     def _pointers_per_block(self) -> int:
         return self.geo.block_size // 4
@@ -415,6 +254,13 @@ class MountedExt2(MountedFileSystem):
     @property
     def max_file_blocks(self) -> int:
         return DIRECT_POINTERS + self._pointers_per_block
+
+    @property
+    def max_file_bytes(self) -> int:
+        return self.max_file_blocks * self.geo.block_size
+
+    def _count_xattr_block(self, inode: Ext2Inode, delta: int) -> None:
+        inode.nblocks += delta
 
     def _read_indirect(self, block: int) -> List[int]:
         raw = self.cache.read_block(block)
@@ -456,62 +302,9 @@ class MountedExt2(MountedFileSystem):
             self._set_file_block(inode, file_block, block)
         return block
 
-    # ------------------------------------------------------------- file data --
-    def _read_data(self, inode: Ext2Inode, offset: int, length: int) -> bytes:
-        if offset >= inode.size:
-            return b""
-        length = min(length, inode.size - offset)
-        bs = self.geo.block_size
-        chunks: List[bytes] = []
-        position = offset
-        remaining = length
-        while remaining > 0:
-            file_block = position // bs
-            within = position % bs
-            take = min(bs - within, remaining)
-            device_block = self._get_file_block(inode, file_block)
-            if device_block == 0:
-                chunks.append(b"\x00" * take)
-            else:
-                chunks.append(self.cache.read_block(device_block)[within : within + take])
-            position += take
-            remaining -= take
-        return b"".join(chunks)
-
-    def _write_data(self, inode: Ext2Inode, offset: int, data: bytes) -> int:
-        bs = self.geo.block_size
-        end = offset + len(data)
-        if end > self.max_file_blocks * bs:
-            raise FsError(EFBIG, f"write past maximum file size")
-        # Pre-flight ENOSPC check: count blocks we would have to allocate.
-        needed = 0
-        for file_block in range(offset // bs, (end + bs - 1) // bs if data else offset // bs):
-            if self._get_file_block(inode, file_block) == 0:
-                needed += 1
-        if needed and self.block_bitmap.free_count < needed + 1:  # +1 for possible indirect
-            raise FsError(ENOSPC, "not enough free blocks")
-        position = offset
-        consumed = 0
-        while consumed < len(data):
-            file_block = position // bs
-            within = position % bs
-            take = min(bs - within, len(data) - consumed)
-            device_block = self._ensure_file_block(inode, file_block)
-            if within == 0 and take == bs:
-                self.cache.write_block(device_block, data[consumed : consumed + take])
-            else:
-                raw = bytearray(self.cache.read_block(device_block))
-                raw[within : within + take] = data[consumed : consumed + take]
-                self.cache.write_block(device_block, bytes(raw))
-            position += take
-            consumed += take
-        if end > inode.size:
-            inode.size = end
-        return len(data)
-
     def _truncate_data(self, inode: Ext2Inode, size: int) -> None:
         bs = self.geo.block_size
-        if size > self.max_file_blocks * bs:
+        if size > self.max_file_bytes:
             raise FsError(EFBIG, "truncate past maximum file size")
         old_size = inode.size
         if size < old_size:
@@ -527,22 +320,15 @@ class MountedExt2(MountedFileSystem):
                 self._free_block(inode.indirect)
                 inode.indirect = 0
                 inode.nblocks -= 1
-            # zero the tail of the last kept block so a later extension
-            # exposes zeros, not stale data (the VeriFS1 truncate bug!)
-            if size % bs and size > 0:
-                device_block = self._get_file_block(inode, (size - 1) // bs)
-                if device_block:
-                    raw = bytearray(self.cache.read_block(device_block))
-                    raw[size % bs :] = b"\x00" * (bs - size % bs)
-                    self.cache.write_block(device_block, bytes(raw))
+            self._zero_tail(inode, size)
         inode.size = size
 
     def _free_all_data(self, inode: Ext2Inode) -> None:
         self._truncate_data(inode, 0)
 
     # ------------------------------------------------------------ directories --
-    def _read_dir_entries(self, inode: Ext2Inode) -> List[Tuple[int, int, str]]:
-        return unpack_dirents(self._read_data(inode, 0, inode.size))
+    def _dir_stream_length(self, inode: Ext2Inode) -> int:
+        return inode.size
 
     def _write_dir_entries(self, inode: Ext2Inode, entries: List[Tuple[int, int, str]]) -> None:
         data = b"".join(pack_dirent(ino, dtype, name) for ino, dtype, name in entries)
@@ -556,13 +342,7 @@ class MountedExt2(MountedFileSystem):
         inode.size = used_blocks * bs
         # zero the slack after the last entry so stale entries don't resurface
         if len(data) % bs or len(data) == 0:
-            slack_start = len(data)
-            pad = used_blocks * bs - slack_start
-            if pad:
-                saved_size = inode.size
-                inode.size = used_blocks * bs
-                self._write_data_raw_zeroes(inode, slack_start, pad)
-                inode.size = saved_size
+            self._write_data_raw_zeroes(inode, len(data), used_blocks * bs - len(data))
 
     def _write_data_raw_zeroes(self, inode: Ext2Inode, offset: int, length: int) -> None:
         bs = self.geo.block_size
@@ -579,363 +359,6 @@ class MountedExt2(MountedFileSystem):
                 self.cache.write_block(device_block, bytes(raw))
             position += take
             remaining -= take
-
-    def _dir_find(self, dir_inode: Ext2Inode, name: str) -> Optional[Tuple[int, int]]:
-        for ino, dtype, entry_name in self._read_dir_entries(dir_inode):
-            if entry_name == name:
-                return ino, dtype
-        return None
-
-    def _dir_add_entry(self, dir_inode: Ext2Inode, name: str, ino: int, dtype: int) -> None:
-        entries = self._read_dir_entries(dir_inode)
-        entries.append((ino, dtype, name))
-        self._write_dir_entries(dir_inode, entries)
-
-    def _dir_remove_entry(self, dir_inode: Ext2Inode, name: str) -> None:
-        entries = self._read_dir_entries(dir_inode)
-        remaining = [entry for entry in entries if entry[2] != name]
-        if len(remaining) == len(entries):
-            raise FsError(ENOENT, name)
-        self._write_dir_entries(dir_inode, remaining)
-
-    def _require_dir(self, ino: int) -> Ext2Inode:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino} is unused")
-        if not inode.is_dir:
-            raise FsError(ENOTDIR, f"inode {ino}")
-        return inode
-
-    def _check_name(self, name: str) -> None:
-        if not name or name in (".", "..") or "/" in name:
-            raise FsError(EINVAL, f"bad name {name!r}")
-        if len(name.encode("utf-8")) > 255:
-            raise FsError(EINVAL, "name too long")
-
-    # ------------------------------------------------------------ VFS interface --
-    def lookup(self, dir_ino: int, name: str) -> int:
-        directory = self._require_dir(dir_ino)
-        found = self._dir_find(directory, name)
-        if found is None:
-            raise FsError(ENOENT, name)
-        return found[0]
-
-    def getattr(self, ino: int) -> StatResult:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino} is unused")
-        return StatResult(
-            st_ino=ino, st_mode=inode.mode, st_nlink=inode.nlink,
-            st_uid=inode.uid, st_gid=inode.gid, st_size=inode.size,
-            st_blocks=inode.nblocks * (self.geo.block_size // 512),
-            st_atime=inode.atime, st_mtime=inode.mtime, st_ctime=inode.ctime,
-        )
-
-    def getdents(self, dir_ino: int) -> List[Dirent]:
-        directory = self._require_dir(dir_ino)
-        directory.atime = self.clock.now
-        self._store_inode(directory)
-        return [
-            Dirent(name=name, ino=ino, dtype=dtype)
-            for ino, dtype, name in self._read_dir_entries(directory)
-            if name not in (".", "..")
-        ]
-
-    def _create_common(self, dir_ino: int, name: str, mode: int, uid: int, gid: int) -> Ext2Inode:
-        self._check_name(name)
-        directory = self._require_dir(dir_ino)
-        if self._dir_find(directory, name) is not None:
-            raise FsError(EEXIST, name)
-        ino = self._allocate_inode()
-        inode = self._load_inode(ino)
-        inode.mode = mode
-        inode.uid = uid
-        inode.gid = gid
-        now = self.clock.now
-        inode.atime = inode.mtime = inode.ctime = now
-        return inode
-
-    def create(self, dir_ino: int, name: str, mode: int, uid: int, gid: int) -> int:
-        inode = self._create_common(dir_ino, name, S_IFREG | (mode & 0o7777), uid, gid)
-        inode.nlink = 1
-        self._store_inode(inode)
-        directory = self._load_inode(dir_ino)
-        self._dir_add_entry(directory, name, inode.ino, DT_REG)
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-        return inode.ino
-
-    def mkdir(self, dir_ino: int, name: str, mode: int, uid: int, gid: int) -> int:
-        inode = self._create_common(dir_ino, name, S_IFDIR | (mode & 0o7777), uid, gid)
-        inode.nlink = 2
-        self._write_dir_entries(inode, [(inode.ino, DT_DIR, "."), (dir_ino, DT_DIR, "..")])
-        self._store_inode(inode)
-        directory = self._load_inode(dir_ino)
-        self._dir_add_entry(directory, name, inode.ino, DT_DIR)
-        directory.nlink += 1
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-        return inode.ino
-
-    def symlink(self, dir_ino: int, name: str, target: str, uid: int, gid: int) -> int:
-        inode = self._create_common(dir_ino, name, S_IFLNK | 0o777, uid, gid)
-        inode.nlink = 1
-        self._store_inode(inode)
-        self._write_data(inode, 0, target.encode("utf-8"))
-        self._store_inode(inode)
-        directory = self._load_inode(dir_ino)
-        self._dir_add_entry(directory, name, inode.ino, DT_LNK)
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-        return inode.ino
-
-    def readlink(self, ino: int) -> str:
-        inode = self._load_inode(ino)
-        if not inode.is_symlink:
-            raise FsError(EINVAL, f"inode {ino} is not a symlink")
-        return self._read_data(inode, 0, inode.size).decode("utf-8")
-
-    def link(self, ino: int, dir_ino: int, name: str) -> None:
-        self._check_name(name)
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, "cannot hard-link directories")
-        directory = self._require_dir(dir_ino)
-        if self._dir_find(directory, name) is not None:
-            raise FsError(EEXIST, name)
-        self._dir_add_entry(directory, name, ino, mode_to_dtype(inode.mode))
-        inode.nlink += 1
-        inode.ctime = self.clock.now
-        self._store_inode(inode)
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-
-    def unlink(self, dir_ino: int, name: str) -> None:
-        directory = self._require_dir(dir_ino)
-        found = self._dir_find(directory, name)
-        if found is None:
-            raise FsError(ENOENT, name)
-        ino, _ = found
-        inode = self._load_inode(ino)
-        if inode.is_dir:
-            raise FsError(EISDIR, name)
-        self._dir_remove_entry(directory, name)
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-        inode.nlink -= 1
-        inode.ctime = self.clock.now
-        if inode.nlink <= 0:
-            self._free_all_data(inode)
-            self._drop_xattr_block(inode)
-            self._free_inode(ino)
-        else:
-            self._store_inode(inode)
-
-    def rmdir(self, dir_ino: int, name: str) -> None:
-        directory = self._require_dir(dir_ino)
-        found = self._dir_find(directory, name)
-        if found is None:
-            raise FsError(ENOENT, name)
-        ino, _ = found
-        target = self._load_inode(ino)
-        if not target.is_dir:
-            raise FsError(ENOTDIR, name)
-        entries = [e for e in self._read_dir_entries(target) if e[2] not in (".", "..")]
-        if entries:
-            raise FsError(ENOTEMPTY, name)
-        self._dir_remove_entry(directory, name)
-        directory.nlink -= 1
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-        self._free_all_data(target)
-        self._drop_xattr_block(target)
-        self._free_inode(ino)
-
-    def _is_ancestor(self, maybe_ancestor: int, ino: int) -> bool:
-        """True when directory ``maybe_ancestor`` is ``ino`` or an ancestor of it."""
-        if maybe_ancestor == ino:
-            return True
-        current = ino
-        seen = set()
-        while current != ROOT_INO and current not in seen:
-            seen.add(current)
-            inode = self._load_inode(current)
-            parent = next(
-                (e[0] for e in self._read_dir_entries(inode) if e[2] == ".."), ROOT_INO
-            )
-            if parent == maybe_ancestor:
-                return True
-            current = parent
-        return maybe_ancestor == ROOT_INO and ino != ROOT_INO
-
-    def rename(self, old_dir: int, old_name: str, new_dir: int, new_name: str) -> None:
-        self._check_name(new_name)
-        source_dir = self._require_dir(old_dir)
-        found = self._dir_find(source_dir, old_name)
-        if found is None:
-            raise FsError(ENOENT, old_name)
-        ino, dtype = found
-        target_dir = self._require_dir(new_dir)
-        moving = self._load_inode(ino)
-        if moving.is_dir and old_dir != new_dir and self._is_ancestor(ino, new_dir):
-            raise FsError(EINVAL, "cannot move a directory into its own subtree")
-        existing = self._dir_find(target_dir, new_name)
-        if existing is not None:
-            existing_ino, _ = existing
-            if existing_ino == ino:
-                return  # renaming onto the same inode is a no-op
-            victim = self._load_inode(existing_ino)
-            if victim.is_dir:
-                if not moving.is_dir:
-                    raise FsError(EISDIR, new_name)
-                children = [e for e in self._read_dir_entries(victim) if e[2] not in (".", "..")]
-                if children:
-                    raise FsError(ENOTEMPTY, new_name)
-                self.rmdir(new_dir, new_name)
-            else:
-                if moving.is_dir:
-                    raise FsError(ENOTDIR, new_name)
-                self.unlink(new_dir, new_name)
-            target_dir = self._require_dir(new_dir)
-            source_dir = self._require_dir(old_dir)
-        self._dir_remove_entry(source_dir, old_name)
-        target_dir = self._require_dir(new_dir)
-        self._dir_add_entry(target_dir, new_name, ino, dtype)
-        now = self.clock.now
-        if moving.is_dir and old_dir != new_dir:
-            # rewrite ".." and fix parent link counts
-            entries = self._read_dir_entries(moving)
-            entries = [
-                (new_dir, DT_DIR, "..") if name == ".." else (e_ino, e_dtype, name)
-                for e_ino, e_dtype, name in entries
-            ]
-            self._write_dir_entries(moving, entries)
-            source_dir = self._load_inode(old_dir)
-            source_dir.nlink -= 1
-            self._store_inode(source_dir)
-            target_dir = self._load_inode(new_dir)
-            target_dir.nlink += 1
-            self._store_inode(target_dir)
-        for touched in (old_dir, new_dir):
-            directory = self._load_inode(touched)
-            directory.mtime = directory.ctime = now
-            self._store_inode(directory)
-        moving.ctime = now
-        self._store_inode(moving)
-
-    def read(self, ino: int, offset: int, length: int) -> bytes:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, f"inode {ino}")
-        data = self._read_data(inode, offset, length)
-        inode.atime = self.clock.now
-        self._store_inode(inode)
-        return data
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, f"inode {ino}")
-        written = self._write_data(inode, offset, data)
-        inode.mtime = inode.ctime = self.clock.now
-        self._store_inode(inode)
-        return written
-
-    def truncate(self, ino: int, size: int) -> None:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, f"inode {ino}")
-        self._truncate_data(inode, size)
-        inode.mtime = inode.ctime = self.clock.now
-        self._store_inode(inode)
-
-    def setattr(self, ino, mode=None, uid=None, gid=None, atime=None, mtime=None):
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if mode is not None:
-            inode.mode = (inode.mode & S_IFMT) | (mode & 0o7777)
-        if uid is not None:
-            inode.uid = uid
-        if gid is not None:
-            inode.gid = gid
-        if atime is not None:
-            inode.atime = atime
-        if mtime is not None:
-            inode.mtime = mtime
-        inode.ctime = self.clock.now
-        self._store_inode(inode)
-        return self.getattr(ino)
-
-    # ---------------------------------------------------------------- xattrs --
-    # One xattr block per inode (like ext2's single EA block); the inode
-    # record's final word holds its block number.
-
-    def _load_xattrs(self, inode: Ext2Inode) -> Dict[str, bytes]:
-        if not inode.flags:
-            return {}
-        return unpack_xattrs(self.cache.read_block(inode.flags))
-
-    def _store_xattr_dict(self, inode: Ext2Inode, xattrs: Dict[str, bytes]) -> None:
-        if xattrs:
-            data = pack_xattrs(xattrs)
-            if len(data) > self.geo.block_size:
-                raise FsError(ERANGE, "xattrs exceed the EA block")
-            if not inode.flags:
-                inode.flags = self._allocate_block()
-                inode.nblocks += 1
-            self.cache.write_block(inode.flags, data)
-        else:
-            self._drop_xattr_block(inode)
-        inode.ctime = self.clock.now
-        self._store_inode(inode)
-
-    def _drop_xattr_block(self, inode: Ext2Inode) -> None:
-        if inode.flags:
-            self._free_block(inode.flags)
-            inode.flags = 0
-            inode.nblocks -= 1
-
-    def _live_inode(self, ino: int) -> Ext2Inode:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        return inode
-
-    def setxattr(self, ino: int, key: str, value: bytes, flags: int = 0) -> None:
-        inode = self._live_inode(ino)
-        xattrs = self._load_xattrs(inode)
-        if flags == XATTR_CREATE and key in xattrs:
-            raise FsError(EEXIST, key)
-        if flags == XATTR_REPLACE and key not in xattrs:
-            raise FsError(ENODATA, key)
-        xattrs[key] = bytes(value)
-        self._store_xattr_dict(inode, xattrs)
-
-    def getxattr(self, ino: int, key: str) -> bytes:
-        xattrs = self._load_xattrs(self._live_inode(ino))
-        if key not in xattrs:
-            raise FsError(ENODATA, key)
-        return xattrs[key]
-
-    def listxattr(self, ino: int) -> List[str]:
-        return sorted(self._load_xattrs(self._live_inode(ino)))
-
-    def removexattr(self, ino: int, key: str) -> None:
-        inode = self._live_inode(ino)
-        xattrs = self._load_xattrs(inode)
-        if key not in xattrs:
-            raise FsError(ENODATA, key)
-        del xattrs[key]
-        self._store_xattr_dict(inode, xattrs)
 
     def statfs(self) -> StatVFS:
         return StatVFS(
@@ -994,10 +417,10 @@ class MountedExt2(MountedFileSystem):
                         if block in used_blocks:
                             problems.append(f"block {block} multiply claimed (ino {ino})")
                         used_blocks.add(block)
-                if child.flags:
-                    if child.flags in used_blocks:
-                        problems.append(f"xattr block {child.flags} multiply claimed (ino {ino})")
-                    used_blocks.add(child.flags)
+                if child.xattr_block:
+                    if child.xattr_block in used_blocks:
+                        problems.append(f"xattr block {child.xattr_block} multiply claimed (ino {ino})")
+                    used_blocks.add(child.xattr_block)
                 if child.indirect:
                     used_blocks.add(child.indirect)
                     for block in self._read_indirect(child.indirect):
@@ -1017,3 +440,39 @@ class MountedExt2(MountedFileSystem):
             if block >= self.geo.first_data_block and not self.block_bitmap.get(block):
                 problems.append(f"block {block} in use but free in bitmap")
         return problems
+
+
+class Ext2FileSystemType(FileSystemType):
+    """mkfs + mount entry points for SimExt2."""
+
+    name = "ext2"
+    min_device_size = 64 * 1024
+    special_paths = ("/lost+found",)
+
+    def __init__(self, block_size: int = 1024,
+                 cache_blocks: Optional[int] = None,
+                 inode_cache_capacity: Optional[int] = None):
+        self.block_size = block_size
+        self.cache_blocks = cache_blocks
+        self.inode_cache_capacity = inode_cache_capacity
+
+    def _make_cache(self, device) -> BufferCache:
+        if self.cache_blocks is not None:
+            return BufferCache(device, self.block_size, self.cache_blocks)
+        return BufferCache(device, self.block_size)
+
+    def _apply_tuning(self, fs: MountedExt2) -> MountedExt2:
+        if self.inode_cache_capacity is not None:
+            fs.INODE_CACHE_CAPACITY = self.inode_cache_capacity
+        return fs
+
+    def mkfs(self, device) -> None:
+        if device.size_bytes < (self.min_device_size or 0):
+            raise FsError(EINVAL, f"{self.name} needs >= {self.min_device_size} bytes")
+        geometry = Ext2Geometry(device.size_bytes, self.block_size)
+        MountedExt2._mkfs(device, self._make_cache(device), geometry)
+
+    def mount(self, device, kernel=None) -> MountedExt2:
+        return self._apply_tuning(
+            MountedExt2(device, self.block_size, cache=self._make_cache(device))
+        )

@@ -22,18 +22,10 @@ traffic per flush, visible in the Figure 2 speeds.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
 
 from repro.errors import EINVAL, FsError
 from repro.fs.base import BufferCache
-from repro.fs.ext2 import (
-    Ext2FileSystemType,
-    Ext2Geometry,
-    MAGIC as EXT2_MAGIC,
-    MountedExt2,
-    SUPER_FMT,
-    SUPER_SIZE,
-)
+from repro.fs.ext2 import Ext2FileSystemType, Ext2Geometry, MountedExt2
 
 MAGIC = b"SIMEXT4\x00"
 JOURNAL_MAGIC = b"JRNL"
@@ -57,117 +49,29 @@ class Ext4Geometry(Ext2Geometry):
             raise FsError(EINVAL, "device too small to hold ext4 journal")
 
 
-class Ext4FileSystemType(Ext2FileSystemType):
-    """mkfs + mount entry points for SimExt4."""
-
-    name = "ext4"
-    min_device_size = 128 * 1024
-    special_paths = ("/lost+found",)
-
-    def __init__(self, block_size: int = 1024, journal_blocks: int = DEFAULT_JOURNAL_BLOCKS,
-                 cache_blocks=None, inode_cache_capacity=None):
-        super().__init__(block_size, cache_blocks=cache_blocks,
-                         inode_cache_capacity=inode_cache_capacity)
-        self.journal_blocks = journal_blocks
-
-    def mkfs(self, device) -> None:
-        if device.size_bytes < (self.min_device_size or 0):
-            raise FsError(EINVAL, f"{self.name} needs >= {self.min_device_size} bytes")
-        # Format as ext2 with the journal-shifted geometry, then stamp the
-        # ext4 magic and clear the journal region.
-        geometry = Ext4Geometry(device.size_bytes, self.block_size, self.journal_blocks)
-        self._mkfs_with_geometry(device, geometry)
-
-    def _mkfs_with_geometry(self, device, geometry: Ext4Geometry) -> None:
-        # Reuse ext2's mkfs body by monkey-free delegation: we re-run its
-        # steps with our geometry class.
-        from repro.fs.ext2 import (
-            Bitmap,
-            DT_DIR,
-            ROOT_INO,
-            S_IFDIR,
-        )
-
-        cache = self._make_cache(device)
-        for block in range(geometry.block_count):
-            cache.write_block(block, b"")
-        block_bitmap = Bitmap(geometry.block_count)
-        inode_bitmap = Bitmap(geometry.inode_count)
-        for block in range(geometry.first_data_block):
-            block_bitmap.set(block)
-        inode_bitmap.set(0)
-
-        now = device.clock.now
-        fs = MountedExt4.__new__(MountedExt4)
-        fs._init_raw(device, cache, geometry, block_bitmap, inode_bitmap)
-        root = fs._alloc_inode_exact(ROOT_INO)
-        root.mode = S_IFDIR | 0o755
-        root.nlink = 2
-        root.atime = root.mtime = root.ctime = now
-        fs._write_dir_entries(root, [(ROOT_INO, DT_DIR, "."), (ROOT_INO, DT_DIR, "..")])
-        fs._store_inode(root)
-        lf_ino = fs._allocate_inode()
-        lf = fs._load_inode(lf_ino)
-        lf.mode = S_IFDIR | 0o700
-        lf.nlink = 2
-        lf.atime = lf.mtime = lf.ctime = now
-        fs._write_dir_entries(lf, [(lf_ino, DT_DIR, "."), (ROOT_INO, DT_DIR, "..")])
-        fs._store_inode(lf)
-        fs._dir_add_entry(root, "lost+found", lf_ino, DT_DIR)
-        root.nlink += 1
-        fs._store_inode(root)
-        fs.sync()
-
-    def mount(self, device, kernel=None) -> "MountedExt4":
-        return self._apply_tuning(
-            MountedExt4(device, self.block_size, self.journal_blocks,
-                        cache=self._make_cache(device))
-        )
-
-
 class MountedExt4(MountedExt2):
     """A live SimExt4 instance: SimExt2 plus write-ahead journaling."""
 
+    MAGIC = MAGIC
+    LABEL = "SimExt4"
+
     def __init__(self, device, block_size: int, journal_blocks: int = DEFAULT_JOURNAL_BLOCKS,
                  cache=None):
-        if cache is None:
-            cache = BufferCache(device, block_size)
-        super_raw = cache.read_block(0)
-        magic, version, sb_block_size, blocks, inodes, first_data, generation = (
-            struct.unpack(SUPER_FMT, super_raw[:SUPER_SIZE])
-        )
-        if magic != MAGIC:
-            raise FsError(EINVAL, f"not a SimExt4 file system (magic {magic!r})")
-        if sb_block_size != block_size:
-            raise FsError(
-                EINVAL,
-                f"superblock says block size {sb_block_size}, mounted with {block_size}",
-            )
-        geometry = Ext4Geometry(device.size_bytes, block_size, journal_blocks)
-        self._check_super_geometry(geometry, blocks, inodes, first_data)
-        # Journal replay must happen *before* we trust any metadata.
-        self._replay_journal(cache, geometry)
-        block_bitmap, inode_bitmap = self._read_bitmaps(cache, geometry)
-        self._init_raw(device, cache, geometry, block_bitmap, inode_bitmap)
-        self.generation = generation
-        self._txn_id = generation + 1
+        self.journal_blocks = journal_blocks
+        super().__init__(device, block_size, cache)
+        self._txn_id = self.generation + 1
+
+    def _geometry(self, device_size: int, block_size: int) -> Ext4Geometry:
+        return Ext4Geometry(device_size, block_size, self.journal_blocks)
 
     def _init_raw(self, device, cache, geometry, block_bitmap, inode_bitmap) -> None:
         super()._init_raw(device, cache, geometry, block_bitmap, inode_bitmap)
         self._txn_id = 1
 
-    def _write_super(self, generation: int) -> None:
-        raw = struct.pack(
-            SUPER_FMT, MAGIC, 1, self.geo.block_size,
-            self.geo.block_count, self.geo.inode_count,
-            self.geo.first_data_block, generation,
-        )
-        self.cache.write_block(0, raw)
-
     # ---------------------------------------------------------------- journal --
-    @staticmethod
-    def _replay_journal(cache: BufferCache, geo: Ext4Geometry) -> None:
-        """Apply any committed-but-unretired transaction found on disk."""
+    def _recover(self, cache: BufferCache, geo: Ext4Geometry) -> None:
+        """Journal replay, before any metadata is trusted: apply any
+        committed-but-unretired transaction found on disk."""
         descriptor_raw = cache.read_block(geo.journal_start)
         try:
             magic, record, count, txn = struct.unpack(
@@ -195,7 +99,7 @@ class MountedExt4(MountedExt2):
         cache.write_block(geo.journal_start, b"")
         cache.flush()
 
-    def _journal_and_flush(self) -> None:
+    def _flush(self) -> None:
         """Write-ahead journal the dirty blocks, then checkpoint them."""
         dirty = sorted(self.cache._dirty)  # the cache is our own component
         capacity = self.geo.journal_blocks - 2
@@ -228,11 +132,30 @@ class MountedExt4(MountedExt2):
             self.device.write_block(self.geo.journal_start, self.geo.block_size, b"")
         self._txn_id += 1
 
-    def sync(self) -> None:
-        self._check_alive()
-        for ino in sorted(self._dirty_inodes):
-            self._write_inode_to_cache(self._inode_cache[ino])
-        self._dirty_inodes.clear()
-        self._write_bitmaps()
-        self._write_super(self.generation)
-        self._journal_and_flush()
+
+class Ext4FileSystemType(Ext2FileSystemType):
+    """mkfs + mount entry points for SimExt4."""
+
+    name = "ext4"
+    min_device_size = 128 * 1024
+    special_paths = ("/lost+found",)
+
+    def __init__(self, block_size: int = 1024, journal_blocks: int = DEFAULT_JOURNAL_BLOCKS,
+                 cache_blocks=None, inode_cache_capacity=None):
+        super().__init__(block_size, cache_blocks=cache_blocks,
+                         inode_cache_capacity=inode_cache_capacity)
+        self.journal_blocks = journal_blocks
+
+    def mkfs(self, device) -> None:
+        if device.size_bytes < (self.min_device_size or 0):
+            raise FsError(EINVAL, f"{self.name} needs >= {self.min_device_size} bytes")
+        # ext2's format on the journal-shifted geometry; the journal region
+        # starts zeroed and the superblock carries the ext4 magic.
+        geometry = Ext4Geometry(device.size_bytes, self.block_size, self.journal_blocks)
+        MountedExt4._mkfs(device, self._make_cache(device), geometry)
+
+    def mount(self, device, kernel=None) -> MountedExt4:
+        return self._apply_tuning(
+            MountedExt4(device, self.block_size, self.journal_blocks,
+                        cache=self._make_cache(device))
+        )

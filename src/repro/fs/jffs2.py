@@ -47,12 +47,13 @@ from repro.errors import (
     ENOTEMPTY,
     FsError,
 )
-from repro.fs.base import pack_xattrs, unpack_xattrs
-from repro.fs.ext2 import XATTR_CREATE, XATTR_REPLACE
+from repro.fs.base import check_name, pack_xattrs, unpack_xattrs
 from repro.kernel.stat import (
     DT_DIR,
     DT_LNK,
     DT_REG,
+    XATTR_CREATE,
+    XATTR_REPLACE,
     Dirent,
     S_IFDIR,
     S_IFLNK,
@@ -412,12 +413,6 @@ class MountedJffs2(MountedFileSystem):
             raise FsError(ENOTDIR, f"inode {ino}")
         return inode
 
-    def _check_name(self, name: str) -> None:
-        if not name or name in (".", "..") or "/" in name:
-            raise FsError(EINVAL, f"bad name {name!r}")
-        if len(name.encode("utf-8")) > 255:
-            raise FsError(EINVAL, "name too long")
-
     def _nlink(self, ino: int) -> int:
         inode = self._inodes[ino]
         if inode.is_dir:
@@ -459,7 +454,7 @@ class MountedJffs2(MountedFileSystem):
         ]
 
     def _create_common(self, dir_ino: int, name: str, mode: int, uid: int, gid: int) -> JInode:
-        self._check_name(name)
+        check_name(name)
         self._require_dir(dir_ino)
         if name in self._dirs.get(dir_ino, {}):
             raise FsError(EEXIST, name)
@@ -508,7 +503,7 @@ class MountedJffs2(MountedFileSystem):
         return inode.data.decode("utf-8")
 
     def link(self, ino: int, dir_ino: int, name: str) -> None:
-        self._check_name(name)
+        check_name(name)
         inode = self._require_inode(ino)
         if inode.is_dir:
             raise FsError(EISDIR, "cannot hard-link directories")
@@ -588,7 +583,7 @@ class MountedJffs2(MountedFileSystem):
         return False
 
     def rename(self, old_dir: int, old_name: str, new_dir: int, new_name: str) -> None:
-        self._check_name(new_name)
+        check_name(new_name)
         self._require_dir(old_dir)
         self._require_dir(new_dir)
         entry = self._dirs.get(old_dir, {}).get(old_name)

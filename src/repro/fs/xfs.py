@@ -22,40 +22,13 @@ cache-incoherency corruption of section 3.2 is genuine here too.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from repro.errors import (
-    EEXIST,
-    EFBIG,
-    EINVAL,
-    EIO,
-    EISDIR,
-    ENODATA,
-    ENOENT,
-    ENOSPC,
-    ENOTDIR,
-    ENOTEMPTY,
-    ERANGE,
-    FsError,
-)
-from repro.fs.ext2 import XATTR_CREATE, XATTR_REPLACE
-from repro.fs.base import (BufferCache, pack_dirent, pack_xattrs,
-                           unpack_dirents, unpack_xattrs)
-from repro.kernel.stat import (
-    DT_DIR,
-    DT_LNK,
-    DT_REG,
-    Dirent,
-    S_IFDIR,
-    S_IFLNK,
-    S_IFMT,
-    S_IFREG,
-    StatResult,
-    StatVFS,
-    mode_to_dtype,
-)
-from repro.kernel.vfs import FileSystemType, MountedFileSystem
+from repro.errors import EFBIG, EINVAL, ENOSPC, FsError
+from repro.fs.base import (BufferCache, InodeRecord, MountedBlockFileSystem,
+                           pack_dirent, read_region)
+from repro.kernel.stat import DT_DIR, S_IFDIR, StatVFS
+from repro.kernel.vfs import FileSystemType
 from repro.util.bitmap import Bitmap
 from repro.util.hashing import stable_hash64
 
@@ -78,7 +51,7 @@ def _dirent_record_size(name: str) -> int:
     return (raw + 7) & ~7
 
 
-class XfsInode:
+class XfsInode(InodeRecord):
     """In-memory image of one 256-byte on-disk inode record."""
 
     __slots__ = ("ino", "mode", "uid", "gid", "nlink", "size",
@@ -123,14 +96,6 @@ class XfsInode:
         return inode
 
     @property
-    def is_dir(self) -> bool:
-        return (self.mode & S_IFMT) == S_IFDIR
-
-    @property
-    def is_symlink(self) -> bool:
-        return (self.mode & S_IFMT) == S_IFLNK
-
-    @property
     def nblocks(self) -> int:
         return sum(count for _, _, count in self.extents)
 
@@ -170,12 +135,12 @@ class XfsFileSystemType(FileSystemType):
         cache = BufferCache(device, self.block_size)
         for block in range(geometry.first_data_block):
             cache.write_block(block, b"")
-        bitmap = Bitmap(geometry.block_count)
+        block_bitmap = Bitmap(geometry.block_count)
         for block in range(geometry.first_data_block):
-            bitmap.set(block)
+            block_bitmap.set(block)
 
         fs = MountedXfs.__new__(MountedXfs)
-        fs._init_raw(device, cache, geometry, bitmap, chunks=[], root_ino=0)
+        fs._init_raw(device, cache, geometry, block_bitmap, chunks=[], root_ino=0)
         root_ino = fs._allocate_inode()
         root = fs._load_inode(root_ino)
         root.mode = S_IFDIR | 0o755
@@ -191,8 +156,11 @@ class XfsFileSystemType(FileSystemType):
         return MountedXfs(device, self.block_size)
 
 
-class MountedXfs(MountedFileSystem):
+class MountedXfs(MountedBlockFileSystem):
     """A live SimXFS instance."""
+
+    INODE_CLASS = XfsInode
+    INODE_SIZE = INODE_SIZE
 
     def __init__(self, device, block_size: int):
         cache = BufferCache(device, block_size)
@@ -205,53 +173,26 @@ class MountedXfs(MountedFileSystem):
         if sb_bs != block_size:
             raise FsError(EINVAL, f"superblock block size {sb_bs} != {block_size}")
         geometry = XfsGeometry(device.size_bytes, block_size)
-        bits = b"".join(
-            cache.read_block(geometry.bitmap_start + i)
-            for i in range(geometry.bitmap_blocks)
-        )
-        bitmap = Bitmap.from_bytes(bits, geometry.block_count)
+        bits = read_region(cache, geometry.bitmap_start, geometry.bitmap_blocks)
+        block_bitmap = Bitmap.from_bytes(bits, geometry.block_count)
         chunks = self._read_chunk_index(cache, geometry)
-        self._init_raw(device, cache, geometry, bitmap, chunks, root_ino)
+        self._init_raw(device, cache, geometry, block_bitmap, chunks, root_ino)
         self.generation = generation
 
-    def _init_raw(self, device, cache, geometry, bitmap, chunks, root_ino) -> None:
-        self.device = device
-        self.clock = device.clock
-        self.cache = cache
-        self.geo = geometry
-        self.bitmap = bitmap
+    def _init_raw(self, device, cache, geometry, block_bitmap, chunks, root_ino) -> None:
+        self._init_common(device, cache, geometry, block_bitmap)
         # chunks: list of [chunk_block, free_mask] (mask bit set = slot free)
         self.chunks: List[List[int]] = [list(chunk) for chunk in chunks]
         self.root_ino = root_ino
-        self._inode_cache: "OrderedDict[int, XfsInode]" = OrderedDict()
-        self._dirty_inodes: Set[int] = set()
-        self.generation = 0
-        self._alive = True
 
     @property
     def ROOT_INO(self) -> int:  # type: ignore[override]
         return self.root_ino
 
-    # ------------------------------------------------------------- lifecycle --
-    def sync(self) -> None:
-        self._check_alive()
-        for ino in sorted(self._dirty_inodes):
-            self._write_inode_to_cache(self._inode_cache[ino])
-        self._dirty_inodes.clear()
-        self._write_bitmap()
-        self._write_chunk_index()
-        self._write_super(self.generation)
-        self.cache.flush()
-
-    def unmount(self) -> None:
-        self.sync()
-        self.cache.drop()
-        self._inode_cache.clear()
-        self._alive = False
-
-    def _check_alive(self) -> None:
-        if not self._alive:
-            raise FsError(EIO, "file system is unmounted")
+    @property
+    def max_file_bytes(self) -> int:
+        """Extent starts are u32 file-block numbers."""
+        return (1 << 32) * self.geo.block_size
 
     def _write_super(self, generation: int) -> None:
         raw = struct.pack(
@@ -261,11 +202,14 @@ class MountedXfs(MountedFileSystem):
         )
         self.cache.write_block(0, raw)
 
-    def _write_bitmap(self) -> None:
-        bs = self.geo.block_size
-        raw = self.bitmap.to_bytes()
-        for i in range(self.geo.bitmap_blocks):
-            self.cache.write_block(self.geo.bitmap_start + i, raw[i * bs : (i + 1) * bs])
+    def _write_tables(self) -> None:
+        geo = self.geo
+        self._write_region(geo.bitmap_start, geo.bitmap_blocks,
+                           self.block_bitmap.to_bytes())
+        self._write_region(geo.chunk_index_start, geo.chunk_index_blocks, b"".join(
+            struct.pack(CHUNK_ENTRY_FMT, block, mask, 0)
+            for block, mask in self.chunks
+        ))
 
     # ------------------------------------------------------------ chunk index --
     @staticmethod
@@ -282,123 +226,51 @@ class MountedXfs(MountedFileSystem):
                 chunks.append((block, mask))
         return chunks
 
-    def _write_chunk_index(self) -> None:
-        bs = self.geo.block_size
-        raw = b"".join(
-            struct.pack(CHUNK_ENTRY_FMT, block, mask, 0)
-            for block, mask in self.chunks
-        )
-        raw += b"\x00" * (self.geo.chunk_index_blocks * bs - len(raw))
-        for i in range(self.geo.chunk_index_blocks):
-            self.cache.write_block(
-                self.geo.chunk_index_start + i, raw[i * bs : (i + 1) * bs]
-            )
-
     # ------------------------------------------------------- inode management --
     def _ino_location(self, ino: int) -> Tuple[int, int]:
         """Decode an inode number into (chunk block, slot)."""
-        index = ino - 1
-        return index // INODES_PER_CHUNK, index % INODES_PER_CHUNK
+        return divmod(ino - 1, INODES_PER_CHUNK)
 
     def _make_ino(self, chunk_block: int, slot: int) -> int:
         return chunk_block * INODES_PER_CHUNK + slot + 1
 
-    def _allocate_inode(self) -> int:
-        for chunk in self.chunks:
-            if chunk[1]:
-                slot = (chunk[1] & -chunk[1]).bit_length() - 1
-                chunk[1] &= ~(1 << slot)
-                ino = self._make_ino(chunk[0], slot)
-                self._inode_cache[ino] = XfsInode(ino)
-                self._dirty_inodes.add(ino)
-                return ino
-        # All chunks full: carve a new chunk out of the data area.
-        if len(self.chunks) * CHUNK_ENTRY_SIZE >= self.geo.chunk_index_blocks * self.geo.block_size:
-            raise FsError(ENOSPC, "inode chunk index full")
-        block = self._allocate_block()
-        mask = (1 << INODES_PER_CHUNK) - 1
-        slot = 0
-        mask &= ~(1 << slot)
-        self.chunks.append([block, mask])
-        ino = self._make_ino(block, slot)
-        self._inode_cache[ino] = XfsInode(ino)
-        self._dirty_inodes.add(ino)
-        return ino
-
-    def _free_inode(self, ino: int) -> None:
-        chunk_block, slot = self._ino_location(ino)
-        for chunk in self.chunks:
-            if chunk[0] == chunk_block:
-                chunk[1] |= 1 << slot
-                break
-        self._inode_cache.pop(ino, None)
-        self._dirty_inodes.discard(ino)
-        # zero the record on disk so dangling references are detectable
-        raw = bytearray(self.cache.read_block(chunk_block))
-        raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = b"\x00" * INODE_SIZE
-        self.cache.write_block(chunk_block, bytes(raw))
-
-    def _inode_allocated(self, ino: int) -> bool:
-        chunk_block, slot = self._ino_location(ino)
-        for chunk in self.chunks:
-            if chunk[0] == chunk_block:
-                return not (chunk[1] & (1 << slot))
-        return False
-
-    def _load_inode(self, ino: int) -> XfsInode:
-        self._check_alive()
-        cached = self._inode_cache.get(ino)
-        if cached is not None:
-            self._inode_cache.move_to_end(ino)
-            return cached
+    def _inode_location(self, ino: int) -> Tuple[int, int]:
         chunk_block, slot = self._ino_location(ino)
         if not 0 < chunk_block < self.geo.block_count:
             raise FsError(EINVAL, f"inode {ino} decodes to bad block {chunk_block}")
-        raw = self.cache.read_block(chunk_block)[slot * INODE_SIZE : (slot + 1) * INODE_SIZE]
-        inode = XfsInode.unpack(ino, raw)
-        self._inode_cache[ino] = inode
-        self._evict_inodes()
-        return inode
+        return chunk_block, slot * INODE_SIZE
 
-    def _store_inode(self, inode: XfsInode) -> None:
-        self._inode_cache[inode.ino] = inode
-        self._inode_cache.move_to_end(inode.ino)
-        self._dirty_inodes.add(inode.ino)
-        self._evict_inodes()
+    def _chunk_of(self, ino: int) -> Tuple[Optional[List[int]], int]:
+        """The chunk-index entry holding ``ino`` (None if none) and its slot."""
+        chunk_block, slot = self._ino_location(ino)
+        for chunk in self.chunks:
+            if chunk[0] == chunk_block:
+                return chunk, slot
+        return None, slot
 
-    INODE_CACHE_CAPACITY = 32
+    def _allocate_inode(self) -> int:
+        chunk = next((chunk for chunk in self.chunks if chunk[1]), None)
+        if chunk is None:
+            # All chunks full: carve a new chunk out of the data area.
+            if len(self.chunks) * CHUNK_ENTRY_SIZE >= self.geo.chunk_index_blocks * self.geo.block_size:
+                raise FsError(ENOSPC, "inode chunk index full")
+            chunk = [self._allocate_block(), (1 << INODES_PER_CHUNK) - 1]
+            self.chunks.append(chunk)
+        slot = (chunk[1] & -chunk[1]).bit_length() - 1
+        chunk[1] &= ~(1 << slot)
+        return self._new_inode(self._make_ino(chunk[0], slot)).ino
 
-    def _evict_inodes(self) -> None:
-        """Shrink the inode cache (dirty victims are written back first)."""
-        while len(self._inode_cache) > self.INODE_CACHE_CAPACITY:
-            victim_ino = next(iter(self._inode_cache))
-            victim = self._inode_cache.pop(victim_ino)
-            if victim_ino in self._dirty_inodes:
-                self._write_inode_to_cache(victim)
-                self._dirty_inodes.discard(victim_ino)
+    def _release_inode(self, ino: int) -> None:
+        chunk, slot = self._chunk_of(ino)
+        if chunk is not None:
+            chunk[1] |= 1 << slot
 
-    def _write_inode_to_cache(self, inode: XfsInode) -> None:
-        chunk_block, slot = self._ino_location(inode.ino)
-        raw = bytearray(self.cache.read_block(chunk_block))
-        raw[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = inode.pack()
-        self.cache.write_block(chunk_block, bytes(raw))
-
-    # -------------------------------------------------------- block management --
-    def _allocate_block(self) -> int:
-        index = self.bitmap.allocate(start=self.geo.first_data_block)
-        if index is None or index < self.geo.first_data_block:
-            if index is not None:
-                self.bitmap.clear(index)
-            raise FsError(ENOSPC, "out of data blocks")
-        self.cache.write_block(index, b"")
-        return index
-
-    def _free_block(self, block: int) -> None:
-        if block:
-            self.bitmap.clear(block)
+    def _inode_allocated(self, ino: int) -> bool:
+        chunk, slot = self._chunk_of(ino)
+        return chunk is not None and not chunk[1] & (1 << slot)
 
     # --------------------------------------------------------- extent mapping --
-    def _block_of(self, inode: XfsInode, file_block: int) -> int:
+    def _get_file_block(self, inode: XfsInode, file_block: int) -> int:
         for start, device_start, count in inode.extents:
             if start <= file_block < start + count:
                 return device_start + (file_block - start)
@@ -434,8 +306,8 @@ class MountedXfs(MountedFileSystem):
                     self._free_block(dev + offset)
         inode.extents = kept
 
-    def _ensure_block(self, inode: XfsInode, file_block: int) -> int:
-        block = self._block_of(inode, file_block)
+    def _ensure_file_block(self, inode: XfsInode, file_block: int) -> int:
+        block = self._get_file_block(inode, file_block)
         if block == 0:
             block = self._allocate_block()
             try:
@@ -445,72 +317,17 @@ class MountedXfs(MountedFileSystem):
                 raise
         return block
 
-    # ------------------------------------------------------------- file data --
-    def _read_data(self, inode: XfsInode, offset: int, length: int) -> bytes:
-        if offset >= inode.size:
-            return b""
-        length = min(length, inode.size - offset)
-        bs = self.geo.block_size
-        chunks: List[bytes] = []
-        position, remaining = offset, length
-        while remaining > 0:
-            file_block = position // bs
-            within = position % bs
-            take = min(bs - within, remaining)
-            device_block = self._block_of(inode, file_block)
-            if device_block == 0:
-                chunks.append(b"\x00" * take)
-            else:
-                chunks.append(self.cache.read_block(device_block)[within : within + take])
-            position += take
-            remaining -= take
-        return b"".join(chunks)
-
-    def _write_data(self, inode: XfsInode, offset: int, data: bytes) -> int:
-        bs = self.geo.block_size
-        end = offset + len(data)
-        needed = sum(
-            1
-            for file_block in range(offset // bs, (end + bs - 1) // bs)
-            if self._block_of(inode, file_block) == 0
-        ) if data else 0
-        if needed and self.bitmap.free_count < needed:
-            raise FsError(ENOSPC, "not enough free blocks")
-        position, consumed = offset, 0
-        while consumed < len(data):
-            file_block = position // bs
-            within = position % bs
-            take = min(bs - within, len(data) - consumed)
-            device_block = self._ensure_block(inode, file_block)
-            if within == 0 and take == bs:
-                self.cache.write_block(device_block, data[consumed : consumed + take])
-            else:
-                raw = bytearray(self.cache.read_block(device_block))
-                raw[within : within + take] = data[consumed : consumed + take]
-                self.cache.write_block(device_block, bytes(raw))
-            position += take
-            consumed += take
-        if end > inode.size:
-            inode.size = end
-        return len(data)
-
     def _truncate_data(self, inode: XfsInode, size: int) -> None:
-        bs = self.geo.block_size
         if size < inode.size:
-            keep_blocks = (size + bs - 1) // bs
-            self._unmap_from(inode, keep_blocks)
-            if size % bs:
-                device_block = self._block_of(inode, (size - 1) // bs)
-                if device_block:
-                    raw = bytearray(self.cache.read_block(device_block))
-                    raw[size % bs :] = b"\x00" * (bs - size % bs)
-                    self.cache.write_block(device_block, bytes(raw))
+            bs = self.geo.block_size
+            self._unmap_from(inode, (size + bs - 1) // bs)
+            self._zero_tail(inode, size)
         inode.size = size
 
-    # ------------------------------------------------------------ directories --
-    def _read_dir_entries(self, inode: XfsInode) -> List[Tuple[int, int, str]]:
-        return unpack_dirents(self._read_data(inode, 0, self._dir_stream_length(inode)))
+    def _free_all_data(self, inode: XfsInode) -> None:
+        self._unmap_from(inode, 0)
 
+    # ------------------------------------------------------------ directories --
     def _dir_stream_length(self, inode: XfsInode) -> int:
         # The packed stream length is bounded by the allocated blocks.
         return inode.nblocks * self.geo.block_size
@@ -540,355 +357,17 @@ class MountedXfs(MountedFileSystem):
         slack = used_blocks * bs - len(data)
         if slack:
             within = len(data) % bs
-            device_block = self._ensure_block(inode, used_blocks - 1)
+            device_block = self._ensure_file_block(inode, used_blocks - 1)
             raw = bytearray(self.cache.read_block(device_block))
             raw[within:] = b"\x00" * (bs - within)
             self.cache.write_block(device_block, bytes(raw))
         # XFS-style size: the sum of aligned entry record sizes.
         inode.size = sum(_dirent_record_size(name) for _, _, name in ordered)
 
-    def _dir_find(self, inode: XfsInode, name: str) -> Optional[Tuple[int, int]]:
-        for ino, dtype, entry_name in self._read_dir_entries(inode):
-            if entry_name == name:
-                return ino, dtype
-        return None
-
-    def _require_dir(self, ino: int) -> XfsInode:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino} is unused")
-        if not inode.is_dir:
-            raise FsError(ENOTDIR, f"inode {ino}")
-        return inode
-
-    def _check_name(self, name: str) -> None:
-        if not name or name in (".", "..") or "/" in name:
-            raise FsError(EINVAL, f"bad name {name!r}")
-        if len(name.encode("utf-8")) > 255:
-            raise FsError(EINVAL, "name too long")
-
-    # ------------------------------------------------------------ VFS interface --
-    def lookup(self, dir_ino: int, name: str) -> int:
-        directory = self._require_dir(dir_ino)
-        found = self._dir_find(directory, name)
-        if found is None:
-            raise FsError(ENOENT, name)
-        return found[0]
-
-    def getattr(self, ino: int) -> StatResult:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino} is unused")
-        return StatResult(
-            st_ino=ino, st_mode=inode.mode, st_nlink=inode.nlink,
-            st_uid=inode.uid, st_gid=inode.gid, st_size=inode.size,
-            st_blocks=inode.nblocks * (self.geo.block_size // 512),
-            st_atime=inode.atime, st_mtime=inode.mtime, st_ctime=inode.ctime,
-        )
-
-    def getdents(self, dir_ino: int) -> List[Dirent]:
-        directory = self._require_dir(dir_ino)
-        directory.atime = self.clock.now
-        self._store_inode(directory)
-        return [
-            Dirent(name=name, ino=ino, dtype=dtype)
-            for ino, dtype, name in self._read_dir_entries(directory)
-            if name not in (".", "..")
-        ]
-
-    def _create_common(self, dir_ino: int, name: str, mode: int, uid: int, gid: int) -> XfsInode:
-        self._check_name(name)
-        directory = self._require_dir(dir_ino)
-        if self._dir_find(directory, name) is not None:
-            raise FsError(EEXIST, name)
-        ino = self._allocate_inode()
-        inode = self._load_inode(ino)
-        inode.mode = mode
-        inode.uid = uid
-        inode.gid = gid
-        inode.atime = inode.mtime = inode.ctime = self.clock.now
-        return inode
-
-    def create(self, dir_ino: int, name: str, mode: int, uid: int, gid: int) -> int:
-        inode = self._create_common(dir_ino, name, S_IFREG | (mode & 0o7777), uid, gid)
-        inode.nlink = 1
-        self._store_inode(inode)
-        self._dir_insert(dir_ino, name, inode.ino, DT_REG)
-        return inode.ino
-
-    def mkdir(self, dir_ino: int, name: str, mode: int, uid: int, gid: int) -> int:
-        inode = self._create_common(dir_ino, name, S_IFDIR | (mode & 0o7777), uid, gid)
-        inode.nlink = 2
-        self._write_dir_entries(inode, [(inode.ino, DT_DIR, "."), (dir_ino, DT_DIR, "..")])
-        self._store_inode(inode)
-        self._dir_insert(dir_ino, name, inode.ino, DT_DIR)
-        directory = self._load_inode(dir_ino)
-        directory.nlink += 1
-        self._store_inode(directory)
-        return inode.ino
-
-    def _dir_insert(self, dir_ino: int, name: str, ino: int, dtype: int) -> None:
-        directory = self._load_inode(dir_ino)
-        entries = self._read_dir_entries(directory)
-        entries.append((ino, dtype, name))
-        self._write_dir_entries(directory, entries)
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-
-    def _dir_remove(self, dir_ino: int, name: str) -> None:
-        directory = self._load_inode(dir_ino)
-        entries = self._read_dir_entries(directory)
-        remaining = [entry for entry in entries if entry[2] != name]
-        if len(remaining) == len(entries):
-            raise FsError(ENOENT, name)
-        self._write_dir_entries(directory, remaining)
-        directory.mtime = directory.ctime = self.clock.now
-        self._store_inode(directory)
-
-    def symlink(self, dir_ino: int, name: str, target: str, uid: int, gid: int) -> int:
-        inode = self._create_common(dir_ino, name, S_IFLNK | 0o777, uid, gid)
-        inode.nlink = 1
-        self._store_inode(inode)
-        self._write_data(inode, 0, target.encode("utf-8"))
-        self._store_inode(inode)
-        self._dir_insert(dir_ino, name, inode.ino, DT_LNK)
-        return inode.ino
-
-    def readlink(self, ino: int) -> str:
-        inode = self._load_inode(ino)
-        if not inode.is_symlink:
-            raise FsError(EINVAL, f"inode {ino} is not a symlink")
-        return self._read_data(inode, 0, inode.size).decode("utf-8")
-
-    def link(self, ino: int, dir_ino: int, name: str) -> None:
-        self._check_name(name)
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, "cannot hard-link directories")
-        directory = self._require_dir(dir_ino)
-        if self._dir_find(directory, name) is not None:
-            raise FsError(EEXIST, name)
-        self._dir_insert(dir_ino, name, ino, mode_to_dtype(inode.mode))
-        inode.nlink += 1
-        inode.ctime = self.clock.now
-        self._store_inode(inode)
-
-    def unlink(self, dir_ino: int, name: str) -> None:
-        directory = self._require_dir(dir_ino)
-        found = self._dir_find(directory, name)
-        if found is None:
-            raise FsError(ENOENT, name)
-        ino, _ = found
-        inode = self._load_inode(ino)
-        if inode.is_dir:
-            raise FsError(EISDIR, name)
-        self._dir_remove(dir_ino, name)
-        inode.nlink -= 1
-        inode.ctime = self.clock.now
-        if inode.nlink <= 0:
-            self._unmap_from(inode, 0)
-            self._drop_xattr_block(inode)
-            self._free_inode(ino)
-        else:
-            self._store_inode(inode)
-
-    def rmdir(self, dir_ino: int, name: str) -> None:
-        directory = self._require_dir(dir_ino)
-        found = self._dir_find(directory, name)
-        if found is None:
-            raise FsError(ENOENT, name)
-        ino, _ = found
-        target = self._load_inode(ino)
-        if not target.is_dir:
-            raise FsError(ENOTDIR, name)
-        entries = [e for e in self._read_dir_entries(target) if e[2] not in (".", "..")]
-        if entries:
-            raise FsError(ENOTEMPTY, name)
-        self._dir_remove(dir_ino, name)
-        directory = self._load_inode(dir_ino)
-        directory.nlink -= 1
-        self._store_inode(directory)
-        self._unmap_from(target, 0)
-        self._drop_xattr_block(target)
-        self._free_inode(ino)
-
-    def _is_ancestor(self, maybe_ancestor: int, ino: int) -> bool:
-        if maybe_ancestor == ino:
-            return True
-        current = ino
-        seen = set()
-        while current != self.root_ino and current not in seen:
-            seen.add(current)
-            inode = self._load_inode(current)
-            parent = next(
-                (e[0] for e in self._read_dir_entries(inode) if e[2] == ".."),
-                self.root_ino,
-            )
-            if parent == maybe_ancestor:
-                return True
-            current = parent
-        return False
-
-    def rename(self, old_dir: int, old_name: str, new_dir: int, new_name: str) -> None:
-        self._check_name(new_name)
-        source_dir = self._require_dir(old_dir)
-        found = self._dir_find(source_dir, old_name)
-        if found is None:
-            raise FsError(ENOENT, old_name)
-        ino, dtype = found
-        target_dir = self._require_dir(new_dir)
-        moving = self._load_inode(ino)
-        if moving.is_dir and old_dir != new_dir and self._is_ancestor(ino, new_dir):
-            raise FsError(EINVAL, "cannot move a directory into its own subtree")
-        existing = self._dir_find(target_dir, new_name)
-        if existing is not None:
-            existing_ino, _ = existing
-            if existing_ino == ino:
-                return
-            victim = self._load_inode(existing_ino)
-            if victim.is_dir:
-                if not moving.is_dir:
-                    raise FsError(EISDIR, new_name)
-                children = [e for e in self._read_dir_entries(victim) if e[2] not in (".", "..")]
-                if children:
-                    raise FsError(ENOTEMPTY, new_name)
-                self.rmdir(new_dir, new_name)
-            else:
-                if moving.is_dir:
-                    raise FsError(ENOTDIR, new_name)
-                self.unlink(new_dir, new_name)
-        self._dir_remove(old_dir, old_name)
-        self._dir_insert(new_dir, new_name, ino, dtype)
-        now = self.clock.now
-        if moving.is_dir and old_dir != new_dir:
-            entries = self._read_dir_entries(moving)
-            entries = [
-                (new_dir, DT_DIR, "..") if name == ".." else (e_ino, e_dtype, name)
-                for e_ino, e_dtype, name in entries
-            ]
-            self._write_dir_entries(moving, entries)
-            source = self._load_inode(old_dir)
-            source.nlink -= 1
-            self._store_inode(source)
-            target = self._load_inode(new_dir)
-            target.nlink += 1
-            self._store_inode(target)
-        moving.ctime = now
-        self._store_inode(moving)
-
-    def read(self, ino: int, offset: int, length: int) -> bytes:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, f"inode {ino}")
-        data = self._read_data(inode, offset, length)
-        inode.atime = self.clock.now
-        self._store_inode(inode)
-        return data
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, f"inode {ino}")
-        written = self._write_data(inode, offset, data)
-        inode.mtime = inode.ctime = self.clock.now
-        self._store_inode(inode)
-        return written
-
-    def truncate(self, ino: int, size: int) -> None:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if inode.is_dir:
-            raise FsError(EISDIR, f"inode {ino}")
-        self._truncate_data(inode, size)
-        inode.mtime = inode.ctime = self.clock.now
-        self._store_inode(inode)
-
-    def setattr(self, ino, mode=None, uid=None, gid=None, atime=None, mtime=None):
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        if mode is not None:
-            inode.mode = (inode.mode & S_IFMT) | (mode & 0o7777)
-        if uid is not None:
-            inode.uid = uid
-        if gid is not None:
-            inode.gid = gid
-        if atime is not None:
-            inode.atime = atime
-        if mtime is not None:
-            inode.mtime = mtime
-        inode.ctime = self.clock.now
-        self._store_inode(inode)
-        return self.getattr(ino)
-
-    # ---------------------------------------------------------------- xattrs --
-    def _load_xattrs(self, inode: XfsInode) -> Dict[str, bytes]:
-        if not inode.xattr_block:
-            return {}
-        return unpack_xattrs(self.cache.read_block(inode.xattr_block))
-
-    def _store_xattr_dict(self, inode: XfsInode, xattrs: Dict[str, bytes]) -> None:
-        if xattrs:
-            data = pack_xattrs(xattrs)
-            if len(data) > self.geo.block_size:
-                raise FsError(ERANGE, "xattrs exceed the attribute block")
-            if not inode.xattr_block:
-                inode.xattr_block = self._allocate_block()
-            self.cache.write_block(inode.xattr_block, data)
-        else:
-            self._drop_xattr_block(inode)
-        inode.ctime = self.clock.now
-        self._store_inode(inode)
-
-    def _drop_xattr_block(self, inode: XfsInode) -> None:
-        if inode.xattr_block:
-            self._free_block(inode.xattr_block)
-            inode.xattr_block = 0
-
-    def _live_inode(self, ino: int) -> XfsInode:
-        inode = self._load_inode(ino)
-        if inode.mode == 0:
-            raise FsError(ENOENT, f"inode {ino}")
-        return inode
-
-    def setxattr(self, ino: int, key: str, value: bytes, flags: int = 0) -> None:
-        inode = self._live_inode(ino)
-        xattrs = self._load_xattrs(inode)
-        if flags == XATTR_CREATE and key in xattrs:
-            raise FsError(EEXIST, key)
-        if flags == XATTR_REPLACE and key not in xattrs:
-            raise FsError(ENODATA, key)
-        xattrs[key] = bytes(value)
-        self._store_xattr_dict(inode, xattrs)
-
-    def getxattr(self, ino: int, key: str) -> bytes:
-        xattrs = self._load_xattrs(self._live_inode(ino))
-        if key not in xattrs:
-            raise FsError(ENODATA, key)
-        return xattrs[key]
-
-    def listxattr(self, ino: int) -> List[str]:
-        return sorted(self._load_xattrs(self._live_inode(ino)))
-
-    def removexattr(self, ino: int, key: str) -> None:
-        inode = self._live_inode(ino)
-        xattrs = self._load_xattrs(inode)
-        if key not in xattrs:
-            raise FsError(ENODATA, key)
-        del xattrs[key]
-        self._store_xattr_dict(inode, xattrs)
-
     def statfs(self) -> StatVFS:
         # XFS has no static inode limit: report inode headroom in terms of
         # what free space could hold.
-        free_blocks = self.bitmap.free_count
+        free_blocks = self.block_bitmap.free_count
         return StatVFS(
             block_size=self.geo.block_size,
             blocks_total=self.geo.block_count - self.geo.first_data_block,
@@ -928,7 +407,7 @@ class MountedXfs(MountedFileSystem):
                     continue
                 for start, dev, count in child.extents:
                     for offset in range(count):
-                        if not self.bitmap.get(dev + offset):
+                        if not self.block_bitmap.get(dev + offset):
                             problems.append(
                                 f"ino {ino}: data block {dev + offset} free in bitmap"
                             )

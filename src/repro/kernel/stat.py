@@ -17,6 +17,10 @@ DT_DIR = 4
 DT_REG = 8
 DT_LNK = 10
 
+# setxattr flags (matching <sys/xattr.h>).
+XATTR_CREATE = 1
+XATTR_REPLACE = 2
+
 _TYPE_NAMES = {S_IFDIR: "dir", S_IFREG: "file", S_IFLNK: "symlink"}
 
 

@@ -32,6 +32,8 @@ from repro.kernel.stat import (
     DT_DIR,
     DT_LNK,
     DT_REG,
+    XATTR_CREATE,
+    XATTR_REPLACE,
     Dirent,
     S_IFDIR,
     S_IFLNK,
@@ -46,8 +48,6 @@ from repro.verifs.common import VeriFSBase
 
 CHUNK_SIZE = 4096
 DEFAULT_CAPACITY = 8 * 1024 * 1024
-XATTR_CREATE = 1
-XATTR_REPLACE = 2
 
 
 class V2Inode:

@@ -152,7 +152,7 @@ def test_xfs_leaked_block_detected(mount_factory):
     fx = mount_factory("xfs")
     populate(fx)
     fs = fx.fs()
-    fs.bitmap.set(fs.bitmap.find_free(start=fs.geo.first_data_block))
+    fs.block_bitmap.set(fs.block_bitmap.find_free(start=fs.geo.first_data_block))
     fs.sync()
     findings = check_image(fx.device.snapshot_image())
     assert {f.invariant for f in findings} == {"block-leak"}
