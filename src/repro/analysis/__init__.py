@@ -6,8 +6,9 @@ file systems.  This package adds the two complementary static layers:
 * :mod:`repro.analysis.fsck` -- offline, fsck-style checkers that audit
   raw device images (and mounted trees) for latent corruption: leaked
   blocks, wrong link counts, dangling dirents, bitmap disagreement,
-  broken journals, torn log nodes.  Checkers run in a pFSCK-style
-  worker pool so auditing many images stays cheap.
+  broken journals, torn log nodes.  The block formats share one
+  pFSCK-style walk (tree, link counts, allocation) and keep only their
+  on-disk formats.
 * :mod:`repro.analysis.analyze` -- ``repro analyze`` over the engine's
   own sources: the determinism lint (:mod:`repro.analysis.lint`:
   unseeded randomness, wall-clock reads, iteration over unordered
@@ -22,7 +23,6 @@ as a per-state oracle, turning silent on-disk corruption into a
 from repro.analysis.findings import Finding, finding_from_dict
 from repro.analysis.fsck import (
     check_image,
-    check_images,
     check_mounted,
     detect_fstype,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "Finding",
     "finding_from_dict",
     "check_image",
-    "check_images",
     "check_mounted",
     "detect_fstype",
 ]

@@ -4,22 +4,23 @@ Entry points:
 
 * :func:`detect_fstype` -- identify an image by its magic;
 * :func:`check_image` -- run the right checker over one raw image;
-* :func:`check_images` -- many images, checked in input order;
 * :func:`check_mounted` -- the generic VFS-level tree checker, for
   backends with no device image (VeriFS).
 
 Each checker consumes the image as plain ``bytes`` (the view returned
 by ``device.snapshot_image()``) and returns a list of structured
-:class:`~repro.analysis.findings.Finding` records.
+:class:`~repro.analysis.findings.Finding` records.  The block formats
+(ext2, ext4, xfs) share one walk, :class:`BlockImageChecker`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.analysis.findings import Finding
 from repro.analysis.fsck.ext2 import Ext2ImageChecker, Ext4ImageChecker
 from repro.analysis.fsck.generic import check_mounted
+from repro.analysis.fsck.image import BlockImageChecker
 from repro.analysis.fsck.jffs2 import Jffs2ImageChecker
 from repro.analysis.fsck.xfs import XfsImageChecker
 from repro.fs.ext2 import MAGIC as EXT2_MAGIC
@@ -28,13 +29,13 @@ from repro.fs.jffs2 import NODE_MAGIC as JFFS2_NODE_MAGIC
 from repro.fs.xfs import MAGIC as XFS_MAGIC
 
 __all__ = [
+    "BlockImageChecker",
     "CHECKERS",
     "Ext2ImageChecker",
     "Ext4ImageChecker",
     "Jffs2ImageChecker",
     "XfsImageChecker",
     "check_image",
-    "check_images",
     "check_mounted",
     "detect_fstype",
 ]
@@ -47,11 +48,10 @@ CHECKERS = {
     "jffs2": Jffs2ImageChecker,
 }
 
-#: default geometry options per fstype (match the FileSystemType defaults)
+#: default geometry options the image does not record (match the
+#: FileSystemType defaults); block sizes come from the superblock
 _DEFAULTS: Dict[str, Dict[str, int]] = {
-    "ext2": {"block_size": 1024},
-    "ext4": {"block_size": 1024, "journal_blocks": 16},
-    "xfs": {"block_size": 4096},
+    "ext4": {"journal_blocks": 16},
     "jffs2": {"erase_block_size": 16 * 1024},
 }
 
@@ -75,7 +75,8 @@ def check_image(image: bytes, fstype: Optional[str] = None,
 
     ``fstype`` may be omitted (the magic decides) or one of ``CHECKERS``'
     keys.  ``options`` override the per-FS geometry defaults
-    (``block_size``, ``erase_block_size``, ``journal_blocks``).
+    (``erase_block_size``, ``journal_blocks``); options another format
+    takes, and ``None`` values, are ignored.
     """
     name = fstype or detect_fstype(image)
     if name is None:
@@ -89,22 +90,8 @@ def check_image(image: bytes, fstype: Optional[str] = None,
     except KeyError:
         raise ValueError(f"no image checker for fstype {name!r}; "
                          f"know {sorted(CHECKERS)}") from None
-    kwargs = dict(_DEFAULTS[name])
-    for key, value in options.items():
-        if value is None:
-            continue
-        if key in kwargs:
-            kwargs[key] = value
+    kwargs = dict(_DEFAULTS.get(name, {}))
+    kwargs.update((key, value) for key, value in options.items()
+                  if key in kwargs and value is not None)
     return checker_class(image, **kwargs).check()
 
-
-def check_images(jobs: Iterable[Union[bytes, dict]]) -> List[List[Finding]]:
-    """Check many images, one after another, in input order.
-
-    ``jobs`` is a sequence of raw images, or dicts of :func:`check_image`
-    keyword arguments (``{"image": ..., "fstype": ..., ...}``).  The
-    checkers are pure Python and hold the GIL, so a thread pool over them
-    ran no faster than this loop (see EXPERIMENTS.md).
-    """
-    return [check_image(**job) if isinstance(job, dict)
-            else check_image(job) for job in jobs]

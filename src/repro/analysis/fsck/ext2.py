@@ -1,20 +1,19 @@
 """Offline image checker for SimExt2 (and, via subclass, SimExt4).
 
-Parses the raw image with the same formats the mounted driver uses
-(superblock, bitmaps exactly as ``MountedExt2._read_bitmaps``, 128-byte
-inode records, packed dirent streams) and cross-checks:
+The walk itself -- tree, link counts, leaks and orphans -- is
+:class:`~repro.analysis.fsck.image.BlockImageChecker`'s.  This module
+holds what is ext2's own, parsed with the same formats the mounted
+driver uses (bitmaps exactly as ``MountedExt2._read_bitmaps``, 128-byte
+inode records, direct + one indirect block map):
 
-* superblock magic and geometry vs. what the device can actually hold
-  (catches truncated images);
-* the directory tree reachable from the root: dangling dirents,
-  ``.``/``..`` sanity, duplicate names, dtype-vs-mode agreement;
-* recomputed link counts vs. stored ``nlink``;
+* superblock counts vs. the geometry the device derives (catches
+  truncated images);
 * block accounting: every reachable block must be in range, claimed at
-  most once, and marked allocated; every allocated data block must be
-  claimed by someone (else it leaked); ``nblocks`` must match the
-  mapped-block recount;
+  most once, and marked allocated; ``nblocks`` must match the
+  mapped-block recount; no block mapped past the size;
+* directory size: a positive whole number of blocks, every one mapped;
 * inode bitmap vs. reachability: allocated-but-unreachable inodes are
-  orphans;
+  orphans, free ones must have zeroed records (``inode-stale``);
 * (ext4) journal region: a committed transaction must fit the journal
   and point at in-range home blocks.
 """
@@ -24,10 +23,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.findings import Finding
-from repro.analysis.fsck.image import BlockImage
-from repro.errors import FsError
-from repro.fs.base import unpack_dirents
+from repro.analysis.fsck.image import BlockImageChecker
 from repro.fs.ext2 import (
     DIRECT_POINTERS,
     Ext2Geometry,
@@ -36,7 +32,6 @@ from repro.fs.ext2 import (
     MAGIC as EXT2_MAGIC,
     ROOT_INO,
     SUPER_FMT,
-    SUPER_SIZE,
 )
 from repro.fs.ext4 import (
     Ext4Geometry,
@@ -47,91 +42,49 @@ from repro.fs.ext4 import (
     JOURNAL_MAGIC,
     MAGIC as EXT4_MAGIC,
 )
-from repro.kernel.stat import mode_to_dtype
 from repro.util.bitmap import Bitmap
 
 
-class Ext2ImageChecker:
+class Ext2ImageChecker(BlockImageChecker):
     """fsck for a raw SimExt2 image."""
 
     checker = "fsck.ext2"
     magic = EXT2_MAGIC
+    SUPER_FMT = SUPER_FMT
+    GEOMETRY = Ext2Geometry
+    MIN_BLOCK_SIZE = INODE_SIZE  # an inode-table block holds one record
+    inode_map = "the inode bitmap"
+    stale_invariant = "inode-stale"
+    root_ino = ROOT_INO
 
-    def __init__(self, image: bytes, block_size: int = 1024):
-        self.image = image
-        self.block_size = block_size
-        self.findings: List[Finding] = []
-        self.geo: Optional[Ext2Geometry] = None
-        self.blocks: Optional[BlockImage] = None
-        self.block_bitmap: Optional[Bitmap] = None
+    def __init__(self, image: bytes):
+        super().__init__(image)
         self.inode_bitmap: Optional[Bitmap] = None
 
-    # ----------------------------------------------------------- reporting --
-    def _finding(self, invariant: str, message: str, location: str = "",
-                 severity: str = "error", **detail) -> None:
-        self.findings.append(Finding(
-            checker=self.checker, invariant=invariant, message=message,
-            severity=severity, location=location, detail=detail,
-        ))
-
     # ------------------------------------------------------------- parsing --
-    def _make_geometry(self) -> Ext2Geometry:
-        return Ext2Geometry(len(self.image), self.block_size)
-
-    def _read_superblock(self) -> bool:
-        """Validate the superblock; return False when nothing else can be
-        checked (wrong magic or a device too small to hold metadata)."""
-        if len(self.image) < SUPER_SIZE:
-            self._finding("superblock-magic",
-                          f"image of {len(self.image)} bytes cannot hold a superblock",
-                          location="block 0")
-            return False
-        magic, _version, sb_bs, blocks, inodes, first_data, _generation = (
-            struct.unpack(SUPER_FMT, self.image[:SUPER_SIZE])
-        )
-        if magic != self.magic:
-            self._finding("superblock-magic",
-                          f"bad magic {magic!r} (expected {self.magic!r})",
-                          location="block 0")
-            return False
-        if sb_bs != self.block_size:
-            self._finding("superblock-geometry",
-                          f"superblock block size {sb_bs} != checker block size "
-                          f"{self.block_size}", location="block 0",
-                          superblock=sb_bs, expected=self.block_size)
-            return False
-        try:
-            geo = self._make_geometry()
-        except FsError as error:
-            self._finding("superblock-geometry",
-                          f"device cannot hold the metadata layout: {error}",
-                          location="block 0")
-            return False
-        if (blocks, inodes, first_data) != (
+    def _check_geometry(self, geo: Ext2Geometry, fields: tuple) -> bool:
+        blocks, inodes, first_data = fields[3:6]
+        if (blocks, inodes, first_data) == (
             geo.block_count, geo.inode_count, geo.first_data_block
         ):
-            self._finding(
-                "superblock-geometry",
-                f"superblock claims {blocks} blocks / {inodes} inodes / first "
-                f"data block {first_data}, device holds {geo.block_count} / "
-                f"{geo.inode_count} / {geo.first_data_block} (truncated image?)",
-                location="block 0",
-                superblock=[blocks, inodes, first_data],
-                derived=[geo.block_count, geo.inode_count, geo.first_data_block],
-            )
-            return False
-        self.geo = geo
-        self.blocks = BlockImage(self.image, self.block_size)
-        return True
+            return True
+        self._finding(
+            "superblock-geometry",
+            f"superblock claims {blocks} blocks / {inodes} inodes / first "
+            f"data block {first_data}, device holds {geo.block_count} / "
+            f"{geo.inode_count} / {geo.first_data_block} (truncated image?)",
+            location="block 0",
+            superblock=[blocks, inodes, first_data],
+            derived=[geo.block_count, geo.inode_count, geo.first_data_block],
+        )
+        return False
 
-    def _read_bitmaps(self) -> None:
-        geo, blocks = self.geo, self.blocks
-        raw = b"".join(blocks.block(geo.block_bitmap_start + i)
-                       for i in range(geo.block_bitmap_blocks))
-        self.block_bitmap = Bitmap.from_bytes(raw, geo.block_count)
-        raw = b"".join(blocks.block(geo.inode_bitmap_start + i)
-                       for i in range(geo.inode_bitmap_blocks))
-        self.inode_bitmap = Bitmap.from_bytes(raw, geo.inode_count)
+    def _read_tables(self, fields: tuple) -> None:
+        geo = self.geo
+        self.block_bitmap = self._read_bitmap(
+            geo.block_bitmap_start, geo.block_bitmap_blocks, geo.block_count)
+        self.inode_bitmap = self._read_bitmap(
+            geo.inode_bitmap_start, geo.inode_bitmap_blocks, geo.inode_count)
 
     def _load_inode(self, ino: int) -> Ext2Inode:
         geo = self.geo
@@ -141,11 +94,16 @@ class Ext2ImageChecker:
         raw = self.blocks.block(block)[offset : offset + INODE_SIZE]
         return Ext2Inode.unpack(ino, raw)
 
-    def _pointers_per_block(self) -> int:
-        return self.geo.block_size // 4
+    def _inode_allocated(self, ino: int) -> bool:
+        return 1 <= ino <= self.geo.inode_count and self.inode_bitmap.get(ino - 1)
+
+    def _inode_slots(self):
+        # ino 1 is reserved (bad blocks): allocated by mkfs, mode 0
+        for ino in range(2, self.geo.inode_count + 1):
+            yield ino, self.inode_bitmap.get(ino - 1)
 
     def _read_indirect(self, block: int) -> List[int]:
-        count = self._pointers_per_block()
+        count = self.geo.block_size // 4
         raw = self.blocks.block(block)
         return list(struct.unpack(f"<{count}I", raw[: count * 4]))
 
@@ -153,34 +111,16 @@ class Ext2ImageChecker:
         if file_block < DIRECT_POINTERS:
             return inode.direct[file_block]
         index = file_block - DIRECT_POINTERS
-        if index >= self._pointers_per_block() or not inode.indirect:
+        if index >= self.geo.block_size // 4 or not inode.indirect:
             return 0
         if not self._data_block_ok(inode.indirect):
             return 0
         return self._read_indirect(inode.indirect)[index]
 
-    def _data_block_ok(self, block: int) -> bool:
-        return self.geo.first_data_block <= block < self.geo.block_count
+    def _dir_stream_length(self, inode: Ext2Inode) -> int:
+        return inode.size
 
-    def _read_file(self, inode: Ext2Inode) -> bytes:
-        """Read a whole file's content; unmappable blocks read as zeros
-        (the walk reports them separately)."""
-        bs = self.geo.block_size
-        chunks: List[bytes] = []
-        remaining = inode.size
-        file_block = 0
-        while remaining > 0:
-            take = min(bs, remaining)
-            device_block = self._file_block(inode, file_block)
-            if device_block and self._data_block_ok(device_block):
-                chunks.append(self.blocks.block(device_block)[:take])
-            else:
-                chunks.append(b"\x00" * take)
-            remaining -= take
-            file_block += 1
-        return b"".join(chunks)
-
-    # ---------------------------------------------------------------- walk --
+    # --------------------------------------------------------- block audit --
     def _claim(self, block: int, ino: int, what: str,
                claims: Dict[int, Tuple[int, str]]) -> None:
         if not self._data_block_ok(block):
@@ -205,200 +145,56 @@ class Ext2ImageChecker:
                           f"free in the block bitmap", location=f"block {block}",
                           block=block, ino=ino)
 
-    def _audit_inode_blocks(self, inode: Ext2Inode,
-                            claims: Dict[int, Tuple[int, str]]) -> None:
+    def _audit_blocks(self, inode: Ext2Inode,
+                      claims: Dict[int, Tuple[int, str]]) -> None:
         ino = inode.ino
-        mapped = 0
         bs = self.geo.block_size
         size_blocks = (inode.size + bs - 1) // bs
-        for file_block in range(DIRECT_POINTERS):
-            block = inode.direct[file_block]
-            if block:
-                mapped += 1
-                self._claim(block, ino, f"data block {file_block}", claims)
-                if file_block >= size_blocks:
-                    self._finding("block-beyond-size",
-                                  f"ino {ino} maps file block {file_block} but "
-                                  f"size {inode.size} needs only {size_blocks} "
-                                  f"blocks", location=f"ino {ino}",
-                                  severity="warn", file_block=file_block)
+        data = [(file_block, block)
+                for file_block, block in enumerate(inode.direct) if block]
+        for file_block, block in data:
+            self._claim_data(inode, file_block, block, size_blocks, claims)
         if inode.indirect:
-            mapped += 1
             self._claim(inode.indirect, ino, "indirect block", claims)
             if self._data_block_ok(inode.indirect):
-                for index, block in enumerate(self._read_indirect(inode.indirect)):
-                    if block:
-                        mapped += 1
-                        file_block = DIRECT_POINTERS + index
-                        self._claim(block, ino, f"data block {file_block}", claims)
-                        if file_block >= size_blocks:
-                            self._finding("block-beyond-size",
-                                          f"ino {ino} maps file block {file_block} "
-                                          f"but size {inode.size} needs only "
-                                          f"{size_blocks} blocks",
-                                          location=f"ino {ino}", severity="warn",
-                                          file_block=file_block)
+                pointers = self._read_indirect(inode.indirect)
+                indirect = [(DIRECT_POINTERS + index, block)
+                            for index, block in enumerate(pointers) if block]
+                for file_block, block in indirect:
+                    self._claim_data(inode, file_block, block, size_blocks, claims)
+                data += indirect
         if inode.xattr_block:
-            mapped += 1
             self._claim(inode.xattr_block, ino, "xattr block", claims)
+        mapped = len(data) + bool(inode.indirect) + bool(inode.xattr_block)
         if mapped != inode.nblocks:
             self._finding("nblocks-mismatch",
                           f"ino {ino} says nblocks={inode.nblocks} but maps "
                           f"{mapped} blocks", location=f"ino {ino}",
                           stored=inode.nblocks, recomputed=mapped)
+        if not inode.is_dir:
+            return
+        # ext2 semantics: a directory is a whole number of mapped blocks
+        if inode.size == 0 or inode.size % bs:
+            self._finding("dir-size-misaligned",
+                          f"directory ino {ino} has size {inode.size}, "
+                          f"not a positive multiple of the block size",
+                          location=f"ino {ino}", size=inode.size)
+        within = sum(1 for file_block, _ in data if file_block < size_blocks)
+        if within < size_blocks:
+            self._finding("dir-size-unmapped",
+                          f"directory ino {ino} has size {inode.size} but maps "
+                          f"only {within} of the {size_blocks} blocks it spans",
+                          location=f"ino {ino}", size=inode.size, mapped=within)
 
-    def _audit_directory(self, ino: int, inode: Ext2Inode, parent: int,
-                         link_counts: Dict[int, int],
-                         subdir_counts: Dict[int, int],
-                         stack: List[Tuple[int, int]],
-                         reachable: Dict[int, Ext2Inode]) -> None:
-        entries = unpack_dirents(self._read_file(inode))
-        names = set()
-        dot = dotdot = None
-        for entry_ino, dtype, name in entries:
-            if name in names:
-                self._finding("duplicate-dirent",
-                              f"directory ino {ino} lists {name!r} twice",
-                              location=f"ino {ino}", name=name)
-            names.add(name)
-            if name == ".":
-                dot = entry_ino
-                continue
-            if name == "..":
-                dotdot = entry_ino
-                continue
-            if not 1 <= entry_ino <= self.geo.inode_count:
-                self._finding("dangling-dirent",
-                              f"dirent {name!r} in ino {ino} points at invalid "
-                              f"ino {entry_ino}", location=f"ino {ino}",
-                              name=name, target=entry_ino)
-                continue
-            if not self.inode_bitmap.get(entry_ino - 1):
-                self._finding("dangling-dirent",
-                              f"dirent {name!r} in ino {ino} points at "
-                              f"unallocated ino {entry_ino}",
-                              location=f"ino {ino}", name=name, target=entry_ino)
-                continue
-            child = self._load_inode(entry_ino)
-            if child.mode == 0:
-                self._finding("dangling-dirent",
-                              f"dirent {name!r} in ino {ino} points at zeroed "
-                              f"ino {entry_ino}", location=f"ino {ino}",
-                              name=name, target=entry_ino)
-                continue
-            if mode_to_dtype(child.mode) != dtype:
-                self._finding("dtype-mismatch",
-                              f"dirent {name!r} in ino {ino} has dtype {dtype} "
-                              f"but ino {entry_ino} has mode {child.mode:#o}",
-                              location=f"ino {ino}", severity="warn",
-                              name=name, dtype=dtype, mode=child.mode)
-            link_counts[entry_ino] = link_counts.get(entry_ino, 0) + 1
-            if child.is_dir:
-                subdir_counts[ino] = subdir_counts.get(ino, 0) + 1
-            if entry_ino not in reachable:
-                stack.append((entry_ino, ino))
-            reachable.setdefault(entry_ino, child)
-        if dot != ino:
-            self._finding("dot-entry",
-                          f"directory ino {ino}: '.' is {dot} (expected {ino})",
-                          location=f"ino {ino}", got=dot)
-        if dotdot != parent:
-            self._finding("dotdot-entry",
-                          f"directory ino {ino}: '..' is {dotdot} (expected "
-                          f"{parent})", location=f"ino {ino}", got=dotdot,
-                          expected=parent)
-
-    def _walk_tree(self) -> Dict[int, Ext2Inode]:
-        claims: Dict[int, Tuple[int, str]] = {}
-        link_counts: Dict[int, int] = {}
-        subdir_counts: Dict[int, int] = {}
-        reachable: Dict[int, Ext2Inode] = {}
-
-        root = self._load_inode(ROOT_INO)
-        if root.mode == 0 or not root.is_dir:
-            self._finding("missing-root",
-                          f"root inode {ROOT_INO} is not a directory "
-                          f"(mode {root.mode:#o})", location=f"ino {ROOT_INO}")
-            return reachable
-        reachable[ROOT_INO] = root
-        stack: List[Tuple[int, int]] = [(ROOT_INO, ROOT_INO)]
-        audited = set()
-        while stack:
-            ino, parent = stack.pop()
-            if ino in audited:
-                continue
-            audited.add(ino)
-            inode = reachable[ino]
-            self._audit_inode_blocks(inode, claims)
-            if inode.is_dir:
-                bs = self.geo.block_size
-                if inode.size == 0 or inode.size % bs:
-                    self._finding("dir-size-misaligned",
-                                  f"directory ino {ino} has size {inode.size}, "
-                                  f"not a positive multiple of the block size",
-                                  location=f"ino {ino}", size=inode.size)
-                self._audit_directory(ino, inode, parent, link_counts,
-                                      subdir_counts, stack, reachable)
-
-        # Link-count recomputation.
-        for ino in sorted(reachable):
-            inode = reachable[ino]
-            if inode.is_dir:
-                expected = 2 + subdir_counts.get(ino, 0)
-            else:
-                expected = link_counts.get(ino, 0)
-            if inode.nlink != expected:
-                self._finding("nlink-mismatch",
-                              f"ino {ino}: stored nlink {inode.nlink}, "
-                              f"recomputed {expected}", location=f"ino {ino}",
-                              stored=inode.nlink, recomputed=expected)
-
-        self._audit_allocation(claims, reachable)
-        return reachable
-
-    def _audit_allocation(self, claims: Dict[int, Tuple[int, str]],
-                          reachable: Dict[int, Ext2Inode]) -> None:
-        geo = self.geo
-        for block in range(geo.first_data_block):
-            if not self.block_bitmap.get(block):
-                self._finding("metadata-unallocated",
-                              f"metadata block {block} is free in the block "
-                              f"bitmap", location=f"block {block}", block=block)
-        for block in range(geo.first_data_block, geo.block_count):
-            if self.block_bitmap.get(block) and block not in claims:
-                self._finding("block-leak",
-                              f"block {block} is allocated but not referenced "
-                              f"by any reachable inode",
-                              location=f"block {block}", block=block)
-        for index in range(geo.inode_count):
-            ino = index + 1
-            if ino == 1:  # reserved (bad blocks), allocated by mkfs, mode 0
-                continue
-            allocated = self.inode_bitmap.get(index)
-            if allocated and ino not in reachable:
-                self._finding("inode-orphan",
-                              f"ino {ino} is allocated in the inode bitmap but "
-                              f"unreachable from the root",
-                              location=f"ino {ino}", ino=ino)
-            elif not allocated:
-                record = self._load_inode(ino)
-                if record.mode != 0:
-                    self._finding("inode-stale",
-                                  f"ino {ino} is free in the inode bitmap but "
-                                  f"its on-disk record is not zeroed",
-                                  location=f"ino {ino}", severity="warn",
-                                  ino=ino)
-
-    # --------------------------------------------------------------- driver --
-    def check(self) -> List[Finding]:
-        if self._read_superblock():
-            self._read_bitmaps()
-            self._walk_tree()
-            self._check_journal()
-        return self.findings
-
-    def _check_journal(self) -> None:
-        """ext2 has no journal; the ext4 subclass overrides this."""
+    def _claim_data(self, inode: Ext2Inode, file_block: int, block: int,
+                    size_blocks: int, claims: Dict[int, Tuple[int, str]]) -> None:
+        self._claim(block, inode.ino, f"data block {file_block}", claims)
+        if file_block >= size_blocks:
+            self._finding("block-beyond-size",
+                          f"ino {inode.ino} maps file block {file_block} but "
+                          f"size {inode.size} needs only {size_blocks} "
+                          f"blocks", location=f"ino {inode.ino}",
+                          severity="warn", file_block=file_block)
 
 
 class Ext4ImageChecker(Ext2ImageChecker):
@@ -407,13 +203,12 @@ class Ext4ImageChecker(Ext2ImageChecker):
     checker = "fsck.ext4"
     magic = EXT4_MAGIC
 
-    def __init__(self, image: bytes, block_size: int = 1024,
-                 journal_blocks: int = 16):
-        super().__init__(image, block_size)
+    def __init__(self, image: bytes, journal_blocks: int = 16):
+        super().__init__(image)
         self.journal_blocks = journal_blocks
 
-    def _make_geometry(self) -> Ext4Geometry:
-        return Ext4Geometry(len(self.image), self.block_size, self.journal_blocks)
+    def _make_geometry(self, block_size: int) -> Ext4Geometry:
+        return Ext4Geometry(len(self.image), block_size, self.journal_blocks)
 
     def _check_journal(self) -> None:
         geo: Ext4Geometry = self.geo

@@ -25,9 +25,10 @@ what it skipped:
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.findings import Finding
+from repro.analysis.fsck.image import ImageChecker
 from repro.fs.base import unpack_xattrs
 from repro.fs.jffs2 import (
     DIRENT_FIXED,
@@ -45,25 +46,17 @@ from repro.fs.jffs2 import (
 from repro.kernel.stat import DT_DIR, S_IFDIR, S_IFMT
 
 
-class Jffs2ImageChecker:
+class Jffs2ImageChecker(ImageChecker):
     """fsck for a raw SimJFFS2 flash image."""
 
     checker = "fsck.jffs2"
 
     def __init__(self, image: bytes, erase_block_size: int = 16 * 1024):
-        self.image = image
+        super().__init__(image)
         self.erase_block_size = erase_block_size
-        self.findings: List[Finding] = []
         # replay state (latest version wins, as in the mount scan)
         self.inodes: Dict[int, Tuple[int, int, int, bytes]] = {}  # ino -> (version, mode, size, data)
         self.dirents: Dict[Tuple[int, str], Tuple[int, int, int]] = {}  # (pino, name) -> (version, child, dtype)
-
-    def _finding(self, invariant: str, message: str, location: str = "",
-                 severity: str = "error", **detail) -> None:
-        self.findings.append(Finding(
-            checker=self.checker, invariant=invariant, message=message,
-            severity=severity, location=location, detail=detail,
-        ))
 
     # ------------------------------------------------------------- log scan --
     def _scan(self) -> None:

@@ -1,22 +1,22 @@
 """Offline image checker for SimXFS.
 
-SimXFS maps files with inline extent lists and allocates inodes in
-16-slot chunks carved out of the data area, so the extent and chunk
-machinery get their own invariants on top of the shared tree checks:
+The walk itself -- tree, link counts, leaks and orphans -- is
+:class:`~repro.analysis.fsck.image.BlockImageChecker`'s.  SimXFS maps
+files with inline extent lists and allocates inodes in 16-slot chunks
+carved out of the data area, so the extent and chunk machinery get
+their own invariants:
 
 * ``extent-overlap`` -- extents overlapping within one inode (in file
   or device space) or across inodes;
 * ``extent-out-of-range`` -- an extent running outside the data area;
 * ``extent-not-allocated`` -- extent blocks free in the bitmap;
-* ``chunk-mask-mismatch`` -- the chunk index says a slot is free but a
-  reachable inode lives there (or says allocated for a slot whose
-  record is zeroed and unreachable);
-* plus the usual reachability, ``.``/``..``, nlink, dtype, size and
-  block-leak checks shared with the ext family.
+* ``chunk-mask-mismatch`` (warn) -- a slot free in its chunk mask whose
+  on-disk record is not zeroed (ext2's ``inode-stale``);
+* ``dir-size-mismatch`` -- a directory size that is not the sum of its
+  entries' 8-byte-aligned record sizes.
 
-SimXFS has no journal (``sync`` is a plain write-back flush), so the
-journal-consistency prong of the issue lives in the ext4 checker; see
-``docs/analysis.md``.
+SimXFS has no journal (``sync`` is a plain write-back flush), so only
+the ext4 checker checks one; see ``docs/analysis.md``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.findings import Finding
-from repro.analysis.fsck.image import BlockImage
-from repro.errors import FsError
-from repro.fs.base import unpack_dirents
+from repro.analysis.fsck.image import BlockImageChecker
 from repro.fs.xfs import (
     CHUNK_ENTRY_FMT,
     CHUNK_ENTRY_SIZE,
@@ -35,89 +32,50 @@ from repro.fs.xfs import (
     INODES_PER_CHUNK,
     MAGIC as XFS_MAGIC,
     SUPER_FMT,
-    SUPER_SIZE,
     XfsGeometry,
     XfsInode,
     _dirent_record_size,
 )
-from repro.kernel.stat import mode_to_dtype
-from repro.util.bitmap import Bitmap
 
 
-class XfsImageChecker:
+class XfsImageChecker(BlockImageChecker):
     """fsck for a raw SimXFS image."""
 
     checker = "fsck.xfs"
     magic = XFS_MAGIC
+    SUPER_FMT = SUPER_FMT
+    GEOMETRY = XfsGeometry
+    MIN_BLOCK_SIZE = INODES_PER_CHUNK * INODE_SIZE  # a chunk fills one block
+    inode_map = "its chunk mask"
+    stale_invariant = "chunk-mask-mismatch"
 
-    def __init__(self, image: bytes, block_size: int = 4096):
-        self.image = image
-        self.block_size = block_size
-        self.findings: List[Finding] = []
-        self.geo: Optional[XfsGeometry] = None
-        self.blocks: Optional[BlockImage] = None
-        self.bitmap: Optional[Bitmap] = None
+    def __init__(self, image: bytes):
+        super().__init__(image)
         self.chunks: List[Tuple[int, int]] = []
-        self.root_ino = 0
-
-    def _finding(self, invariant: str, message: str, location: str = "",
-                 severity: str = "error", **detail) -> None:
-        self.findings.append(Finding(
-            checker=self.checker, invariant=invariant, message=message,
-            severity=severity, location=location, detail=detail,
-        ))
 
     # ------------------------------------------------------------- parsing --
-    def _read_superblock(self) -> bool:
-        if len(self.image) < SUPER_SIZE:
-            self._finding("superblock-magic",
-                          f"image of {len(self.image)} bytes cannot hold a "
-                          f"superblock", location="block 0")
-            return False
-        magic, _version, sb_bs, blocks, ci_start, ci_blocks, root_ino, _gen = (
-            struct.unpack(SUPER_FMT, self.image[:SUPER_SIZE])
-        )
-        if magic != self.magic:
-            self._finding("superblock-magic",
-                          f"bad magic {magic!r} (expected {self.magic!r})",
-                          location="block 0")
-            return False
-        if sb_bs != self.block_size:
-            self._finding("superblock-geometry",
-                          f"superblock block size {sb_bs} != checker block "
-                          f"size {self.block_size}", location="block 0")
-            return False
-        try:
-            geo = XfsGeometry(len(self.image), self.block_size)
-        except FsError as error:
-            self._finding("superblock-geometry",
-                          f"device cannot hold the metadata layout: {error}",
-                          location="block 0")
-            return False
-        if (blocks, ci_start, ci_blocks) != (
+    def _check_geometry(self, geo: XfsGeometry, fields: tuple) -> bool:
+        blocks, ci_start, ci_blocks = fields[3:6]
+        if (blocks, ci_start, ci_blocks) == (
             geo.block_count, geo.chunk_index_start, geo.chunk_index_blocks
         ):
-            self._finding("superblock-geometry",
-                          f"superblock claims {blocks} blocks / chunk index at "
-                          f"{ci_start}+{ci_blocks}, device derives "
-                          f"{geo.block_count} / {geo.chunk_index_start}"
-                          f"+{geo.chunk_index_blocks} (truncated image?)",
-                          location="block 0",
-                          superblock=[blocks, ci_start, ci_blocks],
-                          derived=[geo.block_count, geo.chunk_index_start,
-                                   geo.chunk_index_blocks])
-            return False
-        self.geo = geo
-        self.blocks = BlockImage(self.image, self.block_size)
-        self.root_ino = root_ino
-        raw = b"".join(self.blocks.block(geo.bitmap_start + i)
-                       for i in range(geo.bitmap_blocks))
-        self.bitmap = Bitmap.from_bytes(raw, geo.block_count)
-        self._read_chunk_index()
-        return True
+            return True
+        self._finding("superblock-geometry",
+                      f"superblock claims {blocks} blocks / chunk index at "
+                      f"{ci_start}+{ci_blocks}, device derives "
+                      f"{geo.block_count} / {geo.chunk_index_start}"
+                      f"+{geo.chunk_index_blocks} (truncated image?)",
+                      location="block 0",
+                      superblock=[blocks, ci_start, ci_blocks],
+                      derived=[geo.block_count, geo.chunk_index_start,
+                               geo.chunk_index_blocks])
+        return False
 
-    def _read_chunk_index(self) -> None:
+    def _read_tables(self, fields: tuple) -> None:
         geo = self.geo
+        self.root_ino = fields[6]
+        self.block_bitmap = self._read_bitmap(
+            geo.bitmap_start, geo.bitmap_blocks, geo.block_count)
         for i in range(geo.chunk_index_blocks):
             raw = self.blocks.block(geo.chunk_index_start + i)
             for offset in range(0, geo.block_size, CHUNK_ENTRY_SIZE):
@@ -135,6 +93,21 @@ class XfsImageChecker:
                 return not (mask & (1 << slot))
         return False
 
+    def _inode_slots(self):
+        """Every chunk's slots, each chunk after its block's bitmap bit."""
+        for chunk_block, mask in self.chunks:
+            if not self.block_bitmap.get(chunk_block):
+                self._finding("extent-not-allocated",
+                              f"inode chunk block {chunk_block} is free in the "
+                              f"bitmap", location=f"block {chunk_block}",
+                              block=chunk_block)
+            for slot in range(INODES_PER_CHUNK):
+                yield (chunk_block * INODES_PER_CHUNK + slot + 1,
+                       not (mask & (1 << slot)))
+
+    def _metadata_blocks(self) -> Set[int]:
+        return {block for block, _mask in self.chunks}
+
     def _load_inode(self, ino: int) -> Optional[XfsInode]:
         chunk_block, slot = (ino - 1) // INODES_PER_CHUNK, (ino - 1) % INODES_PER_CHUNK
         if not 0 < chunk_block < self.geo.block_count:
@@ -145,30 +118,28 @@ class XfsImageChecker:
         except struct.error:
             return None
 
-    def _block_of(self, inode: XfsInode, file_block: int) -> int:
+    def _file_block(self, inode: XfsInode, file_block: int) -> int:
         for start, device_start, count in inode.extents:
             if start <= file_block < start + count:
                 return device_start + (file_block - start)
         return 0
 
-    def _read_file(self, inode: XfsInode, length: int) -> bytes:
-        bs = self.geo.block_size
-        chunks: List[bytes] = []
-        remaining = length
-        file_block = 0
-        while remaining > 0:
-            take = min(bs, remaining)
-            device_block = self._block_of(inode, file_block)
-            if device_block and self.geo.first_data_block <= device_block < self.geo.block_count:
-                chunks.append(self.blocks.block(device_block)[:take])
-            else:
-                chunks.append(b"\x00" * take)
-            remaining -= take
-            file_block += 1
-        return b"".join(chunks)
+    def _dir_stream_length(self, inode: XfsInode) -> int:
+        # The packed stream length is bounded by the allocated blocks.
+        return inode.nblocks * self.geo.block_size
+
+    def _check_dir_size(self, ino: int, inode: XfsInode, entries) -> None:
+        # XFS-style directory size: the sum of aligned entry record sizes.
+        expected = sum(_dirent_record_size(name) for _, _, name in entries)
+        if inode.size != expected:
+            self._finding("dir-size-mismatch",
+                          f"directory ino {ino} has size {inode.size}, "
+                          f"recomputed {expected} from its entries",
+                          location=f"ino {ino}", stored=inode.size,
+                          recomputed=expected)
 
     # --------------------------------------------------------------- extents --
-    def _audit_extents(self, inode: XfsInode, claims: Dict[int, int]) -> None:
+    def _audit_blocks(self, inode: XfsInode, claims: Dict[int, int]) -> None:
         ino = inode.ino
         geo = self.geo
         file_spans: List[Tuple[int, int]] = []
@@ -204,7 +175,7 @@ class XfsImageChecker:
                                   inos=[claims[block], ino])
                     continue
                 claims[block] = ino
-                if not self.bitmap.get(block):
+                if not self.block_bitmap.get(block):
                     self._finding("extent-not-allocated",
                                   f"block {block} (ino {ino}) is in use but "
                                   f"free in the bitmap",
@@ -223,158 +194,8 @@ class XfsImageChecker:
                               location=f"block {block}", block=block)
             else:
                 claims[block] = ino
-                if not self.bitmap.get(block):
+                if not self.block_bitmap.get(block):
                     self._finding("extent-not-allocated",
                                   f"xattr block {block} (ino {ino}) is in use "
                                   f"but free in the bitmap",
                                   location=f"block {block}", block=block)
-
-    # ---------------------------------------------------------------- walk --
-    def _walk_tree(self) -> None:
-        claims: Dict[int, int] = {}
-        link_counts: Dict[int, int] = {}
-        subdir_counts: Dict[int, int] = {}
-        reachable: Dict[int, XfsInode] = {}
-
-        root = self._load_inode(self.root_ino) if self.root_ino else None
-        if root is None or root.mode == 0 or not root.is_dir:
-            self._finding("missing-root",
-                          f"root inode {self.root_ino} is not a live directory",
-                          location=f"ino {self.root_ino}")
-            return
-        reachable[self.root_ino] = root
-        stack: List[Tuple[int, int]] = [(self.root_ino, self.root_ino)]
-        audited: Set[int] = set()
-        while stack:
-            ino, parent = stack.pop()
-            if ino in audited:
-                continue
-            audited.add(ino)
-            inode = reachable[ino]
-            self._audit_extents(inode, claims)
-            if inode.is_dir:
-                self._audit_directory(ino, inode, parent, link_counts,
-                                      subdir_counts, stack, reachable)
-
-        for ino in sorted(reachable):
-            inode = reachable[ino]
-            expected = (2 + subdir_counts.get(ino, 0)) if inode.is_dir \
-                else link_counts.get(ino, 0)
-            if inode.nlink != expected:
-                self._finding("nlink-mismatch",
-                              f"ino {ino}: stored nlink {inode.nlink}, "
-                              f"recomputed {expected}", location=f"ino {ino}",
-                              stored=inode.nlink, recomputed=expected)
-
-        self._audit_allocation(claims, reachable)
-
-    def _audit_directory(self, ino: int, inode: XfsInode, parent: int,
-                         link_counts: Dict[int, int],
-                         subdir_counts: Dict[int, int],
-                         stack: List[Tuple[int, int]],
-                         reachable: Dict[int, XfsInode]) -> None:
-        stream = self._read_file(inode, inode.nblocks * self.geo.block_size)
-        entries = unpack_dirents(stream)
-        names = set()
-        dot = dotdot = None
-        expected_size = 0
-        for entry_ino, dtype, name in entries:
-            expected_size += _dirent_record_size(name)
-            if name in names:
-                self._finding("duplicate-dirent",
-                              f"directory ino {ino} lists {name!r} twice",
-                              location=f"ino {ino}", name=name)
-            names.add(name)
-            if name == ".":
-                dot = entry_ino
-                continue
-            if name == "..":
-                dotdot = entry_ino
-                continue
-            if not self._inode_allocated(entry_ino):
-                self._finding("dangling-dirent",
-                              f"dirent {name!r} in ino {ino} points at "
-                              f"unallocated ino {entry_ino}",
-                              location=f"ino {ino}", name=name,
-                              target=entry_ino)
-                continue
-            child = self._load_inode(entry_ino)
-            if child is None or child.mode == 0:
-                self._finding("dangling-dirent",
-                              f"dirent {name!r} in ino {ino} points at zeroed "
-                              f"ino {entry_ino}", location=f"ino {ino}",
-                              name=name, target=entry_ino)
-                continue
-            if mode_to_dtype(child.mode) != dtype:
-                self._finding("dtype-mismatch",
-                              f"dirent {name!r} in ino {ino} has dtype {dtype} "
-                              f"but ino {entry_ino} has mode {child.mode:#o}",
-                              location=f"ino {ino}", severity="warn",
-                              name=name, dtype=dtype, mode=child.mode)
-            link_counts[entry_ino] = link_counts.get(entry_ino, 0) + 1
-            if child.is_dir:
-                subdir_counts[ino] = subdir_counts.get(ino, 0) + 1
-            if entry_ino not in reachable:
-                stack.append((entry_ino, ino))
-            reachable.setdefault(entry_ino, child)
-        if dot != ino:
-            self._finding("dot-entry",
-                          f"directory ino {ino}: '.' is {dot} (expected {ino})",
-                          location=f"ino {ino}", got=dot)
-        if dotdot != parent:
-            self._finding("dotdot-entry",
-                          f"directory ino {ino}: '..' is {dotdot} (expected "
-                          f"{parent})", location=f"ino {ino}", got=dotdot,
-                          expected=parent)
-        # XFS-style directory size: the sum of aligned entry record sizes.
-        if inode.size != expected_size:
-            self._finding("dir-size-mismatch",
-                          f"directory ino {ino} has size {inode.size}, "
-                          f"recomputed {expected_size} from its entries",
-                          location=f"ino {ino}", stored=inode.size,
-                          recomputed=expected_size)
-
-    def _audit_allocation(self, claims: Dict[int, int],
-                          reachable: Dict[int, XfsInode]) -> None:
-        geo = self.geo
-        chunk_blocks = {block for block, _mask in self.chunks}
-        for block in range(geo.first_data_block):
-            if not self.bitmap.get(block):
-                self._finding("metadata-unallocated",
-                              f"metadata block {block} is free in the bitmap",
-                              location=f"block {block}", block=block)
-        for block in range(geo.first_data_block, geo.block_count):
-            if (self.bitmap.get(block) and block not in claims
-                    and block not in chunk_blocks):
-                self._finding("block-leak",
-                              f"block {block} is allocated but referenced by "
-                              f"no reachable inode and no inode chunk",
-                              location=f"block {block}", block=block)
-        for chunk_block, mask in self.chunks:
-            if not self.bitmap.get(chunk_block):
-                self._finding("extent-not-allocated",
-                              f"inode chunk block {chunk_block} is free in the "
-                              f"bitmap", location=f"block {chunk_block}",
-                              block=chunk_block)
-            for slot in range(INODES_PER_CHUNK):
-                ino = chunk_block * INODES_PER_CHUNK + slot + 1
-                allocated = not (mask & (1 << slot))
-                if allocated and ino not in reachable:
-                    self._finding("inode-orphan",
-                                  f"ino {ino} is allocated in its chunk mask "
-                                  f"but unreachable from the root",
-                                  location=f"ino {ino}", ino=ino)
-                elif not allocated:
-                    record = self._load_inode(ino)
-                    if record is not None and record.mode != 0:
-                        self._finding("chunk-mask-mismatch",
-                                      f"ino {ino} is free in its chunk mask "
-                                      f"but its on-disk record is not zeroed",
-                                      location=f"ino {ino}", severity="warn",
-                                      ino=ino)
-
-    # --------------------------------------------------------------- driver --
-    def check(self) -> List[Finding]:
-        if self._read_superblock():
-            self._walk_tree()
-        return self.findings

@@ -19,17 +19,16 @@ are audited with the generic VFS-level tree checker instead.
 Checking time is charged to the simulated clock (``Cost.FSCK_FIXED`` +
 ``Cost.FSCK_PER_BYTE`` per image byte), so ``fsck_every`` shows up
 honestly in the states/second numbers.  The charge models a pFSCK-style
-parallel checker: it is divided among ``max_workers`` lanes (default
-``min(images, 4)``).  Only the charge is divided; the host checks the
-images one at a time.
+parallel checker: it is divided among ``min(images, 4)`` lanes.  Only
+the charge is divided; the host checks the images one at a time.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.fsck import check_images, check_mounted
+from repro.analysis.fsck import check_image, check_mounted
 from repro.clock import Cost
 from repro.core.integrity import DiscrepancyError
 
@@ -50,11 +49,8 @@ class FsckOracle:
     for device-less backends, its mounted tree) violates an invariant.
     """
 
-    def __init__(self, engine, max_workers: Optional[int] = None):
+    def __init__(self, engine):
         self.engine = engine
-        #: lanes of the modelled pFSCK pool the simulated charge is
-        #: divided among (None: one per image, at most four)
-        self.max_workers = max_workers
         self.checks_run = 0
         self.images_checked = 0
 
@@ -64,7 +60,6 @@ class FsckOracle:
         return {
             "image": fut.device.snapshot_image(),
             "fstype": getattr(fut.fstype, "name", None),
-            "block_size": getattr(fut.fstype, "block_size", None),
             "journal_blocks": getattr(fut.fstype, "journal_blocks", None),
             "erase_block_size": getattr(
                 fut.device, "erase_block_size",
@@ -74,9 +69,9 @@ class FsckOracle:
     def _charge(self, image_bytes: int, images: int) -> None:
         if not images:
             return
-        workers = self.max_workers or min(images, 4)
+        # a modelled pFSCK pool: one lane per image, at most four
         cost = images * Cost.FSCK_FIXED + image_bytes * Cost.FSCK_PER_BYTE
-        self.engine.futs[0].clock.charge(cost / max(1, workers), "fsck")
+        self.engine.futs[0].clock.charge(cost / min(images, 4), "fsck")
 
     def _fail(self, errors: List[Tuple[str, Finding]]) -> None:
         labels = sorted({label for label, _ in errors})
@@ -102,12 +97,11 @@ class FsckOracle:
 
         jobs = [self._image_job(fut) for fut in with_device]
         self._charge(sum(len(job["image"]) for job in jobs), len(jobs))
-        per_image = check_images(jobs)
         self.images_checked += len(jobs)
 
         labelled: List[Tuple[str, Finding]] = []
-        for fut, findings in zip(with_device, per_image):
-            labelled.extend((fut.label, finding) for finding in findings)
+        for fut, job in zip(with_device, jobs):
+            labelled.extend((fut.label, finding) for finding in check_image(**job))
         for fut in without_device:
             mounted = fut.kernel.mount_at(fut.mountpoint).fs
             labelled.extend((fut.label, finding)

@@ -269,26 +269,22 @@ def cmd_check(args) -> int:
 
 def cmd_fsck(args) -> int:
     """Offline fsck over saved device images (repro.analysis.fsck)."""
-    from repro.analysis.fsck import check_images, detect_fstype
+    from repro.analysis.fsck import check_image, detect_fstype
 
-    jobs = []
+    images = []
     for path in args.image:
         try:
             with open(path, "rb") as handle:
-                image = handle.read()
+                images.append(handle.read())
         except OSError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        jobs.append({
-            "image": image,
-            "fstype": None if args.type == "auto" else args.type,
-            "block_size": args.block_size,
-            "erase_block_size": args.erase_block_size,
-        })
-    results = check_images(jobs)
+    given = None if args.type == "auto" else args.type
     total_errors = 0
-    for path, job, findings in zip(args.image, jobs, results):
-        fstype = job["fstype"] or detect_fstype(job["image"]) or "unknown"
+    for path, image in zip(args.image, images):
+        findings = check_image(image, fstype=given,
+                               erase_block_size=args.erase_block_size)
+        fstype = given or detect_fstype(image) or "unknown"
         errors = [f for f in findings if f.severity == "error"]
         total_errors += len(errors)
         status = "clean" if not errors else f"{len(errors)} error(s)"
@@ -590,8 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.add_argument("--type", default="auto",
                       choices=("auto", "ext2", "ext4", "xfs", "jffs2"),
                       help="image format (default: detect by magic)")
-    fsck.add_argument("--block-size", type=int, default=None,
-                      help="block size for ext2/ext4/xfs images")
     fsck.add_argument("--erase-block-size", type=int, default=None,
                       help="erase-block size for jffs2 images")
     fsck.set_defaults(func=cmd_fsck)

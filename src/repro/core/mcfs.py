@@ -68,10 +68,6 @@ class MCFSOptions:
     #: (the drivers' in-memory self-checks), this parses the raw device
     #: images, so it catches corruption the live driver cannot see.
     fsck_every: Optional[int] = None
-    #: lanes of the modelled pFSCK pool: the oracle's simulated charge
-    #: is divided by this (None: one per image, at most four).  The host
-    #: checks the images one at a time either way.
-    fsck_max_workers: Optional[int] = None
     #: pre-refactor checkpoint behaviour: full byte-image snapshots
     #: charged per *used* byte, and no incremental abstraction hashing.
     #: This is the paper's measured system; the Figure 2 reproduction and
@@ -298,8 +294,7 @@ class MCFS:
             from repro.analysis.oracle import FsckOracle
 
             kwargs.setdefault("fsck_every", self.options.fsck_every)
-            kwargs.setdefault("fsck_oracle", FsckOracle(
-                self.engine(), max_workers=self.options.fsck_max_workers))
+            kwargs.setdefault("fsck_oracle", FsckOracle(self.engine()))
         if kwargs.get("profile") is None and self.options.profile:
             from repro.mc.perf import CostProfile
 

@@ -247,7 +247,6 @@ class CheckSpec(FieldCodec):
             equalize_free_space=self.equalize,
             majority_voting=self.voting,
             fsck_every=self.fsck_every,
-            fsck_max_workers=1,  # charge fsck as one lane, as replay does
             state_store=self.state_store,
             state_check_every=self.state_check_every,
             profile=self.profile,

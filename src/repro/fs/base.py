@@ -177,6 +177,9 @@ def unpack_dirents(data: bytes):
     """Parse a serialised directory stream into (ino, dtype, name) tuples.
 
     The stream is terminated by a zero inode number (or end of data).
+    Name bytes that are not UTF-8 decode as lone surrogates
+    (``surrogateescape``), so a corrupt name can be reported, not crash
+    the reader.
     """
     entries = []
     pos = 0
@@ -186,7 +189,7 @@ def unpack_dirents(data: bytes):
             break
         dtype = data[pos + 4]
         name_len = data[pos + 5]
-        name = data[pos + 6 : pos + 6 + name_len].decode("utf-8")
+        name = data[pos + 6 : pos + 6 + name_len].decode("utf-8", "surrogateescape")
         entries.append((ino, dtype, name))
         pos += 6 + name_len
     return entries

@@ -47,7 +47,7 @@ CHUNK_ENTRY_SIZE = struct.calcsize(CHUNK_ENTRY_FMT)
 
 def _dirent_record_size(name: str) -> int:
     """XFS-style directory entry footprint: header + name, 8-byte aligned."""
-    raw = 11 + len(name.encode("utf-8"))
+    raw = 11 + len(name.encode("utf-8", "surrogateescape"))
     return (raw + 7) & ~7
 
 

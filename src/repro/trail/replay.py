@@ -94,7 +94,7 @@ class TrailExecutor:
         if self._oracle is None:
             from repro.analysis.oracle import FsckOracle
 
-            self._oracle = FsckOracle(self.engine, max_workers=1)
+            self._oracle = FsckOracle(self.engine)
         self._oracle()
 
     def reset(self) -> None:

@@ -2,8 +2,8 @@
 
 The three canonical corruption classes -- a leaked block, an
 over-counted link, a dangling dirent -- are injected into otherwise
-healthy ext2 images; each must be caught by exactly its checker class
-and nothing else.  Clean images of every backend must produce zero
+healthy ext2, ext4 and xfs images; each must be caught by exactly its
+checker class and nothing else.  Clean images of every backend must produce zero
 findings, so the oracle never cries wolf during exploration.
 """
 
@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import check_image, check_images, check_mounted, detect_fstype
+from repro.analysis import check_image, check_mounted, detect_fstype
 from repro.analysis.findings import Finding, finding_from_dict
 from repro.cli import main as cli_main
 from repro.errors import EINVAL, FsError
 from repro.fs.ext2 import ROOT_INO, Ext2FileSystemType, MountedExt2
 from repro.fs.jffs2 import NODE_MAGIC
 from repro.kernel.fdtable import O_CREAT, O_WRONLY
+from repro.kernel import Kernel
 from repro.kernel.stat import DT_REG
+from repro.storage import RAMBlockDevice
 
 
 def populate(fx) -> None:
@@ -67,7 +69,35 @@ def test_unknown_image_reports_unknown_format():
     assert [f.invariant for f in findings] == ["unknown-format"]
 
 
-# ------------------------------------- corruption-injection fixtures (ext2) --
+# ------------------------------------------------ corruption injections --
+CORRUPTIBLE = ["ext2", "ext4", "xfs"]
+
+
+def leak_block(fs) -> None:
+    """An allocated block no reachable inode references."""
+    fs.block_bitmap.set(fs.block_bitmap.find_free(start=fs.geo.first_data_block))
+
+
+def overcount_nlink(fs) -> None:
+    """A file whose stored nlink exceeds its dirent count."""
+    inode = fs._load_inode(fs.lookup(fs.ROOT_INO, "top"))
+    inode.nlink += 1
+    fs._store_inode(inode)
+
+
+def dangle_dirent(fs) -> None:
+    """A dirent pointing at an inode that was never allocated."""
+    fs._dir_add_entry(fs._load_inode(fs.ROOT_INO), "ghost", 55, DT_REG)
+
+
+def corrupted_image(fx, corrupt) -> bytes:
+    populate(fx)
+    fs = fx.fs()
+    corrupt(fs)
+    fs.sync()
+    return fx.device.snapshot_image()
+
+
 @pytest.fixture
 def ext2_fx(mount_factory):
     return mount_factory("ext2")
@@ -75,56 +105,30 @@ def ext2_fx(mount_factory):
 
 @pytest.fixture
 def leaked_block_image(ext2_fx) -> bytes:
-    """An allocated block no reachable inode references."""
-    populate(ext2_fx)
-    fs = ext2_fx.fs()
-    fs.block_bitmap.set(fs.block_bitmap.find_free())
-    fs.sync()
-    return ext2_fx.device.snapshot_image()
+    return corrupted_image(ext2_fx, leak_block)
 
 
-@pytest.fixture
-def overcounted_nlink_image(ext2_fx) -> bytes:
-    """A file whose stored nlink exceeds its dirent count."""
-    populate(ext2_fx)
-    fs = ext2_fx.fs()
-    ino = fs.lookup(ROOT_INO, "top")
-    inode = fs._load_inode(ino)
-    inode.nlink += 1
-    fs._store_inode(inode)
-    fs.sync()
-    return ext2_fx.device.snapshot_image()
-
-
-@pytest.fixture
-def dangling_dirent_image(ext2_fx) -> bytes:
-    """A dirent pointing at an inode that was never allocated."""
-    populate(ext2_fx)
-    fs = ext2_fx.fs()
-    root = fs._load_inode(ROOT_INO)
-    fs._dir_add_entry(root, "ghost", 55, DT_REG)
-    fs.sync()
-    return ext2_fx.device.snapshot_image()
-
-
-def test_leaked_block_caught_by_exactly_its_class(leaked_block_image):
-    findings = check_image(leaked_block_image)
+@pytest.mark.parametrize("name", CORRUPTIBLE)
+def test_leaked_block_caught_by_exactly_its_class(name, mount_factory):
+    findings = check_image(corrupted_image(mount_factory(name), leak_block))
     assert {f.invariant for f in findings} == {"block-leak"}
     (finding,) = findings
-    assert finding.checker == "fsck.ext2"
+    assert finding.checker == f"fsck.{name}"
     assert finding.severity == "error"
     assert finding.location.startswith("block ")
 
 
-def test_overcounted_nlink_caught_by_exactly_its_class(overcounted_nlink_image):
-    findings = check_image(overcounted_nlink_image)
+@pytest.mark.parametrize("name", CORRUPTIBLE)
+def test_overcounted_nlink_caught_by_exactly_its_class(name, mount_factory):
+    findings = check_image(corrupted_image(mount_factory(name), overcount_nlink))
     assert {f.invariant for f in findings} == {"nlink-mismatch"}
     (finding,) = findings
     assert finding.detail["stored"] == finding.detail["recomputed"] + 1
 
 
-def test_dangling_dirent_caught_by_exactly_its_class(dangling_dirent_image):
-    findings = check_image(dangling_dirent_image)
+@pytest.mark.parametrize("name", CORRUPTIBLE)
+def test_dangling_dirent_caught_by_exactly_its_class(name, mount_factory):
+    findings = check_image(corrupted_image(mount_factory(name), dangle_dirent))
     assert {f.invariant for f in findings} == {"dangling-dirent"}
     (finding,) = findings
     assert finding.detail["name"] == "ghost"
@@ -148,17 +152,6 @@ def test_jffs2_crc_corruption_detected(mount_factory):
     assert "node-crc" in {f.invariant for f in findings}
 
 
-def test_xfs_leaked_block_detected(mount_factory):
-    fx = mount_factory("xfs")
-    populate(fx)
-    fs = fx.fs()
-    fs.block_bitmap.set(fs.block_bitmap.find_free(start=fs.geo.first_data_block))
-    fs.sync()
-    findings = check_image(fx.device.snapshot_image())
-    assert {f.invariant for f in findings} == {"block-leak"}
-    assert findings[0].checker == "fsck.xfs"
-
-
 # -------------------------------------------------------- truncated images --
 def test_truncated_image_yields_clean_finding(ext2_fx):
     image = synced_image(ext2_fx)
@@ -178,19 +171,90 @@ def test_mounting_truncated_image_raises_einval(ext2_fx, clock):
     assert "truncated" in str(excinfo.value)
 
 
-# ------------------------------------------------------------ many images --
+# ------------------------------------------------------------ one image --
 def test_pool_preserves_input_order(mount_factory, leaked_block_image):
     clean = synced_image(mount_factory("ext4"))
     jobs = [clean, leaked_block_image, clean, leaked_block_image]
-    results = check_images(jobs)
+    results = [check_image(image) for image in jobs]
     assert [sorted({f.invariant for f in r}) for r in results] == [
         [], ["block-leak"], [], ["block-leak"],
     ]
 
 
 def test_pool_accepts_job_dicts(leaked_block_image):
-    results = check_images([{"image": leaked_block_image, "fstype": "ext2"}])
-    assert [f.invariant for f in results[0]] == ["block-leak"]
+    findings = check_image(leaked_block_image, fstype="ext2")
+    assert [f.invariant for f in findings] == ["block-leak"]
+
+
+# ---------------------------------------------------------- hostile input --
+def assert_reported(image: bytes, invariant: str, tmp_path) -> None:
+    """Findings, not an exception; and ``repro fsck`` exits 1 on it."""
+    assert invariant in {f.invariant for f in check_image(image)}
+    path = tmp_path / "hostile.img"
+    path.write_bytes(image)
+    assert cli_main(["fsck", str(path)]) == 1
+
+
+@pytest.mark.parametrize("name", ["ext2", "xfs"])
+def test_non_utf8_dirent_name_is_reported(name, mount_factory, tmp_path):
+    fx = mount_factory(name)
+    fx.kernel.mkdir(fx.path("/dirname"))
+    fx.fs().sync()
+    image = bytearray(fx.device.snapshot_image())
+    image[image.index(b"dirname")] ^= 0x80
+    assert_reported(bytes(image), "dirent-name-invalid", tmp_path)
+
+
+def grow_ext2_root(size):
+    def corrupt(fs):
+        root = fs._load_inode(ROOT_INO)
+        root.size = size
+        fs._store_inode(root)
+    return corrupt
+
+
+def stretch_xfs_root_extent(fs):
+    root = fs._load_inode(fs.ROOT_INO)
+    start, device_start, _count = root.extents[0]
+    root.extents[0] = (start, device_start, 1 << 20)
+    fs._store_inode(root)
+
+
+@pytest.mark.parametrize("name,corrupt,invariant", [
+    ("ext2", grow_ext2_root(1 << 34), "dir-size-unmapped"),
+    ("ext2", grow_ext2_root(1 << 24), "dir-size-unmapped"),
+    ("xfs", stretch_xfs_root_extent, "extent-out-of-range"),
+], ids=["ext2-size-2^34", "ext2-size-2^24", "xfs-extent-2^20"])
+def test_corrupt_size_reads_stay_inside_the_image(name, corrupt, invariant,
+                                                  mount_factory, tmp_path):
+    image = corrupted_image(mount_factory(name), corrupt)
+    assert_reported(image, invariant, tmp_path)
+
+
+def test_block_size_comes_from_the_superblock(clock, tmp_path, capsys):
+    fstype = Ext2FileSystemType(block_size=4096)
+    device = RAMBlockDevice(256 * 1024, clock=clock, name="ram0")
+    fstype.mkfs(device)
+    kernel = Kernel(clock)
+    kernel.mount(fstype, device, "/mnt")
+    kernel.mkdir("/mnt/d")
+    fd = kernel.open("/mnt/d/f", O_CREAT | O_WRONLY)
+    kernel.write(fd, b"payload " * 1024)
+    kernel.close(fd)
+    kernel.mount_at("/mnt").fs.sync()
+    image = device.snapshot_image()
+    assert check_image(image) == []
+    path = tmp_path / "ext2-4k.img"
+    path.write_bytes(image)
+    assert cli_main(["fsck", str(path)]) == 0
+    assert "clean" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["ext2", "xfs"])
+def test_unusable_stored_block_size_is_reported(name, mount_factory, tmp_path):
+    image = bytearray(synced_image(mount_factory(name)))
+    image[12:16] = bytes(4)  # the superblock's block size field
+    assert_reported(bytes(image), "superblock-geometry", tmp_path)
 
 
 # --------------------------------------------------------------------- CLI --
