@@ -1,16 +1,12 @@
-"""fsck-style offline checkers for the simulated on-disk formats.
+"""fsck checkers for the simulated file systems.
 
-Entry points:
-
-* :func:`detect_fstype` -- identify an image by its magic;
-* :func:`check_image` -- run the right checker over one raw image;
-* :func:`check_mounted` -- the generic VFS-level tree checker, for
-  backends with no device image (VeriFS).
-
-Each checker consumes the image as plain ``bytes`` (the view returned
-by ``device.snapshot_image()``) and returns a list of structured
-:class:`~repro.analysis.findings.Finding` records.  The block formats
-(ext2, ext4, xfs) share one walk, :class:`BlockImageChecker`.
+:func:`check_image` runs the right checker over one raw image (the
+view ``device.snapshot_image()`` returns; :func:`detect_fstype` names
+its format by magic); :func:`check_mounted` audits a live mount, for
+backends with no device image (VeriFS).  Every checker runs the one
+tree audit, :class:`~repro.analysis.fsck.image.TreeChecker`, over what
+its source reads, and returns :class:`~repro.analysis.findings.Finding`
+records.
 """
 
 from __future__ import annotations

@@ -1,19 +1,17 @@
 """Offline image checker for SimExt2 (and, via subclass, SimExt4).
 
-The walk itself -- tree, link counts, leaks and orphans -- is
+The walk, the superblock prologue, link counts, leaks and orphans are
 :class:`~repro.analysis.fsck.image.BlockImageChecker`'s.  This module
-holds what is ext2's own, parsed with the same formats the mounted
-driver uses (bitmaps exactly as ``MountedExt2._read_bitmaps``, 128-byte
-inode records, direct + one indirect block map):
+holds what is ext2's own, parsed with the formats the mounted driver
+uses (bitmaps as ``MountedExt2._read_bitmaps``, 128-byte inode records,
+direct + one indirect block map):
 
-* superblock counts vs. the geometry the device derives (catches
-  truncated images);
-* block accounting: every reachable block must be in range, claimed at
-  most once, and marked allocated; ``nblocks`` must match the
-  mapped-block recount; no block mapped past the size;
+* block accounting: every reachable block in range, claimed at most
+  once and marked allocated; ``nblocks`` matching the mapped-block
+  recount; no block mapped past the size;
 * directory size: a positive whole number of blocks, every one mapped;
-* inode bitmap vs. reachability: allocated-but-unreachable inodes are
-  orphans, free ones must have zeroed records (``inode-stale``);
+* the inode bitmap as the inode map (``inode-stale``: a free slot whose
+  record is not zeroed);
 * (ext4) journal region: a committed transaction must fit the journal
   and point at in-range home blocks.
 """
@@ -21,7 +19,7 @@ inode records, direct + one indirect block map):
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.fsck.image import BlockImageChecker
 from repro.fs.ext2 import (
@@ -42,7 +40,6 @@ from repro.fs.ext4 import (
     JOURNAL_MAGIC,
     MAGIC as EXT4_MAGIC,
 )
-from repro.util.bitmap import Bitmap
 
 
 class Ext2ImageChecker(BlockImageChecker):
@@ -56,29 +53,9 @@ class Ext2ImageChecker(BlockImageChecker):
     inode_map = "the inode bitmap"
     stale_invariant = "inode-stale"
     root_ino = ROOT_INO
-
-    def __init__(self, image: bytes):
-        super().__init__(image)
-        self.inode_bitmap: Optional[Bitmap] = None
+    SUPER_GEOMETRY = ("block_count", "inode_count", "first_data_block")
 
     # ------------------------------------------------------------- parsing --
-    def _check_geometry(self, geo: Ext2Geometry, fields: tuple) -> bool:
-        blocks, inodes, first_data = fields[3:6]
-        if (blocks, inodes, first_data) == (
-            geo.block_count, geo.inode_count, geo.first_data_block
-        ):
-            return True
-        self._finding(
-            "superblock-geometry",
-            f"superblock claims {blocks} blocks / {inodes} inodes / first "
-            f"data block {first_data}, device holds {geo.block_count} / "
-            f"{geo.inode_count} / {geo.first_data_block} (truncated image?)",
-            location="block 0",
-            superblock=[blocks, inodes, first_data],
-            derived=[geo.block_count, geo.inode_count, geo.first_data_block],
-        )
-        return False
-
     def _read_tables(self, fields: tuple) -> None:
         geo = self.geo
         self.block_bitmap = self._read_bitmap(
@@ -91,7 +68,7 @@ class Ext2ImageChecker(BlockImageChecker):
         index = ino - 1
         block = geo.inode_table_start + index // geo.inodes_per_block
         offset = (index % geo.inodes_per_block) * INODE_SIZE
-        raw = self.blocks.block(block)[offset : offset + INODE_SIZE]
+        raw = self._block(block)[offset : offset + INODE_SIZE]
         return Ext2Inode.unpack(ino, raw)
 
     def _inode_allocated(self, ino: int) -> bool:
@@ -104,7 +81,7 @@ class Ext2ImageChecker(BlockImageChecker):
 
     def _read_indirect(self, block: int) -> List[int]:
         count = self.geo.block_size // 4
-        raw = self.blocks.block(block)
+        raw = self._block(block)
         return list(struct.unpack(f"<{count}I", raw[: count * 4]))
 
     def _file_block(self, inode: Ext2Inode, file_block: int) -> int:
@@ -212,7 +189,7 @@ class Ext4ImageChecker(Ext2ImageChecker):
 
     def _check_journal(self) -> None:
         geo: Ext4Geometry = self.geo
-        head = self.blocks.block(geo.journal_start)
+        head = self._block(geo.journal_start)
         magic, record, count, txn = struct.unpack(
             JOURNAL_HEADER_FMT, head[:JOURNAL_HEADER_SIZE]
         )
@@ -230,7 +207,7 @@ class Ext4ImageChecker(Ext2ImageChecker):
                           f"a {geo.journal_blocks}-block journal",
                           location=f"block {geo.journal_start}", count=count)
             return
-        commit_raw = self.blocks.block(geo.journal_start + 1 + count)
+        commit_raw = self._block(geo.journal_start + 1 + count)
         commit = struct.unpack(JOURNAL_HEADER_FMT, commit_raw[:JOURNAL_HEADER_SIZE])
         if commit[0] != JOURNAL_MAGIC or commit[1] != JOURNAL_COMMIT:
             # Uncommitted transaction: a legal crash leftover, mount ignores it.

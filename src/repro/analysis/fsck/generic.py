@@ -1,150 +1,73 @@
-"""Generic VFS-level tree checker for any mounted file system.
+"""The tree audit over a live mount, for backends with no device image.
 
-Works purely through the ``MountedFileSystem`` interface (``getdents``,
-``getattr``, ``lookup``), so it runs against every backend -- including
-the VeriFS reference implementations that have no device image for the
-per-FS checkers to parse.  This is the "above the concrete layout" level
-of the formal VFS-switch model: invariants every POSIX tree must satisfy
-regardless of how it is stored.
-
-Checks: reachability (every dirent must resolve), ``.``/``..`` sanity
-where the backend exposes them, duplicate names, directories reachable
-through more than one parent, dtype-vs-mode agreement, link-count
-recomputation, and (as a warning, since block accounting is
-FS-specific) size-vs-mapped-blocks agreement.
+Reads through the ``MountedFileSystem`` interface only (``getattr``,
+``getdents``, and ``lookup`` for ``.``/``..`` where the backend resolves
+them), so it runs against every backend -- VeriFS included.  The
+invariants are :class:`~repro.analysis.fsck.image.TreeChecker`'s; its
+own check is size-vs-mapped-blocks, a warning only, since block
+accounting is FS-specific.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List
 
 from repro.analysis.findings import Finding
+from repro.analysis.fsck.image import TreeChecker, TreeInode
 from repro.errors import FsError
-from repro.kernel.stat import DT_DIR, S_IFDIR, S_IFMT, mode_to_dtype
+from repro.kernel.stat import DT_DIR
 
-CHECKER = "fsck.vfs"
+
+class MountedChecker(TreeChecker):
+    """The tree audit over a live mount's ``getattr`` and ``getdents``."""
+
+    checker = "fsck.vfs"
+    dots_stored = False
+
+    def __init__(self, fs):
+        super().__init__()
+        self.fs, self.root_ino, self.stats = fs, fs.ROOT_INO, {}
+        try:
+            self.block_size = fs.statfs().block_size
+        except (FsError, AttributeError):
+            self.block_size = 4096
+
+    def _load_inode(self, ino: int):
+        try:
+            stat = self.stats[ino] = self.fs.getattr(ino)
+        except FsError:
+            return None
+        return TreeInode(ino, stat.st_mode, stat.st_nlink)
+
+    def _read_dir(self, ino: int, inode):
+        try:
+            entries = [(entry.ino, entry.dtype, entry.name)
+                       for entry in self.fs.getdents(ino)]
+        except FsError as error:
+            self._finding("unreadable-directory",
+                          f"getdents on ino {ino} failed: {error}",
+                          location=f"ino {ino}")
+            return []
+        for name in (".", ".."):
+            try:
+                entries.append((self.fs.lookup(ino, name), DT_DIR, name))
+            except FsError:
+                pass
+        return entries
+
+    def _audit_blocks(self, inode, claims) -> None:
+        # Holes map fewer blocks, and backends count up to two metadata
+        # blocks (indirect, xattr) into st_blocks: flag clear over-mapping.
+        stat, bs = self.stats[inode.ino], self.block_size
+        mapped = stat.st_blocks * 512
+        if not inode.is_dir and mapped > (-(-stat.st_size // bs) + 2) * bs:
+            self._finding("size-vs-blocks",
+                          f"ino {inode.ino}: size {stat.st_size} but {mapped} "
+                          f"bytes of blocks mapped", severity="warn",
+                          location=f"ino {inode.ino}", size=stat.st_size,
+                          mapped=mapped)
 
 
 def check_mounted(fs) -> List[Finding]:
     """Audit a live mounted file system; returns structured findings."""
-    findings: List[Finding] = []
-
-    def finding(invariant: str, message: str, location: str = "",
-                severity: str = "error", **detail) -> None:
-        findings.append(Finding(
-            checker=CHECKER, invariant=invariant, message=message,
-            severity=severity, location=location, detail=detail,
-        ))
-
-    try:
-        block_size = fs.statfs().block_size
-    except (FsError, AttributeError):
-        block_size = 4096
-
-    root = fs.ROOT_INO
-    try:
-        root_stat = fs.getattr(root)
-    except FsError as error:
-        finding("missing-root", f"root inode {root} unreadable: {error}",
-                location=f"ino {root}")
-        return findings
-    if (root_stat.st_mode & S_IFMT) != S_IFDIR:
-        finding("missing-root",
-                f"root inode {root} is not a directory "
-                f"(mode {root_stat.st_mode:#o})", location=f"ino {root}")
-        return findings
-
-    link_counts: Dict[int, int] = {}
-    subdir_counts: Dict[int, int] = {}
-    stats = {root: root_stat}
-    parents: Dict[int, int] = {root: root}
-    stack: List[Tuple[int, int]] = [(root, root)]
-    visited: Set[int] = set()
-    while stack:
-        ino, parent = stack.pop()
-        if ino in visited:
-            continue
-        visited.add(ino)
-        try:
-            entries = fs.getdents(ino)
-        except FsError as error:
-            finding("unreadable-directory",
-                    f"getdents on ino {ino} failed: {error}",
-                    location=f"ino {ino}")
-            continue
-        names: Set[str] = set()
-        for entry in entries:
-            where = f"ino {ino}"
-            if entry.name in names:
-                finding("duplicate-dirent",
-                        f"directory ino {ino} lists {entry.name!r} twice",
-                        location=where, name=entry.name)
-            names.add(entry.name)
-            try:
-                child_stat = fs.getattr(entry.ino)
-            except FsError as error:
-                finding("dangling-dirent",
-                        f"dirent {entry.name!r} in ino {ino} points at ino "
-                        f"{entry.ino}, which is unreadable ({error})",
-                        location=where, name=entry.name, target=entry.ino)
-                continue
-            if mode_to_dtype(child_stat.st_mode) != entry.dtype:
-                finding("dtype-mismatch",
-                        f"dirent {entry.name!r} in ino {ino} has dtype "
-                        f"{entry.dtype} but ino {entry.ino} has mode "
-                        f"{child_stat.st_mode:#o}", severity="warn",
-                        location=where, name=entry.name, dtype=entry.dtype,
-                        mode=child_stat.st_mode)
-            child_is_dir = (child_stat.st_mode & S_IFMT) == S_IFDIR
-            if child_is_dir:
-                if entry.ino in parents and parents[entry.ino] != ino:
-                    finding("dir-multiple-parents",
-                            f"directory ino {entry.ino} is reachable from both "
-                            f"ino {parents[entry.ino]} and ino {ino}",
-                            location=f"ino {entry.ino}",
-                            parents=[parents[entry.ino], ino])
-                else:
-                    parents[entry.ino] = ino
-                subdir_counts[ino] = subdir_counts.get(ino, 0) + 1
-                stack.append((entry.ino, ino))
-            else:
-                link_counts[entry.ino] = link_counts.get(entry.ino, 0) + 1
-            stats.setdefault(entry.ino, child_stat)
-
-        # "." / ".." sanity, where the backend resolves them at this layer
-        # (log-structured backends leave them to path resolution: ENOENT).
-        for name, expected in ((".", ino), ("..", parent)):
-            try:
-                got = fs.lookup(ino, name)
-            except FsError:
-                continue
-            if got != expected:
-                finding("dot-entry" if name == "." else "dotdot-entry",
-                        f"directory ino {ino}: {name!r} resolves to {got} "
-                        f"(expected {expected})", location=f"ino {ino}",
-                        got=got, expected=expected)
-
-    for ino in sorted(stats):
-        stat = stats[ino]
-        is_dir = (stat.st_mode & S_IFMT) == S_IFDIR
-        expected = (2 + subdir_counts.get(ino, 0)) if is_dir \
-            else link_counts.get(ino, 0)
-        if stat.st_nlink != expected:
-            finding("nlink-mismatch",
-                    f"ino {ino}: stored nlink {stat.st_nlink}, recomputed "
-                    f"{expected}", location=f"ino {ino}",
-                    stored=stat.st_nlink, recomputed=expected)
-        # Size vs. mapped blocks: holes legitimately map fewer blocks, and
-        # backends count up to two metadata blocks (indirect, xattr) into
-        # st_blocks, so only flag clear over-mapping -- and only as a
-        # warning, since block accounting is backend-specific.
-        if not is_dir:
-            mapped_bytes = stat.st_blocks * 512
-            ceiling = ((stat.st_size + block_size - 1) // block_size + 2) * block_size
-            if mapped_bytes > ceiling:
-                finding("size-vs-blocks",
-                        f"ino {ino}: size {stat.st_size} but {mapped_bytes} "
-                        f"bytes of blocks mapped", severity="warn",
-                        location=f"ino {ino}", size=stat.st_size,
-                        mapped=mapped_bytes)
-    return findings
+    return MountedChecker(fs).check()

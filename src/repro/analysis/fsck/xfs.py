@@ -48,36 +48,16 @@ class XfsImageChecker(BlockImageChecker):
     MIN_BLOCK_SIZE = INODES_PER_CHUNK * INODE_SIZE  # a chunk fills one block
     inode_map = "its chunk mask"
     stale_invariant = "chunk-mask-mismatch"
-
-    def __init__(self, image: bytes):
-        super().__init__(image)
-        self.chunks: List[Tuple[int, int]] = []
+    SUPER_GEOMETRY = ("block_count", "chunk_index_start", "chunk_index_blocks")
 
     # ------------------------------------------------------------- parsing --
-    def _check_geometry(self, geo: XfsGeometry, fields: tuple) -> bool:
-        blocks, ci_start, ci_blocks = fields[3:6]
-        if (blocks, ci_start, ci_blocks) == (
-            geo.block_count, geo.chunk_index_start, geo.chunk_index_blocks
-        ):
-            return True
-        self._finding("superblock-geometry",
-                      f"superblock claims {blocks} blocks / chunk index at "
-                      f"{ci_start}+{ci_blocks}, device derives "
-                      f"{geo.block_count} / {geo.chunk_index_start}"
-                      f"+{geo.chunk_index_blocks} (truncated image?)",
-                      location="block 0",
-                      superblock=[blocks, ci_start, ci_blocks],
-                      derived=[geo.block_count, geo.chunk_index_start,
-                               geo.chunk_index_blocks])
-        return False
-
     def _read_tables(self, fields: tuple) -> None:
         geo = self.geo
-        self.root_ino = fields[6]
+        self.root_ino, self.chunks = fields[6], []
         self.block_bitmap = self._read_bitmap(
             geo.bitmap_start, geo.bitmap_blocks, geo.block_count)
         for i in range(geo.chunk_index_blocks):
-            raw = self.blocks.block(geo.chunk_index_start + i)
+            raw = self._block(geo.chunk_index_start + i)
             for offset in range(0, geo.block_size, CHUNK_ENTRY_SIZE):
                 block, mask, _pad = struct.unpack(
                     CHUNK_ENTRY_FMT, raw[offset : offset + CHUNK_ENTRY_SIZE]
@@ -112,7 +92,7 @@ class XfsImageChecker(BlockImageChecker):
         chunk_block, slot = (ino - 1) // INODES_PER_CHUNK, (ino - 1) % INODES_PER_CHUNK
         if not 0 < chunk_block < self.geo.block_count:
             return None
-        raw = self.blocks.block(chunk_block)[slot * INODE_SIZE : (slot + 1) * INODE_SIZE]
+        raw = self._block(chunk_block)[slot * INODE_SIZE : (slot + 1) * INODE_SIZE]
         try:
             return XfsInode.unpack(ino, raw)
         except struct.error:

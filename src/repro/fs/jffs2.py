@@ -15,8 +15,11 @@ blocks.  Two node types, each carrying a monotonically increasing version:
 
 Mounting scans the entire log to rebuild the in-memory index (the reason
 real JFFS2 mounts are slow -- faithfully charged to the simulated clock).
-The *entire* directory tree and file index live in memory; only the log
-is persistent, so restoring the flash image under a live mount leaves the
+The log is read by the same reader as fsck's (``read_log_block``): a
+block ends at the first node that is not whole, and a whole node that
+does not decode is obsolete, like one of unknown type.  The *entire*
+directory tree and file index live in memory; only the log is
+persistent, so restoring the flash image under a live mount leaves the
 in-memory index describing a different history -- corruption follows as
 soon as the fs appends at its stale write cursor.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import (
     EEXIST,
@@ -114,6 +117,87 @@ class JInode:
         return (self.mode & S_IFMT) == S_IFLNK
 
 
+class JDirent(NamedTuple):
+    """One dirent node: ``(pino, name) -> child``, 0 being a whiteout."""
+
+    pino: int
+    version: int
+    child: int
+    dtype: int
+    name: str
+
+
+class BadNode(NamedTuple):
+    """A whole, CRC-valid node that does not decode, as fsck reports it."""
+
+    invariant: str
+    message: str
+    detail: dict
+
+
+def read_log_block(read, block: int, erase_block_size: int):
+    """The one log reader, of the mount and of fsck: one erase block's
+    nodes through ``read(address, length)``, up to the first that is not
+    whole.  Returns ``(nodes, end, fault)``: ``(offset, totlen, node)``
+    per node (a :class:`JInode`, :class:`JDirent`, :class:`BadNode`, or
+    None for an unknown type), the offset after the last, and why the
+    block stops there: None (erased flash, a torn header, no room for a
+    header), ``("length", totlen)`` or ``("crc", stored, computed)``."""
+    base = block * erase_block_size
+    nodes = []
+    offset = 0
+    while offset + HEADER_SIZE <= erase_block_size:
+        magic, nodetype, totlen, crc = struct.unpack(
+            HEADER_FMT, read(base + offset, HEADER_SIZE))
+        if magic != NODE_MAGIC:
+            return nodes, offset, None
+        if totlen < HEADER_SIZE or offset + totlen > erase_block_size:
+            return nodes, offset, ("length", totlen)
+        body = read(base + offset + HEADER_SIZE, totlen - HEADER_SIZE)
+        if node_crc(body) != crc:
+            return nodes, offset, ("crc", crc, node_crc(body))
+        nodes.append((offset, totlen, _decode(nodetype, body)))
+        offset += totlen
+    return nodes, offset, None
+
+
+def _decode(nodetype: int, body: bytes):
+    if nodetype == NODETYPE_INODE:
+        if len(body) < INODE_FIXED:
+            return BadNode("node-length-mismatch", "inode node shorter than its header", {})
+        fields = struct.unpack(INODE_FMT, body[:INODE_FIXED])
+        ino, dlen, xlen = fields[0], fields[9], fields[10]
+        if INODE_FIXED + dlen + xlen > len(body):
+            return BadNode("node-length-mismatch",
+                           f"inode node for ino {ino} declares {dlen}+{xlen} payload "
+                           f"bytes but carries {len(body) - INODE_FIXED}",
+                           {"ino": ino, "dlen": dlen, "xlen": xlen})
+        inode = JInode(ino)
+        (_, inode.version, inode.mode, inode.uid, inode.gid, inode.size,
+         inode.atime, inode.mtime, inode.ctime, _, _) = fields
+        inode.data = bytes(body[INODE_FIXED : INODE_FIXED + dlen])
+        try:
+            inode.xattrs = unpack_xattrs(body[INODE_FIXED + dlen : INODE_FIXED + dlen + xlen])
+        except UnicodeDecodeError:
+            return BadNode("xattr-name-invalid", f"inode node for ino {ino} carries "
+                           f"an xattr name that is not UTF-8", {"ino": ino})
+        return inode
+    if nodetype == NODETYPE_DIRENT:
+        if len(body) < DIRENT_FIXED:
+            return BadNode("node-length-mismatch", "dirent node shorter than its header", {})
+        pino, version, child, dtype, nlen = struct.unpack(DIRENT_FMT, body[:DIRENT_FIXED])
+        raw_name = body[DIRENT_FIXED : DIRENT_FIXED + nlen]
+        if len(raw_name) < nlen:
+            return BadNode("dirent-name-invalid", f"dirent node declares a {nlen}-byte "
+                           f"name but carries {len(raw_name)}", {"pino": pino})
+        try:
+            return JDirent(pino, version, child, dtype, raw_name.decode("utf-8"))
+        except UnicodeDecodeError:
+            return BadNode("dirent-name-invalid", "dirent node carries a name that "
+                           "is not UTF-8", {"pino": pino})
+    return None
+
+
 class Jffs2FileSystemType(FileSystemType):
     """mkfs + mount entry points for SimJFFS2 (MTD devices only)."""
 
@@ -177,34 +261,21 @@ class MountedJffs2(MountedFileSystem):
 
     # -------------------------------------------------------------- log scan --
     def _scan_log(self) -> None:
-        """Rebuild the in-memory index by scanning every erase block."""
+        """Rebuild the in-memory index by replaying every erase block."""
         ebs = self.mtd.erase_block_size
-        latest_inode_version: Dict[int, int] = {}
         last_used_block = 0
         for block in range(self.mtd.erase_block_count):
-            offset = 0
-            while offset + HEADER_SIZE <= ebs:
-                header = self.mtd.read(block * ebs + offset, HEADER_SIZE)
-                magic, nodetype, totlen, crc = struct.unpack(HEADER_FMT, header)
-                if magic != NODE_MAGIC:
-                    break  # erased space (0xFFFF) or torn write: stop this block
-                if totlen < HEADER_SIZE or offset + totlen > ebs:
-                    break
-                body = self.mtd.read(block * ebs + offset + HEADER_SIZE, totlen - HEADER_SIZE)
-                if node_crc(body) != crc:
-                    break  # bit rot or torn write: the log ends here
-                self._ingest_node(nodetype, body, block, offset, totlen,
-                                  latest_inode_version)
-                offset += totlen
-                last_used_block = max(last_used_block, block)
-            if offset:
-                last_used_block = max(last_used_block, block)
+            nodes, end, _fault = read_log_block(self.mtd.read, block, ebs)
+            for _offset, totlen, node in nodes:
+                self._ingest_node(node, block, totlen)
+            if end:
+                last_used_block = block
         # Drop inodes whose latest node says "deleted" (mode 0).
         for ino in [i for i, inode in self._inodes.items() if inode.mode == 0]:
             del self._inodes[ino]
         # Resume appending after the last node in the last used block.
         self._write_block = last_used_block
-        self._write_offset = self._scan_block_end(last_used_block)
+        self._write_offset = read_log_block(self.mtd.read, last_used_block, ebs)[1]
         if self._inodes:
             self._next_ino = max(self._inodes) + 1
         self._version = 1 + max(
@@ -213,68 +284,40 @@ class MountedJffs2(MountedFileSystem):
             + [0]
         )
 
-    def _scan_block_end(self, block: int) -> int:
-        ebs = self.mtd.erase_block_size
-        offset = 0
-        while offset + HEADER_SIZE <= ebs:
-            header = self.mtd.read(block * ebs + offset, HEADER_SIZE)
-            magic, _nodetype, totlen, crc = struct.unpack(HEADER_FMT, header)
-            if magic != NODE_MAGIC or totlen < HEADER_SIZE or offset + totlen > ebs:
-                break
-            body = self.mtd.read(block * ebs + offset + HEADER_SIZE, totlen - HEADER_SIZE)
-            if node_crc(body) != crc:
-                break
-            offset += totlen
-        return offset
+    def _ingest_node(self, node, block: int, totlen: int) -> None:
+        """Replay one node: the latest version of each inode and dirent
+        wins; a node of unknown type, or one that does not decode, is
+        obsolete."""
+        if isinstance(node, JInode):
+            current = self._inodes.get(node.ino)
+            if node.version > (current.version if current else 0):
+                self._place(("inode", node.ino), block, totlen)
+                self._inodes[node.ino] = node
+                if node.is_dir:
+                    self._dirs.setdefault(node.ino, {})
+                return
+        elif isinstance(node, JDirent):
+            key = (node.pino, node.name)
+            if node.version > self._dirent_versions.get(key, 0):
+                self._place(("dirent", key), block, totlen)
+                self._dirent_versions[key] = node.version
+                entries = self._dirs.setdefault(node.pino, {})
+                if node.child == 0:
+                    entries.pop(node.name, None)
+                else:
+                    entries[node.name] = (node.child, node.dtype)
+                return
+        self._dead_bytes[block] += totlen
 
-    def _ingest_node(self, nodetype, body, block, offset, totlen, latest_versions) -> None:
-        if nodetype == NODETYPE_INODE:
-            fields = struct.unpack(INODE_FMT, body[:INODE_FIXED])
-            (ino, version, mode, uid, gid, size, atime, mtime, ctime,
-             dlen, xlen) = fields
-            if version <= latest_versions.get(ino, 0):
-                self._dead_bytes[block] += totlen
-                return
-            previous = self._node_positions.pop(("inode", ino), None)
-            if previous is not None:
-                old_block, old_len = previous
-                self._dead_bytes[old_block] += old_len
-                self._live_bytes[old_block] -= old_len
-            latest_versions[ino] = version
-            inode = JInode(ino)
-            inode.version = version
-            inode.mode, inode.uid, inode.gid, inode.size = mode, uid, gid, size
-            inode.atime, inode.mtime, inode.ctime = atime, mtime, ctime
-            inode.data = bytes(body[INODE_FIXED : INODE_FIXED + dlen])
-            inode.xattrs = unpack_xattrs(
-                body[INODE_FIXED + dlen : INODE_FIXED + dlen + xlen])
-            self._inodes[ino] = inode
-            if inode.is_dir:
-                self._dirs.setdefault(ino, {})
-            self._node_positions[("inode", ino)] = (block, totlen)
-            self._live_bytes[block] += totlen
-        elif nodetype == NODETYPE_DIRENT:
-            pino, version, child, dtype, nlen = struct.unpack(DIRENT_FMT, body[:DIRENT_FIXED])
-            name = body[DIRENT_FIXED : DIRENT_FIXED + nlen].decode("utf-8")
-            key = (pino, name)
-            if version <= self._dirent_versions.get(key, 0):
-                self._dead_bytes[block] += totlen
-                return
-            previous = self._node_positions.pop(("dirent", key), None)
-            if previous is not None:
-                old_block, old_len = previous
-                self._dead_bytes[old_block] += old_len
-                self._live_bytes[old_block] -= old_len
-            self._dirent_versions[key] = version
-            entries = self._dirs.setdefault(pino, {})
-            if child == 0:
-                entries.pop(name, None)
-            else:
-                entries[name] = (child, dtype)
-            self._node_positions[("dirent", key)] = (block, totlen)
-            self._live_bytes[block] += totlen
-        else:
-            self._dead_bytes[block] += totlen
+    def _place(self, key, block: int, totlen: int) -> None:
+        """Book ``key``'s latest node at ``block``; its previous node dies."""
+        previous = self._node_positions.pop(key, None)
+        if previous is not None:
+            old_block, old_len = previous
+            self._dead_bytes[old_block] += old_len
+            self._live_bytes[old_block] -= old_len
+        self._node_positions[key] = (block, totlen)
+        self._live_bytes[block] += totlen
 
     # ------------------------------------------------------------- appending --
     def _append_raw(self, nodetype: int, body: bytes, position_key) -> None:
@@ -287,13 +330,7 @@ class MountedJffs2(MountedFileSystem):
         address = self._write_block * ebs + self._write_offset
         raw = struct.pack(HEADER_FMT, NODE_MAGIC, nodetype, totlen, node_crc(body)) + body
         self.mtd.write(address, raw)
-        previous = self._node_positions.pop(position_key, None)
-        if previous is not None:
-            old_block, old_len = previous
-            self._dead_bytes[old_block] += old_len
-            self._live_bytes[old_block] -= old_len
-        self._node_positions[position_key] = (self._write_block, totlen)
-        self._live_bytes[self._write_block] += totlen
+        self._place(position_key, self._write_block, totlen)
         self._write_offset += totlen
 
     def _advance_write_block(self, needed: int) -> None:

@@ -242,6 +242,10 @@ class Explorer:
         try:
             search()
         except PropertyViolation as violation:
+            # a value now: its traceback's frames (this one's ``stats``
+            # among them) would hold it, the DFS stack and the explorer
+            # in a cycle until a full collection
+            violation.__traceback__ = violation.__context__ = None
             stats.violation = violation
             stats.stopped_reason = "property violation"
             # hang the recorded schedule off the report (if any) so the

@@ -140,6 +140,8 @@ class TrailExecutor:
                 else:
                     raise ValueError(f"unknown trail event {tag!r}")
             except PropertyViolation as violation:
+                # without the frames that point back at it (see Explorer._run)
+                violation.__traceback__ = violation.__context__ = None
                 return index, violation
         return len(events), None
 

@@ -9,6 +9,8 @@ findings, so the oracle never cries wolf during exploration.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.analysis import check_image, check_mounted, detect_fstype
@@ -16,7 +18,17 @@ from repro.analysis.findings import Finding, finding_from_dict
 from repro.cli import main as cli_main
 from repro.errors import EINVAL, FsError
 from repro.fs.ext2 import ROOT_INO, Ext2FileSystemType, MountedExt2
-from repro.fs.jffs2 import NODE_MAGIC
+from repro.fs.jffs2 import (
+    DIRENT_FMT,
+    HEADER_FMT,
+    HEADER_SIZE,
+    INODE_FMT,
+    NODE_MAGIC,
+    NODETYPE_DIRENT,
+    NODETYPE_INODE,
+    Jffs2FileSystemType,
+    node_crc,
+)
 from repro.kernel.fdtable import O_CREAT, O_WRONLY
 from repro.kernel import Kernel
 from repro.kernel.stat import DT_REG
@@ -255,6 +267,38 @@ def test_unusable_stored_block_size_is_reported(name, mount_factory, tmp_path):
     image = bytearray(synced_image(mount_factory(name)))
     image[12:16] = bytes(4)  # the superblock's block size field
     assert_reported(bytes(image), "superblock-geometry", tmp_path)
+
+
+def jffs2_with_node(fx, nodetype: int, body: bytes):
+    """A populated SimJFFS2 device with one more whole, CRC-valid node
+    appended at the write cursor."""
+    populate(fx)
+    fs = fx.fs()
+    address = fs._write_block * fs.mtd.erase_block_size + fs._write_offset
+    header = struct.pack(HEADER_FMT, NODE_MAGIC, nodetype,
+                         HEADER_SIZE + len(body), node_crc(body))
+    fx.device.write(address, header + body)
+    return fx.device
+
+
+@pytest.mark.parametrize("nodetype,body,invariant", [
+    (NODETYPE_INODE, b"\x07\x00", "node-length-mismatch"),
+    (NODETYPE_DIRENT, struct.pack(DIRENT_FMT, 1, 999, 2, DT_REG, 2) + b"\xff\xfe",
+     "dirent-name-invalid"),
+    (NODETYPE_INODE, struct.pack(INODE_FMT, 99, 999, 0o100644, 0, 0, 0, 0.0, 0.0,
+                                 0.0, 0, 7) + b"\x02\x01\x00\xff\xfex\x00",
+     "xattr-name-invalid"),
+], ids=["2-byte-inode", "non-utf8-dirent", "non-utf8-xattr-name"])
+def test_hostile_jffs2_node_mounts_and_is_reported(nodetype, body, invariant,
+                                                   mount_factory):
+    device = jffs2_with_node(mount_factory("jffs2"), nodetype, body)
+    # the mount drops the node as obsolete and keeps the rest of the log
+    mounted = Jffs2FileSystemType().mount(device)
+    root = mounted.ROOT_INO
+    assert sorted(entry.name for entry in mounted.getdents(root)) == ["d", "top"]
+    assert mounted.read(mounted.lookup(root, "top"), 0, 8) == b"x"
+    findings = check_image(device.snapshot_image())
+    assert [f.invariant for f in findings] == [invariant]
 
 
 # --------------------------------------------------------------------- CLI --

@@ -8,6 +8,7 @@ state before every probe.  These tests pin each piece down by
 rather than by argument.
 """
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import BUG_PAIRS, hunt_spec, main
 from repro.dist.spec import CheckSpec
 from repro.mc import trace
+from repro.mc.explorer import Explorer
 from repro.trail import Trail, TrailExecutor, minimize_trail, replay_trail
 from repro.trail import replay as replay_module
 from repro.trail.capture import signature
@@ -530,6 +532,30 @@ class _WatchedExecutor(TrailExecutor):
                 self.calls[name] += 1
             return method(*args)
         return call
+
+
+class TestFoundBugHoldsNoCycle:
+    def test_hunt_and_replay_free_their_harnesses_without_a_collection(
+            self, tmp_path):
+        # a violation kept with its traceback points back, through its
+        # frames, at the explorer's stats and the replay loop's locals: a
+        # cycle holding the DFS stack, explorer and executor until a full
+        # collection
+        def harnesses():
+            return sum(isinstance(obj, (Explorer, TrailExecutor))
+                       for obj in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = harnesses()
+            result = hunt_spec("write-hole-stale").run(trail_dir=str(tmp_path))
+            replayed = replay_trail(Trail.load(result.trail_path))
+            assert result.found_discrepancy and replayed.confirmed
+            del result, replayed
+            assert harnesses() == before
+        finally:
+            gc.enable()
 
 
 class TestReplayTokenLifetime:
