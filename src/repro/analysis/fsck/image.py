@@ -8,7 +8,8 @@ duplicate names, one parent per directory, dtype-vs-mode agreement, the
 link-count recount, and -- where the source has an inode map -- no
 orphan and no stale free slot.  The sources: :class:`BlockImageChecker`
 (ext2, ext4, xfs) reads a raw image, ``fsck.jffs2`` its replayed log,
-``check_mounted`` a live mount.
+``fsck.generic`` a live mount (``check_mounted`` and every driver's
+``check_consistency``).
 
 Image checkers read a device image as plain ``bytes`` (what
 :meth:`BlockDevice.snapshot_image` returns), so they are side-effect
@@ -51,8 +52,9 @@ class TreeChecker:
 
     A source supplies ``_load_inode(ino)`` (a record with ``mode``,
     ``nlink`` and ``is_dir``, or None) and ``_read_dir(ino, inode)``
-    (``(ino, dtype, name)`` triples); the other hooks default to a
-    source with no inode map and no block map.
+    (``(ino, dtype, name)`` triples, dtype None where the source stores
+    none); the other hooks default to a source with no inode map and no
+    block map.
     """
 
     checker = "fsck"
@@ -142,7 +144,7 @@ class TreeChecker:
                               f"ino {entry_ino}", location=f"ino {ino}",
                               name=name, target=entry_ino)
                 continue
-            if mode_to_dtype(child.mode) != dtype:
+            if dtype is not None and mode_to_dtype(child.mode) != dtype:
                 self._finding("dtype-mismatch",
                               f"dirent {name!r} in ino {ino} has dtype {dtype} "
                               f"but ino {entry_ino} has mode {child.mode:#o}",

@@ -235,14 +235,19 @@ class MountedBlockFileSystem(MountedFileSystem):
       ``xattr_block`` and ``is_dir``/``is_symlink``;
     * ``_inode_location(ino)`` -> ``(block, byte offset)`` of the record,
       raising EINVAL for an ino the format cannot hold;
-      ``_allocate_inode()`` and ``_release_inode(ino)``;
+      ``_allocate_inode()``, ``_release_inode(ino)`` and
+      ``_inode_allocated(ino)``;
     * the block map: ``_get_file_block`` (0 for a hole),
-      ``_ensure_file_block``, ``_truncate_data``, ``_free_all_data`` and
+      ``_ensure_file_block``, ``_truncate_data``, ``_free_all_data``,
+      ``_mapped_blocks`` (every block an inode holds) and
       ``max_file_bytes``;
     * the directory stream: ``_write_dir_entries`` (layout and reported
       size) and ``_dir_stream_length``;
     * ``_write_tables`` (the allocation tables ``sync`` writes) and
-      ``_write_super``; ``statfs`` and ``check_consistency``.
+      ``_write_super``; ``statfs``.
+
+    ``check_consistency`` is the shared fsck tree audit over these
+    records, with ``_mapped_blocks`` claimed against ``block_bitmap``.
 
     ``WRITE_RESERVE`` is the free-block slack a write keeps back for the
     map's own blocks, ``_count_xattr_block`` whether the xattr block

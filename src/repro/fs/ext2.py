@@ -17,14 +17,14 @@ Entries are returned in insertion order.
 
 All I/O goes through a write-back :class:`~repro.fs.base.BufferCache`, so
 restoring the device image under a live mount genuinely corrupts state
-(section 3.2); ``check_consistency`` implements the fsck-style sweep used
-to demonstrate that corruption.
+(section 3.2), which ``check_consistency`` -- the shared fsck tree audit
+over this driver's records and block map -- demonstrates.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import EFBIG, EINVAL, ENOSPC, FsError
 from repro.fs.base import (BufferCache, InodeRecord, MountedBlockFileSystem,
@@ -246,6 +246,9 @@ class MountedExt2(MountedBlockFileSystem):
     def _release_inode(self, ino: int) -> None:
         self.inode_bitmap.clear(ino - 1)
 
+    def _inode_allocated(self, ino: int) -> bool:
+        return 1 <= ino <= self.geo.inode_count and self.inode_bitmap.get(ino - 1)
+
     # ------------------------------------------------------------- block map --
     @property
     def _pointers_per_block(self) -> int:
@@ -326,6 +329,14 @@ class MountedExt2(MountedBlockFileSystem):
     def _free_all_data(self, inode: Ext2Inode) -> None:
         self._truncate_data(inode, 0)
 
+    def _mapped_blocks(self, inode: Ext2Inode) -> Iterator[int]:
+        yield from (block for block in inode.direct if block)
+        if inode.xattr_block:
+            yield inode.xattr_block
+        if inode.indirect:
+            yield inode.indirect
+            yield from (block for block in self._read_indirect(inode.indirect) if block)
+
     # ------------------------------------------------------------ directories --
     def _dir_stream_length(self, inode: Ext2Inode) -> int:
         return inode.size
@@ -368,78 +379,6 @@ class MountedExt2(MountedBlockFileSystem):
             files_total=self.geo.inode_count,
             files_free=self.inode_bitmap.free_count,
         )
-
-    # --------------------------------------------------------------- fsck-style --
-    def check_consistency(self) -> List[str]:
-        """fsck-style sweep: dirents must reference live inodes, link counts
-        and the allocation bitmaps must agree with the reachable tree."""
-        problems: List[str] = []
-        seen_links: Dict[int, int] = {}
-        used_blocks: Set[int] = set(range(self.geo.first_data_block))
-        counted_inodes: Set[int] = set()
-        stack = [ROOT_INO]
-        visited = set()
-        while stack:
-            dir_ino = stack.pop()
-            if dir_ino in visited:
-                continue
-            visited.add(dir_ino)
-            try:
-                directory = self._load_inode(dir_ino)
-            except FsError:
-                problems.append(f"directory inode {dir_ino} unreadable")
-                continue
-            if directory.mode == 0:
-                problems.append(f"directory inode {dir_ino} is zeroed")
-                continue
-            for ino, dtype, name in self._read_dir_entries(directory):
-                if name == ".":
-                    continue
-                if name == "..":
-                    continue
-                if not 1 <= ino <= self.geo.inode_count:
-                    problems.append(f"dirent {name!r} in ino {dir_ino} -> invalid ino {ino}")
-                    continue
-                if not self.inode_bitmap.get(ino - 1):
-                    problems.append(f"dirent {name!r} in ino {dir_ino} -> unallocated ino {ino}")
-                    continue
-                child = self._load_inode(ino)
-                if child.mode == 0:
-                    problems.append(f"dirent {name!r} in ino {dir_ino} -> zeroed inode {ino}")
-                    continue
-                seen_links[ino] = seen_links.get(ino, 0) + 1
-                if ino in counted_inodes:
-                    continue
-                counted_inodes.add(ino)
-                for file_block in range(DIRECT_POINTERS):
-                    if child.direct[file_block]:
-                        block = child.direct[file_block]
-                        if block in used_blocks:
-                            problems.append(f"block {block} multiply claimed (ino {ino})")
-                        used_blocks.add(block)
-                if child.xattr_block:
-                    if child.xattr_block in used_blocks:
-                        problems.append(f"xattr block {child.xattr_block} multiply claimed (ino {ino})")
-                    used_blocks.add(child.xattr_block)
-                if child.indirect:
-                    used_blocks.add(child.indirect)
-                    for block in self._read_indirect(child.indirect):
-                        if block:
-                            if block in used_blocks:
-                                problems.append(f"block {block} multiply claimed (ino {ino})")
-                            used_blocks.add(block)
-                if child.is_dir:
-                    stack.append(ino)
-        for ino, count in seen_links.items():
-            inode = self._load_inode(ino)
-            if inode.is_dir:
-                continue  # dir link counts involve . / .. accounting
-            if inode.nlink != count:
-                problems.append(f"ino {ino}: nlink {inode.nlink} but {count} dirents")
-        for block in sorted(used_blocks):
-            if block >= self.geo.first_data_block and not self.block_bitmap.get(block):
-                problems.append(f"block {block} in use but free in bitmap")
-        return problems
 
 
 class Ext2FileSystemType(FileSystemType):

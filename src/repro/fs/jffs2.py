@@ -261,28 +261,27 @@ class MountedJffs2(MountedFileSystem):
 
     # -------------------------------------------------------------- log scan --
     def _scan_log(self) -> None:
-        """Rebuild the in-memory index by replaying every erase block."""
+        """Rebuild the in-memory index by replaying every erase block.
+
+        Every append but a GC copy takes the next version, and GC copies
+        are written before the append that needed the room, so the newest
+        node is the last one written: appending resumes at the end of its
+        block, where the mount that wrote it left its write cursor."""
         ebs = self.mtd.erase_block_size
-        last_used_block = 0
+        newest = 0
         for block in range(self.mtd.erase_block_count):
             nodes, end, _fault = read_log_block(self.mtd.read, block, ebs)
             for _offset, totlen, node in nodes:
                 self._ingest_node(node, block, totlen)
-            if end:
-                last_used_block = block
+                if isinstance(node, (JInode, JDirent)) and node.version > newest:
+                    newest = node.version
+                    self._write_block, self._write_offset = block, end
         # Drop inodes whose latest node says "deleted" (mode 0).
         for ino in [i for i, inode in self._inodes.items() if inode.mode == 0]:
             del self._inodes[ino]
-        # Resume appending after the last node in the last used block.
-        self._write_block = last_used_block
-        self._write_offset = read_log_block(self.mtd.read, last_used_block, ebs)[1]
         if self._inodes:
             self._next_ino = max(self._inodes) + 1
-        self._version = 1 + max(
-            [inode.version for inode in self._inodes.values()]
-            + list(self._dirent_versions.values())
-            + [0]
-        )
+        self._version = newest + 1
 
     def _ingest_node(self, node, block: int, totlen: int) -> None:
         """Replay one node: the latest version of each inode and dirent
@@ -767,18 +766,3 @@ class MountedJffs2(MountedFileSystem):
             files_total=0,
             files_free=0,
         )
-
-    # --------------------------------------------------------------- fsck-style --
-    def check_consistency(self) -> List[str]:
-        problems: List[str] = []
-        for pino, entries in self._dirs.items():
-            if pino not in self._inodes:
-                if entries:
-                    problems.append(f"directory map for dead inode {pino} is non-empty")
-                continue
-            for name, (child, dtype) in entries.items():
-                if child not in self._inodes:
-                    problems.append(
-                        f"dirent {name!r} in ino {pino} -> missing inode {child}"
-                    )
-        return problems

@@ -22,7 +22,7 @@ cache-incoherency corruption of section 3.2 is genuine here too.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import EFBIG, EINVAL, ENOSPC, FsError
 from repro.fs.base import (BufferCache, InodeRecord, MountedBlockFileSystem,
@@ -327,6 +327,12 @@ class MountedXfs(MountedBlockFileSystem):
     def _free_all_data(self, inode: XfsInode) -> None:
         self._unmap_from(inode, 0)
 
+    def _mapped_blocks(self, inode: XfsInode) -> Iterator[int]:
+        for _start, device_start, count in inode.extents:
+            yield from range(device_start, device_start + count)
+        if inode.xattr_block:
+            yield inode.xattr_block
+
     # ------------------------------------------------------------ directories --
     def _dir_stream_length(self, inode: XfsInode) -> int:
         # The packed stream length is bounded by the allocated blocks.
@@ -376,41 +382,3 @@ class MountedXfs(MountedBlockFileSystem):
             files_free=free_blocks * INODES_PER_CHUNK
             + sum(bin(chunk[1]).count("1") for chunk in self.chunks),
         )
-
-    # --------------------------------------------------------------- fsck-style --
-    def check_consistency(self) -> List[str]:
-        problems: List[str] = []
-        stack = [self.root_ino]
-        visited = set()
-        while stack:
-            dir_ino = stack.pop()
-            if dir_ino in visited:
-                continue
-            visited.add(dir_ino)
-            try:
-                directory = self._load_inode(dir_ino)
-            except FsError:
-                problems.append(f"directory inode {dir_ino} unreadable")
-                continue
-            if directory.mode == 0:
-                problems.append(f"directory inode {dir_ino} is zeroed")
-                continue
-            for ino, dtype, name in self._read_dir_entries(directory):
-                if name in (".", ".."):
-                    continue
-                if not self._inode_allocated(ino):
-                    problems.append(f"dirent {name!r} in ino {dir_ino} -> unallocated ino {ino}")
-                    continue
-                child = self._load_inode(ino)
-                if child.mode == 0:
-                    problems.append(f"dirent {name!r} in ino {dir_ino} -> zeroed inode {ino}")
-                    continue
-                for start, dev, count in child.extents:
-                    for offset in range(count):
-                        if not self.block_bitmap.get(dev + offset):
-                            problems.append(
-                                f"ino {ino}: data block {dev + offset} free in bitmap"
-                            )
-                if child.is_dir:
-                    stack.append(ino)
-        return problems

@@ -176,8 +176,3 @@ class FuseKernelFS(MountedFileSystem):
 
     def statfs(self) -> StatVFS:
         return self.conn.send_dict(FuseOp.STATFS, ())
-
-    def check_consistency(self) -> List[str]:
-        fs = self.conn.server.filesystem if self.conn.server else None
-        checker = getattr(fs, "check_consistency", None)
-        return checker() if checker else []

@@ -263,14 +263,19 @@ class MountedFileSystem(ABC):
     def statfs(self) -> StatVFS:
         """Return usage information (total/free blocks and inodes)."""
 
-    # -- integrity helpers (used by tests and the corruption demos) ----------------
+    # -- integrity (the engine's consistency checks, the crash sweep) ---------------
     def check_consistency(self) -> List[str]:
-        """Return a list of consistency violations (empty = clean).
+        """Return the live tree's consistency violations (empty = clean).
 
-        Drivers override this with fsck-style checks: directory entries
-        must point at allocated inodes, link counts must match, allocation
-        bitmaps must agree with reachable data.  The cache-incoherency
-        experiments use this to *demonstrate* corruption rather than
-        asserting it abstractly.
+        The one fsck tree audit (``repro.analysis.fsck``) over the source
+        ``mounted_checker`` picks for this mount: dirents must name live
+        inodes, ``.``/``..`` and one parent per directory, link counts
+        must match the tree, and a block format's mapped blocks must be
+        claimed once and allocated in its bitmap.  Only error findings
+        count.  The cache-incoherency experiments use this to
+        *demonstrate* corruption rather than asserting it abstractly.
         """
-        return []
+        from repro.analysis.fsck.generic import mounted_checker  # the audit imports the drivers
+
+        return [finding.message for finding in mounted_checker(self).check()
+                if finding.severity == "error"]

@@ -344,14 +344,3 @@ class VeriFS1(VeriFSBase):
             files_total=self.inode_table_size,
             files_free=self.inode_table_size - used_inodes,
         )
-
-    # ------------------------------------------------------------ integrity --
-    def check_consistency(self) -> List[str]:
-        problems: List[str] = []
-        for ino, inode in enumerate(self.inodes):
-            if inode is None or not inode.is_dir:
-                continue
-            for name, child_ino in inode.entries.items():
-                if not 0 < child_ino < len(self.inodes) or self.inodes[child_ino] is None:
-                    problems.append(f"dirent {name!r} in ino {ino} -> dead inode {child_ino}")
-        return problems

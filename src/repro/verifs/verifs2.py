@@ -552,22 +552,3 @@ class VeriFS2(VeriFSBase):
             files_total=1 << 20,
             files_free=(1 << 20) - len(self.inodes),
         )
-
-    # ------------------------------------------------------------ integrity --
-    def check_consistency(self) -> List[str]:
-        problems: List[str] = []
-        link_counts: Dict[int, int] = {}
-        for ino, inode in self.inodes.items():
-            if not inode.is_dir:
-                continue
-            for name, child_ino in inode.entries.items():
-                child = self.inodes.get(child_ino)
-                if child is None:
-                    problems.append(f"dirent {name!r} in ino {ino} -> dead inode {child_ino}")
-                    continue
-                link_counts[child_ino] = link_counts.get(child_ino, 0) + 1
-        for ino, count in link_counts.items():
-            inode = self.inodes[ino]
-            if not inode.is_dir and inode.nlink != count:
-                problems.append(f"ino {ino}: nlink {inode.nlink} but {count} dirents")
-        return problems

@@ -31,7 +31,7 @@ from repro.fs.jffs2 import (
 )
 from repro.kernel.fdtable import O_CREAT, O_WRONLY
 from repro.kernel import Kernel
-from repro.kernel.stat import DT_REG
+from repro.kernel.stat import DT_DIR, DT_REG
 from repro.storage import RAMBlockDevice
 
 
@@ -162,6 +162,93 @@ def test_jffs2_crc_corruption_detected(mount_factory):
     image[20] ^= 0xFF
     findings = check_image(bytes(image))
     assert "node-crc" in {f.invariant for f in findings}
+
+
+# ---------------------------------------- the live check, every driver --
+# ``check_consistency`` is the same tree audit over what each driver
+# keeps: faults are seeded behind the driver's back, through its internals.
+GHOST_INO = 55  # allocated by no file system after ``populate``
+
+
+def link_behind_the_back(fx, dir_ino: int, name: str, ino: int, dtype: int) -> None:
+    if fx.filesystem is not None:  # VeriFS, served over FUSE
+        fx.filesystem._get(dir_ino).entries[name] = ino
+    elif fx.name == "jffs2":
+        fx.fs()._dirs.setdefault(dir_ino, {})[name] = (ino, dtype)
+    else:
+        fs = fx.fs()
+        fs._dir_add_entry(fs._load_inode(dir_ino), name, ino, dtype)
+
+
+def ino_of(fx, rel: str) -> int:
+    return fx.kernel.stat(fx.path(rel)).st_ino
+
+
+def overcount_live_nlink(fx) -> None:
+    """``overcount_nlink`` on every driver: ``/top`` gains a phantom link."""
+    if fx.filesystem is not None:
+        fx.filesystem._get(ino_of(fx, "/top")).nlink += 1
+    elif fx.name == "jffs2":
+        # jffs2 stores no link count: getattr counts every dirent in the
+        # index, so one more in a dead directory's map raises it
+        link_behind_the_back(fx, 999, "extra", ino_of(fx, "/top"), DT_REG)
+    else:
+        overcount_nlink(fx.fs())
+
+
+@pytest.mark.parametrize("fault,expected", [
+    ("dangling-dirent", f"points at unallocated ino {GHOST_INO}"),
+    ("nlink-off-by-one", "stored nlink 2, recomputed 1"),
+    ("directory-with-two-parents", "is reachable from both"),
+])
+def test_live_check_reports_seeded_fault(mounted_fs, fault, expected):
+    fx = mounted_fs
+    populate(fx)
+    assert fx.fs().check_consistency() == []
+    root = ino_of(fx, "")
+    if fault == "dangling-dirent":
+        link_behind_the_back(fx, root, "ghost", GHOST_INO, DT_REG)
+    elif fault == "nlink-off-by-one":
+        overcount_live_nlink(fx)
+    else:
+        link_behind_the_back(fx, root, "again", ino_of(fx, "/d/sub"), DT_DIR)
+    problems = fx.fs().check_consistency()
+    if fx.filesystem is not None or fx.name == "jffs2":
+        # no inode map: a dirent to a missing inode reads as a zeroed one
+        expected = expected.replace("unallocated", "zeroed")
+    assert any(expected in problem for problem in problems), problems
+
+
+@pytest.mark.parametrize("name", CORRUPTIBLE)
+def test_live_check_reports_claimed_block_free_in_bitmap(name, mount_factory):
+    fx = mount_factory(name)
+    populate(fx)
+    fs = fx.fs()
+    block = next(fs._mapped_blocks(fs._load_inode(ino_of(fx, "/d/f"))))
+    fs.block_bitmap.clear(block)
+    assert fs.check_consistency() == [
+        f"block {block} (ino {ino_of(fx, '/d/f')}) in use but free in bitmap"]
+
+
+@pytest.mark.parametrize("name", ["ext2", "ext4"])
+def test_live_check_reports_block_claimed_twice(name, mount_factory):
+    fx = mount_factory(name)
+    populate(fx)
+    fs = fx.fs()
+    data, top = (fs._load_inode(ino_of(fx, rel)) for rel in ("/d/f", "/top"))
+    top.direct[0] = data.direct[0]
+    fs._store_inode(top)
+    problems = fs.check_consistency()
+    assert any(f"block {data.direct[0]} multiply claimed" in problem
+               for problem in problems), problems
+
+
+def test_live_check_reports_dirents_of_a_dead_jffs2_inode(mount_factory):
+    fx = mount_factory("jffs2")
+    populate(fx)
+    link_behind_the_back(fx, 999, "orphaned", ino_of(fx, "/d/sub"), DT_DIR)
+    assert "directory map for dead inode 999 is non-empty" in (
+        fx.fs().check_consistency())
 
 
 # -------------------------------------------------------- truncated images --

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.clock import SimClock
+from repro.core.futs import make_block_fut
 from repro.errors import EINVAL, ENOSPC, FsError
 from repro.fs.jffs2 import Jffs2FileSystemType, MountedJffs2
 from repro.kernel import Kernel
 from repro.kernel.fdtable import O_CREAT, O_RDWR, O_WRONLY
 from repro.storage import RAMBlockDevice
 from repro.storage.mtd import MTDDevice
+from repro.workload.generator import SequenceGenerator
 
 
 @pytest.fixture
@@ -101,6 +103,23 @@ class TestLogStructure:
         before = clock.now
         kernel.remount("/mnt/jffs2")
         assert clock.now - before > 0  # full-log scan costs time
+
+    def test_remount_resumes_at_the_live_write_cursor(self, clock):
+        # 160 operations wrap this 8-block log: the live write cursor is
+        # no longer in the highest-numbered block holding nodes
+        device = MTDDevice(128 * 1024, erase_block_size=16 * 1024, clock=clock)
+        fut = make_block_fut("jffs2", Jffs2FileSystemType(), device, clock)
+        generator = SequenceGenerator(seed=5001)
+        generator.apply_to(fut, generator.take(160))
+        live = fut.kernel.mount_at(fut.mountpoint).fs
+        addresses = []
+        read = device.read
+        device.read = lambda address, length: addresses.append(address) or read(address, length)
+        remounted = MountedJffs2(device)
+        assert (remounted._write_block, remounted._write_offset) == (
+            live._write_block, live._write_offset)
+        # one pass over the log: no erase block is read twice
+        assert addresses == sorted(set(addresses))
 
 
 class TestGarbageCollection:

@@ -230,6 +230,46 @@ class TestCacheIncoherency:
         assert not result.found_discrepancy, str(result.report)
 
 
+class _MkdirOvercountsNlink(VeriFS2):
+    """A seeded bug: a new directory's link count is one too high."""
+
+    def mkdir(self, dir_ino, name, mode, uid, gid):
+        ino = super().mkdir(dir_ino, name, mode, uid, gid)
+        self._writable(ino).nlink += 1
+        return ino
+
+
+class TestConsistencyCheckEvery:
+    """``consistency_check_every=1`` turns a seeded fault into a
+    ``corruption`` report, before the state comparison can see it."""
+
+    def test_fuse_pair(self):
+        mcfs, _clock = make_mcfs(consistency_check_every=1)
+        mcfs.add_verifs("verifs1", VeriFS1())
+        mcfs.add_verifs("verifs2", _MkdirOvercountsNlink())
+        result = mcfs.run_dfs(max_depth=2, max_operations=2000)
+        assert result.found_discrepancy
+        assert result.report.kind == "corruption"
+        assert "verifs2 failed fsck-style checks" in result.report.summary
+        assert "stored nlink 3, recomputed 2" in result.report.summary
+
+    def test_block_pair(self):
+        mcfs, clock = make_mcfs(consistency_check_every=1)
+        ext2 = mcfs.add_block_filesystem(
+            "ext2", Ext2FileSystemType(), RAMBlockDevice(256 * 1024, clock=clock))
+        mcfs.add_block_filesystem("ext4", Ext4FileSystemType(),
+                                  RAMBlockDevice(256 * 1024, clock=clock))
+        # the root directory's block, free in ext2's bitmap on disk
+        fs = ext2.kernel.mount_at(ext2.mountpoint).fs
+        fs.block_bitmap.clear(fs._load_inode(fs.ROOT_INO).direct[0])
+        fs.sync()
+        result = mcfs.run_dfs(max_depth=2, max_operations=2000)
+        assert result.found_discrepancy
+        assert result.report.kind == "corruption"
+        assert "ext2 failed fsck-style checks" in result.report.summary
+        assert "in use but free in bitmap" in result.report.summary
+
+
 class TestEqualizationIntegration:
     def test_enabled_by_option(self):
         mcfs, clock = make_mcfs(equalize_free_space=True)
