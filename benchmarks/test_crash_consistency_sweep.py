@@ -16,8 +16,7 @@ from conftest import record_result
 from repro.fs import Ext2FileSystemType, Ext4FileSystemType, Jffs2FileSystemType
 from repro.kernel.fdtable import O_CREAT, O_WRONLY
 from repro.mc.crash import CrashHarness
-from repro.storage import MTDDevice, PowerCutMTD, RAMBlockDevice
-from repro.storage.fault import PowerCutDevice
+from repro.storage import MTDDevice, RAMBlockDevice
 
 
 def workload(kernel, base):
@@ -53,7 +52,7 @@ def test_crash_sweep(benchmark, name, fstype):
         if name == "jffs2":
             return CrashHarness(
                 fstype, lambda clock: MTDDevice(256 * 1024, clock=clock),
-                workload, fault_wrapper=PowerCutMTD).sweep(step=1)
+                workload).sweep(step=1)
         return CrashHarness(fstype, device, workload).sweep(step=1)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

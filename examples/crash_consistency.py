@@ -19,11 +19,9 @@ from repro import (
     Ext4FileSystemType,
     Jffs2FileSystemType,
     MTDDevice,
-    PowerCutDevice,
     RAMBlockDevice,
 )
 from repro.kernel.fdtable import O_CREAT, O_WRONLY
-from repro.storage import PowerCutMTD
 
 
 def workload(kernel, base):
@@ -44,16 +42,15 @@ def workload(kernel, base):
 def main() -> None:
     configurations = [
         ("ext4 (journal)", Ext4FileSystemType,
-         lambda clock: RAMBlockDevice(256 * 1024, clock=clock), PowerCutDevice),
+         lambda clock: RAMBlockDevice(256 * 1024, clock=clock)),
         ("ext2 (in-place)", Ext2FileSystemType,
-         lambda clock: RAMBlockDevice(256 * 1024, clock=clock), PowerCutDevice),
+         lambda clock: RAMBlockDevice(256 * 1024, clock=clock)),
         ("jffs2 (log)", Jffs2FileSystemType,
-         lambda clock: MTDDevice(256 * 1024, clock=clock), PowerCutMTD),
+         lambda clock: MTDDevice(256 * 1024, clock=clock)),
     ]
     print("Power cut after every device write; recover; inspect:\n")
-    for label, fstype, device_factory, wrapper in configurations:
-        harness = CrashHarness(fstype, device_factory, workload,
-                               fault_wrapper=wrapper)
+    for label, fstype, device_factory in configurations:
+        harness = CrashHarness(fstype, device_factory, workload)
         result = harness.sweep(step=1)
         bad = result.inconsistent_points
         illegal = result.illegal_points

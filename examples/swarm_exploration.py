@@ -6,7 +6,7 @@ state spaces in parallel" (section 7).  Here the swarm is a
 :class:`~repro.dist.DistributedChecker` campaign: a ``CheckSpec`` names
 the file systems and how many seed- and depth-diversified members
 (work units) to run, a fleet of worker processes runs them, and one
-shared visited-state service holds the union.  The example shows:
+shared visited table holds the union.  The example shows:
 
 * union coverage exceeding any single member's coverage;
 * modelled parallel time = the busiest lane, far below the sequential sum;

@@ -13,8 +13,8 @@ A class participates in checkpoint/restore iff its effective method
 table (MRO-resolved) has both a capture-side and a restore-side method
 *and* the resolved restore method actually rebinds instance state
 (``self.x = ...``).  The store requirement is the discriminator that
-keeps delegating wrappers (``PowerCutMTD.restore_snapshot`` forwards to
-the wrapped device) and policy objects (checkpoint strategies call
+keeps delegating wrappers (a ``restore_snapshot`` that only forwards to
+a wrapped device) and policy objects (checkpoint strategies call
 ``target.restore(...)``) out of scope: they hold no state of their own
 to rewind.
 

@@ -424,12 +424,16 @@ def cmd_serve(args) -> int:
         spool_dir=args.spool,
         heartbeat_operations=args.heartbeat_ops,
     )
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        server = ReproServer(host=host or "127.0.0.1",
-                             port=int(port), config=config)
-    else:
-        server = ReproServer(socket_path=args.socket, config=config)
+    try:  # the spool reloads here: a torn job document is bad input
+        if args.tcp:
+            host, _, port = args.tcp.rpartition(":")
+            server = ReproServer(host=host or "127.0.0.1",
+                                 port=int(port), config=config)
+        else:
+            server = ReproServer(socket_path=args.socket, config=config)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     server.start()
     restored = len(server.engine.jobs)
     print(f"repro server listening on {server.address} "

@@ -281,7 +281,9 @@ class MCFS:
             from repro.mc.persistence import load_checker_state
 
             snapshot = load_checker_state(state_file,
-                                          memory=self.options.memory_model)
+                                          memory=self.options.memory_model,
+                                          store=self.options.state_store,
+                                          seed=self.options.store_seed)
             if snapshot is not None:
                 visited = snapshot.visited
                 self._resumed_operations = snapshot.operations_completed
@@ -369,7 +371,7 @@ class MCFS:
 
         ``visited`` plugs in a custom visited table (any
         :class:`~repro.mc.hashtable.AbstractVisitedTable`); the
-        distributed workers pass service-backed tables here.  This is
+        distributed workers pass their shipping tables here.  This is
         one walk in this process; a campaign of many diversified walks
         is :class:`repro.dist.DistributedChecker` over the same spec.
         """

@@ -34,7 +34,6 @@ from repro.dist.coordinator import (
     WorkerSummary,
 )
 from repro.dist.protocol import UnitResult
-from repro.dist.service import VisitedStateService
 from repro.dist.spec import (
     FILESYSTEMS,
     KERNEL_FS,
@@ -55,7 +54,6 @@ __all__ = [
     "STRATEGIES",
     "ShippingVisitedTable",
     "UnitResult",
-    "VisitedStateService",
     "WorkUnit",
     "WorkerConfig",
     "WorkerSummary",

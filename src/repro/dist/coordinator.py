@@ -12,8 +12,8 @@ a real :mod:`multiprocessing` campaign:
   an expired lease (or a dead process, detected sooner) re-issues the
   unit, which re-runs deterministically, so a SIGKILL'd worker costs
   wall time, never results;
-* a **visited-state service** (one authoritative table) takes the
-  workers' packed record batches, deduplicating cross-worker territory;
+* one **visited table** (the campaign's store) takes the workers'
+  packed record batches, deduplicating cross-worker territory;
 * units no live worker can take run **inline**, in this process, through
   the same ``run_unit``: that is what a fleet whose workers have all
   died falls back to, and all that ``workers=0`` ever does (no process,
@@ -48,11 +48,16 @@ from repro.dist.protocol import (
     WorkGrant,
     WorkRequest,
 )
-from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
 from repro.dist.worker import LocalSink, WorkerConfig, run_unit, worker_main
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
-from repro.mc.statestore import merge_into
+from repro.mc.persistence import (
+    load_checker_state,
+    save_checker_state,
+    snapshot_document,
+    snapshot_from_document,
+)
+from repro.mc.statestore import make_store
 from repro.util.fieldcodec import FieldCodec
 
 #: seconds the coordinator waits on its worker pipes before it checks
@@ -135,11 +140,6 @@ class DistResult(FieldCodec):
     recovered_units: int = 0
     stolen_units: int = 0
     inline_units: int = 0
-    #: shipped records the shared table already held on arrival, from
-    #: any worker including the shipper (the service's counter of the
-    #: same name); for an exact store started empty it is
-    #: ``sum(shipped_hashes) - visited_states``
-    cross_worker_duplicates: int = 0
     #: campaign-wide per-state cost breakdown (unit profiles merged;
     #: :meth:`repro.mc.perf.CostProfile.to_dict` form) when the spec
     #: profiled; None otherwise
@@ -153,6 +153,15 @@ class DistResult(FieldCodec):
     def visited_states(self) -> int:
         """Merged unique-state count (the union across all units)."""
         return len(self.table)
+
+    @property
+    def cross_worker_duplicates(self) -> int:
+        """Shipped records the campaign's table already held on arrival,
+        from any worker including the shipper: the table's duplicate
+        hits.  For an exact store started empty it is
+        ``sum(shipped_hashes) - visited_states``; a resumed table's
+        count carries on from its snapshot."""
+        return self.table.stats.duplicate_hits
 
     @property
     def total_operations(self) -> int:
@@ -249,15 +258,14 @@ class DistResult(FieldCodec):
         """Fold in the next slice of the same campaign.
 
         A campaign run a few units at a time (the server's scheduling
-        quantum) is the same campaign: every slice merged into one
-        service, so the latest slice's table and duplicate count already
-        speak for all of them, and everything else adds up (the cost
-        profile is a sum over ``unit_results``, whoever holds them).
+        quantum) is the same campaign: every slice visits one table, so
+        the latest slice's table already speaks for all of them, and
+        everything else adds up (the cost profile is a sum over
+        ``unit_results``, whoever holds them).
         """
         self.unit_results = sorted(self.unit_results + later.unit_results,
                                    key=lambda unit: unit.index)
         self.table = later.table
-        self.cross_worker_duplicates = later.cross_worker_duplicates
         _accumulate(self, later, ("wall_time", "recovered_units",
                                   "stolen_units", "inline_units"))
         self.trail_paths.extend(later.trail_paths)
@@ -280,8 +288,6 @@ class DistResult(FieldCodec):
         :mod:`repro.mc.persistence` snapshot document, whatever its
         store kind.
         """
-        from repro.mc.persistence import snapshot_document
-
         document = super().to_dict()
         document["unit_results"] = [unit.to_dict()
                                     for unit in self.unit_results]
@@ -292,8 +298,6 @@ class DistResult(FieldCodec):
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "DistResult":
-        from repro.mc.persistence import snapshot_from_document
-
         result = super().from_dict({
             key: value for key, value in document.items() if key != "table"})
         result.unit_results = [UnitResult.from_dict(entry)
@@ -328,18 +332,21 @@ class DistributedChecker:
         trail_dir: Optional[str] = None,
         #: embedding hooks (the campaign server drives the fleet through
         #: these): an explicit unit subset to run instead of the spec's
-        #: full partition, an external visited-state service to merge
-        #: into, and a progress callback fired as the fleet reports
+        #: full partition, the campaign's visited table to run on, and a
+        #: progress callback fired as the fleet reports
         units: Optional[List[WorkUnit]] = None,
-        service: Optional[VisitedStateService] = None,
+        table: Optional[AbstractVisitedTable] = None,
         on_progress=None,
     ):
         if workers < 0:
             raise ValueError("a fleet cannot have fewer than zero workers")
+        if table is not None and state_file is not None:
+            raise ValueError("a campaign runs on a given table or resumes "
+                             "its state file, not both")
         self.spec = spec
         self.workers = workers
         self.units_override = units
-        self.external_service = service
+        self.table = table
         self.on_progress = on_progress
         self.config = config if config is not None else WorkerConfig()
         self.lease_timeout = lease_timeout
@@ -356,22 +363,20 @@ class DistributedChecker:
     def run(self) -> DistResult:
         units = (self.units_override if self.units_override is not None
                  else self.spec.work_units())
-        service = self.external_service
-        if service is None:
-            service = VisitedStateService(
-                store=self.spec.state_store,
-                store_seed=self.spec.base_seed,
-            )
+        table = self.table
         resumed_operations = 0
         resumed_runs = 0
         if self.state_file is not None:
-            from repro.mc.persistence import load_checker_state
-
-            snapshot = load_checker_state(self.state_file)
+            snapshot = load_checker_state(self.state_file,
+                                          store=self.spec.state_store,
+                                          seed=self.spec.base_seed)
             if snapshot is not None:
-                merge_into(service.table, snapshot.visited)
+                table = snapshot.visited
                 resumed_operations = snapshot.operations_completed
                 resumed_runs = snapshot.runs
+        if table is None:
+            table = make_store(self.spec.state_store,
+                               seed=self.spec.base_seed)
 
         result = DistResult(workers=self.workers)
         # seed-partitioned initial split: unit i -> partition i mod W
@@ -384,24 +389,21 @@ class DistributedChecker:
         wall_start = realtime.now()
         try:
             records = self._spawn_fleet()
-            self._supervise(records, partitions, units, service, result)
+            self._supervise(records, partitions, units, table, result)
         finally:
             self._shutdown_fleet(records)
         result.wall_time = realtime.now() - wall_start
 
         result.unit_results.sort(key=lambda unit: unit.index)
-        result.table = service.table
+        result.table = table
         result.cost_profile = merged_cost_profile(
             unit.cost_profile for unit in result.unit_results)
         if self.trail_dir is not None:
             self._capture_trails(result)
-        result.cross_worker_duplicates = service.cross_worker_duplicates
         result.worker_summaries = [record.summary for record in records]
         if self.state_file is not None:
-            from repro.mc.persistence import save_checker_state
-
             save_checker_state(
-                self.state_file, service.table,
+                self.state_file, table,
                 operations_completed=resumed_operations
                 + result.total_operations,
                 runs=resumed_runs + 1,
@@ -456,7 +458,7 @@ class DistributedChecker:
     def _supervise(self, records: List[WorkerRecord],
                    partitions: List[Deque[WorkUnit]],
                    units: List[WorkUnit],
-                   service: VisitedStateService,
+                   table: AbstractVisitedTable,
                    result: DistResult) -> None:
         by_id = {record.worker_id: record for record in records}
         results: Dict[int, UnitResult] = {}
@@ -534,7 +536,9 @@ class DistributedChecker:
                         self.on_progress(message.unit_index,
                                          message.operations)
             elif isinstance(message, RecordBatch):
-                service.insert_packed(message)
+                # a malformed payload raises StoreFormatError; records
+                # the table already held count as its duplicate hits
+                table.visit_many(message.records())
             elif isinstance(message, UnitDone):
                 unit_result = message.result
                 lease = leases.get(record.worker_id)
@@ -552,7 +556,7 @@ class DistributedChecker:
         while len(results) < len(units):
             connections = [record.conn for record in live()]
             if not connections:
-                self._finish_inline(units, results, service, result)
+                self._finish_inline(units, results, table, result)
                 break
             ready = connection_wait(connections, timeout=POLL_INTERVAL)
             for conn in ready:
@@ -579,11 +583,11 @@ class DistributedChecker:
 
     def _finish_inline(self, units: List[WorkUnit],
                        results: Dict[int, UnitResult],
-                       service: VisitedStateService,
+                       table: AbstractVisitedTable,
                        result: DistResult) -> None:
         """No live worker (none was asked for, or all died): complete
         the frontier in-process, reporting progress like leased units."""
-        sink = LocalSink(service, self.on_progress)
+        sink = LocalSink(table, self.on_progress)
         for unit in units:
             if unit.index in results:
                 continue

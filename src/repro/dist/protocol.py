@@ -94,7 +94,7 @@ class UnitResult(FieldCodec):
     stopped_reason: str = ""
     #: serialised DiscrepancyReport (``to_dict()``) when the unit hit a bug
     violation: Optional[Dict[str, Any]] = None
-    #: hashes shipped to / suppressed before the visited service
+    #: hashes shipped to / suppressed before the campaign's table
     shipped_hashes: int = 0
     suppressed_hashes: int = 0
     #: snapshot traffic (defaulted so v1 result documents still load):

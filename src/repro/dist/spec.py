@@ -149,7 +149,7 @@ class CheckSpec(FieldCodec):
     verifs_bugs: Tuple[str, ...] = ()
     #: visited-state store spec (``exact | hc[:bytes] | bitstate[:bits,k]``);
     #: workers build their local tables from it and the coordinator's
-    #: service derives the same record keys, so shipped keys agree
+    #: table derives the same record keys, so shipped keys agree
     #: fleet-wide (see :mod:`repro.mc.records`)
     state_store: str = "exact"
     #: random mode: hash + cross-compare abstract states only every N
@@ -251,8 +251,8 @@ class CheckSpec(FieldCodec):
             state_check_every=self.state_check_every,
             profile=self.profile,
             # one fleet-wide store seed: every worker's fingerprints must
-            # match the service's, so the spec's base seed is used
-            # (per-member hash seeds suit swarm members that never merge
+            # match the campaign table's, so the spec's base seed is used
+            # (per-member hash seeds suit swarm members that never pool
             # their tables; these do)
             store_seed=self.base_seed,
             track_coverage=self.coverage,

@@ -16,7 +16,7 @@ deterministically.
 The same unit runner also serves the coordinator's in-process path (a
 fleet of zero workers, or one whose workers have all died) through the
 :class:`ResultSink` indirection: a :class:`PipeSink` speaks the wire
-protocol, a :class:`LocalSink` calls the service directly.
+protocol, a :class:`LocalSink` visits the campaign's table directly.
 ``run_unit`` has no other caller: every campaign, served or not, is a
 :class:`~repro.dist.coordinator.DistributedChecker`.
 """
@@ -42,9 +42,8 @@ from repro.dist.protocol import (
     WorkGrant,
     WorkRequest,
 )
-from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
-from repro.mc.hashtable import Record
+from repro.mc.hashtable import AbstractVisitedTable, Record
 from repro.mc.records import pack_records, parse_store_spec
 from repro.mc.statestore import make_store
 
@@ -73,20 +72,20 @@ class ResultSink:
 
 
 class LocalSink(ResultSink):
-    """In-process sink: feed a service directly, no wire.
+    """In-process sink: feed the campaign's table directly, no wire.
 
     Serves the coordinator when there is no live worker to run a unit;
     ``on_heartbeat`` is the coordinator's progress callback, so inline
     units report like leased ones.
     """
 
-    def __init__(self, service: VisitedStateService,
+    def __init__(self, table: AbstractVisitedTable,
                  on_heartbeat: Optional[Callable[[int, int], None]] = None):
-        self.service = service
+        self.table = table
         self.on_heartbeat = on_heartbeat
 
     def ship_batch(self, records: List[Record]) -> None:
-        self.service.insert_batch(records)
+        self.table.visit_many(records)
 
     def heartbeat(self, unit_index: int, operations: int) -> None:
         if self.on_heartbeat is not None:
@@ -132,8 +131,8 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         def ship(entries, _ship=sink.ship_batch, _profile=profile):
             return _profile.timed("ship", _ship, entries)
 
-    # the local store mirrors the service's spec (same kind, same seed),
-    # so the record keys the two sides derive agree
+    # the local store mirrors the campaign table's spec (same kind, same
+    # seed), so the record keys the two sides derive agree
     table = ShippingVisitedTable(
         ship=ship,
         local=make_store(spec.state_store, seed=spec.base_seed),

@@ -207,7 +207,7 @@ class Jffs2FileSystemType(FileSystemType):
 
     @staticmethod
     def _is_mtd(device) -> bool:
-        # duck-typed so wrappers (e.g. PowerCutMTD) qualify
+        # duck-typed so wrappers (a PowerCutDevice around an MTD) qualify
         return hasattr(device, "erase_block_size") and hasattr(device, "erase_block")
 
     def mkfs(self, device) -> None:

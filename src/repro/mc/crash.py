@@ -25,7 +25,7 @@ from repro.clock import SimClock
 from repro.core.abstraction import AbstractionOptions, abstract_state
 from repro.errors import FsError
 from repro.kernel.kernel import Kernel
-from repro.storage.fault import PowerCutDevice, PowerCutMTD
+from repro.storage.fault import PowerCutDevice
 
 
 @dataclass
@@ -70,23 +70,20 @@ class CrashHarness:
                  device_factory: Callable[[SimClock], object],
                  workload: Callable[[Kernel, str], None],
                  mountpoint: str = "/mnt/fs",
-                 options: AbstractionOptions = AbstractionOptions(),
-                 fault_wrapper=PowerCutDevice):
+                 options: AbstractionOptions = AbstractionOptions()):
         self.fstype_factory = fstype_factory
         self.device_factory = device_factory
         self.workload = workload
         self.mountpoint = mountpoint
         self.options = options
-        #: PowerCutDevice for block devices, PowerCutMTD for MTD flash
-        self.fault_wrapper = fault_wrapper
 
     def _run_once(self, cut_after: Optional[int]):
         """Run the workload on a fresh fs; return (device, legal states)."""
         clock = SimClock()
         kernel = Kernel(clock)
         fstype = self.fstype_factory()
-        device = self.fault_wrapper(self.device_factory(clock),
-                                    cut_after_writes=cut_after)
+        device = PowerCutDevice(self.device_factory(clock),
+                                cut_after_writes=cut_after)
         # format with power on and the counter not yet armed: mkfs is not
         # part of the crashed workload
         armed = device.cut_after_writes

@@ -138,6 +138,11 @@ class AbstractVisitedTable(ABC):
     #: optional RAM/swap model (the explorer samples its swap usage)
     memory: Optional[MemoryModel] = None
     stats: TableStats
+    #: what the store is and how it keys states (a snapshot resumes
+    #: only into a run whose spec and lossy seed match,
+    #: :mod:`repro.mc.persistence`)
+    spec: StoreSpec
+    seed: int
 
     @abstractmethod
     def visit(self, state_hash: str, depth: int = 0) -> Tuple[bool, bool]:
@@ -216,9 +221,9 @@ class VisitedStateTable(AbstractVisitedTable):
         """Insert ``key`` or lower its depth; return the depth it held
         before (None = it was new).
 
-        The one place an entry is written: visits, record batches,
-        merges and snapshot loads all land here, so footprint, memory
-        charge, omission probability and resize stalls are accounted
+        The one place an entry is written: visits, record batches and
+        snapshot loads all land here, so footprint, memory charge,
+        omission probability and resize stalls are accounted
         identically on every path.
         """
         existing = self._seen.get(key)
@@ -283,16 +288,7 @@ class VisitedStateTable(AbstractVisitedTable):
             ctx.update(f"{key}:{self._seen[key]}\n".encode())
         return ctx.hexdigest()
 
-    # -------------------------------------------------------- merge/persist --
-    def _merge(self, entries: Iterable[Tuple[StateKey, int]]) -> int:
-        """Fold store-keyed entries in; return how many were new.
-
-        Merged duplicates are *not* counted as duplicate hits (they are
-        bookkeeping, not exploration).
-        """
-        put = self._put
-        return sum(put(key, int(depth)) is None for key, depth in entries)
-
+    # -------------------------------------------------------------- persist --
     def records(self) -> List[Record]:
         """Every entry as a ``(key, depth)`` record, sorted by key, so
         anything written from it is identical for any insertion
@@ -303,45 +299,14 @@ class VisitedStateTable(AbstractVisitedTable):
                           for state_hash, depth in self._seen.items())
         return sorted(self._seen.items())
 
-    def merge_records(self, records: Iterable[Record]) -> int:
-        """Merge ``(key, depth)`` records (a read payload); return how
-        many were new."""
-        from_record = self._from_record
-        return self._merge((from_record(key), depth)
-                           for key, depth in records)
-
     def export_seen(self) -> Dict[StateKey, int]:
         """A copy of the stored ``key -> shallowest depth`` mapping
         (state hashes when exact).
 
-        Public boundary for coverage accounting and merges; callers must
-        not reach into ``_seen`` directly.
+        Public boundary for coverage accounting; callers must not reach
+        into ``_seen`` directly.
         """
         return dict(self._seen)
-
-    def import_seen(self, seen: Mapping[str, int]) -> int:
-        """Bulk-merge a ``state hash -> depth`` mapping; return how many
-        were new.
-
-        Hashes are merged in sorted order so the table's iteration order
-        (and therefore anything derived from a later export) is identical
-        no matter how the mapping was assembled.  Known states keep the
-        shallower of the two depths.
-        """
-        store_key = self._store_key
-        return self._merge((store_key(state_hash), seen[state_hash])
-                           for state_hash in sorted(seen))
-
-    def merge_from(self, other: "VisitedStateTable") -> int:
-        """Union another keyed table in.  An exact source re-keys into
-        any table; a compacted one only into the same width and seed
-        (fingerprints cannot be widened back into hashes)."""
-        if other.exact:
-            return self.import_seen(other._seen)
-        if (other.key_bytes, other.seed) != (self.key_bytes, self.seed):
-            raise ValueError("cannot merge hash-compaction tables with "
-                             "different fp_bytes/seed parameters")
-        return self._merge(sorted(other._seen.items()))
 
     def store_document(self) -> Dict[str, Any]:
         """The snapshot ``store`` record: parameters plus the sorted
@@ -364,8 +329,10 @@ class VisitedStateTable(AbstractVisitedTable):
         table = cls(memory=memory, key_bytes=key_bytes,
                     seed=int(require(document, "seed")),
                     initial_buckets=int(require(document, "buckets")))
-        table.merge_records(read_records(hex_field(document, "entries"),
-                                         key_bytes))
+        put, from_record = table._put, table._from_record
+        for key, depth in read_records(hex_field(document, "entries"),
+                                       key_bytes):
+            put(from_record(key), depth)
         return table
 
     def _resize(self) -> None:

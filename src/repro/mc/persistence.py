@@ -31,17 +31,28 @@ Documents of any other version -- including the v1/v2/v3 forms earlier
 releases wrote -- are refused with :class:`StoreFormatError`, as is any
 document with a missing or malformed field: a snapshot loads whole or
 not at all.
+
+**The resume rule.**  Every resumable run -- ``MCFS.run_dfs`` /
+``run_random`` with a ``state_file``, a ``DistributedChecker`` with one,
+and a paused campaign the server resumes -- loads the snapshot's table,
+persisted counters included, *as* the run's table; nothing is merged.
+Passing the run's ``store`` spec and ``seed`` to
+:func:`snapshot_from_document` / :func:`load_checker_state` refuses,
+with :class:`StoreFormatError`, a snapshot whose store would key states
+differently: another kind, fingerprint width or bits/k, or -- for the
+lossy kinds, whose keys and bit positions are seed-mixed -- another
+seed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.mc.hashtable import AbstractVisitedTable, TableStats
-from repro.mc.records import StoreFormatError, require
+from repro.mc.records import StoreFormatError, parse_store_spec, require
 from repro.mc.statestore import store_from_document
 
 FORMAT_VERSION = 4
@@ -58,7 +69,6 @@ class CheckerSnapshot:
     seed: Optional[int] = None
     #: distributed worker that produced the snapshot
     worker_id: Optional[str] = None
-    table_stats: TableStats = field(default_factory=TableStats)
     #: pending work-unit indices at pause time (the campaign server's
     #: pause/resume hook): a paused campaign serialises its visited
     #: store *and* the frontier of not-yet-run units, so resume -- in
@@ -100,10 +110,30 @@ def snapshot_document(visited: AbstractVisitedTable,
     return document
 
 
-def snapshot_from_document(document: Dict[str, Any],
-                           memory=None) -> CheckerSnapshot:
+def _require_same_keys(visited: AbstractVisitedTable, store: str,
+                       seed: int) -> None:
+    """The resume rule's refusal: ``visited`` must key states exactly as
+    a fresh ``store`` table seeded with ``seed`` would."""
+    wanted = parse_store_spec(store)
+    if visited.spec == wanted and (wanted.kind == "exact"
+                                   or visited.seed == seed):
+        return
+    raise StoreFormatError(
+        f"store: the snapshot holds a {visited.spec.describe()} store "
+        f"(seed {visited.seed}) but this run keys states as "
+        f"{wanted.describe()} (seed {seed}); resume with the store spec "
+        f"and seed that wrote it")
+
+
+def snapshot_from_document(document: Dict[str, Any], memory=None,
+                           store: Optional[str] = None,
+                           seed: int = 0) -> CheckerSnapshot:
     """Rebuild a :class:`CheckerSnapshot`; malformed input of any shape
-    raises :class:`StoreFormatError`."""
+    raises :class:`StoreFormatError`.
+
+    ``store``/``seed`` are the resuming run's store spec and store seed:
+    given, a snapshot whose store keys states differently is refused
+    (the module's resume rule)."""
     version = require(document, "version")
     if version != FORMAT_VERSION:
         raise StoreFormatError(
@@ -120,6 +150,8 @@ def snapshot_from_document(document: Dict[str, Any],
     stats.omission_probability = max(stats.omission_probability,
                                      visited.stats.omission_probability)
     visited.stats = stats
+    if store is not None:
+        _require_same_keys(visited, store, seed)
     raw_frontier = document.get("frontier")
     return CheckerSnapshot(
         visited=visited,
@@ -127,7 +159,6 @@ def snapshot_from_document(document: Dict[str, Any],
         runs=int(document.get("runs", 1)),
         seed=document.get("seed"),
         worker_id=document.get("worker_id"),
-        table_stats=stats,
         frontier=(None if raw_frontier is None
                   else [int(index) for index in raw_frontier]),
     )
@@ -149,8 +180,12 @@ def save_checker_state(path: str, visited: AbstractVisitedTable,
     os.replace(tmp_path, path)  # atomic on POSIX
 
 
-def load_checker_state(path: str, memory=None) -> Optional[CheckerSnapshot]:
-    """Load a previously saved snapshot; None when ``path`` is absent."""
+def load_checker_state(path: str, memory=None, store: Optional[str] = None,
+                       seed: int = 0) -> Optional[CheckerSnapshot]:
+    """Load a previously saved snapshot; None when ``path`` is absent.
+
+    ``store``/``seed`` apply the resume rule (see
+    :func:`snapshot_from_document`)."""
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as handle:
@@ -159,6 +194,7 @@ def load_checker_state(path: str, memory=None) -> Optional[CheckerSnapshot]:
         except ValueError as error:  # torn JSON, or not UTF-8 at all
             raise StoreFormatError(f"{path}: not JSON ({error})") from None
     try:
-        return snapshot_from_document(document, memory=memory)
+        return snapshot_from_document(document, memory=memory, store=store,
+                                      seed=seed)
     except ValueError as error:
         raise StoreFormatError(f"{path}: {error}") from None

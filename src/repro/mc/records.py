@@ -49,12 +49,15 @@ _GRAMMAR = "exact | hc[:bytes] | bitstate[:bits,k]"
 
 
 class StoreFormatError(ValueError):
-    """A persisted or shipped store payload is malformed.
+    """A persisted or shipped store payload is malformed, or cannot be
+    resumed by the run at hand.
 
     Raised (never ``KeyError``, never a silent partial load) for an
     unsupported snapshot version, a missing field, a packed payload
     truncated mid-record or holding a zero depth marker, mismatched
-    bitstate array lengths and an unknown store kind; the message names
+    bitstate array lengths, an unknown store kind, a snapshot whose
+    store keys states differently from the resuming run's, and a torn
+    or incomplete campaign-server spool document; the message names
     the offending field.
     """
 

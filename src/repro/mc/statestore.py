@@ -30,8 +30,8 @@ fingerprints per store, which is what makes classic swarm+bitstate work:
 members with different seeds omit *different* states, so the union
 recovers coverage a single same-budget member loses
 (``benchmarks/test_statestore.py`` builds such members by hand).  A
-:mod:`repro.dist` fleet deliberately uses one seed -- its members'
-tables must merge.
+:mod:`repro.dist` fleet deliberately uses one seed -- its workers'
+record keys must land on one shared table.
 
 The spec grammar, the key derivation and the ``(key, depth)`` record
 layout live in :mod:`repro.mc.records`; this module re-exports
@@ -70,7 +70,6 @@ __all__ = [
     "StoreSpec",
     "build_store",
     "make_store",
-    "merge_into",
     "parse_store_spec",
     "store_from_document",
 ]
@@ -106,13 +105,13 @@ class BitstateTable(AbstractVisitedTable):
             raise ValueError("a bitstate array needs at least 64 bits")
         if k < 1:
             raise ValueError("bitstate needs at least one bit per state")
+        self.spec = StoreSpec(kind="bitstate", bits=bits, k=k)
         self.bits = bits
         self.k = k
         self.seed = seed
         self.memory = memory
         self._digest_fn = digest_fn
-        self._key_of = key_function(StoreSpec(kind="bitstate"), seed,
-                                    digest_fn)
+        self._key_of = key_function(self.spec, seed, digest_fn)
         self._array = bytearray(bits // 8 + 1)
         #: shallowest depth per slot (saturating at 0xFE; 0xFF = unset)
         self._depths = bytearray([self._DEPTH_UNSET]) * (bits // 8 + 1)
@@ -194,47 +193,14 @@ class BitstateTable(AbstractVisitedTable):
         """Probability that a *fresh* state finds all ``k`` bits set."""
         return self.fill_ratio ** self.k
 
-    # ------------------------------------------------------- merge/persist --
-    def import_seen(self, seen: Mapping[str, int]) -> int:
-        """Merge full ``hash -> depth`` knowledge (depths are dropped)."""
-        added = 0
-        for state_hash in sorted(seen):
-            is_new, _ = self.visit(state_hash, int(seen[state_hash]))
-            if is_new:
-                added += 1
-                self.stats.inserts -= 1  # bookkeeping merge, not exploration
-            else:
-                self.stats.duplicate_hits -= 1
-        return added
-
-    def merge_from(self, other: "BitstateTable") -> int:
-        """OR in another member's bit array (same bits/k/seed only)."""
-        if (other.bits, other.k, other.seed) != (self.bits, self.k, self.seed):
-            raise ValueError("cannot merge bitstate tables with different "
-                             "bits/k/seed parameters")
-        before = self._set_bits
-        set_bits = 0
-        for index, byte in enumerate(other._array):
-            merged = self._array[index] | byte
-            self._array[index] = merged
-            set_bits += bin(merged).count("1")
-        for index, depth in enumerate(other._depths):
-            if depth < self._depths[index]:
-                self._depths[index] = depth
-        self._set_bits = set_bits
-        # states are not individually recoverable from a bit array; grow
-        # the count by the other store's, capped by what the bits allow
-        self._count += other._count
-        self.stats.omission_probability = self.false_hit_probability
-        return max(0, set_bits - before)
-
+    # -------------------------------------------------------------- persist --
     def visited_fingerprint(self) -> str:
         """MD5 over the bit array and depth slots.
 
         Bitstate's *content* is its arrays: two tables whose arrays match
-        behave identically forever after, even though the state *count*
-        may differ with merge history (counts are additive estimates, not
-        recoverable from bits) -- so the count is deliberately excluded.
+        behave identically forever after, whatever their state *count*
+        (an estimate a bit array cannot recover) -- so the count is
+        deliberately excluded.
         """
         return hashlib.md5(bytes(self._array)
                            + bytes(self._depths)).hexdigest()
@@ -285,23 +251,6 @@ def make_store(spec: str, memory: Optional[MemoryModel] = None,
                seed: int = 0) -> AbstractVisitedTable:
     """One-call convenience: parse a spec string and build the store."""
     return build_store(parse_store_spec(spec), memory=memory, seed=seed)
-
-
-def merge_into(dst: AbstractVisitedTable, src: AbstractVisitedTable) -> int:
-    """Merge ``src``'s knowledge into ``dst``; return how many were new.
-
-    Exact sources merge into anything (their full hashes re-key);
-    lossy sources only merge into a same-kind, same-parameter store --
-    fingerprints cannot be widened back into hashes.
-    """
-    if isinstance(src, VisitedStateTable) and src.exact:
-        return dst.import_seen(src.export_seen())
-    if type(src) is type(dst):
-        return dst.merge_from(src)
-    raise ValueError(
-        f"cannot merge a {type(src).__name__} snapshot into a "
-        f"{type(dst).__name__} store; store specs must match"
-    )
 
 
 def store_from_document(document: Mapping,

@@ -22,10 +22,12 @@ Responsibilities:
   remaining budget instead of refusing outright -- the campaign still
   runs, lossy, with its omission probability accounted;
 * **pause/resume** -- a pause lands at the next unit boundary and
-  serialises the job's visited store plus the *frontier* of not-yet-run
+  serialises the job's visited table plus the *frontier* of not-yet-run
   unit indices as a :mod:`repro.mc.persistence` document; resume
-  -- in the same engine or a restarted one -- rebuilds the store from
-  the snapshot and re-derives the remaining units from the spec;
+  -- in the same engine or a restarted one -- loads the snapshot's
+  table, counters included, as the job's table (the persistence
+  module's resume rule) and re-derives the remaining units from the
+  spec;
 * **events** -- every transition appends to a totally-ordered,
   virtual-time-stamped event log (:class:`~repro.server.protocol.JobEvent`);
   because the clock is virtual and the log depends only on the call
@@ -34,9 +36,9 @@ Responsibilities:
 Everything here is single-threaded and synchronous; the daemon
 interleaves ``step()`` with socket polling.  A slice *is* a
 :class:`~repro.dist.DistributedChecker` run over the next few pending
-units, merging into the job's own service: a fleet of real processes
-for jobs with ``workers > 1``, a fleet of zero (units run in this
-process) otherwise.
+units, on the job's own visited table: a fleet of real processes for
+jobs with ``workers > 1``, a fleet of zero (units run in this process)
+otherwise.
 """
 
 from __future__ import annotations
@@ -56,11 +58,12 @@ from repro.dist.coordinator import (
     merged_cost_profile,
 )
 from repro.dist.protocol import UnitResult
-from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec, WorkUnit
 from repro.dist.worker import WorkerConfig
-from repro.mc.persistence import snapshot_document
-from repro.mc.records import parse_store_spec
+from repro.mc.hashtable import AbstractVisitedTable
+from repro.mc.persistence import snapshot_document, snapshot_from_document
+from repro.mc.records import StoreFormatError, parse_store_spec, require
+from repro.mc.statestore import make_store
 from repro.server.protocol import (
     CANCELLED,
     DONE,
@@ -133,9 +136,10 @@ class _Runtime:
     submit_seq: int
     #: the campaign so far: every slice's result absorbed into one
     result: DistResult
-    service: Optional[VisitedStateService] = None
-    #: persistence document to seed the service from (set while paused
-    #: and after a spool reload; consumed at (re)start)
+    #: the job's visited table while it holds a slot
+    table: Optional[AbstractVisitedTable] = None
+    #: persistence document the table resumes from (set while paused
+    #: and after a spool reload; loaded by the job's next slice)
     snapshot: Optional[Dict[str, Any]] = None
     pause_requested: bool = False
 
@@ -322,14 +326,6 @@ class CampaignEngine:
                 return
             self._slots[slot] = job_id
             descriptor = self.jobs[job_id]
-            runtime = self._runtimes[job_id]
-            if runtime.service is None:
-                runtime.service = VisitedStateService(
-                    store=descriptor.spec.state_store,
-                    store_seed=descriptor.spec.base_seed)
-                if runtime.snapshot is not None:
-                    runtime.service.import_snapshot(runtime.snapshot)
-                    runtime.snapshot = None
             descriptor.state = RUNNING
             if descriptor.started_vtime is None:
                 descriptor.started_vtime = self.clock.now
@@ -354,6 +350,12 @@ class CampaignEngine:
     def _run_slice(self, job_id: str, slot: int) -> None:
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
+        if runtime.table is None:
+            # inside step()'s per-job guard: a snapshot the resume rule
+            # refuses fails this job, not the daemon
+            runtime.table = self._load_table(descriptor.spec,
+                                             runtime.snapshot)
+            runtime.snapshot = None
         if runtime.pause_requested:
             self._pause_now(job_id, slot)
             return
@@ -379,7 +381,7 @@ class CampaignEngine:
             config=WorkerConfig(
                 heartbeat_operations=self.config.heartbeat_operations),
             units=batch,
-            service=runtime.service,
+            table=runtime.table,
             on_progress=on_progress,
         ).run()
         runtime.result.absorb(completed)
@@ -387,7 +389,7 @@ class CampaignEngine:
             descriptor.units_done += 1
             descriptor.operations += unit_result.operations
             self.clock.charge(unit_result.sim_time, "campaign")
-            descriptor.visited_states = len(runtime.service.table)
+            descriptor.visited_states = len(runtime.table)
             if unit_result.violation is not None:
                 self._record_discrepancy(descriptor, runtime, unit_result)
             self._emit("progress", job_id, {
@@ -403,6 +405,15 @@ class CampaignEngine:
             self._finish(job_id, slot)
         else:
             self._save_spool(job_id)
+
+    @staticmethod
+    def _load_table(spec: CheckSpec, snapshot: Optional[Dict[str, Any]]
+                    ) -> AbstractVisitedTable:
+        """A fresh table for ``spec``, or the one ``snapshot`` holds."""
+        if snapshot is None:
+            return make_store(spec.state_store, seed=spec.base_seed)
+        return snapshot_from_document(snapshot, store=spec.state_store,
+                                      seed=spec.base_seed).visited
 
     def _record_discrepancy(self, descriptor: JobDescriptor,
                             runtime: _Runtime, unit_result) -> None:
@@ -453,17 +464,13 @@ class CampaignEngine:
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
         runtime.pause_requested = False
-        # the pause snapshot: visited store + frontier, in the same
-        # versioned format crash-recovery checkpoints use -- resume and
-        # daemon restart read one format
-        runtime.snapshot = snapshot_document(
-            runtime.service.table,
-            operations_completed=descriptor.operations,
-            seed=descriptor.spec.base_seed,
-            worker_id=job_id,
-            frontier=[unit.index for unit in runtime.pending],
-        )
-        runtime.service = None  # release the live table: spool owns it
+        if runtime.table is not None:
+            # the pause snapshot: visited table + frontier, in the
+            # format a local --state-file uses -- resume and daemon
+            # restart read one format (a job paused before its first
+            # slice keeps the snapshot it was admitted with)
+            runtime.snapshot = self._snapshot(job_id)
+            runtime.table = None  # release the live table: spool owns it
         self._slots[slot] = None
         descriptor.state = PAUSED
         self._emit("paused", job_id, {
@@ -491,7 +498,7 @@ class CampaignEngine:
         if job_id in self._slots:
             self._slots[self._slots.index(job_id)] = None
         runtime = self._runtimes[job_id]
-        runtime.service = None
+        runtime.table = None
         runtime.pause_requested = False
         descriptor.state = CANCELLED
         descriptor.finished_vtime = self.clock.now
@@ -505,13 +512,13 @@ class CampaignEngine:
         runtime = self._runtimes[job_id]
         result = runtime.result
         # a job resumed with nothing left to run absorbed no slice since
-        # its service was rebuilt from the snapshot
-        result.table = runtime.service.table
+        # its table was loaded from the snapshot
+        result.table = runtime.table
         # from the units, not the slices: the units survive a restart
         result.cost_profile = merged_cost_profile(
             unit.cost_profile for unit in result.unit_results)
         result.trail_paths = list(descriptor.trail_paths)
-        runtime.service = None
+        runtime.table = None
         self._slots[slot] = None
         descriptor.state = DONE
         descriptor.finished_vtime = self.clock.now
@@ -526,7 +533,7 @@ class CampaignEngine:
 
     def _fail(self, job_id: str, slot: int, error: Exception) -> None:
         descriptor = self.jobs[job_id]
-        self._runtimes[job_id].service = None
+        self._runtimes[job_id].table = None
         self._slots[slot] = None
         descriptor.state = FAILED
         descriptor.error = f"{type(error).__name__}: {error}"
@@ -564,23 +571,29 @@ class CampaignEngine:
     def _spool_path(self, job_id: str) -> str:
         return os.path.join(self.config.spool_dir, f"{job_id}.json")
 
+    def _snapshot(self, job_id: str) -> Dict[str, Any]:
+        """The live job's table and frontier as a snapshot document."""
+        descriptor = self.jobs[job_id]
+        runtime = self._runtimes[job_id]
+        return snapshot_document(
+            runtime.table,
+            operations_completed=descriptor.operations,
+            seed=descriptor.spec.base_seed,
+            worker_id=job_id,
+            frontier=[unit.index for unit in runtime.pending],
+        )
+
     def _save_spool(self, job_id: str) -> None:
         if self.config.spool_dir is None:
             return
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
         snapshot = runtime.snapshot
-        if snapshot is None and runtime.service is not None:
+        if snapshot is None and runtime.table is not None:
             # the job is live: spool a slice-boundary snapshot so a
             # crash (no graceful shutdown) still resumes with the
             # completed units' visited states instead of an empty table
-            snapshot = snapshot_document(
-                runtime.service.table,
-                operations_completed=descriptor.operations,
-                seed=descriptor.spec.base_seed,
-                worker_id=job_id,
-                frontier=[unit.index for unit in runtime.pending],
-            )
+            snapshot = self._snapshot(job_id)
         document = {
             "spool_version": SPOOL_VERSION,
             "descriptor": descriptor.to_dict(),
@@ -607,19 +620,12 @@ class CampaignEngine:
         shutdown -- it re-queues with its completed units kept and the
         rest re-derived from the spec, which is exactly a resume.
         """
-        entries = []
-        for filename in sorted(os.listdir(self.config.spool_dir)):
-            if not filename.endswith(".json"):
-                continue
-            with open(os.path.join(self.config.spool_dir, filename),
-                      encoding="utf-8") as handle:
-                entries.append(json.load(handle))
-        for document in sorted(entries,
-                               key=lambda entry: entry.get("submit_seq", 0)):
-            descriptor = JobDescriptor.from_dict(document["descriptor"])
+        entries = [_read_spool(os.path.join(self.config.spool_dir, filename))
+                   for filename in sorted(os.listdir(self.config.spool_dir))
+                   if filename.endswith(".json")]
+        for submit_seq, document, descriptor, unit_results, result in sorted(
+                entries, key=lambda entry: entry[0]):
             units = descriptor.spec.work_units()
-            unit_results = [UnitResult.from_dict(entry)
-                            for entry in document.get("unit_results", [])]
             snapshot = document.get("snapshot")
             frontier = (snapshot or {}).get("frontier",
                                             document.get("pending", []))
@@ -635,12 +641,11 @@ class CampaignEngine:
                             if index in by_index)
             runtime = _Runtime(
                 pending=pending,
-                submit_seq=int(document.get("submit_seq", 0)),
+                submit_seq=submit_seq,
                 snapshot=snapshot,
                 # a finished job spooled its whole result; any other
                 # resumes from the units it had completed
-                result=(DistResult.from_dict(document["result"])
-                        if document.get("result") is not None
+                result=(result if result is not None
                         else DistResult(workers=descriptor.workers,
                                         unit_results=unit_results)),
             )
@@ -661,3 +666,31 @@ class CampaignEngine:
                           descriptor.submitted_vtime):
                 if vtime is not None and vtime > self.clock.now:
                     self.clock.charge(vtime - self.clock.now, "restored")
+
+
+def _read_spool(path: str):
+    """One spool document, parsed as far as rebuilding its job needs:
+    ``(submit_seq, document, descriptor, unit_results, result)``.
+
+    A torn or incomplete document raises :class:`StoreFormatError`
+    naming the file and the field, so a daemon refuses to start on it
+    with a message rather than a traceback.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except ValueError as error:  # torn JSON, or not UTF-8 at all
+        raise StoreFormatError(f"{path}: not JSON ({error})") from None
+    try:
+        submit_seq = int(document.get("submit_seq", 0))
+        descriptor = JobDescriptor.from_dict(require(document, "descriptor"))
+        unit_results = [UnitResult.from_dict(entry)
+                        for entry in document.get("unit_results", [])]
+        result = (DistResult.from_dict(document["result"])
+                  if document.get("result") is not None else None)
+    except KeyError as error:
+        raise StoreFormatError(
+            f"{path}: missing field {error.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as error:
+        raise StoreFormatError(f"{path}: {error}") from None
+    return submit_seq, document, descriptor, unit_results, result

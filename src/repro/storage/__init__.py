@@ -12,7 +12,7 @@ from repro.storage.device import BlockDevice, DeviceStats, DiskSnapshot
 from repro.storage.ram import RAMBlockDevice
 from repro.storage.disk import HDDBlockDevice, SSDBlockDevice
 from repro.storage.mtd import MTDDevice, MTDSnapshot
-from repro.storage.fault import PowerCutDevice, PowerCutMTD
+from repro.storage.fault import PowerCutDevice
 
 __all__ = [
     "BlockDevice",
@@ -24,5 +24,4 @@ __all__ = [
     "MTDDevice",
     "MTDSnapshot",
     "PowerCutDevice",
-    "PowerCutMTD",
 ]

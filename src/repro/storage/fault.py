@@ -1,6 +1,6 @@
 """Fault injection: power-cut semantics for simulated devices.
 
-Wraps a block device so that after a chosen number of write requests the
+Wraps a device so that after a chosen number of write requests the
 "power fails": every later write is silently dropped (the data never
 reached the medium), while reads keep working so a post-mortem remount
 can inspect exactly what survived.
@@ -14,16 +14,26 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.storage.device import BlockDevice
+#: the requests that reach the medium: byte and block writes on a block
+#: device, byte writes and erases on MTD flash
+WRITE_REQUESTS = ("write", "write_block", "erase_block")
 
 
-class PowerCutMTD:
-    """Power-cut wrapper for MTD flash devices.
+class PowerCutDevice:
+    """A block or MTD device whose power can be cut mid-workload.
 
-    Write and erase requests count toward the cut budget; after the cut
-    both are silently dropped (an interrupted erase leaves the block as
-    it was -- a simplification; real NOR flash can tear an erase, which
-    JFFS2 tolerates by treating non-0xFF-prefixed space as dirty).
+    ``cut_after_writes=N`` drops every write request after the first N.
+    ``cut()`` cuts immediately.  ``writes_seen`` counts write requests,
+    so a sweep harness can first run the workload uncut to learn the
+    total, then re-run with each cut point.
+
+    The write requests (:data:`WRITE_REQUESTS`) the inner device has are
+    counted; everything else -- reads, geometry, snapshots -- is the
+    inner device's own, and a request it lacks is lacking here too, so
+    a wrapped block device is still no MTD device.  An erase dropped by
+    the cut leaves the block as it was (a simplification: real NOR
+    flash can tear an erase, which JFFS2 tolerates by treating
+    non-0xFF-prefixed space as dirty).
     """
 
     def __init__(self, inner, cut_after_writes: Optional[int] = None):
@@ -33,123 +43,22 @@ class PowerCutMTD:
         self.writes_dropped = 0
         self.powered = True
 
-    # -- proxied attributes -----------------------------------------------
-    @property
-    def size_bytes(self) -> int:
-        return self.inner.size_bytes
+    def __getattr__(self, name: str):
+        forwarded = getattr(self.inner, name)
+        if name not in WRITE_REQUESTS:
+            return forwarded
 
-    @property
-    def erase_block_size(self) -> int:
-        return self.inner.erase_block_size
+        def request(*args):
+            self.writes_seen += 1
+            if self.cut_after_writes is not None and \
+                    self.writes_seen > self.cut_after_writes:
+                self.powered = False
+            if not self.powered:
+                self.writes_dropped += 1
+                return None  # the medium never saw it
+            return forwarded(*args)
 
-    @property
-    def erase_block_count(self) -> int:
-        return self.inner.erase_block_count
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def wear(self):
-        return self.inner.wear
-
-    def cut(self) -> None:
-        self.powered = False
-
-    def restore_power(self) -> None:
-        self.powered = True
-
-    def _alive(self) -> bool:
-        if self.cut_after_writes is not None and \
-                self.writes_seen > self.cut_after_writes:
-            self.powered = False
-        return self.powered
-
-    # -- flash operations -----------------------------------------------------
-    def read(self, offset: int, length: int) -> bytes:
-        return self.inner.read(offset, length)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self.writes_seen += 1
-        if not self._alive():
-            self.writes_dropped += 1
-            return
-        self.inner.write(offset, data)
-
-    def erase_block(self, block_index: int) -> None:
-        self.writes_seen += 1
-        if not self._alive():
-            self.writes_dropped += 1
-            return
-        self.inner.erase_block(block_index)
-
-    def is_block_erased(self, block_index: int) -> bool:
-        return self.inner.is_block_erased(block_index)
-
-    @property
-    def dirty_bytes_since_snapshot(self) -> int:
-        return self.inner.dirty_bytes_since_snapshot
-
-    def snapshot_chunks(self):
-        return self.inner.snapshot_chunks()
-
-    def restore_snapshot(self, snapshot) -> int:
-        return self.inner.restore_snapshot(snapshot)
-
-    def snapshot_image(self) -> bytes:
-        return self.inner.snapshot_image()
-
-    def restore_image(self, image: bytes) -> None:
-        self.inner.restore_image(image)
-
-
-class PowerCutDevice(BlockDevice):
-    """A block device whose power can be cut mid-workload.
-
-    ``cut_after_writes=N`` drops every write request after the first N.
-    ``cut()`` cuts immediately.  ``writes_seen`` counts write requests,
-    so a sweep harness can first run the workload uncut to learn the
-    total, then re-run with each cut point.
-    """
-
-    def __init__(self, inner: BlockDevice,
-                 cut_after_writes: Optional[int] = None):
-        # Deliberately not calling super().__init__: this is a proxy.
-        self.inner = inner
-        self.cut_after_writes = cut_after_writes
-        self.writes_seen = 0
-        self.writes_dropped = 0
-        self.powered = True
-
-    # -- proxied attributes ------------------------------------------------
-    @property
-    def size_bytes(self) -> int:
-        return self.inner.size_bytes
-
-    @property
-    def sector_size(self) -> int:
-        return self.inner.sector_size
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def stats(self):
-        return self.inner.stats
+        return request
 
     def cut(self) -> None:
         """Cut the power now: all subsequent writes are lost."""
@@ -157,49 +66,3 @@ class PowerCutDevice(BlockDevice):
 
     def restore_power(self) -> None:
         self.powered = True
-
-    def _check_cut(self) -> bool:
-        """Called after writes_seen was incremented for the current write:
-        the first ``cut_after_writes`` requests pass, later ones drop."""
-        if self.cut_after_writes is not None and \
-                self.writes_seen > self.cut_after_writes:
-            self.powered = False
-        return self.powered
-
-    # -- I/O -----------------------------------------------------------------
-    def read(self, offset: int, length: int) -> bytes:
-        return self.inner.read(offset, length)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self.writes_seen += 1
-        if not self._check_cut():
-            self.writes_dropped += 1
-            return  # the medium never saw it
-        self.inner.write(offset, data)
-
-    def read_block(self, block_index: int, block_size: int) -> bytes:
-        return self.inner.read_block(block_index, block_size)
-
-    def write_block(self, block_index: int, block_size: int, data: bytes) -> None:
-        self.writes_seen += 1
-        if not self._check_cut():
-            self.writes_dropped += 1
-            return
-        self.inner.write_block(block_index, block_size, data)
-
-    # -- snapshots -------------------------------------------------------------
-    @property
-    def dirty_bytes_since_snapshot(self) -> int:
-        return self.inner.dirty_bytes_since_snapshot
-
-    def snapshot_chunks(self):
-        return self.inner.snapshot_chunks()
-
-    def restore_snapshot(self, snapshot) -> int:
-        return self.inner.restore_snapshot(snapshot)
-
-    def snapshot_image(self) -> bytes:
-        return self.inner.snapshot_image()
-
-    def restore_image(self, image: bytes) -> None:
-        self.inner.restore_image(image)

@@ -235,6 +235,27 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(state_file) in err
 
+    @pytest.mark.parametrize("workers", [None, "0"])
+    def test_state_file_of_another_store_is_invalid_input(self, tmp_path,
+                                                          capsys, workers):
+        """A resume loads the snapshot's table as the run's table, so a
+        snapshot whose store keys states differently is refused, not
+        silently run on (an ``hc`` snapshot under ``exact``)."""
+        state_file = str(tmp_path / "state.json")
+        assert main(["check", "--fs", "verifs1", "--fs", "verifs2",
+                     "--mode", "dfs", "--depth", "1", "--state-store", "hc",
+                     "--state-file", state_file]) == 0
+        capsys.readouterr()
+        argv = ["check", "--fs", "verifs1", "--fs", "verifs2",
+                "--state-store", "exact", "--state-file", state_file]
+        argv += (["--mode", "dfs", "--depth", "1"] if workers is None else
+                 ["--mode", "random", "--workers", workers, "--units", "1",
+                  "--max-ops", "10"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and state_file in err
+        assert "hc:4" in err and "exact" in err
+
 
 class TestMalformedTrail:
     @pytest.mark.parametrize("command", ["replay", "minimize"])

@@ -27,7 +27,7 @@ from repro.core.futs import make_block_fut
 from repro.errors import DeviceError
 from repro.fs.ext2 import Ext2FileSystemType
 from repro.storage.device import DiskSnapshot
-from repro.storage.fault import PowerCutDevice, PowerCutMTD
+from repro.storage.fault import PowerCutDevice
 from repro.storage.mtd import MTDDevice
 
 CHUNK = 4096
@@ -166,7 +166,7 @@ class TestMTDAndFaultProxies:
         assert proxy.restore_snapshot(snapshot) == CHUNK
         assert inner.read(0, 3) == b"abc"
 
-        mtd_proxy = PowerCutMTD(MTDDevice(64 * 1024, clock=SimClock()))
+        mtd_proxy = PowerCutDevice(MTDDevice(64 * 1024, clock=SimClock()))
         token = mtd_proxy.snapshot_chunks()
         assert isinstance(token, DiskSnapshot)
 

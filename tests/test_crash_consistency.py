@@ -8,7 +8,7 @@ from repro.kernel import Kernel
 from repro.kernel.fdtable import O_CREAT, O_WRONLY
 from repro.mc.crash import CrashHarness
 from repro.storage import RAMBlockDevice
-from repro.storage.fault import PowerCutDevice, PowerCutMTD
+from repro.storage.fault import PowerCutDevice
 from repro.storage.mtd import MTDDevice
 
 
@@ -65,6 +65,23 @@ class TestPowerCutDevice:
         assert device.size_bytes == inner.size_bytes
         assert device.sector_size == inner.sector_size
         assert device.name == "inner"
+
+    def test_one_proxy_for_block_and_flash(self, clock):
+        """Only the write requests the inner device has are counted, so
+        a wrapped block device is still no MTD device and a wrapped MTD
+        device still is one: its erases count toward the cut."""
+        block = PowerCutDevice(RAMBlockDevice(64 * 1024, clock=clock))
+        assert not Jffs2FileSystemType._is_mtd(block)
+        assert not hasattr(block, "erase_block")
+        flash = PowerCutDevice(MTDDevice(64 * 1024, clock=clock),
+                               cut_after_writes=1)
+        assert Jffs2FileSystemType._is_mtd(flash)
+        assert not hasattr(flash, "write_block")
+        flash.erase_block(0)
+        flash.write(0, b"\x00")  # dropped: the erase was the one write
+        assert (flash.writes_seen, flash.writes_dropped) == (2, 1)
+        assert flash.read(0, 1) == b"\xff"
+        assert flash.erase_block_size == flash.inner.erase_block_size
 
     def test_filesystem_mounts_on_wrapped_device(self, clock):
         device = PowerCutDevice(RAMBlockDevice(256 * 1024, clock=clock))
@@ -133,8 +150,7 @@ class TestCrashHarness:
         is immediately durable -- that is not corruption)."""
         harness = CrashHarness(
             Jffs2FileSystemType,
-            lambda clock: MTDDevice(256 * 1024, clock=clock),
-            _workload, fault_wrapper=PowerCutMTD)
+            lambda clock: MTDDevice(256 * 1024, clock=clock), _workload)
         result = harness.sweep(step=1)
         assert result.inconsistent_points == []
 

@@ -11,7 +11,7 @@ The load-bearing properties under test:
   process, nothing forked) ends with, for every store kind and ship
   cadence, and record batches are fire-and-forget;
 * **exactness of the cache** -- the LRU fast path never loses a key, so
-  the union at the service is exact.
+  the union in the campaign's table is exact.
 """
 
 import dataclasses
@@ -27,7 +27,6 @@ from repro.dist import (
     DistributedChecker,
     LRUSet,
     ShippingVisitedTable,
-    VisitedStateService,
     WorkerConfig,
     unique_labels,
 )
@@ -43,11 +42,7 @@ from repro.dist.protocol import (
 from repro.dist.spec import SEED_STRIDE
 from repro.dist.worker import worker_main
 from repro.mc.hashtable import VisitedStateTable
-from repro.mc.persistence import (
-    load_checker_state,
-    save_checker_state,
-    snapshot_document,
-)
+from repro.mc.persistence import load_checker_state, save_checker_state
 from repro.mc.records import StoreFormatError
 from repro.util.hashing import md5_hex
 
@@ -231,13 +226,18 @@ class TestShippingVisitedTable:
 
 # --------------------------------------------------------------- service --
 class TestVisitedStateService:
+    """The shared visited set a campaign's workers feed: the campaign's
+    one table, visited a record batch at a time (no wrapper around
+    it)."""
+
     def test_insert_batch_reports_new_flags(self):
-        service = VisitedStateService()
-        assert service.insert_batch([(KA, 1), (KB, 2)]) == [True, True]
-        assert service.insert_batch([(KA, 1), (KC, 3)]) == [False, True]
-        assert len(service) == 3
-        assert service.cross_worker_duplicates == 1
-        assert A in service.table  # record keys land as state hashes
+        table = VisitedStateTable()
+        assert table.visit_many([(KA, 1), (KB, 2)]) == [True, True]
+        assert table.visit_many([(KA, 1), (KC, 3)]) == [False, True]
+        assert len(table) == 3
+        assert DistResult(workers=0, table=table).cross_worker_duplicates \
+            == table.stats.duplicate_hits == 1
+        assert A in table  # record keys land as state hashes
 
     def test_duplicates_count_every_known_record_even_with_no_fleet(self):
         """``cross_worker_duplicates`` counts each shipped record the
@@ -247,16 +247,6 @@ class TestVisitedStateService:
         shipped = sum(unit.shipped_hashes for unit in dist.unit_results)
         assert dist.cross_worker_duplicates == shipped - dist.visited_states
         assert dist.cross_worker_duplicates > 0
-
-    def test_import_snapshot_is_idempotent(self):
-        table = VisitedStateTable()
-        table.visit(A, 1)
-        table.visit(B, 2)
-        document = snapshot_document(table)
-        service = VisitedStateService()
-        assert service.import_snapshot(document) == 2
-        assert service.import_snapshot(document) == 0  # re-merge is a no-op
-        assert len(service) == 2
 
 
 # ----------------------------------------------------------- persistence --
@@ -277,7 +267,7 @@ class TestPersistenceV2:
         assert snapshot.operations_completed == 7
         assert snapshot.runs == 3
         assert snapshot.visited.export_seen() == {A: 2}
-        assert snapshot.table_stats.duplicate_hits == 1
+        assert snapshot.visited.stats.duplicate_hits == 1
 
     def test_unsupported_version_names_path(self, tmp_path):
         path = tmp_path / "state.json"
@@ -291,12 +281,6 @@ class TestPersistenceV2:
         seen = table.export_seen()
         seen["b"] = 2
         assert len(table) == 1
-
-    def test_import_seen_keeps_shallowest_depth(self):
-        table = VisitedStateTable()
-        table.visit("a", 5)
-        assert table.import_seen({"a": 2, "b": 3}) == 1  # only b is new
-        assert table.export_seen() == {"a": 2, "b": 3}
 
 
 # ----------------------------------------------------------- determinism --
@@ -368,6 +352,11 @@ class TestFaultTolerance:
         assert beats.count(SPEC.units - 1) == \
             SPEC.unit_operations // CHAOS_CONFIG.heartbeat_operations
 
+    def test_a_given_table_and_a_state_file_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="not both"):
+            DistributedChecker(SPEC, workers=0, table=VisitedStateTable(),
+                               state_file=str(tmp_path / "state.json"))
+
     def test_state_file_resumes_across_campaigns(self, tmp_path, baseline):
         path = str(tmp_path / "dist-state.json")
         first = DistributedChecker(SPEC, workers=2, state_file=path).run()
@@ -437,7 +426,7 @@ class TestOneDataPlane:
                                              workers, batch_size):
         """``batch_size`` is the ship cadence: how many locally-new
         records a worker packs into one batch.  It moves *when* keys
-        reach the service, never which ones."""
+        reach the campaign's table, never which ones."""
         fleet = DistributedChecker(
             dataclasses.replace(SPEC, state_store=store), workers=workers,
             config=WorkerConfig(batch_size=batch_size)).run()
@@ -525,13 +514,13 @@ class TestRetiredDataPlane:
 # ----------------------------------------------------- cooperative swarm --
 class TestCooperativeSwarm:
     """The fleet is the swarm: diversified members that each explore
-    privately and pool what they find in one shared service."""
+    privately and pool what they find in one shared table."""
 
     def test_members_share_one_table(self, baseline):
-        service = VisitedStateService()
-        result = DistributedChecker(SPEC, workers=0, service=service).run()
-        assert result.table is service.table
-        assert service.table.visited_fingerprint() == \
+        table = VisitedStateTable()
+        result = DistributedChecker(SPEC, workers=0, table=table).run()
+        assert result.table is table
+        assert table.visited_fingerprint() == \
             baseline.table.visited_fingerprint()
 
     def test_classic_members_may_overlap(self, baseline):

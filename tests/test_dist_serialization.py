@@ -126,7 +126,6 @@ def _dist_result(unit_list, summaries, seen):
         recovered_units=1,
         stolen_units=2,
         inline_units=0,
-        cross_worker_duplicates=3,
         trail_paths=["trails/a.trail.json"],
     )
 

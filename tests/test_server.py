@@ -274,6 +274,70 @@ class TestJobFailure:
         restored = reborn.job(bad.job_id)
         assert (restored.state, restored.error) == ("failed", bad.error)
 
+    @pytest.mark.parametrize("damage", ["truncated", "other-store"])
+    def test_a_bad_pause_snapshot_fails_its_job_only(self, baseline,
+                                                     tmp_path, damage):
+        """The snapshot loads inside the per-job guard: entries cut
+        mid-record, or a store the resume rule refuses, end that job
+        ``failed`` with the loader's message; the daemon and the next
+        job carry on."""
+        spool = tmp_path / "spool"
+        engine = CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
+        bad = submit(engine)
+        engine.step()
+        engine.pause(bad.job_id)
+        engine.step()
+        path = spool / f"{bad.job_id}.json"
+        document = json.loads(path.read_text())
+        store = document["snapshot"]["store"]
+        if damage == "truncated":
+            store["entries"] = store["entries"][:-2]
+        else:
+            store.update(kind="hc", fp_bytes=4, entries="")
+        path.write_text(json.dumps(document))
+
+        reborn = CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
+        reborn.resume(bad.job_id)
+        good = submit(reborn)
+        reborn.run_until_idle()
+        failed = reborn.job(bad.job_id)
+        assert failed.state == "failed"
+        assert failed.error.startswith("StoreFormatError: ")
+        assert ("entries" if damage == "truncated" else "store: ") \
+            in failed.error
+        assert good.state == "done"
+        assert fingerprint(reborn.result(good.job_id)) == \
+            fingerprint(baseline)
+
+
+class TestSpoolReload:
+    @pytest.mark.parametrize("text,field", [
+        ('{"spool_version": 1, "descri', "not JSON"),
+        ('{"spool_version": 1}', "'descriptor'"),
+        ('{"spool_version": 1, "descriptor": {"job_id": "job-0001"}}',
+         "'spec'"),
+        ('{"spool_version": 1, "submit_seq": "x"}', "'x'"),
+    ])
+    def test_a_torn_spool_document_is_a_typed_error(self, tmp_path, text,
+                                                    field, capsys):
+        """A torn or incomplete job document names its file and field;
+        ``repro serve`` reports it and exits 2 instead of a
+        traceback."""
+        from repro.cli import main
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        path = spool / "job-0001.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as error:
+            CampaignEngine(EngineConfig(spool_dir=str(spool)))
+        assert str(path) in str(error.value) and field in str(error.value)
+        assert main(["serve", "--socket", str(tmp_path / "d.sock"),
+                     "--spool", str(spool)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not (tmp_path / "d.sock").exists()
+
 
 # -------------------------------------------------------- pause / resume --
 class TestPauseResume:
@@ -323,6 +387,37 @@ class TestPauseResume:
         reborn.run_until_idle()
         assert fingerprint(reborn.result(job.job_id)) == \
             fingerprint(bug_baseline)
+
+    def test_resume_after_restart_keeps_the_table_counters(self,
+                                                           tmp_path):
+        """A resumed job runs on the table its snapshot holds, persisted
+        counters included, so it reports what the uninterrupted job
+        reports: the same visited set, duplicate count and table
+        stats."""
+        whole = CampaignEngine(EngineConfig(slots=1))
+        uninterrupted = submit(whole, spec=BUG_SPEC)
+        whole.run_until_idle()
+        spool = str(tmp_path / "spool")
+        engine = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
+        job = submit(engine, spec=BUG_SPEC)
+        engine.step()
+        engine.step()
+        engine.pause(job.job_id)
+        engine.step()
+        reborn = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
+        reborn.resume(job.job_id)
+        reborn.run_until_idle()
+        for result in (reborn.result(job.job_id),
+                       whole.result(uninterrupted.job_id)):
+            assert result.cross_worker_duplicates > 0
+        resumed = reborn.result(job.job_id)
+        expected = whole.result(uninterrupted.job_id)
+        assert resumed.table.visited_fingerprint() == \
+            expected.table.visited_fingerprint()
+        assert resumed.cross_worker_duplicates == \
+            expected.cross_worker_duplicates
+        assert resumed.table.stats.to_dict() == \
+            expected.table.stats.to_dict()
 
     def test_restart_after_crash_mid_run_recovers(self, baseline, tmp_path):
         """No graceful shutdown at all: the job was spooled *running*.

@@ -46,7 +46,6 @@ from repro.mc.records import StoreFormatError
 from repro.mc.statestore import (
     BitstateTable,
     make_store,
-    merge_into,
     parse_store_spec,
     store_from_document,
 )
@@ -204,23 +203,14 @@ class TestBitstate:
         table.visit(state)
         assert table.visit_many([(key, 0)]) == [False]
 
-    def test_merge_requires_same_parameters(self):
-        a = BitstateTable(bits=1 << 16, k=3)
-        with pytest.raises(ValueError):
-            a.merge_from(BitstateTable(bits=1 << 16, k=2))
-        with pytest.raises(ValueError):
-            a.merge_from(BitstateTable(bits=1 << 16, k=3, seed=9))
-
-    def test_merge_unions_bits_and_depths(self):
-        a, b = BitstateTable(bits=1 << 16), BitstateTable(bits=1 << 16)
-        left, right = hashes(20, "left"), hashes(20, "right")
-        for state_hash in left:
-            a.visit(state_hash, depth=2)
-        for state_hash in right:
-            b.visit(state_hash, depth=1)
-        a.merge_from(b)
-        for state_hash in left + right:
-            assert state_hash in a
+    def test_resume_requires_same_parameters(self):
+        document = snapshot_document(BitstateTable(bits=1 << 16, k=3))
+        snapshot_from_document(document, store="bitstate:65536,3")
+        for store, seed in (("bitstate:65536,2", 0),
+                            ("bitstate:131072,3", 0),
+                            ("bitstate:65536,3", 9)):
+            with pytest.raises(StoreFormatError, match="bitstate:65536,3"):
+                snapshot_from_document(document, store=store, seed=seed)
 
 
 # ------------------------------------------------------- hash compaction
@@ -264,34 +254,40 @@ class TestHashCompaction:
         assert table.stats.resizes > 0
 
 
-# ------------------------------------------------------------- merge_into
-class TestMergeInto:
-    @pytest.mark.parametrize("spec", ["hc", "bitstate:65536,3"])
-    def test_exact_source_merges_into_any_store(self, spec):
-        source = VisitedStateTable()
-        for state_hash in hashes(25):
-            source.visit(state_hash)
-        destination = make_store(spec)
-        assert merge_into(destination, source) == 25
-        for state_hash in hashes(25):
-            assert destination.visit(state_hash)[0] is False
+# ------------------------------------------------------------ resume rule
+class TestResumeRule:
+    """A snapshot resumes only into a run whose store keys states the
+    same way: its table *is* the run's table, so nothing converts."""
 
-    def test_lossy_kind_mismatch_is_an_error(self):
-        with pytest.raises(ValueError):
-            merge_into(make_store("hc"), BitstateTable(bits=1 << 16))
-        with pytest.raises(ValueError):  # fingerprints cannot be widened
-            merge_into(make_store("hc:8"), make_store("hc:4"))
-        with pytest.raises(ValueError):
-            merge_into(make_store("exact"), make_store("hc"))
+    def test_store_mismatch_is_refused(self):
+        for written, resumed in (("hc", "bitstate:65536,3"),
+                                 ("hc:4", "hc:8"),  # no widening
+                                 ("hc", "exact"),
+                                 ("exact", "hc"),  # no re-keying either
+                                 ("bitstate:65536,3", "exact")):
+            document = snapshot_document(make_store(written))
+            with pytest.raises(StoreFormatError, match="^store: "):
+                snapshot_from_document(document, store=resumed)
 
-    def test_same_kind_merges(self):
-        a, b = make_store("hc", seed=5), make_store("hc", seed=5)
-        for state_hash in hashes(10, "a"):
-            a.visit(state_hash)
-        for state_hash in hashes(10, "b"):
-            b.visit(state_hash)
-        assert merge_into(a, b) == 10
-        assert len(a) == 20
+    def test_lossy_seed_must_match_and_exact_seed_is_free(self):
+        lossy = snapshot_document(make_store("hc", seed=5))
+        with pytest.raises(StoreFormatError, match="seed 5"):
+            snapshot_from_document(lossy, store="hc", seed=6)
+        assert snapshot_from_document(lossy, store="hc:4",
+                                      seed=5).visited.seed == 5
+        exact = snapshot_document(make_store("exact", seed=5))
+        assert snapshot_from_document(exact, store="exact",
+                                      seed=6).visited.seed == 5
+
+    def test_resumed_table_keeps_content_and_counters(self):
+        table = make_store("hc", seed=5)
+        for state_hash in hashes(10) + hashes(3):
+            table.visit(state_hash)
+        resumed = snapshot_from_document(snapshot_document(table),
+                                         store="hc", seed=5).visited
+        assert resumed.visited_fingerprint() == table.visited_fingerprint()
+        assert resumed.stats.to_dict() == table.stats.to_dict()
+        assert resumed.stats.duplicate_hits == 3
 
 
 # ------------------------------------------------------------ persistence
@@ -312,7 +308,7 @@ class TestPersistenceV3:
         assert snapshot.runs == 2
         assert snapshot.worker_id == "w1"
         assert type(snapshot.visited) is type(table)
-        assert snapshot.table_stats.omission_possible
+        assert snapshot.visited.stats.omission_possible
         # resumed store still knows every state
         for state_hash in hashes(40):
             assert snapshot.visited.visit(state_hash, depth=10)[0] is False

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dist.protocol import RecordBatch
-from repro.dist.service import VisitedStateService
 from repro.dist.spec import CheckSpec
 from repro.mc.persistence import (
     FORMAT_VERSION,
@@ -144,18 +143,17 @@ class TestStoreContract:
         visits = history()
         records = records_of(spec, visits)
         key_bytes = parse_store_spec(spec).key_bytes
-        service = VisitedStateService(store=spec, store_seed=SEED)
+        table = build(spec)
         for start in range(0, len(records), 16):
             chunk = records[start:start + 16]
-            service.insert_packed(RecordBatch(
-                "w0", key_bytes, pack_records(chunk, key_bytes)))
+            table.visit_many(RecordBatch(
+                "w0", key_bytes, pack_records(chunk, key_bytes)).records())
         reference = visited(spec, visits)
-        assert content(service.table) == content(reference)
+        assert content(table) == content(reference)
         # nothing is answered per record: what was already known is
-        # counted at the service
-        assert service.hashes_received == len(records)
-        assert service.cross_worker_duplicates == \
-            len(records) - len(reference)
+        # counted in the table's duplicate hits
+        assert table.stats.visits == len(records)
+        assert table.stats.duplicate_hits == len(records) - len(reference)
 
     def test_merge_is_order_and_partition_independent(self, spec):
         visits = history()
@@ -216,11 +214,10 @@ class TestRecordCodec:
                                          key_bytes))
         stride = key_bytes + 4
         payload[stride + key_bytes:2 * stride] = bytes(4)
-        service = VisitedStateService(store=spec, store_seed=SEED)
         with pytest.raises(StoreFormatError,
                            match=f"entries: .* offset {stride} "):
-            service.insert_packed(RecordBatch("w0", key_bytes,
-                                              bytes(payload)))
+            build(spec).visit_many(RecordBatch("w0", key_bytes,
+                                               bytes(payload)).records())
 
 
 # ------------------------------------------------------ malformed snapshots --
