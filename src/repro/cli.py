@@ -102,7 +102,7 @@ SPEC_FLAGS = (
     ("--depth", CHECK, "depth", dict(type=int, default=2, help=(
         "DFS depth bound (default 2)"))),
     ("--por", CHECK, "por", dict(STORE_TRUE, help=(
-        "sleep-set partial-order reduction (DFS only)"))),
+        "sleep sets + name symmetry (DFS only)"))),
     ("--coverage", CHECK, "coverage", dict(STORE_TRUE, help=(
         "print behavioural coverage (§7)"))),
     ("--max-ops", CAMPAIGN, "max_ops", dict(type=int, help=(

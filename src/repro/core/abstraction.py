@@ -297,6 +297,33 @@ def hash_entries(records, options: AbstractionOptions) -> str:
     return ctx.hexdigest()
 
 
+def swap_names(path: str, pairs) -> str:
+    """``path`` with the two names of each ``(first, second)`` pair
+    swapped, subtrees included; the pairs must not nest."""
+    for first, second in pairs:
+        for source, dest in ((first, second), (second, first)):
+            if path == source or path.startswith(source + "/"):
+                return dest + path[len(source):]
+    return path
+
+
+def rename_entries(records, pairs) -> Optional[List[EntryRecord]]:
+    """``records`` under :func:`swap_names`, sorted by path again, or None
+    when no record moves."""
+    renamed: List[EntryRecord] = []
+    moved = False
+    for record in records:
+        path = swap_names(record.path, pairs)
+        if path != record.path:
+            record = record._replace(path=path)
+            moved = True
+        renamed.append(record)
+    if not moved:
+        return None
+    renamed.sort(key=_record_path)
+    return renamed
+
+
 def abstract_state(
     kernel,
     mountpoint: str,

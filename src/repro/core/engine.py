@@ -15,14 +15,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.abstraction import AbstractionOptions
+from repro.core.abstraction import AbstractionOptions, cacheable_options
 from repro.core.integrity import DiscrepancyError, IntegrityChecker, Outcome, diff_entries
 from repro.core.ops import Operation, OperationCatalog
 from repro.core.report import DiscrepancyReport, LoggedOperation
 from repro.errors import FsError
 from repro.mc.explorer import ExplorationTarget
+
+
+def combined_key(match_hashes: Sequence[str]) -> str:
+    """The visited-table key of a state: its FUTs' matching hashes."""
+    return hashlib.md5("|".join(match_hashes).encode("ascii")).hexdigest()
 
 
 class SyscallEngine:
@@ -65,6 +71,10 @@ class SyscallEngine:
         #: optional CostProfile; set by MCFS when profiling is on so the
         #: walk/hash split is charged where the work happens
         self.profile = None
+        #: the last state combined_abstract_state() hashed: each FUT's
+        #: held records (None on the cache route), its matching hashes
+        #: and the combined key -- what twin keys are computed from
+        self.last_hashed: Tuple[List, List[str], str] = ([], [], "")
 
     def strategy_for(self, fut):
         return self.strategies[fut.label]
@@ -187,7 +197,9 @@ class SyscallEngine:
                     )
                 )
         self.checker.state_checks += 1
-        return hashlib.md5("|".join(match_hashes).encode("ascii")).hexdigest()
+        state = combined_key(match_hashes)
+        self.last_hashed = (held, match_hashes, state)
+        return state
 
     # ------------------------------------------------------------- reports --
     def _report(self, kind: str, summary: str, diff=None, ending_states=None,
@@ -235,6 +247,8 @@ class MCFSTarget(ExplorationTarget):
              engine.strategy_for(fut).restores_exactly(fut))
             for fut in engine.futs
         ]
+        #: twin_states()'s renamings, found on its first call
+        self._renamings: Optional[List[Tuple[Tuple[str, str], ...]]] = None
 
     def actions(self) -> Sequence[Operation]:
         return self.engine.catalog.operations()
@@ -303,6 +317,42 @@ class MCFSTarget(ExplorationTarget):
             self.engine.starting_state = state
             self._initialized = True
         return state
+
+    def twin_states(self) -> Tuple[str, ...]:
+        """The keys of the other members of the last hashed state's orbit
+        under the catalog's name symmetries, from the held records or the
+        abstraction caches: no syscall."""
+        engine = self.engine
+        matching = engine.matching_options or engine.options
+        if self._renamings is None:
+            # every non-empty subset of the catalog's name symmetries,
+            # swapped at once.  Only a sorted, timestamp-free abstraction
+            # is invariant under renaming the records and sorting again
+            pairs = (engine.catalog.name_symmetries()
+                     if cacheable_options(matching) else ())
+            self._renamings = [
+                subset for size in range(1, len(pairs) + 1)
+                for subset in combinations(pairs, size)]
+        if not self._renamings:
+            return ()
+        held, match_hashes, state = engine.last_hashed
+        twins: List[str] = []
+        for pairs in self._renamings:
+            # equal hashes hash equal records (the FUTs of a state that
+            # passed its check all do): rename each distinct one once
+            renamed: Dict[str, Optional[str]] = {}
+            for fut, records, match_hash in zip(engine.futs, held,
+                                                match_hashes):
+                if match_hash not in renamed:
+                    renamed[match_hash] = fut.renamed_digest(
+                        records, matching, pairs)
+            if all(digest is None for digest in renamed.values()):
+                continue  # nothing under these names: the state itself
+            twin = combined_key([renamed[match_hash] or match_hash
+                                 for match_hash in match_hashes])
+            if twin != state and twin not in twins:
+                twins.append(twin)
+        return tuple(twins)
 
     def independent(self, first: Operation, second: Operation) -> bool:
         """Path-disjointness independence for partial-order reduction."""

@@ -23,6 +23,7 @@ from repro.core.abstraction import (
     cacheable_options,
     collect_entries,
     hash_entries,
+    rename_entries,
 )
 from repro.errors import FsError
 from repro.kernel.kernel import Kernel
@@ -158,6 +159,19 @@ class FilesystemUnderTest:
             records = collect_entries(self.kernel, self.mountpoint, options)
             hashes = _hash_variants(records, variants)
         return (records, hashes[0], hashes[-1])
+
+    def renamed_digest(self, records, matching: AbstractionOptions,
+                       pairs) -> Optional[str]:
+        """The ``matching`` hash of the state :meth:`entries_digests` last
+        hashed, with each of ``pairs``' names swapped (``swap_names``), or
+        None when that moves nothing.  ``records`` is what that call
+        returned: the held records of the full-walk route, or None on the
+        cache route, whose synced store then serves the records with no
+        syscall."""
+        if records is None:
+            records = self.collect_entries(matching, incremental=True)
+        renamed = rename_entries(records, pairs)
+        return None if renamed is None else hash_entries(renamed, matching)
 
     # ------------------------------------------------- abstraction cache --
     def snapshot_abstraction(self) -> Optional[AbstractionToken]:

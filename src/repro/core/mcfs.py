@@ -343,7 +343,9 @@ class MCFS:
 
         ``por=True`` enables sleep-set partial-order reduction over
         path-disjoint operations (§2's "all permutations ... without
-        duplication").
+        duplication") and records each expanded state's mirror images
+        under the pool's name symmetries; those count toward
+        ``max_unique_states`` like any other recorded state.
         """
         target = self._prepare()
         explorer = self._make_explorer(

@@ -23,11 +23,27 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FsError
 from repro.kernel.fdtable import O_CREAT, O_RDWR, O_WRONLY
+from repro.core.abstraction import swap_names
 from repro.core.integrity import Outcome
 
 #: operations VeriFS1 does not implement; catalogs for VeriFS1 comparisons
 #: exclude them (the paper compared VeriFS1 against Ext4 on the common set).
 EXTENDED_OPERATIONS = frozenset({"rename", "symlink", "link", "setxattr"})
+
+#: the arguments that are mount-relative paths, as a slice of ``args``
+#: by operation name; every other argument is data.  A symlink stores its
+#: target as an uninterpreted string -- it never dereferences or even
+#: requires it to exist -- so only the link path is touched.  (Reporting
+#: the target too wrongly serialised symlink against every operation on
+#: the target, shrinking sleep-set reductions.)
+_FIRST, _FIRST_TWO, _SECOND, _NONE = (slice(0, 1), slice(0, 2), slice(1, 2),
+                                      slice(0, 0))
+_PATH_ARGUMENTS: Dict[str, slice] = {
+    "create_file": _FIRST, "write_file": _FIRST, "truncate": _FIRST,
+    "mkdir": _FIRST, "rmdir": _FIRST, "unlink": _FIRST,
+    "open_flags": _FIRST, "setxattr": _FIRST,
+    "rename": _FIRST_TWO, "link": _FIRST_TWO, "symlink": _SECOND,
+}
 
 
 @dataclass(frozen=True)
@@ -116,6 +132,31 @@ def fill_pattern(fill: int, size: int, offset: int) -> bytes:
     return (ring * (size // 256 + 1))[:size]
 
 
+def _nested(first: str, second: str) -> bool:
+    """Whether one of the two paths is the other or lies below it."""
+    return (first == second or first.startswith(second + "/")
+            or second.startswith(first + "/"))
+
+
+def _swapped(operation: Operation,
+             pairs: Sequence[Tuple[str, str]]) -> Optional[Operation]:
+    """``operation`` with its path arguments renamed by ``pairs``, or None
+    when a data argument names a swapped path."""
+    args = list(operation.args)
+    positions = range(len(args))[_PATH_ARGUMENTS.get(operation.name, _NONE)]
+    moved = False
+    for index, value in enumerate(args):
+        if not isinstance(value, str):
+            continue
+        renamed = swap_names(value, pairs)
+        if renamed == value:
+            continue
+        if index not in positions:
+            return None
+        args[index], moved = renamed, True
+    return Operation(operation.name, tuple(args)) if moved else operation
+
+
 class OperationCatalog:
     """Enumerates the operation space and executes operations on a FUT."""
 
@@ -179,24 +220,7 @@ class OperationCatalog:
     @staticmethod
     def paths_touched(operation: Operation) -> Tuple[str, ...]:
         """Mount-relative paths an operation reads or mutates."""
-        name, args = operation.name, operation.args
-        if name in ("create_file", "write_file", "truncate", "mkdir",
-                    "rmdir", "unlink", "open_flags"):
-            return (args[0],)
-        if name == "rename":
-            return (args[0], args[1])
-        if name == "symlink":
-            # symlink creation stores the target as an uninterpreted
-            # string -- it never dereferences or even requires it to
-            # exist, so only the link path is touched.  (Reporting the
-            # target too wrongly serialised symlink against every
-            # operation on the target, shrinking sleep-set reductions.)
-            return (args[1],)
-        if name == "link":
-            return (args[0], args[1])
-        if name == "setxattr":
-            return (args[0],)
-        return ()
+        return operation.args[_PATH_ARGUMENTS.get(operation.name, _NONE)]
 
     @classmethod
     def independent(cls, first: Operation, second: Operation) -> bool:
@@ -214,9 +238,38 @@ class OperationCatalog:
             return False
         for a in first_paths:
             for b in second_paths:
-                if a == b or a.startswith(b + "/") or b.startswith(a + "/"):
+                if _nested(a, b):
                     return False
         return True
+
+    # ------------------------------------------------ name symmetry (POR) --
+    def name_symmetries(self) -> Tuple[Tuple[str, str], ...]:
+        """Pairs of sibling pool paths whose swap, subtrees included, maps
+        the action set onto itself, so that (file systems not caring which
+        sibling name they are given) a state and its mirror image have
+        mirrored futures.
+
+        An operation that carries a swapped name as data (a symlink
+        target) breaks the pair: the state would keep the name while the
+        tree moves.  The pairs are disjoint and none lies below another,
+        so any subset of them swaps as one renaming.
+        """
+        pool = self.pool
+        names = list(dict.fromkeys(pool.file_paths + pool.dir_paths))
+        actions = set(self._operations)
+        pairs: List[Tuple[str, str]] = []
+        for index, first in enumerate(names):
+            for second in names[index + 1:]:
+                if (first.rsplit("/", 1)[0] != second.rsplit("/", 1)[0]
+                        or any(_nested(name, taken)
+                               for name in (first, second)
+                               for pair in pairs for taken in pair)):
+                    continue
+                pair = ((first, second),)
+                if all(_swapped(operation, pair) in actions
+                       for operation in self._operations):
+                    pairs.append((first, second))
+        return tuple(pairs)
 
     # ------------------------------------------------------------ execution --
     def execute(self, fut, operation: Operation) -> Outcome:

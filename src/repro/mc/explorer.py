@@ -63,6 +63,16 @@ class ExplorationTarget(ABC):
     def abstract_state(self) -> str:
         """The abstraction-function hash of the current state."""
 
+    def twin_states(self) -> Sequence[str]:
+        """Keys of the states that mirror the one last hashed (for
+        partial-order reduction): states whose futures are the same up to
+        a renaming the action set is closed under.
+
+        Default: none.  MCFS returns the images under the catalog's name
+        symmetries.
+        """
+        return ()
+
     def independent(self, first: Any, second: Any) -> bool:
         """True when the two actions commute (for partial-order reduction).
 
@@ -355,6 +365,10 @@ class Explorer:
         order is explored -- the paper's "execute all permutations ...
         without duplication" (§2).  State coverage is preserved for
         commutative actions; the saved transitions can be substantial.
+        It also records each state it expands together with its mirror
+        images (``target.twin_states``) at the same depth, so a mirror
+        reached later is not expanded again: the visited map stays the
+        unreduced search's.
 
         With or without it, known-successor transitions are not re-executed
         and self-loop children not rolled back (``docs/architecture.md``).
@@ -366,6 +380,8 @@ class Explorer:
         stats, memo, max_depth = self.stats, self._memo, self.max_depth
         try:
             root, _ = self._record_state()
+            if por:
+                self._record_twins(0)
             # the action alphabet is the same in every state (the do..od
             # alternatives), so memo keys, sleep sets and the commutation
             # relation hold slots (positions in it), not actions; a row of
@@ -422,6 +438,8 @@ class Explorer:
                     child, should_expand = self._record_state(depth + 1)
                     frame.successors[slot] = frame.child = sys.intern(child)
                     if should_expand:
+                        if por:
+                            self._record_twins(depth + 1)
                         sleep = None
                         if frame.sleep is not None:
                             # classic sleep sets: earlier siblings that
@@ -444,6 +462,19 @@ class Explorer:
             if self.visited.memory is not None:
                 self.visited.memory.release_bytes(len(memo) * self._memo_entry)
             memo.clear()
+
+    def _record_twins(self, depth: int) -> None:
+        """Record the mirror images of the state just recorded at
+        ``depth``: its expansion covers theirs.  Each probe counts like a
+        reached state (new or revisited), so ``revisited_states`` keeps
+        agreeing with the table's duplicate hits and a new twin counts
+        toward ``max_unique_states``."""
+        stats, visit = self.stats, self.visited.visit
+        for twin in self._timed("abstraction_hash", self.target.twin_states):
+            if visit(twin, depth)[0]:
+                stats.unique_states += 1
+            else:
+                stats.revisited_states += 1
 
     def _enter(self, stack: List[_Frame], state: str, depth: int,
                sleep: Optional[FrozenSet[int]]) -> None:

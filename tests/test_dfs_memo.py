@@ -105,6 +105,20 @@ class TestSameVisitedSetAsNaiveSearch:
             assert visited.visited_fingerprint() == pinned
             assert result.unique_states == states
 
+    def test_a_por_config_has_a_name_symmetry(self):
+        # else the por rows above would not check the twin insertion
+        assert any(spec.build_mcfs().engine().catalog.name_symmetries()
+                   for spec, _depth, _pinned, _states in CONFIGS.values())
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_name_symmetry_keeps_the_unreduced_map(self, depth, tmp_path):
+        full, full_map, _ = explore(VERIFS_PAIR, depth, False,
+                                    tmp_path / "full.json")
+        reduced, reduced_map, _ = explore(VERIFS_PAIR, depth, True,
+                                          tmp_path / "por.json")
+        assert reduced_map.export_seen() == full_map.export_seen()
+        assert reduced.stats.transitions < full.stats.transitions
+
     def test_resumed_run_reaches_the_one_shot_fingerprint(self, tmp_path):
         # a resumed run starts with a populated table and an empty memo
         state_file = tmp_path / "s.json"

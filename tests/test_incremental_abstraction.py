@@ -28,8 +28,10 @@ from repro.core.abstraction import (
     AbstractionOptions,
     collect_entries,
     hash_entries,
+    rename_entries,
 )
 from repro.core.futs import make_block_fut, make_verifs_fut
+from repro.core.ops import OperationCatalog, ParameterPool
 from repro.errors import FsError
 from repro.kernel.fdtable import O_CREAT, O_RDWR, O_TRUNC
 from repro.mc.strategies import IoctlStrategy, RemountStrategy
@@ -379,3 +381,41 @@ class TestViewAndCheckpointMechanics:
         assert cache.counters["cow_clones"] == clones_before + 1
         assert first.store is second.store
         assert cache._merkle is not first.store
+
+
+#: a pool with subtrees under the swapped names and a sibling ("/a.x")
+#: that sorts between "/a" and its children
+TWIN_CATALOG = OperationCatalog(ParameterPool(
+    file_paths=("/a", "/b", "/a/x", "/b/x", "/a.x", "/c"),
+    dir_paths=("/a", "/b", "/a/sd"),
+    write_offsets=(0, 100), write_sizes=(64,), truncate_sizes=(0, 10),
+))
+TWIN_PAIRS = ((("/a", "/b"),), (("/a", "/b"), ("/c", "/a.x")))
+
+
+class TestRenamedDigestEqualsRenamedWalk:
+    """A twin key is the hash the renamed state would have: on both
+    routes it must equal ``hash_entries`` of a full walk's records
+    renamed and sorted again (``None`` when no record moves)."""
+
+    @pytest.mark.parametrize("incremental", [True, False],
+                             ids=["cache", "full-walk"])
+    @pytest.mark.parametrize("family", ["ext2", "verifs2"])
+    @settings(max_examples=10, deadline=None)
+    @given(ops=st.lists(st.sampled_from(TWIN_CATALOG.operations()),
+                        min_size=1, max_size=14))
+    def test_every_step_matches(self, family, incremental, ops):
+        fut = build_fut(family)
+        for operation in ops:
+            TWIN_CATALOG.execute(fut, operation)
+            records, _, _ = fut.entries_digests(
+                OPTIONS, OPTIONS, incremental=incremental)
+            found = [fut.renamed_digest(records, OPTIONS, pairs)
+                     for pairs in TWIN_PAIRS]
+            reference = fut.collect_entries(OPTIONS, incremental=False)
+            expected = []
+            for pairs in TWIN_PAIRS:
+                renamed = rename_entries(reference, pairs)
+                expected.append(None if renamed is None
+                                else hash_entries(renamed, OPTIONS))
+            assert found == expected, operation.describe()

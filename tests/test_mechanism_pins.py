@@ -8,7 +8,8 @@ exactly where it was.  These tests make that executable:
 * the count pin runs the VeriFS1 vs VeriFS2 ioctl DFS at depth 4 and
   asserts the syscall, round-trip, handler and search counts, the
   simulated time and the visited ``{state: depth}`` map, all as recorded
-  before the mechanism work;
+  before the mechanism work (the ``por`` counts re-recorded when name
+  symmetry joined the reduction; the map did not move);
 * the schedule pins digest every recorded event, the (state, depth)
   expansion sequence and the stats of six runs (DFS exhausted and cut
   by each budget, one seeded-bug hunt, one random walk), recorded on
@@ -48,13 +49,14 @@ VERIFS_PAIR = CheckSpec(filesystems=("verifs1", "verifs2"), strategy="ioctl")
 PINS = {
     False: (134244, 120284, 120284, 1.921603600006507,
             1305, 12779, 6765, 6765, 0, 2302),
-    True: (66796, 63068, 63068, 1.0429768000002106,
-           1305, 7188, 3812, 3812, 6491, 1402),
+    True: (38463, 36403, 36403, 0.6003541999999662,
+           1305, 4133, 2190, 2190, 3606, 676),
 }
 
 #: md5 of ``repr(sorted(map.items()))`` for the naive reference DFS of
-#: ``tests/test_dfs_memo.py`` (``reference_dfs``) at depth 4; POR keeps
-#: the visited set, so one digest serves both settings
+#: ``tests/test_dfs_memo.py`` (``reference_dfs``) at depth 4; POR (sleep
+#: sets and name symmetry) keeps the visited set, so one digest serves
+#: both settings
 REFERENCE_SEEN = "5b62b83cfaa5879dbc99758d69e171d5"
 
 #: the ``Kernel`` methods that are not syscalls; every other public
@@ -121,20 +123,21 @@ SCHEDULE_RUNS = {
 }
 
 #: md5 of the recorded schedule (``DiscrepancyReport``'s event codec),
-#: of the (state, depth) expansion sequence and of ``stats.to_dict()``
+#: of the (state, depth) expansion sequence and of ``stats.to_dict()``;
+#: the three ``por`` rows as re-recorded when name symmetry joined it
 SCHEDULE_PINS = {
     "d4-full": ("1c41919e83d9a014e1fb6b5362e2b784",
                 "cace7238b2c2597c910f3d28dd7cc706",
                 "8a9012c3241ffde40a3a4de8eb6b825c"),
-    "d4-por": ("f8cef2c9b35af1e1da7fd0e5caee0c28",
-               "cace7238b2c2597c910f3d28dd7cc706",
-               "d905784bff6690de6e888ed0785f0af0"),
+    "d4-por": ("37633a41a9731b87e7bfb7452e788a7e",
+               "481b32e92ab0a87d16cfae280ebf44cc",
+               "b8ebf7fb9f956967fb5a0371ad6c240a"),
     "d3-por-ops137": ("df690204e2674437007e6160fea1bc89",
                       "e08543ebf8b16e69ba857934975ea838",
-                      "b1c5402b0f36e860b6e05f1a058863e3"),
-    "d3-por-states90": ("56d198dc8a2af5212f768fe2d514eecb",
-                        "c9e218671d4269562d51c251261fdf19",
-                        "fa4f971362e82f6919a1d85053d6040d"),
+                      "ff511e4511ea4e8ad8fc48c79eea26b5"),
+    "d3-por-states90": ("1f9810fef78e1f82a7884aae4320e1aa",
+                        "57aa4e65570d3da4642fed51242526e5",
+                        "9f13312ddba020bff4a97faed5cd44c7"),
     "hunt-write-hole-stale": ("dfa4d008c7ea2c3e838222c65ba09578",
                               "3ae26c85cc8e83e469544f1a4eea2f34",
                               "06faec8997454e6bfb83c5059b2f1644"),

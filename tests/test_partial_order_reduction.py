@@ -3,7 +3,9 @@
 import pytest
 
 from repro import MCFS, MCFSOptions, SimClock, VeriFS1, VeriFS2, VeriFSBug
-from repro.core.ops import Operation, OperationCatalog
+from repro.cli import BUG_PAIRS, hunt_spec
+from repro.core.ops import Operation, OperationCatalog, ParameterPool
+from repro.dist.spec import CheckSpec
 
 
 class TestIndependenceRelation:
@@ -62,6 +64,77 @@ class TestIndependenceRelation:
         assert self.cat.paths_touched(op) == ("/f0",)
         assert not self.cat.independent(op, Operation("unlink", ("/f0",)))
         assert self.cat.independent(op, Operation("mkdir", ("/d1", 0o755)))
+
+
+class TestNameSymmetries:
+    """The sibling-name swaps the action set is closed under."""
+
+    def test_default_catalog_swaps_f0_and_f1(self):
+        catalog = OperationCatalog(include_extended=False)
+        assert catalog.name_symmetries() == (("/f0", "/f1"),)
+
+    def test_extended_operations_break_it(self):
+        # link and setxattr name /f0 only, the symlink target is /f0
+        assert OperationCatalog(include_extended=True).name_symmetries() == ()
+
+    @pytest.mark.parametrize("targets, expected", [
+        (("/f0", "/f1"), ()),
+        (("/g",), (("/f0", "/f1"),)),
+    ], ids=["targets-name-the-pair", "target-elsewhere"])
+    def test_a_name_carried_as_data_breaks_the_pair(self, targets, expected):
+        # renames, link and setxattr are closed under /f0 <-> /f1 here, so
+        # the symlink targets alone decide: a target is data, not a path,
+        # and a state keeps it while the tree is renamed
+        pool = ParameterPool(
+            file_paths=("/g", "/f0", "/f1"),
+            rename_extra=(("/g", "/f1"), ("/f1", "/g")),
+            symlink_targets=targets)
+        catalog = OperationCatalog(pool, include_extended=True)
+        assert catalog.name_symmetries() == expected
+
+    @pytest.mark.parametrize("bug", sorted(BUG_PAIRS))
+    def test_every_hunt_has_the_pair(self, bug):
+        catalog = hunt_spec(bug).build_mcfs().engine().catalog
+        assert catalog.name_symmetries() == (("/f0", "/f1"),)
+
+
+class TestTwinStates:
+    VERIFS_PAIR = CheckSpec(filesystems=("verifs1", "verifs2"),
+                            strategy="ioctl")
+
+    def _state_after(self, operations):
+        """(target, mcfs) after ``operations`` and one state hash."""
+        mcfs = self.VERIFS_PAIR.build_mcfs()
+        target = mcfs._prepare()
+        for operation in operations:
+            target.apply(operation)
+        target.abstract_state()
+        return target, mcfs
+
+    def test_twin_is_the_mirrored_runs_state_and_costs_no_syscall(self):
+        target, mcfs = self._state_after([
+            Operation("create_file", ("/f0", 0o644)),
+            Operation("write_file", ("/f1", 1000, 512, 0x41))])
+        counts = [(fut.kernel.syscall_count,
+                   fut.verifs.connection.requests_sent) for fut in mcfs.futs]
+        twins = target.twin_states()
+        assert [(fut.kernel.syscall_count,
+                 fut.verifs.connection.requests_sent)
+                for fut in mcfs.futs] == counts
+        # the executed equivalence check: running the mirrored operations
+        # reaches the twin key
+        mirror, _ = self._state_after([
+            Operation("create_file", ("/f1", 0o644)),
+            Operation("write_file", ("/f0", 1000, 512, 0x41))])
+        assert twins == (mirror.abstract_state(),)
+
+    def test_a_self_symmetric_state_has_no_twin(self):
+        target, _ = self._state_after([
+            Operation("create_file", ("/f0", 0o644)),
+            Operation("create_file", ("/f1", 0o644))])
+        assert target.twin_states() == ()
+        target, _ = self._state_after([Operation("mkdir", ("/d0", 0o755))])
+        assert target.twin_states() == ()
 
 
 class TestCommutationSoundness:
