@@ -372,8 +372,8 @@ class MCFS:
         """Seeded randomized walk (long-horizon experiments).
 
         ``visited`` plugs in a custom visited table (any
-        :class:`~repro.mc.hashtable.AbstractVisitedTable`); the
-        distributed workers pass their shipping tables here.  This is
+        :class:`~repro.mc.hashtable.AbstractVisitedTable`); a campaign
+        unit passes the private store whose new states it ships.  This is
         one walk in this process; a campaign of many diversified walks
         is :class:`repro.dist.DistributedChecker` over the same spec.
         """

@@ -5,8 +5,8 @@ seed-, depth- and profile-diversified work units (the swarm's members)
 to explore them with.  :class:`DistributedChecker` is the only thing
 that runs one.  A coordinator owns the seed-partitioned frontier, a
 :mod:`multiprocessing` fleet executes units with work stealing, a shared
-visited-state store collects every worker's discoveries (shipped as
-packed record batches over pipes behind a per-worker LRU), and
+visited-state store collects every finished unit's discoveries (one
+packed record batch with each unit's result), and
 heartbeats + lease timeouts make workers disposable -- a SIGKILL'd
 worker's leased unit is re-issued and the run still completes with the
 identical merged result.  ``workers=0`` is the
@@ -27,7 +27,6 @@ See ``docs/distributed.md`` for the wire protocol and the determinism
 argument.
 """
 
-from repro.dist.client import LRUSet, ShippingVisitedTable
 from repro.dist.coordinator import (
     DistResult,
     DistributedChecker,
@@ -50,9 +49,7 @@ __all__ = [
     "DistributedChecker",
     "FILESYSTEMS",
     "KERNEL_FS",
-    "LRUSet",
     "STRATEGIES",
-    "ShippingVisitedTable",
     "UnitResult",
     "WorkUnit",
     "WorkerConfig",

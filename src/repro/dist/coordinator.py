@@ -12,8 +12,8 @@ a real :mod:`multiprocessing` campaign:
   an expired lease (or a dead process, detected sooner) re-issues the
   unit, which re-runs deterministically, so a SIGKILL'd worker costs
   wall time, never results;
-* one **visited table** (the campaign's store) takes the workers'
-  packed record batches, deduplicating cross-worker territory;
+* one **visited table** (the campaign's store) takes each finished
+  unit's packed record batch, deduplicating cross-worker territory;
 * units no live worker can take run **inline**, in this process, through
   the same ``run_unit``: that is what a fleet whose workers have all
   died falls back to, and all that ``workers=0`` ever does (no process,
@@ -38,9 +38,7 @@ from repro.core.report import DiscrepancyReport
 from repro.dist import realtime
 from repro.dist.protocol import (
     Heartbeat,
-    Hello,
     NoMoreWork,
-    RecordBatch,
     Shutdown,
     UnitDone,
     UnitResult,
@@ -49,7 +47,7 @@ from repro.dist.protocol import (
     WorkRequest,
 )
 from repro.dist.spec import CheckSpec, WorkUnit
-from repro.dist.worker import LocalSink, WorkerConfig, run_unit, worker_main
+from repro.dist.worker import WorkerConfig, run_unit, worker_main
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
 from repro.mc.persistence import (
     load_checker_state,
@@ -98,7 +96,6 @@ class WorkerRecord:
     process: multiprocessing.process.BaseProcess
     conn: Connection
     summary: WorkerSummary
-    pid: Optional[int] = None
 
     @property
     def worker_id(self) -> str:
@@ -156,11 +153,13 @@ class DistResult(FieldCodec):
 
     @property
     def cross_worker_duplicates(self) -> int:
-        """Shipped records the campaign's table already held on arrival,
-        from any worker including the shipper: the table's duplicate
-        hits.  For an exact store started empty it is
-        ``sum(shipped_hashes) - visited_states``; a resumed table's
-        count carries on from its snapshot."""
+        """Records of finished units that the campaign's table already
+        held on arrival, found by another unit on any worker or by an
+        earlier unit of the same worker: the table's duplicate hits.
+        Every unit ships each state its own store found new, so for an
+        exact store started empty it is ``sum(shipped_hashes) -
+        visited_states`` at any fleet size; a resumed table's count
+        carries on from its snapshot."""
         return self.table.stats.duplicate_hits
 
     @property
@@ -504,9 +503,7 @@ class DistributedChecker:
 
         def handle(record: WorkerRecord, message) -> None:
             now = realtime.now()
-            if isinstance(message, Hello):
-                record.pid = message.pid
-            elif isinstance(message, WorkRequest):
+            if isinstance(message, WorkRequest):
                 if record.worker_id in leases:
                     # a duplicate request while a grant is outstanding:
                     # granting again would overwrite the lease and lose
@@ -535,10 +532,6 @@ class DistributedChecker:
                     if self.on_progress is not None:
                         self.on_progress(message.unit_index,
                                          message.operations)
-            elif isinstance(message, RecordBatch):
-                # a malformed payload raises StoreFormatError; records
-                # the table already held count as its duplicate hits
-                table.visit_many(message.records())
             elif isinstance(message, UnitDone):
                 unit_result = message.result
                 lease = leases.get(record.worker_id)
@@ -551,6 +544,9 @@ class DistributedChecker:
                 if record.worker_id in wall_started:
                     summary.wall_time += now - wall_started.pop(
                         record.worker_id)
+                # a malformed payload raises StoreFormatError; records
+                # the table already held count as its duplicate hits
+                table.visit_many(message.batch.records())
                 results.setdefault(unit_result.index, unit_result)
 
         while len(results) < len(units):
@@ -587,12 +583,13 @@ class DistributedChecker:
                        result: DistResult) -> None:
         """No live worker (none was asked for, or all died): complete
         the frontier in-process, reporting progress like leased units."""
-        sink = LocalSink(table, self.on_progress)
         for unit in units:
             if unit.index in results:
                 continue
-            results[unit.index] = run_unit(
-                self.spec, unit, "coordinator", self.config, sink)
+            done = run_unit(self.spec, unit, "coordinator", self.config,
+                            self.on_progress)
+            table.visit_many(done.batch.records())
+            results[unit.index] = done.result
             result.inline_units += 1
 
     def _shutdown_fleet(self, records: List[WorkerRecord]) -> None:

@@ -4,18 +4,16 @@ Messages are small frozen dataclasses pickled over
 :class:`multiprocessing.Pipe` connections (one duplex pipe per worker).
 The conversation is strictly client-driven except for shutdown:
 
-* worker -> coordinator: :class:`Hello`, :class:`WorkRequest`,
-  :class:`Heartbeat`, :class:`RecordBatch`, :class:`UnitDone`
+* worker -> coordinator: :class:`WorkRequest`, :class:`Heartbeat`,
+  :class:`UnitDone`
 * coordinator -> worker: :class:`WorkGrant`, :class:`Wait`,
   :class:`NoMoreWork`, :class:`Shutdown`
 
-Nothing the coordinator sends is an answer to a data-plane message:
-record batches are fire-and-forget, so the only message a worker ever
-blocks on is the reply to its own :class:`WorkRequest`.
-
-These messages are the **control plane** and the one **data plane**:
-every discovery a worker publishes reaches the shared visited set as a
-packed :class:`RecordBatch` on this pipe.
+The only message a worker ever blocks on is the reply to its own
+:class:`WorkRequest`.  A finished unit is the one hand-off: its
+:class:`UnitDone` carries the :class:`UnitResult` and every state the
+unit found, packed into one :class:`RecordBatch`, so a worker killed
+mid-unit has published nothing and its re-run publishes everything.
 
 See ``docs/distributed.md`` for the full protocol walk-through and the
 fault-tolerance semantics built on heartbeats and lease deadlines.
@@ -32,14 +30,6 @@ from repro.util.fieldcodec import FieldCodec
 
 
 # ------------------------------------------------------------------ worker --
-@dataclass(frozen=True)
-class Hello:
-    """First message a worker sends: announces its id and OS pid."""
-
-    worker_id: str
-    pid: int
-
-
 @dataclass(frozen=True)
 class WorkRequest:
     """The worker's local frontier drained; it wants a unit (or will steal)."""
@@ -58,15 +48,14 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class RecordBatch:
-    """Batched insert RPC: locally-new ``(record key, depth)`` records.
+    """A unit's locally-new ``(record key, depth)`` records, packed.
 
-    The data plane's hot message: fixed-width records in ``payload``
-    (the :mod:`repro.mc.records` layout; its length gives the count),
-    one opaque blob -- so pickling cost does not scale with per-entry
-    Python objects.  The coordinator inserts and sends nothing back.
+    Fixed-width records in ``payload`` (the :mod:`repro.mc.records`
+    layout; its length gives the count), one opaque blob -- so pickling
+    cost does not scale with per-entry Python objects.  A malformed
+    payload raises :class:`~repro.mc.records.StoreFormatError` on read.
     """
 
-    worker_id: str
     key_bytes: int
     payload: bytes
 
@@ -94,9 +83,8 @@ class UnitResult(FieldCodec):
     stopped_reason: str = ""
     #: serialised DiscrepancyReport (``to_dict()``) when the unit hit a bug
     violation: Optional[Dict[str, Any]] = None
-    #: hashes shipped to / suppressed before the campaign's table
+    #: locally-new states the unit handed to the campaign's table
     shipped_hashes: int = 0
-    suppressed_hashes: int = 0
     #: snapshot traffic (defaulted so v1 result documents still load):
     #: bytes the COW checkpoint path physically copied / rewrote, and
     #: the full-copy volume it stood in for
@@ -115,8 +103,11 @@ class UnitResult(FieldCodec):
 
 @dataclass(frozen=True)
 class UnitDone:
+    """A finished unit: its result and the states it found."""
+
     worker_id: str
     result: UnitResult
+    batch: RecordBatch
 
 
 # ------------------------------------------------------------- coordinator --

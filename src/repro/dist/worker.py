@@ -1,23 +1,20 @@
-"""Worker process: runs leased work units and streams its discoveries.
+"""Worker process: runs leased work units and reports each one once.
 
-A worker is a plain loop -- request a unit, run it, report it -- with
-two side channels woven through the explorer's sample hook (which fires
-every ``heartbeat_operations`` explored operations):
+A worker is a plain loop -- request a unit, run it, report it.  The
+explorer's sample hook (every ``heartbeat_operations`` explored
+operations) sends **heartbeats** that keep the coordinator's lease on
+the current unit alive.  Nothing else leaves a running unit: the states
+it found travel with its result, packed into the one :class:`UnitDone`.
 
-* **heartbeats** keep the coordinator's lease on the current unit alive;
-* **visited batches** flush locally-new ``(record key, depth)`` records
-  to the shared store as one packed batch (suppressed by the exact LRU
-  of already-shipped keys).
-
-A SIGKILL'd worker loses nothing that matters: every flushed batch is
-already in the shared table, and the re-issued unit re-runs
-deterministically.
+A SIGKILL'd worker therefore loses a unit's worth of work and nothing
+the campaign needs: the re-issued unit re-runs deterministically and
+reports all of its states.
 
 The same unit runner also serves the coordinator's in-process path (a
-fleet of zero workers, or one whose workers have all died) through the
-:class:`ResultSink` indirection: a :class:`PipeSink` speaks the wire
-protocol, a :class:`LocalSink` visits the campaign's table directly.
-``run_unit`` has no other caller: every campaign, served or not, is a
+fleet of zero workers, or one whose workers have all died): it visits
+the returned batch into the campaign's table itself, and its heartbeat
+callback is the coordinator's progress callback.  ``run_unit`` has no
+other caller: every campaign, served or not, is a
 :class:`~repro.dist.coordinator.DistributedChecker`.
 """
 
@@ -29,10 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 from repro.dist import realtime
-from repro.dist.client import LRUSet, ShippingVisitedTable
 from repro.dist.protocol import (
     Heartbeat,
-    Hello,
     NoMoreWork,
     RecordBatch,
     Shutdown,
@@ -43,110 +38,69 @@ from repro.dist.protocol import (
     WorkRequest,
 )
 from repro.dist.spec import CheckSpec, WorkUnit
-from repro.mc.hashtable import AbstractVisitedTable, Record
-from repro.mc.records import pack_records, parse_store_spec
+from repro.mc.hashtable import Record
+from repro.mc.records import pack_records
 from repro.mc.statestore import make_store
+
+#: heartbeat callback: ``(unit index, operations so far)``
+HeartbeatFn = Callable[[int, int], None]
 
 
 @dataclass
 class WorkerConfig:
     """Tunables every worker receives at spawn time."""
 
-    #: sample-hook period: heartbeat + batch flush every N operations
+    #: sample-hook period: one heartbeat every N operations
     heartbeat_operations: int = 100
-    #: visited-batch size before an eager flush
-    batch_size: int = 64
     #: fault injection: SIGKILL ourselves after this many operations
     #: (counted across the whole worker session); None disables
     chaos_kill_after_operations: Optional[int] = None
 
 
-class ResultSink:
-    """Where a running unit sends its side-channel traffic."""
-
-    def ship_batch(self, records: List[Record]) -> None:
-        raise NotImplementedError
-
-    def heartbeat(self, unit_index: int, operations: int) -> None:
-        raise NotImplementedError
-
-
-class LocalSink(ResultSink):
-    """In-process sink: feed the campaign's table directly, no wire.
-
-    Serves the coordinator when there is no live worker to run a unit;
-    ``on_heartbeat`` is the coordinator's progress callback, so inline
-    units report like leased ones.
-    """
-
-    def __init__(self, table: AbstractVisitedTable,
-                 on_heartbeat: Optional[Callable[[int, int], None]] = None):
-        self.table = table
-        self.on_heartbeat = on_heartbeat
-
-    def ship_batch(self, records: List[Record]) -> None:
-        self.table.visit_many(records)
-
-    def heartbeat(self, unit_index: int, operations: int) -> None:
-        if self.on_heartbeat is not None:
-            self.on_heartbeat(unit_index, operations)
-
-
-class PipeSink(ResultSink):
-    """Speaks the wire protocol over the worker's pipe connection:
-    every batch ships as one packed :class:`RecordBatch`."""
-
-    def __init__(self, conn, worker_id: str, key_bytes: int):
-        self.conn = conn
-        self.worker_id = worker_id
-        self.key_bytes = key_bytes
-
-    def ship_batch(self, records: List[Record]) -> None:
-        self.conn.send(RecordBatch(self.worker_id, self.key_bytes,
-                                   pack_records(records, self.key_bytes)))
-
-    def heartbeat(self, unit_index: int, operations: int) -> None:
-        self.conn.send(Heartbeat(self.worker_id, unit_index, operations))
-
-
 def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
-             config: WorkerConfig, sink: ResultSink,
-             shipped_lru: Optional[LRUSet] = None,
-             session_operations: int = 0) -> UnitResult:
+             config: WorkerConfig,
+             heartbeat: Optional[HeartbeatFn] = None,
+             session_operations: int = 0) -> UnitDone:
     """Execute one work unit to completion; deterministic in isolation.
 
-    ``session_operations`` is the operation count the worker completed in
-    earlier units (chaos fault injection triggers on the session total).
+    Returns the unit's result with every state its private store
+    reported new, as ``(record key, depth)`` records packed once.
+    ``session_operations`` is the operation count the worker completed
+    in earlier units (chaos fault injection triggers on the session
+    total).
     """
     # per-unit input diversification: the unit explores with its own
     # profile (a function of the unit index only, CheckSpec.unit_profile)
     mcfs = replace(spec, input_profile=unit.input_profile).build_mcfs()
     profile = None
-    ship = sink.ship_batch
     if mcfs.options.profile:
         from repro.mc.perf import CostProfile
 
         profile = CostProfile()
 
-        def ship(entries, _ship=sink.ship_batch, _profile=profile):
-            return _profile.timed("ship", _ship, entries)
-
     # the local store mirrors the campaign table's spec (same kind, same
-    # seed), so the record keys the two sides derive agree
-    table = ShippingVisitedTable(
-        ship=ship,
-        local=make_store(spec.state_store, seed=spec.base_seed),
-        shipped_lru=shipped_lru,
-        batch_size=config.batch_size,
-    )
+    # seed), so the record keys the two sides derive agree; it decides
+    # every expansion alone, and its new states are noted as it reports
+    # them (a bitstate store cannot list its keys afterwards)
+    store = make_store(spec.state_store, seed=spec.base_seed)
+    found: List[Record] = []
+    store_visit = store.visit
+
+    def visit(state_hash: str, depth: int = 0):
+        is_new, should_expand = store_visit(state_hash, depth)
+        if is_new:
+            found.append((store.record_key(state_hash), depth))
+        return is_new, should_expand
+
+    store.visit = visit
 
     def tick(stats) -> None:
         if (config.chaos_kill_after_operations is not None
                 and session_operations + stats.operations
                 >= config.chaos_kill_after_operations):
             os.kill(os.getpid(), signal.SIGKILL)  # fault injection: die hard
-        table.flush()
-        sink.heartbeat(unit.index, stats.operations)
+        if heartbeat is not None:
+            heartbeat(unit.index, stats.operations)
 
     wall_start = realtime.now()
     result = mcfs.run_random(
@@ -156,11 +110,15 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         backtrack_probability=unit.backtrack_probability,
         sample_every=config.heartbeat_operations,
         sample_hook=tick,
-        visited=table,
+        visited=store,
         profile=profile,
     )
-    table.flush()
-    return UnitResult(
+    key_bytes = store.spec.key_bytes
+    if profile is not None:
+        payload = profile.timed("ship", pack_records, found, key_bytes)
+    else:
+        payload = pack_records(found, key_bytes)
+    return UnitDone(worker_id, UnitResult(
         index=unit.index,
         seed=unit.seed,
         worker_id=worker_id,
@@ -172,15 +130,14 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         wall_time=realtime.now() - wall_start,
         stopped_reason=result.stats.stopped_reason,
         violation=result.report.to_dict() if result.report else None,
-        shipped_hashes=table.shipped_hashes,
-        suppressed_hashes=table.suppressed_hashes,
-        omission_possible=table.stats.omission_possible,
-        omission_probability=table.stats.omission_probability,
+        shipped_hashes=len(found),
+        omission_possible=store.stats.omission_possible,
+        omission_probability=store.stats.omission_probability,
         bytes_snapshotted=result.bytes_snapshotted,
         bytes_restored=result.bytes_restored,
         logical_snapshot_bytes=result.logical_snapshot_bytes,
         cost_profile=profile.to_dict() if profile is not None else None,
-    )
+    ), RecordBatch(key_bytes, payload))
 
 
 def worker_main(conn, spec: CheckSpec, worker_id: str,
@@ -199,10 +156,9 @@ def worker_main(conn, spec: CheckSpec, worker_id: str,
 
 def _worker_loop(conn, spec: CheckSpec, worker_id: str,
                  config: WorkerConfig) -> None:
-    conn.send(Hello(worker_id, os.getpid()))
-    shipped_lru = LRUSet()
-    sink = PipeSink(conn, worker_id,
-                    parse_store_spec(spec.state_store).key_bytes)
+    def heartbeat(unit_index: int, operations: int) -> None:
+        conn.send(Heartbeat(worker_id, unit_index, operations))
+
     session_operations = 0
     while True:
         conn.send(WorkRequest(worker_id))
@@ -216,10 +172,7 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
             return
         if not isinstance(message, WorkGrant):
             continue  # unknown message: ignore and re-request
-        result = run_unit(
-            spec, message.unit, worker_id, config, sink,
-            shipped_lru=shipped_lru,
-            session_operations=session_operations,
-        )
-        session_operations += result.operations
-        conn.send(UnitDone(worker_id, result))
+        done = run_unit(spec, message.unit, worker_id, config, heartbeat,
+                        session_operations=session_operations)
+        session_operations += done.result.operations
+        conn.send(done)

@@ -122,9 +122,8 @@ class AbstractVisitedTable(ABC):
     """What the explorer needs from a visited-state store.
 
     The concrete :class:`VisitedStateTable` is the in-process default
-    (exact or hash-compacted); :mod:`repro.mc.statestore` provides
-    bitstate, and :mod:`repro.dist` plugs in a shipping table that
-    streams newly discovered keys to a coordinator.
+    (exact or hash-compacted) and :mod:`repro.mc.statestore` provides
+    bitstate.
 
     The two stores a campaign can hold also share ``record_key(hash)``
     (the integer a worker ships and a snapshot persists, see

@@ -87,8 +87,8 @@ def snapshot_document(visited: AbstractVisitedTable,
 
     Shared by :func:`save_checker_state`, a serialised campaign result
     (``DistResult.to_dict``) and the campaign server's spool.  Fleet
-    workers ship no documents: they send packed ``RecordBatch`` records
-    over their pipes.
+    workers ship no documents: a finished unit's states travel with its
+    result as one packed ``RecordBatch``.
     """
     store_document = getattr(visited, "store_document", None)
     if store_document is None:

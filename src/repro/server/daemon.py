@@ -125,13 +125,18 @@ class ReproServer:
             self.stop()
 
     def poll(self, timeout: float = IDLE_POLL) -> None:
-        """One loop iteration: sockets, then one engine step."""
+        """One loop iteration: sockets, then one engine step.
+
+        Responses go out before the step as well as after it: a step
+        runs a whole unit slice, and a request already answered need
+        not wait for it."""
         self.start()
         for key, _events in self._selector.select(timeout):
             if key.data == "accept":
                 self._accept()
             else:
                 self._service(key.fileobj)
+        self._flush_all()
         if not self._stopping:
             self.engine.step()
         self._flush_all()

@@ -6,18 +6,19 @@ The load-bearing properties under test:
   total, discrepancy signature) is identical for any worker count;
 * **fault tolerance** -- SIGKILLing a worker mid-run re-issues its
   leased unit and the final result is still identical;
-* **one data plane** -- a fleet that ships packed record batches over
-  its pipes ends with exactly what a fleet of zero (every unit in this
-  process, nothing forked) ends with, for every store kind and ship
-  cadence, and record batches are fire-and-forget;
-* **exactness of the cache** -- the LRU fast path never loses a key, so
-  the union in the campaign's table is exact.
+* **one hand-off per unit** -- a finished unit's result carries every
+  state it found, packed once; a fleet that sends them over its pipes
+  ends with exactly what a fleet of zero (every unit in this process,
+  nothing forked) ends with, for every store kind and heartbeat cadence,
+  and the table's duplicate hits are shipped minus stored.
 """
 
 import dataclasses
 import json
 import multiprocessing
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -25,25 +26,23 @@ from repro.core.report import RunSummary
 from repro.dist import (
     CheckSpec,
     DistributedChecker,
-    LRUSet,
-    ShippingVisitedTable,
     WorkerConfig,
     unique_labels,
 )
 from repro.dist.coordinator import DistResult
 from repro.dist.protocol import (
-    Hello,
+    Heartbeat,
     NoMoreWork,
-    RecordBatch,
     UnitDone,
     WorkGrant,
     WorkRequest,
 )
 from repro.dist.spec import SEED_STRIDE
-from repro.dist.worker import worker_main
+from repro.dist.worker import run_unit, worker_main
 from repro.mc.hashtable import VisitedStateTable
 from repro.mc.persistence import load_checker_state, save_checker_state
 from repro.mc.records import StoreFormatError
+from repro.mc.statestore import make_store
 from repro.util.hashing import md5_hex
 
 SPEC = CheckSpec(
@@ -60,6 +59,11 @@ BUG_SPEC = dataclasses.replace(
 
 #: chaos tests need ticks to fire well inside a 100-op unit
 CHAOS_CONFIG = WorkerConfig(heartbeat_operations=20)
+
+#: SPEC submitted with ``workers=2``, one slice run, then paused and
+#: spooled by a daemon whose units still reported ``suppressed_hashes``
+OLD_SPOOL = (Path(__file__).resolve().parent / "data"
+             / "paused-spool-with-suppressed-hashes.json")
 
 
 #: three well-formed state hashes and the record keys an exact store
@@ -84,27 +88,6 @@ def fingerprint(dist):
 def baseline():
     """The workers=1 reference run every other fleet must reproduce."""
     return DistributedChecker(SPEC, workers=1).run()
-
-
-# ---------------------------------------------------------------- caches --
-class TestLRUSet:
-    def test_evicts_oldest(self):
-        lru = LRUSet(capacity=2)
-        lru.add("a")
-        lru.add("b")
-        lru.add("c")  # evicts a
-        assert "a" not in lru
-        assert "b" in lru and "c" in lru
-        assert lru.evictions == 1
-
-    def test_lookup_refreshes_recency(self):
-        lru = LRUSet(capacity=2)
-        lru.add("a")
-        lru.add("b")
-        assert "a" in lru  # refresh: a is now the most recent
-        lru.add("c")  # evicts b, not a
-        assert "a" in lru
-        assert "b" not in lru
 
 
 # ------------------------------------------------------------------ spec --
@@ -173,55 +156,6 @@ class TestCheckSpec:
         mcfs = SPEC.build_mcfs()
         assert mcfs.spec is SPEC
         assert len(mcfs.futs) == 2
-
-
-# ------------------------------------------------------- shipping table --
-class TestShippingVisitedTable:
-    def test_batches_until_threshold(self):
-        shipped = []
-        table = ShippingVisitedTable(ship=shipped.append, batch_size=3)
-        table.visit(A, 1)
-        table.visit(B, 2)
-        assert shipped == []  # buffered
-        table.visit(C, 3)
-        assert shipped == [[(KA, 1), (KB, 2), (KC, 3)]]  # eager flush
-
-    def test_flush_drains_partial_batch(self):
-        shipped = []
-        table = ShippingVisitedTable(ship=shipped.append, batch_size=64)
-        table.visit(A, 1)
-        table.flush()
-        assert shipped == [[(KA, 1)]]
-        assert table.shipped_hashes == 1
-
-    def test_duplicates_never_ship(self):
-        shipped = []
-        table = ShippingVisitedTable(ship=shipped.append, batch_size=1)
-        table.visit(A, 1)
-        is_new, _ = table.visit(A, 2)
-        assert not is_new
-        assert shipped == [[(KA, 1)]]  # shipped exactly once
-
-    def test_lru_suppresses_cross_unit_resends(self):
-        lru = LRUSet()
-        lru.add(KA)  # an earlier unit of this worker shipped it
-        shipped = []
-        table = ShippingVisitedTable(ship=shipped.append, shipped_lru=lru,
-                                     batch_size=1)
-        table.visit(A, 1)
-        assert shipped == []
-        assert table.suppressed_hashes == 1
-
-    def test_local_semantics_delegate(self):
-        table = ShippingVisitedTable(ship=lambda batch: None)
-        table.visit("a", 1)
-        assert len(table) == 1
-        assert "a" in table
-        assert table.stats.inserts == 1
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            ShippingVisitedTable(ship=lambda batch: None, batch_size=0)
 
 
 # --------------------------------------------------------------- service --
@@ -323,9 +257,9 @@ class TestDistributedDeterminism:
 class TestFaultTolerance:
     @pytest.mark.parametrize("store", ("exact", "hc", "bitstate"))
     def test_sigkilled_worker_costs_nothing_but_time(self, store, baseline):
-        """Recovery re-runs the lost unit and merges nothing else: what
-        the dead worker shipped is already in the table, and the re-run
-        ships the rest, for every store kind."""
+        """Recovery re-runs the lost unit and merges nothing else: the
+        dead worker's unit published nothing, and its re-run ships all
+        of it, for every store kind."""
         spec = dataclasses.replace(SPEC, state_store=store)
         if store != SPEC.state_store:
             baseline = DistributedChecker(spec, workers=1).run()
@@ -337,6 +271,11 @@ class TestFaultTolerance:
         assert fleet.recovered_units >= 1
         dead = {s.worker_id: s for s in fleet.worker_summaries}["w1"]
         assert not dead.alive_at_end
+        if store == "exact":
+            # nothing half-shipped by the killed unit reached the table
+            shipped = sum(unit.shipped_hashes for unit in fleet.unit_results)
+            assert fleet.cross_worker_duplicates == \
+                shipped - fleet.visited_states
 
     def test_whole_fleet_dead_finishes_inline(self, baseline):
         beats = []
@@ -392,6 +331,26 @@ class TestFaultTolerance:
         assert fingerprint(reborn.result(job.job_id)) == \
             fingerprint(baseline)
 
+    def test_a_spool_from_before_the_one_hand_off_resumes(self, tmp_path,
+                                                          baseline):
+        """A job spooled paused by a daemon whose units reported
+        ``suppressed_hashes`` (the per-worker LRU's count) and shipped
+        their states mid-unit resumes here to the same state set."""
+        from repro.server import CampaignEngine, EngineConfig
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        shutil.copy(OLD_SPOOL, spool / "job-0001.json")
+        document = json.loads(OLD_SPOOL.read_text())
+        assert document["descriptor"]["state"] == "paused"
+        assert all("suppressed_hashes" in unit
+                   for unit in document["unit_results"])
+        engine = CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
+        engine.resume("job-0001")
+        engine.run_until_idle()
+        assert fingerprint(engine.result("job-0001")) == \
+            fingerprint(baseline)
+
 
 # -------------------------------------------------------- one data plane --
 FLEET_STORES = ("exact", "hc", "bitstate")
@@ -421,48 +380,82 @@ class TestOneDataPlane:
 
     @pytest.mark.parametrize("store", FLEET_STORES)
     @pytest.mark.parametrize("workers", (1, 2))
-    @pytest.mark.parametrize("batch_size", (1, 64))
+    @pytest.mark.parametrize("heartbeat_operations", (1, 64))
     def test_fleet_matches_the_fleet_of_zero(self, fleets_of_zero, store,
-                                             workers, batch_size):
-        """``batch_size`` is the ship cadence: how many locally-new
-        records a worker packs into one batch.  It moves *when* keys
-        reach the campaign's table, never which ones."""
+                                             workers, heartbeat_operations):
+        """Workers 0, 1 and 2 end with one visited set (its count and
+        its ``visited_fingerprint()``).  ``heartbeat_operations`` is the
+        one cadence inside a running unit: it moves when a lease is
+        refreshed, never which states reach the campaign's table."""
         fleet = DistributedChecker(
             dataclasses.replace(SPEC, state_store=store), workers=workers,
-            config=WorkerConfig(batch_size=batch_size)).run()
+            config=WorkerConfig(
+                heartbeat_operations=heartbeat_operations)).run()
         assert fleet.inline_units == 0
         assert fingerprint(fleet) == fingerprint(fleets_of_zero[store])
+        # every unit ships each state its own store found new, with no
+        # cache in between, so an exact store started empty counts
+        # shipped minus stored in a fleet too
+        shipped = sum(unit.shipped_hashes for unit in fleet.unit_results)
+        assert shipped == sum(unit.unique_states
+                              for unit in fleet.unit_results)
+        if store == "exact":
+            assert fleet.cross_worker_duplicates == \
+                shipped - fleet.visited_states
+
+
+class TestOneHandOff:
+    """A unit's states leave it once, with its result."""
+
+    @pytest.mark.parametrize("store", FLEET_STORES)
+    def test_a_unit_ships_each_state_it_found_once(self, store):
+        """The batch holds one record per state the unit's own store
+        reported new -- a bitstate store, which cannot list its keys,
+        included -- and visiting it rebuilds that many states."""
+        spec = dataclasses.replace(SPEC, state_store=store)
+        done = run_unit(spec, spec.work_units()[1], "w0", WorkerConfig())
+        records = list(done.batch.records())
+        assert len(records) == done.result.shipped_hashes \
+            == done.result.unique_states > 0
+        assert len({key for key, _depth in records}) == len(records)
+        assert all(depth == 0 for _key, depth in records)
+        table = make_store(store, seed=spec.base_seed)
+        table.visit_many(records)
+        if store != "bitstate":  # whose bits two keys may share
+            assert len(table) == len(records)
 
 
 class TestGrantHandshake:
     def test_worker_waits_for_nothing_but_its_grant(self):
-        """Record batches are fire-and-forget.  A coordinator that never
-        says a word about them still gets the unit done, and sees exactly
-        one WorkRequest per grant -- a second one would have it re-lease
-        over a live unit."""
+        """Heartbeats are fire-and-forget.  A coordinator that never
+        answers them still gets the unit done, and sees exactly one
+        WorkRequest per grant -- a second one would have it re-lease
+        over a live unit.  The unit's states arrive once, in its
+        UnitDone: every earlier message is a heartbeat."""
         parent, child = multiprocessing.Pipe(duplex=True)
         unit = SPEC.work_units()[0]
         worker = threading.Thread(
             target=worker_main,
-            args=(child, SPEC, "w0", WorkerConfig(batch_size=1)),
+            args=(child, SPEC, "w0", WorkerConfig(heartbeat_operations=10)),
             daemon=True)
         worker.start()
         try:
-            assert isinstance(parent.recv(), Hello)
             assert isinstance(parent.recv(), WorkRequest)
             parent.send(WorkGrant(unit))
-            requests = batches = 0
+            before = []
             while True:
                 message = parent.recv()
-                if isinstance(message, WorkRequest):
-                    requests += 1
-                elif isinstance(message, RecordBatch):
-                    batches += 1  # ... and deliberately no answer
-                elif isinstance(message, UnitDone):
-                    assert message.result.index == unit.index
+                if isinstance(message, UnitDone):
                     break
-            assert batches > 0
-            assert requests == 0, "the worker asked twice for one grant"
+                before.append(message)  # ... and deliberately no answer
+            assert message.result.index == unit.index
+            assert before and all(isinstance(earlier, Heartbeat)
+                                  for earlier in before), \
+                "the worker asked twice for one grant, or shipped early"
+            records = list(message.batch.records())
+            assert len(records) == message.result.shipped_hashes \
+                == message.result.unique_states
+            assert len(set(records)) == len(records)
             assert isinstance(parent.recv(), WorkRequest)
             parent.send(NoMoreWork())
             worker.join(timeout=30)

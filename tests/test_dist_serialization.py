@@ -74,7 +74,6 @@ unit_results = st.builds(
     stopped_reason=names,
     violation=violations,
     shipped_hashes=counts,
-    suppressed_hashes=counts,
     bytes_snapshotted=counts,
     bytes_restored=counts,
     logical_snapshot_bytes=counts,
@@ -385,17 +384,18 @@ WIRE_RESULT = UnitResult(
     violation={"kind": "state", "summary": "abstract states differ"},
     omission_possible=True, omission_probability=0.01,
     cost_profile={"states": 12})
+WIRE_BATCH = dist_protocol.RecordBatch(
+    8, pack_records([(3, 1), (1 << 60, 9)], 8))
 
 
 #: one representative instance of every dataclass that crosses a wire
 WIRE = {
-    dist_protocol.Hello: dist_protocol.Hello("w0", 4242),
     dist_protocol.WorkRequest: dist_protocol.WorkRequest("w0"),
     dist_protocol.Heartbeat: dist_protocol.Heartbeat("w0", 1, 120),
-    dist_protocol.RecordBatch: dist_protocol.RecordBatch(
-        "w0", 8, pack_records([(3, 1), (1 << 60, 9)], 8)),
+    dist_protocol.RecordBatch: WIRE_BATCH,
     UnitResult: WIRE_RESULT,
-    dist_protocol.UnitDone: dist_protocol.UnitDone("w1", WIRE_RESULT),
+    dist_protocol.UnitDone: dist_protocol.UnitDone("w1", WIRE_RESULT,
+                                                   WIRE_BATCH),
     dist_protocol.WorkGrant: dist_protocol.WorkGrant(WIRE_UNIT),
     dist_protocol.Wait: dist_protocol.Wait(0.1),
     dist_protocol.NoMoreWork: dist_protocol.NoMoreWork(),

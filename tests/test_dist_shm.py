@@ -27,7 +27,7 @@ SPEC = CheckSpec(
 )
 
 #: chaos ticks must fire well inside a 60-op unit
-CHAOS_CONFIG = WorkerConfig(heartbeat_operations=20, batch_size=8)
+CHAOS_CONFIG = WorkerConfig(heartbeat_operations=20)
 
 
 def run_fleet(plane, workers, store="exact", **kwargs):

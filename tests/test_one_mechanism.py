@@ -4,8 +4,8 @@ Each simplification that folded parallel mechanisms into one left a
 pattern that must not reappear in the source: a second data plane, a
 second campaign runner, a block file system or fsck checker with its
 own namespace code or tree walk, a driver with its own consistency
-check, code that patches a built harness, and the visited-set merge
-API.  Each guard is a ``grep -rnE`` over the same files: it lists every
+check, code that patches a built harness, the visited-set merge API,
+and a worker that ships its finds before its unit is done.  Each guard is a ``grep -rnE`` over the same files: it lists every
 matching ``path:line`` and must find none.  Text files are searched;
 byte-code caches are not.
 """
@@ -53,6 +53,9 @@ GUARDS = [
     ("one visited table, no merge API",
      r"VisitedStateService|merge_into|import_seen|merge_from|import_snapshot",
      ["src"], None, ()),
+    ("one hand-off per unit",
+     r"LRUSet|ShippingVisitedTable|batch_size|ship_batch|suppressed_hashes",
+     ["src"], None, ()),
 ]
 
 
@@ -96,3 +99,4 @@ def test_guards_see_what_they_forbid():
     assert grep(GUARDS[3][1], ["src/repro/analysis/fsck/image.py"])
     assert grep(GUARDS[6][1], ["src/repro/kernel"], "*.py")
     assert grep(GUARDS[8][1], ["tests/test_one_mechanism.py"])
+    assert grep(GUARDS[9][1], ["tests/test_dist.py"])

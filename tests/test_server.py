@@ -157,7 +157,7 @@ class TestEngineBasics:
         engine.run_until_idle()
         result = engine.result(job.job_id)
         units = [unit.cost_profile for unit in result.unit_results]
-        assert all(profile is not None for profile in units)
+        assert all(profile["seconds"]["ship"] > 0 for profile in units)
         assert result.cost_profile["states"] == \
             sum(profile["states"] for profile in units)
         assert result.cost_profile["seconds"]["ship"] == pytest.approx(
@@ -686,6 +686,40 @@ class TestDaemon:
                 with pytest.raises(RequestFailed, match="ValueError"):
                     client.submit({**SPEC.to_dict(), **bad})
             assert len(client.jobs()) == before
+
+    def test_a_request_is_answered_while_a_slice_runs(self, tmp_path):
+        """The loop sends what it owes before it gives the engine a
+        step: a submit is answered while the slice it admitted is still
+        running, not one slice later."""
+        instance = ReproServer(socket_path=str(tmp_path / "slow.sock"),
+                               config=EngineConfig(slots=1))
+        engine = instance.engine
+        real_step = engine.step
+        stepping, release = threading.Event(), threading.Event()
+
+        def held_step():
+            if engine.busy:
+                stepping.set()
+                release.wait(timeout=30)
+            return real_step()
+
+        engine.step = held_step
+        instance.start()
+        thread = threading.Thread(target=instance.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ReproClient(socket_path=instance.socket_path,
+                             timeout=5.0) as client:
+                job = client.submit(SPEC)
+                assert stepping.wait(timeout=5)
+                assert job["state"] == "queued"
+                release.set()
+                assert client.wait(job["job_id"])["state"] == "done"
+        finally:
+            release.set()
+            instance._stopping = True
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_graceful_shutdown_spools_running_jobs(self, tmp_path,
                                                    baseline):

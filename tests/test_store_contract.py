@@ -147,7 +147,7 @@ class TestStoreContract:
         for start in range(0, len(records), 16):
             chunk = records[start:start + 16]
             table.visit_many(RecordBatch(
-                "w0", key_bytes, pack_records(chunk, key_bytes)).records())
+                key_bytes, pack_records(chunk, key_bytes)).records())
         reference = visited(spec, visits)
         assert content(table) == content(reference)
         # nothing is answered per record: what was already known is
@@ -216,7 +216,7 @@ class TestRecordCodec:
         payload[stride + key_bytes:2 * stride] = bytes(4)
         with pytest.raises(StoreFormatError,
                            match=f"entries: .* offset {stride} "):
-            build(spec).visit_many(RecordBatch("w0", key_bytes,
+            build(spec).visit_many(RecordBatch(key_bytes,
                                                bytes(payload)).records())
 
 

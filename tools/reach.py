@@ -30,7 +30,8 @@ only, no line tracing) and writes them out when it exits.  Three things would ot
 * pytest-benchmark turns tracers and profilers off around every timed
   call (``PauseInstrumentation``): ``sys.settrace``/``sys.setprofile``
   are replaced by versions that keep the census tracer installed;
-* threads: ``threading.settrace`` covers every thread started afterwards.
+* threads: a new thread installs its tracer by calling ``sys.settrace``
+  itself, and the stand-in installs the census tracer there too.
 
 A process killed by a signal (the fleet's SIGKILL chaos tests) writes
 nothing; the census is a lower bound on what tier-1 enters.
@@ -121,13 +122,18 @@ def install(out_dir: str, root: str) -> None:
         finally:
             real_exit(code)
 
+    real_settrace = sys.settrace
+
     def keep_tracer(function) -> None:
+        real_settrace(tracer)
+
+    def keep_profile(function) -> None:
         return None
 
     sys.settrace(tracer)
     threading.settrace(tracer)
     sys.settrace = keep_tracer
-    sys.setprofile = keep_tracer
+    sys.setprofile = keep_profile
     os._exit = exit_after_dump
     os.register_at_fork(after_in_child=after_fork)
     atexit.register(dump)
