@@ -294,23 +294,6 @@ class MCFSTarget(ExplorationTarget):
             self.engine.memory_model.touch_state()
         del self.engine.operation_log[log_length:]
 
-    def restore_reusable(self, token: Tuple[Dict[str, Any], int]) -> None:
-        """Restore without consuming the token (trail replay/minimize).
-
-        Single-use strategy tokens (ioctl snapshot keys) are re-armed in
-        place: the shared per-label dict is mutated, so *every* holder of
-        this token -- including prefix caches -- stays valid.
-        """
-        tokens, log_length = token
-        for fut, strategy, _exact in self._lanes:
-            state_token, abstraction_token = tokens[fut.label]
-            refreshed = strategy.restore_reusable(fut, state_token)
-            fut.restore_abstraction(abstraction_token)
-            tokens[fut.label] = (refreshed, abstraction_token)
-        if self.engine.memory_model is not None:
-            self.engine.memory_model.touch_state()
-        del self.engine.operation_log[log_length:]
-
     def abstract_state(self) -> str:
         state = self.engine.combined_abstract_state()
         if not self._initialized:

@@ -3,16 +3,16 @@
 When the integrity checker trips, Spin "logs the precise sequence of
 operations, parameters, and starting and ending states that led to a
 problem, simplifying reproducibility" (section 2).  The report captures
-all of that, renders it for humans, supports replaying the logged
-sequence against fresh file systems, and serialises to JSON so a trace
-can be attached to a bug report and replayed elsewhere.
+all of that, renders it for humans, hands back the logged operation
+sequence (:meth:`DiscrepancyReport.operations`), and serialises to JSON
+so a trace can be attached to a bug report and replayed elsewhere.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.findings import Finding, finding_from_dict
 from repro.core.integrity import Outcome, StateDiff
@@ -376,16 +376,3 @@ class RunSummary(FieldCodec):
         if self.minimized_operations is not None:
             lines.append(f"minimized  : {self.minimized_operations} operation(s)")
         return "\n".join(lines)
-
-
-def replay(operations: Sequence[Operation], futs, catalog) -> List[LoggedOperation]:
-    """Re-execute a logged sequence on fresh FUTs; return the new log.
-
-    Used to confirm a report reproduces (e.g. after fixing a bug, replay
-    should now produce matching outcomes everywhere).
-    """
-    log: List[LoggedOperation] = []
-    for operation in operations:
-        outcomes = {fut.label: catalog.execute(fut, operation) for fut in futs}
-        log.append(LoggedOperation(operation=operation, outcomes=outcomes))
-    return log

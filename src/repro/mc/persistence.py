@@ -18,14 +18,15 @@ Every store kind writes the same container::
     {"version": 4,
      "store": {"kind": ..., <parameters>, "entries": "<packed hex>"},
      "table_stats": {...}, "operations_completed": N, "runs": N,
-     "seed": ..., "worker_id": ..., "frontier": [...]}
+     "seed": ..., "worker_id": ...}
 
 ``store`` is the store's own record: keyed tables (exact, hc) carry
 their sorted ``(key, depth)`` records in the :mod:`repro.mc.records`
 layout, hex-encoded; bitstate carries its two arrays.  ``table_stats``
 restores the traffic counters so a resumed run's duplicate-hit ratio is
-meaningful; ``seed``/``worker_id`` say whose work a snapshot covers;
-``frontier`` is the campaign server's pause hook.
+meaningful; ``seed``/``worker_id`` say whose work a snapshot covers.
+The campaign server keeps a paused job's pending units beside the
+snapshot, in its own spool document.
 
 Documents of any other version -- including the v1/v2/v3 forms earlier
 releases wrote -- are refused with :class:`StoreFormatError`, as is any
@@ -49,7 +50,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.mc.hashtable import AbstractVisitedTable, TableStats
 from repro.mc.records import StoreFormatError, parse_store_spec, require
@@ -69,20 +70,12 @@ class CheckerSnapshot:
     seed: Optional[int] = None
     #: distributed worker that produced the snapshot
     worker_id: Optional[str] = None
-    #: pending work-unit indices at pause time (the campaign server's
-    #: pause/resume hook): a paused campaign serialises its visited
-    #: store *and* the frontier of not-yet-run units, so resume -- in
-    #: the same daemon or after a restart -- re-derives exactly the
-    #: remaining work from the spec.  None for snapshots of completed
-    #: or non-job runs.
-    frontier: Optional[List[int]] = None
 
 
 def snapshot_document(visited: AbstractVisitedTable,
                       operations_completed: int = 0, runs: int = 1,
                       seed: Optional[int] = None,
-                      worker_id: Optional[str] = None,
-                      frontier: Optional[List[int]] = None) -> Dict[str, Any]:
+                      worker_id: Optional[str] = None) -> Dict[str, Any]:
     """Build the (JSON-serialisable) snapshot document.
 
     Shared by :func:`save_checker_state`, a serialised campaign result
@@ -96,7 +89,7 @@ def snapshot_document(visited: AbstractVisitedTable,
             f"{type(visited).__name__} does not support persistence "
             f"(no store_document)"
         )
-    document = {
+    return {
         "version": FORMAT_VERSION,
         "store": store_document(),
         "operations_completed": operations_completed,
@@ -105,9 +98,6 @@ def snapshot_document(visited: AbstractVisitedTable,
         "worker_id": worker_id,
         "table_stats": visited.stats.to_dict(),
     }
-    if frontier is not None:
-        document["frontier"] = [int(index) for index in frontier]
-    return document
 
 
 def _require_same_keys(visited: AbstractVisitedTable, store: str,
@@ -152,28 +142,23 @@ def snapshot_from_document(document: Dict[str, Any], memory=None,
     visited.stats = stats
     if store is not None:
         _require_same_keys(visited, store, seed)
-    raw_frontier = document.get("frontier")
     return CheckerSnapshot(
         visited=visited,
         operations_completed=int(document.get("operations_completed", 0)),
         runs=int(document.get("runs", 1)),
         seed=document.get("seed"),
         worker_id=document.get("worker_id"),
-        frontier=(None if raw_frontier is None
-                  else [int(index) for index in raw_frontier]),
     )
 
 
 def save_checker_state(path: str, visited: AbstractVisitedTable,
                        operations_completed: int = 0, runs: int = 1,
                        seed: Optional[int] = None,
-                       worker_id: Optional[str] = None,
-                       frontier: Optional[List[int]] = None) -> None:
+                       worker_id: Optional[str] = None) -> None:
     """Atomically write the checker's knowledge to ``path``."""
     document = snapshot_document(visited,
                                  operations_completed=operations_completed,
-                                 runs=runs, seed=seed, worker_id=worker_id,
-                                 frontier=frontier)
+                                 runs=runs, seed=seed, worker_id=worker_id)
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle)

@@ -44,19 +44,12 @@ class CheckpointStrategy(ABC):
 
     @abstractmethod
     def restore(self, fut, token: Any) -> None:
-        """Restore the state captured under ``token`` (single use)."""
+        """Restore the state captured under ``token``, spending it.
 
-    def restore_reusable(self, fut, token: Any) -> Any:
-        """Restore ``token`` and return a token that stays restorable.
-
-        :meth:`restore` is single use (the paper's ioctl semantics
-        discard the snapshot); trail replay and delta-debugging restore
-        the *same* point many times.  The default works for strategies
-        whose tokens are value snapshots (disk images, VM states); the
-        ioctl strategy overrides it to re-arm the consumed snapshot key.
+        A token is restored at most once, the paper's ioctl semantics
+        (``ioctl_RESTORE`` discards its snapshot): a caller that will
+        come back to the same state checkpoints it again.
         """
-        self.restore(fut, token)
-        return token
 
     def restores_exactly(self, fut) -> bool:
         """Whether :meth:`restore` brings back the checkpointed state
@@ -161,14 +154,6 @@ class IoctlStrategy(CheckpointStrategy):
 
     def restore(self, fut, token: int) -> None:
         fut.ioctl_restore(token)
-
-    def restore_reusable(self, fut, token: int) -> int:
-        # IOCTL_RESTORE pops the snapshot from the pool (the paper's
-        # semantics); re-checkpointing the just-restored state under the
-        # *same* key makes the token valid again for every holder
-        fut.ioctl_restore(token)
-        fut.ioctl_checkpoint(token)
-        return token
 
     def restores_exactly(self, fut) -> bool:
         server = fut.userspace_server()

@@ -20,7 +20,8 @@ constants below)::
     (CHECK,)             -- hash + cross-compare the abstract states
     (FSCK,)              -- run the offline fsck oracle sweep
     (CHECKPOINT, id)     -- capture the concrete state under ``id``
-    (RESTORE, id)        -- roll back to the state captured under ``id``
+    (RESTORE, id)        -- roll back to the state captured under ``id``,
+                            spending it (see :func:`orphan_restores`)
 
 The recorder does not keep that list while the run goes on: it stores
 one signed 64-bit code per event and builds the tuples only when
@@ -62,24 +63,35 @@ def count_operations(events) -> int:
 
 
 def orphan_restores(events: List[Event]) -> List[int]:
-    """Positions of RESTORE events whose CHECKPOINT is not before them."""
-    taken = set()
+    """Positions of the RESTORE events that break the schedule rule.
+
+    A restore spends its checkpoint, as ``ioctl_RESTORE`` discards its
+    snapshot: a RESTORE is well formed only if its id was checkpointed
+    earlier and has not been restored since.  Every other RESTORE -- of
+    an id never taken, before its CHECKPOINT, or of one id a second
+    time -- is an orphan.
+    """
+    armed = set()
     orphans: List[int] = []
     for position, event in enumerate(events):
         if event[0] == CHECKPOINT:
-            taken.add(event[1])
-        elif event[0] == RESTORE and event[1] not in taken:
-            orphans.append(position)
+            armed.add(event[1])
+        elif event[0] == RESTORE:
+            if event[1] in armed:
+                armed.remove(event[1])
+            else:
+                orphans.append(position)
     return orphans
 
 
 def normalize(events: List[Event]) -> List[Event]:
-    """Drop RESTORE events whose CHECKPOINT is not in the schedule.
+    """Drop the orphan RESTORE events (:func:`orphan_restores`).
 
     Delta debugging removes events freely; a candidate that restores a
-    checkpoint it never took is not a smaller run of the same system,
-    it is a different (invalid) program.  Normalising instead of
-    rejecting lets the minimizer still try the rest of the candidate.
+    checkpoint it never took, or one it already spent, is not a smaller
+    run of the same system, it is a different (invalid) program.
+    Normalising instead of rejecting lets the minimizer still try the
+    rest of the candidate.
     """
     orphans = set(orphan_restores(events))
     if not orphans:
@@ -99,7 +111,8 @@ def live_path(events: List[Event]) -> List[Event]:
 
     A RESTORE puts the path back to what it was at its CHECKPOINT, also
     when episodes interleave (``C0 a C1 b R0 c R1 d`` leaves ``a d``);
-    orphan RESTOREs and CHECKPOINTs never restored change nothing.
+    a RESTORE of an id never taken and a CHECKPOINT never restored
+    change nothing.
     This is the sequence a harness with exact restore holds in its
     ``operation_log``, plus the state comparisons between them.
     """

@@ -22,12 +22,12 @@ Responsibilities:
   remaining budget instead of refusing outright -- the campaign still
   runs, lossy, with its omission probability accounted;
 * **pause/resume** -- a pause lands at the next unit boundary and
-  serialises the job's visited table plus the *frontier* of not-yet-run
-  unit indices as a :mod:`repro.mc.persistence` document; resume
-  -- in the same engine or a restarted one -- loads the snapshot's
-  table, counters included, as the job's table (the persistence
-  module's resume rule) and re-derives the remaining units from the
-  spec;
+  serialises the job's visited table as a :mod:`repro.mc.persistence`
+  document, spooled beside the ``pending`` not-yet-run unit indices;
+  resume -- in the same engine or a restarted one -- loads the
+  snapshot's table, counters included, as the job's table (the
+  persistence module's resume rule) and re-derives the remaining units
+  from the spec;
 * **events** -- every transition appends to a totally-ordered,
   virtual-time-stamped event log (:class:`~repro.server.protocol.JobEvent`);
   because the clock is virtual and the log depends only on the call
@@ -428,17 +428,13 @@ class CampaignEngine:
         report = DiscrepancyReport.from_dict(unit_result.violation)
         if report.schedule is None:
             return
-
-        def announce(path: str) -> None:
-            descriptor.trail_paths.append(path)
-            self._emit("trail", descriptor.job_id,
-                       {"unit": unit_result.index, "path": path})
-
-        capture_trail(
+        path = capture_trail(
             report, descriptor.spec, self.config.trail_dir,
             seed=unit_result.seed,
-            name=f"{descriptor.job_id}-unit{unit_result.index:03d}",
-            notify=announce)
+            name=f"{descriptor.job_id}-unit{unit_result.index:03d}")
+        descriptor.trail_paths.append(path)
+        self._emit("trail", descriptor.job_id,
+                   {"unit": unit_result.index, "path": path})
 
     # ------------------------------------------------------- state changes --
     def pause(self, job_id: str) -> JobDescriptor:
@@ -465,7 +461,7 @@ class CampaignEngine:
         runtime = self._runtimes[job_id]
         runtime.pause_requested = False
         if runtime.table is not None:
-            # the pause snapshot: visited table + frontier, in the
+            # the pause snapshot: the visited table, in the
             # format a local --state-file uses -- resume and daemon
             # restart read one format (a job paused before its first
             # slice keeps the snapshot it was admitted with)
@@ -572,7 +568,7 @@ class CampaignEngine:
         return os.path.join(self.config.spool_dir, f"{job_id}.json")
 
     def _snapshot(self, job_id: str) -> Dict[str, Any]:
-        """The live job's table and frontier as a snapshot document."""
+        """The live job's table as a snapshot document."""
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
         return snapshot_document(
@@ -580,7 +576,6 @@ class CampaignEngine:
             operations_completed=descriptor.operations,
             seed=descriptor.spec.base_seed,
             worker_id=job_id,
-            frontier=[unit.index for unit in runtime.pending],
         )
 
     def _save_spool(self, job_id: str) -> None:
@@ -627,17 +622,16 @@ class CampaignEngine:
                 entries, key=lambda entry: entry[0]):
             units = descriptor.spec.work_units()
             snapshot = document.get("snapshot")
-            frontier = (snapshot or {}).get("frontier",
-                                            document.get("pending", []))
+            remaining = document.get("pending", [])
             if descriptor.state == RUNNING:
                 # interrupted mid-run: completed units are kept, the
                 # remainder recomputed; determinism makes this a resume
                 done_indices = {unit.index for unit in unit_results}
-                frontier = [unit.index for unit in units
-                            if unit.index not in done_indices]
+                remaining = [unit.index for unit in units
+                             if unit.index not in done_indices]
                 descriptor.state = QUEUED
             by_index = {unit.index: unit for unit in units}
-            pending = deque(by_index[index] for index in frontier
+            pending = deque(by_index[index] for index in remaining
                             if index in by_index)
             runtime = _Runtime(
                 pending=pending,

@@ -164,11 +164,18 @@ class Trail:
                 probes=document.get("probes"),
                 minimization=document.get("minimization"),
             )
+            orphans = trace.orphan_restores(trail.report.schedule or [])
         except (KeyError, TypeError, AttributeError, ValueError) as error:
             raise TrailFormatError(
                 f"malformed trail ({type(error).__name__}: {error})") from None
         if not trail.report.schedule:
             raise TrailFormatError("trail carries no schedule to replay")
+        if orphans:
+            position = orphans[0]
+            raise TrailFormatError(
+                f"malformed schedule: event {position + 1} restores "
+                f"checkpoint {trail.report.schedule[position][1]!r}, which "
+                f"no earlier event took or an earlier restore spent")
         return trail
 
     def save(self, path: str) -> str:
@@ -206,18 +213,12 @@ class Trail:
 
 def capture_trail(report: DiscrepancyReport, spec: CheckSpec,
                   trail_dir: str, seed: int = 0,
-                  name: Optional[str] = None, notify=None) -> str:
+                  name: Optional[str] = None) -> str:
     """Write ``report`` (which must carry a schedule) as a trail file.
 
-    Returns the path written.  Filenames never clash: an existing name
-    gets a numeric suffix, so a campaign directory accumulates every
-    find.
-
-    ``notify`` is the streaming hook: a callable invoked with the
-    written path *after* the file is durably on disk, so a subscriber
-    told about a trail can immediately open it.  The campaign server
-    uses this to push trail notifications to watching clients the
-    moment a unit's violation is captured.
+    Returns the path written, once the file is on disk.  Filenames never
+    clash: an existing name gets a numeric suffix, so a campaign
+    directory accumulates every find.
     """
     if not report.schedule:
         raise ValueError("report has no schedule; nothing to capture")
@@ -228,7 +229,4 @@ def capture_trail(report: DiscrepancyReport, spec: CheckSpec,
     while os.path.exists(path):
         path = os.path.join(trail_dir, f"{stem}-{suffix}.trail.json")
         suffix += 1
-    written = Trail(spec=spec, report=report, seed=seed).save(path)
-    if notify is not None:
-        notify(written)
-    return written
+    return Trail(spec=spec, report=report, seed=seed).save(path)

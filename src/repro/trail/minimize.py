@@ -21,9 +21,10 @@ A schedule is a tree of ``CHECKPOINT id ... RESTORE id`` episodes
    ddmin -- subsets, then complements, doubling granularity -- removes
    whole episodes first, then their children, single events last.
 3. **One long-lived harness** (:class:`_Prober`).  Each probe rewinds
-   it to its pristine state -- a copy-on-write ``snapshot_chunks()``
-   grab for block devices, a re-armable ioctl key for VeriFS -- instead
-   of building a fresh one, and runs the candidate from the start.
+   it to its pristine state -- restoring the pristine checkpoint (a
+   copy-on-write ``snapshot_chunks()`` grab for block devices, an ioctl
+   snapshot for VeriFS) and taking it again -- instead of building a
+   fresh one, and runs the candidate from the start.
 
 :func:`minimize_trail_naive` is the one-event-at-a-time baseline, on a
 freshly built harness per probe, that the ``BENCH_trail`` benchmark

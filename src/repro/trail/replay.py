@@ -69,12 +69,12 @@ class TrailExecutor:
     """Drives a spec-built target through schedule events.
 
     Shared by replay (one pass over the schedule) and the minimizer
-    (many passes over candidate subsets).  All rollbacks go through
-    ``restore_reusable`` so checkpoint tokens survive arbitrarily many
-    restores -- the single-use ioctl snapshot keys are re-armed in
-    place.  A token is held only while the schedule still restores it:
-    it is dropped at its id's last RESTORE, and never kept for an id
-    the schedule does not restore.
+    (many passes over candidate subsets).  A rollback restores the way
+    the explorer did: ``target.restore`` spends its token, as
+    ``ioctl_RESTORE`` discards its snapshot, so a schedule must restore
+    each checkpoint at most once (:func:`repro.mc.trace.orphan_restores`).
+    A token is kept only for a CHECKPOINT the schedule restores, and
+    only until that RESTORE.
     """
 
     def __init__(self, spec):
@@ -101,11 +101,12 @@ class TrailExecutor:
         """Put the harness back in its pristine state for the next
         schedule: the target, an empty operation log, and no
         checkpoint-id bindings, so a ``RESTORE id`` finds only a token
-        the next schedule takes.  The first call checkpoints the
-        pristine state and so must come before any event runs."""
-        if self._pristine is None:
-            self._pristine = self.target.checkpoint()
-        self.target.restore_reusable(self._pristine)
+        the next schedule takes.  Each rewind spends the pristine token
+        and takes it again; the first call only takes it, and so must
+        come before any event runs."""
+        if self._pristine is not None:
+            self.target.restore(self._pristine)
+        self._pristine = self.target.checkpoint()
         self.engine.operation_log.clear()
         self.tokens = {}
 
@@ -114,9 +115,16 @@ class TrailExecutor:
 
         Returns ``(index, violation)`` of the first violating event, or
         ``(len(events), None)`` when the whole schedule ran clean.
+        ``events`` must hold no orphan RESTORE (a loaded trail never
+        does; the minimizer normalizes its candidates).
         """
-        last_restore = {event[1]: index for index, event in enumerate(events)
-                        if event[0] == trace.RESTORE}
+        armed: Dict[int, int] = {}
+        restored = set()  # indices of the CHECKPOINTs a RESTORE spends
+        for index, event in enumerate(events):
+            if event[0] == trace.CHECKPOINT:
+                armed[event[1]] = index
+            elif event[0] == trace.RESTORE:
+                restored.add(armed.pop(event[1]))
         target, tokens = self.target, self.tokens
         for index, event in enumerate(events):
             tag = event[0]
@@ -131,12 +139,10 @@ class TrailExecutor:
                     self._fsck()
                 elif tag == trace.CHECKPOINT:
                     token = target.checkpoint()
-                    if last_restore.get(event[1], -1) > index:
+                    if index in restored:
                         tokens[event[1]] = token
                 elif tag == trace.RESTORE:
-                    target.restore_reusable(tokens[event[1]])
-                    if last_restore[event[1]] == index:
-                        del tokens[event[1]]
+                    target.restore(tokens.pop(event[1]))
                 else:
                     raise ValueError(f"unknown trail event {tag!r}")
             except PropertyViolation as violation:

@@ -68,9 +68,6 @@ class SnapshotPool:
     def __len__(self) -> int:
         return len(self._snapshots)
 
-    def clear(self) -> None:
-        self._snapshots.clear()
-
 
 class VeriFSBase(FuseFileSystem):
     """Common VeriFS behaviour: bug flags, the checkpoint/restore ioctls."""

@@ -322,7 +322,7 @@ class TestFaultTolerance:
         job = engine.submit(SubmitRequest(spec=SPEC))
         engine.step()  # one unit lands
         engine.pause(job.job_id)
-        engine.step()  # the pause snapshot (store + frontier) is spooled
+        engine.step()  # the pause snapshot and pending units are spooled
         assert engine.job(job.job_id).state == "paused"
 
         reborn = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))

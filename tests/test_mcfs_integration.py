@@ -24,7 +24,6 @@ from repro import (
     VeriFSBug,
     XfsFileSystemType,
 )
-from repro.core.report import replay
 from repro.dist import CheckSpec, DistributedChecker
 
 
@@ -174,7 +173,9 @@ class TestReports:
         fresh.add_verifs("verifs1", VeriFS1())
         fresh.add_verifs("verifs2", VeriFS2(bugs=[VeriFSBug.SIZE_UPDATE_ON_CAPACITY_ONLY]))
         engine = fresh.engine()
-        replay(operations, engine.futs, engine.catalog)
+        for operation in operations:
+            for fut in engine.futs:
+                engine.catalog.execute(fut, operation)
         options = fresh.options.abstraction
         states = [fut.abstract_state(options) for fut in engine.futs]
         assert states[0] != states[1]
@@ -187,7 +188,9 @@ class TestReports:
         fixed.add_verifs("verifs1", VeriFS1())
         fixed.add_verifs("verifs2", VeriFS2())
         engine = fixed.engine()
-        replay(operations, engine.futs, engine.catalog)
+        for operation in operations:
+            for fut in engine.futs:
+                engine.catalog.execute(fut, operation)
         options = fixed.options.abstraction
         states = [fut.abstract_state(options) for fut in engine.futs]
         assert states[0] == states[1]

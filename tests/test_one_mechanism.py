@@ -5,8 +5,10 @@ pattern that must not reappear in the source: a second data plane, a
 second campaign runner, a block file system or fsck checker with its
 own namespace code or tree walk, a driver with its own consistency
 check, code that patches a built harness, the visited-set merge API,
-and a worker that ships its finds before its unit is done.  Each guard is a ``grep -rnE`` over the same files: it lists every
-matching ``path:line`` and must find none.  Text files are searched;
+a worker that ships its finds before its unit is done, and a restore
+that keeps its checkpoint for another.  Each guard is a ``grep -rnE``
+over the same files: it lists every matching ``path:line`` and must
+find none.  Text files are searched;
 byte-code caches are not.
 """
 
@@ -56,6 +58,7 @@ GUARDS = [
     ("one hand-off per unit",
      r"LRUSet|ShippingVisitedTable|batch_size|ship_batch|suppressed_hashes",
      ["src"], None, ()),
+    ("one restore per checkpoint", r"restore_reusable", ["src"], None, ()),
 ]
 
 
@@ -100,3 +103,4 @@ def test_guards_see_what_they_forbid():
     assert grep(GUARDS[6][1], ["src/repro/kernel"], "*.py")
     assert grep(GUARDS[8][1], ["tests/test_one_mechanism.py"])
     assert grep(GUARDS[9][1], ["tests/test_dist.py"])
+    assert grep(GUARDS[10][1], ["CHANGES.md"])

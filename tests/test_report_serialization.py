@@ -23,7 +23,6 @@ from repro.core.report import (
     RunSummary,
     operation_from_dict,
     operation_to_dict,
-    replay,
     schedule_event_from_dict,
     schedule_event_to_dict,
 )
@@ -84,7 +83,9 @@ class TestReportRoundtrip:
         fresh.add_verifs("verifs2",
                          VeriFS2(bugs=[VeriFSBug.SIZE_UPDATE_ON_CAPACITY_ONLY]))
         engine = fresh.engine()
-        replay(loaded.operations(), engine.futs, engine.catalog)
+        for operation in loaded.operations():
+            for fut in engine.futs:
+                engine.catalog.execute(fut, operation)
         options = fresh.options.abstraction
         states = [fut.abstract_state(options) for fut in engine.futs]
         assert states[0] != states[1]  # the bug reproduces from the trace

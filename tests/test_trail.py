@@ -256,6 +256,51 @@ class TestTrailFiles:
             Trail.from_dict(document)
 
 
+#: schedules whose RESTOREs break the rule (repro.mc.trace.orphan_restores):
+#: each restores a checkpoint that is not armed at that point
+HOSTILE_SCHEDULES = {
+    "never-taken": [(trace.CHECKPOINT, 0), (trace.CHECK,),
+                    (trace.RESTORE, 7), (trace.CHECK,)],
+    "restored-twice": [(trace.CHECKPOINT, 0), (trace.CHECK,),
+                       (trace.RESTORE, 0), (trace.CHECK,),
+                       (trace.RESTORE, 0), (trace.CHECK,)],
+    "before-its-checkpoint": [(trace.RESTORE, 0), (trace.CHECKPOINT, 0),
+                              (trace.CHECK,)],
+}
+
+
+class TestHostileSchedules:
+    """A trail whose schedule restores a checkpoint it does not hold is
+    refused as malformed input, not run."""
+
+    @staticmethod
+    def write(tmp_path, schedule):
+        report = DiscrepancyReport(kind="state", summary="x vs y",
+                                   schedule=schedule)
+        trail = Trail(spec=CheckSpec(filesystems=("verifs1", "verifs2")),
+                      report=report)
+        path = tmp_path / "hostile.trail.json"
+        path.write_text(json.dumps(trail.to_dict()))
+        return str(path)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_SCHEDULES))
+    def test_load_refuses(self, name, tmp_path):
+        path = self.write(tmp_path, HOSTILE_SCHEDULES[name])
+        with pytest.raises(TrailFormatError, match="restores checkpoint"):
+            Trail.load(path)
+
+    @pytest.mark.parametrize("command", ["replay", "minimize"])
+    @pytest.mark.parametrize("name", sorted(HOSTILE_SCHEDULES))
+    def test_cli_exits_2(self, name, command, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self.write(tmp_path, HOSTILE_SCHEDULES[name])
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed schedule")
+        assert "Traceback" not in err
+
+
 class TestCaptureReplayMinimize:
     """The acceptance matrix: long log -> CONFIRMED -> <= 10 ops."""
 

@@ -487,20 +487,24 @@ class TestLazyCheckpointFrames:
 
 
 class TestReplayVerdictTag:
-    """Which CONFIRMED trails are ``[exact]`` and which ``[signature]``."""
+    """Explorer trails and minimized trails replay ``[exact]``."""
 
-    def test_ioctl_dfs_trail_drifts_in_sim_time_only(self, tmp_path):
-        # replay restores through restore_reusable, which re-checkpoints
-        # after every IOCTL_RESTORE: one more ioctl per restore than the
-        # explorer charged, and nothing else different
-        trail = dfs_trail("write-hole-stale", tmp_path)
-        replayed = replay_trail(trail)
-        assert replayed.confirmed and not replayed.exact
-        assert replayed.describe().endswith("[signature]")
-        recorded, again = trail.report.to_dict(), replayed.report.to_dict()
-        assert {key for key in recorded if key != "schedule"
-                and recorded[key] != again[key]} == {"sim_time"}
-        assert again["sim_time"] > recorded["sim_time"]
+    def test_ioctl_dfs_trails_replay_exact(self, tmp_path):
+        # replay restores as the explorer did, spending each checkpoint
+        # once, so it charges what the explorer charged: the report is
+        # the recorded one but for the schedule it does not record.
+        # write-hole-stale restores ioctl tokens only (verifs1/verifs2),
+        # truncate-stale-data remount and ioctl ones (ext4/verifs1)
+        for bug in ("write-hole-stale", "truncate-stale-data"):
+            trail = dfs_trail(bug, tmp_path / bug)
+            replayed = replay_trail(trail)
+            assert replayed.confirmed and replayed.exact, bug
+            assert replayed.describe().endswith("[exact]")
+            recorded = trail.report.to_dict()
+            again = replayed.report.to_dict()
+            assert again.pop("schedule") is None
+            del recorded["schedule"]
+            assert again == recorded, bug
 
     def test_minimized_trail_replays_exact(self, tmp_path):
         # its report was recorded by the replayer's own executor
@@ -519,9 +523,8 @@ class _WatchedExecutor(TrailExecutor):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.held, self.calls = [], {"checkpoint": 0, "restore_reusable": 0}
-        for name in ("apply", "abstract_state", "checkpoint",
-                     "restore_reusable"):
+        self.held, self.calls = [], {"checkpoint": 0, "restore": 0}
+        for name in ("apply", "abstract_state", "checkpoint", "restore"):
             setattr(self.target, name,
                     self._watched(name, getattr(self.target, name)))
 
@@ -581,11 +584,15 @@ class TestReplayTokenLifetime:
             assert held <= {checkpoint_id for checkpoint_id, last
                             in last_restore.items() if last >= index}
         assert executor.tokens == {}
-        # the same work as when every token lived to the end
-        assert executor.calls == {"checkpoint": 399, "restore_reusable": 395}
+        # one target call per CHECKPOINT and per RESTORE event, as the
+        # explorer made them
+        assert executor.calls == {
+            "checkpoint": sum(1 for event in events if event[0] == C),
+            "restore": sum(1 for event in events if event[0] == R)}
+        assert executor.calls == {"checkpoint": 399, "restore": 395}
         assert replayed.describe() == (
             "CONFIRMED: abstract states differ: ext4 vs verifs1 "
-            "(799 operation(s), 2393 event(s)) [signature]")
+            "(799 operation(s), 2393 event(s)) [exact]")
 
 
 # ------------------------------------------------------- observability --
