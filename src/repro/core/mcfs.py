@@ -297,7 +297,7 @@ class MCFS:
 
             kwargs.setdefault("fsck_every", self.options.fsck_every)
             kwargs.setdefault("fsck_oracle", FsckOracle(self.engine()))
-        if kwargs.get("profile") is None and self.options.profile:
+        if self.options.profile:
             from repro.mc.perf import CostProfile
 
             kwargs["profile"] = CostProfile()
@@ -367,8 +367,7 @@ class MCFS:
                    sample_hook=None,
                    sim_time_budget: Optional[float] = None,
                    state_file: Optional[str] = None,
-                   visited=None,
-                   profile=None) -> MCFSResult:
+                   visited=None) -> MCFSResult:
         """Seeded randomized walk (long-horizon experiments).
 
         ``visited`` plugs in a custom visited table (any
@@ -384,7 +383,6 @@ class MCFS:
             seed=seed, sample_every=sample_every, sample_hook=sample_hook,
             sim_time_budget=sim_time_budget,
             state_check_every=self.options.state_check_every,
-            profile=profile,
         )
         start = self.clock.now
         explorer.run_random(backtrack_probability=backtrack_probability)

@@ -71,12 +71,15 @@ def schedule_event_to_dict(event: Tuple) -> Dict[str, Any]:
 
 
 def schedule_event_from_dict(document: Dict[str, Any]) -> Tuple:
+    """Decode one schedule event; an unknown kind raises ``ValueError``."""
     tag = document["event"]
     if tag == trace.OP:
         return (tag, operation_from_dict(document["operation"]))
     if tag in (trace.CHECKPOINT, trace.RESTORE):
         return (tag, document["id"])
-    return (tag,)
+    if tag in (trace.CHECK, trace.FSCK):
+        return (tag,)
+    raise ValueError(f"unknown schedule event {tag!r}")
 
 
 @dataclass

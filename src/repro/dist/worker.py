@@ -72,11 +72,6 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
     # per-unit input diversification: the unit explores with its own
     # profile (a function of the unit index only, CheckSpec.unit_profile)
     mcfs = replace(spec, input_profile=unit.input_profile).build_mcfs()
-    profile = None
-    if mcfs.options.profile:
-        from repro.mc.perf import CostProfile
-
-        profile = CostProfile()
 
     # the local store mirrors the campaign table's spec (same kind, same
     # seed), so the record keys the two sides derive agree; it decides
@@ -111,9 +106,10 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         sample_every=config.heartbeat_operations,
         sample_hook=tick,
         visited=store,
-        profile=profile,
     )
     key_bytes = store.spec.key_bytes
+    # a profiled spec's run profiles the ship too
+    profile = result.cost_profile
     if profile is not None:
         payload = profile.timed("ship", pack_records, found, key_bytes)
     else:

@@ -25,8 +25,9 @@ their sorted ``(key, depth)`` records in the :mod:`repro.mc.records`
 layout, hex-encoded; bitstate carries its two arrays.  ``table_stats``
 restores the traffic counters so a resumed run's duplicate-hit ratio is
 meaningful; ``seed``/``worker_id`` say whose work a snapshot covers.
-The campaign server keeps a paused job's pending units beside the
-snapshot, in its own spool document.
+The campaign server keeps a paused job's completed unit results beside
+the snapshot, in its own spool document; the units still to run are
+the spec's others.
 
 Documents of any other version -- including the v1/v2/v3 forms earlier
 releases wrote -- are refused with :class:`StoreFormatError`, as is any

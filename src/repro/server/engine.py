@@ -23,11 +23,11 @@ Responsibilities:
   runs, lossy, with its omission probability accounted;
 * **pause/resume** -- a pause lands at the next unit boundary and
   serialises the job's visited table as a :mod:`repro.mc.persistence`
-  document, spooled beside the ``pending`` not-yet-run unit indices;
-  resume -- in the same engine or a restarted one -- loads the
-  snapshot's table, counters included, as the job's table (the
-  persistence module's resume rule) and re-derives the remaining units
-  from the spec;
+  document, spooled beside the completed units' results; resume -- in
+  the same engine or a restarted one -- loads the snapshot's table,
+  counters included, as the job's table (the persistence module's
+  resume rule) and re-derives the remaining units from the spec: every
+  unit without a result;
 * **events** -- every transition appends to a totally-ordered,
   virtual-time-stamped event log (:class:`~repro.server.protocol.JobEvent`);
   because the clock is virtual and the log depends only on the call
@@ -594,7 +594,6 @@ class CampaignEngine:
             "descriptor": descriptor.to_dict(),
             "submit_seq": runtime.submit_seq,
             "snapshot": snapshot,
-            "pending": [unit.index for unit in runtime.pending],
             "unit_results": [unit.to_dict()
                              for unit in runtime.result.unit_results],
             "result": (runtime.result.to_dict()
@@ -609,34 +608,25 @@ class CampaignEngine:
     def _load_spool(self) -> None:
         """Rebuild the job table from spool documents (daemon restart).
 
-        Paused jobs come back paused (their snapshot rides in the
-        document); queued jobs re-queue in original submission order; a
-        job spooled as *running* was interrupted without a graceful
-        shutdown -- it re-queues with its completed units kept and the
-        rest re-derived from the spec, which is exactly a resume.
+        Every job keeps its completed units and re-derives the rest from
+        the spec.  Paused jobs come back paused (their snapshot rides in
+        the document); queued jobs re-queue in original submission
+        order; a job spooled as *running* was interrupted without a
+        graceful shutdown -- it re-queues, which is exactly a resume.
         """
         entries = [_read_spool(os.path.join(self.config.spool_dir, filename))
                    for filename in sorted(os.listdir(self.config.spool_dir))
                    if filename.endswith(".json")]
         for submit_seq, document, descriptor, unit_results, result in sorted(
                 entries, key=lambda entry: entry[0]):
-            units = descriptor.spec.work_units()
-            snapshot = document.get("snapshot")
-            remaining = document.get("pending", [])
             if descriptor.state == RUNNING:
-                # interrupted mid-run: completed units are kept, the
-                # remainder recomputed; determinism makes this a resume
-                done_indices = {unit.index for unit in unit_results}
-                remaining = [unit.index for unit in units
-                             if unit.index not in done_indices]
                 descriptor.state = QUEUED
-            by_index = {unit.index: unit for unit in units}
-            pending = deque(by_index[index] for index in remaining
-                            if index in by_index)
+            done = {unit.index for unit in unit_results}
             runtime = _Runtime(
-                pending=pending,
+                pending=deque(unit for unit in descriptor.spec.work_units()
+                              if unit.index not in done),
                 submit_seq=submit_seq,
-                snapshot=snapshot,
+                snapshot=document.get("snapshot"),
                 # a finished job spooled its whole result; any other
                 # resumes from the units it had completed
                 result=(result if result is not None
@@ -680,6 +670,11 @@ def _read_spool(path: str):
         descriptor = JobDescriptor.from_dict(require(document, "descriptor"))
         unit_results = [UnitResult.from_dict(entry)
                         for entry in document.get("unit_results", [])]
+        for unit in unit_results:
+            # the units still to run are the spec's others
+            if type(unit.index) is not int:
+                raise ValueError(f"unit result index {unit.index!r} is "
+                                 "not an integer")
         result = (DistResult.from_dict(document["result"])
                   if document.get("result") is not None else None)
     except KeyError as error:

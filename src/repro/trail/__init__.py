@@ -11,10 +11,9 @@ This package closes the same loop for MCFS:
   spec, re-execute the schedule event for event, and report
   CONFIRMED / NOT-REPRODUCED / DIVERGED (a non-CONFIRMED replay of a
   fresh trail is itself a determinism bug);
-* :mod:`repro.trail.minimize` -- ddmin delta debugging that shrinks a
-  multi-thousand-operation ``run_random`` log to a 1-minimal
-  reproducer, using copy-on-write prefix checkpoints so each probe
-  re-executes only a suffix.
+* :mod:`repro.trail.minimize` -- ddmin delta debugging over the
+  schedule's checkpoint tree that shrinks a multi-thousand-operation
+  log to a 1-minimal reproducer, each probe on a freshly built harness.
 """
 
 from repro.trail.capture import (

@@ -72,15 +72,9 @@ def report_digest(report: DiscrepancyReport) -> str:
 
 
 def describe_minimization(stats: Dict[str, Any]) -> str:
-    """One line on how a minimization's probes were served."""
-    line = ("live path reproduced" if stats["projected"]
+    """One line on what a minimization's probes started from."""
+    return ("live path reproduced" if stats["projected"]
             else "full schedule (live path alone does not reproduce)")
-    line += (f"; {stats['cached_probes']} on the rewound harness, "
-             f"{stats['fresh_probes']} fresh")
-    if stats["polluted_at"] is None:
-        return line + "; prober never contradicted a fresh harness"
-    return line + (f"; POLLUTED at probe {stats['polluted_at']}: "
-                   "every later probe ran fresh")
 
 
 @dataclass
@@ -95,8 +89,8 @@ class Trail:
     minimized_from: Optional[int] = None
     #: delta-debugging probes spent producing this trail (minimized only)
     probes: Optional[int] = None
-    #: how those probes were served (``MinimizeResult.stats()``): live
-    #: path projected or not, rewound/fresh split, pollution
+    #: how those probes ran (``MinimizeResult.stats()``): whether the
+    #: live path alone reproduced
     minimization: Optional[Dict[str, Any]] = None
 
     @property

@@ -20,15 +20,13 @@ A schedule is a tree of ``CHECKPOINT id ... RESTORE id`` episodes
 2. **ddmin over atoms, coarse to fine** (:class:`_Reduction`).  Zeller's
    ddmin -- subsets, then complements, doubling granularity -- removes
    whole episodes first, then their children, single events last.
-3. **One long-lived harness** (:class:`_Prober`).  Each probe rewinds
-   it to its pristine state -- restoring the pristine checkpoint (a
-   copy-on-write ``snapshot_chunks()`` grab for block devices, an ioctl
-   snapshot for VeriFS) and taking it again -- instead of building a
-   fresh one, and runs the candidate from the start.
+3. **A fresh harness per probe** (:class:`_FreshProber`).  Every probe
+   builds its targets from the trail's spec and runs the candidate from
+   the start, so nothing carries over between probes -- not even what a
+   bug in restore itself leaves behind.
 
-:func:`minimize_trail_naive` is the one-event-at-a-time baseline, on a
-freshly built harness per probe, that the ``BENCH_trail`` benchmark
-compares against.
+:func:`minimize_trail_naive` is the one-event-at-a-time baseline, on the
+same prober, that the ``BENCH_trail`` benchmark compares against.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mc import trace
-from repro.mc.explorer import PropertyViolation
 from repro.trail.capture import Trail, describe_minimization, signature
 from repro.trail.replay import TrailExecutor
 
@@ -67,23 +64,10 @@ class MinimizeResult:
     exhausted: bool = False
     #: the live path alone reproduced: ddmin never saw the full schedule
     projected: bool = False
-    #: probes served by the long-lived, rewound harness / by a freshly
-    #: built one (confirmations and the polluted fallback)
-    cached_probes: int = 0
-    fresh_probes: int = 0
-    #: probe count at which the long-lived harness was given up -- it
-    #: contradicted a fresh one, or the bug turned out to need rollbacks
-    #: (so restore itself is suspect) -- and all later probes ran fresh
-    polluted_at: Optional[int] = None
 
     def stats(self) -> Dict[str, Any]:
-        """How the probes were served (recorded in the minimized trail)."""
-        return {
-            "projected": self.projected,
-            "cached_probes": self.cached_probes,
-            "fresh_probes": self.fresh_probes,
-            "polluted_at": self.polluted_at,
-        }
+        """How the probes ran (recorded in the minimized trail)."""
+        return {"projected": self.projected}
 
     def describe(self) -> str:
         line = (f"minimized {self.original_operations} -> "
@@ -94,30 +78,6 @@ class MinimizeResult:
         if self.exhausted:
             line += " [probe budget exhausted: not 1-minimal]"
         return f"{line}\nprobes: {describe_minimization(self.stats())}"
-
-
-class _Prober:
-    """Runs candidate schedules against one long-lived harness.
-
-    The harness is built once; every probe rewinds it to its pristine
-    initial state (:meth:`TrailExecutor.reset`) and runs the whole
-    candidate, so a ``RESTORE id`` only ever finds a checkpoint the
-    candidate itself took.
-    """
-
-    def __init__(self, spec):
-        self.executor = TrailExecutor(spec)
-        self.probes = 0
-
-    @property
-    def events_executed(self) -> int:
-        return self.executor.events_executed
-
-    def run(self, events: List[Event]) -> Tuple[int, Optional[PropertyViolation]]:
-        """Execute one candidate; same contract as TrailExecutor.execute."""
-        self.probes += 1
-        self.executor.reset()
-        return self.executor.execute(events)
 
 
 class _Reduction:
@@ -247,138 +207,43 @@ def _chunks(atoms: List[List[int]], n: int) -> List[List[List[int]]]:
 
 
 class _FreshProber:
-    """The sound (and slow) prober: a fresh harness per probe.
+    """ddmin's test function: every candidate runs on a harness freshly
+    built from the trail's spec, so nothing carries over between probes.
 
-    Ground truth by construction -- nothing carries over between probes.
-    Used directly by :func:`minimize_trail_naive`, and as the fallback
-    :class:`_HybridTest` switches to when the fast prober turns out to
-    be polluted.
+    Returns the candidate cut after the event that raised the trail's
+    own discrepancy (matched on its signature), or None when the
+    candidate runs clean or fails some other way.  Candidates must be
+    valid schedules (no orphan RESTORE).
     """
 
-    def __init__(self, spec, max_probes: Optional[int] = None):
+    def __init__(self, spec, expected, max_probes: Optional[int]):
         self.spec = spec
+        self.expected = expected
         self.max_probes = max_probes
         self.probes = 0
         self.events_executed = 0
 
-    def run(self, events: List[Event]) -> Tuple[int, Optional[PropertyViolation]]:
+    def __call__(self, events: List[Event]) -> Optional[List[Event]]:
         if self.max_probes is not None and self.probes >= self.max_probes:
             raise _BudgetExceeded()
         self.probes += 1
         executor = TrailExecutor(self.spec)
-        result = executor.execute(events)
+        index, violation = executor.execute(events)
         self.events_executed += executor.events_executed
-        return result
-
-
-class _HybridTest:
-    """ddmin's test function: fast probes on the rewound harness,
-    fresh-harness ground truth where it matters.
-
-    The long-lived prober assumes checkpoint/restore is exact -- but the
-    bug being minimized may corrupt restore *itself* (VeriFS's missing
-    cache invalidation leaves dcache ghosts that survive every rollback),
-    in which case pollution accumulates across probes and the prober
-    raises spurious violations.  Two guards keep the result sound and
-    recover minimization power:
-
-    * every apparent success is confirmed on a fresh harness before
-      ddmin may keep it (so the final answer is always genuine);
-    * the first time the prober contradicts a fresh run -- a rejected
-      confirmation, or a mismatched-signature violation where a fresh
-      run stays clean -- the prober is declared polluted, the candidate
-      at hand is judged fresh on the spot, and all remaining probes run
-      fresh.
-
-    :func:`minimize_trail` also calls :meth:`distrust` itself, when the
-    live path runs clean but the full schedule reproduces: a bug only
-    rollbacks can trigger is a bug in restore.
-
-    Candidates must be valid schedules (no orphan RESTORE).
-    """
-
-    def __init__(self, spec, expected, prober: _Prober,
-                 max_probes: Optional[int]):
-        self.expected = expected
-        self.prober = prober
-        self.fresh = _FreshProber(spec)
-        self.max_probes = max_probes
-        #: probe count when the prober was given up (see :meth:`distrust`)
-        self.polluted_at: Optional[int] = None
-        #: a fresh run agreed with a prober mismatch once: stop paying
-        #: for cross-checks of further mismatches
-        self._mismatch_validated = False
-
-    @property
-    def probes(self) -> int:
-        return self.prober.probes + self.fresh.probes
-
-    @property
-    def events_executed(self) -> int:
-        return self.prober.events_executed + self.fresh.events_executed
-
-    def _charge(self) -> None:
-        if self.max_probes is not None and self.probes >= self.max_probes:
-            raise _BudgetExceeded()
-
-    def _accept(self, run_result, candidate: List[Event]) -> Optional[List[Event]]:
-        index, violation = run_result
         report = getattr(violation, "report", None)
         if report is not None and signature(report) == self.expected:
-            return candidate[:index + 1]
-        return None
-
-    def distrust(self) -> None:
-        """Serve every further probe from a fresh harness."""
-        if self.polluted_at is None:
-            self.polluted_at = self.probes
-
-    def _fresh(self, candidate: List[Event]) -> Optional[List[Event]]:
-        self._charge()
-        return self._accept(self.fresh.run(candidate), candidate)
-
-    def __call__(self, candidate: List[Event]) -> Optional[List[Event]]:
-        if self.polluted_at is not None:
-            return self._fresh(candidate)
-        self._charge()
-        index, violation = self.prober.run(candidate)
-        report = getattr(violation, "report", None)
-        if report is None:
-            # clean run: trust it.  Pollution adds spurious violations;
-            # it cannot make two file systems agree where they would
-            # genuinely diverge.
-            return None
-        if signature(report) == self.expected:
-            confirmed = self._fresh(candidate[:index + 1])
-            if confirmed is None:
-                # the prober lied about where (or whether) the candidate
-                # fails; the candidate itself still deserves a verdict
-                self.distrust()
-                return self._fresh(candidate)
-            return confirmed
-        # a violation that is not ours: legitimate (dropping operations
-        # can surface a different manifestation) or pollution masking
-        # the real reproducer.  Ask a fresh harness once.
-        if not self._mismatch_validated:
-            self._charge()
-            fresh_result = self.fresh.run(candidate)
-            if fresh_result[1] is None:
-                self.distrust()
-                return None
-            self._mismatch_validated = True
-            return self._accept(fresh_result, candidate)
+            return events[:index + 1]
         return None
 
 
-def _finalize(trail: Trail, minimized: List[Event], probes: int,
-              events_executed: int, expected, exhausted: bool,
-              **served) -> MinimizeResult:
+def _finalize(trail: Trail, minimized: List[Event], prober: _FreshProber,
+              exhausted: bool, projected: bool = False) -> MinimizeResult:
     """Re-run the minimized schedule on a *fresh* harness and package the
     result as a new trail (clean report, correct digest)."""
     executor = TrailExecutor(trail.spec)
     index, violation = executor.execute(minimized)
     report = getattr(violation, "report", None)
-    if report is None or signature(report) != expected:
+    if report is None or signature(report) != prober.expected:
         raise RuntimeError(
             "minimized schedule failed to reproduce on a fresh harness; "
             "this is a determinism bug in the harness (run 'repro lint')")
@@ -389,18 +254,18 @@ def _finalize(trail: Trail, minimized: List[Event], probes: int,
         report=report,
         seed=trail.seed,
         minimized_from=trail.operations,
-        probes=probes,
+        probes=prober.probes,
     )
     result = MinimizeResult(
         trail=new_trail,
-        probes=probes,
-        events_executed=events_executed + executor.events_executed,
+        probes=prober.probes,
+        events_executed=prober.events_executed + executor.events_executed,
         original_operations=trail.operations,
         minimized_operations=new_trail.operations,
         original_events=trail.events,
         minimized_events=new_trail.events,
         exhausted=exhausted,
-        **served,
+        projected=projected,
     )
     new_trail.minimization = result.stats()
     return result
@@ -415,18 +280,15 @@ def minimize_trail(trail: Trail,
     bug that does not depend on a rollback having happened, those few
     events *are* the reproducer and the full schedule is never run);
     what survives goes through ddmin over episode atoms, coarse to
-    fine (:class:`_Reduction`), on a rewound long-lived harness.
+    fine (:class:`_Reduction`), each probe on a freshly built harness.
     """
     events = trace.normalize(list(trail.report.schedule or []))
     if not events:
         raise ValueError("trail carries no schedule to minimize")
-    expected = trail.signature()
-    prober = _Prober(trail.spec)
-    failing = _HybridTest(trail.spec, expected, prober, max_probes)
+    failing = _FreshProber(trail.spec, trail.signature(), max_probes)
 
     path = trace.live_path(events)
-    projectable = len(path) < len(events)
-    current = failing(path) if projectable else None
+    current = failing(path) if len(path) < len(events) else None
     projected = current is not None
     if not projected:
         current = failing(events)
@@ -434,23 +296,14 @@ def minimize_trail(trail: Trail,
             raise ValueError(
                 "trail does not reproduce here; refusing to minimize a "
                 "flaky counterexample (replay it first: 'repro replay')")
-        if projectable:
-            # only the rollbacks tell the two runs apart, so restore is
-            # not exact here -- and a harness rewound between probes is
-            # exactly what cannot be trusted then
-            failing.distrust()
     reduction = _Reduction(current, failing)
     exhausted = False
     try:
         reduction.run()
     except _BudgetExceeded:
         exhausted = True
-    return _finalize(trail, reduction.schedule(), failing.probes,
-                     failing.events_executed, expected, exhausted,
-                     projected=projected,
-                     cached_probes=prober.probes,
-                     fresh_probes=failing.fresh.probes,
-                     polluted_at=failing.polluted_at)
+    return _finalize(trail, reduction.schedule(), failing, exhausted,
+                     projected=projected)
 
 
 def minimize_trail_naive(trail: Trail,
@@ -459,24 +312,16 @@ def minimize_trail_naive(trail: Trail,
     every candidate from scratch on a freshly built harness.
 
     Exists for the ``BENCH_trail`` comparison; it reaches the same
-    1-minimal answer but pays full re-execution (and harness rebuild)
-    per probe.
+    1-minimal answer but pays full re-execution per probe.
     """
     events = trace.normalize(list(trail.report.schedule or []))
     if not events:
         raise ValueError("trail carries no schedule to minimize")
-    expected = trail.signature()
-    fresh = _FreshProber(trail.spec, max_probes=max_probes)
+    fresh = _FreshProber(trail.spec, trail.signature(), max_probes)
 
     def failing(candidate: List[Event]) -> Optional[List[Event]]:
         candidate = trace.normalize(candidate)
-        if not candidate:
-            return None
-        index, violation = fresh.run(candidate)
-        report = getattr(violation, "report", None)
-        if report is not None and signature(report) == expected:
-            return candidate[:index + 1]
-        return None
+        return fresh(candidate) if candidate else None
 
     current = failing(events)
     if current is None:
@@ -498,5 +343,4 @@ def minimize_trail_naive(trail: Trail,
                     index += 1
     except _BudgetExceeded:
         exhausted = True
-    return _finalize(trail, current, fresh.probes, fresh.events_executed,
-                     expected, exhausted, fresh_probes=fresh.probes)
+    return _finalize(trail, current, fresh, exhausted)

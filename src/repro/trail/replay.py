@@ -68,13 +68,13 @@ class ReplayResult:
 class TrailExecutor:
     """Drives a spec-built target through schedule events.
 
-    Shared by replay (one pass over the schedule) and the minimizer
-    (many passes over candidate subsets).  A rollback restores the way
-    the explorer did: ``target.restore`` spends its token, as
-    ``ioctl_RESTORE`` discards its snapshot, so a schedule must restore
-    each checkpoint at most once (:func:`repro.mc.trace.orphan_restores`).
-    A token is kept only for a CHECKPOINT the schedule restores, and
-    only until that RESTORE.
+    An executor runs one schedule on the harness it builds: replay runs
+    the trail's, the minimizer builds one per candidate.  A rollback
+    restores the way the explorer did: ``target.restore`` spends its
+    token, as ``ioctl_RESTORE`` discards its snapshot, so a schedule
+    must restore each checkpoint at most once
+    (:func:`repro.mc.trace.orphan_restores`).  A token is kept only for
+    a CHECKPOINT the schedule restores, and only until that RESTORE.
     """
 
     def __init__(self, spec):
@@ -84,8 +84,6 @@ class TrailExecutor:
         #: trail checkpoint id -> concrete target token, while a later
         #: event of the running schedule restores it
         self.tokens: Dict[int, Any] = {}
-        #: target token of the initial state, taken by the first reset()
-        self._pristine = None
         self._oracle = None
         self.operations_executed = 0
         self.events_executed = 0
@@ -96,19 +94,6 @@ class TrailExecutor:
 
             self._oracle = FsckOracle(self.engine)
         self._oracle()
-
-    def reset(self) -> None:
-        """Put the harness back in its pristine state for the next
-        schedule: the target, an empty operation log, and no
-        checkpoint-id bindings, so a ``RESTORE id`` finds only a token
-        the next schedule takes.  Each rewind spends the pristine token
-        and takes it again; the first call only takes it, and so must
-        come before any event runs."""
-        if self._pristine is not None:
-            self.target.restore(self._pristine)
-        self._pristine = self.target.checkpoint()
-        self.engine.operation_log.clear()
-        self.tokens = {}
 
     def execute(self, events: List[Tuple]) -> Tuple[int, Optional[PropertyViolation]]:
         """Execute events in order until one raises.

@@ -185,16 +185,16 @@ class TestCounters:
 #: (bug, por) -> the minimisation's probes, events executed and minimised
 #: operations, as the ``bug_hunt`` benchmark counts them
 MINIMISATION_PINS = {
-    ("extent-boundary-stale", False): (10, 27, 1),
-    ("extent-boundary-stale", True): (10, 27, 1),
-    ("missing-cache-invalidation", False): (80, 817, 2),
-    ("missing-cache-invalidation", True): (74, 513, 2),
-    ("size-update-on-capacity-only", False): (23, 86, 2),
-    ("size-update-on-capacity-only", True): (23, 86, 2),
-    ("truncate-stale-data", False): (55, 204, 3),
-    ("truncate-stale-data", True): (55, 204, 3),
-    ("write-hole-stale", False): (54, 164, 3),
-    ("write-hole-stale", True): (54, 164, 3),
+    ("extent-boundary-stale", False): (7, 17, 1),
+    ("extent-boundary-stale", True): (7, 17, 1),
+    ("missing-cache-invalidation", False): (78, 809, 2),
+    ("missing-cache-invalidation", True): (73, 509, 2),
+    ("size-update-on-capacity-only", False): (19, 59, 2),
+    ("size-update-on-capacity-only", True): (19, 59, 2),
+    ("truncate-stale-data", False): (49, 159, 3),
+    ("truncate-stale-data", True): (49, 159, 3),
+    ("write-hole-stale", False): (49, 133, 3),
+    ("write-hole-stale", True): (49, 133, 3),
 }
 
 

@@ -322,7 +322,7 @@ class TestFaultTolerance:
         job = engine.submit(SubmitRequest(spec=SPEC))
         engine.step()  # one unit lands
         engine.pause(job.job_id)
-        engine.step()  # the pause snapshot and pending units are spooled
+        engine.step()  # the pause snapshot and unit results are spooled
         assert engine.job(job.job_id).state == "paused"
 
         reborn = CampaignEngine(EngineConfig(slots=1, spool_dir=spool))
@@ -350,6 +350,39 @@ class TestFaultTolerance:
         engine.run_until_idle()
         assert fingerprint(engine.result("job-0001")) == \
             fingerprint(baseline)
+
+    def test_remaining_units_are_those_without_a_result(self, tmp_path,
+                                                        baseline):
+        """A reloaded job runs the spec's units that have no result in
+        its spool; the ``pending`` list older spools carry is not read,
+        so a malformed one cannot break the load."""
+        from repro.server import CampaignEngine, EngineConfig
+
+        document = json.loads(OLD_SPOOL.read_text())
+        assert document["pending"] == [2, 3]
+        assert [unit["index"] for unit in document["unit_results"]] == [0, 1]
+        document["pending"] = [[2], 3]
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "job-0001.json").write_text(json.dumps(document))
+        engine = CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
+        engine.resume("job-0001")
+        engine.run_until_idle()
+        result = engine.result("job-0001")
+        assert result.table.visited_fingerprint() == \
+            baseline.table.visited_fingerprint()
+        assert fingerprint(result) == fingerprint(baseline)
+
+    def test_a_unit_result_index_must_be_an_integer(self, tmp_path):
+        from repro.server import CampaignEngine, EngineConfig
+
+        document = json.loads(OLD_SPOOL.read_text())
+        document["unit_results"][0]["index"] = [0]
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "job-0001.json").write_text(json.dumps(document))
+        with pytest.raises(StoreFormatError, match="unit result index"):
+            CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
 
 
 # -------------------------------------------------------- one data plane --

@@ -5,11 +5,12 @@ pattern that must not reappear in the source: a second data plane, a
 second campaign runner, a block file system or fsck checker with its
 own namespace code or tree walk, a driver with its own consistency
 check, code that patches a built harness, the visited-set merge API,
-a worker that ships its finds before its unit is done, and a restore
-that keeps its checkpoint for another.  Each guard is a ``grep -rnE``
-over the same files: it lists every matching ``path:line`` and must
-find none.  Text files are searched;
-byte-code caches are not.
+a worker that ships its finds before its unit is done, a restore that
+keeps its checkpoint for another, and a trail minimiser that rewinds a
+long-lived harness beside the fresh one each probe builds.  Each guard
+is a ``grep -rnE`` over the same files: it lists every matching
+``path:line`` and must find none.  Text files are searched; byte-code
+caches are not.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ GUARDS = [
      r"LRUSet|ShippingVisitedTable|batch_size|ship_batch|suppressed_hashes",
      ["src"], None, ()),
     ("one restore per checkpoint", r"restore_reusable", ["src"], None, ()),
+    ("one prober",
+     r"def reset\(|_pristine|_HybridTest|^class (?!_FreshProber\b)\w*Prober\b",
+     ["src/repro/trail"], None, ()),
 ]
 
 
@@ -104,3 +108,4 @@ def test_guards_see_what_they_forbid():
     assert grep(GUARDS[8][1], ["tests/test_one_mechanism.py"])
     assert grep(GUARDS[9][1], ["tests/test_dist.py"])
     assert grep(GUARDS[10][1], ["CHANGES.md"])
+    assert grep(GUARDS[11][1], ["src/repro/clock.py", "CHANGES.md"])

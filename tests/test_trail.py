@@ -270,8 +270,9 @@ HOSTILE_SCHEDULES = {
 
 
 class TestHostileSchedules:
-    """A trail whose schedule restores a checkpoint it does not hold is
-    refused as malformed input, not run."""
+    """A trail whose schedule restores a checkpoint it does not hold, or
+    holds an event of an unknown kind, is refused as malformed input,
+    not run."""
 
     @staticmethod
     def write(tmp_path, schedule):
@@ -298,6 +299,18 @@ class TestHostileSchedules:
         assert main([command, path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed schedule")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["replay", "minimize"])
+    def test_unknown_event_kind_exits_2(self, command, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self.write(tmp_path, [(trace.CHECK,), ("bogus",)])
+        with pytest.raises(TrailFormatError, match="unknown schedule event"):
+            Trail.load(path)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err
         assert "Traceback" not in err
 
 

@@ -2,10 +2,8 @@
 
 A schedule is a tree of ``CHECKPOINT id ... RESTORE id`` episodes, and
 the minimizer treats it as one: live-path projection first, ddmin over
-episode atoms second, one long-lived prober rewound to its pristine
-state before every probe.  These tests pin each piece down by
-*executing* it against the ground truth -- a freshly built harness --
-rather than by argument.
+episode atoms second, every probe on a freshly built harness.  These
+tests pin each piece down by *executing* it rather than by argument.
 """
 
 import gc
@@ -20,18 +18,12 @@ from repro.mc import trace
 from repro.mc.explorer import Explorer
 from repro.trail import Trail, TrailExecutor, minimize_trail, replay_trail
 from repro.trail import replay as replay_module
-from repro.trail.capture import signature
-from repro.trail.minimize import (
-    _FreshProber,
-    _HybridTest,
-    _Prober,
-    _Reduction,
-)
+from repro.trail.minimize import _Reduction
 
 C, R, OP, CHECK = trace.CHECKPOINT, trace.RESTORE, trace.OP, trace.CHECK
 
 #: the one seeded bug that corrupts restore itself (ghost dcache entries
-#: survive every ioctl rollback): a long-lived prober *must* drift
+#: survive every ioctl rollback): only its full schedule reproduces
 RESTORE_CORRUPTING = "missing-cache-invalidation"
 
 
@@ -292,124 +284,19 @@ class TestLivePathSoundness:
         assert _end_state(spec, path) == _end_state(spec, events)
 
 
-# ------------------------------------------ prober vs fresh cross-check --
-def cross_checked_ddmin(trail):
-    """ddmin over the *full* schedule (no projection, so in-candidate
-    RESTOREs do real work) with every probe executed on both the rewound
-    prober and a fresh harness.  Fresh drives; returns
-    ``(probes, contradictions)``."""
-    expected = trail.signature()
-    events = trace.normalize(list(trail.report.schedule))
-    prober = _Prober(trail.spec)
-    fresh = _FreshProber(trail.spec)
-    contradictions = []
-
-    def verdict(result):
-        index, violation = result
-        report = getattr(violation, "report", None)
-        return index, (signature(report) if report is not None else None)
-
-    def failing(candidate):
-        truth = verdict(fresh.run(candidate))
-        claim = verdict(prober.run(candidate))
-        if claim != truth:
-            contradictions.append((fresh.probes, claim, truth))
-        if truth[1] == expected:
-            return candidate[:truth[0] + 1]
-        return None
-
-    assert failing(events) is not None
-    reduction = _Reduction(events, failing)
-    reduction.run()
-    assert trace.count_operations(reduction.schedule()) <= 4
-    return fresh.probes, contradictions
-
-
-class TestProberMatchesFreshHarness:
-    @pytest.mark.parametrize("bug", sorted(set(BUG_PAIRS)
-                                           - {RESTORE_CORRUPTING}))
-    def test_never_disagrees_on_exact_restore_bugs(self, bug, tmp_path):
-        # a RESTORE must find the token this candidate took, never one
-        # an earlier candidate left under the same id
-        probes, contradictions = cross_checked_ddmin(dfs_trail(bug, tmp_path))
-        assert probes >= 5
-        assert contradictions == []
-
-    def test_restore_corrupting_bug_is_the_genuine_contradiction(
-            self, tmp_path):
-        _probes, contradictions = cross_checked_ddmin(
-            dfs_trail(RESTORE_CORRUPTING, tmp_path))
-        assert contradictions, (
-            "the ghost-dcache bug survives every rollback: a long-lived "
-            "harness cannot agree with a fresh one")
-
-    def test_restore_after_cache_hit_finds_this_candidates_checkpoint(self):
-        # the stale-binding bug in three probes on a bug-free pair: X
-        # takes id 0 in the pristine state; Y re-takes id 0 in a
-        # different state (after b); Z shares X's prefix [C0 a] and then
-        # restores 0, which must be Z's own pristine checkpoint, not Y's
-        spec = BUG_FREE_PAIRS["verifs-ioctl"]
-        actions = spec.build_mcfs().engine().catalog.operations()
-        a, b = (OP, actions[0]), (OP, actions[1])  # create /f0, create /f1
-        prober = _Prober(spec)
-        prober.run([(C, 0), a, b, (CHECK,)])
-        prober.run([b, (C, 0), a])
-        schedule = [(C, 0), a, (R, 0), (CHECK,)]
-        assert prober.run(schedule) == (len(schedule), None)
-        engine = prober.executor.engine
-        digests = [fut.abstract_state(engine.options) for fut in engine.futs]
-        assert (digests, []) == _end_state(spec, schedule)
-
-
-# ------------------------------------------------ pollution discovery --
-class _Scripted:
-    """A prober stand-in answering from a script keyed by candidate."""
-
-    def __init__(self, answers):
-        self.answers = answers
-        self.probes = 0
-        self.events_executed = 0
-
-    def run(self, events):
-        self.probes += 1
-        return self.answers(events)
-
-
-class _Violation(Exception):
-    def __init__(self, report):
-        super().__init__("scripted")
-        self.report = report
-
-
+# ------------------------------------------------- restore-dependent --
 class TestVerdictSurvivesPollutionDiscovery:
-    def test_candidate_is_rejudged_fresh_on_the_spot(self, tmp_path):
-        trail = dfs_trail("extent-boundary-stale", tmp_path)
-        ours = _Violation(trail.report)
-        candidate = [(OP, "a"), (OP, "b"), (OP, "c"), (CHECK,)]
-        # the polluted prober fires early, at "b"; the truth is that the
-        # candidate fails at its final CHECK and its 2-event head is clean
-        prober = _Scripted(lambda events: (1, ours))
-        fresh = _Scripted(lambda events: (3, ours) if len(events) == 4
-                          else (len(events), None))
-        test = _HybridTest(trail.spec, trail.signature(), prober, None)
-        test.fresh = fresh
-        assert test(candidate) == candidate
-        assert test.polluted_at == 2  # prober probe + rejected confirmation
-        # ... and from here on everything runs fresh
-        assert test(candidate) == candidate
-        assert prober.probes == 1
+    """A bug in restore itself: the live path alone runs clean."""
 
     @pytest.mark.parametrize("por", [False, True])
     def test_restore_corrupting_dfs_trail_minimizes(self, por, tmp_path):
-        # the live-path probe runs first and dirties the prober; the
-        # full schedule must still be recognised as reproducing (the
-        # replay just CONFIRMED it) instead of being refused as flaky
+        # the live path alone runs clean; the full schedule must still
+        # be recognised as reproducing (the replay just CONFIRMED it)
+        # instead of being refused as flaky
         trail = dfs_trail(RESTORE_CORRUPTING, tmp_path, por=por)
         assert replay_trail(trail).confirmed
         result = minimize_trail(trail)
         assert not result.projected
-        assert result.polluted_at is not None
-        assert result.fresh_probes > result.cached_probes
         assert result.minimized_operations <= 4
         assert replay_trail(result.trail).confirmed
 
@@ -470,7 +357,6 @@ class TestLazyCheckpointFrames:
         assert replayed.events == loaded.events  # verbatim, to the end
         text = minimize_trail(loaded).describe()
         assert "probes: live path reproduced" in text
-        assert "POLLUTED" not in text
 
     def test_live_path_keeps_the_noops_of_open_frames(self):
         # C0 a(no-op) b(no-op) c [C1 d(no-op) e <violation>: the no-ops
@@ -537,6 +423,12 @@ class _WatchedExecutor(TrailExecutor):
         return call
 
 
+def harnesses():
+    """Explorers and trail executors alive right now, collected or not."""
+    return sum(isinstance(obj, (Explorer, TrailExecutor))
+               for obj in gc.get_objects())
+
+
 class TestFoundBugHoldsNoCycle:
     def test_hunt_and_replay_free_their_harnesses_without_a_collection(
             self, tmp_path):
@@ -544,10 +436,6 @@ class TestFoundBugHoldsNoCycle:
         # frames, at the explorer's stats and the replay loop's locals: a
         # cycle holding the DFS stack, explorer and executor until a full
         # collection
-        def harnesses():
-            return sum(isinstance(obj, (Explorer, TrailExecutor))
-                       for obj in gc.get_objects())
-
         gc.collect()
         gc.disable()
         try:
@@ -556,6 +444,20 @@ class TestFoundBugHoldsNoCycle:
             replayed = replay_trail(Trail.load(result.trail_path))
             assert result.found_discrepancy and replayed.confirmed
             del result, replayed
+            assert harnesses() == before
+        finally:
+            gc.enable()
+
+    def test_minimization_frees_every_probe_harness(self, tmp_path):
+        # the minimizer builds one harness per probe: each must go with
+        # its probe, not wait for a collection
+        trail = dfs_trail("write-hole-stale", tmp_path)
+        gc.collect()
+        gc.disable()
+        try:
+            before = harnesses()
+            minimized = minimize_trail(trail)
+            assert minimized.probes > 1
             assert harnesses() == before
         finally:
             gc.enable()
@@ -601,14 +503,10 @@ class TestMinimizeReportsHowItRan:
         trail = dfs_trail("truncate-stale-data", tmp_path)
         result = minimize_trail(trail)
         assert result.projected
-        assert result.polluted_at is None
-        assert result.cached_probes + result.fresh_probes == result.probes
         # the full schedule was never executed by the minimizer
         assert result.events_executed < trail.events
         assert result.minimized_operations == 3
-        text = result.describe()
-        assert "live path reproduced" in text
-        assert "POLLUTED" not in text
+        assert "live path reproduced" in result.describe()
 
     def test_minimized_trail_records_the_stats(self, tmp_path):
         trail = dfs_trail("write-hole-stale", tmp_path)
@@ -626,13 +524,23 @@ class TestMinimizeReportsHowItRan:
         del document["minimization"]  # a file written before this field
         assert Trail.from_dict(document).minimization is None
 
+    def test_a_four_key_record_still_loads_and_describes(self, tmp_path):
+        # what a minimized trail recorded while a rewound prober served
+        # most probes
+        trail = dfs_trail("extent-boundary-stale", tmp_path)
+        document = trail.to_dict()
+        document["minimization"] = {"projected": False, "cached_probes": 2,
+                                    "fresh_probes": 395, "polluted_at": 3}
+        text = Trail.from_dict(document).describe()
+        assert text.endswith(
+            "probes: full schedule (live path alone does not reproduce)")
+
     def test_cli_minimize_prints_probe_line(self, tmp_path, capsys):
         trail = dfs_trail(RESTORE_CORRUPTING, tmp_path)
         source = trail.save(str(tmp_path / "hunt.trail.json"))
         assert main(["minimize", source]) == 0
         output = capsys.readouterr().out
         assert "probes: full schedule" in output
-        assert "POLLUTED at probe" in output
 
     def test_cli_check_minimize_prints_probe_line(self, tmp_path, capsys):
         code = main(["check", "--fs", "verifs1", "--fs", "verifs2",
@@ -643,4 +551,3 @@ class TestMinimizeReportsHowItRan:
         assert code == 1
         output = capsys.readouterr().out
         assert "probes: live path reproduced" in output
-        assert "prober never contradicted a fresh harness" in output
