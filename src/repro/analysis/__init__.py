@@ -12,7 +12,7 @@ file systems.  This package adds the two complementary static layers:
 * :mod:`repro.analysis.analyze` -- ``repro analyze`` over the engine's
   own sources: the determinism lint (:mod:`repro.analysis.lint`:
   unseeded randomness, wall-clock reads, iteration over unordered
-  collections) and the two whole-program soundness passes
+  collections) and the whole-program ``restore-blind`` pass
   (:mod:`repro.analysis.static`), in one parse-and-pragma pass.
 
 :mod:`repro.analysis.oracle` wires the fsck checkers into the explorer

@@ -5,7 +5,7 @@
 2. parse each source once into the :class:`ProjectModel`
    (a file that does not parse is a ``syntax-error`` finding);
 3. run the determinism visitor (:mod:`repro.analysis.lint`) on each
-   parsed tree and the two whole-program passes
+   parsed tree and the whole-program ``restore-blind`` pass
    (:mod:`repro.analysis.static`) on the model;
 4. apply each file's pragmas (:mod:`repro.analysis.pragmas`) once, over
    all of that file's findings.
@@ -24,11 +24,7 @@ import repro
 from repro.analysis.findings import Finding
 from repro.analysis.lint import CHECKER, determinism_findings
 from repro.analysis.pragmas import apply_pragmas
-from repro.analysis.static import (
-    ProjectModel,
-    run_dirtymark_pass,
-    run_snapshot_pass,
-)
+from repro.analysis.static import ProjectModel, run_snapshot_pass
 
 
 def default_paths() -> List[str]:
@@ -74,7 +70,7 @@ def analyze_sources(sources: Dict[str, str]) -> List[Finding]:
     model = ProjectModel()
     modules = [model.add_file(path, sources[path]) for path in sorted(sources)]
     by_path: Dict[str, List[Finding]] = {path: [] for path in sources}
-    for finding in run_snapshot_pass(model) + run_dirtymark_pass(model):
+    for finding in run_snapshot_pass(model):
         by_path[_finding_path(finding)].append(finding)
     findings: List[Finding] = []
     for module in modules:

@@ -1,4 +1,4 @@
-"""The project-wide model every whole-program pass runs over.
+"""The project-wide model the whole-program pass runs over.
 
 One parse of the tree yields, per module: the import map (local name ->
 dotted target), and per class an inventory of methods summarising what
@@ -10,11 +10,7 @@ each method does to ``self``:
   (``self.x[i] = ...``, ``self.x.y = ...``, ``del self.x``);
 * ``attr_reads``  -- every ``self.x`` read (also how bound-method and
   property references are seen);
-* ``self_calls``  -- ``self.m(...)`` and ``super().m(...)`` call targets;
-* ``call_terminals`` -- the terminal name of *every* call in the method
-  (``self.mount.mark_dirty_entry(...)`` -> ``mark_dirty_entry``), which
-  is how the dirty-mark pass recognises marking without caring what
-  object the API hangs off.
+* ``self_calls``  -- ``self.m(...)`` and ``super().m(...)`` call targets.
 
 Classes resolve their bases across modules through the import map, so
 :meth:`ClassInfo.mro_methods` gives the effective method table of a
@@ -62,14 +58,6 @@ def _self_root(node: ast.AST, self_name: str) -> Optional[str]:
     return None
 
 
-def _terminal_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
 @dataclass
 class MethodInfo:
     """Flow-insensitive summary of one method body."""
@@ -82,7 +70,6 @@ class MethodInfo:
     mut_stores: Dict[str, int] = field(default_factory=dict)
     attr_reads: Set[str] = field(default_factory=set)
     self_calls: Set[str] = field(default_factory=set)
-    call_terminals: Set[str] = field(default_factory=set)
 
     @property
     def stored_attrs(self) -> Dict[str, int]:
@@ -146,9 +133,6 @@ class _MethodScan(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        terminal = _terminal_name(node.func)
-        if terminal is not None:
-            self.info.call_terminals.add(terminal)
         if isinstance(node.func, ast.Attribute):
             receiver = node.func.value
             if (isinstance(receiver, ast.Name)

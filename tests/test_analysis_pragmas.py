@@ -130,6 +130,8 @@ def test_pragmas_for_unknown_or_retired_rules_are_unused(tmp_path, capsys):
             return 1  # det-lint: allow[no-such-rule] typo in the id
         def g():
             return 2  # det-lint: allow[raise-after-mutate] stale
+        def h():
+            return 3  # det-lint: allow[dirty-mark-missing] stale
     """))
     assert main(["analyze", "--strict", str(module)]) == 1
     output = capsys.readouterr().out.splitlines()
@@ -138,5 +140,7 @@ def test_pragmas_for_unknown_or_retired_rules_are_unused(tmp_path, capsys):
         f"allow[no-such-rule] suppresses nothing",
         f"[warn] lint.determinism/unused-pragma @ {module}:4: pragma "
         f"allow[raise-after-mutate] suppresses nothing",
-        "2 finding(s), 0 error(s)",
+        f"[warn] lint.determinism/unused-pragma @ {module}:6: pragma "
+        f"allow[dirty-mark-missing] suppresses nothing",
+        "3 finding(s), 0 error(s)",
     ]

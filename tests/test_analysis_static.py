@@ -1,4 +1,4 @@
-"""Whole-program analyzer: model units, the two passes, the pipeline.
+"""Whole-program analyzer: model units, the restore-blind pass, the pipeline.
 
 The positive tests double as the analyzer's *mutation self-tests*: each
 fixture tree seeds one violation of one invariant and asserts the pass
@@ -13,11 +13,7 @@ import textwrap
 
 from repro.analysis.analyze import run_analysis, summary_line
 from repro.analysis.findings import Finding
-from repro.analysis.static import (
-    ProjectModel,
-    run_dirtymark_pass,
-    run_snapshot_pass,
-)
+from repro.analysis.static import ProjectModel, run_snapshot_pass
 from repro.analysis.static.model import module_name_for, reach
 
 
@@ -203,63 +199,6 @@ def test_restore_blind_seen_through_inherited_surface(tmp_path):
     assert [f.detail["symbol"] for f in findings] == ["Driver.audit_log"]
 
 
-# ------------------------------------------------ dirty-mark coverage pass --
-DIRTYMARK_SEEDED = {"pkg/mnt.py": """
-    class Mount:
-        def write(self, path, data):
-            self.store[path] = data
-            self.tracker.mark_dirty_entry(path)
-
-        def truncate(self, path, size):
-            self.store[path] = self.store[path][:size]
-"""}
-
-DIRTYMARK_CLEAN = {"pkg/mnt.py": """
-    class Mount:
-        def write(self, path, data):
-            self.store[path] = data
-            self.tracker.mark_dirty_entry(path)
-
-        def truncate(self, path, size):
-            self._apply(path, size)
-
-        def _apply(self, path, size):
-            self.store[path] = self.store[path][:size]
-            self.tracker.mark_dirty_parent(path)
-"""}
-
-
-def test_unmarked_write_surface_is_flagged(tmp_path):
-    findings = run_dirtymark_pass(model_of(tmp_path, DIRTYMARK_SEEDED))
-    assert [f.detail["symbol"] for f in findings] == ["Mount.truncate"]
-    assert findings[0].invariant == "dirty-mark-missing"
-
-
-def test_marking_through_helper_closure_is_clean(tmp_path):
-    assert run_dirtymark_pass(model_of(tmp_path, DIRTYMARK_CLEAN)) == []
-
-
-def test_tracker_defining_mark_api_is_exempt(tmp_path):
-    findings = run_dirtymark_pass(model_of(tmp_path, {"pkg/track.py": """
-        class DirtyTracker:
-            def mark_dirty_entry(self, path):
-                self.dirty.add(path)
-
-            def write(self, path, data):
-                self.log.append(path)
-    """}))
-    assert findings == []
-
-
-def test_never_marking_class_is_out_of_scope(tmp_path):
-    findings = run_dirtymark_pass(model_of(tmp_path, {"pkg/plain.py": """
-        class PlainStore:
-            def write(self, path, data):
-                self.store[path] = data
-    """}))
-    assert findings == []
-
-
 # ------------------------------------------------------- pragma interplay --
 def test_static_finding_suppressed_by_pragma(tmp_path):
     files = {"pkg/dev.py": SNAPSHOT_SEEDED["pkg/dev.py"].replace(
@@ -274,7 +213,6 @@ def test_static_finding_suppressed_by_pragma(tmp_path):
 def test_seeded_tree_yields_every_invariant(tmp_path):
     files = {}
     files.update(SNAPSHOT_SEEDED)
-    files.update(DIRTYMARK_SEEDED)
     files["pkg/rng.py"] = """
         import random
 
@@ -282,14 +220,12 @@ def test_seeded_tree_yields_every_invariant(tmp_path):
     """
     paths = make_tree(tmp_path, files)
     invariants = sorted(f.invariant for f in run_analysis(paths))
-    assert invariants == ["dirty-mark-missing", "restore-blind",
-                          "unseeded-random"]
+    assert invariants == ["restore-blind", "unseeded-random"]
 
 
 def test_clean_tree_yields_nothing(tmp_path):
     files = {}
     files.update(SNAPSHOT_CLEAN)
-    files.update(DIRTYMARK_CLEAN)
     paths = make_tree(tmp_path, files)
     assert run_analysis(paths) == []
 
