@@ -52,24 +52,10 @@ class Bitmap:
         """
         if self._set_count >= self.nbits:
             return None
-        if start < 0:
-            raise IndexError(f"bit {start} out of range [0, {self.nbits})")
-        index = self._first_clear(start, self.nbits)
-        if index is None:
-            index = self._first_clear(0, min(start, self.nbits))
-        return index
-
-    def _first_clear(self, lo: int, hi: int) -> Optional[int]:
-        """The first clear bit in ``[lo, hi)``; whole ``0xFF`` bytes are
-        skipped without looking at their bits."""
-        bits = self._bits
-        index = lo
-        while index < hi:
-            free = (bits[index >> 3] ^ 0xFF) >> (index & 7)
-            if free:
-                index += (free & -free).bit_length() - 1  # lowest clear bit
-                return index if index < hi else None
-            index = (index | 7) + 1
+        order = list(range(start, self.nbits)) + list(range(0, start))
+        for index in order:
+            if not self.get(index):
+                return index
         return None
 
     def allocate(self, start: int = 0) -> Optional[int]:

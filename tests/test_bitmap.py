@@ -1,7 +1,5 @@
 """Unit and property tests for the allocation bitmap."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -147,64 +145,3 @@ def test_property_allocate_exhausts_exactly(nbits):
         assert index not in allocated
         allocated.add(index)
     assert len(allocated) == nbits
-
-
-def linear_find_free(bitmap, start=0):
-    """A bit-by-bit next-fit scan: the reference ``find_free`` must match."""
-    if bitmap.set_count >= bitmap.nbits:
-        return None
-    order = list(range(start, bitmap.nbits)) + list(range(0, start))
-    for index in order:
-        if not bitmap.get(index):
-            return index
-    return None
-
-
-class TestFindFreeMatchesLinearScan:
-    """``find_free`` skips whole full bytes; it must pick the very bit the
-    linear scan picks, or block allocation (and every pin) would move."""
-
-    def test_seeded_random_bitmaps_every_start(self):
-        rng = random.Random(7)
-        for _ in range(400):
-            nbits = rng.randint(1, 70)
-            density = rng.random()
-            bitmap = Bitmap(nbits)
-            for index in range(nbits):
-                if rng.random() < density:
-                    bitmap.set(index)
-            for start in range(nbits + 3):  # past the end wraps too
-                assert bitmap.find_free(start) == linear_find_free(
-                    bitmap, start), (bitmap.to_bytes(), nbits, start)
-
-    def test_wraps_past_a_full_tail(self):
-        bitmap = Bitmap(20)
-        for index in range(3, 20):
-            bitmap.set(index)
-        for start in range(20):
-            expected = start if start < 3 else 0
-            assert bitmap.find_free(start) == expected
-            assert linear_find_free(bitmap, start) == expected
-
-    def test_full_map_has_no_free_bit(self):
-        for nbits in (1, 7, 8, 9, 64, 67):
-            bitmap = Bitmap(nbits)
-            for index in range(nbits):
-                bitmap.set(index)
-            for start in range(nbits + 1):
-                assert bitmap.find_free(start) is None
-                assert linear_find_free(bitmap, start) is None
-
-    def test_clear_tail_bits_past_nbits_are_never_returned(self):
-        bitmap = Bitmap(11)  # 5 unused bits in the last byte
-        for index in range(11):
-            bitmap.set(index)
-        bitmap.clear(2)
-        assert bitmap.find_free(9) == 2 == linear_find_free(bitmap, 9)
-
-    def test_negative_start_is_out_of_range(self):
-        bitmap = Bitmap(8)
-        with pytest.raises(IndexError):
-            bitmap.find_free(-1)
-        with pytest.raises(IndexError):
-            linear_find_free(bitmap, -1)

@@ -13,7 +13,9 @@ cross directories and move whole subtrees; every draw is derandomized,
 so a kernel that forgets one of its dirty marks fails on every run, not
 on the runs whose draws happen to reach it.  Scripted examples cover
 what the draws may miss: the renames that need both of rename's parent
-marks, a rename over an existing target, and hard links.
+marks, a rename over an existing target, hard links, and one pass over
+every other syscall that marks (open with O_TRUNC, write, pwrite,
+truncate, ftruncate, chmod, chown, utimens, setxattr, removexattr).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ MATCHING = AbstractionOptions(include_owner=False, include_xattrs=False)
 
 NAMES = ("a", "sub", "sub/a", "sub/b", "d2", "d2/c")
 PAYLOADS = (b"", b"x", b"hello world", b"Z" * 700)
+XATTR_KEYS = ("user.a", "user.b")
 
 
 def build_fut(family: str):
@@ -82,7 +85,14 @@ def apply_op(fut, op) -> None:
             kernel.pwrite(fd, op[2], op[3])
             kernel.close(fd)
         elif kind == "overwrite":
+            # an empty payload is the bare O_TRUNC open
             fd = kernel.open(f"{root}/{op[1]}", O_RDWR | O_TRUNC)
+            if op[2]:
+                kernel.write(fd, op[2])
+            kernel.close(fd)
+        elif kind == "write":
+            # write(2) at the start of an existing file, no truncation
+            fd = kernel.open(f"{root}/{op[1]}", O_RDWR)
             kernel.write(fd, op[2])
             kernel.close(fd)
         elif kind == "mkdir":
@@ -101,6 +111,18 @@ def apply_op(fut, op) -> None:
             kernel.chmod(f"{root}/{op[1]}", op[2])
         elif kind == "truncate":
             kernel.truncate(f"{root}/{op[1]}", op[2])
+        elif kind == "ftruncate":
+            fd = kernel.open(f"{root}/{op[1]}", O_RDWR)
+            kernel.ftruncate(fd, op[2])
+            kernel.close(fd)
+        elif kind == "chown":
+            kernel.chown(f"{root}/{op[1]}", op[2], op[2])
+        elif kind == "utimens":
+            kernel.utimens(f"{root}/{op[1]}", op[2], op[2])
+        elif kind == "setxattr":
+            kernel.setxattr(f"{root}/{op[1]}", op[2], op[3])
+        elif kind == "removexattr":
+            kernel.removexattr(f"{root}/{op[1]}", op[2])
         elif kind == "remount":
             fut.remount()
     except FsError:
@@ -150,6 +172,8 @@ OPS = st.lists(
                   st.sampled_from(PAYLOADS), st.integers(0, 900)),
         st.tuples(st.just("overwrite"), st.sampled_from(NAMES),
                   st.sampled_from(PAYLOADS)),
+        st.tuples(st.just("write"), st.sampled_from(NAMES),
+                  st.sampled_from(PAYLOADS)),
         st.tuples(st.just("mkdir"), st.sampled_from(NAMES)),
         st.tuples(st.just("rmdir"), st.sampled_from(NAMES)),
         st.tuples(st.just("unlink"), st.sampled_from(NAMES)),
@@ -163,6 +187,16 @@ OPS = st.lists(
                   st.sampled_from((0o600, 0o755))),
         st.tuples(st.just("truncate"), st.sampled_from(NAMES),
                   st.integers(0, 1200)),
+        st.tuples(st.just("ftruncate"), st.sampled_from(NAMES),
+                  st.integers(0, 1200)),
+        st.tuples(st.just("chown"), st.sampled_from(NAMES),
+                  st.sampled_from((0, 1000))),
+        st.tuples(st.just("utimens"), st.sampled_from(NAMES),
+                  st.sampled_from((5.0, 9.0))),
+        st.tuples(st.just("setxattr"), st.sampled_from(NAMES),
+                  st.sampled_from(XATTR_KEYS), st.sampled_from(PAYLOADS)),
+        st.tuples(st.just("removexattr"), st.sampled_from(NAMES),
+                  st.sampled_from(XATTR_KEYS)),
         st.tuples(st.just("remount")),
     ),
     min_size=1, max_size=12,
@@ -197,6 +231,22 @@ HARD_LINKS = [("mkdir", "sub"), ("create", "a", b"x"), ("link", "a", "sub/a"),
               ("append", "a", b"hello world", 3), ("chmod", "sub/a", 0o600),
               ("link", "a", "sub/b"), ("create", "d2", b"Z" * 700),
               ("rename", "d2", "sub/b"), ("unlink", "a")]
+#: each remaining marking syscall once, on a file in a directory, each
+#: changing what the digest hashes: content, size, mode, owner, xattrs
+#: (utimens changes only timestamps, which no cached digest hashes)
+EVERY_SYSCALL = [("mkdir", "sub"), ("create", "sub/a", b"hello world"),
+                 ("write", "sub/a", b"Z" * 700), ("append", "sub/a", b"x", 2),
+                 ("truncate", "sub/a", 3), ("ftruncate", "sub/a", 900),
+                 ("overwrite", "sub/a", b""), ("chmod", "sub/a", 0o600),
+                 ("chown", "sub/a", 1000), ("utimens", "sub/a", 5.0),
+                 ("setxattr", "sub/a", "user.a", b"x"),
+                 ("removexattr", "sub/a", "user.a")]
+#: the namespace syscalls, each legal in turn after EVERY_SYSCALL
+NAMESPACE_SYSCALLS = [("mkdir", "d2"), ("link", "sub/a", "a"),
+                      ("symlink", "a", "sub/b"), ("rename", "sub/a", "d2/c"),
+                      ("unlink", "sub/b"), ("unlink", "a"),
+                      ("rename", "d2", "sub/d2"), ("unlink", "sub/d2/c"),
+                      ("rmdir", "sub/d2")]
 
 
 class TestIncrementalEqualsFullWalk:
@@ -209,6 +259,7 @@ class TestIncrementalEqualsFullWalk:
     @example(ops=DIR_DOWN_FROM_ROOT)
     @example(ops=RENAME_OVER_TARGET)
     @example(ops=HARD_LINKS)
+    @example(ops=EVERY_SYSCALL)
     def test_every_step_matches(self, family, ops):
         fut = build_fut(family)
         assert_incremental_matches(fut)  # fresh mount: full walk seeds cache
@@ -241,6 +292,17 @@ class TestIncrementalEqualsFullWalk:
         fut.restore_abstraction(abstraction)
         assert_incremental_matches(fut)
         assert fut.abstract_state(OPTIONS, incremental=True) == reference
+
+    def test_every_mutating_syscall_marks(self):
+        """The marks are the kernel's, not a family's: every syscall
+        that changes what a walk can see must tell the mount, even
+        where (utimens) no cached digest hashes the change."""
+        fut = build_fut("ext2")
+        mount = fut.kernel.mount_at(fut.mountpoint)
+        for op in EVERY_SYSCALL + NAMESPACE_SYSCALLS:
+            before = mount.change_generation
+            apply_op(fut, op)
+            assert mount.change_generation > before, op
 
     def test_cache_hit_skips_syscalls(self):
         """Unchanged mount + unchanged generation = zero-walk refresh."""
