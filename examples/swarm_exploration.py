@@ -44,7 +44,7 @@ def main() -> None:
     # workers=0 is the same campaign with every member run in this process
     result = DistributedChecker(hunt, workers=0).run()
     finders = [unit for unit in result.unit_results
-               if unit.violation is not None]
+               if unit.found_discrepancy]
     for unit in finders:
         print(f"  member seed={unit.seed} found the bug after "
               f"{unit.operations} operations")

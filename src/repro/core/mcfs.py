@@ -97,18 +97,36 @@ class MCFSOptions:
     profile: bool = False
 
 
+#: a run record's document keys (the unit keys campaigns have always
+#: written): identity, plain fields, readings of ``stats`` and of
+#: ``table_stats``; ``violation`` and ``cost_profile`` are converted
+_IDENTITY = ("index", "seed", "worker_id")
+_PLAIN = ("sim_time", "wall_time", "shipped_hashes", "bytes_snapshotted",
+          "bytes_restored", "logical_snapshot_bytes", "trail_path")
+_STATS = ("operations", "transitions", "unique_states", "revisited_states",
+          "stopped_reason")
+_STORE = ("omission_possible", "omission_probability")
+
+
+def _reading(holder: str, name: str) -> property:
+    return property(lambda self: getattr(getattr(self, holder), name),
+                    doc=f"``{holder}.{name}``")
+
+
 @dataclass
 class MCFSResult:
-    """Outcome of one checking run."""
+    """The record of one checking run.
+
+    ``MCFS.run_*`` returns it, and a campaign unit is one: ``run_unit``
+    sets the unit's identity (``index``, ``seed``, ``worker_id``,
+    ``wall_time``, ``shipped_hashes``) on the record of the walk it ran.
+    """
 
     stats: ExplorationStats
-    report: Optional[DiscrepancyReport]
-    sim_time: float
-    operations: int
-    unique_states: int
+    sim_time: float = 0.0
     #: visited-table counters (inserts/duplicate hits) for the run, so
     #: reports can surface the table's duplicate-hit ratio
-    table_stats: Optional[TableStats] = None
+    table_stats: TableStats = field(default_factory=TableStats)
     #: bytes the devices' snapshot paths actually copied (dirty chunks
     #: for COW grabs, whole images in legacy mode)
     bytes_snapshotted: int = 0
@@ -124,8 +142,32 @@ class MCFSResult:
     #: the run profiled; None otherwise
     cost_profile: Optional[Any] = None
     #: behavioural coverage (:class:`repro.core.coverage.CoverageReport`)
-    #: when the harness tracked it; None otherwise
+    #: when the harness tracked it; None otherwise (not in the document)
     coverage: Optional[Any] = None
+    #: the campaign unit this run was: its index and walk seed, the
+    #: worker that ran it, its wall seconds, and the locally-new states
+    #: it handed to the campaign's table (zero for a local run)
+    index: int = 0
+    seed: int = 0
+    worker_id: str = ""
+    wall_time: float = 0.0
+    shipped_hashes: int = 0
+
+    operations = _reading("stats", "operations")
+    unique_states = _reading("stats", "unique_states")
+    transitions = _reading("stats", "transitions")
+    revisited_states = _reading("stats", "revisited_states")
+    stopped_reason = _reading("stats", "stopped_reason")
+    #: whether a lossy store may have silently skipped states, and its
+    #: final per-query omission probability
+    omission_possible = _reading("table_stats", "omission_possible")
+    omission_probability = _reading("table_stats", "omission_probability")
+
+    @property
+    def report(self) -> Optional[DiscrepancyReport]:
+        violation = self.stats.violation
+        return (violation.report if isinstance(violation, DiscrepancyError)
+                else None)
 
     @property
     def found_discrepancy(self) -> bool:
@@ -143,11 +185,36 @@ class MCFSResult:
     def ops_per_second(self) -> float:
         return self.operations / self.sim_time if self.sim_time > 0 else 0.0
 
-    @property
-    def omission_possible(self) -> bool:
-        """True when a lossy store may have silently skipped states."""
-        return (self.table_stats.omission_possible
-                if self.table_stats is not None else False)
+    # ------------------------------------------------------- serialisation --
+    def to_dict(self) -> Dict[str, Any]:
+        document = {name: getattr(self, name)
+                    for name in _IDENTITY + _PLAIN + _STATS + _STORE}
+        report, profile = self.report, self.cost_profile
+        document["violation"] = report.to_dict() if report else None
+        document["cost_profile"] = profile.to_dict() if profile else None
+        return document
+
+    @classmethod
+    def from_dict(cls, document: Dict[str, Any]) -> "MCFSResult":
+        """Rebuild from :meth:`to_dict` output.  The unit's identity is
+        required; unknown keys are ignored and other missing keys
+        default, so documents older versions wrote still load."""
+        from repro.mc.perf import CostProfile
+
+        def read(names):
+            return {name: document[name] for name in names
+                    if name in document}
+
+        stats = ExplorationStats(**read(_STATS))
+        if document.get("violation") is not None:
+            stats.violation = DiscrepancyError(
+                DiscrepancyReport.from_dict(document["violation"]))
+        profile = document.get("cost_profile")
+        return cls(stats, table_stats=TableStats(**read(_STORE)),
+                   cost_profile=(CostProfile.from_dict(profile)
+                                 if profile is not None else None),
+                   **{name: document[name] for name in _IDENTITY},
+                   **read(_PLAIN))
 
 
 class MCFS:
@@ -320,13 +387,20 @@ class MCFS:
                 + explorer.stats.operations,
                 runs=self._resumed_runs + 1,
             )
-        result = self._result(explorer.stats, start,
-                              table_stats=getattr(explorer.visited, "stats",
-                                                  None))
-        result.cost_profile = explorer.profile
-        if self.options.track_coverage:
-            result.coverage = self.coverage_report()
-        return result
+        devices = [fut.device for fut in self.futs if fut.device is not None]
+        return MCFSResult(
+            stats=explorer.stats,
+            sim_time=self.clock.now - start,
+            table_stats=explorer.visited.stats,
+            bytes_snapshotted=sum(d.stats.bytes_snapshotted for d in devices),
+            bytes_restored=sum(d.stats.bytes_restored for d in devices),
+            logical_snapshot_bytes=sum(
+                fut.logical_snapshot_bytes for fut in self.futs
+            ),
+            cost_profile=explorer.profile,
+            coverage=(self.coverage_report()
+                      if self.options.track_coverage else None),
+        )
 
     # ----------------------------------------------------------------- runs --
     def run_dfs(self, max_depth: int = 3, max_operations: Optional[int] = None,
@@ -395,9 +469,13 @@ class MCFS:
                              **search) -> None:
         """Write the run's counterexample trail (``options.trail_dir``).
 
-        Needs a spec-built harness: the trail embeds the CheckSpec so a
-        replay can rebuild identical targets in any process, with
-        ``search`` (the spec fields of the run just made) filled in.
+        The one capture site: a local run and every campaign unit (its
+        harness is built with the campaign's ``trail_dir``) write here.
+        Needs a spec-built harness: the trail embeds the CheckSpec the
+        harness was built from (a unit's carries the unit's input
+        profile), so a replay can rebuild identical targets in any
+        process, with ``search`` (the spec fields of the run just made)
+        filled in.
         """
         if self.options.trail_dir is None or result.report is None:
             return
@@ -408,24 +486,4 @@ class MCFS:
         result.trail_path = capture_trail(
             result.report, replace(self.spec, **search),
             self.options.trail_dir, seed=seed,
-        )
-
-    def _result(self, stats: ExplorationStats, start_time: float,
-                table_stats: Optional[TableStats] = None) -> MCFSResult:
-        report: Optional[DiscrepancyReport] = None
-        if isinstance(stats.violation, DiscrepancyError):
-            report = stats.violation.report
-        devices = [fut.device for fut in self.futs if fut.device is not None]
-        return MCFSResult(
-            stats=stats,
-            report=report,
-            sim_time=self.clock.now - start_time,
-            operations=stats.operations,
-            unique_states=stats.unique_states,
-            table_stats=table_stats,
-            bytes_snapshotted=sum(d.stats.bytes_snapshotted for d in devices),
-            bytes_restored=sum(d.stats.bytes_restored for d in devices),
-            logical_snapshot_bytes=sum(
-                fut.logical_snapshot_bytes for fut in self.futs
-            ),
         )

@@ -286,11 +286,8 @@ class RunSummary(FieldCodec):
 
     @classmethod
     def from_result(cls, result, show_fsck: bool = False) -> "RunSummary":
-        """Build from an :class:`~repro.core.mcfs.MCFSResult` (duck-typed)."""
-        table_stats = getattr(result, "table_stats", None) or TableStats()
-        cost_profile = getattr(result, "cost_profile", None)
-        if cost_profile is not None and not isinstance(cost_profile, dict):
-            cost_profile = cost_profile.to_dict()
+        """Build from an :class:`~repro.core.mcfs.MCFSResult`."""
+        cost_profile = result.cost_profile
         return cls(
             operations=result.operations,
             unique_states=result.unique_states,
@@ -303,12 +300,13 @@ class RunSummary(FieldCodec):
             por_pruned=result.stats.por_pruned,
             memo_hits=result.stats.memo_hits,
             restores_elided=result.stats.restores_elided,
-            bytes_snapshotted=getattr(result, "bytes_snapshotted", 0),
-            bytes_restored=getattr(result, "bytes_restored", 0),
-            snapshot_dedup_ratio=getattr(result, "snapshot_dedup_ratio", 0.0),
-            trail_path=getattr(result, "trail_path", None),
-            cost_profile=cost_profile,
-            **_store_columns(table_stats),
+            bytes_snapshotted=result.bytes_snapshotted,
+            bytes_restored=result.bytes_restored,
+            snapshot_dedup_ratio=result.snapshot_dedup_ratio,
+            trail_path=result.trail_path,
+            cost_profile=(cost_profile.to_dict()
+                          if cost_profile is not None else None),
+            **_store_columns(result.table_stats),
         )
 
     @classmethod

@@ -32,7 +32,6 @@ from repro.dist.coordinator import (
     DistributedChecker,
     WorkerSummary,
 )
-from repro.dist.protocol import UnitResult
 from repro.dist.spec import (
     FILESYSTEMS,
     KERNEL_FS,
@@ -50,7 +49,6 @@ __all__ = [
     "FILESYSTEMS",
     "KERNEL_FS",
     "STRATEGIES",
-    "UnitResult",
     "WorkUnit",
     "WorkerConfig",
     "WorkerSummary",

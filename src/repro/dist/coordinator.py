@@ -32,16 +32,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
 
-from repro.core.report import DiscrepancyReport
 from repro.dist import realtime
 from repro.dist.protocol import (
     Heartbeat,
     NoMoreWork,
     Shutdown,
     UnitDone,
-    UnitResult,
     Wait,
     WorkGrant,
     WorkRequest,
@@ -57,6 +55,10 @@ from repro.mc.persistence import (
 )
 from repro.mc.statestore import make_store
 from repro.util.fieldcodec import FieldCodec
+
+if TYPE_CHECKING:
+    from repro.core.mcfs import MCFSResult
+    from repro.core.report import DiscrepancyReport
 
 #: seconds the coordinator waits on its worker pipes before it checks
 #: leases and liveness again
@@ -111,17 +113,17 @@ def _accumulate(into, other, names) -> None:
         setattr(into, name, getattr(into, name) + getattr(other, name))
 
 
-def merged_cost_profile(documents) -> Optional[Dict[str, Any]]:
-    """Sum units' cost-profile documents into their campaign's, skipping
+def merged_cost_profile(profiles) -> Optional[Dict[str, Any]]:
+    """Sum units' cost profiles into their campaign's document, skipping
     the None of whoever did not profile."""
-    documents = [document for document in documents if document is not None]
-    if not documents:
+    profiles = [profile for profile in profiles if profile is not None]
+    if not profiles:
         return None
     from repro.mc.perf import CostProfile
 
     merged = CostProfile()
-    for document in documents:
-        merged.merge(CostProfile.from_dict(document))
+    for profile in profiles:
+        merged.merge(profile)
     return merged.to_dict()
 
 
@@ -130,7 +132,7 @@ class DistResult(FieldCodec):
     """The deterministic merge of a distributed campaign."""
 
     workers: int
-    unit_results: List[UnitResult] = field(default_factory=list)
+    unit_results: List[MCFSResult] = field(default_factory=list)
     table: AbstractVisitedTable = field(default_factory=VisitedStateTable)
     worker_summaries: List[WorkerSummary] = field(default_factory=list)
     wall_time: float = 0.0
@@ -141,11 +143,15 @@ class DistResult(FieldCodec):
     #: :meth:`repro.mc.perf.CostProfile.to_dict` form) when the spec
     #: profiled; None otherwise
     cost_profile: Optional[Dict[str, Any]] = None
-    #: trail files written from unit violations (``trail_dir`` set),
-    #: ordered by unit index like :attr:`discrepancies`
-    trail_paths: List[str] = field(default_factory=list)
 
     # ------------------------------------------------------------- derived --
+    @property
+    def trail_paths(self) -> List[str]:
+        """The trails units wrote (``trail_dir`` set), ordered by unit
+        index like :attr:`discrepancies`."""
+        return [unit.trail_path for unit in self.unit_results
+                if unit.trail_path is not None]
+
     @property
     def visited_states(self) -> int:
         """Merged unique-state count (the union across all units)."""
@@ -169,17 +175,17 @@ class DistResult(FieldCodec):
     @property
     def discrepancies(self) -> List[DiscrepancyReport]:
         """All per-unit violations, ordered by unit index (deterministic)."""
-        return [DiscrepancyReport.from_dict(unit.violation)
-                for unit in self.unit_results if unit.violation is not None]
+        return [unit.report for unit in self.unit_results
+                if unit.report is not None]
 
     def discrepancy_signature(self) -> List[tuple]:
         """A comparable fingerprint of *what* was found, and by which unit."""
-        return [(unit.index, unit.violation["kind"], unit.violation["summary"])
-                for unit in self.unit_results if unit.violation is not None]
+        return [(unit.index, unit.report.kind, unit.report.summary)
+                for unit in self.unit_results if unit.report is not None]
 
     @property
     def found_discrepancy(self) -> bool:
-        return any(unit.violation is not None for unit in self.unit_results)
+        return any(unit.found_discrepancy for unit in self.unit_results)
 
     @property
     def sequential_sim_time(self) -> float:
@@ -267,7 +273,6 @@ class DistResult(FieldCodec):
         self.table = later.table
         _accumulate(self, later, ("wall_time", "recovered_units",
                                   "stolen_units", "inline_units"))
-        self.trail_paths.extend(later.trail_paths)
         mine = {summary.worker_id: summary
                 for summary in self.worker_summaries}
         for summary in later.worker_summaries:
@@ -297,9 +302,11 @@ class DistResult(FieldCodec):
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "DistResult":
+        from repro.core.mcfs import MCFSResult
+
         result = super().from_dict({
             key: value for key, value in document.items() if key != "table"})
-        result.unit_results = [UnitResult.from_dict(entry)
+        result.unit_results = [MCFSResult.from_dict(entry)
                                for entry in result.unit_results]
         result.worker_summaries = [WorkerSummary.from_dict(entry)
                                    for entry in result.worker_summaries]
@@ -326,8 +333,9 @@ class DistributedChecker:
         mp_context=None,
         #: fault injection: worker_id -> SIGKILL-self after N operations
         chaos_kill_after: Optional[Dict[str, int]] = None,
-        #: write a ``*.trail.json`` per unit violation into this
-        #: directory, so distributed finds replay locally; None disables
+        #: each unit that finds a violation writes its ``*.trail.json``
+        #: into this directory, so distributed finds replay locally;
+        #: None disables
         trail_dir: Optional[str] = None,
         #: embedding hooks (the campaign server drives the fleet through
         #: these): an explicit unit subset to run instead of the spec's
@@ -397,8 +405,6 @@ class DistributedChecker:
         result.table = table
         result.cost_profile = merged_cost_profile(
             unit.cost_profile for unit in result.unit_results)
-        if self.trail_dir is not None:
-            self._capture_trails(result)
         result.worker_summaries = [record.summary for record in records]
         if self.state_file is not None:
             save_checker_state(
@@ -412,23 +418,6 @@ class DistributedChecker:
         return result
 
     # ------------------------------------------------------------ internals --
-    def _capture_trails(self, result: DistResult) -> None:
-        """Write one trail per unit violation: the worker's schedule came
-        back through the wire inside the serialised report, so a
-        distributed find is locally replayable like any other."""
-        from repro.trail import capture_trail
-
-        for unit in result.unit_results:
-            if unit.violation is None:
-                continue
-            report = DiscrepancyReport.from_dict(unit.violation)
-            if report.schedule is None:
-                continue
-            result.trail_paths.append(capture_trail(
-                report, self.spec, self.trail_dir, seed=unit.seed,
-                name=f"unit{unit.index:03d}-seed{unit.seed}",
-            ))
-
     def _spawn_fleet(self) -> List[WorkerRecord]:
         from dataclasses import replace
 
@@ -444,7 +433,8 @@ class DistributedChecker:
                 )
             process = self.mp_context.Process(
                 target=worker_main,
-                args=(child_conn, self.spec, worker_id, config),
+                args=(child_conn, self.spec, worker_id, config,
+                      self.trail_dir),
                 name=f"repro-dist-{worker_id}",
                 daemon=True,
             )
@@ -460,7 +450,7 @@ class DistributedChecker:
                    table: AbstractVisitedTable,
                    result: DistResult) -> None:
         by_id = {record.worker_id: record for record in records}
-        results: Dict[int, UnitResult] = {}
+        results: Dict[int, MCFSResult] = {}
         leases: Dict[str, Lease] = {}
         wall_started: Dict[str, float] = {}
 
@@ -578,7 +568,7 @@ class DistributedChecker:
             by_id[worker_id].summary.wall_time += now - started
 
     def _finish_inline(self, units: List[WorkUnit],
-                       results: Dict[int, UnitResult],
+                       results: Dict[int, MCFSResult],
                        table: AbstractVisitedTable,
                        result: DistResult) -> None:
         """No live worker (none was asked for, or all died): complete
@@ -587,7 +577,7 @@ class DistributedChecker:
             if unit.index in results:
                 continue
             done = run_unit(self.spec, unit, "coordinator", self.config,
-                            self.on_progress)
+                            self.on_progress, trail_dir=self.trail_dir)
             table.visit_many(done.batch.records())
             results[unit.index] = done.result
             result.inline_units += 1

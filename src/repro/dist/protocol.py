@@ -11,9 +11,10 @@ The conversation is strictly client-driven except for shutdown:
 
 The only message a worker ever blocks on is the reply to its own
 :class:`WorkRequest`.  A finished unit is the one hand-off: its
-:class:`UnitDone` carries the :class:`UnitResult` and every state the
-unit found, packed into one :class:`RecordBatch`, so a worker killed
-mid-unit has published nothing and its re-run publishes everything.
+:class:`UnitDone` carries the unit's run record
+(:class:`~repro.core.mcfs.MCFSResult`, as its document) and every state
+the unit found, packed into one :class:`RecordBatch`, so a worker killed mid-unit has
+published nothing and its re-run publishes everything.
 
 See ``docs/distributed.md`` for the full protocol walk-through and the
 fault-tolerance semantics built on heartbeats and lease deadlines.
@@ -22,11 +23,13 @@ fault-tolerance semantics built on heartbeats and lease deadlines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Tuple
 
 from repro.dist.spec import WorkUnit
 from repro.mc.records import read_records
-from repro.util.fieldcodec import FieldCodec
+
+if TYPE_CHECKING:
+    from repro.core.mcfs import MCFSResult
 
 
 # ------------------------------------------------------------------ worker --
@@ -63,51 +66,21 @@ class RecordBatch:
         return read_records(self.payload, self.key_bytes)
 
 
-@dataclass
-class UnitResult(FieldCodec):
-    """Everything a finished work unit reports back (and the merge keeps).
-
-    Its :class:`~repro.util.fieldcodec.FieldCodec` document is the
-    server wire and result-spool form.
-    """
-
-    index: int
-    seed: int
-    worker_id: str
-    operations: int = 0
-    transitions: int = 0
-    unique_states: int = 0
-    revisited_states: int = 0
-    sim_time: float = 0.0
-    wall_time: float = 0.0
-    stopped_reason: str = ""
-    #: serialised DiscrepancyReport (``to_dict()``) when the unit hit a bug
-    violation: Optional[Dict[str, Any]] = None
-    #: locally-new states the unit handed to the campaign's table
-    shipped_hashes: int = 0
-    #: snapshot traffic (defaulted so v1 result documents still load):
-    #: bytes the COW checkpoint path physically copied / rewrote, and
-    #: the full-copy volume it stood in for
-    bytes_snapshotted: int = 0
-    bytes_restored: int = 0
-    logical_snapshot_bytes: int = 0
-    #: lossy-store accounting (defaulted so older result documents still
-    #: load): whether the unit's local store could omit states, and the
-    #: final per-query probability of such an omission
-    omission_possible: bool = False
-    omission_probability: float = 0.0
-    #: per-state cost breakdown (:meth:`repro.mc.perf.CostProfile.to_dict`
-    #: form) when the campaign profiled; None otherwise
-    cost_profile: Optional[Dict[str, Any]] = None
-
-
 @dataclass(frozen=True)
 class UnitDone:
-    """A finished unit: its result and the states it found."""
+    """A finished unit: its run record's document and the states it
+    found.  The document is plain data, so nothing in the record has to
+    unpickle (an ``FsckCorruptionError`` cannot)."""
 
     worker_id: str
-    result: UnitResult
+    document: Dict[str, Any]
     batch: RecordBatch
+
+    @property
+    def result(self) -> MCFSResult:
+        from repro.core.mcfs import MCFSResult
+
+        return MCFSResult.from_dict(self.document)
 
 
 # ------------------------------------------------------------- coordinator --

@@ -32,7 +32,6 @@ from repro.dist.protocol import (
     RecordBatch,
     Shutdown,
     UnitDone,
-    UnitResult,
     Wait,
     WorkGrant,
     WorkRequest,
@@ -60,18 +59,22 @@ class WorkerConfig:
 def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
              config: WorkerConfig,
              heartbeat: Optional[HeartbeatFn] = None,
-             session_operations: int = 0) -> UnitDone:
+             session_operations: int = 0,
+             trail_dir: Optional[str] = None) -> UnitDone:
     """Execute one work unit to completion; deterministic in isolation.
 
-    Returns the unit's result with every state its private store
-    reported new, as ``(record key, depth)`` records packed once.
+    Returns the document of the walk's run record, with the unit's
+    identity set, and every state its private store reported new, as
+    ``(record key, depth)`` records packed once.  A find writes its own trail into
+    ``trail_dir`` (None: none), embedding the spec the unit ran.
     ``session_operations`` is the operation count the worker completed
     in earlier units (chaos fault injection triggers on the session
     total).
     """
     # per-unit input diversification: the unit explores with its own
     # profile (a function of the unit index only, CheckSpec.unit_profile)
-    mcfs = replace(spec, input_profile=unit.input_profile).build_mcfs()
+    mcfs = replace(spec, input_profile=unit.input_profile).build_mcfs(
+        trail_dir=trail_dir)
 
     # the local store mirrors the campaign table's spec (same kind, same
     # seed), so the record keys the two sides derive agree; it decides
@@ -114,33 +117,22 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         payload = profile.timed("ship", pack_records, found, key_bytes)
     else:
         payload = pack_records(found, key_bytes)
-    return UnitDone(worker_id, UnitResult(
+    return UnitDone(worker_id, replace(
+        result,
         index=unit.index,
         seed=unit.seed,
         worker_id=worker_id,
-        operations=result.operations,
-        transitions=result.stats.transitions,
-        unique_states=result.stats.unique_states,
-        revisited_states=result.stats.revisited_states,
-        sim_time=result.sim_time,
         wall_time=realtime.now() - wall_start,
-        stopped_reason=result.stats.stopped_reason,
-        violation=result.report.to_dict() if result.report else None,
         shipped_hashes=len(found),
-        omission_possible=store.stats.omission_possible,
-        omission_probability=store.stats.omission_probability,
-        bytes_snapshotted=result.bytes_snapshotted,
-        bytes_restored=result.bytes_restored,
-        logical_snapshot_bytes=result.logical_snapshot_bytes,
-        cost_profile=profile.to_dict() if profile is not None else None,
-    ), RecordBatch(key_bytes, payload))
+    ).to_dict(), RecordBatch(key_bytes, payload))
 
 
 def worker_main(conn, spec: CheckSpec, worker_id: str,
-                config: WorkerConfig) -> None:
+                config: WorkerConfig,
+                trail_dir: Optional[str] = None) -> None:
     """Process entry point: the request/run/report loop."""
     try:
-        _worker_loop(conn, spec, worker_id, config)
+        _worker_loop(conn, spec, worker_id, config, trail_dir)
     except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
         pass  # coordinator went away (or aborted); nothing to clean up
     finally:
@@ -151,7 +143,7 @@ def worker_main(conn, spec: CheckSpec, worker_id: str,
 
 
 def _worker_loop(conn, spec: CheckSpec, worker_id: str,
-                 config: WorkerConfig) -> None:
+                 config: WorkerConfig, trail_dir: Optional[str]) -> None:
     def heartbeat(unit_index: int, operations: int) -> None:
         conn.send(Heartbeat(worker_id, unit_index, operations))
 
@@ -169,6 +161,7 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
         if not isinstance(message, WorkGrant):
             continue  # unknown message: ignore and re-request
         done = run_unit(spec, message.unit, worker_id, config, heartbeat,
-                        session_operations=session_operations)
-        session_operations += done.result.operations
+                        session_operations=session_operations,
+                        trail_dir=trail_dir)
+        session_operations += done.document["operations"]
         conn.send(done)

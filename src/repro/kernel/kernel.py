@@ -445,11 +445,8 @@ class Kernel:
         return written
 
     def _mark_fd_write(self, mount: Mount, entry: OpenFile) -> None:
-        if entry.dirty_rel:
-            self._mark_inode_entry(mount, entry.dirty_rel, entry.ino)
-        else:
-            # fd predates tracking (or its name is unknown): be safe
-            mount.mark_fully_dirty()
+        # ``open`` sets every fd's ``dirty_rel`` and ``rename`` keeps it
+        self._mark_inode_entry(mount, entry.dirty_rel, entry.ino)
 
     def lseek(self, fd: int, offset: int, whence: int = 0) -> int:
         self._sys()

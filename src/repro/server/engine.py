@@ -51,13 +51,12 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.clock import SimClock
-from repro.core.report import DiscrepancyReport
+from repro.core.mcfs import MCFSResult
 from repro.dist.coordinator import (
     DistResult,
     DistributedChecker,
     merged_cost_profile,
 )
-from repro.dist.protocol import UnitResult
 from repro.dist.spec import CheckSpec, WorkUnit
 from repro.dist.worker import WorkerConfig
 from repro.mc.hashtable import AbstractVisitedTable
@@ -76,7 +75,6 @@ from repro.server.protocol import (
     SubmitRequest,
     TERMINAL_STATES,
 )
-from repro.trail import capture_trail
 
 SPOOL_VERSION = 1
 
@@ -380,6 +378,7 @@ class CampaignEngine:
             workers=workers,
             config=WorkerConfig(
                 heartbeat_operations=self.config.heartbeat_operations),
+            trail_dir=self.config.trail_dir,
             units=batch,
             table=runtime.table,
             on_progress=on_progress,
@@ -390,8 +389,8 @@ class CampaignEngine:
             descriptor.operations += unit_result.operations
             self.clock.charge(unit_result.sim_time, "campaign")
             descriptor.visited_states = len(runtime.table)
-            if unit_result.violation is not None:
-                self._record_discrepancy(descriptor, runtime, unit_result)
+            if unit_result.found_discrepancy:
+                self._record_discrepancy(descriptor, unit_result)
             self._emit("progress", job_id, {
                 "unit": unit_result.index,
                 "units_done": descriptor.units_done,
@@ -416,25 +415,19 @@ class CampaignEngine:
                                       seed=spec.base_seed).visited
 
     def _record_discrepancy(self, descriptor: JobDescriptor,
-                            runtime: _Runtime, unit_result) -> None:
+                            unit_result: MCFSResult) -> None:
         descriptor.discrepancies += 1
         self._emit("discrepancy", descriptor.job_id, {
             "unit": unit_result.index,
-            "kind": unit_result.violation["kind"],
-            "summary": unit_result.violation["summary"],
+            "kind": unit_result.report.kind,
+            "summary": unit_result.report.summary,
         })
-        if self.config.trail_dir is None:
+        # the unit wrote its own trail (``trail_dir`` set)
+        if unit_result.trail_path is None:
             return
-        report = DiscrepancyReport.from_dict(unit_result.violation)
-        if report.schedule is None:
-            return
-        path = capture_trail(
-            report, descriptor.spec, self.config.trail_dir,
-            seed=unit_result.seed,
-            name=f"{descriptor.job_id}-unit{unit_result.index:03d}")
-        descriptor.trail_paths.append(path)
+        descriptor.trail_paths.append(unit_result.trail_path)
         self._emit("trail", descriptor.job_id,
-                   {"unit": unit_result.index, "path": path})
+                   {"unit": unit_result.index, "path": unit_result.trail_path})
 
     # ------------------------------------------------------- state changes --
     def pause(self, job_id: str) -> JobDescriptor:
@@ -513,7 +506,6 @@ class CampaignEngine:
         # from the units, not the slices: the units survive a restart
         result.cost_profile = merged_cost_profile(
             unit.cost_profile for unit in result.unit_results)
-        result.trail_paths = list(descriptor.trail_paths)
         runtime.table = None
         self._slots[slot] = None
         descriptor.state = DONE
@@ -668,7 +660,7 @@ def _read_spool(path: str):
     try:
         submit_seq = int(document.get("submit_seq", 0))
         descriptor = JobDescriptor.from_dict(require(document, "descriptor"))
-        unit_results = [UnitResult.from_dict(entry)
+        unit_results = [MCFSResult.from_dict(entry)
                         for entry in document.get("unit_results", [])]
         for unit in unit_results:
             # the units still to run are the spec's others

@@ -206,8 +206,7 @@ class Trail:
 
 
 def capture_trail(report: DiscrepancyReport, spec: CheckSpec,
-                  trail_dir: str, seed: int = 0,
-                  name: Optional[str] = None) -> str:
+                  trail_dir: str, seed: int = 0) -> str:
     """Write ``report`` (which must carry a schedule) as a trail file.
 
     Returns the path written, once the file is on disk.  Filenames never
@@ -217,7 +216,7 @@ def capture_trail(report: DiscrepancyReport, spec: CheckSpec,
     if not report.schedule:
         raise ValueError("report has no schedule; nothing to capture")
     os.makedirs(trail_dir, exist_ok=True)
-    stem = name or f"{'-'.join(spec.filesystems)}-{spec.mode}-seed{seed}"
+    stem = f"{'-'.join(spec.filesystems)}-{spec.mode}-seed{seed}"
     path = os.path.join(trail_dir, f"{stem}.trail.json")
     suffix = 2
     while os.path.exists(path):

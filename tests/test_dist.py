@@ -252,6 +252,30 @@ class TestDistributedDeterminism:
         with pytest.raises(ValueError):
             DistributedChecker(SPEC, workers=-1)
 
+    def test_an_fsck_find_crosses_the_pipe(self, monkeypatch, tmp_path):
+        """A unit the fsck oracle stops holds an FsckCorruptionError,
+        which does not unpickle; the fleet still reports the find, as
+        the inline runner does, and each unit's trail replays."""
+        from repro.analysis import oracle
+        from repro.analysis.findings import Finding
+        from repro.trail import Trail, replay_trail
+
+        planted = Finding("fsck.vfs", "planted", "every tree fails")
+        # the workers fork after the patch, so they run it too
+        monkeypatch.setattr(oracle, "check_mounted", lambda fs: [planted])
+        spec = dataclasses.replace(SPEC, units=2, fsck_every=3)
+        fleet = DistributedChecker(spec, workers=2,
+                                   trail_dir=str(tmp_path)).run()
+        inline = DistributedChecker(spec, workers=0).run()
+        assert [report.kind for report in fleet.discrepancies] == \
+            ["corruption"] * 2
+        assert [report.findings for report in fleet.discrepancies] == \
+            [[planted] * 2] * 2
+        assert fingerprint(fleet) == fingerprint(inline)
+        assert len(fleet.trail_paths) == 2
+        for path in fleet.trail_paths:
+            assert replay_trail(Trail.load(path)).confirmed
+
 
 # ------------------------------------------------------- fault tolerance --
 class TestFaultTolerance:

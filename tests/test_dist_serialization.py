@@ -2,7 +2,7 @@
 
 The companion of ``tests/test_report_serialization.py`` one layer up the
 stack: every document the campaign server ships over its wire or writes
-to its spool -- unit results, worker summaries, merged
+to its spool -- unit run records, worker summaries, merged
 :class:`~repro.dist.DistResult` campaigns, job descriptors, and job
 events -- must survive ``to_dict`` -> JSON ->
 ``from_dict`` without losing anything a consumer can observe, and every
@@ -10,9 +10,9 @@ message and ``Process`` argument of the worker fleet must survive the
 pickling its pipes do (:class:`TestWireRoundTrip`).
 
 Where a type embeds non-comparable state (exception objects inside
-:class:`~repro.mc.explorer.ExplorationStats`, visited tables inside
-``DistResult``), the round trip is pinned on the canonical document:
-``from_dict(doc).to_dict() == doc``.
+:class:`~repro.mc.explorer.ExplorationStats` and the run records that
+hold one, visited tables inside ``DistResult``), the round trip is
+pinned on the canonical document: ``from_dict(doc).to_dict() == doc``.
 """
 
 import dataclasses
@@ -23,14 +23,18 @@ from multiprocessing.reduction import ForkingPickler
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.report import RunSummary
+from repro.analysis.findings import Finding
+from repro.analysis.oracle import FsckCorruptionError
+from repro.core.integrity import DiscrepancyError
+from repro.core.mcfs import MCFSResult
+from repro.core.report import DiscrepancyReport, RunSummary
 from repro.dist import protocol as dist_protocol
 from repro.dist.coordinator import DistResult, WorkerSummary
-from repro.dist.protocol import UnitResult
 from repro.dist.spec import CheckSpec
 from repro.dist.worker import WorkerConfig
 from repro.mc.explorer import ExplorationStats, PropertyViolation
-from repro.mc.hashtable import VisitedStateTable
+from repro.mc.hashtable import TableStats, VisitedStateTable
+from repro.mc.perf import CostProfile
 from repro.mc.records import pack_records
 from repro.server import protocol as server_protocol
 from repro.server.protocol import JobDescriptor, JobEvent, SubmitRequest
@@ -50,36 +54,44 @@ finite_floats = st.floats(min_value=0.0, max_value=1e9,
                           allow_nan=False, allow_infinity=False, width=32)
 counts = st.integers(min_value=0, max_value=10**9)
 
-#: a minimal-but-valid serialised DiscrepancyReport (from_dict tolerates
-#: the legacy two-key form; anything richer is covered one layer down)
+#: a minimal-but-valid DiscrepancyReport as the violation a run stops on
+#: (anything richer is covered one layer down)
 violations = st.one_of(
     st.none(),
-    st.fixed_dictionaries({
-        "kind": st.sampled_from(("outcome", "state", "corruption")),
-        "summary": names,
-    }),
+    st.builds(
+        lambda kind, summary: DiscrepancyError(
+            DiscrepancyReport(kind=kind, summary=summary)),
+        st.sampled_from(("outcome", "state", "corruption")), names),
 )
 
 unit_results = st.builds(
-    UnitResult,
-    index=st.integers(min_value=0, max_value=999),
-    seed=st.integers(min_value=0, max_value=2**31),
-    worker_id=names,
-    operations=counts,
-    transitions=counts,
-    unique_states=counts,
-    revisited_states=counts,
+    MCFSResult,
+    stats=st.builds(
+        ExplorationStats,
+        operations=counts,
+        transitions=counts,
+        unique_states=counts,
+        revisited_states=counts,
+        stopped_reason=names,
+        violation=violations,
+    ),
     sim_time=finite_floats,
-    wall_time=finite_floats,
-    stopped_reason=names,
-    violation=violations,
-    shipped_hashes=counts,
+    table_stats=st.builds(
+        TableStats,
+        omission_possible=st.booleans(),
+        omission_probability=st.floats(min_value=0.0, max_value=1.0,
+                                       allow_nan=False, width=32),
+    ),
     bytes_snapshotted=counts,
     bytes_restored=counts,
     logical_snapshot_bytes=counts,
-    omission_possible=st.booleans(),
-    omission_probability=st.floats(min_value=0.0, max_value=1.0,
-                                   allow_nan=False, width=32),
+    trail_path=st.one_of(st.none(), names),
+    cost_profile=st.one_of(st.none(), st.builds(CostProfile, states=counts)),
+    index=st.integers(min_value=0, max_value=999),
+    seed=st.integers(min_value=0, max_value=2**31),
+    worker_id=names,
+    wall_time=finite_floats,
+    shipped_hashes=counts,
 )
 
 worker_summaries = st.builds(
@@ -125,7 +137,6 @@ def _dist_result(unit_list, summaries, seen):
         recovered_units=1,
         stolen_units=2,
         inline_units=0,
-        trail_paths=["trails/a.trail.json"],
     )
 
 
@@ -183,22 +194,34 @@ submit_requests = st.builds(
 
 # ------------------------------------------------------------- the tests --
 
-class TestUnitResultRoundTrip:
+class TestMCFSResultRoundTrip:
+    """A campaign unit's run record: its document keeps the unit keys
+    every spool written so far carries."""
+
     @settings(max_examples=50)
     @given(unit_results)
     def test_round_trip_is_lossless(self, unit):
-        assert UnitResult.from_dict(through_json(unit.to_dict())) == unit
+        document = through_json(unit.to_dict())
+        assert MCFSResult.from_dict(document).to_dict() == unit.to_dict()
+        assert set(document) == {
+            "index", "seed", "worker_id", "operations", "transitions",
+            "unique_states", "revisited_states", "sim_time", "wall_time",
+            "stopped_reason", "violation", "shipped_hashes",
+            "bytes_snapshotted", "bytes_restored", "logical_snapshot_bytes",
+            "omission_possible", "omission_probability", "cost_profile",
+            "trail_path"}
 
     def test_unknown_keys_are_ignored(self):
-        document = UnitResult(index=1, seed=2, worker_id="w0").to_dict()
+        document = MCFSResult(ExplorationStats(), index=1, seed=2,
+                              worker_id="w0").to_dict()
         document["from_the_future"] = 42
-        assert UnitResult.from_dict(document).index == 1
+        assert MCFSResult.from_dict(document).index == 1
 
     def test_missing_keys_fall_back_to_defaults(self):
-        unit = UnitResult.from_dict(
+        unit = MCFSResult.from_dict(
             {"index": 3, "seed": 9, "worker_id": "w1"})
         assert unit.omission_probability == 0.0
-        assert unit.violation is None
+        assert unit.report is None
 
 
 class TestWorkerSummaryRoundTrip:
@@ -284,15 +307,16 @@ def _every_field_set(cls, **overrides):
 
 class TestEveryResultFieldRoundTrips:
     def test_no_field_is_forgotten(self):
-        """The four result types (and the two they embed) serialise from
+        """The result types (and the ones they embed) serialise from
         ``dataclasses.fields``: set every field to a non-default value
-        and a field dropped by either direction shows up as a diff."""
+        and a field dropped by either direction shows up as a diff.  A
+        unit's run record is pinned on its document
+        (:meth:`test_no_run_record_field_is_forgotten`)."""
         table = VisitedStateTable()
         table.visit("ab" * 16, depth=2)
-        unit = _every_field_set(UnitResult)
+        unit = WIRE_RESULT
         worker = _every_field_set(WorkerSummary)
         for instance in (
-            unit,
             worker,
             _every_field_set(RunSummary),
             _every_field_set(ExplorationStats,
@@ -305,10 +329,42 @@ class TestEveryResultFieldRoundTrips:
                 item.name for item in dataclasses.fields(instance)}
             restored = type(instance).from_dict(document)
             assert through_json(restored.to_dict()) == document
+            # what holds an exception or a table is pinned on its document
             for item in dataclasses.fields(instance):
-                if item.name not in ("violation", "table"):
+                if item.name not in ("violation", "table", "unit_results"):
                     assert getattr(restored, item.name) == \
                         getattr(instance, item.name), item.name
+
+    def test_no_run_record_field_is_forgotten(self):
+        """Every :class:`MCFSResult` field is a key of the unit document
+        the spool and the server keep, or is named here as left out: a
+        new field the document drops fails until it is one or the
+        other.  ``stats`` and ``table_stats`` travel as the readings the
+        unit keys name; ``coverage`` stays local to the CLI."""
+        left_out = {"stats", "table_stats", "coverage"}
+        readings = ("operations", "transitions", "unique_states",
+                    "revisited_states", "stopped_reason",
+                    "omission_possible", "omission_probability")
+        record = _every_field_set(
+            MCFSResult,
+            stats=_every_field_set(ExplorationStats,
+                                   violation=WIRE_RESULT.stats.violation),
+            table_stats=TableStats(omission_possible=True,
+                                   omission_probability=0.25),
+            cost_profile=CostProfile(states=3),
+            coverage=object(),
+        )
+        document = through_json(record.to_dict())
+        fields = {item.name for item in dataclasses.fields(MCFSResult)}
+        assert fields - left_out <= set(document)
+        restored = MCFSResult.from_dict(document)
+        assert through_json(restored.to_dict()) == document
+        for name in (fields - left_out - {"cost_profile"}).union(readings):
+            assert getattr(restored, name) == getattr(record, name), name
+        assert restored.cost_profile.to_dict() == \
+            record.cost_profile.to_dict()
+        assert restored.report.to_dict() == record.report.to_dict()
+        assert restored.coverage is None
 
 
 class TestDistResultRoundTrip:
@@ -378,12 +434,17 @@ WIRE_SPEC = CheckSpec(filesystems=("verifs1", "verifs2"),
                       max_depth=9, state_store="bitstate:8192,3",
                       input_profile="boundary")
 WIRE_UNIT = WIRE_SPEC.work_units()[1]
-WIRE_RESULT = UnitResult(
-    index=1, seed=WIRE_UNIT.seed, worker_id="w1", operations=40,
-    unique_states=12, sim_time=0.5, stopped_reason="property violation",
-    violation={"kind": "state", "summary": "abstract states differ"},
-    omission_possible=True, omission_probability=0.01,
-    cost_profile={"states": 12})
+WIRE_FINDING = Finding("fsck.ext2", "block-leak", "block 9 leaked")
+WIRE_RESULT = MCFSResult(
+    stats=ExplorationStats(
+        operations=40, unique_states=12, stopped_reason="property violation",
+        violation=FsckCorruptionError(DiscrepancyReport(
+            kind="corruption", summary="fsck oracle: 1 invariant violation",
+            findings=[WIRE_FINDING]), [WIRE_FINDING])),
+    sim_time=0.5,
+    table_stats=TableStats(omission_possible=True, omission_probability=0.01),
+    trail_path="trails/t.trail.json", cost_profile=CostProfile(states=12),
+    index=1, seed=WIRE_UNIT.seed, worker_id="w1")
 WIRE_BATCH = dist_protocol.RecordBatch(
     8, pack_records([(3, 1), (1 << 60, 9)], 8))
 
@@ -393,9 +454,8 @@ WIRE = {
     dist_protocol.WorkRequest: dist_protocol.WorkRequest("w0"),
     dist_protocol.Heartbeat: dist_protocol.Heartbeat("w0", 1, 120),
     dist_protocol.RecordBatch: WIRE_BATCH,
-    UnitResult: WIRE_RESULT,
-    dist_protocol.UnitDone: dist_protocol.UnitDone("w1", WIRE_RESULT,
-                                                   WIRE_BATCH),
+    dist_protocol.UnitDone: dist_protocol.UnitDone(
+        "w1", WIRE_RESULT.to_dict(), WIRE_BATCH),
     dist_protocol.WorkGrant: dist_protocol.WorkGrant(WIRE_UNIT),
     dist_protocol.Wait: dist_protocol.Wait(0.1),
     dist_protocol.NoMoreWork: dist_protocol.NoMoreWork(),
@@ -436,6 +496,19 @@ class TestWireRoundTrip:
     def test_pickles_through_the_pipe(self, value):
         # the pickler multiprocessing's pipes and Process arguments use
         assert pickle.loads(ForkingPickler.dumps(value)) == value
+
+    def test_a_unit_record_crosses_as_its_document(self):
+        """The record a unit stops on an fsck find holds an
+        FsckCorruptionError, which does not unpickle (its ``args`` lack
+        the findings); the pipe carries the record's document, and the
+        coordinator rebuilds the record and its report from it."""
+        done = pickle.loads(
+            ForkingPickler.dumps(WIRE[dist_protocol.UnitDone]))
+        record = done.result
+        assert record.to_dict() == WIRE_RESULT.to_dict()
+        assert record.report.kind == "corruption"
+        assert record.report.findings == [WIRE_FINDING]
+        assert record.trail_path == "trails/t.trail.json"
 
     @pytest.mark.parametrize("cls", wire_dataclasses(server_protocol),
                              ids=lambda cls: cls.__name__)

@@ -313,7 +313,7 @@ class TestSwarm:
         assert result.discrepancies[0].kind == "state"
         # a member that finds the bug stops there; the others carry on
         finders = [unit for unit in result.unit_results
-                   if unit.violation is not None]
+                   if unit.found_discrepancy]
         assert all(unit.operations < 800 for unit in finders)
         assert len(result.unit_results) == 6
 

@@ -6,11 +6,12 @@ second campaign runner, a block file system or fsck checker with its
 own namespace code or tree walk, a driver with its own consistency
 check, code that patches a built harness, the visited-set merge API,
 a worker that ships its finds before its unit is done, a restore that
-keeps its checkpoint for another, and a trail minimiser that rewinds a
-long-lived harness beside the fresh one each probe builds.  Each guard
-is a ``grep -rnE`` over the same files: it lists every matching
-``path:line`` and must find none.  Text files are searched; byte-code
-caches are not.
+keeps its checkpoint for another, a trail minimiser that rewinds a
+long-lived harness beside the fresh one each probe builds, a second
+record of a run, and a trail captured anywhere but where its run ran.
+Each guard is a ``grep -rnE`` over the same files: it lists every
+matching ``path:line`` and must find none.  Text files are searched;
+byte-code caches are not.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ GUARDS = [
     ("one prober",
      r"def reset\(|_pristine|_HybridTest|^class (?!_FreshProber\b)\w*Prober\b",
      ["src/repro/trail"], None, ()),
+    ("one run record", r"class UnitResult\b", ["src/repro"], None, ()),
+    ("one trail capture", r"(?<!def )capture_trail\(", ["src/repro"], None,
+     ("src/repro/core/mcfs.py",)),
 ]
 
 
@@ -109,3 +113,5 @@ def test_guards_see_what_they_forbid():
     assert grep(GUARDS[9][1], ["tests/test_dist.py"])
     assert grep(GUARDS[10][1], ["CHANGES.md"])
     assert grep(GUARDS[11][1], ["src/repro/clock.py", "CHANGES.md"])
+    assert grep(GUARDS[12][1], ["tests/test_one_mechanism.py"])
+    assert grep(GUARDS[13][1], ["src/repro/core/mcfs.py"])

@@ -157,11 +157,11 @@ class TestEngineBasics:
         engine.run_until_idle()
         result = engine.result(job.job_id)
         units = [unit.cost_profile for unit in result.unit_results]
-        assert all(profile["seconds"]["ship"] > 0 for profile in units)
+        assert all(profile.seconds["ship"] > 0 for profile in units)
         assert result.cost_profile["states"] == \
-            sum(profile["states"] for profile in units)
+            sum(profile.states for profile in units)
         assert result.cost_profile["seconds"]["ship"] == pytest.approx(
-            sum(profile["seconds"]["ship"] for profile in units))
+            sum(profile.seconds["ship"] for profile in units))
         restored = DistResult.from_dict(
             json.loads(json.dumps(result.to_dict())))
         assert restored.cost_profile == result.cost_profile
@@ -451,7 +451,7 @@ class TestPauseResume:
         result = reborn.result(job.job_id)
         assert len(result.unit_results) == SPEC.units
         assert result.cost_profile["states"] == sum(
-            unit.cost_profile["states"] for unit in result.unit_results)
+            unit.cost_profile.states for unit in result.unit_results)
 
     def test_spool_written_before_typed_specs_resumes(self, baseline,
                                                       tmp_path):

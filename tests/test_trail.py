@@ -434,3 +434,26 @@ class TestDistributedTrails:
         minimized = minimize_trail(trail)
         assert minimized.minimized_operations <= 10
         assert replay_trail(minimized.trail).confirmed
+
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_unit_trail_embeds_the_spec_the_unit_ran(self, tmp_path,
+                                                     workers):
+        """Each unit writes its own trail: unit 1 of this rotation finds
+        the bug (unit 0 does not), and its trail carries unit 1's input
+        profile and operation budget, not the campaign's."""
+        from repro.dist import DistributedChecker
+
+        spec = CheckSpec(filesystems=("verifs1", "verifs2"),
+                         verifs_bugs=("write-hole-stale",), units=2,
+                         unit_operations=300,
+                         profile_rotation=("meta-churn", "boundary"))
+        dist = DistributedChecker(spec, workers=workers,
+                                  trail_dir=str(tmp_path)).run()
+        assert [unit for unit, _, _ in dist.discrepancy_signature()] == [1]
+        assert len(dist.trail_paths) == 1
+        trail = Trail.load(dist.trail_paths[0])
+        assert trail.spec.input_profile == spec.unit_profile(1) == "boundary"
+        assert trail.spec.max_ops == spec.unit_operations
+        assert trail.seed == spec.work_units()[1].seed
+        replay = replay_trail(trail)
+        assert replay.confirmed and replay.exact
