@@ -214,6 +214,9 @@ def _run_campaign(args, state_file: Optional[str] = None,
           f"{dist.stolen_units} stolen, {dist.recovered_units} recovered, "
           f"{dist.inline_units} inline), "
           f"{dist.wall_states_per_second:.1f} states/s wall")
+    if dist.resumed_units or dist.resumed_states:
+        print(f"resumed    : {dist.resumed_units} finished unit(s), "
+              f"{dist.resumed_states} state(s) from {state_file}")
     print(f"speedup    : {dist.speedup:.2f}x modeled "
           f"({dist.sequential_sim_time:.3f}s sequential -> "
           f"{dist.modeled_parallel_time:.3f}s parallel)")

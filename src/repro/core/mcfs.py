@@ -31,7 +31,7 @@ from repro.core.report import DiscrepancyReport
 from repro.mc.explorer import ExplorationStats, Explorer
 from repro.mc.hashtable import TableStats
 from repro.mc.memory import MemoryModel
-from repro.mc.statestore import make_store
+from repro.mc.persistence import resume, save_checker_state
 from repro.mc.strategies import CheckpointStrategy, IoctlStrategy, RemountStrategy
 
 
@@ -342,23 +342,10 @@ class MCFS:
     def _make_explorer(self, target: MCFSTarget,
                        state_file: Optional[str] = None,
                        visited=None, **kwargs) -> Explorer:
-        self._resumed_operations = 0
-        self._resumed_runs = 0
-        if state_file is not None:
-            from repro.mc.persistence import load_checker_state
-
-            snapshot = load_checker_state(state_file,
-                                          memory=self.options.memory_model,
-                                          store=self.options.state_store,
-                                          seed=self.options.store_seed)
-            if snapshot is not None:
-                visited = snapshot.visited
-                self._resumed_operations = snapshot.operations_completed
-                self._resumed_runs = snapshot.runs
-        if visited is None:
-            visited = make_store(self.options.state_store,
-                                 memory=self.options.memory_model,
-                                 seed=self.options.store_seed)
+        self._resumed = resume(state_file, self.options.state_store,
+                               self.options.store_seed,
+                               memory=self.options.memory_model,
+                               table=visited)
         if self.options.fsck_every:
             from repro.analysis.oracle import FsckOracle
 
@@ -373,20 +360,17 @@ class MCFS:
         engine = getattr(target, "engine", None)
         if engine is not None:
             engine.profile = kwargs.get("profile")
-        return Explorer(target, self.clock, visited=visited, **kwargs)
+        return Explorer(target, self.clock, visited=self._resumed.visited,
+                        **kwargs)
 
     def _finish_run(self, explorer: Explorer, start: float,
                     state_file: Optional[str]) -> MCFSResult:
         if state_file is not None:
-            from repro.mc.persistence import save_checker_state
-
             save_checker_state(
-                state_file,
-                explorer.visited,
-                operations_completed=self._resumed_operations
+                state_file, explorer.visited,
+                operations_completed=self._resumed.operations_completed
                 + explorer.stats.operations,
-                runs=self._resumed_runs + 1,
-            )
+                runs=self._resumed.runs + 1)
         devices = [fut.device for fut in self.futs if fut.device is not None]
         return MCFSResult(
             stats=explorer.stats,

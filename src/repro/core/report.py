@@ -313,7 +313,9 @@ class RunSummary(FieldCodec):
     def from_campaign(cls, dist) -> "RunSummary":
         """Build from a :class:`~repro.dist.DistResult` (duck-typed): the
         merged table, time on the modelled parallel lanes, and a
-        property violation as soon as any unit reports one."""
+        property violation as soon as any unit reports one.  New states
+        are those the run added to the table it resumed, as for a local
+        run."""
         parallel = dist.modeled_parallel_time
         columns = _store_columns(dist.table.stats)
         # a unit's private store may have omitted what the union did not
@@ -321,7 +323,7 @@ class RunSummary(FieldCodec):
                        omission_probability=dist.omission_probability)
         return cls(
             operations=dist.total_operations,
-            unique_states=dist.visited_states,
+            unique_states=dist.visited_states - dist.resumed_states,
             sim_time=parallel,
             ops_per_second=(dist.total_operations / parallel
                             if parallel else 0.0),

@@ -48,12 +48,11 @@ from repro.dist.spec import CheckSpec, WorkUnit
 from repro.dist.worker import WorkerConfig, run_unit, worker_main
 from repro.mc.hashtable import AbstractVisitedTable, VisitedStateTable
 from repro.mc.persistence import (
-    load_checker_state,
+    resume,
     save_checker_state,
     snapshot_document,
     snapshot_from_document,
 )
-from repro.mc.statestore import make_store
 from repro.util.fieldcodec import FieldCodec
 
 if TYPE_CHECKING:
@@ -139,6 +138,10 @@ class DistResult(FieldCodec):
     recovered_units: int = 0
     stolen_units: int = 0
     inline_units: int = 0
+    #: the finished units (their records are in ``unit_results``) and
+    #: the table's states the run resumed: it added the rest
+    resumed_units: int = 0
+    resumed_states: int = 0
     #: campaign-wide per-state cost breakdown (unit profiles merged;
     #: :meth:`repro.mc.perf.CostProfile.to_dict` form) when the spec
     #: profiled; None otherwise
@@ -254,9 +257,10 @@ class DistResult(FieldCodec):
 
     @property
     def wall_states_per_second(self) -> float:
-        """Merged unique states per real wall-clock second -- the honest
+        """States the run added per real wall-clock second -- the honest
         throughput headline (the modeled number is the *shape* check)."""
-        return self.visited_states / self.wall_time if self.wall_time > 0 else 0.0
+        added = self.visited_states - self.resumed_states
+        return added / self.wall_time if self.wall_time > 0 else 0.0
 
     # ------------------------------------------------------------ slices --
     def absorb(self, later: "DistResult") -> None:
@@ -368,24 +372,38 @@ class DistributedChecker:
 
     # ------------------------------------------------------------------ run --
     def run(self) -> DistResult:
+        snapshot = resume(self.state_file, self.spec.state_store,
+                          self.spec.base_seed, spec=self.spec,
+                          table=self.table)
+        table = snapshot.visited
+        # the resume rule: a unit with a record is done
+        results = {unit.index: unit for unit in snapshot.unit_results}
         units = (self.units_override if self.units_override is not None
-                 else self.spec.work_units())
-        table = self.table
-        resumed_operations = 0
-        resumed_runs = 0
-        if self.state_file is not None:
-            snapshot = load_checker_state(self.state_file,
-                                          store=self.spec.state_store,
-                                          seed=self.spec.base_seed)
-            if snapshot is not None:
-                table = snapshot.visited
-                resumed_operations = snapshot.operations_completed
-                resumed_runs = snapshot.runs
-        if table is None:
-            table = make_store(self.spec.state_store,
-                               seed=self.spec.base_seed)
+                 else self.spec.units_without(snapshot.unit_results))
+        result = DistResult(workers=self.workers,
+                            resumed_units=len(results),
+                            resumed_states=len(table))
+        # the operations of earlier runs that no record holds
+        unrecorded = snapshot.operations_completed - sum(
+            unit.operations for unit in snapshot.unit_results)
 
-        result = DistResult(workers=self.workers)
+        def save() -> None:
+            if self.state_file is not None:
+                save_checker_state(
+                    self.state_file, table, runs=snapshot.runs + 1,
+                    operations_completed=unrecorded + sum(
+                        unit.operations for unit in results.values()),
+                    spec=self.spec, unit_results=results.values())
+
+        def land(unit_result: MCFSResult, batch) -> None:
+            """A finished unit's states enter the table (a malformed
+            payload raises StoreFormatError; states it held count as
+            duplicate hits), its record the results, and both the state
+            file: an interrupted campaign keeps every unit it finished."""
+            table.visit_many(batch.records())
+            results.setdefault(unit_result.index, unit_result)
+            save()
+
         # seed-partitioned initial split: unit i -> partition i mod W
         partitions: List[Deque[WorkUnit]] = [
             deque() for _ in range(max(1, self.workers))]
@@ -396,25 +414,19 @@ class DistributedChecker:
         wall_start = realtime.now()
         try:
             records = self._spawn_fleet()
-            self._supervise(records, partitions, units, table, result)
+            self._supervise(records, partitions, units, results, land,
+                            result)
         finally:
             self._shutdown_fleet(records)
         result.wall_time = realtime.now() - wall_start
 
-        result.unit_results.sort(key=lambda unit: unit.index)
+        result.unit_results = sorted(results.values(),
+                                     key=lambda unit: unit.index)
         result.table = table
         result.cost_profile = merged_cost_profile(
             unit.cost_profile for unit in result.unit_results)
         result.worker_summaries = [record.summary for record in records]
-        if self.state_file is not None:
-            save_checker_state(
-                self.state_file, table,
-                operations_completed=resumed_operations
-                + result.total_operations,
-                runs=resumed_runs + 1,
-                seed=self.spec.base_seed,
-                worker_id="coordinator",
-            )
+        save()
         return result
 
     # ------------------------------------------------------------ internals --
@@ -447,10 +459,10 @@ class DistributedChecker:
     def _supervise(self, records: List[WorkerRecord],
                    partitions: List[Deque[WorkUnit]],
                    units: List[WorkUnit],
-                   table: AbstractVisitedTable,
+                   results: Dict[int, MCFSResult], land,
                    result: DistResult) -> None:
         by_id = {record.worker_id: record for record in records}
-        results: Dict[int, MCFSResult] = {}
+        target = len(results) + len(units)
         leases: Dict[str, Lease] = {}
         wall_started: Dict[str, float] = {}
 
@@ -511,7 +523,7 @@ class DistributedChecker:
                     )
                     wall_started[record.worker_id] = now
                     record.conn.send(WorkGrant(unit))
-                elif len(results) >= len(units):
+                elif len(results) >= target:
                     record.conn.send(NoMoreWork())
                 else:
                     record.conn.send(Wait())  # outstanding leases elsewhere
@@ -534,15 +546,12 @@ class DistributedChecker:
                 if record.worker_id in wall_started:
                     summary.wall_time += now - wall_started.pop(
                         record.worker_id)
-                # a malformed payload raises StoreFormatError; records
-                # the table already held count as its duplicate hits
-                table.visit_many(message.batch.records())
-                results.setdefault(unit_result.index, unit_result)
+                land(unit_result, message.batch)
 
-        while len(results) < len(units):
+        while len(results) < target:
             connections = [record.conn for record in live()]
             if not connections:
-                self._finish_inline(units, results, table, result)
+                self._finish_inline(units, results, land, result)
                 break
             ready = connection_wait(connections, timeout=POLL_INTERVAL)
             for conn in ready:
@@ -561,15 +570,13 @@ class DistributedChecker:
                 elif lease is not None and now > lease.deadline:
                     recover(record)  # alive but silent past the lease
 
-        result.unit_results = list(results.values())
         # final per-worker wall accounting for workers still mid-request
         now = realtime.now()
         for worker_id, started in list(wall_started.items()):
             by_id[worker_id].summary.wall_time += now - started
 
     def _finish_inline(self, units: List[WorkUnit],
-                       results: Dict[int, MCFSResult],
-                       table: AbstractVisitedTable,
+                       results: Dict[int, MCFSResult], land,
                        result: DistResult) -> None:
         """No live worker (none was asked for, or all died): complete
         the frontier in-process, reporting progress like leased units."""
@@ -578,8 +585,7 @@ class DistributedChecker:
                 continue
             done = run_unit(self.spec, unit, "coordinator", self.config,
                             self.on_progress, trail_dir=self.trail_dir)
-            table.visit_many(done.batch.records())
-            results[unit.index] = done.result
+            land(done.result, done.batch)
             result.inline_units += 1
 
     def _shutdown_fleet(self, records: List[WorkerRecord]) -> None:

@@ -309,3 +309,10 @@ class CheckSpec(FieldCodec):
             )
             for index in range(self.units)
         ]
+
+    def units_without(self, records) -> List[WorkUnit]:
+        """The units no run record in ``records`` covers: what a resumed
+        campaign runs (:mod:`repro.mc.persistence`'s resume rule)."""
+        finished = {record.index for record in records}
+        return [unit for unit in self.work_units()
+                if unit.index not in finished]

@@ -18,44 +18,48 @@ Every store kind writes the same container::
     {"version": 4,
      "store": {"kind": ..., <parameters>, "entries": "<packed hex>"},
      "table_stats": {...}, "operations_completed": N, "runs": N,
-     "seed": ..., "worker_id": ...}
+     "spec": {...} | null, "unit_results": [{...}, ...]}
 
 ``store`` is the store's own record: keyed tables (exact, hc) carry
 their sorted ``(key, depth)`` records in the :mod:`repro.mc.records`
 layout, hex-encoded; bitstate carries its two arrays.  ``table_stats``
 restores the traffic counters so a resumed run's duplicate-hit ratio is
-meaningful; ``seed``/``worker_id`` say whose work a snapshot covers.
-The campaign server keeps a paused job's completed unit results beside
-the snapshot, in its own spool document; the units still to run are
-the spec's others.
-
-Documents of any other version -- including the v1/v2/v3 forms earlier
-releases wrote -- are refused with :class:`StoreFormatError`, as is any
-document with a missing or malformed field: a snapshot loads whole or
-not at all.
+meaningful.  A campaign's snapshot -- its ``--state-file``, a served
+job's spooled one -- also records its finished units: their run records
+(:meth:`~repro.core.mcfs.MCFSResult.to_dict`) and the
+:class:`~repro.dist.spec.CheckSpec` they belong to.  Documents of any
+other version are refused with :class:`StoreFormatError`, as is any
+with a missing or malformed field: a snapshot loads whole or not at
+all.  Keys this module does not read (the ``seed``/``worker_id`` older
+documents carry) are ignored.
 
 **The resume rule.**  Every resumable run -- ``MCFS.run_dfs`` /
 ``run_random`` with a ``state_file``, a ``DistributedChecker`` with one,
-and a paused campaign the server resumes -- loads the snapshot's table,
-persisted counters included, *as* the run's table; nothing is merged.
-Passing the run's ``store`` spec and ``seed`` to
-:func:`snapshot_from_document` / :func:`load_checker_state` refuses,
-with :class:`StoreFormatError`, a snapshot whose store would key states
-differently: another kind, fingerprint width or bits/k, or -- for the
-lossy kinds, whose keys and bit positions are seed-mixed -- another
-seed.
+and a paused campaign the server resumes -- starts from :func:`resume`:
+the snapshot's table, persisted counters included, *is* the run's table
+(nothing is merged), and a campaign runs only the spec's units that
+have no record (:meth:`~repro.dist.spec.CheckSpec.units_without`).  A
+snapshot the run would resume wrongly raises :class:`StoreFormatError`:
+one whose store keys states differently (another kind, fingerprint
+width or bits/k, or -- for the lossy kinds, whose keys and bit positions
+are seed-mixed -- another seed), whose unit records belong to another
+spec (other per-unit budgets), or that holds unit records a local run
+(no ``spec``) would drop.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.mc.hashtable import AbstractVisitedTable, TableStats
 from repro.mc.records import StoreFormatError, parse_store_spec, require
-from repro.mc.statestore import store_from_document
+from repro.mc.statestore import make_store, store_from_document
+
+if TYPE_CHECKING:
+    from repro.core.mcfs import MCFSResult
 
 FORMAT_VERSION = 4
 
@@ -67,16 +71,15 @@ class CheckerSnapshot:
     visited: AbstractVisitedTable
     operations_completed: int = 0
     runs: int = 1
-    #: exploration seed the snapshot belongs to
-    seed: Optional[int] = None
-    #: distributed worker that produced the snapshot
-    worker_id: Optional[str] = None
+    #: the finished campaign units' run records, in index order
+    unit_results: List[MCFSResult] = field(default_factory=list)
 
 
 def snapshot_document(visited: AbstractVisitedTable,
                       operations_completed: int = 0, runs: int = 1,
-                      seed: Optional[int] = None,
-                      worker_id: Optional[str] = None) -> Dict[str, Any]:
+                      spec=None,
+                      unit_results: Iterable[MCFSResult] = ()
+                      ) -> Dict[str, Any]:
     """Build the (JSON-serialisable) snapshot document.
 
     Shared by :func:`save_checker_state`, a serialised campaign result
@@ -95,9 +98,9 @@ def snapshot_document(visited: AbstractVisitedTable,
         "store": store_document(),
         "operations_completed": operations_completed,
         "runs": runs,
-        "seed": seed,
-        "worker_id": worker_id,
         "table_stats": visited.stats.to_dict(),
+        "spec": spec.to_dict() if spec is not None else None,
+        "unit_results": [unit.to_dict() for unit in unit_results],
     }
 
 
@@ -116,15 +119,73 @@ def _require_same_keys(visited: AbstractVisitedTable, store: str,
         f"and seed that wrote it")
 
 
+def unit_records(entries: Any, spec=None) -> List[MCFSResult]:
+    """The run records a ``unit_results`` list holds, in index order.
+    Anything but a list of objects with distinct integer indices --
+    each one of ``spec``'s units, given a spec -- raises
+    :class:`StoreFormatError`."""
+    from repro.core.mcfs import MCFSResult
+
+    if not isinstance(entries, list):
+        raise StoreFormatError("unit_results: not a list")
+    records: Dict[int, MCFSResult] = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise StoreFormatError(f"unit_results: {entry!r} is not an "
+                                   "object")
+        try:
+            record = MCFSResult.from_dict(entry)
+        except (KeyError, TypeError, ValueError) as error:
+            raise StoreFormatError(f"unit_results: malformed record "
+                                   f"({type(error).__name__}: {error})"
+                                   ) from None
+        index = record.index
+        problem = ("is not an integer" if type(index) is not int
+                   else "repeats" if index in records
+                   else f"is outside the spec's {spec.units} unit(s)"
+                   if spec is not None and not 0 <= index < spec.units
+                   else None)
+        if problem is not None:
+            raise StoreFormatError(f"unit result index {index!r} {problem}")
+        records[index] = record
+    return [records[index] for index in sorted(records)]
+
+
+def _require_same_spec(document: Dict[str, Any], records: List[MCFSResult],
+                       spec) -> None:
+    """The resume rule's refusal for unit records: they resume only the
+    spec that wrote them, and a local run (``spec`` None) resumes none."""
+    if not records:
+        return
+    if spec is None:
+        raise StoreFormatError(
+            "unit_results: the snapshot records finished campaign units, "
+            "which a local run would drop; resume it with --workers")
+    recorded = document.get("spec")
+    try:
+        if type(spec).from_dict(recorded) == spec:
+            return
+    except (AttributeError, TypeError, ValueError):  # no spec at all
+        pass
+    detail = ("differing in " + ", ".join(
+        name for name, value in spec.to_dict().items()
+        if recorded.get(name) != value)
+        if isinstance(recorded, dict) else "the snapshot names none")
+    raise StoreFormatError(
+        f"spec: the snapshot's unit records belong to another campaign "
+        f"spec ({detail}); resume with the spec that wrote them")
+
+
 def snapshot_from_document(document: Dict[str, Any], memory=None,
-                           store: Optional[str] = None,
-                           seed: int = 0) -> CheckerSnapshot:
+                           store: Optional[str] = None, seed: int = 0,
+                           spec=None) -> CheckerSnapshot:
     """Rebuild a :class:`CheckerSnapshot`; malformed input of any shape
     raises :class:`StoreFormatError`.
 
-    ``store``/``seed`` are the resuming run's store spec and store seed:
-    given, a snapshot whose store keys states differently is refused
-    (the module's resume rule)."""
+    ``store``/``seed`` are the resuming run's store spec and store seed,
+    and ``spec`` its campaign spec (None for a local run): given
+    ``store``, a snapshot the run would resume wrongly is refused (the
+    module's resume rule)."""
     version = require(document, "version")
     if version != FORMAT_VERSION:
         raise StoreFormatError(
@@ -141,46 +202,72 @@ def snapshot_from_document(document: Dict[str, Any], memory=None,
     stats.omission_probability = max(stats.omission_probability,
                                      visited.stats.omission_probability)
     visited.stats = stats
+    records = unit_records(document.get("unit_results", []), spec)
     if store is not None:
         _require_same_keys(visited, store, seed)
+        _require_same_spec(document, records, spec)
     return CheckerSnapshot(
         visited=visited,
         operations_completed=int(document.get("operations_completed", 0)),
         runs=int(document.get("runs", 1)),
-        seed=document.get("seed"),
-        worker_id=document.get("worker_id"),
+        unit_results=records,
     )
 
 
-def save_checker_state(path: str, visited: AbstractVisitedTable,
-                       operations_completed: int = 0, runs: int = 1,
-                       seed: Optional[int] = None,
-                       worker_id: Optional[str] = None) -> None:
-    """Atomically write the checker's knowledge to ``path``."""
-    document = snapshot_document(visited,
-                                 operations_completed=operations_completed,
-                                 runs=runs, seed=seed, worker_id=worker_id)
+def write_document(path: str, document: Dict[str, Any]) -> None:
+    """Write ``document`` to ``path`` as JSON, atomically (tmp file +
+    rename): a crash during the write keeps the previous file whole."""
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle)
     os.replace(tmp_path, path)  # atomic on POSIX
 
 
+def read_document(path: str) -> Any:
+    """The JSON document at ``path``; torn JSON, or a file that is not
+    UTF-8 at all, raises :class:`StoreFormatError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as error:
+        raise StoreFormatError(f"{path}: not JSON ({error})") from None
+
+
+def save_checker_state(path: str, visited: AbstractVisitedTable,
+                       **fields: Any) -> None:
+    """Atomically write the checker's knowledge to ``path``; ``fields``
+    are :func:`snapshot_document`'s."""
+    write_document(path, snapshot_document(visited, **fields))
+
+
 def load_checker_state(path: str, memory=None, store: Optional[str] = None,
-                       seed: int = 0) -> Optional[CheckerSnapshot]:
+                       seed: int = 0, spec=None) -> Optional[CheckerSnapshot]:
     """Load a previously saved snapshot; None when ``path`` is absent.
 
-    ``store``/``seed`` apply the resume rule (see
+    ``store``/``seed``/``spec`` apply the resume rule (see
     :func:`snapshot_from_document`)."""
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except ValueError as error:  # torn JSON, or not UTF-8 at all
-            raise StoreFormatError(f"{path}: not JSON ({error})") from None
+    document = read_document(path)
     try:
         return snapshot_from_document(document, memory=memory, store=store,
-                                      seed=seed)
+                                      seed=seed, spec=spec)
     except ValueError as error:
         raise StoreFormatError(f"{path}: {error}") from None
+
+
+def resume(path: Optional[str], store: str, seed: int = 0, spec=None,
+           memory=None, table: Optional[AbstractVisitedTable] = None
+           ) -> CheckerSnapshot:
+    """What a run starts from: the snapshot at ``path`` under the resume
+    rule (``store``/``seed``/``spec`` are the run's), or -- no ``path``,
+    or no file there yet -- ``table`` (a fresh ``store`` table when
+    None) with nothing recorded and no run before it."""
+    snapshot = (load_checker_state(path, memory=memory, store=store,
+                                   seed=seed, spec=spec)
+                if path is not None else None)
+    if snapshot is not None:
+        return snapshot
+    if table is None:
+        table = make_store(store, memory=memory, seed=seed)
+    return CheckerSnapshot(table, runs=0)

@@ -22,12 +22,11 @@ Responsibilities:
   remaining budget instead of refusing outright -- the campaign still
   runs, lossy, with its omission probability accounted;
 * **pause/resume** -- a pause lands at the next unit boundary and
-  serialises the job's visited table as a :mod:`repro.mc.persistence`
-  document, spooled beside the completed units' results; resume -- in
-  the same engine or a restarted one -- loads the snapshot's table,
-  counters included, as the job's table (the persistence module's
-  resume rule) and re-derives the remaining units from the spec: every
-  unit without a result;
+  serialises the job as a :mod:`repro.mc.persistence` snapshot: its
+  visited table and its finished units' records; resume -- in the same
+  engine or a restarted one -- follows that module's resume rule: the
+  snapshot's table, counters included, is the job's table, and the
+  units still to run are the spec's units without a record;
 * **events** -- every transition appends to a totally-ordered,
   virtual-time-stamped event log (:class:`~repro.server.protocol.JobEvent`);
   because the clock is virtual and the log depends only on the call
@@ -44,11 +43,9 @@ otherwise.
 from __future__ import annotations
 
 import heapq
-import json
 import os
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.clock import SimClock
 from repro.core.mcfs import MCFSResult
@@ -57,10 +54,16 @@ from repro.dist.coordinator import (
     DistributedChecker,
     merged_cost_profile,
 )
-from repro.dist.spec import CheckSpec, WorkUnit
+from repro.dist.spec import CheckSpec
 from repro.dist.worker import WorkerConfig
 from repro.mc.hashtable import AbstractVisitedTable
-from repro.mc.persistence import snapshot_document, snapshot_from_document
+from repro.mc.persistence import (
+    read_document,
+    snapshot_document,
+    snapshot_from_document,
+    unit_records,
+    write_document,
+)
 from repro.mc.records import StoreFormatError, parse_store_spec, require
 from repro.mc.statestore import make_store
 from repro.server.protocol import (
@@ -130,9 +133,9 @@ class EngineConfig:
 class _Runtime:
     """The in-memory half of a job the descriptor does not carry."""
 
-    pending: Deque[WorkUnit]
     submit_seq: int
-    #: the campaign so far: every slice's result absorbed into one
+    #: the campaign so far: every slice's result absorbed into one; its
+    #: ``unit_results`` are the job's finished units
     result: DistResult
     #: the job's visited table while it holds a slot
     table: Optional[AbstractVisitedTable] = None
@@ -190,7 +193,7 @@ class CampaignEngine:
     def submit(self, request: SubmitRequest) -> JobDescriptor:
         """Admit a campaign: budget-check, enqueue, and announce it."""
         spec = request.spec
-        units = spec.work_units()  # a spec no fleet can run is refused here
+        spec.work_units()  # a spec no fleet can run is refused here
         workers = max(1, int(request.workers))
         self._job_counter += 1
         job_id = f"job-{self._job_counter:04d}"
@@ -214,7 +217,6 @@ class CampaignEngine:
         )
         self.jobs[job_id] = descriptor
         self._runtimes[job_id] = _Runtime(
-            pending=deque(units),
             submit_seq=self._submit_seq,
             result=DistResult(workers=workers),
         )
@@ -348,24 +350,28 @@ class CampaignEngine:
     def _run_slice(self, job_id: str, slot: int) -> None:
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
+        spec = descriptor.spec
         if runtime.table is None:
             # inside step()'s per-job guard: a snapshot the resume rule
             # refuses fails this job, not the daemon
-            runtime.table = self._load_table(descriptor.spec,
-                                             runtime.snapshot)
+            runtime.table = (
+                make_store(spec.state_store, seed=spec.base_seed)
+                if runtime.snapshot is None else snapshot_from_document(
+                    runtime.snapshot, store=spec.state_store,
+                    seed=spec.base_seed, spec=spec).visited)
             runtime.snapshot = None
         if runtime.pause_requested:
             self._pause_now(job_id, slot)
             return
-        if not runtime.pending:
+        pending = spec.units_without(runtime.result.unit_results)
+        if not pending:
             self._finish(job_id, slot)
             return
         # one slice: the next max(1, workers) pending units through the
         # one campaign runner -- forked workers for a fleet job, none
         # (units run here, inline) otherwise
         workers = descriptor.workers if descriptor.workers > 1 else 0
-        batch = [runtime.pending.popleft()
-                 for _ in range(min(max(1, workers), len(runtime.pending)))]
+        batch = pending[:max(1, workers)]
 
         def on_progress(unit_index: int, operations: int) -> None:
             self._emit("heartbeat", job_id,
@@ -374,7 +380,7 @@ class CampaignEngine:
         # the engine's pause snapshots are the job's only durable state:
         # a unit cut short is re-run from its seed, never resumed
         completed = DistributedChecker(
-            descriptor.spec,
+            spec,
             workers=workers,
             config=WorkerConfig(
                 heartbeat_operations=self.config.heartbeat_operations),
@@ -400,19 +406,10 @@ class CampaignEngine:
             })
         if runtime.pause_requested:
             self._pause_now(job_id, slot)
-        elif not runtime.pending:
+        elif len(batch) == len(pending):
             self._finish(job_id, slot)
         else:
             self._save_spool(job_id)
-
-    @staticmethod
-    def _load_table(spec: CheckSpec, snapshot: Optional[Dict[str, Any]]
-                    ) -> AbstractVisitedTable:
-        """A fresh table for ``spec``, or the one ``snapshot`` holds."""
-        if snapshot is None:
-            return make_store(spec.state_store, seed=spec.base_seed)
-        return snapshot_from_document(snapshot, store=spec.state_store,
-                                      seed=spec.base_seed).visited
 
     def _record_discrepancy(self, descriptor: JobDescriptor,
                             unit_result: MCFSResult) -> None:
@@ -453,13 +450,10 @@ class CampaignEngine:
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
         runtime.pause_requested = False
-        if runtime.table is not None:
-            # the pause snapshot: the visited table, in the
-            # format a local --state-file uses -- resume and daemon
-            # restart read one format (a job paused before its first
-            # slice keeps the snapshot it was admitted with)
-            runtime.snapshot = self._snapshot(job_id)
-            runtime.table = None  # release the live table: spool owns it
+        # the pause snapshot, in the format a campaign --state-file uses:
+        # resume and daemon restart read one format
+        runtime.snapshot = self._snapshot(job_id)
+        runtime.table = None  # release the live table: the snapshot holds it
         self._slots[slot] = None
         descriptor.state = PAUSED
         self._emit("paused", job_id, {
@@ -556,75 +550,52 @@ class CampaignEngine:
             if job_id is not None:
                 self._pause_now(job_id, slot)
 
-    def _spool_path(self, job_id: str) -> str:
-        return os.path.join(self.config.spool_dir, f"{job_id}.json")
-
-    def _snapshot(self, job_id: str) -> Dict[str, Any]:
-        """The live job's table as a snapshot document."""
+    def _snapshot(self, job_id: str) -> Optional[Dict[str, Any]]:
+        """The job's snapshot document: its live table with its finished
+        units' records, else the snapshot it resumes from (None before
+        its first slice)."""
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
+        if runtime.table is None:
+            return runtime.snapshot
         return snapshot_document(
-            runtime.table,
-            operations_completed=descriptor.operations,
-            seed=descriptor.spec.base_seed,
-            worker_id=job_id,
-        )
+            runtime.table, operations_completed=descriptor.operations,
+            spec=descriptor.spec, unit_results=runtime.result.unit_results)
 
     def _save_spool(self, job_id: str) -> None:
         if self.config.spool_dir is None:
             return
         descriptor = self.jobs[job_id]
         runtime = self._runtimes[job_id]
-        snapshot = runtime.snapshot
-        if snapshot is None and runtime.table is not None:
-            # the job is live: spool a slice-boundary snapshot so a
-            # crash (no graceful shutdown) still resumes with the
-            # completed units' visited states instead of an empty table
-            snapshot = self._snapshot(job_id)
         document = {
             "spool_version": SPOOL_VERSION,
             "descriptor": descriptor.to_dict(),
             "submit_seq": runtime.submit_seq,
-            "snapshot": snapshot,
-            "unit_results": [unit.to_dict()
-                             for unit in runtime.result.unit_results],
+            # a live job's is a slice-boundary snapshot, so a crash (no
+            # graceful shutdown) still resumes with its finished units
+            "snapshot": self._snapshot(job_id),
             "result": (runtime.result.to_dict()
                        if descriptor.state == DONE else None),
         }
-        path = self._spool_path(job_id)
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        os.replace(tmp_path, path)  # atomic: a crash keeps the old doc
+        write_document(os.path.join(self.config.spool_dir,
+                                    f"{job_id}.json"), document)
 
     def _load_spool(self) -> None:
         """Rebuild the job table from spool documents (daemon restart).
 
-        Every job keeps its completed units and re-derives the rest from
-        the spec.  Paused jobs come back paused (their snapshot rides in
+        Every job keeps its finished units; the rest are the spec's
+        others.  Paused jobs come back paused (their snapshot rides in
         the document); queued jobs re-queue in original submission
         order; a job spooled as *running* was interrupted without a
         graceful shutdown -- it re-queues, which is exactly a resume.
         """
-        entries = [_read_spool(os.path.join(self.config.spool_dir, filename))
-                   for filename in sorted(os.listdir(self.config.spool_dir))
-                   if filename.endswith(".json")]
-        for submit_seq, document, descriptor, unit_results, result in sorted(
-                entries, key=lambda entry: entry[0]):
+        for filename in sorted(os.listdir(self.config.spool_dir)):
+            if not filename.endswith(".json"):
+                continue
+            descriptor, runtime = _read_spool(
+                os.path.join(self.config.spool_dir, filename))
             if descriptor.state == RUNNING:
                 descriptor.state = QUEUED
-            done = {unit.index for unit in unit_results}
-            runtime = _Runtime(
-                pending=deque(unit for unit in descriptor.spec.work_units()
-                              if unit.index not in done),
-                submit_seq=submit_seq,
-                snapshot=document.get("snapshot"),
-                # a finished job spooled its whole result; any other
-                # resumes from the units it had completed
-                result=(result if result is not None
-                        else DistResult(workers=descriptor.workers,
-                                        unit_results=unit_results)),
-            )
             self.jobs[descriptor.job_id] = descriptor
             self._runtimes[descriptor.job_id] = runtime
             if descriptor.state == QUEUED:
@@ -646,32 +617,38 @@ class CampaignEngine:
 
 def _read_spool(path: str):
     """One spool document, parsed as far as rebuilding its job needs:
-    ``(submit_seq, document, descriptor, unit_results, result)``.
+    ``(descriptor, runtime)``.
 
-    A torn or incomplete document raises :class:`StoreFormatError`
-    naming the file and the field, so a daemon refuses to start on it
-    with a message rather than a traceback.
+    A torn or incomplete document, or a unit list a resume would
+    mis-skip units on, raises :class:`StoreFormatError` naming the file
+    and the field, so a daemon refuses to start on it with a message
+    rather than a traceback.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except ValueError as error:  # torn JSON, or not UTF-8 at all
-        raise StoreFormatError(f"{path}: not JSON ({error})") from None
+    document = read_document(path)
     try:
         submit_seq = int(document.get("submit_seq", 0))
         descriptor = JobDescriptor.from_dict(require(document, "descriptor"))
-        unit_results = [MCFSResult.from_dict(entry)
-                        for entry in document.get("unit_results", [])]
-        for unit in unit_results:
-            # the units still to run are the spec's others
-            if type(unit.index) is not int:
-                raise ValueError(f"unit result index {unit.index!r} is "
-                                 "not an integer")
-        result = (DistResult.from_dict(document["result"])
-                  if document.get("result") is not None else None)
+        snapshot = document.get("snapshot")
+        if snapshot is not None and not snapshot.get("unit_results"):
+            # spools from before snapshots recorded their units kept
+            # them beside the snapshot
+            snapshot = {**snapshot, "spec": descriptor.spec.to_dict(),
+                        "unit_results": document.get("unit_results", [])}
+        runtime = _Runtime(
+            submit_seq=submit_seq,
+            snapshot=snapshot,
+            # a finished job spooled its whole result; any other
+            # resumes from the units it had finished
+            result=(DistResult.from_dict(document["result"])
+                    if document.get("result") is not None
+                    else DistResult(workers=descriptor.workers,
+                                    unit_results=unit_records(
+                                        (snapshot or {}).get(
+                                            "unit_results", []),
+                                        descriptor.spec))))
     except KeyError as error:
         raise StoreFormatError(
             f"{path}: missing field {error.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as error:
         raise StoreFormatError(f"{path}: {error}") from None
-    return submit_seq, document, descriptor, unit_results, result
+    return descriptor, runtime

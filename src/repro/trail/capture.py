@@ -209,17 +209,16 @@ def capture_trail(report: DiscrepancyReport, spec: CheckSpec,
                   trail_dir: str, seed: int = 0) -> str:
     """Write ``report`` (which must carry a schedule) as a trail file.
 
-    Returns the path written, once the file is on disk.  Filenames never
-    clash: an existing name gets a numeric suffix, so a campaign
-    directory accumulates every find.
+    Returns the path written, once the file is on disk.  The name is the
+    run's: its spec (a short digest of it) and seed, so a run captured
+    again -- a campaign unit re-run after its lease expired -- replaces
+    its own earlier file, and the directory holds one trail per run.
     """
     if not report.schedule:
         raise ValueError("report has no schedule; nothing to capture")
     os.makedirs(trail_dir, exist_ok=True)
-    stem = f"{'-'.join(spec.filesystems)}-{spec.mode}-seed{seed}"
+    digest = hashlib.md5(json.dumps(spec.to_dict(), sort_keys=True)
+                         .encode("utf-8")).hexdigest()[:8]
+    stem = f"{'-'.join(spec.filesystems)}-{spec.mode}-seed{seed}-{digest}"
     path = os.path.join(trail_dir, f"{stem}.trail.json")
-    suffix = 2
-    while os.path.exists(path):
-        path = os.path.join(trail_dir, f"{stem}-{suffix}.trail.json")
-        suffix += 1
     return Trail(spec=spec, report=report, seed=seed).save(path)

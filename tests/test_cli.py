@@ -15,6 +15,8 @@ from repro.cli import (
     spec_from_args,
 )
 from repro.dist.spec import CheckSpec
+from repro.mc.persistence import snapshot_document
+from repro.mc.statestore import make_store
 
 STORE, TRUE, APPEND = "_StoreAction", "_StoreTrueAction", "_AppendAction"
 POOLS = ("data-heavy", "deep-tree", "default", "metadata-heavy",
@@ -139,6 +141,22 @@ class TestList:
         assert "write-hole-stale" in output
 
 
+#: a finished unit's run record, as a snapshot's ``unit_results`` holds it
+RECORD = {"index": 0, "seed": 1, "worker_id": "coordinator"}
+
+
+def snapshot_with_units(unit_results) -> str:
+    """An otherwise valid state file whose ``unit_results`` is given."""
+    return json.dumps({**snapshot_document(make_store("exact")),
+                       "unit_results": unit_results})
+
+
+#: state-file writers: a local run under hc, a one-unit campaign
+HC_RUN = ["--mode", "dfs", "--depth", "1", "--state-store", "hc"]
+ONE_UNIT_CAMPAIGN = ["--mode", "random", "--workers", "0", "--units", "1",
+                     "--max-ops", "10"]
+
+
 class TestCheck:
     def test_clean_pair_exits_zero(self, capsys):
         code = main(["check", "--fs", "verifs1", "--fs", "verifs2",
@@ -220,8 +238,15 @@ class TestCheck:
 
 
     @pytest.mark.parametrize("workers", [None, "0"])
-    @pytest.mark.parametrize("content", ['{"version": 4, "sto', "[1]"],
-                             ids=["torn", "not-a-snapshot"])
+    @pytest.mark.parametrize("content", [
+        '{"version": 4, "sto', "[1]",
+        snapshot_with_units({"0": RECORD}),
+        snapshot_with_units([RECORD, 7]),
+        snapshot_with_units([{**RECORD, "index": "0"}]),
+        snapshot_with_units([RECORD, RECORD]),
+        snapshot_with_units([{**RECORD, "index": 1}]),
+    ], ids=["torn", "not-a-snapshot", "units-not-a-list", "unit-not-an-object",
+            "index-not-an-integer", "index-repeats", "index-outside-spec"])
     def test_malformed_state_file_is_invalid_input(self, tmp_path, capsys,
                                                    content, workers):
         state_file = tmp_path / "state.json"
@@ -235,26 +260,35 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(state_file) in err
 
-    @pytest.mark.parametrize("workers", [None, "0"])
-    def test_state_file_of_another_store_is_invalid_input(self, tmp_path,
-                                                          capsys, workers):
-        """A resume loads the snapshot's table as the run's table, so a
-        snapshot whose store keys states differently is refused, not
-        silently run on (an ``hc`` snapshot under ``exact``)."""
+    @pytest.mark.parametrize("workers,written,named", [
+        pytest.param(None, HC_RUN, ("hc:4", "exact"), id="None"),
+        pytest.param("0", HC_RUN, ("hc:4", "exact"), id="0"),
+        pytest.param("0", ONE_UNIT_CAMPAIGN, ("spec", "units"),
+                     id="0-another-spec"),
+        pytest.param(None, ONE_UNIT_CAMPAIGN, ("unit_results", "--workers"),
+                     id="None-a-campaign-file"),
+    ])
+    def test_state_file_of_another_store_is_invalid_input(
+            self, tmp_path, capsys, workers, written, named):
+        """A resume loads the snapshot's table as the run's table and
+        runs the spec's units without a record, so a snapshot it would
+        resume wrongly is refused, not silently run on: an ``hc``
+        snapshot under ``exact``, a ``--units 1`` campaign's records
+        under ``--units 2`` (another per-unit budget), or a campaign's
+        records under a local run, which would drop them."""
         state_file = str(tmp_path / "state.json")
         assert main(["check", "--fs", "verifs1", "--fs", "verifs2",
-                     "--mode", "dfs", "--depth", "1", "--state-store", "hc",
-                     "--state-file", state_file]) == 0
+                     *written, "--state-file", state_file]) == 0
         capsys.readouterr()
         argv = ["check", "--fs", "verifs1", "--fs", "verifs2",
                 "--state-store", "exact", "--state-file", state_file]
         argv += (["--mode", "dfs", "--depth", "1"] if workers is None else
-                 ["--mode", "random", "--workers", workers, "--units", "1",
+                 ["--mode", "random", "--workers", workers, "--units", "2",
                   "--max-ops", "10"])
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and state_file in err
-        assert "hc:4" in err and "exact" in err
+        assert all(name in err for name in named)
 
 
 class TestMalformedTrail:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.mcfs import MCFSResult
 from repro.core.report import RunSummary
 from repro.dist import (
     CheckSpec,
@@ -189,15 +190,20 @@ class TestPersistenceV2:
     format; refusal of old versions is pinned in test_statestore)."""
 
     def test_roundtrip_carries_provenance(self, tmp_path):
+        """A campaign snapshot says whose work it covers: the spec and
+        each finished unit's record (its own seed and worker)."""
         path = str(tmp_path / "state.json")
         table = VisitedStateTable()
         table.visit(A, 2)
         table.visit(A, 5)  # duplicate hit
+        record = MCFSResult.from_dict({"index": 1, "seed": 42,
+                                       "worker_id": "w1", "operations": 7})
         save_checker_state(path, table, operations_completed=7, runs=3,
-                           seed=42, worker_id="w1")
-        snapshot = load_checker_state(path)
-        assert snapshot.seed == 42
-        assert snapshot.worker_id == "w1"
+                           spec=SPEC, unit_results=[record])
+        snapshot = load_checker_state(path, store=SPEC.state_store,
+                                      seed=SPEC.base_seed, spec=SPEC)
+        assert [unit.to_dict() for unit in snapshot.unit_results] == \
+            [record.to_dict()]
         assert snapshot.operations_completed == 7
         assert snapshot.runs == 3
         assert snapshot.visited.export_seen() == {A: 2}
@@ -276,6 +282,17 @@ class TestDistributedDeterminism:
         for path in fleet.trail_paths:
             assert replay_trail(Trail.load(path)).confirmed
 
+    def test_a_re_run_unit_replaces_its_own_trail(self, tmp_path):
+        """A unit run twice (its lease expired after it wrote its trail)
+        writes one file, the one its record names: the name is the
+        unit's spec and seed, not the first free one."""
+        unit = BUG_SPEC.work_units()[2]
+        paths = [run_unit(BUG_SPEC, unit, "w0", WorkerConfig(),
+                          trail_dir=str(tmp_path)).result.trail_path
+                 for _ in range(2)]
+        assert paths[0] == paths[1]
+        assert [str(path) for path in tmp_path.iterdir()] == [paths[1]]
+
 
 # ------------------------------------------------------- fault tolerance --
 class TestFaultTolerance:
@@ -326,12 +343,50 @@ class TestFaultTolerance:
         assert fingerprint(first) == fingerprint(baseline)
         snapshot = load_checker_state(path)
         assert snapshot.runs == 1
-        assert snapshot.worker_id == "coordinator"
+        assert [unit.index for unit in snapshot.unit_results] == \
+            list(range(SPEC.units))
         assert len(snapshot.visited) == first.visited_states
         second = DistributedChecker(SPEC, workers=2, state_file=path).run()
-        # the union is already known: the second campaign adds nothing
-        assert second.visited_states == first.visited_states
+        # every unit has a record: the second campaign runs none and
+        # returns the first one's records, adding nothing
+        assert fingerprint(second) == fingerprint(first)
+        assert second.resumed_units == SPEC.units
+        assert sum(summary.units_completed
+                   for summary in second.worker_summaries) == 0
+        assert RunSummary.from_campaign(second).unique_states == 0
         assert load_checker_state(path).runs == 2
+
+    def test_an_interrupted_campaign_resumes_where_it_stopped(
+            self, tmp_path, monkeypatch, baseline):
+        """Each finished unit rewrites the state file, so a campaign
+        cut after its second unit resumes running units 2-3 only, to
+        the one-shot result."""
+        from repro.dist import coordinator
+
+        path = str(tmp_path / "dist-state.json")
+        ran = []
+
+        def run_unit_until(stop):
+            def run(spec, unit, *args, **kwargs):
+                if unit.index == stop:
+                    raise RuntimeError("interrupted")
+                ran.append(unit.index)
+                return run_unit(spec, unit, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(coordinator, "run_unit", run_unit_until(2))
+        with pytest.raises(RuntimeError, match="interrupted"):
+            DistributedChecker(SPEC, workers=0, state_file=path).run()
+        assert [unit.index for unit in
+                load_checker_state(path).unit_results] == [0, 1]
+        monkeypatch.setattr(coordinator, "run_unit", run_unit_until(None))
+        ran.clear()
+        resumed = DistributedChecker(SPEC, workers=0, state_file=path).run()
+        assert ran == [2, 3]
+        assert resumed.resumed_units == 2
+        assert fingerprint(resumed) == fingerprint(baseline)
+        assert resumed.table.visited_fingerprint() == \
+            baseline.table.visited_fingerprint()
 
     def test_server_pause_restart_resume_matches_one_shot(self, tmp_path,
                                                           baseline):
@@ -398,15 +453,30 @@ class TestFaultTolerance:
         assert fingerprint(result) == fingerprint(baseline)
 
     def test_a_unit_result_index_must_be_an_integer(self, tmp_path):
+        """A unit list a resume would mis-skip units on refuses the
+        daemon's start: an index that is not an integer, repeats or
+        names no unit of the spec, a record that is not an object, a
+        list that is not one."""
         from repro.server import CampaignEngine, EngineConfig
 
-        document = json.loads(OLD_SPOOL.read_text())
-        document["unit_results"][0]["index"] = [0]
-        spool = tmp_path / "spool"
-        spool.mkdir()
-        (spool / "job-0001.json").write_text(json.dumps(document))
-        with pytest.raises(StoreFormatError, match="unit result index"):
-            CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
+        def damaged(units):
+            units[0]["index"] = [0]
+            return units
+
+        for number, (damage, message) in enumerate([
+                (damaged, "unit result index"),
+                (lambda units: units + units[:1], "index 0 repeats"),
+                (lambda units: [{**units[0], "index": SPEC.units}],
+                 f"index {SPEC.units} is outside"),
+                (lambda units: units + [7], "7 is not an object"),
+                (lambda units: {"0": units[0]}, "not a list")]):
+            document = json.loads(OLD_SPOOL.read_text())
+            document["unit_results"] = damage(document["unit_results"])
+            spool = tmp_path / f"spool-{number}"
+            spool.mkdir()
+            (spool / "job-0001.json").write_text(json.dumps(document))
+            with pytest.raises(StoreFormatError, match=message):
+                CampaignEngine(EngineConfig(slots=1, spool_dir=str(spool)))
 
 
 # -------------------------------------------------------- one data plane --

@@ -301,12 +301,10 @@ class TestPersistenceV3:
         table = make_store(spec, seed=7)
         for i, state_hash in enumerate(hashes(40)):
             table.visit(state_hash, depth=i % 4)
-        save_checker_state(path, table, operations_completed=123, runs=2,
-                           seed=7, worker_id="w1")
+        save_checker_state(path, table, operations_completed=123, runs=2)
         snapshot = load_checker_state(path)
         assert snapshot.operations_completed == 123
         assert snapshot.runs == 2
-        assert snapshot.worker_id == "w1"
         assert type(snapshot.visited) is type(table)
         assert snapshot.visited.stats.omission_possible
         # resumed store still knows every state

@@ -111,7 +111,7 @@ class TestStoreContract:
                                                          tmp_path):
         table = visited(spec, history())
         path = str(tmp_path / "state.json")
-        save_checker_state(path, table, seed=SEED)
+        save_checker_state(path, table)
         rebuilt = load_checker_state(path).visited
         assert type(rebuilt) is type(table)
         assert content(rebuilt) == content(table)
@@ -222,7 +222,7 @@ class TestRecordCodec:
 
 # ------------------------------------------------------ malformed snapshots --
 def document_of(spec):
-    return snapshot_document(visited(spec, history(count=10)), seed=SEED)
+    return snapshot_document(visited(spec, history(count=10)))
 
 
 class TestMalformedSnapshots:
@@ -270,7 +270,7 @@ class TestMalformedSnapshots:
         an empty segment slot: the load returned one state fewer and no
         error."""
         path = str(tmp_path / "state.json")
-        save_checker_state(path, visited(spec, history(count=3)), seed=SEED)
+        save_checker_state(path, visited(spec, history(count=3)))
         with open(path) as handle:
             document = json.load(handle)
         stride = parse_store_spec(spec).key_bytes + 4
@@ -319,7 +319,7 @@ class TestMalformedSnapshots:
     def test_intact_document_still_loads(self):
         document = document_of("hc:8")
         again = snapshot_from_document(copy.deepcopy(document))
-        assert snapshot_document(again.visited, seed=SEED) == document
+        assert snapshot_document(again.visited) == document
 
 
 # ----------------------------------------------------- retired spec fields --
