@@ -194,77 +194,61 @@ def _minimize_into(trail_path: str, summary: RunSummary) -> None:
     print(f"minimized trail: {minimized_path}")
 
 
-def _run_campaign(args, state_file: Optional[str] = None,
-                  per_worker: bool = False) -> int:
-    """``repro check --workers N`` and ``repro swarm``: one campaign over
-    a real fleet, one summary; ``swarm`` adds the per-worker table."""
+def cmd_check(args, per_worker: bool = False) -> int:
+    """``repro check`` and ``repro swarm``: one campaign, one summary.
+    Without ``--workers``, ``check`` runs the spec's local run, its
+    one-unit campaign, inline; ``swarm`` adds the per-worker table."""
     from repro.dist import DistributedChecker
 
+    fleet = args.workers is not None
+    spec = args.spec if fleet else args.spec.local_run()
+    state_file = getattr(args, "state_file", None)
     try:
         dist = DistributedChecker(
-            args.spec, workers=args.workers,
+            spec, workers=args.workers or 0,
             state_file=state_file, trail_dir=args.trail_dir).run()
-    except ValueError as error:
+    except ValueError as error:  # a malformed --state-file, a dfs fleet
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(RunSummary.from_campaign(dist).render())
+    summary = RunSummary.from_campaign(dist, show_fsck=bool(spec.fsck_every))
+    if summary.trail_path and getattr(args, "minimize", False):
+        _minimize_into(summary.trail_path, summary)
+    print(summary.render())
     for path in dist.trail_paths[1:]:
         print(f"trail      : {path}")
-    print(f"workers    : {dist.workers} ({len(dist.unit_results)} units, "
-          f"{dist.stolen_units} stolen, {dist.recovered_units} recovered, "
-          f"{dist.inline_units} inline), "
-          f"{dist.wall_states_per_second:.1f} states/s wall")
+    if fleet:
+        print(f"workers    : {dist.workers} ({len(dist.unit_results)} units, "
+              f"{dist.stolen_units} stolen, {dist.recovered_units} "
+              f"recovered, {dist.inline_units} inline), "
+              f"{dist.wall_states_per_second:.1f} states/s wall")
     if dist.resumed_units or dist.resumed_states:
         print(f"resumed    : {dist.resumed_units} finished unit(s), "
               f"{dist.resumed_states} state(s) from {state_file}")
-    print(f"speedup    : {dist.speedup:.2f}x modeled "
-          f"({dist.sequential_sim_time:.3f}s sequential -> "
-          f"{dist.modeled_parallel_time:.3f}s parallel)")
+    if fleet:
+        print(f"speedup    : {dist.speedup:.2f}x modeled "
+              f"({dist.sequential_sim_time:.3f}s sequential -> "
+              f"{dist.modeled_parallel_time:.3f}s parallel)")
     if per_worker:
         print(f"{'worker':8s} {'units':>5s} {'ops':>8s} {'sim s':>8s} "
               f"{'wall s':>8s} {'ops/s (wall)':>12s}")
-        for summary in dist.worker_summaries:
-            note = "" if summary.alive_at_end else "  [died]"
-            print(f"{summary.worker_id:8s} {summary.units_completed:5d} "
-                  f"{summary.operations:8d} {summary.sim_time:8.3f} "
-                  f"{summary.wall_time:8.2f} "
-                  f"{summary.wall_ops_per_second:12.1f}{note}")
+        for worker in dist.worker_summaries:
+            note = "" if worker.alive_at_end else "  [died]"
+            print(f"{worker.worker_id:8s} {worker.units_completed:5d} "
+                  f"{worker.operations:8d} {worker.sim_time:8.3f} "
+                  f"{worker.wall_time:8.2f} "
+                  f"{worker.wall_ops_per_second:12.1f}{note}")
         print(f"merged states : {dist.visited_states} "
               f"({dist.cross_worker_duplicates} duplicates shipped) "
               f"in {dist.wall_time:.2f}s wall")
+    for unit in dist.ran_results:  # a fleet's records keep no coverage
+        if unit.coverage is not None:
+            print(f"\ncoverage:\n{unit.coverage.render()}")
     discrepancies = dist.discrepancies
     if discrepancies:
-        print(f"\n{len(discrepancies)} discrepancy(ies) across units")
+        if fleet:
+            print(f"\n{len(discrepancies)} discrepancy(ies) across units")
         for report in discrepancies:
             print("\n" + str(report))
-        return 1
-    print("\nno discrepancies found")
-    return 0
-
-
-def cmd_check(args) -> int:
-    if args.workers is not None:
-        return _run_campaign(args, state_file=args.state_file)
-    from repro.mc.records import StoreFormatError
-
-    # the local path runs the same spec a worker fleet would use, so a
-    # trail captured here embeds everything a replay needs
-    try:
-        result = args.spec.run(trail_dir=args.trail_dir,
-                               state_file=args.state_file)
-    except StoreFormatError as error:  # a malformed --state-file
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    summary = RunSummary.from_result(result,
-                                     show_fsck=bool(args.spec.fsck_every))
-    if result.trail_path and args.minimize:
-        _minimize_into(result.trail_path, summary)
-    print(summary.render())
-    if result.coverage is not None:
-        print("\ncoverage:")
-        print(result.coverage.render())
-    if result.found_discrepancy:
-        print("\n" + str(result.report))
         return 1
     print("\nno discrepancies found")
     return 0
@@ -567,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist/resume the visited-state table (§7)")
     check.add_argument("--workers", type=int, default=None, metavar="N",
                        help="run the campaign on N real worker processes "
-                            "(random mode only; result is identical for "
-                            "any N)")
+                            "(identical for any N; a dfs search is one unit: "
+                            "N <= 1); without it, one unit runs inline")
     check.add_argument("--trail-dir", default=None, metavar="DIR",
                        help="capture every discrepancy as a replayable "
                             "*.trail.json under DIR")
@@ -585,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     swarm.add_argument("--trail-dir", default=None, metavar="DIR",
                        help="capture each unit's discrepancy as a "
                             "replayable *.trail.json under DIR")
-    swarm.set_defaults(func=partial(_run_campaign, per_worker=True))
+    swarm.set_defaults(func=partial(cmd_check, per_worker=True))
 
     fsck = subparsers.add_parser(
         "fsck", help="offline-check saved device images for corruption")

@@ -104,7 +104,8 @@ _IDENTITY = ("index", "seed", "worker_id")
 _PLAIN = ("sim_time", "wall_time", "shipped_hashes", "bytes_snapshotted",
           "bytes_restored", "logical_snapshot_bytes", "trail_path")
 _STATS = ("operations", "transitions", "unique_states", "revisited_states",
-          "stopped_reason")
+          "stopped_reason", "por_pruned", "memo_hits", "restores_elided",
+          "fsck_checks")
 _STORE = ("omission_possible", "omission_probability")
 
 
@@ -146,7 +147,7 @@ class MCFSResult:
     coverage: Optional[Any] = None
     #: the campaign unit this run was: its index and walk seed, the
     #: worker that ran it, its wall seconds, and the locally-new states
-    #: it handed to the campaign's table (zero for a local run)
+    #: it handed to the campaign's table (zero for a library run)
     index: int = 0
     seed: int = 0
     worker_id: str = ""
@@ -187,8 +188,10 @@ class MCFSResult:
 
     # ------------------------------------------------------- serialisation --
     def to_dict(self) -> Dict[str, Any]:
-        document = {name: getattr(self, name)
-                    for name in _IDENTITY + _PLAIN + _STATS + _STORE}
+        document = {name: getattr(self, name) for name in _IDENTITY + _PLAIN}
+        document.update((name, getattr(self.stats, name)) for name in _STATS)
+        document.update((name, getattr(self.table_stats, name))
+                        for name in _STORE)
         report, profile = self.report, self.cost_profile
         document["violation"] = report.to_dict() if report else None
         document["cost_profile"] = profile.to_dict() if profile else None
@@ -390,8 +393,9 @@ class MCFS:
     def run_dfs(self, max_depth: int = 3, max_operations: Optional[int] = None,
                 max_unique_states: Optional[int] = None,
                 sample_every: Optional[int] = None,
+                sample_hook=None,
                 state_file: Optional[str] = None,
-                por: bool = False) -> MCFSResult:
+                por: bool = False, visited=None) -> MCFSResult:
         """Exhaustive bounded search over all operation permutations.
 
         ``state_file`` makes the run resumable (§7 future work): the
@@ -403,13 +407,15 @@ class MCFS:
         path-disjoint operations (§2's "all permutations ... without
         duplication") and records each expanded state's mirror images
         under the pool's name symmetries; those count toward
-        ``max_unique_states`` like any other recorded state.
+        ``max_unique_states`` like any other recorded state.  ``visited``
+        is as for :meth:`run_random`.
         """
         target = self._prepare()
         explorer = self._make_explorer(
-            target, state_file=state_file,
+            target, state_file=state_file, visited=visited,
             max_depth=max_depth, max_operations=max_operations,
             max_unique_states=max_unique_states, sample_every=sample_every,
+            sample_hook=sample_hook,
         )
         start = self.clock.now
         explorer.run_dfs(por=por)
@@ -423,7 +429,6 @@ class MCFS:
                    backtrack_probability: float = 0.25,
                    sample_every: Optional[int] = None,
                    sample_hook=None,
-                   sim_time_budget: Optional[float] = None,
                    state_file: Optional[str] = None,
                    visited=None) -> MCFSResult:
         """Seeded randomized walk (long-horizon experiments).
@@ -431,15 +436,14 @@ class MCFS:
         ``visited`` plugs in a custom visited table (any
         :class:`~repro.mc.hashtable.AbstractVisitedTable`); a campaign
         unit passes the private store whose new states it ships.  This is
-        one walk in this process; a campaign of many diversified walks
-        is :class:`repro.dist.DistributedChecker` over the same spec.
+        one walk in this process; a spec's runs, local or a campaign of
+        many walks, are :class:`repro.dist.DistributedChecker` units.
         """
         target = self._prepare()
         explorer = self._make_explorer(
             target, state_file=state_file, visited=visited,
             max_depth=max_depth, max_operations=max_operations,
             seed=seed, sample_every=sample_every, sample_hook=sample_hook,
-            sim_time_budget=sim_time_budget,
             state_check_every=self.options.state_check_every,
         )
         start = self.clock.now
@@ -453,8 +457,8 @@ class MCFS:
                              **search) -> None:
         """Write the run's counterexample trail (``options.trail_dir``).
 
-        The one capture site: a local run and every campaign unit (its
-        harness is built with the campaign's ``trail_dir``) write here.
+        The one capture site: every campaign unit, a local run's included
+        (its harness is built with the campaign's ``trail_dir``), writes here.
         Needs a spec-built harness: the trail embeds the CheckSpec the
         harness was built from (a unit's carries the unit's input
         profile), so a replay can rebuild identical targets in any

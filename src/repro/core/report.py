@@ -18,7 +18,6 @@ from repro.analysis.findings import Finding, finding_from_dict
 from repro.core.integrity import Outcome, StateDiff
 from repro.core.ops import Operation
 from repro.mc import trace
-from repro.mc.hashtable import TableStats
 from repro.util.fieldcodec import FieldCodec
 
 
@@ -226,22 +225,11 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
-def _store_columns(stats: TableStats) -> Dict[str, Any]:
-    """The visited-store part of a :class:`RunSummary`."""
-    return {
-        "duplicate_hits": stats.duplicate_hits,
-        "duplicate_hit_ratio": stats.duplicate_hit_ratio,
-        "omission_possible": stats.omission_possible,
-        "omission_probability": stats.omission_probability,
-        "store_bits_per_state": stats.bits_per_state,
-    }
-
-
 @dataclass
 class RunSummary(FieldCodec):
     """The per-run scoreboard ``repro check`` prints.
 
-    Includes the visited table's duplicate-hit ratio so the table's
+    Includes the duplicate-hit ratio so the visited table's
     effectiveness (how much re-exploration it saved) is visible for
     every run, not just in ad-hoc benchmarks.
     """
@@ -285,58 +273,48 @@ class RunSummary(FieldCodec):
     cost_profile: Optional[Dict[str, Any]] = None
 
     @classmethod
-    def from_result(cls, result, show_fsck: bool = False) -> "RunSummary":
-        """Build from an :class:`~repro.core.mcfs.MCFSResult`."""
-        cost_profile = result.cost_profile
-        return cls(
-            operations=result.operations,
-            unique_states=result.unique_states,
-            sim_time=result.sim_time,
-            ops_per_second=result.ops_per_second,
-            stopped_reason=result.stats.stopped_reason,
-            revisited_states=result.stats.revisited_states,
-            fsck_checks=result.stats.fsck_checks,
-            show_fsck=show_fsck,
-            por_pruned=result.stats.por_pruned,
-            memo_hits=result.stats.memo_hits,
-            restores_elided=result.stats.restores_elided,
-            bytes_snapshotted=result.bytes_snapshotted,
-            bytes_restored=result.bytes_restored,
-            snapshot_dedup_ratio=result.snapshot_dedup_ratio,
-            trail_path=result.trail_path,
-            cost_profile=(cost_profile.to_dict()
-                          if cost_profile is not None else None),
-            **_store_columns(result.table_stats),
-        )
+    def from_campaign(cls, dist, show_fsck: bool = False) -> "RunSummary":
+        """The one scoreboard ``repro check`` prints, from a
+        :class:`~repro.dist.DistResult` (duck-typed).  Work is what the
+        units this run executed did; new states are those it added to
+        the table it resumed, every other visit a duplicate hit.  Any
+        violation stops a campaign; one unit stops where its unit did."""
+        ran = dist.ran_results
 
-    @classmethod
-    def from_campaign(cls, dist) -> "RunSummary":
-        """Build from a :class:`~repro.dist.DistResult` (duck-typed): the
-        merged table, time on the modelled parallel lanes, and a
-        property violation as soon as any unit reports one.  New states
-        are those the run added to the table it resumed, as for a local
-        run."""
-        parallel = dist.modeled_parallel_time
-        columns = _store_columns(dist.table.stats)
-        # a unit's private store may have omitted what the union did not
-        columns.update(omission_possible=dist.omission_possible,
-                       omission_probability=dist.omission_probability)
+        def count(name: str) -> int:
+            return sum(getattr(unit.stats, name) for unit in ran)
+
+        operations = count("operations")
+        parallel, physical = dist.modeled_parallel_time, dist.bytes_snapshotted
+        new_states = dist.visited_states - dist.resumed_states
+        visits = count("unique_states") + count("revisited_states")
+        logical = sum(unit.logical_snapshot_bytes for unit in ran)
+        stopped = ("property violation" if dist.found_discrepancy
+                   else dist.unit_results[0].stopped_reason
+                   if len(dist.unit_results) == 1
+                   else "distributed campaign complete")
         return cls(
-            operations=dist.total_operations,
-            unique_states=dist.visited_states - dist.resumed_states,
+            operations=operations,
+            unique_states=new_states,
             sim_time=parallel,
-            ops_per_second=(dist.total_operations / parallel
-                            if parallel else 0.0),
-            stopped_reason=("property violation" if dist.found_discrepancy
-                            else "distributed campaign complete"),
-            revisited_states=sum(unit.revisited_states
-                                 for unit in dist.unit_results),
-            bytes_snapshotted=dist.bytes_snapshotted,
+            ops_per_second=operations / parallel if parallel else 0.0,
+            stopped_reason=stopped,
+            duplicate_hits=visits - new_states,
+            duplicate_hit_ratio=(visits - new_states) / visits if visits
+            else 0.0,
+            show_fsck=show_fsck,
+            bytes_snapshotted=physical,
             bytes_restored=dist.bytes_restored,
-            snapshot_dedup_ratio=dist.snapshot_dedup_ratio,
+            snapshot_dedup_ratio=logical / physical if physical > 0 else 0.0,
+            # a unit's private store may have omitted what the union did not
+            omission_possible=dist.omission_possible,
+            omission_probability=dist.omission_probability,
+            store_bits_per_state=dist.table.stats.bits_per_state,
             trail_path=dist.trail_paths[0] if dist.trail_paths else None,
             cost_profile=dist.cost_profile,
-            **columns,
+            **{name: count(name) for name in (
+                "revisited_states", "fsck_checks", "por_pruned",
+                "memo_hits", "restores_elided")},
         )
 
     def render(self) -> str:

@@ -138,9 +138,10 @@ class DistResult(FieldCodec):
     recovered_units: int = 0
     stolen_units: int = 0
     inline_units: int = 0
-    #: the finished units (their records are in ``unit_results``) and
-    #: the table's states the run resumed: it added the rest
-    resumed_units: int = 0
+    #: the indices of the finished units (their records are in
+    #: ``unit_results``) and the table's states the run resumed: it ran
+    #: and added the rest
+    resumed: List[int] = field(default_factory=list)
     resumed_states: int = 0
     #: campaign-wide per-state cost breakdown (unit profiles merged;
     #: :meth:`repro.mc.perf.CostProfile.to_dict` form) when the spec
@@ -148,6 +149,16 @@ class DistResult(FieldCodec):
     cost_profile: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------- derived --
+    @property
+    def resumed_units(self) -> int:
+        return len(self.resumed)
+
+    @property
+    def ran_results(self) -> List[MCFSResult]:
+        """The records of the units this run executed, not resumed."""
+        return [unit for unit in self.unit_results
+                if unit.index not in self.resumed]
+
     @property
     def trail_paths(self) -> List[str]:
         """The trails units wrote (``trail_dir`` set), ordered by unit
@@ -192,8 +203,9 @@ class DistResult(FieldCodec):
 
     @property
     def sequential_sim_time(self) -> float:
-        """Simulated compute if every unit ran back to back."""
-        return sum(unit.sim_time for unit in self.unit_results)
+        """Simulated compute if every unit this run executed ran back to
+        back (like every work count below, resumed records add none)."""
+        return sum(unit.sim_time for unit in self.ran_results)
 
     @property
     def omission_possible(self) -> bool:
@@ -212,21 +224,12 @@ class DistResult(FieldCodec):
     @property
     def bytes_snapshotted(self) -> int:
         """Bytes the fleet's checkpoint paths physically copied."""
-        return sum(unit.bytes_snapshotted for unit in self.unit_results)
+        return sum(unit.bytes_snapshotted for unit in self.ran_results)
 
     @property
     def bytes_restored(self) -> int:
         """Bytes the fleet's restores physically rewrote."""
-        return sum(unit.bytes_restored for unit in self.unit_results)
-
-    @property
-    def snapshot_dedup_ratio(self) -> float:
-        """Fleet-wide logical-to-physical snapshot ratio (0.0 = none)."""
-        physical = self.bytes_snapshotted
-        if physical <= 0:
-            return 0.0
-        logical = sum(unit.logical_snapshot_bytes for unit in self.unit_results)
-        return logical / physical
+        return sum(unit.bytes_restored for unit in self.ran_results)
 
     @property
     def modeled_parallel_time(self) -> float:
@@ -239,7 +242,7 @@ class DistResult(FieldCodec):
         keeps the number reproducible across interleavings.
         """
         lanes = [0.0] * max(1, self.workers)
-        for unit in self.unit_results:
+        for unit in self.ran_results:
             lanes[unit.index % len(lanes)] += unit.sim_time
         return max(lanes)
 
@@ -324,7 +327,8 @@ class DistributedChecker:
 
     The one campaign runner: ``workers=N`` forks N workers, ``workers=0``
     runs every unit in this process -- same units, same merge, same
-    result.
+    result.  A dfs spec is one unit, which no fleet of two or more can
+    split: it is refused here.
     """
 
     def __init__(
@@ -351,6 +355,9 @@ class DistributedChecker:
     ):
         if workers < 0:
             raise ValueError("a fleet cannot have fewer than zero workers")
+        if workers > 1 and spec.mode != "random":
+            raise ValueError("--workers 2 or more requires --mode random "
+                             "(a dfs search is one unit, the whole search)")
         if table is not None and state_file is not None:
             raise ValueError("a campaign runs on a given table or resumes "
                              "its state file, not both")
@@ -380,8 +387,7 @@ class DistributedChecker:
         results = {unit.index: unit for unit in snapshot.unit_results}
         units = (self.units_override if self.units_override is not None
                  else self.spec.units_without(snapshot.unit_results))
-        result = DistResult(workers=self.workers,
-                            resumed_units=len(results),
+        result = DistResult(workers=self.workers, resumed=sorted(results),
                             resumed_states=len(table))
         # the operations of earlier runs that no record holds
         unrecorded = snapshot.operations_completed - sum(
@@ -583,9 +589,8 @@ class DistributedChecker:
         for unit in units:
             if unit.index in results:
                 continue
-            done = run_unit(self.spec, unit, "coordinator", self.config,
-                            self.on_progress, trail_dir=self.trail_dir)
-            land(done.result, done.batch)
+            land(*run_unit(self.spec, unit, "coordinator", self.config,
+                           self.on_progress, trail_dir=self.trail_dir))
             result.inline_units += 1
 
     def _shutdown_fleet(self, records: List[WorkerRecord]) -> None:

@@ -3,21 +3,22 @@
 A live :class:`~repro.core.mcfs.MCFS` holds open devices, kernels, and
 FUSE servers -- none of which survive a trip through ``pickle``.  A run
 is therefore described by a :class:`CheckSpec` (plain names and
-numbers): ``repro check`` builds one from its flags and runs it here
-(:meth:`CheckSpec.run`), the distributed runtime ships it to each
-worker, which rebuilds its own harness locally, the daemon queues it,
-and every trail embeds it -- so all of them produce identical harnesses.
+numbers): ``repro check`` builds one from its flags and runs it as a
+campaign, the distributed runtime ships it to each worker, which
+rebuilds its own harness locally, the daemon queues it, and every trail
+embeds it -- so all of them produce identical harnesses.
 
 The spec also fixes the **work partition**: :meth:`CheckSpec.work_units`
 derives a list of diversified, self-contained exploration units (seeded
-like swarm members) whose count and parameters depend only on the spec
--- never on the worker fleet -- which is what makes the merged result
-independent of worker count and scheduling.
+like swarm members; a dfs spec's one unit is the whole search) whose
+count and parameters depend only on the spec -- never on the worker
+fleet -- which is what makes the merged result independent of worker
+count and scheduling.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
@@ -100,7 +101,8 @@ def unique_labels(names: List[str]) -> List[str]:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One self-contained exploration: a seeded random walk with bounds.
+    """One self-contained exploration: a seeded random walk with bounds
+    (or a dfs spec's whole search).
 
     Units are the grain of distribution: deterministic in isolation
     (fresh file systems, own simulated clock, fixed seed and budgets),
@@ -111,7 +113,7 @@ class WorkUnit:
     index: int
     seed: int
     max_depth: int
-    max_operations: int
+    max_operations: Optional[int]
     backtrack_probability: float = 0.25
     #: input profile this unit explores with (fleet members diversify by
     #: profile as well as seed; fixed by the spec, not the fleet)
@@ -120,9 +122,9 @@ class WorkUnit:
 
 @dataclass(frozen=True)
 class CheckSpec(FieldCodec):
-    """A complete, picklable description of a checking run: the one
-    search :meth:`run` executes in this process, or the campaign of
-    seeded walks :meth:`work_units` partitions across a fleet.
+    """A complete, picklable description of a checking run: the
+    campaign of units :meth:`work_units` partitions across a fleet, or
+    -- :meth:`run` -- its local run's one unit in this process.
 
     Every field is validated here, so an invalid run is refused where
     it is described -- by the CLI, at ``submit`` -- and never in a
@@ -175,16 +177,14 @@ class CheckSpec(FieldCodec):
     #: input profile as well as seed.  A function of the unit index only,
     #: so merged fingerprints stay independent of fleet size.
     profile_rotation: Tuple[str, ...] = ()
-    #: the search :meth:`run` executes: ``random`` is one walk seeded
-    #: with ``base_seed``, ``dfs`` the exhaustive search to ``depth``.
-    #: A campaign (:meth:`work_units`) partitions random walks only.
+    #: ``random`` walks, or ``dfs``: the exhaustive search to ``depth``
     mode: str = "random"
     #: DFS depth bound
     depth: int = 2
     #: sleep-set partial-order reduction (DFS only)
     por: bool = False
-    #: operation budget of :meth:`run` (None: a DFS runs to exhaustion,
-    #: a walk takes ``WALK_OPERATIONS``)
+    #: operation budget of a local run or a dfs unit (None: a DFS runs to
+    #: exhaustion, a walk takes ``WALK_OPERATIONS``)
     max_ops: Optional[int] = None
     #: record behavioural coverage; the result carries its report
     coverage: bool = False
@@ -268,23 +268,23 @@ class CheckSpec(FieldCodec):
         mcfs.spec = self
         return mcfs
 
-    def run(self, trail_dir: Optional[str] = None,
-            state_file: Optional[str] = None):
-        """Run this spec's search in this process on a fresh harness.
-
-        ``trail_dir`` receives the counterexample trail of a find and
-        ``state_file`` makes the run resumable (see ``MCFS.run_dfs``).
-        Returns the :class:`~repro.core.mcfs.MCFSResult`; with
-        ``coverage`` set, ``result.coverage`` holds the report.
-        """
-        mcfs = self.build_mcfs(trail_dir=trail_dir)
+    def local_run(self) -> "CheckSpec":
+        """The one-unit campaign ``repro check`` runs without a fleet: a
+        walk seeded with ``base_seed``, to depth 64, on the whole budget.
+        A dfs spec is one unit already."""
         if self.mode == "dfs":
-            return mcfs.run_dfs(max_depth=self.depth,
-                                max_operations=self.max_ops,
-                                state_file=state_file, por=self.por)
-        return mcfs.run_random(
-            max_operations=self.max_ops or WALK_OPERATIONS,
-            seed=self.base_seed, state_file=state_file)
+            return self
+        return replace(self, units=1, max_depth=64,
+                       unit_operations=self.max_ops or WALK_OPERATIONS)
+
+    def run(self, trail_dir: Optional[str] = None):
+        """Run :meth:`local_run`'s one unit inline, its trail (if it finds
+        one) into ``trail_dir``, and return its ``MCFSResult``."""
+        from repro.dist.coordinator import DistributedChecker
+
+        campaign = DistributedChecker(self.local_run(), workers=0,
+                                      trail_dir=trail_dir).run()
+        return campaign.unit_results[0]
 
     # ------------------------------------------------------------ partition --
     def unit_profile(self, index: int) -> str:
@@ -295,9 +295,10 @@ class CheckSpec(FieldCodec):
 
     def work_units(self) -> List[WorkUnit]:
         """The deterministic unit list (seeds and depth bounds like swarm)."""
-        if self.mode != "random":
-            raise ValueError("--workers requires --mode random (distributed "
-                             "campaigns partition seeded walks)")
+        if self.mode == "dfs":
+            return [WorkUnit(index=0, seed=0, max_depth=self.depth,
+                             max_operations=self.max_ops,
+                             input_profile=self.unit_profile(0))]
         return [
             WorkUnit(
                 index=index,

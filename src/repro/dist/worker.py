@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.dist import realtime
 from repro.dist.protocol import (
@@ -37,9 +37,11 @@ from repro.dist.protocol import (
     WorkRequest,
 )
 from repro.dist.spec import CheckSpec, WorkUnit
-from repro.mc.hashtable import Record
 from repro.mc.records import pack_records
 from repro.mc.statestore import make_store
+
+if TYPE_CHECKING:
+    from repro.core.mcfs import MCFSResult
 
 #: heartbeat callback: ``(unit index, operations so far)``
 HeartbeatFn = Callable[[int, int], None]
@@ -60,13 +62,14 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
              config: WorkerConfig,
              heartbeat: Optional[HeartbeatFn] = None,
              session_operations: int = 0,
-             trail_dir: Optional[str] = None) -> UnitDone:
+             trail_dir: Optional[str] = None
+             ) -> Tuple[MCFSResult, RecordBatch]:
     """Execute one work unit to completion; deterministic in isolation.
 
-    Returns the document of the walk's run record, with the unit's
+    Returns the run record of the unit's search, with the unit's
     identity set, and every state its private store reported new, as
-    ``(record key, depth)`` records packed once.  A find writes its own trail into
-    ``trail_dir`` (None: none), embedding the spec the unit ran.
+    ``(record key, depth)`` records packed once.  A find writes its own
+    trail into ``trail_dir`` (None: none), embedding the unit's spec.
     ``session_operations`` is the operation count the worker completed
     in earlier units (chaos fault injection triggers on the session
     total).
@@ -79,15 +82,16 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
     # the local store mirrors the campaign table's spec (same kind, same
     # seed), so the record keys the two sides derive agree; it decides
     # every expansion alone, and its new states are noted as it reports
-    # them (a bitstate store cannot list its keys afterwards)
+    # them, at the depth last expanded from (a bitstate store cannot list
+    # its keys afterwards)
     store = make_store(spec.state_store, seed=spec.base_seed)
-    found: List[Record] = []
+    found: Dict[int, int] = {}
     store_visit = store.visit
 
     def visit(state_hash: str, depth: int = 0):
         is_new, should_expand = store_visit(state_hash, depth)
-        if is_new:
-            found.append((store.record_key(state_hash), depth))
+        if should_expand:
+            found[store.record_key(state_hash)] = depth
         return is_new, should_expand
 
     store.visit = visit
@@ -100,31 +104,37 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
         if heartbeat is not None:
             heartbeat(unit.index, stats.operations)
 
+    # sample only for a listener: unwatched, a unit's stats are the
+    # library call's
+    listened = (heartbeat is not None
+                or config.chaos_kill_after_operations is not None)
+    search = dict(max_operations=unit.max_operations, visited=store,
+                  max_depth=unit.max_depth, sample_hook=tick,
+                  sample_every=(config.heartbeat_operations if listened
+                                else None))
     wall_start = realtime.now()
-    result = mcfs.run_random(
-        max_operations=unit.max_operations,
-        seed=unit.seed,
-        max_depth=unit.max_depth,
-        backtrack_probability=unit.backtrack_probability,
-        sample_every=config.heartbeat_operations,
-        sample_hook=tick,
-        visited=store,
-    )
+    if spec.mode == "dfs":
+        result = mcfs.run_dfs(por=spec.por, **search)
+    else:
+        result = mcfs.run_random(
+            seed=unit.seed,
+            backtrack_probability=unit.backtrack_probability, **search)
     key_bytes = store.spec.key_bytes
     # a profiled spec's run profiles the ship too
     profile = result.cost_profile
     if profile is not None:
-        payload = profile.timed("ship", pack_records, found, key_bytes)
+        payload = profile.timed("ship", pack_records, found.items(),
+                                key_bytes)
     else:
-        payload = pack_records(found, key_bytes)
-    return UnitDone(worker_id, replace(
+        payload = pack_records(found.items(), key_bytes)
+    return replace(
         result,
         index=unit.index,
         seed=unit.seed,
         worker_id=worker_id,
         wall_time=realtime.now() - wall_start,
         shipped_hashes=len(found),
-    ).to_dict(), RecordBatch(key_bytes, payload))
+    ), RecordBatch(key_bytes, payload)
 
 
 def worker_main(conn, spec: CheckSpec, worker_id: str,
@@ -160,8 +170,9 @@ def _worker_loop(conn, spec: CheckSpec, worker_id: str,
             return
         if not isinstance(message, WorkGrant):
             continue  # unknown message: ignore and re-request
-        done = run_unit(spec, message.unit, worker_id, config, heartbeat,
-                        session_operations=session_operations,
-                        trail_dir=trail_dir)
-        session_operations += done.document["operations"]
-        conn.send(done)
+        result, batch = run_unit(spec, message.unit, worker_id, config,
+                                 heartbeat,
+                                 session_operations=session_operations,
+                                 trail_dir=trail_dir)
+        session_operations += result.operations
+        conn.send(UnitDone(worker_id, result.to_dict(), batch))

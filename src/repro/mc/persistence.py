@@ -42,9 +42,9 @@ have no record (:meth:`~repro.dist.spec.CheckSpec.units_without`).  A
 snapshot the run would resume wrongly raises :class:`StoreFormatError`:
 one whose store keys states differently (another kind, fingerprint
 width or bits/k, or -- for the lossy kinds, whose keys and bit positions
-are seed-mixed -- another seed), whose unit records belong to another
-spec (other per-unit budgets), or that holds unit records a local run
-(no ``spec``) would drop.
+are seed-mixed -- another seed), or whose unit records belong to
+another spec (other per-unit budgets).  A library run (no ``spec``)
+resumes the table alone.
 """
 
 from __future__ import annotations
@@ -126,6 +126,7 @@ def unit_records(entries: Any, spec=None) -> List[MCFSResult]:
     :class:`StoreFormatError`."""
     from repro.core.mcfs import MCFSResult
 
+    units = len(spec.work_units()) if spec is not None else None
     if not isinstance(entries, list):
         raise StoreFormatError("unit_results: not a list")
     records: Dict[int, MCFSResult] = {}
@@ -142,8 +143,8 @@ def unit_records(entries: Any, spec=None) -> List[MCFSResult]:
         index = record.index
         problem = ("is not an integer" if type(index) is not int
                    else "repeats" if index in records
-                   else f"is outside the spec's {spec.units} unit(s)"
-                   if spec is not None and not 0 <= index < spec.units
+                   else f"is outside the spec's {units} unit(s)"
+                   if units is not None and not 0 <= index < units
                    else None)
         if problem is not None:
             raise StoreFormatError(f"unit result index {index!r} {problem}")
@@ -154,13 +155,9 @@ def unit_records(entries: Any, spec=None) -> List[MCFSResult]:
 def _require_same_spec(document: Dict[str, Any], records: List[MCFSResult],
                        spec) -> None:
     """The resume rule's refusal for unit records: they resume only the
-    spec that wrote them, and a local run (``spec`` None) resumes none."""
-    if not records:
+    spec that wrote them (a library run, ``spec`` None, runs no unit)."""
+    if not records or spec is None:
         return
-    if spec is None:
-        raise StoreFormatError(
-            "unit_results: the snapshot records finished campaign units, "
-            "which a local run would drop; resume it with --workers")
     recorded = document.get("spec")
     try:
         if type(spec).from_dict(recorded) == spec:
@@ -183,7 +180,7 @@ def snapshot_from_document(document: Dict[str, Any], memory=None,
     raises :class:`StoreFormatError`.
 
     ``store``/``seed`` are the resuming run's store spec and store seed,
-    and ``spec`` its campaign spec (None for a local run): given
+    and ``spec`` its campaign spec (None for a library run): given
     ``store``, a snapshot the run would resume wrongly is refused (the
     module's resume rule)."""
     version = require(document, "version")

@@ -193,7 +193,8 @@ class CampaignEngine:
     def submit(self, request: SubmitRequest) -> JobDescriptor:
         """Admit a campaign: budget-check, enqueue, and announce it."""
         spec = request.spec
-        spec.work_units()  # a spec no fleet can run is refused here
+        if spec.mode != "random":  # a job pauses between its walks
+            raise ValueError("a served job requires --mode random")
         workers = max(1, int(request.workers))
         self._job_counter += 1
         job_id = f"job-{self._job_counter:04d}"

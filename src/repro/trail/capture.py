@@ -173,8 +173,9 @@ class Trail:
         return trail
 
     def save(self, path: str) -> str:
+        # json.dumps, unindented, is the C encoder; json.dump never is
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
+            handle.write(json.dumps(self.to_dict()))
         return path
 
     @classmethod

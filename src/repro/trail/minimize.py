@@ -23,7 +23,8 @@ A schedule is a tree of ``CHECKPOINT id ... RESTORE id`` episodes
 3. **A fresh harness per probe** (:class:`_FreshProber`).  Every probe
    builds its targets from the trail's spec and runs the candidate from
    the start, so nothing carries over between probes -- not even what a
-   bug in restore itself leaves behind.
+   bug in restore itself leaves behind.  So an outcome is a function of
+   the events alone, and each question is asked once.
 
 :func:`minimize_trail_naive` is the one-event-at-a-time baseline, on the
 same prober, that the ``BENCH_trail`` benchmark compares against.
@@ -214,6 +215,12 @@ class _FreshProber:
     own discrepancy (matched on its signature), or None when the
     candidate runs clean or fails some other way.  Candidates must be
     valid schedules (no orphan RESTORE).
+
+    Each question is asked once, without a build when an executed
+    candidate answers it: a prefix of a clean run is clean, and a
+    candidate whose first ``i + 1`` events are those of a run that
+    stopped at event ``i`` stops there too.  ``probes``,
+    ``events_executed`` and the budget count executed probes only.
     """
 
     def __init__(self, spec, expected, max_probes: Optional[int]):
@@ -222,8 +229,17 @@ class _FreshProber:
         self.max_probes = max_probes
         self.probes = 0
         self.events_executed = 0
+        #: executed candidates: (events, index of the first violation or
+        #: None when clean, whether it was the trail's own)
+        self._answers: List[Tuple[List[Event], Optional[int], bool]] = []
 
     def __call__(self, events: List[Event]) -> Optional[List[Event]]:
+        for ran, stop, reproduced in self._answers:
+            if stop is None:
+                if len(events) <= len(ran) and ran[:len(events)] == events:
+                    return None
+            elif len(events) > stop and events[:stop + 1] == ran[:stop + 1]:
+                return events[:stop + 1] if reproduced else None
         if self.max_probes is not None and self.probes >= self.max_probes:
             raise _BudgetExceeded()
         self.probes += 1
@@ -231,9 +247,10 @@ class _FreshProber:
         index, violation = executor.execute(events)
         self.events_executed += executor.events_executed
         report = getattr(violation, "report", None)
-        if report is not None and signature(report) == self.expected:
-            return events[:index + 1]
-        return None
+        reproduced = report is not None and signature(report) == self.expected
+        self._answers.append(
+            (events, None if violation is None else index, reproduced))
+        return events[:index + 1] if reproduced else None
 
 
 def _finalize(trail: Trail, minimized: List[Event], prober: _FreshProber,

@@ -165,6 +165,13 @@ class TestCheck:
         output = capsys.readouterr().out
         assert "no discrepancies found" in output
         assert "operations" in output
+        # a local run is the one-unit campaign and reads as it always has
+        for line in ("new states : 85", "dup hits   : 345 (80.2% of visits)",
+                     "stopped    : state space exhausted",
+                     "reductions : 0 slept (POR), 0 memo hits, "
+                     "253 restores elided"):
+            assert line in output.splitlines()
+        assert "workers" not in output and "speedup" not in output
 
     def test_single_fs_rejected(self, capsys):
         assert main(["check", "--fs", "ext2"]) == 2
@@ -200,6 +207,11 @@ class TestCheck:
         code = main(["check", "--fs", "verifs2", "--fs", "verifs2",
                      "--mode", "random", "--max-ops", "50"])
         assert code == 0
+        output = capsys.readouterr().out.splitlines()
+        for line in ("new states : 28", "dup hits   : 23 (45.1% of visits)",
+                     "stopped    : operation budget"):
+            assert line in output
+        assert not any(line.startswith("reductions") for line in output)
 
     def test_kernel_pair(self, capsys):
         code = main(["check", "--fs", "ext2", "--fs", "ext4",
@@ -235,6 +247,24 @@ class TestCheck:
                      "--state-file", state_file]) == 0
         output = capsys.readouterr().out
         assert "new states : 0" in output  # resumed: nothing re-explored
+        assert "operations : 0" in output  # ... and nothing re-run
+
+    def test_a_finished_campaign_resumes_to_nothing(self, tmp_path,
+                                                    capsys):
+        """Run twice on one state file, a one-unit campaign runs its unit
+        once: the second run counts no work and adds no state."""
+        argv = ["check", "--fs", "verifs1", "--fs", "verifs2",
+                "--mode", "random", "--max-ops", "300", "--workers", "0",
+                "--units", "1", "--state-file", str(tmp_path / "F.json")]
+        assert main(argv) == 0
+        assert "operations : 300" in capsys.readouterr().out
+        assert main(argv) == 0
+        output = capsys.readouterr().out.splitlines()
+        for line in ("operations : 0", "new states : 0",
+                     "sim time   : 0.000s (0.0 ops/s)"):
+            assert line in output
+        assert any(line.startswith("resumed    : 1 finished unit(s), 125 "
+                                   "state(s)") for line in output)
 
 
     @pytest.mark.parametrize("workers", [None, "0"])
@@ -265,7 +295,7 @@ class TestCheck:
         pytest.param("0", HC_RUN, ("hc:4", "exact"), id="0"),
         pytest.param("0", ONE_UNIT_CAMPAIGN, ("spec", "units"),
                      id="0-another-spec"),
-        pytest.param(None, ONE_UNIT_CAMPAIGN, ("unit_results", "--workers"),
+        pytest.param(None, ONE_UNIT_CAMPAIGN, ("spec", "mode"),
                      id="None-a-campaign-file"),
     ])
     def test_state_file_of_another_store_is_invalid_input(
@@ -273,9 +303,9 @@ class TestCheck:
         """A resume loads the snapshot's table as the run's table and
         runs the spec's units without a record, so a snapshot it would
         resume wrongly is refused, not silently run on: an ``hc``
-        snapshot under ``exact``, a ``--units 1`` campaign's records
-        under ``--units 2`` (another per-unit budget), or a campaign's
-        records under a local run, which would drop them."""
+        snapshot under ``exact``, or a ``--units 1`` campaign's records
+        under ``--units 2`` (another per-unit budget) or under a local
+        run, the one-unit campaign of another spec."""
         state_file = str(tmp_path / "state.json")
         assert main(["check", "--fs", "verifs1", "--fs", "verifs2",
                      *written, "--state-file", state_file]) == 0

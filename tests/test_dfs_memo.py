@@ -17,6 +17,7 @@ import pytest
 from repro.cli import BUG_PAIRS, hunt_spec
 from repro.clock import SimClock
 from repro.core.report import RunSummary
+from repro.dist import DistributedChecker
 from repro.dist.spec import CheckSpec
 from repro.mc.explorer import ExplorationStats, ExplorationTarget, Explorer
 from repro.mc.hashtable import VisitedStateTable
@@ -168,33 +169,38 @@ class TestCounters:
         again = ExplorationStats.from_dict(result.stats.to_dict())
         assert again.memo_hits == result.stats.memo_hits
         assert again.restores_elided == result.stats.restores_elided
+        campaign = DistributedChecker(dataclasses.replace(
+            VERIFS_PAIR, mode="dfs", depth=3, por=True), workers=0).run()
         summary = RunSummary.from_dict(
-            RunSummary.from_result(result).to_dict())
+            RunSummary.from_campaign(campaign).to_dict())
         assert summary.memo_hits == result.stats.memo_hits
         assert (f"{summary.por_pruned} slept (POR), {summary.memo_hits} "
                 f"memo hits, {summary.restores_elided} restores elided"
                 in summary.render())
 
     def test_random_walk_reports_no_reductions(self):
-        result = VERIFS_PAIR.build_mcfs().run_random(max_operations=60)
+        campaign = DistributedChecker(dataclasses.replace(
+            VERIFS_PAIR, max_ops=60).local_run(), workers=0).run()
+        (result,) = campaign.unit_results
         assert result.stats.memo_hits == result.stats.restores_elided == 0
-        assert "reductions" not in RunSummary.from_result(result).render()
+        assert "reductions" not in \
+            RunSummary.from_campaign(campaign).render()
 
 
 # ----------------------------------------------------------- bug hunts --
 #: (bug, por) -> the minimisation's probes, events executed and minimised
 #: operations, as the ``bug_hunt`` benchmark counts them
 MINIMISATION_PINS = {
-    ("extent-boundary-stale", False): (7, 17, 1),
-    ("extent-boundary-stale", True): (7, 17, 1),
-    ("missing-cache-invalidation", False): (78, 809, 2),
-    ("missing-cache-invalidation", True): (73, 509, 2),
-    ("size-update-on-capacity-only", False): (19, 59, 2),
-    ("size-update-on-capacity-only", True): (19, 59, 2),
-    ("truncate-stale-data", False): (49, 159, 3),
-    ("truncate-stale-data", True): (49, 159, 3),
-    ("write-hole-stale", False): (49, 133, 3),
-    ("write-hole-stale", True): (49, 133, 3),
+    ("extent-boundary-stale", False): (5, 15, 1),
+    ("extent-boundary-stale", True): (5, 15, 1),
+    ("missing-cache-invalidation", False): (32, 511, 2),
+    ("missing-cache-invalidation", True): (35, 435, 2),
+    ("size-update-on-capacity-only", False): (10, 48, 2),
+    ("size-update-on-capacity-only", True): (9, 45, 2),
+    ("truncate-stale-data", False): (20, 98, 3),
+    ("truncate-stale-data", True): (20, 98, 3),
+    ("write-hole-stale", False): (21, 84, 3),
+    ("write-hole-stale", True): (21, 84, 3),
 }
 
 

@@ -131,10 +131,15 @@ class TestCheckSpec:
         with pytest.raises(ValueError, match="unknown mode"):
             CheckSpec(filesystems=("verifs1", "verifs2"), mode="bfs")
 
-    def test_a_dfs_spec_has_no_work_units(self):
+    def test_a_dfs_spec_is_one_unit_the_whole_search(self):
+        dfs = CheckSpec(filesystems=("verifs1", "verifs2"), mode="dfs",
+                        depth=3, units=4)
+        (unit,) = dfs.work_units()
+        assert (unit.index, unit.max_depth, unit.max_operations) == \
+            (0, 3, None)
+        assert dfs.local_run() is dfs
         with pytest.raises(ValueError, match="--mode random"):
-            CheckSpec(filesystems=("verifs1", "verifs2"),
-                      mode="dfs").work_units()
+            DistributedChecker(dfs, workers=2)
 
     def test_run_is_the_searches_it_names(self):
         dfs = CheckSpec(filesystems=("verifs1", "verifs2"), mode="dfs",
@@ -288,7 +293,7 @@ class TestDistributedDeterminism:
         unit's spec and seed, not the first free one."""
         unit = BUG_SPEC.work_units()[2]
         paths = [run_unit(BUG_SPEC, unit, "w0", WorkerConfig(),
-                          trail_dir=str(tmp_path)).result.trail_path
+                          trail_dir=str(tmp_path))[0].trail_path
                  for _ in range(2)]
         assert paths[0] == paths[1]
         assert [str(path) for path in tmp_path.iterdir()] == [paths[1]]
@@ -540,10 +545,11 @@ class TestOneHandOff:
         reported new -- a bitstate store, which cannot list its keys,
         included -- and visiting it rebuilds that many states."""
         spec = dataclasses.replace(SPEC, state_store=store)
-        done = run_unit(spec, spec.work_units()[1], "w0", WorkerConfig())
-        records = list(done.batch.records())
-        assert len(records) == done.result.shipped_hashes \
-            == done.result.unique_states > 0
+        result, batch = run_unit(spec, spec.work_units()[1], "w0",
+                                 WorkerConfig())
+        records = list(batch.records())
+        assert len(records) == result.shipped_hashes \
+            == result.unique_states > 0
         assert len({key for key, _depth in records}) == len(records)
         assert all(depth == 0 for _key, depth in records)
         table = make_store(store, seed=spec.base_seed)
@@ -659,10 +665,13 @@ class TestRunSummary:
         assert "dup hits   : 3 (30.0% of visits)" in text
         assert "fsck" not in text
 
-    def test_from_result_reads_table_stats(self):
-        mcfs = SPEC.build_mcfs()
-        result = mcfs.run_random(max_operations=50, seed=1)
-        summary = RunSummary.from_result(result)
+    def test_a_local_run_summary_reads_its_walk(self):
+        """A local run is the one-unit campaign: its summary counts the
+        walk's own duplicate hits, as the walk's store saw them."""
+        local = dataclasses.replace(SPEC, max_ops=50).local_run()
+        dist = DistributedChecker(local, workers=0).run()
+        (result,) = dist.unit_results
+        summary = RunSummary.from_campaign(dist)
         assert summary.operations == 50
         assert summary.duplicate_hits == result.table_stats.duplicate_hits
         assert 0.0 <= summary.duplicate_hit_ratio <= 1.0
@@ -688,7 +697,8 @@ class TestDistCLI:
 
         code = main(["check", "--fs", "verifs1", "--fs", "verifs2",
                      "--mode", "dfs", "--workers", "2"])
-        assert code == 2
+        assert code == 2  # a dfs search is one unit: two cannot split it
+        assert "--mode random" in capsys.readouterr().err
 
     def test_swarm_subcommand(self, capsys):
         from repro.cli import main

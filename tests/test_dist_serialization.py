@@ -209,7 +209,8 @@ class TestMCFSResultRoundTrip:
             "stopped_reason", "violation", "shipped_hashes",
             "bytes_snapshotted", "bytes_restored", "logical_snapshot_bytes",
             "omission_possible", "omission_probability", "cost_profile",
-            "trail_path"}
+            "trail_path", "por_pruned", "memo_hits", "restores_elided",
+            "fsck_checks"}
 
     def test_unknown_keys_are_ignored(self):
         document = MCFSResult(ExplorationStats(), index=1, seed=2,
@@ -288,6 +289,7 @@ SAMPLE_BY_TYPE = {
     "Optional[str]": "p",
     "Optional[Dict[str, Any]]": {"kind": "state", "summary": "s"},
     "List[str]": ["a"],
+    "List[int]": [3],
     "List[Tuple[float, int, int]]": [(0.5, 1, 2)],
 }
 

@@ -67,6 +67,10 @@ GUARDS = [
     ("one run record", r"class UnitResult\b", ["src/repro"], None, ()),
     ("one trail capture", r"(?<!def )capture_trail\(", ["src/repro"], None,
      ("src/repro/core/mcfs.py",)),
+    # a spec runs as a campaign's units; MCFS.run_* is the library call
+    ("one run path", r"(?<!explorer)\.run_(dfs|random)\(|def from_result\(",
+     ["src/repro"], None, ("src/repro/dist/worker.py",
+                           "src/repro/core/mcfs.py", "src/repro/__init__.py")),
 ]
 
 
@@ -115,3 +119,4 @@ def test_guards_see_what_they_forbid():
     assert grep(GUARDS[11][1], ["src/repro/clock.py", "CHANGES.md"])
     assert grep(GUARDS[12][1], ["tests/test_one_mechanism.py"])
     assert grep(GUARDS[13][1], ["src/repro/core/mcfs.py"])
+    assert grep(GUARDS[14][1], ["src/repro/dist/worker.py"])

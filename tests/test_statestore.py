@@ -32,6 +32,7 @@ from repro import (
     VeriFSBug,
 )
 from repro.core.report import RunSummary
+from repro.dist import CheckSpec, DistributedChecker
 from repro.mc.explorer import Explorer
 from repro.mc.hashtable import EXACT_ENTRY_BYTES, VisitedStateTable
 from repro.mc.memory import MemoryModel
@@ -370,6 +371,17 @@ class TestSwarmStores:
 
 
 # ------------------------------------------------ end-to-end bug discovery
+def local_summary(store, depth, max_ops):
+    """``repro check``'s summary of the missing-cache-invalidation hunt
+    that :func:`build_mcfs` builds by hand, run as a spec's local run."""
+    spec = CheckSpec(filesystems=("ext4", "verifs1"), include_extended=False,
+                     verifs_bugs=("missing-cache-invalidation",),
+                     state_store=store, mode="dfs", depth=depth,
+                     max_ops=max_ops)
+    return RunSummary.from_campaign(
+        DistributedChecker(spec.local_run(), workers=0).run())
+
+
 def build_mcfs(bug, store):
     clock = SimClock()
     mcfs = MCFS(clock, MCFSOptions(include_extended_operations=False,
@@ -413,7 +425,7 @@ class TestBugDiscoveryAcrossStores:
         result = mcfs.run_dfs(max_depth=3, max_operations=10_000)
         assert result.omission_possible
         assert result.table_stats.bits_per_state < EXACT_ENTRY_BYTES * 8
-        summary = RunSummary.from_result(result)
+        summary = local_summary("hc", depth=3, max_ops=10_000)
         assert summary.omission_possible
         assert "LOSSY" in summary.render()
 
@@ -421,7 +433,8 @@ class TestBugDiscoveryAcrossStores:
         mcfs = build_mcfs(VeriFSBug.MISSING_CACHE_INVALIDATION, "exact")
         result = mcfs.run_dfs(max_depth=2, max_operations=5_000)
         assert not result.omission_possible
-        assert "LOSSY" not in RunSummary.from_result(result).render()
+        assert "LOSSY" not in local_summary("exact", depth=2,
+                                            max_ops=5_000).render()
 
 
 # ------------------------------------------------- satellite: explorer fix

@@ -17,8 +17,9 @@ from repro.dist.spec import CheckSpec
 from repro.mc import trace
 from repro.mc.explorer import Explorer
 from repro.trail import Trail, TrailExecutor, minimize_trail, replay_trail
+from repro.trail import minimize as minimize_module
 from repro.trail import replay as replay_module
-from repro.trail.minimize import _Reduction
+from repro.trail.minimize import _FreshProber, _Reduction
 
 C, R, OP, CHECK = trace.CHECKPOINT, trace.RESTORE, trace.OP, trace.CHECK
 
@@ -400,6 +401,41 @@ class TestReplayVerdictTag:
         replayed = replay_trail(minimized.trail)
         assert replayed.confirmed and replayed.exact
         assert replayed.describe().endswith("[exact]")
+
+
+class TestEachQuestionOnce:
+    """A probe's outcome is a function of its events (every probe runs on
+    a fresh harness), so the prober answers what an executed candidate
+    already decides without building one."""
+
+    def test_answered_candidates_build_no_harness(self, tmp_path,
+                                                  monkeypatch):
+        trail = dfs_trail("write-hole-stale", tmp_path)
+        events = trace.normalize(list(trail.report.schedule))
+        built = []
+
+        class CountingExecutor(TrailExecutor):
+            def __init__(self, spec):
+                built.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(minimize_module, "TrailExecutor",
+                            CountingExecutor)
+        prober = _FreshProber(trail.spec, trail.signature(), max_probes=2)
+        cut = prober(events)
+        stop = len(cut) - 1
+        assert cut == events[:stop + 1] and stop > 2
+        assert prober(events[:stop]) is None  # everything before: clean
+        assert len(built) == prober.probes == 2
+        executed = prober.events_executed
+        # a repeat, an extension of the failing prefix, and a prefix of
+        # the clean run: all answered, none built, none counted, and the
+        # spent budget (2 probes) is not asked
+        assert prober(list(events)) == cut
+        assert prober(cut + [(CHECK,)]) == cut
+        assert prober(events[:stop // 2]) is None
+        assert len(built) == prober.probes == 2
+        assert prober.events_executed == executed
 
 
 # ----------------------------------------------------- replay tokens --
