@@ -240,9 +240,10 @@ def cmd_check(args, per_worker: bool = False) -> int:
         print(f"merged states : {dist.visited_states} "
               f"({dist.cross_worker_duplicates} duplicates shipped) "
               f"in {dist.wall_time:.2f}s wall")
-    for unit in dist.ran_results:  # a fleet's records keep no coverage
-        if unit.coverage is not None:
-            print(f"\ncoverage:\n{unit.coverage.render()}")
+    if not fleet:  # a fleet's records keep no coverage: print none
+        for unit in dist.ran_results:
+            if unit.coverage is not None:
+                print(f"\ncoverage:\n{unit.coverage.render()}")
     discrepancies = dist.discrepancies
     if discrepancies:
         if fleet:

@@ -147,7 +147,7 @@ class MCFSResult:
     coverage: Optional[Any] = None
     #: the campaign unit this run was: its index and walk seed, the
     #: worker that ran it, its wall seconds, and the locally-new states
-    #: it handed to the campaign's table (zero for a library run)
+    #: shipped to the campaign's table (zero if it explored on that table)
     index: int = 0
     seed: int = 0
     worker_id: str = ""
@@ -435,7 +435,8 @@ class MCFS:
 
         ``visited`` plugs in a custom visited table (any
         :class:`~repro.mc.hashtable.AbstractVisitedTable`); a campaign
-        unit passes the private store whose new states it ships.  This is
+        unit passes the private store whose new states it ships (a fresh
+        one-unit campaign's, the campaign's table).  This is
         one walk in this process; a spec's runs, local or a campaign of
         many walks, are :class:`repro.dist.DistributedChecker` units.
         """

@@ -179,7 +179,8 @@ class DistResult(FieldCodec):
         Every unit ships each state its own store found new, so for an
         exact store started empty it is ``sum(shipped_hashes) -
         visited_states`` at any fleet size; a resumed table's count
-        carries on from its snapshot."""
+        carries on from its snapshot.  A fresh one-unit campaign run
+        inline ships nothing: this counts its unit's own revisits."""
         return self.table.stats.duplicate_hits
 
     @property
@@ -422,6 +423,7 @@ class DistributedChecker:
             records = self._spawn_fleet()
             self._supervise(records, partitions, units, results, land,
                             result)
+            self._finish_inline(units, results, land, result, table)
         finally:
             self._shutdown_fleet(records)
         result.wall_time = realtime.now() - wall_start
@@ -467,6 +469,7 @@ class DistributedChecker:
                    units: List[WorkUnit],
                    results: Dict[int, MCFSResult], land,
                    result: DistResult) -> None:
+        """Lease units until each has a record or no worker is alive."""
         by_id = {record.worker_id: record for record in records}
         target = len(results) + len(units)
         leases: Dict[str, Lease] = {}
@@ -554,11 +557,8 @@ class DistributedChecker:
                         record.worker_id)
                 land(unit_result, message.batch)
 
-        while len(results) < target:
+        while len(results) < target and live():
             connections = [record.conn for record in live()]
-            if not connections:
-                self._finish_inline(units, results, land, result)
-                break
             ready = connection_wait(connections, timeout=POLL_INTERVAL)
             for conn in ready:
                 record = next(r for r in live() if r.conn is conn)
@@ -583,14 +583,18 @@ class DistributedChecker:
 
     def _finish_inline(self, units: List[WorkUnit],
                        results: Dict[int, MCFSResult], land,
-                       result: DistResult) -> None:
-        """No live worker (none was asked for, or all died): complete
-        the frontier in-process, reporting progress like leased units."""
+                       result: DistResult, table: AbstractVisitedTable
+                       ) -> None:
+        """Units no live worker took (none was asked for, or all died):
+        complete the frontier in-process, reporting progress like leased units;
+        a fresh one-unit campaign's unit explores on the table itself."""
+        fresh = len(table) == 0 and len(self.spec.work_units()) == 1
         for unit in units:
             if unit.index in results:
                 continue
             land(*run_unit(self.spec, unit, "coordinator", self.config,
-                           self.on_progress, trail_dir=self.trail_dir))
+                           self.on_progress, trail_dir=self.trail_dir,
+                           table=table if fresh else None))
             result.inline_units += 1
 
     def _shutdown_fleet(self, records: List[WorkerRecord]) -> None:

@@ -37,6 +37,7 @@ from repro.dist.protocol import (
     WorkRequest,
 )
 from repro.dist.spec import CheckSpec, WorkUnit
+from repro.mc.hashtable import AbstractVisitedTable
 from repro.mc.records import pack_records
 from repro.mc.statestore import make_store
 
@@ -62,7 +63,8 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
              config: WorkerConfig,
              heartbeat: Optional[HeartbeatFn] = None,
              session_operations: int = 0,
-             trail_dir: Optional[str] = None
+             trail_dir: Optional[str] = None,
+             table: Optional[AbstractVisitedTable] = None
              ) -> Tuple[MCFSResult, RecordBatch]:
     """Execute one work unit to completion; deterministic in isolation.
 
@@ -72,29 +74,33 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
     trail into ``trail_dir`` (None: none), embedding the unit's spec.
     ``session_operations`` is the operation count the worker completed
     in earlier units (chaos fault injection triggers on the session
-    total).
+    total).  ``table``, a one-unit campaign's table while still empty, is
+    explored on directly, shipping nothing: a private store would start
+    as it does and ship back all it held (a local run keeps one store).
     """
     # per-unit input diversification: the unit explores with its own
     # profile (a function of the unit index only, CheckSpec.unit_profile)
     mcfs = replace(spec, input_profile=unit.input_profile).build_mcfs(
         trail_dir=trail_dir)
 
-    # the local store mirrors the campaign table's spec (same kind, same
-    # seed), so the record keys the two sides derive agree; it decides
-    # every expansion alone, and its new states are noted as it reports
-    # them, at the depth last expanded from (a bitstate store cannot list
-    # its keys afterwards)
-    store = make_store(spec.state_store, seed=spec.base_seed)
     found: Dict[int, int] = {}
-    store_visit = store.visit
+    store = table
+    if store is None:
+        # the private store mirrors the campaign table's spec (same kind,
+        # same seed), so the record keys the two sides derive agree; it
+        # decides every expansion alone, and its new states are noted as
+        # it reports them, at the depth last expanded from (a bitstate
+        # store cannot list its keys afterwards)
+        store = make_store(spec.state_store, seed=spec.base_seed)
+        store_visit = store.visit
 
-    def visit(state_hash: str, depth: int = 0):
-        is_new, should_expand = store_visit(state_hash, depth)
-        if should_expand:
-            found[store.record_key(state_hash)] = depth
-        return is_new, should_expand
+        def visit(state_hash: str, depth: int = 0):
+            is_new, should_expand = store_visit(state_hash, depth)
+            if should_expand:
+                found[store.record_key(state_hash)] = depth
+            return is_new, should_expand
 
-    store.visit = visit
+        store.visit = visit
 
     def tick(stats) -> None:
         if (config.chaos_kill_after_operations is not None
@@ -120,9 +126,9 @@ def run_unit(spec: CheckSpec, unit: WorkUnit, worker_id: str,
             seed=unit.seed,
             backtrack_probability=unit.backtrack_probability, **search)
     key_bytes = store.spec.key_bytes
-    # a profiled spec's run profiles the ship too
+    # a profiled spec's run profiles its ship too, if it ships
     profile = result.cost_profile
-    if profile is not None:
+    if profile is not None and table is None:
         payload = profile.timed("ship", pack_records, found.items(),
                                 key_bytes)
     else:

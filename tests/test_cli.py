@@ -151,10 +151,14 @@ def snapshot_with_units(unit_results) -> str:
                        "unit_results": unit_results})
 
 
-#: state-file writers: a local run under hc, a one-unit campaign
+#: state-file writers (a local run under hc, a one-unit campaign) and
+#: the runs that resume their files
 HC_RUN = ["--mode", "dfs", "--depth", "1", "--state-store", "hc"]
 ONE_UNIT_CAMPAIGN = ["--mode", "random", "--workers", "0", "--units", "1",
                      "--max-ops", "10"]
+LOCAL_DFS = ["--mode", "dfs", "--depth", "1"]
+TWO_UNITS = ["--mode", "random", "--workers", "0", "--units", "2",
+             "--max-ops", "10"]
 
 
 class TestCheck:
@@ -225,10 +229,14 @@ class TestCheck:
         assert code == 0
 
     def test_coverage_flag(self, capsys):
-        code = main(["check", "--fs", "verifs1", "--fs", "verifs2",
-                     "--mode", "random", "--max-ops", "80", "--coverage"])
-        assert code == 0
-        assert "operation coverage" in capsys.readouterr().out
+        """A local run prints its coverage once; a fleet's records keep
+        none, so ``--workers`` prints none for any N, zero included."""
+        argv = ["check", "--fs", "verifs1", "--fs", "verifs2",
+                "--mode", "random", "--max-ops", "80", "--coverage"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("operation coverage") == 1
+        assert main(argv + ["--workers", "0", "--units", "2"]) == 0
+        assert "coverage" not in capsys.readouterr().out
 
     def test_voting_flag_three_way(self, capsys):
         code = main(["check", "--fs", "verifs1", "--fs", "ext4",
@@ -290,32 +298,33 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(state_file) in err
 
-    @pytest.mark.parametrize("workers,written,named", [
-        pytest.param(None, HC_RUN, ("hc:4", "exact"), id="None"),
-        pytest.param("0", HC_RUN, ("hc:4", "exact"), id="0"),
-        pytest.param("0", ONE_UNIT_CAMPAIGN, ("spec", "units"),
+    @pytest.mark.parametrize("written,resumed,named", [
+        pytest.param(HC_RUN, LOCAL_DFS, ("hc:4", "exact"), id="None"),
+        pytest.param(HC_RUN, TWO_UNITS, ("hc:4", "exact"), id="0"),
+        pytest.param(ONE_UNIT_CAMPAIGN, TWO_UNITS, ("spec", "units"),
                      id="0-another-spec"),
-        pytest.param(None, ONE_UNIT_CAMPAIGN, ("spec", "mode"),
+        pytest.param(ONE_UNIT_CAMPAIGN, LOCAL_DFS, ("spec", "mode"),
                      id="None-a-campaign-file"),
+        pytest.param(["--mode", "random", "--max-ops", "10"],
+                     ["--mode", "random", "--max-ops", "20"],
+                     ("spec", "max_ops"), id="None-another-max-ops"),
     ])
     def test_state_file_of_another_store_is_invalid_input(
-            self, tmp_path, capsys, workers, written, named):
+            self, tmp_path, capsys, written, resumed, named):
         """A resume loads the snapshot's table as the run's table and
         runs the spec's units without a record, so a snapshot it would
         resume wrongly is refused, not silently run on: an ``hc``
         snapshot under ``exact``, or a ``--units 1`` campaign's records
         under ``--units 2`` (another per-unit budget) or under a local
-        run, the one-unit campaign of another spec."""
+        run, the one-unit campaign of another spec -- as is a local
+        run's own file under another ``--max-ops``."""
         state_file = str(tmp_path / "state.json")
         assert main(["check", "--fs", "verifs1", "--fs", "verifs2",
                      *written, "--state-file", state_file]) == 0
         capsys.readouterr()
-        argv = ["check", "--fs", "verifs1", "--fs", "verifs2",
-                "--state-store", "exact", "--state-file", state_file]
-        argv += (["--mode", "dfs", "--depth", "1"] if workers is None else
-                 ["--mode", "random", "--workers", workers, "--units", "2",
-                  "--max-ops", "10"])
-        assert main(argv) == 2
+        assert main(["check", "--fs", "verifs1", "--fs", "verifs2",
+                     "--state-store", "exact", "--state-file", state_file,
+                     *resumed]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and state_file in err
         assert all(name in err for name in named)

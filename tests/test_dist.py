@@ -557,6 +557,25 @@ class TestOneHandOff:
         if store != "bitstate":  # whose bits two keys may share
             assert len(table) == len(records)
 
+    @pytest.mark.parametrize("store", FLEET_STORES)
+    def test_a_local_run_explores_on_the_campaign_table(self, store):
+        """A fresh one-unit campaign run inline keeps one store, as the
+        library call does: its unit explores on the campaign's table
+        and ships nothing."""
+        local = dataclasses.replace(SPEC, state_store=store,
+                                    max_ops=120).local_run()
+        dist = DistributedChecker(local, workers=0).run()
+        (result,) = dist.unit_results
+        (unit,) = local.work_units()
+        table = make_store(store, seed=local.base_seed)
+        expected = local.build_mcfs().run_random(
+            max_operations=120, seed=unit.seed, max_depth=unit.max_depth,
+            backtrack_probability=unit.backtrack_probability, visited=table)
+        assert result.shipped_hashes == 0
+        assert result.stats.to_dict() == expected.stats.to_dict()
+        assert dist.table.visited_fingerprint() == table.visited_fingerprint()
+        assert dist.table.stats.to_dict() == table.stats.to_dict()
+
 
 class TestGrantHandshake:
     def test_worker_waits_for_nothing_but_its_grant(self):
